@@ -64,6 +64,16 @@ class AnsatzBundle:
         return problems
 
 
+def _sample_profile(state: ProfileState, x1: np.ndarray):
+    """(profile values, mixing weight, weight slope) from one spline build."""
+    if state.ur == state.ul:
+        raise ValueError("degenerate end states: no rarefaction to rescale")
+    spline = ProfileSpline(state)
+    span = state.ur - state.ul
+    prof = spline.value(x1)
+    return prof, (prof - state.ul) / span, spline.slope(x1) / span
+
+
 def mixing_weight(state: ProfileState, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Profile rescaled affinely onto (0, 1) and its slope, on given points.
 
@@ -71,13 +81,7 @@ def mixing_weight(state: ProfileState, x1: np.ndarray) -> tuple[np.ndarray, np.n
     profile grid; outside that grid the weight saturates to 0/1 with
     zero slope.
     """
-    if state.ur == state.ul:
-        raise ValueError("degenerate end states: no rarefaction to rescale")
-    spline = ProfileSpline(state)
-    span = state.ur - state.ul
-    g = (spline.value(x1) - state.ul) / span
-    dg = spline.slope(x1) / span
-    return g, dg
+    return _sample_profile(state, x1)[1:]
 
 
 def mean_flux_curvature(d2f, a, b):
@@ -86,11 +90,14 @@ def mean_flux_curvature(d2f, a, b):
     Five-point Gauss-Legendre on the unit interval: exact whenever f''
     is a polynomial of degree <= 9, and spectrally accurate otherwise.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    acc = np.zeros(np.broadcast(a, b).shape)
+    span = np.asarray(a, dtype=float) - b
+    acc = np.zeros(span.shape)
+    x = np.empty(span.shape)
     for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * np.asarray(d2f(b + theta * (a - b)), dtype=float)
+        np.multiply(span, theta, out=x)
+        x += b
+        acc += w * np.asarray(d2f(x), dtype=float)
     return acc if acc.ndim else float(acc)
 
 
@@ -119,10 +126,6 @@ def tile_to_cylinder(state: PeriodicState, dspec: DomainSpec) -> np.ndarray:
     return state.values[idx]
 
 
-def _x1_indices(n1: int, m1: int, shift: int = 0) -> np.ndarray:
-    return (np.arange(n1) + shift) % m1
-
-
 def build_ansatz(
     ul_state: PeriodicState,
     ur_state: PeriodicState,
@@ -138,26 +141,18 @@ def build_ansatz(
     return Field(dspec, Ul * (1.0 - gg) + Ur * gg, t=ul_state.t)
 
 
-def source_term(
-    ul_state: PeriodicState,
-    ur_state: PeriodicState,
-    profile: ProfileState,
-    flux: FluxSet,
-    dspec: DomainSpec,
-) -> Field:
-    """Closed-form defect of the ansatz under the conservation law.
+def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
+    """(g, dg, profile values, ansatz values, defect values) at one instant.
 
-    Every term carries either a disturbance factor or the distance of
-    the ansatz from the bare profile, so the defect inherits the
-    exponential decay of the torus disturbances.
+    Every term of the defect carries either a disturbance factor or the
+    distance of the ansatz from the bare profile, so the defect inherits
+    the exponential decay of the torus disturbances.
     """
     ts = (ul_state.t, ur_state.t, profile.t)
     if max(ts) - min(ts) > 1e-9:
         raise ValueError(f"time stamps differ: {ts}")
     grid = make_grid(dspec)
-    g, dg = mixing_weight(profile, grid.x1)
-    spline = ProfileSpline(profile)
-    prof = spline.value(grid.x1)
+    prof, g, dg = _sample_profile(profile, grid.x1)
 
     bshape = (-1,) + (1,) * (dspec.n - 1)
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
@@ -166,17 +161,21 @@ def source_term(
     Ur = tile_to_cylinder(ur_state, dspec)
     utild = Ul * (1.0 - gg) + Ur * gg
 
-    m1 = ul_state.spec.sizes[0]
-    idx = _x1_indices(dspec.n1, m1)
+    idx = np.arange(dspec.n1) % ul_state.spec.sizes[0]
     wl = ul_state.w
     wr = ur_state.w
 
+    curvatures = {}
     mix = np.zeros_like(utild)
     for axis in range(dspec.n):
+        d2f = flux.d2f[axis]
+        if d2f not in curvatures:
+            curvatures[d2f] = [mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
+        curv_l, curv_r = curvatures[d2f]
         dwl = spectral_derivative(wl, axis)[idx]
         dwr = spectral_derivative(wr, axis)[idx]
-        mix += mean_flux_curvature(flux.d2f[axis], Ul, utild) * dwl
-        mix -= mean_flux_curvature(flux.d2f[axis], Ur, utild) * dwr
+        mix += curv_l * dwl
+        mix -= curv_r * dwr
     h = (Ur - Ul) * gg * (1.0 - gg) * mix
 
     curv1 = mean_flux_curvature(flux.d2f[0], pp, utild)
@@ -184,7 +183,18 @@ def source_term(
 
     ddiff = spectral_derivative(wr - wl, 0)[idx]
     h -= 2.0 * ddiff * dgg
+    return g, dg, prof, utild, h
 
+
+def source_term(
+    ul_state: PeriodicState,
+    ur_state: PeriodicState,
+    profile: ProfileState,
+    flux: FluxSet,
+    dspec: DomainSpec,
+) -> Field:
+    """Closed-form defect of the ansatz under the conservation law."""
+    *_, h = _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec)
     return Field(dspec, h, t=ul_state.t)
 
 
@@ -195,13 +205,11 @@ def assemble_bundle(
     flux: FluxSet,
     dspec: DomainSpec,
 ) -> AnsatzBundle:
-    grid = make_grid(dspec)
-    g, dg = mixing_weight(profile, grid.x1)
-    prof = ProfileSpline(profile).value(grid.x1)
-    u_tilde = build_ansatz(ul_state, ur_state, g, dspec)
-    h = source_term(ul_state, ur_state, profile, flux, dspec)
+    g, dg, prof, utild, h = _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec)
+    t = ul_state.t
     return AnsatzBundle(
-        g=g, dg=dg, profile_values=prof, u_tilde=u_tilde, h=h, t=u_tilde.t
+        g=g, dg=dg, profile_values=prof, u_tilde=Field(dspec, utild, t=t),
+        h=Field(dspec, h, t=t), t=t,
     )
 
 
@@ -215,6 +223,8 @@ def discrete_residual(
     """
     dt_lo = mid.t - prev.t
     dt_hi = nxt.t - mid.t
+    if not (dt_lo > 0.0 and dt_hi > 0.0):
+        raise ValueError(f"snapshot times {prev.t}, {mid.t}, {nxt.t} must strictly increase")
     if abs(dt_lo - dt_hi) > 1e-9 * max(dt_lo, dt_hi):
         raise ValueError("need equispaced snapshots for the centered difference")
     u = mid.u_tilde

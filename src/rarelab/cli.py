@@ -21,9 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .ansatz import write_source_series
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
-from .domain import DomainSpec, Field, lp_norm, make_grid, write_snapshot
+from .domain import DomainSpec, Field, make_grid, write_snapshot
 from .errors import ConfigError, NumericalAbort
 from .fluxes import flux_from_name
 from .ineqlab import (
@@ -238,7 +237,7 @@ def _exp_simulate(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) 
          "|grad phi|_2": 6, "|u-profile|_inf": 8},
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
-    out.finish({"experiment": "simulate", "dt_steps": len(traj.times)})
+    out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt})
     failed = [k for k, v in report.items()
               if isinstance(v, dict) and v.get("status") == "fail"]
     if failed:
@@ -485,11 +484,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_EXPERIMENTS, "validate"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=(name != "validate") or True,
+        sp.add_argument("--config", required=True,
                         help="flat key=value config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (results are identical for any value)")
         sp.add_argument("--seed", type=int, default=0, help="corpus seed")
     args = parser.parse_args(argv)
 

@@ -172,13 +172,14 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
 
 def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[np.ndarray]:
     """Components of grad(|v|**power) for power >= 1, without differencing
-    across the sign kink: power * |v|**(power-1) * sign(v) * grad(v),
-    with the convention 0 where v vanishes."""
+    across the sign kink: power * |v|**(power-1) * sign(v) * grad(v).
+    Where v vanishes the factor is 0 for power > 1 and has magnitude 1
+    for power = 1, since |grad |v|| = |grad v| across a simple zero."""
     if power < 1.0:
         raise ValueError(f"power must be >= 1, got {power}")
     mag = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(mag > 0.0, power * mag ** (power - 1.0) * np.sign(values), 0.0)
+    at_zero = 1.0 if power == 1.0 else 0.0
+    factor = np.where(mag > 0.0, power * mag ** (power - 1.0) * np.sign(values), at_zero)
     return [factor * dv for dv in derivs]
 
 

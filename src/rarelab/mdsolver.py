@@ -87,6 +87,8 @@ class Trajectory:
     config: SolverConfig
     times: np.ndarray
     series: dict[str, np.ndarray]
+    steps: int
+    dt: float
     max_principle_violation: float = 0.0
     boundary_mismatch: float = 0.0
     u: list[Field] = field(default_factory=list)
@@ -279,8 +281,7 @@ def run(config: SolverConfig) -> Trajectory:
         for axis in range(1, spec.n):
             far.u_l = far.stepper.sweep_axis(far.u_l, axis)
             far.u_r = far.stepper.sweep_axis(far.u_r, axis)
-            moved = np.moveaxis(v, axis, 0)
-            v = np.moveaxis(sweeps[axis].apply(moved), 0, axis)
+            v = sweeps[axis].apply(v, axis=axis)
         return v
 
     def advect(v, t):
@@ -302,7 +303,7 @@ def run(config: SolverConfig) -> Trajectory:
         far.u_r = far.u_r + 0.5 * dt * (k1_r + k2_r)
         return v + 0.5 * dt * (k1 + k2)
 
-    traj = Trajectory(config=config, times=np.array([]), series={})
+    traj = Trajectory(config=config, times=np.array([]), series={}, steps=steps, dt=dt)
     rows: list[dict] = []
 
     def record(t, v):

@@ -105,8 +105,7 @@ class TorusStepper:
         ]
 
     def sweep_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        moved = np.moveaxis(values, axis, 0)
-        return np.moveaxis(self.sweeps[axis].apply(moved), 0, axis)
+        return self.sweeps[axis].apply(values, axis=axis)
 
     def diffuse_half(self, values: np.ndarray) -> np.ndarray:
         for axis in range(len(self.sweeps)):

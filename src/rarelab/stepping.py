@@ -5,10 +5,16 @@ The integrator is a Strang composition per step,
     u <- D(dt/2) A(dt) D(dt/2),
 
 with the stiff diffusion D handled implicitly (trapezoidal rule, one
-tridiagonal sweep per direction) and the advection A explicitly (Heun's
-method over upwind-biased second-order conservative fluxes).  The
-implicit treatment removes the dt <= dx^2/2 diffusion constraint; the
-advective CFL number remains the only step-size restriction.
+sweep per direction) and the advection A explicitly (Heun's method over
+upwind-biased second-order conservative fluxes).  The implicit treatment
+removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
+remains the only step-size restriction.
+
+The bounded x1 direction uses a banded tridiagonal solve (factoring
+once with LAPACK gttrf/gttrs is no faster: either route copies the
+C-ordered block to Fortran order).  A periodic direction's trapezoidal
+operator is circulant, so the DFT diagonalises it and its sweep is a
+real FFT, a precomputed multiplier and the inverse FFT along that axis.
 
 The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
@@ -35,75 +41,75 @@ __all__ = [
 class DiffusionSweep:
     """Trapezoidal half-step of 1-d diffusion along one axis.
 
-    Dirichlet sweeps take ghost-cell values held fixed over the
-    sub-step; periodic sweeps wrap.  The banded factor data depend only
-    on (length, alpha), so a sweep instance is built once per solver.
+    Dirichlet sweeps run along axis 0 and take ghost-cell values held
+    fixed over the sub-step.  Periodic sweeps run along any axis as the
+    Fourier multiplier (1 - alpha lam_k) / (1 + alpha lam_k) with
+    lam_k = 2 - 2 cos(2 pi k / length).  The banded factors and the
+    multiplier depend only on (length, alpha), so a sweep instance is
+    built once per solver.
     """
 
     def __init__(self, length: int, h: float, dt: float, periodic: bool):
         self.length = length
-        self.h = h
-        self.dt = dt
         self.periodic = periodic
-        self.alpha = dt / (2.0 * h * h)
-        a = self.alpha
-        ab = np.zeros((3, length))
-        ab[0, 1:] = -a
-        ab[1, :] = 1.0 + 2.0 * a
-        ab[2, :-1] = -a
+        self.alpha = a = dt / (2.0 * h * h)
         if periodic:
-            # Sherman-Morrison splitting of the cyclic corner entries
-            g = -(1.0 + 2.0 * a)
-            ab[1, 0] -= g
-            ab[1, -1] -= a * a / g
-            self._u = np.zeros(length)
-            self._u[0] = g
-            self._u[-1] = -a
-            self._v = np.zeros(length)
-            self._v[0] = 1.0
-            self._v[-1] = -a / g
-            self._z = solve_banded((1, 1), ab, self._u)
-            self._vz = 1.0 + self._v @ self._z
-        self._ab = ab
+            lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(length // 2 + 1) / length)
+            self._mult = (1.0 - a * lam) / (1.0 + a * lam)
+        else:
+            ab = np.zeros((3, length))
+            ab[0, 1:] = -a
+            ab[1, :] = 1.0 + 2.0 * a
+            ab[2, :-1] = -a
+            self._ab = ab
 
-    def _rhs_interior(self, u: np.ndarray) -> np.ndarray:
-        a = self.alpha
+    def apply(self, u: np.ndarray, b_lo=None, b_hi=None, axis: int = 0) -> np.ndarray:
+        """Advance along `axis`, where `u` has `length` cells."""
         if self.periodic:
-            return a * np.roll(u, 1, 0) + (1.0 - 2.0 * a) * u + a * np.roll(u, -1, 0)
-        r = (1.0 - 2.0 * a) * u
-        r[1:] += a * u[:-1]
-        r[:-1] += a * u[1:]
-        return r
-
-    def apply(self, u: np.ndarray, b_lo=None, b_hi=None) -> np.ndarray:
-        """Advance along axis 0.  `u` has shape (length, ...)."""
-        shape = u.shape
-        u2 = u.reshape(self.length, -1)
-        rhs = self._rhs_interior(u2)
-        if self.periodic:
-            y = solve_banded((1, 1), self._ab, rhs)
-            corr = (self._v @ y) / self._vz
-            out = y - self._z[:, None] * corr
-            return out.reshape(shape)
+            hat = np.fft.rfft(u, axis=axis)
+            hat *= self._mult.reshape((-1,) + (1,) * (u.ndim - 1 - axis % u.ndim))
+            return np.fft.irfft(hat, self.length, axis=axis)
+        if axis != 0:
+            raise ValueError("Dirichlet sweeps run along axis 0")
         if b_lo is None or b_hi is None:
             raise ValueError("Dirichlet sweep needs ghost values on both ends")
+        u2 = u.reshape(self.length, -1)
         a = self.alpha
-        k = u2.shape[1]
-        lo = np.broadcast_to(np.asarray(b_lo, dtype=float).ravel() if np.ndim(b_lo) else b_lo, (k,))
-        hi = np.broadcast_to(np.asarray(b_hi, dtype=float).ravel() if np.ndim(b_hi) else b_hi, (k,))
-        rhs[0] += 2.0 * a * lo
-        rhs[-1] += 2.0 * a * hi
-        out = solve_banded((1, 1), self._ab, rhs)
-        return out.reshape(shape)
+        rhs = (1.0 - 2.0 * a) * u2
+        rhs[1:] += a * u2[:-1]
+        rhs[:-1] += a * u2[1:]
+        rhs[0] += 2.0 * a * np.ravel(b_lo)
+        rhs[-1] += 2.0 * a * np.ravel(b_hi)
+        return solve_banded((1, 1), self._ab, rhs).reshape(u.shape)
 
 
 def _reconstruct_faces(um1, u0, up1, up2, flux_f, flux_df):
     """Upwind-biased second-order face flux (Fromm slopes, local
-    Lax-Friedrichs dissipation on the reconstruction jump)."""
-    ul = u0 + 0.25 * (up1 - um1)
-    ur = up1 - 0.25 * (up2 - u0)
-    a = np.maximum(np.abs(flux_df(ul)), np.abs(flux_df(ur)))
-    return 0.5 * (flux_f(ul) + flux_f(ur)) - 0.5 * a * (ur - ul)
+    Lax-Friedrichs dissipation on the reconstruction jump).  Temporaries
+    are reused in place, but flux results never are: a flux may return
+    its argument."""
+    ul = up1 - um1
+    ul *= 0.25
+    ul += u0
+    ur = up2 - u0
+    ur *= 0.25
+    np.subtract(up1, ur, out=ur)
+    a = np.abs(flux_df(ul))
+    np.maximum(a, np.abs(flux_df(ur)), out=a)
+    face = flux_f(ul) + flux_f(ur)
+    face *= 0.5
+    a *= 0.5
+    ur -= ul
+    a *= ur
+    face -= a
+    return face
+
+
+def _along(axis: int, start, stop) -> tuple:
+    """Index tuple selecting start:stop along `axis` and everything else."""
+    idx = [slice(None)] * (axis + 1)
+    idx[axis] = slice(start, stop)
+    return tuple(idx)
 
 
 def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> np.ndarray:
@@ -112,26 +118,24 @@ def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> n
     `ghosts`, when given, is a pair of arrays of shape (2, *transverse)
     holding two ghost layers at the low/high end of axis 0; axis 0 is
     then treated as bounded and every other axis wraps.  With
-    ghosts=None all axes wrap (torus solver).
+    ghosts=None all axes wrap (torus solver).  The N+1 faces of an
+    axis come from four shifted views of the axis padded by two layers.
     """
     out = np.zeros_like(values)
     for axis in range(values.ndim):
-        h = spacings[axis]
-        f, df = flux.f[axis], flux.df[axis]
         if axis == 0 and ghosts is not None:
             lo, hi = ghosts
-            p = np.concatenate([lo, values, hi], axis=0)
-            # faces 1/2 .. N+1/2 of the padded array cover the N+1 real faces
-            um1, u0, up1, up2 = p[:-3], p[1:-2], p[2:-1], p[3:]
-            face = _reconstruct_faces(um1, u0, up1, up2, f, df)
-            out -= (face[1:] - face[:-1]) / h
         else:
-            v = np.moveaxis(values, axis, 0)
-            um1 = np.roll(v, 1, 0)
-            up1 = np.roll(v, -1, 0)
-            up2 = np.roll(v, -2, 0)
-            face = _reconstruct_faces(um1, v, up1, up2, f, df)
-            out -= np.moveaxis(face - np.roll(face, 1, 0), 0, axis) / h
+            lo, hi = values[_along(axis, -2, None)], values[_along(axis, None, 2)]
+        p = np.concatenate([lo, values, hi], axis=axis)
+        face = _reconstruct_faces(
+            p[_along(axis, None, -3)], p[_along(axis, 1, -2)],
+            p[_along(axis, 2, -1)], p[_along(axis, 3, None)],
+            flux.f[axis], flux.df[axis],
+        )
+        diff = face[_along(axis, 1, None)] - face[_along(axis, None, -1)]
+        diff /= spacings[axis]
+        out -= diff
     return out
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from rarelab import ansatz
 
 from rarelab.ansatz import (
     assemble_bundle,
@@ -171,6 +175,36 @@ class TestSourceTerm:
         b = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
         with pytest.raises(ValueError):
             discrete_residual(b, b, b, flux)
+
+    def test_residual_needs_increasing_times(self):
+        dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
+        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3, refine=2)
+        b0, b1, b2 = (assemble_bundle(a, b, c, flux, dspec) for a, b, c in zip(sl, sr, ps))
+        for triple in ((b1, b1, b1), (b2, b1, b0), (b0, b1, b1)):
+            with pytest.raises(ValueError, match="strictly increase"):
+                discrete_residual(*triple, flux)
+        with pytest.raises(ValueError, match="equispaced"):
+            discrete_residual(b0, b1, dataclasses.replace(b2, t=b2.t + 0.005), flux)
+
+    def test_bundle_builds_one_spline_and_matches_public_pieces(self, monkeypatch):
+        dspec = DomainSpec(n=3, L=5, n1=100, n_torus=(6, 8))
+        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
+        builds = []
+
+        class CountingSpline(ansatz.ProfileSpline):
+            def __init__(self, state):
+                builds.append(state.t)
+                super().__init__(state)
+
+        monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
+        bundle = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
+        assert len(builds) == 1
+        g, dg = mixing_weight(ps[0], make_grid(dspec).x1)
+        assert np.array_equal(bundle.g, g) and np.array_equal(bundle.dg, dg)
+        assert np.array_equal(bundle.u_tilde.values,
+                              build_ansatz(sl[0], sr[0], g, dspec).values)
+        assert np.array_equal(bundle.h.values,
+                              source_term(sl[0], sr[0], ps[0], flux, dspec).values)
 
     def test_series_csv(self, tmp_path):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))

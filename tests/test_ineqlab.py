@@ -229,6 +229,14 @@ class TestChainRulePowerGradient:
         got = chain_rule_power_gradient(v, [dv], 1.5)[0]
         assert got[0] == 0.0
 
+    def test_power_one_keeps_unit_factor_at_zeros(self):
+        # |grad |v|| = |grad v| across a simple zero of v
+        v = np.array([0.0, 1.0, -2.0])
+        dv = np.array([5.0, 3.0, 4.0])
+        got = chain_rule_power_gradient(v, [dv], 1.0)[0]
+        assert np.array_equal(np.abs(got), dv)
+        assert np.array_equal(got[1:], [3.0, -4.0])
+
 
 class TestExtremeCases:
     def test_pointwise_product_bound_holds(self):

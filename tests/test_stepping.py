@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab.errors import NumericalAbort
 from rarelab.fluxes import burgers, cubic, flux_from_name, linear_flux
+from rarelab.periodic import TorusSpec, TorusStepper
 from rarelab.stepping import (
     DiffusionSweep,
     advective_rhs,
@@ -10,6 +12,37 @@ from rarelab.stepping import (
     heun_advection,
     max_advective_dt,
 )
+
+FLUXES = {
+    "burgers": burgers,
+    "cubic": cubic,
+    "linear_flux": lambda n: linear_flux(n, [1.0, -0.5, 2.0][:n]),
+}
+
+
+def reference_advective_rhs(values, flux, spacings, ghosts=None):
+    """Axis-to-front kernel with np.roll stencils: the reference for
+    advective_rhs, which must reproduce it bitwise."""
+
+    def faces(um1, u0, up1, up2, f, df):
+        ul = u0 + 0.25 * (up1 - um1)
+        ur = up1 - 0.25 * (up2 - u0)
+        a = np.maximum(np.abs(df(ul)), np.abs(df(ur)))
+        return 0.5 * (f(ul) + f(ur)) - 0.5 * a * (ur - ul)
+
+    out = np.zeros_like(values)
+    for axis in range(values.ndim):
+        h = spacings[axis]
+        f, df = flux.f[axis], flux.df[axis]
+        if axis == 0 and ghosts is not None:
+            p = np.concatenate([ghosts[0], values, ghosts[1]], axis=0)
+            face = faces(p[:-3], p[1:-2], p[2:-1], p[3:], f, df)
+            out -= (face[1:] - face[:-1]) / h
+        else:
+            v = np.moveaxis(values, axis, 0)
+            face = faces(np.roll(v, 1, 0), v, np.roll(v, -1, 0), np.roll(v, -2, 0), f, df)
+            out -= np.moveaxis(face - np.roll(face, 1, 0), 0, axis) / h
+    return out
 
 
 def dense_reference(n, h, dt, periodic, u, b_lo=0.0, b_hi=0.0):
@@ -76,6 +109,25 @@ class TestDiffusionSweep:
         with pytest.raises(ValueError):
             sweep.apply(np.ones(8))
 
+    def test_dirichlet_runs_along_axis_zero(self):
+        sweep = DiffusionSweep(8, 0.125, 0.3, periodic=False)
+        with pytest.raises(ValueError, match="axis 0"):
+            sweep.apply(np.ones((4, 8)), b_lo=0.0, b_hi=0.0, axis=1)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (5, 6, 7)])
+    def test_periodic_axis_sweep_matches_lines(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        u = rng.standard_normal(shape)
+        for axis, n in enumerate(shape):
+            h, dt = 1.0 / n, 0.37
+            sweep = DiffusionSweep(n, h, dt, periodic=True)
+            got = sweep.apply(u, axis=axis)
+            lines = np.moveaxis(got, axis, -1).reshape(-1, n)
+            for line, col in zip(lines, np.moveaxis(u, axis, -1).reshape(-1, n)):
+                assert np.max(np.abs(line - sweep.apply(col))) < 1e-13
+                ref = dense_reference(n, h, dt, True, col)
+                assert np.max(np.abs(line - ref)) < 1e-13
+
 
 class TestAdvection:
     def test_constant_state_is_fixed_point(self):
@@ -122,6 +174,47 @@ class TestAdvection:
         rhs_bounded = advective_rhs(tiles, flux, (0.1,), ghosts=(ghosts_lo, ghosts_hi))
         rhs_periodic = advective_rhs(base, flux, (0.1,))
         assert np.max(np.abs(rhs_bounded - np.tile(rhs_periodic, 4))) < 1e-14
+
+
+class TestAdvectionKernelReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(4, 9), min_size=1, max_size=3),
+        flux_name=st.sampled_from(sorted(FLUXES)),
+        with_ghosts=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_reference(self, shape, flux_name, with_ghosts, seed):
+        rng = np.random.default_rng(seed)
+        flux = FLUXES[flux_name](len(shape))
+        values = 1.0 + 0.5 * rng.standard_normal(shape)
+        spacings = tuple(rng.uniform(0.05, 0.5, len(shape)))
+        ghosts = None
+        if with_ghosts:
+            ghosts = tuple(1.0 + 0.5 * rng.standard_normal((2, *shape[1:])) for _ in range(2))
+        got = advective_rhs(values, flux, spacings, ghosts)
+        ref = reference_advective_rhs(values, flux, spacings, ghosts)
+        assert np.array_equal(got, ref)
+
+
+class TestTorusConservation:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(4, 12), min_size=1, max_size=3),
+        ubar=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_step_conserves_mean(self, sizes, ubar, seed):
+        rng = np.random.default_rng(seed)
+        spec = TorusSpec(sizes=tuple(sizes))
+        flux = burgers(spec.ndim)
+        u = ubar + 0.2 * rng.standard_normal(spec.sizes)
+        dt = max_advective_dt(flux, spec.spacings, float(u.min()), float(u.max()), 0.4)
+        stepper = TorusStepper(spec, flux, dt)
+        mean0 = float(np.mean(u))
+        for k in range(3):
+            u = stepper.step(u, k * dt)
+        assert abs(float(np.mean(u)) - mean0) < 1e-14
 
 
 class TestCFL:
