@@ -34,12 +34,13 @@ from .ineqlab import (
     hat_bump,
     interpolation_ratio,
 )
-from .mdsolver import SolverConfig, run as run_solver, trig_polynomial, validate_config, write_norm_table
+from .mdsolver import NORM_COLUMNS, SolverConfig, run as run_solver, trig_polynomial, validate_config, write_norm_table
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, w_sup_norms, write_periodic_series
 from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
 from .rates import (
     exponent_ordering,
     fit_power_law,
+    fit_window,
     verify_apriori,
     verify_main_theorem,
     write_rate_report,
@@ -208,26 +209,39 @@ def _write_decay_plot(path, csv_name: str, columns: dict[str, int], guides: dict
 
 # --- experiments ---------------------------------------------------------------
 
+def _rate_report(table, cfg: dict[str, str]) -> dict:
+    """Every rate verdict, from the exported norm-table columns alone, so
+    that `rates` on a simulate run's norms.csv reproduces its verdicts."""
+    try:
+        cols = {name: np.asarray(table[name], dtype=float) for name in NORM_COLUMNS}
+        times = cols["t"]
+        window = fit_window(times, tuple(_floats(cfg["rates.window"]))
+                            if "rates.window" in cfg else None)
+        report = {"main_rate": verify_main_theorem(times, cols["u_minus_profile_linf"], window)}
+        fits = {}
+        for p, col in ((1.0, "phi_l1"), (2.0, "phi_l2"), (4.0, "phi_l4"), (np.inf, "phi_linf")):
+            report[col] = verify_apriori(times, cols[col], p, "phi", window)
+            fits[p] = fit_power_law(times, cols[col], window).exponent
+        for p, col in ((2.0, "grad_phi_l2"), (4.0, "grad_phi_l4")):
+            report[col] = verify_apriori(times, cols[col], p, "grad_phi", window)
+    except ValueError as e:
+        raise ConfigError(f"rate report: {e}") from e
+    report["ordering"] = exponent_ordering(fits)
+    return report
+
+
+def _raise_on_failed(report: dict) -> None:
+    failed = [k for k, v in report.items()
+              if isinstance(v, dict) and v.get("status") == "fail"]
+    if failed:
+        raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
+
+
 def _exp_simulate(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) -> int:
     sc = solver_config_from_dict(cfg)
     traj = run_solver(sc)
     write_norm_table(traj, out.path("norms.csv"))
-
-    window = tuple(_floats(cfg["rates.window"])) if "rates.window" in cfg else None
-    dist = traj.series["phi_linf"] + traj.series["ansatz_minus_profile_linf"]
-    report = {"main_rate": verify_main_theorem(traj.times, dist, window)}
-    fits = {}
-    for p, col in ((1.0, "phi_l1"), (2.0, "phi_l2"), (4.0, "phi_l4"), (np.inf, "phi_linf")):
-        report[f"phi_l{p:g}" if not np.isinf(p) else "phi_linf"] = verify_apriori(
-            traj.times, traj.series[col], p, "phi", window)
-        if not (p == 1.0):
-            fits[p] = report["phi_linf" if np.isinf(p) else f"phi_l{p:g}"]["fit"]["exponent"]
-    w = window or (traj.times[-1] / 10.0, traj.times[-1])
-    fits[1.0] = fit_power_law(traj.times, traj.series["phi_l1"], w).exponent
-    for p, col in ((2.0, "grad_phi_l2"), (4.0, "grad_phi_l4")):
-        report[f"grad_phi_l{p:g}"] = verify_apriori(traj.times, traj.series[col], p,
-                                                    "grad_phi", window)
-    report["ordering"] = exponent_ordering(fits)
+    report = _rate_report(traj.series, cfg)
     report["max_principle_violation"] = traj.max_principle_violation
     report["boundary_mismatch"] = traj.boundary_mismatch
     write_rate_report(report, out.path("rates.json"))
@@ -238,10 +252,7 @@ def _exp_simulate(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) 
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
     out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt})
-    failed = [k for k, v in report.items()
-              if isinstance(v, dict) and v.get("status") == "fail"]
-    if failed:
-        raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
+    _raise_on_failed(report)
     return 0
 
 
@@ -419,22 +430,10 @@ def _exp_rates(cfg: dict[str, str], out: _Outputs, rng) -> int:
     src = cfg.get("input", "")
     if not src or not os.path.exists(src):
         raise ConfigError(f"rates experiment needs input = <norms.csv>, got '{src}'")
-    data = np.genfromtxt(src, delimiter=",", names=True)
-    times = data["t"]
-    window = tuple(_floats(cfg["rates.window"])) if "rates.window" in cfg else None
-    report = {"main_rate": verify_main_theorem(times, data["u_minus_profile_linf"], window)}
-    for p, col in ((1.0, "phi_l1"), (2.0, "phi_l2"), (4.0, "phi_l4"), (np.inf, "phi_linf")):
-        name = "phi_linf" if np.isinf(p) else f"phi_l{p:g}"
-        report[name] = verify_apriori(times, data[col], p, "phi", window)
-    for p in (2.0, 4.0):
-        report[f"grad_phi_l{p:g}"] = verify_apriori(
-            times, data[f"grad_phi_l{p:g}"], p, "grad_phi", window)
+    report = _rate_report(np.genfromtxt(src, delimiter=",", names=True), cfg)
     write_rate_report(report, out.path("rates.json"))
     out.finish({"experiment": "rates", "input": src})
-    failed = [k for k, v in report.items()
-              if isinstance(v, dict) and v.get("status") == "fail"]
-    if failed:
-        raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
+    _raise_on_failed(report)
     return 0
 
 
@@ -445,12 +444,8 @@ def validate(cfg: dict[str, str]) -> list[str]:
     except ConfigError as e:
         return [str(e)]
     findings = validate_config(sc)
-    for key in ("rates.grad_p",):
-        if key in cfg:
-            for p in _floats(cfg[key]):
-                if p < 2.0:
-                    findings.append(
-                        f"gradient rates are only predicted for p >= 2, got p = {p}")
+    findings += [f"gradient rates are only predicted for p >= 2, got p = {p}"
+                 for p in _floats(cfg.get("rates.grad_p", "")) if p < 2.0]
     return findings
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "tail_mass",
     "write_snapshot",
     "read_snapshot",
+    "write_grid_snapshot",
+    "read_grid_snapshot",
     "write_csv",
 ]
 
@@ -73,10 +75,6 @@ class DomainSpec:
             raise ValueError(f"n1 must be at least 4, got {self.n1}")
         if any(m < 4 for m in self.n_torus):
             raise ValueError(f"torus cell counts must be at least 4, got {self.n_torus}")
-
-    @property
-    def periods(self) -> tuple[float, ...]:
-        return (1.0,) * (self.n - 1)
 
     @property
     def dx1(self) -> float:
@@ -244,35 +242,39 @@ def tail_mass(f: Field, fraction: float = 0.1) -> float:
 # Binary layout: little-endian 64-bit header values
 #   n (int), L (float), n1 (int), n_torus[0..n-2] (int), t (float)
 # followed by the row-major float64 values.  L = 0 flags an all-periodic
-# torus state (no line direction); L > 0 is a truncated-cylinder field.
+# torus state (no line direction, the n sizes are the torus sizes); L > 0
+# is a truncated-cylinder field.
+
+def write_grid_snapshot(path, L: float, t: float, values: np.ndarray) -> None:
+    """Header (ndim, L, shape, t) and the values, in the layout above."""
+    shape = np.shape(values)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<qd{len(shape)}qd", len(shape), L, *shape, t))
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def read_grid_snapshot(path) -> tuple[float, float, np.ndarray]:
+    """(L, t, values) from a file in the layout above."""
+    with open(path, "rb") as fh:
+        n, L = struct.unpack("<qd", fh.read(16))
+        *shape, t = struct.unpack(f"<{n}qd", fh.read(8 * n + 8))
+        raw = fh.read(int(np.prod(shape)) * 8)
+    return L, t, np.frombuffer(raw, dtype="<f8").reshape(shape)
+
 
 def write_snapshot(f: Field, path) -> None:
-    spec = f.spec
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", spec.n))
-        fh.write(struct.pack("<d", spec.L))
-        fh.write(struct.pack("<q", spec.n1))
-        for m in spec.n_torus:
-            fh.write(struct.pack("<q", m))
-        fh.write(struct.pack("<d", f.t))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    write_grid_snapshot(path, f.spec.L, f.t, f.values)
 
 
 def read_snapshot(path) -> Field:
-    with open(path, "rb") as fh:
-        n = struct.unpack("<q", fh.read(8))[0]
-        L = struct.unpack("<d", fh.read(8))[0]
-        n1 = struct.unpack("<q", fh.read(8))[0]
-        n_torus = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(n - 1))
-        t = struct.unpack("<d", fh.read(8))[0]
-        if L == 0.0:
-            raise ValueError(
-                "file is an all-periodic torus snapshot (L = 0); "
-                "use rarelab.periodic.read_torus_snapshot"
-            )
-        spec = DomainSpec(n=n, L=L, n1=n1, n_torus=n_torus)
-        raw = fh.read(spec.num_points * 8)
-    values = np.frombuffer(raw, dtype="<f8").reshape(spec.shape)
+    L, t, values = read_grid_snapshot(path)
+    if L == 0.0:
+        raise ValueError(
+            "file is an all-periodic torus snapshot (L = 0); "
+            "use rarelab.periodic.read_torus_snapshot"
+        )
+    n1, *n_torus = values.shape
+    spec = DomainSpec(n=values.ndim, L=L, n1=n1, n_torus=n_torus)
     return Field(spec=spec, values=values, t=t)
 
 

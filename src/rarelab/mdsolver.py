@@ -8,6 +8,13 @@ time-dependent Dirichlet data read from the two torus solutions, which
 is what the exact solution approaches at the two far fields; ghost
 cells are filled by exact index tiling, never interpolation.
 
+The two torus solutions form one stacked (2, m1, ...) far-field array
+that takes the same Strang step as the cylinder, in lockstep: the x1
+sweep reads the far field averaged over its own matching sweep, and
+each Heun stage reads ghost rows from the matching far-field stage, so
+a cylinder field that equals a tiled torus field stays equal to it away
+from the fan.
+
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile) puts more than
 the configured fraction of its mass into the outer decade of the x1
@@ -16,7 +23,6 @@ range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,7 +34,9 @@ from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import PeriodicState, TorusSpec, TorusStepper
 from .profile1d import ProfileState, evolve_profile, initial_profile, make_initial_state
-from .stepping import DiffusionSweep, advective_rhs, check_cfl, max_advective_dt
+from .stepping import (
+    DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
+)
 
 __all__ = [
     "SolverConfig",
@@ -96,9 +104,6 @@ class Trajectory:
     bundles: list[AnsatzBundle] = field(default_factory=list)
     profiles: list[ProfileState] = field(default_factory=list)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.series[name]
-
 
 def trig_polynomial(modes, coords) -> np.ndarray:
     """Sample sum over rows of amp * prod sin(2 pi k_d x_d) on a grid."""
@@ -139,6 +144,8 @@ def validate_config(config: SolverConfig) -> list[str]:
         problems.append(f"t_end must be positive, got {config.t_end}")
     if config.profile_refine < 1:
         problems.append("profile_refine must be a positive integer")
+    if config.dt is not None and not config.dt > 0:
+        problems.append(f"dt must be positive, got {config.dt}")
 
     for row in config.w0_modes:
         if len(row) != spec.n + 1:
@@ -182,40 +189,6 @@ def validate_config(config: SolverConfig) -> list[str]:
     return problems
 
 
-class _FarField:
-    """The two torus solutions marched in lockstep with the cylinder.
-
-    Ghost rows for any x1 cell index (including negatives and overshoot)
-    come from the exact index map between the cylinder x1 cells and the
-    half-cell-offset torus grid.  The lockstep protocol matters: the
-    cylinder's trapezoidal sweeps want the average of the old and new
-    far-field values, and its predictor-corrector advection wants ghost
-    rows from the matching stage, so that a cylinder field that equals a
-    tiled torus field stays equal to it away from the fan.
-    """
-
-    def __init__(self, tspec: TorusSpec, flux: FluxSet, dt: float,
-                 w0: np.ndarray, ul: float, ur: float):
-        self.tspec = tspec
-        self.m1 = tspec.sizes[0]
-        self.stepper = TorusStepper(tspec, flux, dt)
-        self.flux = flux
-        self.dt = dt
-        self.u_l = ul + w0
-        self.u_r = ur + w0
-        self.ul, self.ur = ul, ur
-
-    def rows(self, which: str, indices) -> np.ndarray:
-        arr = self.u_l if which == "l" else self.u_r
-        return arr[np.asarray(indices) % self.m1]
-
-    def states(self, t: float) -> tuple[PeriodicState, PeriodicState]:
-        return (
-            PeriodicState(self.tspec, self.u_l, t, self.ul),
-            PeriodicState(self.tspec, self.u_r, t, self.ur),
-        )
-
-
 def run(config: SolverConfig) -> Trajectory:
     """Advance the cylinder solution and log the perturbation against the
     concurrently assembled ansatz."""
@@ -230,15 +203,8 @@ def run(config: SolverConfig) -> Trajectory:
     spacings = (spec.dx1, *spec.dx_torus)
     dt_max = max_advective_dt(flux, spacings, min(ul, ur) - amp, max(ul, ur) + amp,
                               config.cfl)
-    if config.dt is not None and config.dt > dt_max * (1.0 + 1e-12):
-        raise NumericalAbort("cfl", 0.0,
-                             f"requested dt={config.dt:.3e} > stable {dt_max:.3e}")
-    steps = max(1, math.ceil(config.t_end / (config.dt or dt_max)))
-    dt = config.t_end / steps
-
-    snap: dict[int, float] = {}
-    for ts in sorted(set(config.snapshot_times)) or [config.t_end]:
-        snap.setdefault(int(round(ts / dt)), ts)
+    steps, dt, snap = step_schedule(config.t_end, dt_max, config.dt, 0.0,
+                                    config.snapshot_times)
 
     grid = make_grid(spec)
 
@@ -251,10 +217,15 @@ def run(config: SolverConfig) -> Trajectory:
     )
     prof_at = {int(round(s.t / dt)): s for s in profiles}
 
+    # far field: [left, right] torus solutions on the half-cell-offset
+    # grid; line ghost cell i reads torus row i mod m1 of its side
     m1 = int(round(1.0 / spec.dx1))
     tspec = TorusSpec(sizes=(m1, *spec.n_torus), offsets=(0.5,) + (0.0,) * (spec.n - 1))
-    far = _FarField(tspec, flux, dt, trig_polynomial(config.w0_modes,
-                                                     tspec.coordinates()), ul, ur)
+    stepper = TorusStepper(tspec, flux, dt)
+    w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
+    far = np.stack([ul + w0, ur + w0])
+    lo_rows = np.array([-2, -1]) % m1
+    hi_rows = np.array([n1, n1 + 1]) % m1
 
     # initial data: exact tangent backbone + optional 1-d bump + modes
     col = (-1,) + (1,) * (spec.n - 1)
@@ -267,48 +238,29 @@ def run(config: SolverConfig) -> Trajectory:
     sweeps += [DiffusionSweep(m, h, dt / 2.0, periodic=True)
                for m, h in zip(spec.n_torus, spec.dx_torus)]
 
-    def diffuse_half(v):
-        # sweep axis by axis in lockstep with the far field; the x1 sweep
-        # wants trapezoidal ghost data, the average of the far field
-        # before and after its own matching axis-0 sweep
-        b_lo = 0.5 * far.rows("l", [-1])[0]
-        b_hi = 0.5 * far.rows("r", [n1])[0]
-        far.u_l = far.stepper.sweep_axis(far.u_l, 0)
-        far.u_r = far.stepper.sweep_axis(far.u_r, 0)
-        b_lo = b_lo + 0.5 * far.rows("l", [-1])[0]
-        b_hi = b_hi + 0.5 * far.rows("r", [n1])[0]
-        v = sweeps[0].apply(v, b_lo=b_lo, b_hi=b_hi)
-        for axis in range(1, spec.n):
-            far.u_l = far.stepper.sweep_axis(far.u_l, axis)
-            far.u_r = far.stepper.sweep_axis(far.u_r, axis)
-            v = sweeps[axis].apply(v, axis=axis)
-        return v
+    def sweep(state, axis):
+        v, w = state
+        w_new = stepper.sweep_axis(w, axis - spec.n)
+        if axis > 0:
+            return sweeps[axis].apply(v, axis=axis), w_new
+        # trapezoidal Dirichlet data: the ghost rows averaged over the
+        # far field's own matching x1 sweep
+        b_lo = 0.5 * w[0, lo_rows[1]] + 0.5 * w_new[0, lo_rows[1]]
+        b_hi = 0.5 * w[1, hi_rows[0]] + 0.5 * w_new[1, hi_rows[0]]
+        return sweeps[0].apply(v, b_lo=b_lo, b_hi=b_hi), w_new
 
-    def advect(v, t):
-        # predictor-corrector in lockstep with the far field, so ghost
-        # rows always come from the matching stage
-        g_lo = far.rows("l", [-2, -1])
-        g_hi = far.rows("r", [n1, n1 + 1])
-        k1 = advective_rhs(v, flux, spacings, ghosts=(g_lo, g_hi))
-        k1_l = advective_rhs(far.u_l, flux, tspec.spacings)
-        k1_r = advective_rhs(far.u_r, flux, tspec.spacings)
-        star_l, star_r = far.u_l + dt * k1_l, far.u_r + dt * k1_r
-        v_star = v + dt * k1
-        g_lo = star_l[np.asarray([-2, -1]) % m1]
-        g_hi = star_r[np.asarray([n1, n1 + 1]) % m1]
-        k2 = advective_rhs(v_star, flux, spacings, ghosts=(g_lo, g_hi))
-        k2_l = advective_rhs(star_l, flux, tspec.spacings)
-        k2_r = advective_rhs(star_r, flux, tspec.spacings)
-        far.u_l = far.u_l + 0.5 * dt * (k1_l + k2_l)
-        far.u_r = far.u_r + 0.5 * dt * (k1_r + k2_r)
-        return v + 0.5 * dt * (k1 + k2)
+    def rhs(state):
+        v, w = state
+        return (advective_rhs(v, flux, spacings, ghosts=(w[0, lo_rows], w[1, hi_rows])),
+                advective_rhs(w, flux, tspec.spacings))
 
     traj = Trajectory(config=config, times=np.array([]), series={}, steps=steps, dt=dt)
     rows: list[dict] = []
 
-    def record(t, v):
+    def record(t, v, w):
         pstate = prof_at[int(round(t / dt))]
-        sl, sr = far.states(t)
+        sl = PeriodicState(tspec, w[0], t, ul)
+        sr = PeriodicState(tspec, w[1], t, ur)
         bundle = assemble_bundle(sl, sr, pstate, flux, spec)
         phi = Field(spec, v - bundle.u_tilde.values, t)
         gmag = np.sqrt(sum(c.values**2 for c in gradient(phi)))
@@ -325,7 +277,6 @@ def run(config: SolverConfig) -> Trajectory:
             u_minus_profile_linf=float(np.max(np.abs(v - prof_b))),
             h_l1=lp_norm(bundle.h, 1),
             tail_mass=tails,
-            ansatz_minus_profile_linf=float(np.max(np.abs(bundle.u_tilde.values - prof_b))),
             max_u=float(np.max(v)),
             min_u=float(np.min(v)),
         ))
@@ -336,11 +287,10 @@ def run(config: SolverConfig) -> Trajectory:
             traj.profiles.append(pstate)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
-        for idx, which in ((-1, "l"), (n1, "r")):
+        for side, idx, row in ((0, -1, lo_rows[1]), (1, n1, hi_rows[0])):
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
-            by_coord = (far.u_l if which == "l" else far.u_r)[j]
-            mismatch = float(np.max(np.abs(far.rows(which, [idx])[0] - by_coord)))
+            mismatch = float(np.max(np.abs(w[side, row] - w[side, j])))
             traj.boundary_mismatch = max(traj.boundary_mismatch, mismatch)
         if tails > config.tail_threshold and rows[-1]["phi_l1"] > config.tail_floor:
             raise NumericalAbort(
@@ -353,23 +303,17 @@ def run(config: SolverConfig) -> Trajectory:
                 "tail", t,
                 f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
 
-    if 0 in snap:
-        record(0.0, u)
-
     viol = 0.0
-    for k in range(steps):
-        t = k * dt
-        check_cfl(u, flux, spacings, dt, t)
-        old_lo = float(min(np.min(u), np.min(far.u_l), np.min(far.u_r)))
-        old_hi = float(max(np.max(u), np.max(far.u_l), np.max(far.u_r)))
-        u = diffuse_half(u)
-        u = advect(u, t)
-        u = diffuse_half(u)
-        new_lo = float(min(np.min(u), np.min(far.u_l), np.min(far.u_r)))
-        new_hi = float(max(np.max(u), np.max(far.u_l), np.max(far.u_r)))
-        viol = max(viol, new_hi - old_hi, old_lo - new_lo)
-        if k + 1 in snap:
-            record((k + 1) * dt, u)
+    for k in range(steps + 1):
+        if k in snap:
+            record(k * dt, u, far)
+        if k == steps:
+            break
+        check_cfl(u, flux, spacings, dt, k * dt)
+        old_lo, old_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
+        u, far = strang_step((u, far), dt, spec.n, sweep, rhs)
+        new_lo, new_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
+        viol = max(viol, float(new_hi - old_hi), float(old_lo - new_lo))
 
     traj.max_principle_violation = viol
     traj.times = np.array([r["t"] for r in rows])

@@ -5,19 +5,25 @@ solutions started from the same zero-average disturbance around the two
 end states.  Conservation form keeps the disturbance average at zero,
 and dissipation drives the disturbance to zero exponentially fast; the
 rate is measured (by a log-linear fit), never assumed.
+
+A torus step is the shared Strang step of `stepping`.  `TorusStepper`
+sweeps along negative axes, so the cylinder solver marches both far
+fields as one stacked (2, m1, ...) array with the same stepper.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import read_grid_snapshot, write_grid_snapshot
 from .errors import ConfigError
 from .fluxes import FluxSet
-from .stepping import DiffusionSweep, check_cfl, heun_advection, max_advective_dt
+from .rates import log_linear_fit
+from .stepping import (
+    DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
+)
 
 __all__ = [
     "TorusSpec",
@@ -105,21 +111,18 @@ class TorusStepper:
         ]
 
     def sweep_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Half-step sweep along torus axis `axis`; a negative axis counts
+        from the end, which lets `values` stack several torus fields."""
         return self.sweeps[axis].apply(values, axis=axis)
 
-    def diffuse_half(self, values: np.ndarray) -> np.ndarray:
-        for axis in range(len(self.sweeps)):
-            values = self.sweep_axis(values, axis)
-        return values
-
-    def advect(self, values: np.ndarray, t: float) -> np.ndarray:
-        check_cfl(values, self.flux, self.spec.spacings, self.dt, t)
-        return heun_advection(values, self.flux, self.spec.spacings, self.dt)
-
     def step(self, values: np.ndarray, t: float) -> np.ndarray:
-        values = self.diffuse_half(values)
-        values = self.advect(values, t)
-        return self.diffuse_half(values)
+        check_cfl(values, self.flux, self.spec.spacings, self.dt, t)
+        (values,) = strang_step(
+            (values,), self.dt, self.spec.ndim,
+            lambda s, axis: (self.sweep_axis(s[0], axis),),
+            lambda s: (advective_rhs(s[0], self.flux, self.spec.spacings),),
+        )
+        return values
 
 
 def solve_periodic(
@@ -150,25 +153,16 @@ def solve_periodic(
         )
     amp = float(np.max(np.abs(w0)))
     dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, cfl)
-    steps = max(1, math.ceil(t_end / (dt if dt is not None else dt_max)))
-    dt = t_end / steps
+    steps, dt, record = step_schedule(t_end, dt_max, dt, 0.0, snapshot_times)
 
     stepper = TorusStepper(spec, flux, dt)
-    want = {}
-    for ts in snapshot_times:
-        idx = int(round(ts / dt))
-        if not 0 <= idx <= steps:
-            raise ValueError(f"snapshot time {ts} outside [0, {t_end}]")
-        want.setdefault(idx, ts)
-
     u = ubar + w0
     out = []
-    if 0 in want:
-        out.append(PeriodicState(spec, u.copy(), 0.0, ubar))
-    for k in range(steps):
-        u = stepper.step(u, k * dt)
-        if k + 1 in want:
-            out.append(PeriodicState(spec, u.copy(), (k + 1) * dt, ubar))
+    for k in range(steps + 1):
+        if k in record:
+            out.append(PeriodicState(spec, u.copy(), k * dt, ubar))
+        if k < steps:
+            u = stepper.step(u, k * dt)
     return out
 
 
@@ -207,21 +201,8 @@ def fit_exponential_decay(times, norms, window) -> tuple[float, float]:
     twice the rate the induced source term does.  At least 4 points must
     fall inside the window and all of them must be positive.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(norms, dtype=float)
-    lo, hi = window
-    mask = (t >= lo) & (t <= hi)
-    if int(np.sum(mask)) < 4:
-        raise ValueError(f"window {window} holds {int(np.sum(mask))} points; need >= 4")
-    if np.any(v[mask] <= 0.0):
-        raise ValueError("norm series must be positive inside the fit window")
-    tt, vv = t[mask], np.log(v[mask])
-    slope, intercept = np.polyfit(tt, vv, 1)
-    fitted = slope * tt + intercept
-    ss_res = float(np.sum((vv - fitted) ** 2))
-    ss_tot = float(np.sum((vv - np.mean(vv)) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-24 else 1.0 - ss_res / ss_tot
-    return -0.5 * float(slope), r2
+    slope, _, r2, _ = log_linear_fit(times, times, norms, window)
+    return -0.5 * slope, r2
 
 
 def write_periodic_series(states, path) -> None:
@@ -239,26 +220,12 @@ def write_torus_snapshot(state: PeriodicState, path) -> None:
     The stored values are the full solution; the background constant is
     recovered on read as the mean (the disturbance averages to zero).
     """
-    spec = state.spec
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", spec.ndim))
-        fh.write(struct.pack("<d", 0.0))
-        fh.write(struct.pack("<q", spec.sizes[0]))
-        for m in spec.sizes[1:]:
-            fh.write(struct.pack("<q", m))
-        fh.write(struct.pack("<d", state.t))
-        fh.write(np.ascontiguousarray(state.values, dtype="<f8").tobytes())
+    write_grid_snapshot(path, 0.0, state.t, state.values)
 
 
 def read_torus_snapshot(path, offsets=()) -> PeriodicState:
-    with open(path, "rb") as fh:
-        ndim = struct.unpack("<q", fh.read(8))[0]
-        L = struct.unpack("<d", fh.read(8))[0]
-        if L != 0.0:
-            raise ValueError("not an all-periodic snapshot; use domain.read_snapshot")
-        sizes = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
-        t = struct.unpack("<d", fh.read(8))[0]
-        spec = TorusSpec(sizes=sizes, offsets=tuple(offsets) if offsets else ())
-        raw = fh.read(int(np.prod(sizes)) * 8)
-    values = np.frombuffer(raw, dtype="<f8").reshape(sizes)
+    L, t, values = read_grid_snapshot(path)
+    if L != 0.0:
+        raise ValueError("not an all-periodic snapshot; use domain.read_snapshot")
+    spec = TorusSpec(sizes=values.shape, offsets=tuple(offsets) if offsets else ())
     return PeriodicState(spec, values, t, ubar=float(np.mean(values)))

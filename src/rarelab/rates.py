@@ -16,7 +16,9 @@ import numpy as np
 
 __all__ = [
     "RateFit",
+    "log_linear_fit",
     "fit_power_law",
+    "fit_window",
     "predicted_exponent",
     "verify_main_theorem",
     "verify_apriori",
@@ -42,8 +44,9 @@ class RateFit:
             raise ValueError(f"a fit needs >= 4 points, got {self.n_points}")
 
 
-def fit_power_law(times, values, window) -> RateFit:
-    """Least squares of log(value) on log(1+t) inside the window."""
+def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
+    """Least squares of log(value) on x over the points whose time lies in
+    the window; returns (slope, intercept, r^2, points used)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     lo, hi = window
@@ -53,15 +56,22 @@ def fit_power_law(times, values, window) -> RateFit:
         raise ValueError(f"window {window} holds {n} points; need >= 4")
     if np.any(v[mask] <= 0.0):
         raise ValueError("series must be positive inside the fit window")
-    x = np.log1p(t[mask])
+    x = np.asarray(x, dtype=float)[mask]
     y = np.log(v[mask])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot <= 1e-24 else 1.0 - ss_res / ss_tot
-    return RateFit(exponent=float(slope), intercept=float(intercept), r2=r2,
-                   window=(float(lo), float(hi)), n_points=n)
+    return float(slope), float(intercept), r2, n
+
+
+def fit_power_law(times, values, window) -> RateFit:
+    """Least squares of log(value) on log(1+t) inside the window."""
+    t = np.asarray(times, dtype=float)
+    slope, intercept, r2, n = log_linear_fit(np.log1p(t), t, values, window)
+    return RateFit(exponent=slope, intercept=intercept, r2=r2,
+                   window=(float(window[0]), float(window[1])), n_points=n)
 
 
 def predicted_exponent(p: float, which: str) -> float:
@@ -83,36 +93,24 @@ def predicted_exponent(p: float, which: str) -> float:
     raise ValueError(f"unknown series kind '{which}'")
 
 
-def _default_window(times) -> tuple[float, float]:
+def fit_window(times, window=None) -> tuple[float, float]:
+    """The fit window: by default the last nine tenths of the run, in
+    time.  A window that starts inside the first tenth (the transient)
+    is rejected."""
     t_end = float(np.max(times))
-    return (t_end / 10.0, t_end)
-
-
-def verify_main_theorem(times, distance_series, window=None, tol: float = EXPONENT_TOL,
-                        degenerate_floor: float = 1e-9) -> dict:
-    """Check the sup-norm approach rate to the 1-d profile.
-
-    The series should be |u - profile|_inf (or the perturbation sup norm
-    plus the ansatz-profile sup distance, which agree once the torus
-    disturbances are gone).  Passes when the fitted exponent is at most
-    -1/2 + tol: the rate statement is one-sided, so faster decay is
-    consistent and noted as such.  A series at the solver noise floor is
-    flagged degenerate and skipped.
-    """
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(distance_series, dtype=float)
     if window is None:
-        window = _default_window(times)
-    elif window[0] < _default_window(times)[0] - 1e-9:
+        return (t_end / 10.0, t_end)
+    if window[0] < t_end / 10.0 - 1e-9:
         raise ValueError(
-            f"window {window} starts inside the transient; "
-            f"use t >= {_default_window(times)[0]:.3g}"
+            f"window {tuple(window)} starts inside the transient; use t >= {t_end / 10.0:.3g}"
         )
-    if float(np.max(series)) <= degenerate_floor:
-        return {"status": "degenerate, skip",
-                "max_value": float(np.max(series)), "floor": degenerate_floor}
+    return tuple(window)
+
+
+def _judge(times, series, predicted: float, window, tol: float) -> dict:
+    """Fit the window and pass when the exponent is at most predicted + tol;
+    faster decay is consistent with the one-sided bound and noted."""
     fit = fit_power_law(times, series, window)
-    predicted = -0.5
     report = {
         "status": "pass" if fit.exponent <= predicted + tol else "fail",
         "predicted": predicted,
@@ -125,6 +123,23 @@ def verify_main_theorem(times, distance_series, window=None, tol: float = EXPONE
             "statement is an upper bound)"
         )
     return report
+
+
+def verify_main_theorem(times, distance_series, window=None, tol: float = EXPONENT_TOL,
+                        degenerate_floor: float = 1e-9) -> dict:
+    """Check the sup-norm approach rate to the 1-d profile.
+
+    The series should be |u - profile|_inf.  Passes when the fitted
+    exponent is at most -1/2 + tol: the rate statement is one-sided, so
+    faster decay is consistent and noted as such.  A series at the
+    solver noise floor is flagged degenerate and skipped.
+    """
+    window = fit_window(times, window)
+    series = np.asarray(distance_series, dtype=float)
+    if float(np.max(series)) <= degenerate_floor:
+        return {"status": "degenerate, skip",
+                "max_value": float(np.max(series)), "floor": degenerate_floor}
+    return _judge(times, series, -0.5, window, tol)
 
 
 def verify_apriori(times, series, p: float, which: str, window=None,
@@ -135,13 +150,10 @@ def verify_apriori(times, series, p: float, which: str, window=None,
     over the window; otherwise the fitted exponent must not exceed the
     predicted one by more than tol (faster decay is consistent).
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(series, dtype=float)
-    if window is None:
-        window = _default_window(times)
+    window = fit_window(times, window)
     if which == "phi" and p == 1.0:
-        mask = (times >= window[0]) & (times <= window[1])
-        vals = values[mask]
+        t = np.asarray(times, dtype=float)
+        vals = np.asarray(series, dtype=float)[(t >= window[0]) & (t <= window[1])]
         if vals.size < 2 or np.any(vals <= 0.0):
             raise ValueError("need a positive series inside the window")
         ratio = float(np.max(vals) / np.min(vals))
@@ -151,20 +163,7 @@ def verify_apriori(times, series, p: float, which: str, window=None,
             "max_over_min": ratio,
             "window": tuple(float(w) for w in window),
         }
-    predicted = predicted_exponent(p, which)
-    fit = fit_power_law(times, values, window)
-    report = {
-        "status": "pass" if fit.exponent <= predicted + tol else "fail",
-        "predicted": predicted,
-        "tolerance": tol,
-        "fit": asdict(fit),
-    }
-    if fit.exponent < predicted - tol:
-        report["note"] = (
-            "decay faster than the predicted bound; consistent (the rate "
-            "statement is an upper bound)"
-        )
-    return report
+    return _judge(times, series, predicted_exponent(p, which), window, tol)
 
 
 def exponent_ordering(fits: dict, tol: float = 0.1) -> dict:
@@ -175,16 +174,14 @@ def exponent_ordering(fits: dict, tol: float = 0.1) -> dict:
     not invert that ordering by more than tol.
     """
     ps = sorted(fits, key=lambda p: 0.0 if np.isinf(p) else 1.0 / p)
-    ok = True
     pairs = []
     for lo_p, hi_p in zip(ps[:-1], ps[1:]):
         # hi_p has the larger 1/p, hence the larger predicted exponent
         gap = fits[hi_p] - fits[lo_p]
         pairs.append({"steeper_p": lo_p if not np.isinf(lo_p) else "inf",
                       "shallower_p": hi_p, "gap": gap})
-        if gap < -tol:
-            ok = False
-    return {"status": "pass" if ok else "fail", "pairs": pairs, "tolerance": tol}
+    failed = any(pair["gap"] < -tol for pair in pairs)
+    return {"status": "fail" if failed else "pass", "pairs": pairs, "tolerance": tol}
 
 
 def write_rate_report(report: dict, path) -> None:
@@ -201,15 +198,3 @@ def write_rate_report(report: dict, path) -> None:
 
     with open(path, "w") as fh:
         json.dump(_clean(report), fh, indent=2)
-
-
-def write_fit_residuals(times, values, fit: RateFit, path) -> None:
-    """CSV of per-point fit residuals inside the window."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = (t >= fit.window[0]) & (t <= fit.window[1])
-    with open(path, "w") as fh:
-        fh.write("t,value,fitted,residual\n")
-        for ti, vi in zip(t[mask], v[mask]):
-            fitted = float(np.exp(fit.intercept) * (1.0 + ti) ** fit.exponent)
-            fh.write(f"{ti:.17g},{vi:.17g},{fitted:.17g},{np.log(vi) - np.log(fitted):.17g}\n")

@@ -1,6 +1,7 @@
 """Time-stepping kernels shared by the 1-d, torus and cylinder solvers.
 
-The integrator is a Strang composition per step,
+All three solvers take the same Strang step, written once here as
+`strang_step`,
 
     u <- D(dt/2) A(dt) D(dt/2),
 
@@ -8,7 +9,9 @@ with the stiff diffusion D handled implicitly (trapezoidal rule, one
 sweep per direction) and the advection A explicitly (Heun's method over
 upwind-biased second-order conservative fluxes).  The implicit treatment
 removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
-remains the only step-size restriction.
+remains the only step-size restriction.  A step advances a tuple of
+arrays together (the cylinder solution and its stacked far field), and
+`step_schedule` fixes the step count and the steps to record.
 
 The bounded x1 direction uses a banded tridiagonal solve (factoring
 once with LAPACK gttrf/gttrs is no faster: either route copies the
@@ -23,6 +26,8 @@ accuracy; the whole step is second order in dt and dx.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -32,7 +37,8 @@ from .fluxes import FluxSet
 __all__ = [
     "DiffusionSweep",
     "advective_rhs",
-    "heun_advection",
+    "strang_step",
+    "step_schedule",
     "max_advective_dt",
     "check_cfl",
 ]
@@ -115,15 +121,19 @@ def _along(axis: int, start, stop) -> tuple:
 def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> np.ndarray:
     """-sum_i d/dx_i f_i(u) with conservative flux differencing.
 
-    `ghosts`, when given, is a pair of arrays of shape (2, *transverse)
-    holding two ghost layers at the low/high end of axis 0; axis 0 is
-    then treated as bounded and every other axis wraps.  With
-    ghosts=None all axes wrap (torus solver).  The N+1 faces of an
-    axis come from four shifted views of the axis padded by two layers.
+    The trailing len(spacings) axes are spatial; leading axes, if any,
+    stack independent fields.  `ghosts`, when given, is a pair of arrays
+    of shape (2, *transverse) holding two ghost layers at the low/high
+    end of the first spatial axis, which is then treated as bounded
+    while every other axis wraps.  With ghosts=None all axes wrap (torus
+    solver).  The N+1 faces of an axis come from four shifted views of
+    the axis padded by two layers.
     """
     out = np.zeros_like(values)
-    for axis in range(values.ndim):
-        if axis == 0 and ghosts is not None:
+    lead = values.ndim - len(spacings)
+    for d, h in enumerate(spacings):
+        axis = lead + d
+        if d == 0 and ghosts is not None:
             lo, hi = ghosts
         else:
             lo, hi = values[_along(axis, -2, None)], values[_along(axis, None, 2)]
@@ -131,41 +141,72 @@ def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> n
         face = _reconstruct_faces(
             p[_along(axis, None, -3)], p[_along(axis, 1, -2)],
             p[_along(axis, 2, -1)], p[_along(axis, 3, None)],
-            flux.f[axis], flux.df[axis],
+            flux.f[d], flux.df[d],
         )
         diff = face[_along(axis, 1, None)] - face[_along(axis, None, -1)]
-        diff /= spacings[axis]
+        diff /= h
         out -= diff
     return out
 
 
-def heun_advection(values: np.ndarray, flux: FluxSet, spacings, dt: float, ghosts=None) -> np.ndarray:
-    """Second-order explicit sub-step for the advective part."""
-    k1 = advective_rhs(values, flux, spacings, ghosts)
-    mid = values + dt * k1
-    k2 = advective_rhs(mid, flux, spacings, ghosts)
-    return values + 0.5 * dt * (k1 + k2)
+def strang_step(state: tuple, dt: float, ndim: int, sweep, rhs) -> tuple:
+    """One step D(dt/2) A(dt) D(dt/2) of a tuple of arrays.
+
+    `sweep(state, axis)` returns the state after the half-step diffusion
+    sweep along spatial axis `axis`, for axis = 0 .. ndim-1 in turn;
+    `rhs(state)` returns the advective right-hand side of every array.
+    Advection is Heun's method over `rhs`.
+    """
+    for axis in range(ndim):
+        state = sweep(state, axis)
+    k1 = rhs(state)
+    k2 = rhs(tuple(u + dt * k for u, k in zip(state, k1)))
+    state = tuple(u + 0.5 * dt * (a + b) for u, a, b in zip(state, k1, k2))
+    for axis in range(ndim):
+        state = sweep(state, axis)
+    return state
+
+
+def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
+    """Uniform steps over [t0, t0 + span]: (steps, dt, record_indices).
+
+    The step is the requested `dt` (or `dt_max` when dt is None),
+    shrunk so a whole number of steps spans the interval.  A requested
+    dt above the stable `dt_max` aborts.  Snapshot times are rounded to
+    the step grid; `record_indices` holds the step indices to record,
+    the final step when no snapshot time is given.
+    """
+    if not span > 0:
+        raise ValueError(f"the run must span a positive time, got {span}")
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt is not None and dt > dt_max * (1.0 + 1e-12):
+        raise NumericalAbort("cfl", t0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
+    steps = max(1, math.ceil(span / (dt if dt is not None else dt_max)))
+    dt = span / steps
+    record = set()
+    for ts in snapshot_times:
+        idx = int(round((ts - t0) / dt))
+        if not 0 <= idx <= steps:
+            raise ValueError(f"snapshot time {ts} outside [{t0}, {t0 + span}]")
+        record.add(idx)
+    return steps, dt, record or {steps}
+
+
+def _advective_rate(flux: FluxSet, spacings, u) -> float:
+    """sum_i max |f_i'(u)| / h_i over the values u."""
+    return sum(float(np.max(np.abs(np.asarray(flux.df[axis](u), dtype=float)))) / h
+               for axis, h in enumerate(spacings))
 
 
 def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: float) -> float:
     """Largest dt honouring the advective CFL number."""
-    u = np.linspace(umin, umax, 2001)
-    rate = 0.0
-    for axis, h in enumerate(spacings):
-        smax = float(np.max(np.abs(np.asarray(flux.df[axis](u), dtype=float))))
-        rate += smax / h
-    if rate == 0.0:
-        return np.inf
-    return cfl / rate
+    rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
+    return np.inf if rate == 0.0 else cfl / rate
 
 
 def check_cfl(values: np.ndarray, flux: FluxSet, spacings, dt: float, t: float) -> None:
     """Abort when the realized Courant number leaves the stable range."""
-    rate = 0.0
-    for axis, h in enumerate(spacings):
-        smax = float(np.max(np.abs(np.asarray(flux.df[axis](values), dtype=float))))
-        rate += smax / h
-    if dt * rate > 1.0:
-        raise NumericalAbort(
-            "cfl", t, f"advective Courant number {dt * rate:.3f} exceeds 1"
-        )
+    courant = dt * _advective_rate(flux, spacings, values)
+    if courant > 1.0:
+        raise NumericalAbort("cfl", t, f"advective Courant number {courant:.3f} exceeds 1")

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rarelab import cli
-from rarelab.mdsolver import run
+from rarelab.mdsolver import NORM_COLUMNS, run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TINY_SIMULATE = """\
 experiment = simulate
@@ -33,3 +37,108 @@ class TestSimulateManifest:
         assert manifest["steps"] * manifest["dt"] == pytest.approx(2.0, rel=1e-12)
         rows = (out / "norms.csv").read_text().strip().splitlines()[1:]
         assert manifest["steps"] > len(rows)
+
+TINY_SIMULATE_3D = TINY_SIMULATE.replace("dim = 2", "dim = 3").replace(
+    "n_torus = 8", "n_torus = 8,8").replace(
+    "w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,1,1,0.1; 0,1,2,0.05")
+
+
+def simulate(tmp_path, text, name="run"):
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / name
+    return cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]), out
+
+
+def read_table(path):
+    lines = Path(path).read_text().strip().splitlines()
+    return lines[0].split(","), np.array([row.split(",") for row in lines[1:]], dtype=float)
+
+
+class TestGoldenNormTables:
+    """The tiny 2-d and 3-d runs reproduce norm tables recorded before the
+    steppers were merged into one Strang step, within the benchmark's
+    tolerance: 1e-11 + 1e-9 |golden| per entry, 1e-4 absolute for
+    tail_mass."""
+
+    @pytest.mark.parametrize("text, golden", [
+        (TINY_SIMULATE, "simulate2d_norms.csv"),
+        (TINY_SIMULATE_3D, "simulate3d_norms.csv"),
+    ])
+    def test_norm_table_matches_golden(self, tmp_path, text, golden):
+        code, out = simulate(tmp_path, text)
+        assert code == 0
+        head, new = read_table(out / "norms.csv")
+        ghead, old = read_table(GOLDEN / golden)
+        assert head == ghead and new.shape == old.shape
+        atol = np.array([1e-4 if name == "tail_mass" else 1e-11 for name in head])
+        assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old))
+
+
+class TestOneVerdictPath:
+    def test_rates_reproduces_simulate_verdicts(self, tmp_path):
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 0
+        sim = json.loads((out / "rates.json").read_text())
+        cfg_path = tmp_path / "rates.cfg"
+        cfg_path.write_text(f"input = {out / 'norms.csv'}\nrates.window = 1,2\n")
+        assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+        again = json.loads((tmp_path / "r" / "rates.json").read_text())
+        verdicts = {k: v for k, v in sim.items() if isinstance(v, dict)}
+        assert set(verdicts) == set(again)
+        assert "ordering" in again and "main_rate" in again
+        for key, entry in verdicts.items():
+            assert again[key] == entry, key
+
+    def test_main_rate_fits_the_exported_column(self, tmp_path):
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 0
+        main = json.loads((out / "rates.json").read_text())["main_rate"]
+        head, table = read_table(out / "norms.csv")
+        col = dict(zip(head, table.T))
+        fit = cli.fit_power_law(col["t"], col["u_minus_profile_linf"], (1.0, 2.0))
+        assert main["fit"]["exponent"] == fit.exponent
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("dt", ["0", "-0.01"])
+    def test_nonpositive_dt_is_a_config_error(self, tmp_path, capsys, dt):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TINY_SIMULATE + f"dt = {dt}\n")
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert "dt must be positive" in capsys.readouterr().out
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "dt must be positive" in capsys.readouterr().err
+
+    def test_dt_above_the_stable_step_aborts(self, tmp_path, capsys):
+        text = TINY_SIMULATE + "dt = 1.0\n"
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+        code, _ = simulate(tmp_path, text)
+        assert code == 2
+        assert "requested dt" in capsys.readouterr().err
+
+    def test_non_decaying_norms_fail_the_rates(self, tmp_path, capsys):
+        t = np.linspace(0.5, 10.0, 20)
+        table = tmp_path / "norms.csv"
+        with open(table, "w") as fh:
+            fh.write(",".join(NORM_COLUMNS) + "\n")
+            for ti in t:
+                row = [ti] + [1.0 + ti] * (len(NORM_COLUMNS) - 2) + [0.0]
+                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        cfg_path = tmp_path / "rates.cfg"
+        cfg_path.write_text(f"input = {table}\n")
+        assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 3
+        assert "main_rate" in capsys.readouterr().err
+        report = json.loads((tmp_path / "r" / "rates.json").read_text())
+        assert report["main_rate"]["status"] == "fail"
+
+    def test_window_inside_the_transient_is_a_config_error(self, tmp_path, capsys):
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 0
+        cfg_path = tmp_path / "rates.cfg"
+        cfg_path.write_text(f"input = {out / 'norms.csv'}\nrates.window = 0.05,2\n")
+        assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+        assert "transient" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,28 @@ class TestSnapshotIO:
         write_snapshot(f, path)
         g = read_snapshot(path)
         assert g.spec.n == 1 and np.array_equal(g.values, f.values)
+
+    def test_cylinder_bytes_match_hand_packed_layout(self, tmp_path):
+        spec = DomainSpec(n=3, L=2.5, n1=4, n_torus=(5, 6))
+        values = np.arange(120.0).reshape(spec.shape) / 7.0
+        path = tmp_path / "f.field"
+        write_snapshot(Field(spec, values, t=1.25), path)
+        ref = (struct.pack("<q", 3) + struct.pack("<d", 2.5) + struct.pack("<q", 4)
+               + struct.pack("<q", 5) + struct.pack("<q", 6) + struct.pack("<d", 1.25)
+               + values.astype("<f8").tobytes())
+        assert path.read_bytes() == ref
+
+    def test_torus_bytes_match_hand_packed_layout(self, tmp_path):
+        from rarelab.periodic import PeriodicState, TorusSpec, write_torus_snapshot
+
+        spec = TorusSpec(sizes=(4, 6))
+        values = 0.5 + np.arange(24.0).reshape(4, 6) / 9.0
+        path = tmp_path / "t.field"
+        write_torus_snapshot(PeriodicState(spec, values, 0.75, 0.5), path)
+        ref = (struct.pack("<q", 2) + struct.pack("<d", 0.0) + struct.pack("<q", 4)
+               + struct.pack("<q", 6) + struct.pack("<d", 0.75)
+               + values.astype("<f8").tobytes())
+        assert path.read_bytes() == ref
 
     def test_csv_export(self, tmp_path):
         spec = DomainSpec(n=2, L=1.0, n1=4, n_torus=(4,))

@@ -95,17 +95,23 @@ class TestEvolution:
     def test_constant_data_is_fixed_point_of_the_kernels(self):
         # the end states bracket strictly, so a constant profile state is
         # outside the type; the stepping kernels themselves hold constants
-        from rarelab.stepping import DiffusionSweep, heun_advection
+        from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
 
         u = np.full(64, 0.3)
         sweep = DiffusionSweep(64, 0.1, 0.02, periodic=False)
         v = sweep.apply(u, b_lo=0.3, b_hi=0.3)
-        v = heun_advection(v, FLUX, (0.1,), 0.02,
-                           ghosts=(np.full(2, 0.3), np.full(2, 0.3)))
+        ghosts = (np.full(2, 0.3), np.full(2, 0.3))
+        (v,) = strang_step((v,), 0.02, 0, None,
+                           lambda s: (advective_rhs(s[0], FLUX, (0.1,), ghosts),))
         assert np.max(np.abs(v - 0.3)) < 1e-15
 
     def test_snapshot_times_rounded_to_steps(self, evolved):
         assert [pytest.approx(s.t, abs=1e-9) for s in evolved] == [5.0, 10.0, 20.0]
+
+    def test_nonpositive_dt_rejected(self):
+        p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            evolve_profile(p0, FLUX, 1.0, dt=0.0)
 
     def test_cfl_guard(self):
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)

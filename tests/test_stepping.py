@@ -9,8 +9,9 @@ from rarelab.stepping import (
     DiffusionSweep,
     advective_rhs,
     check_cfl,
-    heun_advection,
     max_advective_dt,
+    step_schedule,
+    strang_step,
 )
 
 FLUXES = {
@@ -18,6 +19,13 @@ FLUXES = {
     "cubic": cubic,
     "linear_flux": lambda n: linear_flux(n, [1.0, -0.5, 2.0][:n]),
 }
+
+
+def advect(values, flux, spacings, dt, ghosts=None):
+    """Advection alone: the shared Strang step with no diffusion axes."""
+    (out,) = strang_step((values,), dt, 0, None,
+                         lambda s: (advective_rhs(s[0], flux, spacings, ghosts),))
+    return out
 
 
 def reference_advective_rhs(values, flux, spacings, ghosts=None):
@@ -148,7 +156,7 @@ class TestAdvection:
             steps = int(round(0.5 / dt))
             v = u.copy()
             for _ in range(steps):
-                v = heun_advection(v, flux, (h,), dt)
+                v = advect(v, flux, (h,), dt)
             exact = np.sin(2 * np.pi * (x - steps * dt))
             errs.append(np.max(np.abs(v - exact)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -159,7 +167,7 @@ class TestAdvection:
         flux = burgers(2)
         u = 0.1 * rng.standard_normal((16, 16))
         u -= u.mean()
-        v = heun_advection(u, flux, (1 / 16, 1 / 16), 0.01)
+        v = advect(u, flux, (1 / 16, 1 / 16), 0.01)
         assert abs(v.sum()) < 1e-12
 
     def test_ghost_padding_matches_periodic_for_tiled_data(self):
@@ -215,6 +223,74 @@ class TestTorusConservation:
         for k in range(3):
             u = stepper.step(u, k * dt)
         assert abs(float(np.mean(u)) - mean0) < 1e-14
+
+
+class TestStrangStep:
+    def test_composition_order_and_heun_stage(self):
+        calls = []
+
+        def sweep(state, axis):
+            calls.append(axis)
+            return tuple(0.5 * u for u in state)
+
+        (u, w) = strang_step((np.array([8.0]), np.array([4.0])), 0.1, 2, sweep,
+                             lambda s: tuple(-u for u in s))
+        assert calls == [0, 1, 0, 1]
+        heun = 1.0 - 0.1 + 0.5 * 0.1**2
+        assert u[0] == pytest.approx(8.0 / 16 * heun, rel=1e-15)
+        assert w[0] == pytest.approx(4.0 / 16 * heun, rel=1e-15)
+
+
+class TestStackedFarField:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(4, 9), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stack_is_bitwise_two_fields(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        spec = TorusSpec(sizes=tuple(sizes))
+        flux = burgers(spec.ndim)
+        pair = [c + 0.2 * rng.standard_normal(spec.sizes) for c in (-0.5, 0.5)]
+        stack = np.stack(pair)
+        rhs = advective_rhs(stack, flux, spec.spacings)
+        stepper = TorusStepper(spec, flux, 0.01)
+        for i, u in enumerate(pair):
+            assert np.array_equal(rhs[i], advective_rhs(u, flux, spec.spacings))
+            for axis in range(spec.ndim):
+                assert np.array_equal(stepper.sweep_axis(stack, axis - spec.ndim)[i],
+                                      stepper.sweep_axis(u, axis))
+
+
+class TestStepSchedule:
+    def test_shrinks_dt_to_a_whole_number_of_steps(self):
+        steps, dt, record = step_schedule(1.0, 0.3, None, 0.0, (0.5, 1.0))
+        assert steps == 4 and dt == 0.25
+        assert record == {2, 4}
+
+    def test_requested_dt_and_start_offset(self):
+        steps, dt, record = step_schedule(2.0, 1.0, 0.1, 5.0, (5.0, 5.31, 7.0))
+        assert steps == 20 and dt == pytest.approx(0.1)
+        assert record == {0, 3, 20}
+
+    def test_final_step_by_default(self):
+        assert step_schedule(1.0, 0.3, None, 0.0, ())[2] == {4}
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_schedule(1.0, 0.3, dt, 0.0, ())
+
+    def test_dt_above_stable_aborts(self):
+        with pytest.raises(NumericalAbort) as exc:
+            step_schedule(1.0, 0.3, 0.31, 0.0, ())
+        assert exc.value.reason == "cfl"
+
+    def test_bad_span_and_snapshot_rejected(self):
+        with pytest.raises(ValueError):
+            step_schedule(0.0, 0.3, None, 0.0, ())
+        with pytest.raises(ValueError, match="outside"):
+            step_schedule(1.0, 0.3, None, 0.0, (1.5,))
 
 
 class TestCFL:
