@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, Field, gradient, laplacian, make_grid
+from .domain import DomainSpec, Field, derivative, laplacian, make_grid
 from .fluxes import FluxSet
 from .periodic import PeriodicState, spectral_derivative
 from .profile1d import ProfileSpline, ProfileState
@@ -231,7 +231,7 @@ def discrete_residual(
     res = (nxt.u_tilde.values - prev.u_tilde.values) / (dt_lo + dt_hi)
     for axis in range(u.spec.n):
         fval = u.with_values(np.asarray(flux.f[axis](u.values), dtype=float))
-        res = res + gradient(fval)[axis].values
+        res = res + derivative(fval, axis).values
     res = res - laplacian(u).values
     return u.with_values(res)
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import DomainSpec, Field, gradient, lp_norm, write_snapshot
+from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, write_snapshot
 
 __all__ = [
     "DecompositionResult",
@@ -46,15 +46,21 @@ class DecompositionResult:
     components: dict[tuple[int, ...], np.ndarray]
 
     def broadcast(self, subset: tuple[int, ...]) -> np.ndarray:
-        """Component tiled back onto the full grid."""
-        comp = self.components[subset]
-        shape = [self.spec.n1] + [1] * (self.spec.n - 1)
-        for pos, d in enumerate(subset):
-            shape[d - 1] = comp.shape[1 + pos]
-        return np.broadcast_to(comp.reshape(shape), self.spec.shape)
+        """Component tiled back onto the full grid; the empty subset is
+        the 1-d part."""
+        return _tile(self.spec, subset, self.components[subset] if subset else self.u0)
 
-    def subsets(self):
-        return sorted(self.components, key=lambda s: (len(s), s))
+    def parts(self):
+        """The 1-d part (empty subset), then every component by level."""
+        return [(), *sorted(self.components, key=lambda s: (len(s), s))]
+
+
+def _tile(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
+    """Read-only full-grid view of an array over (x1, *subset directions)."""
+    shape = [spec.n1] + [1] * (spec.n - 1)
+    for pos, d in enumerate(subset):
+        shape[d - 1] = comp.shape[1 + pos]
+    return np.broadcast_to(comp.reshape(shape), spec.shape)
 
 
 def _average_keep(values: np.ndarray, keep: tuple[int, ...], spec: DomainSpec) -> np.ndarray:
@@ -76,65 +82,35 @@ def decompose(u: Field) -> DecompositionResult:
     u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values.copy()
     components: dict[tuple[int, ...], np.ndarray] = {}
 
-    lower_sum = np.broadcast_to(
-        u0.reshape((spec.n1,) + (1,) * (spec.n - 1)), spec.shape
-    ).copy()
+    lower_sum = _tile(spec, (), u0).copy()
     for k in range(1, spec.n):
         remainder = u.values - lower_sum
-        level: dict[tuple[int, ...], np.ndarray] = {}
-        for subset in combinations(torus_dirs, k):
-            level[subset] = _average_keep(remainder, subset, spec)
+        level = {s: _average_keep(remainder, s, spec) for s in combinations(torus_dirs, k)}
         components.update(level)
         if k < spec.n - 1:
             for subset, comp in level.items():
-                shape = [spec.n1] + [1] * (spec.n - 1)
-                for pos, d in enumerate(subset):
-                    shape[d - 1] = comp.shape[1 + pos]
-                lower_sum = lower_sum + comp.reshape(shape)
+                lower_sum = lower_sum + _tile(spec, subset, comp)
     return DecompositionResult(spec=spec, t=u.t, u0=u0, components=components)
 
 
 def reconstruct(d: DecompositionResult) -> Field:
     """Sum the 1-d part and all tiled components back into a Field."""
-    acc = np.broadcast_to(
-        d.u0.reshape((d.spec.n1,) + (1,) * (d.spec.n - 1)), d.spec.shape
-    ).copy()
-    for subset in d.subsets():
-        acc = acc + d.broadcast(subset)
-    return Field(d.spec, acc, d.t)
+    return Field(d.spec, sum(d.broadcast(s) for s in d.parts()), d.t)
 
 
 def check_membership(d: DecompositionResult) -> dict:
     """Largest slice average of each component along each of its own
     directions; all of them vanish for a decomposition built here."""
-    worst = 0.0
-    detail = {}
-    for subset, comp in d.components.items():
-        per_dir = {}
-        for pos, direction in enumerate(subset):
-            sl = float(np.max(np.abs(comp.mean(axis=1 + pos))))
-            per_dir[direction] = sl
-            worst = max(worst, sl)
-        detail[subset] = per_dir
+    detail = {subset: {direction: float(np.max(np.abs(comp.mean(axis=1 + pos))))
+                       for pos, direction in enumerate(subset)}
+              for subset, comp in d.components.items()}
+    worst = max((sl for per_dir in detail.values() for sl in per_dir.values()), default=0.0)
     return {"max_slice_average": worst, "per_component": detail}
 
 
 def level_sum(d: DecompositionResult, k: int) -> np.ndarray:
     """Sum of all level-k components on the full grid (level 0 = 1-d part)."""
-    if k == 0:
-        return np.broadcast_to(
-            d.u0.reshape((d.spec.n1,) + (1,) * (d.spec.n - 1)), d.spec.shape
-        ).copy()
-    acc = np.zeros(d.spec.shape)
-    for subset in d.components:
-        if len(subset) == k:
-            acc = acc + d.broadcast(subset)
-    return acc
-
-
-def _grad_magnitude(f: Field) -> Field:
-    comps = gradient(f)
-    return f.with_values(np.sqrt(sum(c.values**2 for c in comps)))
+    return sum((d.broadcast(s) for s in d.parts() if len(s) == k), np.zeros(d.spec.shape))
 
 
 def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> float:
@@ -149,15 +125,14 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
         raise ValueError(f"derivative order must be 0 or 1, got {m}")
 
     def nrm(field: Field) -> float:
-        return lp_norm(field if m == 0 else _grad_magnitude(field), p)
+        if m == 1:
+            field = field.with_values(magnitude(c.values for c in gradient(field)))
+        return lp_norm(field, p)
 
     denom = nrm(u)
     if denom == 0.0:
         return float("nan")
-    total = nrm(Field(u.spec, level_sum(d, 0), u.t))
-    for subset in d.subsets():
-        total += nrm(Field(u.spec, d.broadcast(subset), u.t))
-    return total / denom
+    return sum(nrm(Field(u.spec, d.broadcast(s), u.t)) for s in d.parts()) / denom
 
 
 def dump_components(d: DecompositionResult, outdir) -> dict:
@@ -165,18 +140,10 @@ def dump_components(d: DecompositionResult, outdir) -> dict:
     import os
 
     manifest = {"t": d.t, "n": d.spec.n, "components": []}
-    f0 = Field(d.spec, level_sum(d, 0), d.t)
-    path0 = os.path.join(outdir, "component_0.field")
-    write_snapshot(f0, path0)
-    manifest["components"].append(
-        {"subset": [], "file": os.path.basename(path0),
-         "l2": lp_norm(f0, 2), "linf": lp_norm(f0, np.inf)}
-    )
-    for subset in d.subsets():
+    for subset in d.parts():
         f = Field(d.spec, d.broadcast(subset), d.t)
-        name = "component_" + "_".join(str(s) for s in subset) + ".field"
-        path = os.path.join(outdir, name)
-        write_snapshot(f, path)
+        name = "component_" + ("_".join(str(s) for s in subset) or "0") + ".field"
+        write_snapshot(f, os.path.join(outdir, name))
         manifest["components"].append(
             {"subset": list(subset), "file": name,
              "l2": lp_norm(f, 2), "linf": lp_norm(f, np.inf)}

@@ -6,6 +6,11 @@ coordinates; torus directions use the uniform grid {j/m}.  All norms are
 midpoint-rule quadratures over the truncation; the measure of the
 truncated domain is 2L since every torus factor has measure 1.
 
+One set of grid operators serves every module: `derivative` (one first
+partial), `gradient` (the list of them), `magnitude` (the pointwise
+Euclidean length of component arrays), `second_derivative` and
+`laplacian`.
+
 Truncation caveat: fields of interest decay in |x1| (perturbations are
 integrable along the line by construction), so the truncated norm is a
 proxy for the norm over the unbounded cylinder.  The quality of the proxy
@@ -30,7 +35,9 @@ __all__ = [
     "Field",
     "make_grid",
     "lp_norm",
+    "derivative",
     "gradient",
+    "magnitude",
     "second_derivative",
     "laplacian",
     "torus_average",
@@ -166,21 +173,27 @@ def lp_norm(f: Field, p: float) -> float:
     return (acc * f.spec.cell_volume) ** (1.0 / p)
 
 
-def _diff_periodic(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+def derivative(f: Field, axis: int) -> Field:
+    """First partial along one axis, second order everywhere.
+
+    Central differences; torus directions wrap, the line direction falls
+    back to one-sided second-order stencils at the two truncation ends.
+    """
+    v = f.values
+    h = f.spec.spacing(axis)
+    if axis == 0:
+        return f.with_values(np.gradient(v, h, axis=0, edge_order=2))
+    return f.with_values((np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h))
 
 
 def gradient(f: Field) -> list[Field]:
-    """All first partials, one Field per direction.
+    """All first partials, one Field per direction."""
+    return [derivative(f, axis) for axis in range(f.spec.n)]
 
-    Central second-order differences; torus directions wrap, the line
-    direction falls back to one-sided second-order stencils at the two
-    truncation ends.
-    """
-    out = [f.with_values(np.gradient(f.values, f.spec.dx1, axis=0, edge_order=2))]
-    for k, h in enumerate(f.spec.dx_torus):
-        out.append(f.with_values(_diff_periodic(f.values, h, k + 1)))
-    return out
+
+def magnitude(components) -> np.ndarray:
+    """Pointwise Euclidean length sqrt(sum c**2) of equal-shape arrays."""
+    return np.sqrt(sum(c * c for c in components))
 
 
 def second_derivative(f: Field, axis: int) -> Field:
@@ -200,10 +213,7 @@ def second_derivative(f: Field, axis: int) -> Field:
 
 
 def laplacian(f: Field) -> Field:
-    acc = second_derivative(f, 0).values.copy()
-    for axis in range(1, f.spec.n):
-        acc += second_derivative(f, axis).values
-    return f.with_values(acc)
+    return f.with_values(sum(second_derivative(f, axis).values for axis in range(f.spec.n)))
 
 
 def torus_average(f: Field, dirs) -> Field:

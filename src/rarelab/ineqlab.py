@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import DecompositionResult, decompose, level_sum
-from .domain import DomainSpec, Field, gradient, lp_norm, second_derivative
+from .domain import (
+    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, second_derivative,
+)
 
 __all__ = [
     "GNParams",
@@ -123,17 +125,14 @@ def _deriv_magnitude(f: Field, order: int) -> Field:
     if order == 0:
         return f
     if order == 1:
-        return f.with_values(np.sqrt(sum(c.values**2 for c in gradient(f))))
+        return f.with_values(magnitude(c.values for c in gradient(f)))
     if order == 2:
-        acc = np.zeros(f.spec.shape)
-        for i in range(f.spec.n):
-            di = second_derivative(f, i)
-            acc += di.values**2
-            for jx in range(f.spec.n):
-                if jx != i:
-                    mixed = gradient(gradient(f)[i])[jx]
-                    acc += mixed.values**2
-        return f.with_values(np.sqrt(acc))
+        n = f.spec.n
+        grads = gradient(f)
+        # Hessian rows: the pure second partial first, then the mixed ones
+        rows = ([second_derivative(f, i)] + [derivative(grads[i], j) for j in range(n) if j != i]
+                for i in range(n))
+        return f.with_values(magnitude(c.values for row in rows for c in row))
     raise ValueError(f"derivative order {order} not supported (max 2)")
 
 
@@ -197,7 +196,7 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
         raise ValueError(f"q must lie in [1, p], got {q}")
     grads = [c.values for c in gradient(u)]
     gv = chain_rule_power_gradient(u.values, grads, p / 2.0)
-    gnorm = lp_norm(u.with_values(np.sqrt(sum(c**2 for c in gv))), 2)
+    gnorm = lp_norm(u.with_values(magnitude(gv)), 2)
     uq = lp_norm(u, q)
     lhs = lp_norm(u, p)
     rhs = 0.0
@@ -225,7 +224,7 @@ def derivative_interpolation_ratio(u: Field, i: int, p: float) -> dict:
         raise ValueError(f"p must be >= 2, got {p}")
     if not 1 <= i <= u.spec.n:
         raise ValueError(f"direction {i} outside 1..{u.spec.n}")
-    psi = gradient(u)[i - 1]
+    psi = derivative(u, i - 1)
     lhs = lp_norm(psi, p)
     d2 = second_derivative(u, i - 1)
     dv = chain_rule_power_gradient(psi.values, [d2.values], p / 2.0)[0]
@@ -269,13 +268,9 @@ def extreme_case_checks(u: Field, p: float = 2.0, r: float = 2.0,
 
     grads = gradient(u)
     spacing = [spec.spacing(ax) for ax in range(spec.n)]
-    factors = []
-    for ax in range(spec.n):
-        mass = np.sum(np.abs(grads[ax].values), axis=ax, keepdims=True) * spacing[ax]
-        factors.append(mass)
     product = np.ones(spec.shape)
-    for fac in factors:
-        product = product * fac
+    for ax, g in enumerate(grads):
+        product = product * (np.sum(np.abs(g.values), axis=ax, keepdims=True) * spacing[ax])
     lhs = np.abs(u.values) ** spec.n
     report["pointwise_margin"] = float(np.max(lhs - product))
     report["pointwise_ok"] = bool(report["pointwise_margin"] <= 1e-12 * scale**spec.n)
@@ -316,17 +311,15 @@ def dilated_line_field(d: float, profile=gaussian_bump, halfwidth: float = 8.0,
     """
     if d <= 0:
         raise ValueError(f"dilation must be positive, got {d}")
-    L = halfwidth * d
-    dx = 2.0 * L / points
-    x = -L + (np.arange(points) + 0.5) * dx
-    vals = np.asarray(profile(x / d), dtype=float)
+    spec = DomainSpec(n=1, L=halfwidth * d, n1=points)
+    vals = np.asarray(profile(make_grid(spec).x1 / d), dtype=float)
     edge = max(abs(vals[0]), abs(vals[-1]))
     body = float(np.max(np.abs(vals)))
     if body > 0 and edge > 1e-10 * body:
         raise ValueError(
             f"profile tails {edge:.3e} exceed 1e-10 of the peak: widen the grid"
         )
-    return Field(DomainSpec(n=1, L=L, n1=points), vals)
+    return Field(spec, vals)
 
 
 def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2,

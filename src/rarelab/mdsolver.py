@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ansatz import AnsatzBundle, assemble_bundle
-from .domain import DomainSpec, Field, gradient, lp_norm, make_grid, tail_mass
+from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import PeriodicState, TorusSpec, TorusStepper
@@ -263,7 +263,7 @@ def run(config: SolverConfig) -> Trajectory:
         sr = PeriodicState(tspec, w[1], t, ur)
         bundle = assemble_bundle(sl, sr, pstate, flux, spec)
         phi = Field(spec, v - bundle.u_tilde.values, t)
-        gmag = np.sqrt(sum(c.values**2 for c in gradient(phi)))
+        grad_phi = Field(spec, magnitude(c.values for c in gradient(phi)), t)
         prof_b = bundle.profile_values.reshape(col)
         tails = tail_mass(phi)
         rows.append(dict(
@@ -272,8 +272,8 @@ def run(config: SolverConfig) -> Trajectory:
             phi_l2=lp_norm(phi, 2),
             phi_l4=lp_norm(phi, 4),
             phi_linf=lp_norm(phi, np.inf),
-            grad_phi_l2=lp_norm(Field(spec, gmag, t), 2),
-            grad_phi_l4=lp_norm(Field(spec, gmag, t), 4),
+            grad_phi_l2=lp_norm(grad_phi, 2),
+            grad_phi_l4=lp_norm(grad_phi, 4),
             u_minus_profile_linf=float(np.max(np.abs(v - prof_b))),
             h_l1=lp_norm(bundle.h, 1),
             tail_mass=tails,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import read_grid_snapshot, write_grid_snapshot
+from .domain import magnitude, read_grid_snapshot, write_grid_snapshot
 from .errors import ConfigError
 from .fluxes import FluxSet
 from .rates import log_linear_fit
@@ -186,12 +186,8 @@ def spectral_derivative(values: np.ndarray, axis: int, size: int | None = None) 
 def w_sup_norms(state: PeriodicState) -> tuple[float, float]:
     """(sup |w|, sup |grad w|) with the gradient taken spectrally."""
     w = state.w
-    sup = float(np.max(np.abs(w)))
-    g2 = np.zeros_like(w)
-    for axis in range(w.ndim):
-        d = spectral_derivative(w, axis)
-        g2 += d * d
-    return sup, float(np.sqrt(np.max(g2)))
+    grad = magnitude(spectral_derivative(w, axis) for axis in range(w.ndim))
+    return float(np.max(np.abs(w))), float(np.max(grad))
 
 
 def fit_exponential_decay(times, norms, window) -> tuple[float, float]:
@@ -205,13 +201,15 @@ def fit_exponential_decay(times, norms, window) -> tuple[float, float]:
     return -0.5 * slope, r2
 
 
-def write_periodic_series(states, path) -> None:
-    """CSV time series (t, sup |w|, sup |grad w|, mean drift)."""
+def write_periodic_series(states, path) -> list[tuple[float, float]]:
+    """CSV time series (t, sup |w|, sup |grad w|, mean drift); returns the
+    `w_sup_norms` pair of every state."""
+    norms = [w_sup_norms(st) for st in states]
     with open(path, "w") as fh:
         fh.write("t,w_sup,grad_w_sup,mean_drift\n")
-        for st in states:
-            sup, gsup = w_sup_norms(st)
+        for st, (sup, gsup) in zip(states, norms):
             fh.write(f"{st.t:.17g},{sup:.17g},{gsup:.17g},{st.mean_drift():.17g}\n")
+    return norms
 
 
 def write_torus_snapshot(state: PeriodicState, path) -> None:

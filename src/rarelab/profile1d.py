@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import stepping
-from .domain import DomainSpec, Field
+from .domain import DomainSpec, Field, make_grid
 from .fluxes import FluxSet
 from .stepping import DiffusionSweep, check_cfl, max_advective_dt, step_schedule, strang_step
 
@@ -131,8 +131,7 @@ def initial_profile(x1, ul: float, ur: float):
 
 def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
     """Cell-centered grid on [-L, L] filled with the tangent data."""
-    dx = 2.0 * L / n1
-    x1 = -L + (np.arange(n1) + 0.5) * dx
+    x1 = make_grid(DomainSpec(n=1, L=L, n1=n1)).x1
     return ProfileState(x1=x1, values=initial_profile(x1, ul, ur), t=0.0, ul=ul, ur=ur)
 
 

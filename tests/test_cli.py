@@ -142,3 +142,67 @@ class TestExitCodes:
         cfg_path.write_text(f"input = {out / 'norms.csv'}\nrates.window = 0.05,2\n")
         assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
         assert "transient" in capsys.readouterr().err
+
+
+def run_cli(tmp_path, command, text):
+    cfg_path = tmp_path / f"{command}.cfg"
+    cfg_path.write_text(text)
+    args = ["--config", str(cfg_path)]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    return cli.main([command, *args])
+
+
+class TestTorusAndProfileConfigs:
+    """Bad periodic and profile inputs are config errors (exit 1), and
+    `validate` checks a config against its own experiment."""
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("periodic", "dt = 0", "dt must be positive"),
+        ("periodic", "sizes = 2,2", "torus sizes must be at least 4"),
+        ("periodic", "t_end = -1", "must span a positive time"),
+        ("periodic", "snapshots = 0.1,9", "snapshot time 9.0 outside"),
+        ("periodic", "w0_modes = 0,0,1", "not zero"),
+        ("profile", "t_end = -1", "must span a positive time"),
+        ("profile", "snapshots = 0.1,50", "snapshot time 50.0 outside"),
+        ("profile", "n1 = 2", "n1 must be at least 4"),
+        ("profile", "cfl = 0", "cfl must be positive"),
+        ("profile", "snapshots = geometric:1,1", "ratio > 1"),
+    ])
+    def test_bad_input_is_a_config_error(self, tmp_path, capsys, command, line, message):
+        text = f"experiment = {command}\nL = 10\nn1 = 100\nt_end = 0.5\n{line}\n"
+        assert run_cli(tmp_path, command, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "experiment = periodic\nsizes = 8,8\nt_end = 0.05\n",
+        "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\n",
+        TINY_SIMULATE,
+    ])
+    def test_valid_configs_pass(self, tmp_path, capsys, text):
+        assert run_cli(tmp_path, "validate", text) == 0
+        assert "no violations" in capsys.readouterr().out
+
+    def test_unknown_experiment_is_a_violation(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "validate", "experiment = nothing\n") == 1
+        assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestPeriodicDefaults:
+    def test_default_run_fits_the_decay_rate(self, tmp_path):
+        assert run_cli(tmp_path, "periodic", "experiment = periodic\n") == 0
+        report = json.loads((tmp_path / "out" / "periodic_decay.json").read_text())
+        assert report["sup_initial"] == pytest.approx(0.1, rel=1e-12)
+        # heat rate of the (1, 1) mode on the unit torus: 8 pi^2
+        assert report["rate_2alpha"] == pytest.approx(8 * np.pi**2, rel=1e-3)
+        series = (tmp_path / "out" / "periodic_series.csv").read_text().splitlines()
+        assert len(series) > 10
+
+
+def test_cli_runs_store_no_fields():
+    sc = cli.solver_config_from_dict(cli.parse_config(TINY_SIMULATE + "store_fields = true\n"))
+    assert sc.store_fields is False

@@ -6,9 +6,11 @@ import pytest
 from rarelab.domain import (
     DomainSpec,
     Field,
+    derivative,
     gradient,
     laplacian,
     lp_norm,
+    magnitude,
     make_grid,
     read_snapshot,
     second_derivative,
@@ -136,6 +138,28 @@ class TestDerivatives:
             errs.append(np.max(np.abs(gradient(f)[0].values - exact)))
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert 1.9 <= order[0] <= 2.1 and 1.9 <= order[1] <= 2.1
+
+    def test_gradient_lists_the_partials(self):
+        spec = DomainSpec(n=3, L=2.0, n1=12, n_torus=(6, 5))
+        f = Field(spec, np.random.default_rng(4).standard_normal(spec.shape))
+        grads = gradient(f)
+        assert len(grads) == 3
+        for axis, g in enumerate(grads):
+            assert np.array_equal(g.values, derivative(f, axis).values)
+
+    def test_periodic_derivative_wraps(self):
+        spec = DomainSpec(n=2, L=1.0, n1=4, n_torus=(5,))
+        v = np.tile(np.arange(5.0), (4, 1))
+        d = derivative(Field(spec, v), 1).values[0]
+        h = 1.0 / 5
+        assert np.allclose(d, [(1 - 4) / (2 * h), 1 / h, 1 / h, 1 / h, (0 - 3) / (2 * h)])
+
+    def test_magnitude_is_the_euclidean_length(self):
+        a = np.array([[3.0, -1.0], [0.0, 2.0]])
+        b = np.array([[4.0, 1.0], [0.0, -2.0]])
+        assert np.array_equal(magnitude([a]), np.abs(a))
+        assert np.allclose(magnitude([a, b]), np.hypot(a, b), rtol=1e-15)
+        assert np.allclose(magnitude(iter([a, b, a])), np.sqrt(2 * a**2 + b**2), rtol=1e-15)
 
     def test_second_derivative_and_laplacian(self):
         spec = DomainSpec(n=2, L=3.0, n1=256, n_torus=(64,))

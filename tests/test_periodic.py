@@ -136,10 +136,11 @@ class TestIO:
         states = [PeriodicState(spec, np.full(spec.sizes, 0.25), float(t), 0.25)
                   for t in range(3)]
         path = tmp_path / "per.csv"
-        write_periodic_series(states, path)
+        norms = write_periodic_series(states, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,w_sup,grad_w_sup,mean_drift"
         assert len(rows) == 4
+        assert norms == [w_sup_norms(s) for s in states]
 
     def test_snapshot_roundtrip(self, tmp_path):
         spec = TorusSpec(sizes=(8, 12), offsets=(0.5, 0.0))
