@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, Field, derivative, laplacian, make_grid
+from .domain import DomainSpec, Field, derivative, laplacian, lp_norm, make_grid, write_table
 from .fluxes import FluxSet
 from .periodic import PeriodicState, spectral_derivative
 from .profile1d import ProfileSpline, ProfileState
@@ -246,12 +246,5 @@ def residual_mismatch(
 
 def write_source_series(bundles, path) -> None:
     """CSV time series of the defect's L^1, L^2 and sup norms."""
-    from .domain import lp_norm
-
-    with open(path, "w") as fh:
-        fh.write("t,h_l1,h_l2,h_linf\n")
-        for b in bundles:
-            fh.write(
-                f"{b.t:.17g},{lp_norm(b.h, 1):.17g},"
-                f"{lp_norm(b.h, 2):.17g},{lp_norm(b.h, np.inf):.17g}\n"
-            )
+    write_table(path, ("t", "h_l1", "h_l2", "h_linf"),
+                ((b.t, lp_norm(b.h, 1), lp_norm(b.h, 2), lp_norm(b.h, np.inf)) for b in bundles))

@@ -2,11 +2,12 @@
 
 Subcommands: simulate, profile, periodic, decompose, gn-study,
 counterexample, rates, validate.  Configs are flat key = value text
-(dotted prefixes group related keys, '#' starts a comment); every run
-writes its artifacts plus a manifest (config hash, versions, wall time,
-file digests) and a gnuplot script, so results stay inspectable as
-plain data.  Exit codes: 0 ok, 1 config error, 2 numerical abort
-(CFL or tail guard), 3 rate acceptance failure.
+(dotted prefixes group related keys, '#' starts a comment).  Each
+experiment is an input stage, which turns a config into checked inputs
+or raises, and a run stage, which takes those inputs; `validate` runs
+the input stage only.  Every file a run writes is digested in its
+manifest (config hash, versions, wall time).  Exit codes: 0 ok, 1 config
+error, 2 numerical abort (CFL or tail guard), 3 rate acceptance failure.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import __version__
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
-from .domain import DomainSpec, Field, make_grid, write_snapshot
+from .domain import DomainSpec, Field, make_grid, write_snapshot, write_table
 from .errors import ConfigError, NumericalAbort
 from .fluxes import flux_from_name
 from .ineqlab import (
+    check_interpolation_exponents,
     dilated_gn_ratio,
     dilated_sobolev_ratio,
     dilation_slope,
@@ -33,6 +35,7 @@ from .ineqlab import (
     gn_ratio,
     hat_bump,
     interpolation_ratio,
+    solve_theta,
 )
 from .mdsolver import NORM_COLUMNS, SolverConfig, run as run_solver, trig_polynomial, validate_config, write_norm_table
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
@@ -79,14 +82,17 @@ def _floats(s: str) -> list[float]:
     return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
 
 
+def _int_at_least(cfg: dict[str, str], key: str, default: str, least: int) -> int:
+    value = int(cfg.get(key, default))
+    if value < least:
+        raise ValueError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def _modes(s: str) -> tuple[tuple[float, ...], ...]:
     """'k1,k2,amp; k1,k2,amp' -> ((k1,k2,amp), ...)."""
-    rows = []
-    for chunk in s.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append(tuple(float(tok) for tok in chunk.split(",")))
-    return tuple(rows)
+    return tuple(tuple(float(tok) for tok in chunk.split(",")) for chunk in s.split(";")
+                 if chunk.strip())
 
 
 def _v0_from_spec(s: str):
@@ -96,7 +102,7 @@ def _v0_from_spec(s: str):
     if s.startswith("gaussian:"):
         amp, center, width = (float(x) for x in s.split(":", 1)[1].split(","))
         return lambda x: amp * np.exp(-(((np.asarray(x) - center) / width) ** 2))
-    raise ConfigError(f"unknown v0 spec '{s}' (use none or gaussian:amp,center,width)")
+    raise ValueError(f"unknown v0 spec '{s}' (use none or gaussian:amp,center,width)")
 
 
 def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
@@ -110,7 +116,7 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
     if spec.startswith("geometric:"):
         t0, ratio = (float(x) for x in spec.split(":", 1)[1].split(","))
         if not (t0 > 0 and ratio > 1):
-            raise ConfigError(f"geometric snapshots need t0 > 0 and ratio > 1, got {spec}")
+            raise ValueError(f"geometric snapshots need t0 > 0 and ratio > 1, got {spec}")
         times = []
         t = t0
         while t <= t_end * (1 + 1e-9):
@@ -120,31 +126,45 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
     return tuple(sorted(set(float(x) for x in _floats(spec))))
 
 
+def _window(cfg: dict[str, str]):
+    """rates.window as (lo, hi), or None for the default fit window."""
+    if "rates.window" not in cfg:
+        return None
+    window = tuple(_floats(cfg["rates.window"]))
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ValueError(f"rates.window must be two times lo < hi, got {window}")
+    return window
+
+
+def _domain(cfg: dict[str, str], dim: str, L: str, n1: str, m: str) -> DomainSpec:
+    """The cylinder grid of a config (keys dim, L, n1, n_torus); without
+    n_torus every torus direction gets m cells."""
+    n = int(cfg.get("dim", dim))
+    n_torus = cfg.get("n_torus", ",".join([m] * (n - 1)))
+    return DomainSpec(n=n, L=float(cfg.get("L", L)), n1=int(cfg.get("n1", n1)),
+                      n_torus=tuple(int(x) for x in n_torus.split(",") if x.strip()))
+
+
 def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
-    try:
-        dim = int(cfg.get("dim", "2"))
-        n_torus = tuple(int(x) for x in cfg.get("n_torus", "20").split(","))
-        spec = DomainSpec(n=dim, L=float(cfg.get("L", "80")),
-                          n1=int(cfg.get("n1", "3200")), n_torus=n_torus)
-        flux = flux_from_name(cfg.get("flux", "burgers"), dim)
-        t_end = float(cfg.get("t_end", "100"))
-        return SolverConfig(
-            spec=spec,
-            flux=flux,
-            ul=float(cfg.get("ul", "-0.5")),
-            ur=float(cfg.get("ur", "0.5")),
-            w0_modes=_modes(cfg.get("w0_modes", "")),
-            v0=_v0_from_spec(cfg.get("v0", "none")),
-            t_end=t_end,
-            snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
-            cfl=float(cfg.get("cfl", "0.4")),
-            tail_threshold=float(cfg.get("tail_threshold", "0.25")),
-            dt=float(cfg["dt"]) if "dt" in cfg else None,
-            profile_refine=int(cfg.get("profile_refine", "1")),
-            store_fields=False,
-        )
-    except (ValueError, KeyError) as e:
-        raise ConfigError(str(e)) from e
+    """The solver config of a simulate config; ValueError on a value that
+    does not parse."""
+    spec = _domain(cfg, "2", "80", "3200", "20")
+    t_end = float(cfg.get("t_end", "100"))
+    return SolverConfig(
+        spec=spec,
+        flux=flux_from_name(cfg.get("flux", "burgers"), spec.n),
+        ul=float(cfg.get("ul", "-0.5")),
+        ur=float(cfg.get("ur", "0.5")),
+        w0_modes=_modes(cfg.get("w0_modes", "")),
+        v0=_v0_from_spec(cfg.get("v0", "none")),
+        t_end=t_end,
+        snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
+        cfl=float(cfg.get("cfl", "0.4")),
+        tail_threshold=float(cfg.get("tail_threshold", "0.25")),
+        dt=float(cfg["dt"]) if "dt" in cfg else None,
+        profile_refine=int(cfg.get("profile_refine", "1")),
+        store_fields=False,
+    )
 
 
 # --- artifact helpers ---------------------------------------------------------
@@ -170,6 +190,10 @@ class _Outputs:
         self.files.append(name)
         return os.path.join(self.outdir, name)
 
+    def json(self, name: str, obj) -> None:
+        with open(self.path(name), "w") as fh:
+            json.dump(obj, fh, indent=2)
+
     def finish(self, extra: dict | None = None) -> str:
         manifest = {
             "version": __version__,
@@ -177,12 +201,9 @@ class _Outputs:
             "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
             "seed": self.seed,
             "wall_seconds": time.time() - self.t0,
-            "files": {
-                name: _sha256(os.path.join(self.outdir, name)) for name in self.files
-            },
+            "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},
+            **(extra or {}),
         }
-        if extra:
-            manifest.update(extra)
         path = os.path.join(self.outdir, "manifest.json")
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -210,16 +231,15 @@ def _write_decay_plot(path, csv_name: str, columns: dict[str, int], guides: dict
         fh.writelines(lines)
 
 
-# --- experiments ---------------------------------------------------------------
+# --- experiments: an input stage and a run stage each -------------------------
 
-def _rate_report(table, cfg: dict[str, str]) -> dict:
+def _rate_report(table, window) -> dict:
     """Every rate verdict, from the exported norm-table columns alone, so
     that `rates` on a simulate run's norms.csv reproduces its verdicts."""
     try:
         cols = {name: np.asarray(table[name], dtype=float) for name in NORM_COLUMNS}
         times = cols["t"]
-        window = fit_window(times, tuple(_floats(cfg["rates.window"]))
-                            if "rates.window" in cfg else None)
+        window = fit_window(times, window)
         report = {"main_rate": verify_main_theorem(times, cols["u_minus_profile_linf"], window)}
         fits = {}
         for p, col in ((1.0, "phi_l1"), (2.0, "phi_l2"), (4.0, "phi_l4"), (np.inf, "phi_linf")):
@@ -240,11 +260,18 @@ def _raise_on_failed(report: dict) -> None:
         raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
 
 
-def _exp_simulate(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) -> int:
-    sc = solver_config_from_dict(cfg)
+def _simulate_inputs(cfg: dict[str, str]):
+    """(solver config, fit window); the window must clear the transient of
+    the last recorded time, so a bad one fails before the solve."""
+    sc, window = solver_config_from_dict(cfg), _window(cfg)
+    fit_window(sc.snapshot_times or (sc.t_end,), window)
+    return sc, window
+
+
+def _exp_simulate(out: _Outputs, rng, sc: SolverConfig, window) -> None:
     traj = run_solver(sc)
     write_norm_table(traj, out.path("norms.csv"))
-    report = _rate_report(traj.series, cfg)
+    report = _rate_report(traj.series, window)
     report["max_principle_violation"] = traj.max_principle_violation
     report["boundary_mismatch"] = traj.boundary_mismatch
     write_rate_report(report, out.path("rates.json"))
@@ -256,68 +283,57 @@ def _exp_simulate(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) 
     )
     out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt})
     _raise_on_failed(report)
-    return 0
 
 
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, flux, t_end, cfl, snapshot times) of a profile config,
     checked by drawing up the run's step schedule."""
-    try:
-        t_end, cfl = float(cfg.get("t_end", "100")), float(cfg.get("cfl", "0.4"))
-        if not cfl > 0:
-            raise ConfigError(f"cfl must be positive, got {cfl}")
-        p0 = make_initial_state(float(cfg.get("L", "120")), int(cfg.get("n1", "4800")),
-                                float(cfg.get("ul", "-0.5")), float(cfg.get("ur", "0.5")))
-        flux = flux_from_name(cfg.get("flux", "burgers"), 1)
-        snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-        step_schedule(t_end, max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl), None, 0.0, snaps)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    t_end, cfl = float(cfg.get("t_end", "100")), float(cfg.get("cfl", "0.4"))
+    if not cfl > 0:
+        raise ValueError(f"cfl must be positive, got {cfl}")
+    p0 = make_initial_state(float(cfg.get("L", "120")), int(cfg.get("n1", "4800")),
+                            float(cfg.get("ul", "-0.5")), float(cfg.get("ur", "0.5")))
+    flux = flux_from_name(cfg.get("flux", "burgers"), 1)
+    flux.check_convexity(p0.ul, p0.ur)
+    snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
+    step_schedule(t_end, max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl), None, 0.0, snaps)
     return p0, flux, t_end, cfl, snaps
 
 
-def _exp_profile(cfg: dict[str, str], out: _Outputs, rng) -> int:
-    p0, flux, t_end, cfl, snaps = _profile_inputs(cfg)
+def _exp_profile(out: _Outputs, rng, p0, flux, t_end, cfl, snaps) -> None:
     states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
     write_profile_series(states, flux, out.path("profile_series.csv"))
     last = states[-1]
     write_snapshot(profile_to_field(last), out.path("profile_final.field"))
     exact = inviscid_rarefaction(last.x1, last.t, flux, last.ul, last.ur)
-    summary = {
+    out.json("profile_summary.json", {
         "t_final": last.t,
         "sup_distance_to_fan": float(np.max(np.abs(last.values - exact))),
         "oleinik_product": oleinik_bound(last)[1],
-    }
-    with open(out.path("profile_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    })
     _write_decay_plot(out.path("plots.gp"), "profile_series.csv",
                       {"max_slope": 2, "slope_l2": 5}, {"slope": -1.0})
     out.finish({"experiment": "profile"})
-    return 0
 
 
 def _periodic_inputs(cfg: dict[str, str]):
     """(disturbance, torus grid, flux, ubar, t_end, dt, snapshot times) of a
     periodic config, checked by drawing up the run's step schedule; by
     default 100 snapshots spaced evenly up to t_end."""
-    try:
-        tspec = TorusSpec(sizes=tuple(int(x) for x in cfg.get("sizes", "32,32").split(",")))
-        flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
-        ubar, t_end = float(cfg.get("ubar", "-0.5")), float(cfg.get("t_end", "0.5"))
-        dt = float(cfg["dt"]) if "dt" in cfg else None
-        w0 = trig_polynomial(_modes(cfg.get("w0_modes", "1,1,0.1")), tspec.coordinates())
-        if abs(float(np.mean(w0))) > 1e-12:
-            raise ConfigError(f"w0_modes average {float(np.mean(w0)):.3e}, not zero")
-        snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
-                 else tuple(np.linspace(t_end / 100.0, t_end, 100)))
-        step_schedule(t_end, np.inf, dt, 0.0, snaps)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    tspec = TorusSpec(sizes=tuple(int(x) for x in cfg.get("sizes", "32,32").split(",")))
+    flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
+    ubar, t_end = float(cfg.get("ubar", "-0.5")), float(cfg.get("t_end", "0.5"))
+    dt = float(cfg["dt"]) if "dt" in cfg else None
+    w0 = trig_polynomial(_modes(cfg.get("w0_modes", "1,1,0.1")), tspec.coordinates())
+    if abs(float(np.mean(w0))) > 1e-12:
+        raise ValueError(f"w0_modes average {float(np.mean(w0)):.3e}, not zero")
+    snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
+             else tuple(np.linspace(t_end / 100.0, t_end, 100)))
+    step_schedule(t_end, np.inf, dt, 0.0, snaps)
     return w0, tspec, flux, ubar, t_end, dt, snaps
 
 
-def _exp_periodic(cfg: dict[str, str], out: _Outputs, rng) -> int:
-    w0, tspec, flux, ubar, t_end, dt, snaps = _periodic_inputs(cfg)
+def _exp_periodic(out: _Outputs, rng, w0, tspec, flux, ubar, t_end, dt, snaps) -> None:
     states = solve_periodic(w0, ubar, flux, t_end, snaps, spec=tspec, dt=dt)
     norms = np.array(write_periodic_series(states, out.path("periodic_series.csv")))
     ts = np.array([s.t for s in states])
@@ -329,14 +345,12 @@ def _exp_periodic(cfg: dict[str, str], out: _Outputs, rng) -> int:
         alpha, r2 = fit_exponential_decay(ts, w1inf, (lo, hi))
         report.update({"alpha": alpha, "rate_2alpha": 2 * alpha, "r2": r2,
                        "window": [lo, hi]})
-    with open(out.path("periodic_decay.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+    out.json("periodic_decay.json", report)
     with open(out.path("plots.gp"), "w") as fh:
         fh.write('set datafile separator ","\nset logscale y\n'
                  'plot "periodic_series.csv" using 1:2 with lines title "sup|w|",'
                  ' "" using 1:3 with lines title "sup|grad w|"\n')
     out.finish({"experiment": "periodic"})
-    return 0
 
 
 def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator,
@@ -357,11 +371,12 @@ def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator,
     return Field(spec, vals)
 
 
-def _exp_decompose(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) -> int:
-    dim = int(cfg.get("dim", "3"))
-    spec = DomainSpec(n=dim, L=float(cfg.get("L", "2")), n1=int(cfg.get("n1", "16")),
-                      n_torus=tuple(int(x) for x in cfg.get("n_torus", "8,8").split(",")[: dim - 1]))
-    n_fields = int(cfg.get("n_fields", "50"))
+def _decompose_inputs(cfg: dict[str, str]):
+    """(grid, number of fields) of a decompose config."""
+    return _domain(cfg, "3", "2", "16", "8"), _int_at_least(cfg, "n_fields", "50", 1)
+
+
+def _exp_decompose(out: _Outputs, rng, spec: DomainSpec, n_fields: int) -> None:
     worst = {"reconstruction": 0.0, "membership": 0.0, "ratio": 0.0}
     for _ in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -379,56 +394,68 @@ def _exp_decompose(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator)
                 if np.isfinite(r):
                     worst["ratio"] = max(worst["ratio"], r)
     worst["ratio_bound"] = 4.0 ** (spec.n - 1)
-    with open(out.path("decomposition_suite.json"), "w") as fh:
-        json.dump(worst, fh, indent=2)
-    sample = _random_cylinder_field(spec, rng)
-    dump_components(decompose(sample), out.outdir)
-    out.files.append("decomposition.json")
+    out.json("decomposition_suite.json", worst)
+    parts = dump_components(decompose(_random_cylinder_field(spec, rng)), out.outdir)
+    out.files += ["decomposition.json", *(c["file"] for c in parts["components"])]
     out.finish({"experiment": "decompose", "n_fields": n_fields})
-    return 0
 
 
-def _exp_gn_study(cfg: dict[str, str], out: _Outputs, rng: np.random.Generator) -> int:
-    dim = int(cfg.get("dim", "2"))
-    spec = DomainSpec(n=dim, L=float(cfg.get("L", "4")), n1=int(cfg.get("n1", "64")),
-                      n_torus=tuple(int(x) for x in cfg.get("n_torus", "16").split(",")[: dim - 1]))
-    n_fields = int(cfg.get("n_fields", "40"))
+def _gn_inputs(cfg: dict[str, str]):
+    """(grid, number of fields, j, m, p, q, r) of a gn-study config; the
+    exponents must fit a split level and the interpolation quotient."""
+    spec = _domain(cfg, "2", "4", "64", "16")
+    n_fields = _int_at_least(cfg, "n_fields", "40", 1)
     j, m = int(cfg.get("j", "0")), int(cfg.get("m", "1"))
     p, q, r = (float(cfg.get(k, d)) for k, d in (("p", "2"), ("q", "1"), ("r", "2")))
+    if m > 2:
+        raise ValueError(f"gn-study takes derivative orders up to 2, got m={m}")
+    if all(solve_theta(j, m, p, q, r, k) is None for k in range(spec.n)):
+        raise ValueError(f"exponents j={j} m={m} p={p:g} q={q:g} r={r:g} fit no split level")
+    check_interpolation_exponents(max(p, 2.0), q)
+    return spec, n_fields, j, m, p, q, r
+
+
+def _exp_gn_study(out: _Outputs, rng, spec: DomainSpec, n_fields: int, j, m, p, q, r) -> None:
     rows = []
     for i in range(n_fields):
         f = _random_cylinder_field(spec, rng)
         res = gn_ratio(f, j, m, p, q, r)
         interp = interpolation_ratio(f, max(p, 2.0), q)
         rows.append((i, max(v for v in res["ratios"].values()), interp["ratio"]))
-    with open(out.path("gn_ratios.csv"), "w") as fh:
-        fh.write("field,gn_ratio_max,interpolation_ratio\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]:.17g},{row[2]:.17g}\n")
-    summary = {
-        "gn_ratio_max": max(r[1] for r in rows),
-        "interpolation_ratio_max": max(r[2] for r in rows),
+    write_table(out.path("gn_ratios.csv"), ("field", "gn_ratio_max", "interpolation_ratio"), rows)
+    out.json("gn_summary.json", {
+        "gn_ratio_max": max(row[1] for row in rows),
+        "interpolation_ratio_max": max(row[2] for row in rows),
         "exponents": {"j": j, "m": m, "p": p, "q": q, "r": r},
-    }
-    with open(out.path("gn_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    })
     out.finish({"experiment": "gn-study", "n_fields": n_fields})
-    return 0
 
 
-def _exp_counterexample(cfg: dict[str, str], out: _Outputs, rng) -> int:
-    n = int(cfg.get("n", "2"))
+_PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
+
+
+def _counterexample_inputs(cfg: dict[str, str]):
+    """(n, dilations, bump profile, thetas) of a counterexample config."""
+    n = _int_at_least(cfg, "n", "2", 2)
     ds = _floats(cfg.get("dilations", "1,2,4,8,16,32,64"))
-    profile = {"gaussian": gaussian_bump, "hat": hat_bump}[cfg.get("profile", "gaussian")]
+    if len(set(ds)) < 2 or min(ds) <= 0:
+        raise ValueError(f"dilations must be at least two distinct positive numbers, got {ds}")
+    name = cfg.get("profile", "gaussian")
+    if name not in _PROFILES:
+        raise ValueError(f"unknown profile '{name}' (use {' or '.join(_PROFILES)})")
     thetas = _floats(cfg.get("thetas", "0,0.3333333333333333,0.6666666666666666,1"))
+    if not all(0.0 <= theta <= 1.0 for theta in thetas):
+        raise ValueError(f"thetas must lie in [0, 1], got {thetas}")
+    return n, ds, _PROFILES[name], thetas
+
+
+def _exp_counterexample(out: _Outputs, rng, n: int, ds, profile, thetas) -> None:
     sob = [dilated_sobolev_ratio(d, profile, n) for d in ds]
-    with open(out.path("sobolev_scaling.csv"), "w") as fh:
-        fh.write("d,measured,predicted,ratio\n")
-        for row in sob:
-            fh.write(f"{row['d']:.17g},{row['measured']:.17g},{row['predicted']:.17g},"
-                     f"{row['measured'] / row['predicted']:.17g}\n")
+    write_table(out.path("sobolev_scaling.csv"), ("d", "measured", "predicted", "ratio"),
+                ((row["d"], row["measured"], row["predicted"], row["measured"] / row["predicted"])
+                 for row in sob))
     summary = {
-        "sobolev_slope": dilation_slope(ds, [r["measured"] for r in sob]),
+        "sobolev_slope": dilation_slope(ds, [row["measured"] for row in sob]),
         "sobolev_slope_predicted": (n - 1.0) / n,
         "C_at_d1": sob[0]["measured"],
         "theta_slopes": {},
@@ -439,66 +466,70 @@ def _exp_counterexample(cfg: dict[str, str], out: _Outputs, rng) -> int:
             "measured": dilation_slope(ds, vals),
             "predicted": 0.5 * (3.0 * theta - 1.0),
         }
-    with open(out.path("counterexample_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    out.json("counterexample_summary.json", summary)
     with open(out.path("plots.gp"), "w") as fh:
         fh.write('set datafile separator ","\nset logscale xy\n'
                  'plot "sobolev_scaling.csv" using 1:2 title "measured", '
                  f'x**({(n-1.0)/n}) title "guide"\n')
     out.finish({"experiment": "counterexample"})
-    return 0
 
 
-def _exp_rates(cfg: dict[str, str], out: _Outputs, rng) -> int:
+def _rates_inputs(cfg: dict[str, str]):
+    """(norm table path, its parsed rows, fit window) of a rates config."""
     src = cfg.get("input", "")
-    if not src or not os.path.exists(src):
-        raise ConfigError(f"rates experiment needs input = <norms.csv>, got '{src}'")
-    report = _rate_report(np.genfromtxt(src, delimiter=",", names=True), cfg)
+    if not os.path.isfile(src):
+        raise ValueError(f"rates experiment needs input = <norms.csv>, got '{src}'")
+    return src, np.genfromtxt(src, delimiter=",", names=True), _window(cfg)
+
+
+def _exp_rates(out: _Outputs, rng, src: str, table, window) -> None:
+    report = _rate_report(table, window)
     write_rate_report(report, out.path("rates.json"))
     out.finish({"experiment": "rates", "input": src})
     _raise_on_failed(report)
-    return 0
 
 
-def validate(cfg: dict[str, str]) -> list[str]:
-    """Dry-run check of a config against its own experiment (simulate by
-    default); returns findings.  Experiments other than simulate, profile
-    and periodic are only checked by name."""
-    kind = cfg.get("experiment", "simulate")
-    if kind not in _EXPERIMENTS:
-        return [f"unknown experiment '{kind}'"]
-    try:
-        if kind == "simulate":
-            return validate_config(solver_config_from_dict(cfg))
-        if kind == "profile":
-            _profile_inputs(cfg)
-        elif kind == "periodic":
-            _periodic_inputs(cfg)
-    except ConfigError as e:
-        return [str(e)]
-    return []
-
-
+# experiment -> (input stage, run stage)
 _EXPERIMENTS = {
-    "simulate": _exp_simulate,
-    "profile": _exp_profile,
-    "periodic": _exp_periodic,
-    "decompose": _exp_decompose,
-    "gn-study": _exp_gn_study,
-    "counterexample": _exp_counterexample,
-    "rates": _exp_rates,
+    "simulate": (_simulate_inputs, _exp_simulate),
+    "profile": (_profile_inputs, _exp_profile),
+    "periodic": (_periodic_inputs, _exp_periodic),
+    "decompose": (_decompose_inputs, _exp_decompose),
+    "gn-study": (_gn_inputs, _exp_gn_study),
+    "counterexample": (_counterexample_inputs, _exp_counterexample),
+    "rates": (_rates_inputs, _exp_rates),
 }
 
 
-def run_experiment(cfg: dict[str, str], outdir, seed: int = 0) -> int:
+def _inputs(cfg: dict[str, str]) -> tuple[str, tuple]:
+    """(experiment, checked inputs) of a config (simulate by default); the
+    one place that rejects an unknown experiment or a bad value."""
     kind = cfg.get("experiment", "simulate")
     if kind not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{kind}' "
                           f"(choose from {sorted(_EXPERIMENTS)})")
+    try:
+        return kind, _EXPERIMENTS[kind][0](cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def validate(cfg: dict[str, str]) -> list[str]:
+    """Dry-run check of a config against its own experiment: the input
+    stage, and for simulate the solver's findings; returns findings."""
+    try:
+        kind, inputs = _inputs(cfg)
+    except ConfigError as e:
+        return [str(e)]
+    return validate_config(inputs[0]) if kind == "simulate" else []
+
+
+def run_experiment(cfg: dict[str, str], outdir, seed: int = 0) -> int:
+    kind, inputs = _inputs(cfg)
     cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
     out = _Outputs(outdir, cfg_text, seed)
-    rng = np.random.default_rng(seed)
-    return _EXPERIMENTS[kind](cfg, out, rng)
+    _EXPERIMENTS[kind][1](out, np.random.default_rng(seed), *inputs)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -47,6 +47,7 @@ __all__ = [
     "write_grid_snapshot",
     "read_grid_snapshot",
     "write_csv",
+    "write_table",
 ]
 
 
@@ -288,13 +289,18 @@ def read_snapshot(path) -> Field:
     return Field(spec=spec, values=values, t=t)
 
 
+def write_table(path, names, rows) -> None:
+    """CSV: a header of column names, then one line per row with every
+    value at full precision (%.17g)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
 def write_csv(f: Field, path) -> None:
     """Plain-text export (coordinates, value); intended for small grids."""
     grid = make_grid(f.spec)
     coords = np.meshgrid(grid.x1, *grid.torus, indexing="ij")
-    cols = [c.ravel() for c in coords] + [f.values.ravel()]
-    header = ",".join([f"x{i+1}" for i in range(f.spec.n)] + ["value"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    names = [f"x{i+1}" for i in range(f.spec.n)] + ["value"]
+    write_table(path, names, zip(*(c.ravel() for c in coords), f.values.ravel()))

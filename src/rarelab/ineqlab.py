@@ -16,8 +16,6 @@ specific constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .decomp import DecompositionResult, decompose, level_sum
@@ -26,10 +24,10 @@ from .domain import (
 )
 
 __all__ = [
-    "GNParams",
     "solve_theta",
     "gn_ratio",
     "interpolation_ratio",
+    "check_interpolation_exponents",
     "derivative_interpolation_ratio",
     "extreme_case_checks",
     "dilated_sobolev_ratio",
@@ -82,42 +80,6 @@ def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int,
         if gap >= -1e-12 and abs(gap - round(gap)) < 1e-12:
             return None
     return float(theta)
-
-
-@dataclass(frozen=True)
-class GNParams:
-    """Validated parameter block for one interpolation quotient."""
-
-    j: int
-    m: int
-    p: float
-    q: float
-    r: float
-    k: int
-    theta_k: float
-    decay_at_infinity: bool = False
-
-    def __post_init__(self):
-        theta = solve_theta(self.j, self.m, self.p, self.q, self.r, self.k,
-                            self.decay_at_infinity)
-        if theta is None:
-            raise ValueError(
-                f"infeasible exponent set j={self.j} m={self.m} p={self.p} "
-                f"q={self.q} r={self.r} k={self.k}"
-            )
-        if abs(theta - self.theta_k) > 1e-12:
-            raise ValueError(
-                f"theta_k={self.theta_k} does not solve the relation "
-                f"(expected {theta})"
-            )
-
-    @classmethod
-    def solve(cls, j, m, p, q, r, k, decay_at_infinity=False):
-        theta = solve_theta(j, m, p, q, r, k, decay_at_infinity)
-        if theta is None:
-            return None
-        return cls(j=j, m=m, p=p, q=q, r=r, k=k, theta_k=theta,
-                   decay_at_infinity=decay_at_infinity)
 
 
 def _deriv_magnitude(f: Field, order: int) -> Field:
@@ -182,6 +144,15 @@ def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[
     return [factor * dv for dv in derivs]
 
 
+def check_interpolation_exponents(p: float, q: float) -> None:
+    """Raise ValueError unless 2 <= p < inf and 1 <= q <= p, the exponent
+    range of `interpolation_ratio`."""
+    if not (2.0 <= p < np.inf):
+        raise ValueError(f"p must lie in [2, inf), got {p}")
+    if not (1.0 <= q <= p):
+        raise ValueError(f"q must lie in [1, p], got {q}")
+
+
 def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     """Quotient of the norm against the split-level gradient-power sum.
 
@@ -190,10 +161,7 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     with g_k = (k+1)/2 (1/q - 1/p); both exponents scale so the quotient
     is invariant under u -> lambda u.
     """
-    if not (2.0 <= p < np.inf):
-        raise ValueError(f"p must lie in [2, inf), got {p}")
-    if not (1.0 <= q <= p):
-        raise ValueError(f"q must lie in [1, p], got {q}")
+    check_interpolation_exponents(p, q)
     grads = [c.values for c in gradient(u)]
     gv = chain_rule_power_gradient(u.values, grads, p / 2.0)
     gnorm = lp_norm(u.with_values(magnitude(gv)), 2)

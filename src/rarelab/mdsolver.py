@@ -29,7 +29,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ansatz import AnsatzBundle, assemble_bundle
-from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass
+from .domain import (
+    DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass, write_table,
+)
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import PeriodicState, TorusSpec, TorusStepper
@@ -112,6 +114,8 @@ def trig_polynomial(modes, coords) -> np.ndarray:
     out = np.zeros(shape)
     for row in modes:
         *ks, amp = row
+        if len(ks) != len(mesh):
+            raise ValueError(f"mode row {row} needs {len(mesh)} wavenumbers + amplitude")
         term = np.full(shape, float(amp))
         for k, x in zip(ks, mesh):
             if k != 0:
@@ -330,7 +334,4 @@ def perturbation_field(u: Field, bundle: AnsatzBundle) -> Field:
 
 def write_norm_table(traj: Trajectory, path) -> None:
     """The norm-table CSV with the documented column set."""
-    with open(path, "w") as fh:
-        fh.write(",".join(NORM_COLUMNS) + "\n")
-        for i in range(traj.times.size):
-            fh.write(",".join(f"{traj.series[c][i]:.17g}" for c in NORM_COLUMNS) + "\n")
+    write_table(path, NORM_COLUMNS, zip(*(traj.series[c] for c in NORM_COLUMNS)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import magnitude, read_grid_snapshot, write_grid_snapshot
+from .domain import magnitude, read_grid_snapshot, write_grid_snapshot, write_table
 from .errors import ConfigError
 from .fluxes import FluxSet
 from .rates import log_linear_fit
@@ -205,10 +205,8 @@ def write_periodic_series(states, path) -> list[tuple[float, float]]:
     """CSV time series (t, sup |w|, sup |grad w|, mean drift); returns the
     `w_sup_norms` pair of every state."""
     norms = [w_sup_norms(st) for st in states]
-    with open(path, "w") as fh:
-        fh.write("t,w_sup,grad_w_sup,mean_drift\n")
-        for st, (sup, gsup) in zip(states, norms):
-            fh.write(f"{st.t:.17g},{sup:.17g},{gsup:.17g},{st.mean_drift():.17g}\n")
+    write_table(path, ("t", "w_sup", "grad_w_sup", "mean_drift"),
+                ((st.t, sup, gsup, st.mean_drift()) for st, (sup, gsup) in zip(states, norms)))
     return norms
 
 

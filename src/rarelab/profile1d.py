@@ -11,12 +11,13 @@ and the t^(-1+1/p) decay of the slope's L^p norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import stepping
-from .domain import DomainSpec, Field, make_grid
+from .domain import DomainSpec, Field, make_grid, write_table
 from .fluxes import FluxSet
 from .stepping import DiffusionSweep, check_cfl, max_advective_dt, step_schedule, strang_step
 
@@ -57,6 +58,11 @@ class ProfileState:
     @property
     def dx(self) -> float:
         return float(self.x1[1] - self.x1[0])
+
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """The discrete slope (second-order differences), computed once."""
+        return np.gradient(self.values, self.dx, edge_order=2)
 
     def validate(self, boundary_tol: float = 1e-8) -> list[str]:
         """Check range, monotonicity and boundary approach.
@@ -182,8 +188,7 @@ def oleinik_bound(p: ProfileState) -> tuple[float, float]:
     problem-dependent, so trajectories are reported rather than checked
     against a fixed value.
     """
-    slope = np.gradient(p.values, p.dx, edge_order=2)
-    max_slope = float(np.max(slope))
+    max_slope = float(np.max(p.slope))
     return max_slope, p.t * max_slope
 
 
@@ -199,7 +204,7 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
     dx = p.dx
     left = p.x1 < 0
     ut1 = float(np.sum(p.values[left] - p.ul) + np.sum(p.ur - p.values[~left])) * dx
-    slope = np.gradient(p.values, dx, edge_order=2)
+    slope = p.slope
     report = {"t": p.t, "ut1": ut1, "norms": {}, "ratios": {}}
     for q in ps:
         if np.isinf(q):
@@ -251,16 +256,12 @@ def profile_to_field(p: ProfileState) -> Field:
 
 def write_profile_series(states, flux: FluxSet, path, ps=(1.0, 2.0, np.inf)) -> None:
     """CSV time series: slope bound, slope norms, deviation integral."""
-    with open(path, "w") as fh:
-        names = ["t", "max_slope", "t_max_slope"]
-        names += ["slope_linf" if np.isinf(q) else f"slope_l{q:g}" for q in ps]
-        names.append("end_state_deviation")
-        fh.write(",".join(names) + "\n")
-        for st in states:
-            ms, tms = oleinik_bound(st)
-            row = [st.t, ms, tms]
-            rep = profile_norm_checks(st, ps) if st.t > 0 else None
-            for q in ps:
-                row.append(rep["norms"][q] if rep else float("nan"))
-            row.append(rep["ut1"] if rep else float("nan"))
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    names = ["t", "max_slope", "t_max_slope"]
+    names += ["slope_linf" if np.isinf(q) else f"slope_l{q:g}" for q in ps]
+    names.append("end_state_deviation")
+    rows = []
+    for st in states:
+        rep = (profile_norm_checks(st, ps) if st.t > 0
+               else {"norms": dict.fromkeys(ps, np.nan), "ut1": np.nan})
+        rows.append([st.t, *oleinik_bound(st), *(rep["norms"][q] for q in ps), rep["ut1"]])
+    write_table(path, names, rows)

@@ -143,6 +143,20 @@ class TestExitCodes:
         assert cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
         assert "transient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, message", [
+        ("1,x", "could not convert string to float: 'x'"),
+        ("2,1", "rates.window must be two times lo < hi"),
+        ("0.05,2", "starts inside the transient"),
+    ])
+    def test_bad_window_fails_before_the_solve(self, tmp_path, capsys, window, message):
+        text = TINY_SIMULATE + f"rates.window = {window}\n"
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert message in capsys.readouterr().out
+        code, out = simulate(tmp_path, text)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
+
 
 def run_cli(tmp_path, command, text):
     cfg_path = tmp_path / f"{command}.cfg"
@@ -154,8 +168,9 @@ def run_cli(tmp_path, command, text):
 
 
 class TestTorusAndProfileConfigs:
-    """Bad periodic and profile inputs are config errors (exit 1), and
-    `validate` checks a config against its own experiment."""
+    """Bad input to any experiment is a config error (exit 1) with no
+    traceback, and `validate` reports the same message, since it runs
+    the same input stage."""
 
     @pytest.mark.parametrize("command, line, message", [
         ("periodic", "dt = 0", "dt must be positive"),
@@ -168,6 +183,25 @@ class TestTorusAndProfileConfigs:
         ("profile", "n1 = 2", "n1 must be at least 4"),
         ("profile", "cfl = 0", "cfl must be positive"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
+        ("profile", "flux = cubic", "f_1'' dips to"),
+        ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
+        ("periodic", "w0_modes = 1,0.1", "needs 2 wavenumbers + amplitude"),
+        ("decompose", "n1 = 2", "n1 must be at least 4"),
+        ("decompose", "dim = 4", "dimension must be 1, 2 or 3"),
+        ("decompose", "n_fields = 0", "n_fields must be at least 1"),
+        ("decompose", "dim = 2\nn_torus = 8,8", "need 1 torus cell counts"),
+        ("gn-study", "n_fields = 0", "n_fields must be at least 1"),
+        ("gn-study", "j = 2\nm = 1", "need 0 <= j < m"),
+        ("gn-study", "m = 3", "derivative orders up to 2"),
+        ("gn-study", "q = 8", "fit no split level"),
+        ("gn-study", "dim = 3\nn_torus = 8,8\nr = 1\nq = 4", "q must lie in [1, p]"),
+        ("counterexample", "dilations = 1", "at least two distinct positive numbers"),
+        ("counterexample", "dilations = 2,2", "at least two distinct positive numbers"),
+        ("counterexample", "profile = box", "unknown profile 'box'"),
+        ("counterexample", "thetas = 0,1.5", "thetas must lie in [0, 1]"),
+        ("counterexample", "n = 1", "n must be at least 2"),
+        ("rates", "rates.window = 1,2", "needs input = <norms.csv>"),
+        ("rates", "input = tests", "needs input = <norms.csv>"),
     ])
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, command, line, message):
         text = f"experiment = {command}\nL = 10\nn1 = 100\nt_end = 0.5\n{line}\n"
@@ -178,10 +212,22 @@ class TestTorusAndProfileConfigs:
         assert run_cli(tmp_path, "validate", text) == 1
         assert message in capsys.readouterr().out
 
+    def test_malformed_norm_table_is_a_config_error(self, tmp_path, capsys):
+        table = tmp_path / "norms.csv"
+        table.write_text("t,phi_l1\n1\n2,3,4\n")
+        text = f"experiment = rates\ninput = {table}\n"
+        assert run_cli(tmp_path, "rates", text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert run_cli(tmp_path, "validate", text) == 1
+
     @pytest.mark.parametrize("text", [
         "experiment = periodic\nsizes = 8,8\nt_end = 0.05\n",
         "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\n",
         TINY_SIMULATE,
+        "experiment = decompose\ndim = 2\n",
+        "experiment = gn-study\ndim = 3\nj = 1\nm = 2\n",
+        "experiment = counterexample\nprofile = hat\n",
     ])
     def test_valid_configs_pass(self, tmp_path, capsys, text):
         assert run_cli(tmp_path, "validate", text) == 0
@@ -206,3 +252,33 @@ class TestPeriodicDefaults:
 def test_cli_runs_store_no_fields():
     sc = cli.solver_config_from_dict(cli.parse_config(TINY_SIMULATE + "store_fields = true\n"))
     assert sc.store_fields is False
+
+
+TINY_RUNS = {
+    "simulate": TINY_SIMULATE,
+    "profile": "L = 10\nn1 = 100\nt_end = 0.5\n",
+    "periodic": "sizes = 8,8\nt_end = 0.05\n",
+    "decompose": "n1 = 16\nn_torus = 8,8\nn_fields = 2\n",
+    "gn-study": "n1 = 32\nn_torus = 8\nn_fields = 2\n",
+    "counterexample": "dilations = 1,2\nthetas = 0,1\n",
+}
+
+
+def test_every_experiment_digests_every_file_it_writes(tmp_path):
+    """Each experiment runs on a tiny config, and its manifest digests
+    exactly the files in its output directory."""
+    outdirs = {}
+    for command, text in {**TINY_RUNS, "rates": None}.items():
+        if text is None:
+            text = f"input = {outdirs['simulate'] / 'norms.csv'}\nrates.window = 1,2\n"
+        cfg_path = tmp_path / f"{command}.cfg"
+        cfg_path.write_text(text)
+        assert cli.validate({**cli.load_config(cfg_path), "experiment": command}) == []
+        outdirs[command] = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(outdirs[command])]) == 0, command
+    for command, out in outdirs.items():
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiment"] == command
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["files"]) == written, command

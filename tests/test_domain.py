@@ -18,6 +18,7 @@ from rarelab.domain import (
     torus_average,
     write_csv,
     write_snapshot,
+    write_table,
 )
 
 
@@ -289,3 +290,9 @@ class TestSnapshotIO:
         assert len(rows) == 1 + spec.num_points
         x1, x2, v = (float(tok) for tok in rows[1].split(","))
         assert v == pytest.approx(x1 + x2)
+
+    def test_table_rows_at_full_precision(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("i", "x"), [(0, 0.1), (1, np.float64(1 / 3)), (2, np.nan)])
+        assert path.read_text() == (
+            "i,x\n0,0.10000000000000001\n1,0.33333333333333331\n2,nan\n")

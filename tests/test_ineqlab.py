@@ -4,7 +4,6 @@ import pytest
 from rarelab.decomp import decompose
 from rarelab.domain import DomainSpec, Field, make_grid
 from rarelab.ineqlab import (
-    GNParams,
     chain_rule_power_gradient,
     derivative_interpolation_ratio,
     dilated_gn_ratio,
@@ -74,12 +73,6 @@ class TestSolveTheta:
         # coefficient of the weight vanishes with matching constants
         theta = solve_theta(0, 2, 2.0, 2.0, 1.0, 0)
         assert theta == pytest.approx(0.0)
-
-    def test_params_validation(self):
-        assert GNParams.solve(0, 1, 2.0, 1.0, 2.0, 0).theta_k == pytest.approx(1 / 3)
-        with pytest.raises(ValueError):
-            GNParams(j=0, m=1, p=2.0, q=1.0, r=2.0, k=0, theta_k=0.5)
-        assert GNParams.solve(0, 1, 1.0, 2.0, 4.0, 0) is None
 
 
 class TestGNRatio:

@@ -73,6 +73,11 @@ class TestTrigPolynomial:
         val = trig_polynomial([(1, 0, 2.0)], xs)
         assert val[0, 0] == pytest.approx(2.0)
 
+    def test_row_length_must_match_the_grid(self):
+        xs = (np.array([0.25]), np.array([0.1]))
+        with pytest.raises(ValueError, match="needs 2 wavenumbers"):
+            trig_polynomial([(1, 0.1)], xs)
+
 
 class TestZeroDisturbance:
     @pytest.fixture(scope="class")

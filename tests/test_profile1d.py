@@ -228,6 +228,12 @@ class TestInterpolantAndIO:
         assert rows[0].startswith("t,max_slope,t_max_slope")
         assert len(rows) == 1 + len(evolved)
 
+    def test_slope_is_computed_once_per_state(self, evolved):
+        st = evolved[1]
+        assert st.slope is st.slope
+        assert np.array_equal(st.slope, np.gradient(st.values, st.dx, edge_order=2))
+        assert oleinik_bound(st)[0] == float(np.max(st.slope))
+
     def test_state_validation_guards(self):
         with pytest.raises(ValueError):
             ProfileState(np.linspace(-1, 1, 8), np.zeros(8), 0.0, 0.5, -0.5)
