@@ -12,7 +12,7 @@ rates, interpolation-inequality quotients and dilation scalings.
 __version__ = "0.1.0"
 
 from . import ansatz, decomp, domain, fluxes, ineqlab, mdsolver, periodic, profile1d, rates
-from .domain import DomainSpec, Field, gradient, laplacian, lp_norm, make_grid, torus_average
+from .domain import DomainSpec, Field, gradient, laplacian, lp_norm, make_grid
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet, burgers
 
@@ -37,5 +37,4 @@ __all__ = [
     "laplacian",
     "lp_norm",
     "make_grid",
-    "torus_average",
 ]

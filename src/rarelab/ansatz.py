@@ -3,11 +3,11 @@
 The ansatz interpolates between the torus solutions through a weight
 that rescales the 1-d viscous profile onto (0, 1), so it carries the
 far-field oscillations and leaves an x1-integrable perturbation.  It is
-not an exact solution; `source_term` evaluates its defect in closed
-form, and `discrete_residual` recomputes the same defect by finite
-differences on stored snapshots.  Agreement of the two at second order
-under refinement is the module's central correctness check; it
-exercises every term of the closed form.
+not an exact solution; `assemble_bundle` evaluates it and its defect
+in closed form, and `discrete_residual` recomputes the same defect by
+finite differences on three equispaced bundles.  Agreement of the two
+at second order under refinement is the module's central correctness
+check; it exercises every term of the closed form.
 
 Formula-side derivatives are taken spectrally on the torus grid (exact
 for resolved modes) and the weight's slope comes from the fine profile
@@ -21,22 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, Field, derivative, laplacian, lp_norm, make_grid, write_table
+from .domain import DomainSpec, Field, derivative, laplacian, make_grid
 from .fluxes import FluxSet
 from .periodic import PeriodicState, spectral_derivative
 from .profile1d import ProfileSpline, ProfileState
 
 __all__ = [
     "AnsatzBundle",
-    "mixing_weight",
     "mean_flux_curvature",
     "tile_to_cylinder",
-    "build_ansatz",
     "source_term",
     "assemble_bundle",
     "discrete_residual",
     "residual_mismatch",
-    "write_source_series",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -62,26 +59,6 @@ class AnsatzBundle:
         if np.any(np.diff(self.g) < 0.0):
             problems.append("mixing weight is not increasing")
         return problems
-
-
-def _sample_profile(state: ProfileState, x1: np.ndarray):
-    """(profile values, mixing weight, weight slope) from one spline build."""
-    if state.ur == state.ul:
-        raise ValueError("degenerate end states: no rarefaction to rescale")
-    spline = ProfileSpline(state)
-    span = state.ur - state.ul
-    prof = spline.value(x1)
-    return prof, (prof - state.ul) / span, spline.slope(x1) / span
-
-
-def mixing_weight(state: ProfileState, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Profile rescaled affinely onto (0, 1) and its slope, on given points.
-
-    Sampling goes through a cubic interpolant of the (usually finer)
-    profile grid; outside that grid the weight saturates to 0/1 with
-    zero slope.
-    """
-    return _sample_profile(state, x1)[1:]
 
 
 def mean_flux_curvature(d2f, a, b):
@@ -126,21 +103,6 @@ def tile_to_cylinder(state: PeriodicState, dspec: DomainSpec) -> np.ndarray:
     return state.values[idx]
 
 
-def build_ansatz(
-    ul_state: PeriodicState,
-    ur_state: PeriodicState,
-    g: np.ndarray,
-    dspec: DomainSpec,
-) -> Field:
-    """Pointwise convex combination of the tiled torus solutions."""
-    if abs(ul_state.t - ur_state.t) > 1e-9:
-        raise ValueError(f"time stamps differ: {ul_state.t} vs {ur_state.t}")
-    Ul = tile_to_cylinder(ul_state, dspec)
-    Ur = tile_to_cylinder(ur_state, dspec)
-    gg = g.reshape((-1,) + (1,) * (dspec.n - 1))
-    return Field(dspec, Ul * (1.0 - gg) + Ur * gg, t=ul_state.t)
-
-
 def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
     """(g, dg, profile values, ansatz values, defect values) at one instant.
 
@@ -151,8 +113,12 @@ def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
     ts = (ul_state.t, ur_state.t, profile.t)
     if max(ts) - min(ts) > 1e-9:
         raise ValueError(f"time stamps differ: {ts}")
-    grid = make_grid(dspec)
-    prof, g, dg = _sample_profile(profile, grid.x1)
+    if profile.ur == profile.ul:
+        raise ValueError("degenerate end states: no rarefaction to rescale")
+    # the weight is the profile rescaled onto (0, 1), from one spline build
+    x1, spline, span = make_grid(dspec).x1, ProfileSpline(profile), profile.ur - profile.ul
+    prof = spline.value(x1)
+    g, dg = (prof - profile.ul) / span, spline.slope(x1) / span
 
     bshape = (-1,) + (1,) * (dspec.n - 1)
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
@@ -243,8 +209,3 @@ def residual_mismatch(
     res = discrete_residual(prev, mid, nxt, flux)
     return float(np.max(np.abs(res.values - mid.h.values)))
 
-
-def write_source_series(bundles, path) -> None:
-    """CSV time series of the defect's L^1, L^2 and sup norms."""
-    write_table(path, ("t", "h_l1", "h_l2", "h_linf"),
-                ((b.t, lp_norm(b.h, 1), lp_norm(b.h, 2), lp_norm(b.h, np.inf)) for b in bundles))

@@ -13,6 +13,7 @@ error, 2 numerical abort (CFL or tail guard), 3 rate acceptance failure.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -41,6 +42,7 @@ from .mdsolver import NORM_COLUMNS, SolverConfig, run as run_solver, trig_polyno
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
 from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
 from .rates import (
+    MIN_FIT_POINTS,
     exponent_ordering,
     fit_power_law,
     fit_window,
@@ -163,7 +165,6 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
         tail_threshold=float(cfg.get("tail_threshold", "0.25")),
         dt=float(cfg["dt"]) if "dt" in cfg else None,
         profile_refine=int(cfg.get("profile_refine", "1")),
-        store_fields=False,
     )
 
 
@@ -261,10 +262,13 @@ def _raise_on_failed(report: dict) -> None:
 
 
 def _simulate_inputs(cfg: dict[str, str]):
-    """(solver config, fit window); the window must clear the transient of
-    the last recorded time, so a bad one fails before the solve."""
+    """(solver config, fit window); the window must clear the transient and
+    hold enough snapshot times for a fit, so a bad one fails before the solve."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
-    fit_window(sc.snapshot_times or (sc.t_end,), window)
+    times = sc.snapshot_times or (sc.t_end,)
+    lo, hi = fit_window(times, window)
+    if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
+        raise ValueError(f"window ({lo:g}, {hi:g}) holds under {MIN_FIT_POINTS} snapshot times")
     return sc, window
 
 
@@ -340,7 +344,7 @@ def _exp_periodic(out: _Outputs, rng, w0, tspec, flux, ubar, t_end, dt, snaps) -
     sups, w1inf = norms[:, 0], np.max(norms, axis=1)
     inside = (sups >= 1e-10) & (sups <= 1e-2)
     report = {"sup_initial": float(np.max(np.abs(w0))), "sup_final": float(sups[-1])}
-    if int(np.sum(inside)) >= 4:
+    if int(np.sum(inside)) >= MIN_FIT_POINTS:
         lo, hi = float(np.min(ts[inside])), float(np.max(ts[inside]))
         alpha, r2 = fit_exponential_decay(ts, w1inf, (lo, hi))
         report.update({"alpha": alpha, "rate_2alpha": 2 * alpha, "r2": r2,
@@ -444,8 +448,8 @@ def _counterexample_inputs(cfg: dict[str, str]):
     if name not in _PROFILES:
         raise ValueError(f"unknown profile '{name}' (use {' or '.join(_PROFILES)})")
     thetas = _floats(cfg.get("thetas", "0,0.3333333333333333,0.6666666666666666,1"))
-    if not all(0.0 <= theta <= 1.0 for theta in thetas):
-        raise ValueError(f"thetas must lie in [0, 1], got {thetas}")
+    if not thetas or not all(0.0 <= theta <= 1.0 for theta in thetas):
+        raise ValueError(f"thetas must lie in [0, 1] and not be empty, got {thetas}")
     return n, ds, _PROFILES[name], thetas
 
 
@@ -501,17 +505,43 @@ _EXPERIMENTS = {
 }
 
 
+class _AskedKeys(dict):
+    """A config that records every key looked up through get, [] or in."""
+
+    def __init__(self, cfg: dict[str, str]):
+        super().__init__(cfg)
+        self.asked = {"experiment"}
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 def _inputs(cfg: dict[str, str]) -> tuple[str, tuple]:
     """(experiment, checked inputs) of a config (simulate by default); the
-    one place that rejects an unknown experiment or a bad value."""
+    one place that rejects an unknown experiment, a bad value or an unread key."""
     kind = cfg.get("experiment", "simulate")
     if kind not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{kind}' "
                           f"(choose from {sorted(_EXPERIMENTS)})")
+    read = _AskedKeys(cfg)
     try:
-        return kind, _EXPERIMENTS[kind][0](cfg)
+        inputs = _EXPERIMENTS[kind][0](read)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    unknown = [f"unknown key '{key}' for {kind}" + "".join(
+        f" (closest known key: '{c}')" for c in difflib.get_close_matches(key, read.asked, n=1))
+        for key in sorted(set(cfg) - read.asked)]
+    if unknown:
+        raise ConfigError("; ".join(unknown))
+    return kind, inputs
 
 
 def validate(cfg: dict[str, str]) -> list[str]:

@@ -40,13 +40,9 @@ __all__ = [
     "magnitude",
     "second_derivative",
     "laplacian",
-    "torus_average",
     "tail_mass",
     "write_snapshot",
     "read_snapshot",
-    "write_grid_snapshot",
-    "read_grid_snapshot",
-    "write_csv",
     "write_table",
 ]
 
@@ -217,22 +213,6 @@ def laplacian(f: Field) -> Field:
     return f.with_values(sum(second_derivative(f, axis).values for axis in range(f.spec.n)))
 
 
-def torus_average(f: Field, dirs) -> Field:
-    """Average over the listed torus directions (2..n), constant along them.
-
-    Grid averages are exact sums, so applying the average twice equals
-    applying it once to machine precision.
-    """
-    dirs = sorted(set(int(d) for d in dirs))
-    if not dirs:
-        raise ValueError("dirs must be a non-empty subset of torus directions")
-    if any(d < 2 or d > f.spec.n for d in dirs):
-        raise ValueError(f"directions {dirs} outside 2..{f.spec.n}")
-    axes = tuple(d - 1 for d in dirs)
-    avg = np.mean(f.values, axis=axes, keepdims=True)
-    return f.with_values(np.broadcast_to(avg, f.spec.shape))
-
-
 def tail_mass(f: Field, fraction: float = 0.1) -> float:
     """Fraction of the |f| mass in the outer `fraction` of the x1 range.
 
@@ -252,41 +232,21 @@ def tail_mass(f: Field, fraction: float = 0.1) -> float:
 #
 # Binary layout: little-endian 64-bit header values
 #   n (int), L (float), n1 (int), n_torus[0..n-2] (int), t (float)
-# followed by the row-major float64 values.  L = 0 flags an all-periodic
-# torus state (no line direction, the n sizes are the torus sizes); L > 0
-# is a truncated-cylinder field.
-
-def write_grid_snapshot(path, L: float, t: float, values: np.ndarray) -> None:
-    """Header (ndim, L, shape, t) and the values, in the layout above."""
-    shape = np.shape(values)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<qd{len(shape)}qd", len(shape), L, *shape, t))
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def read_grid_snapshot(path) -> tuple[float, float, np.ndarray]:
-    """(L, t, values) from a file in the layout above."""
-    with open(path, "rb") as fh:
-        n, L = struct.unpack("<qd", fh.read(16))
-        *shape, t = struct.unpack(f"<{n}qd", fh.read(8 * n + 8))
-        raw = fh.read(int(np.prod(shape)) * 8)
-    return L, t, np.frombuffer(raw, dtype="<f8").reshape(shape)
-
+# followed by the row-major float64 values.
 
 def write_snapshot(f: Field, path) -> None:
-    write_grid_snapshot(path, f.spec.L, f.t, f.values)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<qd{f.spec.n}qd", f.spec.n, f.spec.L, *f.spec.shape, f.t))
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> Field:
-    L, t, values = read_grid_snapshot(path)
-    if L == 0.0:
-        raise ValueError(
-            "file is an all-periodic torus snapshot (L = 0); "
-            "use rarelab.periodic.read_torus_snapshot"
-        )
-    n1, *n_torus = values.shape
-    spec = DomainSpec(n=values.ndim, L=L, n1=n1, n_torus=n_torus)
-    return Field(spec=spec, values=values, t=t)
+    with open(path, "rb") as fh:
+        n, L = struct.unpack("<qd", fh.read(16))
+        n1, *n_torus, t = struct.unpack(f"<{n}qd", fh.read(8 * n + 8))
+        spec = DomainSpec(n=n, L=L, n1=n1, n_torus=n_torus)
+        values = np.frombuffer(fh.read(spec.num_points * 8), dtype="<f8")
+    return Field(spec=spec, values=values.reshape(spec.shape), t=t)
 
 
 def write_table(path, names, rows) -> None:
@@ -297,10 +257,3 @@ def write_table(path, names, rows) -> None:
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
-
-def write_csv(f: Field, path) -> None:
-    """Plain-text export (coordinates, value); intended for small grids."""
-    grid = make_grid(f.spec)
-    coords = np.meshgrid(grid.x1, *grid.torus, indexing="ij")
-    names = [f"x{i+1}" for i in range(f.spec.n)] + ["value"]
-    write_table(path, names, zip(*(c.ravel() for c in coords), f.values.ravel()))

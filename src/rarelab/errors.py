@@ -1,5 +1,7 @@
 """Exceptions shared across rarelab modules."""
 
+__all__ = ["ConfigError", "NumericalAbort"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration or violated precondition (CLI exit code 1)."""

@@ -50,11 +50,6 @@ class FluxSet:
                 f"f_1'' dips to {low:.6g} < a0 = {self.a0:.6g} on [{umin}, {umax}]"
             )
 
-    def max_wave_speed(self, umin: float, umax: float, samples: int = 2001) -> float:
-        """max over directions and the value range of |f_i'(u)|."""
-        u = np.linspace(umin, umax, samples)
-        return max(float(np.max(np.abs(np.asarray(d(u), dtype=float)))) for d in self.df)
-
 
 def _const(c: float) -> FluxFn:
     return lambda u: np.full_like(np.asarray(u, dtype=float), c)

@@ -23,19 +23,19 @@ range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import AnsatzBundle, assemble_bundle
+from .ansatz import assemble_bundle
 from .domain import (
     DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass, write_table,
 )
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import PeriodicState, TorusSpec, TorusStepper
-from .profile1d import ProfileState, evolve_profile, initial_profile, make_initial_state
+from .profile1d import evolve_profile, initial_profile, make_initial_state
 from .stepping import (
     DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
 )
@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "validate_config",
     "run",
-    "perturbation_field",
     "trig_polynomial",
     "write_norm_table",
     "NORM_COLUMNS",
@@ -89,22 +88,15 @@ class SolverConfig:
     tail_floor: float = 1e-10
     dt: float | None = None
     profile_refine: int = 1
-    store_fields: bool = True
 
 
 @dataclass
 class Trajectory:
-    config: SolverConfig
-    times: np.ndarray
     series: dict[str, np.ndarray]
     steps: int
     dt: float
     max_principle_violation: float = 0.0
     boundary_mismatch: float = 0.0
-    u: list[Field] = field(default_factory=list)
-    phi: list[Field] = field(default_factory=list)
-    bundles: list[AnsatzBundle] = field(default_factory=list)
-    profiles: list[ProfileState] = field(default_factory=list)
 
 
 def trig_polynomial(modes, coords) -> np.ndarray:
@@ -258,7 +250,7 @@ def run(config: SolverConfig) -> Trajectory:
         return (advective_rhs(v, flux, spacings, ghosts=(w[0, lo_rows], w[1, hi_rows])),
                 advective_rhs(w, flux, tspec.spacings))
 
-    traj = Trajectory(config=config, times=np.array([]), series={}, steps=steps, dt=dt)
+    traj = Trajectory(series={}, steps=steps, dt=dt)
     rows: list[dict] = []
 
     def record(t, v, w):
@@ -284,11 +276,6 @@ def run(config: SolverConfig) -> Trajectory:
             max_u=float(np.max(v)),
             min_u=float(np.min(v)),
         ))
-        if config.store_fields:
-            traj.u.append(Field(spec, v, t))
-            traj.phi.append(phi)
-            traj.bundles.append(bundle)
-            traj.profiles.append(pstate)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         for side, idx, row in ((0, -1, lo_rows[1]), (1, n1, hi_rows[0])):
@@ -320,16 +307,8 @@ def run(config: SolverConfig) -> Trajectory:
         viol = max(viol, float(new_hi - old_hi), float(old_lo - new_lo))
 
     traj.max_principle_violation = viol
-    traj.times = np.array([r["t"] for r in rows])
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     return traj
-
-
-def perturbation_field(u: Field, bundle: AnsatzBundle) -> Field:
-    """u minus the ansatz, with matching time stamps."""
-    if abs(u.t - bundle.t) > 1e-9:
-        raise ValueError(f"time stamps differ: {u.t} vs {bundle.t}")
-    return Field(u.spec, u.values - bundle.u_tilde.values, u.t)
 
 
 def write_norm_table(traj: Trajectory, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import magnitude, read_grid_snapshot, write_grid_snapshot, write_table
+from .domain import magnitude, write_table
 from .errors import ConfigError
 from .fluxes import FluxSet
 from .rates import log_linear_fit
@@ -34,8 +34,6 @@ __all__ = [
     "w_sup_norms",
     "fit_exponential_decay",
     "write_periodic_series",
-    "write_torus_snapshot",
-    "read_torus_snapshot",
 ]
 
 
@@ -209,19 +207,3 @@ def write_periodic_series(states, path) -> list[tuple[float, float]]:
                 ((st.t, sup, gsup, st.mean_drift()) for st, (sup, gsup) in zip(states, norms)))
     return norms
 
-
-def write_torus_snapshot(state: PeriodicState, path) -> None:
-    """Binary snapshot in the shared field layout; L = 0 flags all-periodic.
-
-    The stored values are the full solution; the background constant is
-    recovered on read as the mean (the disturbance averages to zero).
-    """
-    write_grid_snapshot(path, 0.0, state.t, state.values)
-
-
-def read_torus_snapshot(path, offsets=()) -> PeriodicState:
-    L, t, values = read_grid_snapshot(path)
-    if L != 0.0:
-        raise ValueError("not an all-periodic snapshot; use domain.read_snapshot")
-    spec = TorusSpec(sizes=values.shape, offsets=tuple(offsets) if offsets else ())
-    return PeriodicState(spec, values, t, ubar=float(np.mean(values)))

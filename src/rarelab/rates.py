@@ -25,10 +25,13 @@ __all__ = [
     "exponent_ordering",
     "write_rate_report",
     "EXPONENT_TOL",
+    "MIN_FIT_POINTS",
 ]
 
 # tolerance on fitted exponents at the reference resolution
 EXPONENT_TOL = 0.15
+
+MIN_FIT_POINTS = 4  # fewest points a fit window may hold
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class RateFit:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 4:
-            raise ValueError(f"a fit needs >= 4 points, got {self.n_points}")
+        if self.n_points < MIN_FIT_POINTS:
+            raise ValueError(f"a fit needs >= {MIN_FIT_POINTS} points, got {self.n_points}")
 
 
 def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
@@ -52,8 +55,8 @@ def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
     lo, hi = window
     mask = (t >= lo) & (t <= hi)
     n = int(np.sum(mask))
-    if n < 4:
-        raise ValueError(f"window {window} holds {n} points; need >= 4")
+    if n < MIN_FIT_POINTS:
+        raise ValueError(f"window {window} holds {n} points; need >= {MIN_FIT_POINTS}")
     if np.any(v[mask] <= 0.0):
         raise ValueError("series must be positive inside the fit window")
     x = np.asarray(x, dtype=float)[mask]

@@ -7,20 +7,17 @@ from rarelab import ansatz
 
 from rarelab.ansatz import (
     assemble_bundle,
-    build_ansatz,
     discrete_residual,
     mean_flux_curvature,
-    mixing_weight,
     residual_mismatch,
     source_term,
     tile_to_cylinder,
-    write_source_series,
 )
 from rarelab.domain import DomainSpec, lp_norm, make_grid
 from rarelab.fluxes import burgers, cubic
 from rarelab.mdsolver import trig_polynomial
 from rarelab.periodic import PeriodicState, TorusSpec, solve_periodic
-from rarelab.profile1d import evolve_profile, make_initial_state
+from rarelab.profile1d import ProfileSpline, evolve_profile, make_initial_state
 
 
 def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
@@ -39,30 +36,41 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     return sl, sr, ps, flux
 
 
+def flat_bundle(dspec, profile):
+    """The bundle of constant torus states at the profile's end states."""
+    m1 = int(round(1.0 / dspec.dx1))
+    tspec = TorusSpec(sizes=(m1, *dspec.n_torus), offsets=(0.5,) + (0.0,) * (dspec.n - 1))
+    sl = PeriodicState(tspec, np.full(tspec.sizes, profile.ul), profile.t, profile.ul)
+    sr = PeriodicState(tspec, np.full(tspec.sizes, profile.ur), profile.t, profile.ur)
+    return assemble_bundle(sl, sr, profile, burgers(dspec.n), dspec)
+
+
 class TestMixingWeight:
     def test_range_monotone_and_center(self):
-        p0 = make_initial_state(L=20.0, n1=800, ul=-0.5, ur=0.5)
-        x = np.linspace(-15, 15, 301)
-        g, dg = mixing_weight(p0, x)
+        dspec = DomainSpec(n=2, L=20, n1=800, n_torus=(8,))
+        bundle = flat_bundle(dspec, make_initial_state(L=20.0, n1=1600, ul=-0.5, ur=0.5))
+        g, dg = bundle.g, bundle.dg
         assert np.all((g >= 0.0) & (g <= 1.0))
         assert np.all(np.diff(g) >= -1e-14)
-        assert np.all(dg >= 0.0)
-        # odd-symmetric data: the weight is exactly 1/2 at the origin
-        gc, _ = mixing_weight(p0, np.array([0.0]))
-        assert gc[0] == pytest.approx(0.5, abs=1e-12)
+        # in the far tails the spline's slope is roundoff, down to -5e-16
+        assert np.all(dg[np.abs(make_grid(dspec).x1) <= 15.0] >= 0.0)
+        # odd-symmetric data on a symmetric grid: g(x) + g(-x) = 1, so the
+        # weight is 1/2 at the origin
+        assert np.max(np.abs(g + g[::-1] - 1.0)) < 1e-12
 
     def test_saturates_outside(self):
         p0 = make_initial_state(L=10.0, n1=400, ul=-0.5, ur=0.5)
-        g, dg = mixing_weight(p0, np.array([-50.0, 50.0]))
-        assert g[0] == 0.0 and g[1] == 1.0
-        assert dg[0] == 0.0 and dg[1] == 0.0
+        spline = ProfileSpline(p0)
+        x = np.array([-50.0, 50.0])
+        assert np.array_equal(spline.value(x), [p0.ul, p0.ur])
+        assert np.array_equal(spline.slope(x), [0.0, 0.0])
 
     def test_degenerate_states_rejected(self):
         p0 = make_initial_state(L=10.0, n1=400, ul=-0.5, ur=0.5)
         bad = type(p0)(p0.x1, p0.values, p0.t, -0.5, 0.5)
         object.__setattr__(bad, "ur", -0.5)
-        with pytest.raises(ValueError):
-            mixing_weight(bad, p0.x1)
+        with pytest.raises(ValueError, match="degenerate end states"):
+            flat_bundle(DomainSpec(n=2, L=10, n1=200, n_torus=(8,)), bad)
 
 
 class TestFluxCurvatureAverage:
@@ -131,7 +139,7 @@ class TestAnsatzAssembly:
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(8,))
         sl, sr, ps, flux = coupled_states(
             DomainSpec(n=2, L=5, n1=100, n_torus=(8,)), t0=0.05, dt=2.5e-3, refine=2)
-        u_tilde = build_ansatz(sl[0], sr[0], mixing_weight(ps[0], make_grid(dspec).x1)[0], dspec)
+        u_tilde = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec).u_tilde
         lo = np.minimum(tile_to_cylinder(sl[0], dspec), tile_to_cylinder(sr[0], dspec))
         hi = np.maximum(tile_to_cylinder(sl[0], dspec), tile_to_cylinder(sr[0], dspec))
         assert np.all(u_tilde.values >= lo - 1e-14)
@@ -139,11 +147,12 @@ class TestAnsatzAssembly:
 
     def test_time_mismatch_rejected(self):
         tspec = TorusSpec(sizes=(8, 8), offsets=(0.5, 0.0))
-        a = PeriodicState(tspec, np.zeros((8, 8)), 0.0, 0.0)
-        b = PeriodicState(tspec, np.zeros((8, 8)), 1.0, 0.0)
+        a = PeriodicState(tspec, np.full((8, 8), -0.5), 0.0, -0.5)
+        b = PeriodicState(tspec, np.full((8, 8), 0.5), 1.0, 0.5)
         dspec = DomainSpec(n=2, L=4, n1=64, n_torus=(8,))
-        with pytest.raises(ValueError):
-            build_ansatz(a, b, np.full(64, 0.5), dspec)
+        prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
+        with pytest.raises(ValueError, match="time stamps differ"):
+            assemble_bundle(a, b, prof, burgers(2), dspec)
 
 
 class TestSourceTerm:
@@ -199,19 +208,13 @@ class TestSourceTerm:
         monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
         bundle = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
         assert len(builds) == 1
-        g, dg = mixing_weight(ps[0], make_grid(dspec).x1)
-        assert np.array_equal(bundle.g, g) and np.array_equal(bundle.dg, dg)
-        assert np.array_equal(bundle.u_tilde.values,
-                              build_ansatz(sl[0], sr[0], g, dspec).values)
+        spline, x1 = ProfileSpline(ps[0]), make_grid(dspec).x1
+        span = ps[0].ur - ps[0].ul
+        g = (spline.value(x1) - ps[0].ul) / span
+        assert np.array_equal(bundle.g, g)
+        assert np.array_equal(bundle.dg, spline.slope(x1) / span)
+        gg = g.reshape(-1, 1, 1)
+        ul, ur = (tile_to_cylinder(s, dspec) for s in (sl[0], sr[0]))
+        assert np.array_equal(bundle.u_tilde.values, ul * (1.0 - gg) + ur * gg)
         assert np.array_equal(bundle.h.values,
                               source_term(sl[0], sr[0], ps[0], flux, dspec).values)
-
-    def test_series_csv(self, tmp_path):
-        dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
-        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
-        b = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
-        path = tmp_path / "h.csv"
-        write_source_series([b], path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,h_l1,h_l2,h_linf"
-        assert len(rows) == 2

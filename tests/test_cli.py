@@ -157,6 +157,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / "norms.csv").exists()
 
+    @pytest.mark.parametrize("snapshots", ["0.5", "0.5,1,1.5,2"])
+    def test_sparse_snapshots_fail_before_the_solve(self, tmp_path, capsys, snapshots):
+        text = TINY_SIMULATE.replace("snapshots = auto", f"snapshots = {snapshots}")
+        code, out = simulate(tmp_path, text)
+        assert code == 1
+        assert "holds under 4 snapshot times" in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
+
 
 def run_cli(tmp_path, command, text):
     cfg_path = tmp_path / f"{command}.cfg"
@@ -199,6 +207,7 @@ class TestTorusAndProfileConfigs:
         ("counterexample", "dilations = 2,2", "at least two distinct positive numbers"),
         ("counterexample", "profile = box", "unknown profile 'box'"),
         ("counterexample", "thetas = 0,1.5", "thetas must lie in [0, 1]"),
+        ("counterexample", "thetas =", "not be empty, got []"),
         ("counterexample", "n = 1", "n must be at least 2"),
         ("rates", "rates.window = 1,2", "needs input = <norms.csv>"),
         ("rates", "input = tests", "needs input = <norms.csv>"),
@@ -249,9 +258,38 @@ class TestPeriodicDefaults:
         assert len(series) > 10
 
 
-def test_cli_runs_store_no_fields():
-    sc = cli.solver_config_from_dict(cli.parse_config(TINY_SIMULATE + "store_fields = true\n"))
-    assert sc.store_fields is False
+def test_cli_runs_store_no_fields(tmp_path, capsys):
+    text = TINY_SIMULATE + "store_fields = true\n"
+    assert run_cli(tmp_path, "simulate", text) == 1
+    assert "unknown key 'store_fields' for simulate" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "norms.csv").exists()
+
+
+class TestUnknownKeys:
+    """A key the experiment's input stage never reads is a config error
+    that names the key and its closest known key."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", TINY_SIMULATE + "n_toru = 8\n",
+         "unknown key 'n_toru' for simulate (closest known key: 'n_torus')"),
+        ("periodic", "sizes = 8,8\nt_end = 0.05\ndtt = 0.001\n",
+         "unknown key 'dtt' for periodic (closest known key: 'dt')"),
+        ("profile", "L = 10\nn1 = 100\nt_end = 0.5\nsizes = 8,8\n",
+         "unknown key 'sizes' for profile"),
+        ("counterexample", "thetas = 0,1\nL = 10\n", "unknown key 'L' for counterexample"),
+        ("rates", f"input = {GOLDEN / 'simulate2d_norms.csv'}\nrate.window = 1,2\n",
+         "(closest known key: 'rates.window')"),
+    ])
+    def test_unread_key_is_a_config_error(self, tmp_path, capsys, command, text, message):
+        assert run_cli(tmp_path, command, text) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run_cli(tmp_path, "validate", f"experiment = {command}\n{text}") == 1
+        assert message in capsys.readouterr().out
+
+    def test_every_unread_key_is_named(self):
+        findings = cli.validate(cli.parse_config(TINY_SIMULATE + "zeta = 1\nalpha = 2\n"))
+        assert findings == ["unknown key 'alpha' for simulate; unknown key 'zeta' for simulate"]
 
 
 TINY_RUNS = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab.decomp import (
     check_membership,
@@ -99,6 +100,26 @@ class TestReconstruction:
         assert np.max(np.abs(again.u0 - u0)) < 1e-13
         for subset in comps:
             assert np.max(np.abs(again.components[subset] - comps[subset])) < 1e-13
+
+
+class TestDecomposeProperties:
+    """Reconstruction is exact and every component has zero slice
+    averages, on random 2-d and 3-d grids with odd and even torus sizes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(4, 8),
+        n_torus=st.lists(st.integers(4, 7), min_size=1, max_size=2),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reconstruct_inverts_decompose(self, n1, n_torus, scale, seed):
+        spec = DomainSpec(n=1 + len(n_torus), L=2.0, n1=n1, n_torus=n_torus)
+        f = Field(spec, scale * np.random.default_rng(seed).standard_normal(spec.shape))
+        d = decompose(f)
+        tol = 1e-12 * float(np.max(np.abs(f.values)))
+        assert np.max(np.abs(reconstruct(d).values - f.values)) <= tol
+        assert check_membership(d)["max_slice_average"] <= tol
 
 
 class TestMembership:

@@ -15,8 +15,6 @@ from rarelab.domain import (
     read_snapshot,
     second_derivative,
     tail_mass,
-    torus_average,
-    write_csv,
     write_snapshot,
     write_table,
 )
@@ -175,42 +173,6 @@ class TestDerivatives:
         assert np.max(np.abs(d2 - exact_d2)) < 5e-3
 
 
-class TestTorusAverage:
-    def test_zero_mean_mode_averages_out(self):
-        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(16,))
-        f = field_from(spec, lambda x, y: np.sin(2 * np.pi * y))
-        avg = torus_average(f, {2})
-        assert np.max(np.abs(avg.values)) < 1e-15
-
-    def test_line_function_invariant(self):
-        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(16,))
-        f = field_from(spec, lambda x, y: np.cos(x))
-        avg = torus_average(f, {2})
-        assert np.allclose(avg.values, f.values, atol=1e-15)
-
-    def test_mean_shift(self):
-        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(16,))
-        f = field_from(spec, lambda x, y: 1.0 + np.sin(2 * np.pi * y))
-        assert np.allclose(torus_average(f, {2}).values, 1.0, atol=1e-15)
-
-    def test_projection_idempotent(self):
-        # sum-then-divide re-rounds by at most an ulp on repeat application
-        rng = np.random.default_rng(11)
-        spec = DomainSpec(n=3, L=1.0, n1=6, n_torus=(8, 8))
-        f = Field(spec, rng.standard_normal(spec.shape))
-        once = torus_average(f, {2})
-        twice = torus_average(once, {2})
-        assert np.max(np.abs(once.values - twice.values)) <= 1e-15
-
-    def test_bad_directions_rejected(self):
-        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(8,))
-        f = Field(spec, np.ones(spec.shape))
-        with pytest.raises(ValueError):
-            torus_average(f, set())
-        with pytest.raises(ValueError):
-            torus_average(f, {3})
-
-
 class TestFieldBasics:
     def test_shape_and_finite_enforced(self):
         spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(8,))
@@ -267,29 +229,6 @@ class TestSnapshotIO:
                + struct.pack("<q", 5) + struct.pack("<q", 6) + struct.pack("<d", 1.25)
                + values.astype("<f8").tobytes())
         assert path.read_bytes() == ref
-
-    def test_torus_bytes_match_hand_packed_layout(self, tmp_path):
-        from rarelab.periodic import PeriodicState, TorusSpec, write_torus_snapshot
-
-        spec = TorusSpec(sizes=(4, 6))
-        values = 0.5 + np.arange(24.0).reshape(4, 6) / 9.0
-        path = tmp_path / "t.field"
-        write_torus_snapshot(PeriodicState(spec, values, 0.75, 0.5), path)
-        ref = (struct.pack("<q", 2) + struct.pack("<d", 0.0) + struct.pack("<q", 4)
-               + struct.pack("<q", 6) + struct.pack("<d", 0.75)
-               + values.astype("<f8").tobytes())
-        assert path.read_bytes() == ref
-
-    def test_csv_export(self, tmp_path):
-        spec = DomainSpec(n=2, L=1.0, n1=4, n_torus=(4,))
-        f = field_from(spec, lambda x, y: x + y)
-        path = tmp_path / "f.csv"
-        write_csv(f, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "x1,x2,value"
-        assert len(rows) == 1 + spec.num_points
-        x1, x2, v = (float(tok) for tok in rows[1].split(","))
-        assert v == pytest.approx(x1 + x2)
 
     def test_table_rows_at_full_precision(self, tmp_path):
         path = tmp_path / "t.csv"

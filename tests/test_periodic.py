@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,10 @@ from rarelab.periodic import (
     PeriodicState,
     TorusSpec,
     fit_exponential_decay,
-    read_torus_snapshot,
     solve_periodic,
     spectral_derivative,
     w_sup_norms,
     write_periodic_series,
-    write_torus_snapshot,
 )
 
 FLUX = burgers(2)
@@ -142,24 +142,12 @@ class TestIO:
         assert len(rows) == 4
         assert norms == [w_sup_norms(s) for s in states]
 
-    def test_snapshot_roundtrip(self, tmp_path):
-        spec = TorusSpec(sizes=(8, 12), offsets=(0.5, 0.0))
-        w = product_mode(TorusSpec(sizes=(8, 12)), amp=0.05)
-        st = PeriodicState(spec, -0.5 + w, 1.5, -0.5)
-        path = tmp_path / "torus.field"
-        write_torus_snapshot(st, path)
-        back = read_torus_snapshot(path, offsets=(0.5, 0.0))
-        assert back.spec.sizes == (8, 12)
-        assert back.t == 1.5
-        assert np.array_equal(back.values, st.values)
-        assert back.ubar == pytest.approx(-0.5, abs=1e-12)
-
     def test_cylinder_reader_rejects_torus_file(self, tmp_path):
+        # an all-periodic 8 x 8 state at t = 0 in the old L = 0 header
         from rarelab.domain import read_snapshot
 
-        spec = TorusSpec(sizes=(8, 8))
-        st = PeriodicState(spec, np.full(spec.sizes, 1.0), 0.0, 1.0)
         path = tmp_path / "torus.field"
-        write_torus_snapshot(st, path)
-        with pytest.raises(ValueError):
+        path.write_bytes(struct.pack("<qd2qd", 2, 0.0, 8, 8, 0.0)
+                         + np.ones((8, 8)).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="L must be positive"):
             read_snapshot(path)

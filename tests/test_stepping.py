@@ -324,6 +324,3 @@ class TestFluxSets:
         assert flux_from_name("linear:1,2", 2).df[1](np.float64(0.0)) == 2.0
         with pytest.raises(ValueError):
             flux_from_name("what", 2)
-
-    def test_max_wave_speed(self):
-        assert burgers(2).max_wave_speed(-0.5, 0.7) == pytest.approx(0.7)
