@@ -9,9 +9,12 @@ finite differences on three equispaced bundles.  Agreement of the two
 at second order under refinement is the module's central correctness
 check; it exercises every term of the closed form.
 
-Formula-side derivatives are taken spectrally on the torus grid (exact
-for resolved modes) and the weight's slope comes from the fine profile
-grid, so the closed form is computed to higher accuracy than the
+The ansatz reads the solver's stacked [left, right] far field through
+the row map of `far_field_grid`.  Formula-side derivatives are taken
+spectrally on the torus grid (exact for resolved modes).  The weight and
+its slope come from a spline of the profile on any grid: the cylinder
+run passes the profile on its own x1 grid, the residual check a finer
+one, where the closed form is then more accurate than the
 finite-difference residual it is checked against.
 """
 
@@ -23,13 +26,13 @@ import numpy as np
 
 from .domain import DomainSpec, Field, derivative, laplacian, make_grid
 from .fluxes import FluxSet
-from .periodic import PeriodicState, spectral_derivative
+from .periodic import TorusSpec, spectral_derivative
 from .profile1d import ProfileSpline, ProfileState
 
 __all__ = [
     "AnsatzBundle",
     "mean_flux_curvature",
-    "tile_to_cylinder",
+    "far_field_grid",
     "source_term",
     "assemble_bundle",
     "discrete_residual",
@@ -46,7 +49,7 @@ class AnsatzBundle:
     """Everything the perturbation bookkeeping needs at one instant."""
 
     g: np.ndarray              # mixing weight on the x1 axis, in (0, 1)
-    dg: np.ndarray             # its x1 slope, positive
+    dg: np.ndarray             # its x1 slope, non-negative up to roundoff
     profile_values: np.ndarray # 1-d profile sampled on the x1 axis
     u_tilde: Field
     h: Field
@@ -78,43 +81,41 @@ def mean_flux_curvature(d2f, a, b):
     return acc if acc.ndim else float(acc)
 
 
-def tile_to_cylinder(state: PeriodicState, dspec: DomainSpec) -> np.ndarray:
-    """Periodic extension of a torus state onto the cylinder grid.
+def far_field_grid(spec: DomainSpec) -> tuple[TorusSpec, np.ndarray]:
+    """The far-field torus of a cylinder grid and its row map.
 
-    Alignment requirements (all exact index mappings, no interpolation):
-    the torus direction-1 grid must be the half-cell-offset image of the
-    cylinder x1 cells modulo the unit period, which needs an integer
-    half-length and an integer number of x1 cells per period; transverse
-    grids must coincide.
+    The torus direction-1 grid is the half-cell-offset image of the
+    cylinder x1 cells modulo the unit period and the transverse grids
+    coincide, so x1 cell i (i = -2 .. n1 + 1, both pairs of ghost cells
+    included) lies exactly on torus row rows[i + 2]; no interpolation.
+    That needs an integer number of x1 cells per period and an integer
+    half-length; any other grid is a ValueError.
     """
-    sizes = state.spec.sizes
-    if sizes[1:] != dspec.n_torus:
-        raise ValueError(f"transverse grids differ: {sizes[1:]} vs {dspec.n_torus}")
-    if any(abs(o) > 1e-12 for o in state.spec.offsets[1:]):
-        raise ValueError("transverse tiling needs zero-offset torus grids")
-    if abs(state.spec.offsets[0] - 0.5) > 1e-12:
-        raise ValueError("direction-1 tiling needs the half-cell-offset torus grid")
-    m1 = sizes[0]
-    if abs(m1 * dspec.dx1 - 1.0) > 1e-9 or abs(dspec.L - round(dspec.L)) > 1e-12:
+    m1 = 1.0 / spec.dx1
+    if abs(m1 - round(m1)) > 1e-9 or round(m1) < 4:
         raise ValueError(
-            f"cylinder grid (L={dspec.L}, dx1={dspec.dx1}) does not tile the unit period"
+            f"1/dx1 = {m1:.6g} must be an integer >= 4 so the unit period tiles the grid"
         )
-    idx = np.arange(dspec.n1) % m1
-    return state.values[idx]
+    if abs(spec.L - round(spec.L)) > 1e-12:
+        raise ValueError(f"L = {spec.L} must be an integer number of periods")
+    tspec = TorusSpec(sizes=(round(m1), *spec.n_torus), offsets=(0.5,) + (0.0,) * (spec.n - 1))
+    return tspec, np.arange(-2, spec.n1 + 2) % tspec.sizes[0]
 
 
-def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
+def _ansatz_and_defect(far, t, profile, flux, dspec):
     """(g, dg, profile values, ansatz values, defect values) at one instant.
 
-    Every term of the defect carries either a disturbance factor or the
-    distance of the ansatz from the bare profile, so the defect inherits
-    the exponential decay of the torus disturbances.
+    `far` is the stacked [left, right] far field on the torus of
+    `far_field_grid(dspec)`.  Every term of the defect carries either a
+    disturbance factor or the distance of the ansatz from the bare
+    profile, so the defect inherits the exponential decay of the torus
+    disturbances.
     """
-    ts = (ul_state.t, ur_state.t, profile.t)
-    if max(ts) - min(ts) > 1e-9:
-        raise ValueError(f"time stamps differ: {ts}")
-    if profile.ur == profile.ul:
-        raise ValueError("degenerate end states: no rarefaction to rescale")
+    if abs(t - profile.t) > 1e-9:
+        raise ValueError(f"time stamps differ: {(t, profile.t)}")
+    tspec, rows = far_field_grid(dspec)
+    if far.shape != (2, *tspec.sizes):
+        raise ValueError(f"far field shape {far.shape} != {(2, *tspec.sizes)}")
     # the weight is the profile rescaled onto (0, 1), from one spline build
     x1, spline, span = make_grid(dspec).x1, ProfileSpline(profile), profile.ur - profile.ul
     prof = spline.value(x1)
@@ -123,13 +124,12 @@ def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
     bshape = (-1,) + (1,) * (dspec.n - 1)
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
 
-    Ul = tile_to_cylinder(ul_state, dspec)
-    Ur = tile_to_cylinder(ur_state, dspec)
+    cells = rows[2:-2]
+    Ul, Ur = far[0][cells], far[1][cells]
     utild = Ul * (1.0 - gg) + Ur * gg
 
-    idx = np.arange(dspec.n1) % ul_state.spec.sizes[0]
-    wl = ul_state.w
-    wr = ur_state.w
+    wl = far[0] - profile.ul
+    wr = far[1] - profile.ur
 
     curvatures = {}
     mix = np.zeros_like(utild)
@@ -138,8 +138,8 @@ def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
         if d2f not in curvatures:
             curvatures[d2f] = [mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
         curv_l, curv_r = curvatures[d2f]
-        dwl = spectral_derivative(wl, axis)[idx]
-        dwr = spectral_derivative(wr, axis)[idx]
+        dwl = spectral_derivative(wl, axis)[cells]
+        dwr = spectral_derivative(wr, axis)[cells]
         mix += curv_l * dwl
         mix -= curv_r * dwr
     h = (Ur - Ul) * gg * (1.0 - gg) * mix
@@ -147,32 +147,23 @@ def _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec):
     curv1 = mean_flux_curvature(flux.d2f[0], pp, utild)
     h += (Ur - Ul) * curv1 * (utild - pp) * dgg
 
-    ddiff = spectral_derivative(wr - wl, 0)[idx]
+    ddiff = spectral_derivative(wr - wl, 0)[cells]
     h -= 2.0 * ddiff * dgg
     return g, dg, prof, utild, h
 
 
 def source_term(
-    ul_state: PeriodicState,
-    ur_state: PeriodicState,
-    profile: ProfileState,
-    flux: FluxSet,
-    dspec: DomainSpec,
+    far: np.ndarray, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
 ) -> Field:
     """Closed-form defect of the ansatz under the conservation law."""
-    *_, h = _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec)
-    return Field(dspec, h, t=ul_state.t)
+    *_, h = _ansatz_and_defect(far, t, profile, flux, dspec)
+    return Field(dspec, h, t=t)
 
 
 def assemble_bundle(
-    ul_state: PeriodicState,
-    ur_state: PeriodicState,
-    profile: ProfileState,
-    flux: FluxSet,
-    dspec: DomainSpec,
+    far: np.ndarray, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
 ) -> AnsatzBundle:
-    g, dg, prof, utild, h = _ansatz_and_defect(ul_state, ur_state, profile, flux, dspec)
-    t = ul_state.t
+    g, dg, prof, utild, h = _ansatz_and_defect(far, t, profile, flux, dspec)
     return AnsatzBundle(
         g=g, dg=dg, profile_values=prof, u_tilde=Field(dspec, utild, t=t),
         h=Field(dspec, h, t=t), t=t,

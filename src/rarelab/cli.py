@@ -164,7 +164,6 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
         cfl=float(cfg.get("cfl", "0.4")),
         tail_threshold=float(cfg.get("tail_threshold", "0.25")),
         dt=float(cfg["dt"]) if "dt" in cfg else None,
-        profile_refine=int(cfg.get("profile_refine", "1")),
     )
 
 
@@ -460,21 +459,21 @@ def _exp_counterexample(out: _Outputs, rng, n: int, ds, profile, thetas) -> None
                  for row in sob))
     summary = {
         "sobolev_slope": dilation_slope(ds, [row["measured"] for row in sob]),
-        "sobolev_slope_predicted": (n - 1.0) / n,
+        "sobolev_slope_predicted": sob[0]["exponent"],
         "C_at_d1": sob[0]["measured"],
         "theta_slopes": {},
     }
     for theta in thetas:
-        vals = [dilated_gn_ratio(d, theta, profile)["measured"] for d in ds]
+        gn = [dilated_gn_ratio(d, theta, profile) for d in ds]
         summary["theta_slopes"][f"{theta:.6g}"] = {
-            "measured": dilation_slope(ds, vals),
-            "predicted": 0.5 * (3.0 * theta - 1.0),
+            "measured": dilation_slope(ds, [row["measured"] for row in gn]),
+            "predicted": gn[0]["exponent"],
         }
     out.json("counterexample_summary.json", summary)
     with open(out.path("plots.gp"), "w") as fh:
         fh.write('set datafile separator ","\nset logscale xy\n'
                  'plot "sobolev_scaling.csv" using 1:2 title "measured", '
-                 f'x**({(n-1.0)/n}) title "guide"\n')
+                 f'x**({summary["sobolev_slope_predicted"]}) title "guide"\n')
     out.finish({"experiment": "counterexample"})
 
 

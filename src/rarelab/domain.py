@@ -103,11 +103,6 @@ class DomainSpec:
             vol *= h
         return vol
 
-    @property
-    def measure(self) -> float:
-        """Measure of the truncated domain (torus factors have measure 1)."""
-        return 2.0 * self.L
-
     def spacing(self, axis: int) -> float:
         return self.dx1 if axis == 0 else self.dx_torus[axis - 1]
 

@@ -28,13 +28,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ansatz import assemble_bundle
+from .ansatz import assemble_bundle, far_field_grid
 from .domain import (
     DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass, write_table,
 )
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
-from .periodic import PeriodicState, TorusSpec, TorusStepper
+from .periodic import TorusStepper
 from .profile1d import evolve_profile, initial_profile, make_initial_state
 from .stepping import (
     DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
@@ -87,7 +87,6 @@ class SolverConfig:
     tail_threshold: float = 0.25
     tail_floor: float = 1e-10
     dt: float | None = None
-    profile_refine: int = 1
 
 
 @dataclass
@@ -138,8 +137,6 @@ def validate_config(config: SolverConfig) -> list[str]:
         problems.append(f"tail threshold must lie in (0, 1), got {config.tail_threshold}")
     if config.t_end <= 0:
         problems.append(f"t_end must be positive, got {config.t_end}")
-    if config.profile_refine < 1:
-        problems.append("profile_refine must be a positive integer")
     if config.dt is not None and not config.dt > 0:
         problems.append(f"dt must be positive, got {config.dt}")
 
@@ -164,13 +161,10 @@ def validate_config(config: SolverConfig) -> list[str]:
     except Exception as e:  # flux not evaluable
         problems.append(f"flux evaluation failed: {e}")
 
-    m1 = 1.0 / spec.dx1
-    if abs(m1 - round(m1)) > 1e-9 or round(m1) < 4:
-        problems.append(
-            f"1/dx1 = {m1:.6g} must be an integer >= 4 so the unit period tiles the grid"
-        )
-    if abs(spec.L - round(spec.L)) > 1e-12:
-        problems.append(f"L = {spec.L} must be an integer number of periods")
+    try:
+        far_field_grid(spec)
+    except ValueError as e:
+        problems.append(str(e))
 
     amp = _disturbance_bound(config)
     try:
@@ -204,24 +198,22 @@ def run(config: SolverConfig) -> Trajectory:
 
     grid = make_grid(spec)
 
-    # 1-d backbone on a finer grid, sampled at the snapshot instants
-    prof0 = make_initial_state(spec.L, n1 * config.profile_refine, ul, ur)
-    snap_times = tuple(idx * dt for idx in sorted(snap))
+    # 1-d backbone on the cylinder's x1 grid with its dt, sampled at the
+    # snapshot instants
     profiles = evolve_profile(
-        prof0, flux, config.t_end, dt=dt / config.profile_refine,
-        cfl=config.cfl, snapshot_times=snap_times,
+        make_initial_state(spec.L, n1, ul, ur), flux, config.t_end, dt=dt,
+        cfl=config.cfl, snapshot_times=tuple(idx * dt for idx in sorted(snap)),
     )
-    prof_at = {int(round(s.t / dt)): s for s in profiles}
+    prof_at = dict(zip(sorted(snap), profiles))
 
-    # far field: [left, right] torus solutions on the half-cell-offset
-    # grid; line ghost cell i reads torus row i mod m1 of its side
-    m1 = int(round(1.0 / spec.dx1))
-    tspec = TorusSpec(sizes=(m1, *spec.n_torus), offsets=(0.5,) + (0.0,) * (spec.n - 1))
+    # far field: [left, right] torus solutions; the row map gives the
+    # torus row of every x1 cell, and the ghost cells read the first and
+    # last two rows of their side
+    tspec, far_rows = far_field_grid(spec)
     stepper = TorusStepper(tspec, flux, dt)
     w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
     far = np.stack([ul + w0, ur + w0])
-    lo_rows = np.array([-2, -1]) % m1
-    hi_rows = np.array([n1, n1 + 1]) % m1
+    lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
 
     # initial data: exact tangent backbone + optional 1-d bump + modes
     col = (-1,) + (1,) * (spec.n - 1)
@@ -253,11 +245,9 @@ def run(config: SolverConfig) -> Trajectory:
     traj = Trajectory(series={}, steps=steps, dt=dt)
     rows: list[dict] = []
 
-    def record(t, v, w):
-        pstate = prof_at[int(round(t / dt))]
-        sl = PeriodicState(tspec, w[0], t, ul)
-        sr = PeriodicState(tspec, w[1], t, ur)
-        bundle = assemble_bundle(sl, sr, pstate, flux, spec)
+    def record(k, v, w):
+        t = k * dt
+        bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
         phi = Field(spec, v - bundle.u_tilde.values, t)
         grad_phi = Field(spec, magnitude(c.values for c in gradient(phi)), t)
         prof_b = bundle.profile_values.reshape(col)
@@ -278,6 +268,7 @@ def run(config: SolverConfig) -> Trajectory:
         ))
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
+        m1 = tspec.sizes[0]
         for side, idx, row in ((0, -1, lo_rows[1]), (1, n1, hi_rows[0])):
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
@@ -297,7 +288,7 @@ def run(config: SolverConfig) -> Trajectory:
     viol = 0.0
     for k in range(steps + 1):
         if k in snap:
-            record(k * dt, u, far)
+            record(k, u, far)
         if k == steps:
             break
         check_cfl(u, flux, spacings, dt, k * dt)

@@ -221,9 +221,9 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
 class ProfileSpline:
     """Cubic interpolant of a profile state, clamped to ul/ur outside.
 
-    The profile grid is usually finer than the multi-d grid; downstream
-    modules sample values and slopes through this object so the backbone
-    accuracy is set by the fine grid.
+    Downstream modules sample values and slopes through this object on
+    grids of their own; the cylinder run samples the profile at its own
+    x1 cell centres, which are the profile's grid points.
     """
 
     def __init__(self, state: ProfileState):

@@ -42,10 +42,6 @@ class RateFit:
     window: tuple[float, float]
     n_points: int
 
-    def __post_init__(self):
-        if self.n_points < MIN_FIT_POINTS:
-            raise ValueError(f"a fit needs >= {MIN_FIT_POINTS} points, got {self.n_points}")
-
 
 def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
     """Least squares of log(value) on x over the points whose time lies in

@@ -8,24 +8,23 @@ from rarelab import ansatz
 from rarelab.ansatz import (
     assemble_bundle,
     discrete_residual,
+    far_field_grid,
     mean_flux_curvature,
     residual_mismatch,
     source_term,
-    tile_to_cylinder,
 )
 from rarelab.domain import DomainSpec, lp_norm, make_grid
 from rarelab.fluxes import burgers, cubic
 from rarelab.mdsolver import trig_polynomial
-from rarelab.periodic import PeriodicState, TorusSpec, solve_periodic
+from rarelab.periodic import solve_periodic
 from rarelab.profile1d import ProfileSpline, evolve_profile, make_initial_state
 
 
 def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
-    """Evolve the torus pair and the profile to matching instants."""
+    """Evolve the stacked far field and the profile to matching instants;
+    the far field comes as (far, t) pairs."""
     flux = burgers(dspec.n)
-    m1 = int(round(1.0 / dspec.dx1))
-    tspec = TorusSpec(sizes=(m1, *dspec.n_torus),
-                      offsets=(0.5,) + (0.0,) * (dspec.n - 1))
+    tspec, _ = far_field_grid(dspec)
     w0 = amp * trig_polynomial([(1,) * dspec.n + (1.0,)], tspec.coordinates())
     times = (t0,) if delta is None else (t0 - delta, t0, t0 + delta)
     dt = dt or 1e-3
@@ -33,16 +32,20 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     sr = solve_periodic(w0, 0.5, flux, times[-1], times, spec=tspec, dt=dt)
     p0 = make_initial_state(dspec.L, dspec.n1 * refine, -0.5, 0.5)
     ps = evolve_profile(p0, burgers(1), times[-1], dt=dt, snapshot_times=times)
-    return sl, sr, ps, flux
+    fars = [(np.stack([a.values, b.values]), a.t) for a, b in zip(sl, sr)]
+    return fars, ps, flux
+
+
+def flat_far(dspec, ul=-0.5, ur=0.5):
+    """The stacked far field of constant states ul and ur."""
+    tspec, _ = far_field_grid(dspec)
+    return np.stack([np.full(tspec.sizes, ul), np.full(tspec.sizes, ur)])
 
 
 def flat_bundle(dspec, profile):
-    """The bundle of constant torus states at the profile's end states."""
-    m1 = int(round(1.0 / dspec.dx1))
-    tspec = TorusSpec(sizes=(m1, *dspec.n_torus), offsets=(0.5,) + (0.0,) * (dspec.n - 1))
-    sl = PeriodicState(tspec, np.full(tspec.sizes, profile.ul), profile.t, profile.ul)
-    sr = PeriodicState(tspec, np.full(tspec.sizes, profile.ur), profile.t, profile.ur)
-    return assemble_bundle(sl, sr, profile, burgers(dspec.n), dspec)
+    """The bundle of constant far fields at the profile's end states."""
+    far = flat_far(dspec, profile.ul, profile.ur)
+    return assemble_bundle(far, profile.t, profile, burgers(dspec.n), dspec)
 
 
 class TestMixingWeight:
@@ -64,13 +67,6 @@ class TestMixingWeight:
         x = np.array([-50.0, 50.0])
         assert np.array_equal(spline.value(x), [p0.ul, p0.ur])
         assert np.array_equal(spline.slope(x), [0.0, 0.0])
-
-    def test_degenerate_states_rejected(self):
-        p0 = make_initial_state(L=10.0, n1=400, ul=-0.5, ur=0.5)
-        bad = type(p0)(p0.x1, p0.values, p0.t, -0.5, 0.5)
-        object.__setattr__(bad, "ur", -0.5)
-        with pytest.raises(ValueError, match="degenerate end states"):
-            flat_bundle(DomainSpec(n=2, L=10, n1=200, n_torus=(8,)), bad)
 
 
 class TestFluxCurvatureAverage:
@@ -101,35 +97,34 @@ class TestFluxCurvatureAverage:
 class TestTiling:
     def test_alignment_and_values(self):
         dspec = DomainSpec(n=2, L=4, n1=80, n_torus=(10,))
-        tspec = TorusSpec(sizes=(10, 10), offsets=(0.5, 0.0))
+        tspec, rows = far_field_grid(dspec)
+        assert tspec.sizes == (10, 10) and tspec.offsets == (0.5, 0.0)
+        # every x1 cell, both pairs of ghosts included, against a
+        # coordinate lookup on the half-cell-offset torus grid
+        x = -dspec.L + (np.arange(-2, dspec.n1 + 2) + 0.5) * dspec.dx1
+        assert np.array_equal(rows, np.round((x % 1.0) * 10 - 0.5).astype(int) % 10)
+        assert np.max(np.abs((rows + 0.5) / 10 - x % 1.0)) < 1e-12
         mesh = np.meshgrid(*tspec.coordinates(), indexing="ij")
         vals = np.sin(2 * np.pi * mesh[0]) + np.cos(2 * np.pi * mesh[1])
-        st = PeriodicState(tspec, vals, 0.0, 0.0)
-        tiled = tile_to_cylinder(st, dspec)
         grid = make_grid(dspec)
         X1, X2 = np.meshgrid(grid.x1, grid.torus[0], indexing="ij")
         expect = np.sin(2 * np.pi * X1) + np.cos(2 * np.pi * X2)
-        assert np.max(np.abs(tiled - expect)) < 1e-12
+        assert np.max(np.abs(vals[rows[2:-2]] - expect)) < 1e-12
 
     def test_misaligned_grids_rejected(self):
-        dspec = DomainSpec(n=2, L=4, n1=80, n_torus=(10,))
-        st = PeriodicState(TorusSpec(sizes=(10, 10)), np.zeros((10, 10)), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            tile_to_cylinder(st, dspec)  # missing half-cell offset
-        st2 = PeriodicState(TorusSpec(sizes=(10, 8), offsets=(0.5, 0.0)),
-                            np.zeros((10, 8)), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            tile_to_cylinder(st2, dspec)  # transverse mismatch
+        with pytest.raises(ValueError, match="integer number of periods"):
+            far_field_grid(DomainSpec(n=2, L=4.5, n1=90, n_torus=(10,)))
+        with pytest.raises(ValueError, match="must be an integer >= 4"):
+            far_field_grid(DomainSpec(n=2, L=4, n1=84, n_torus=(10,)))  # 1/dx1 = 10.5
+        with pytest.raises(ValueError, match="must be an integer >= 4"):
+            far_field_grid(DomainSpec(n=2, L=4, n1=16, n_torus=(10,)))  # 1/dx1 = 2
 
 
 class TestAnsatzAssembly:
     def test_zero_disturbance_reduces_to_profile(self):
         dspec = DomainSpec(n=2, L=10, n1=200, n_torus=(10,))
-        tspec = TorusSpec(sizes=(10, 10), offsets=(0.5, 0.0))
-        sl = PeriodicState(tspec, np.full(tspec.sizes, -0.5), 0.0, -0.5)
-        sr = PeriodicState(tspec, np.full(tspec.sizes, 0.5), 0.0, 0.5)
         prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
-        bundle = assemble_bundle(sl, sr, prof, burgers(2), dspec)
+        bundle = flat_bundle(dspec, prof)
         prof_b = bundle.profile_values[:, None]
         assert np.max(np.abs(bundle.u_tilde.values - prof_b)) < 1e-14
         assert lp_norm(bundle.h, np.inf) < 1e-13
@@ -137,29 +132,36 @@ class TestAnsatzAssembly:
 
     def test_convex_combination_bounds(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(8,))
-        sl, sr, ps, flux = coupled_states(
+        fars, ps, flux = coupled_states(
             DomainSpec(n=2, L=5, n1=100, n_torus=(8,)), t0=0.05, dt=2.5e-3, refine=2)
-        u_tilde = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec).u_tilde
-        lo = np.minimum(tile_to_cylinder(sl[0], dspec), tile_to_cylinder(sr[0], dspec))
-        hi = np.maximum(tile_to_cylinder(sl[0], dspec), tile_to_cylinder(sr[0], dspec))
+        u_tilde = assemble_bundle(*fars[0], ps[0], flux, dspec).u_tilde
+        (far, _), cells = fars[0], far_field_grid(dspec)[1][2:-2]
+        lo = np.minimum(far[0][cells], far[1][cells])
+        hi = np.maximum(far[0][cells], far[1][cells])
         assert np.all(u_tilde.values >= lo - 1e-14)
         assert np.all(u_tilde.values <= hi + 1e-14)
 
     def test_time_mismatch_rejected(self):
-        tspec = TorusSpec(sizes=(8, 8), offsets=(0.5, 0.0))
-        a = PeriodicState(tspec, np.full((8, 8), -0.5), 0.0, -0.5)
-        b = PeriodicState(tspec, np.full((8, 8), 0.5), 1.0, 0.5)
         dspec = DomainSpec(n=2, L=4, n1=64, n_torus=(8,))
         prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
         with pytest.raises(ValueError, match="time stamps differ"):
-            assemble_bundle(a, b, prof, burgers(2), dspec)
+            assemble_bundle(flat_far(dspec), 1.0, prof, burgers(2), dspec)
+
+    def test_wrong_far_field_shape_rejected(self):
+        dspec = DomainSpec(n=2, L=4, n1=64, n_torus=(8,))
+        prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
+        far = flat_far(dspec)
+        for bad in (far[0], far[:, :, :4], np.stack([far[0], far[1], far[1]]),
+                    flat_far(DomainSpec(n=2, L=4, n1=32, n_torus=(8,)))):
+            with pytest.raises(ValueError, match="far field shape"):
+                assemble_bundle(bad, 0.0, prof, burgers(2), dspec)
 
 
 class TestSourceTerm:
     def test_decays_like_the_disturbance(self):
         dspec = DomainSpec(n=2, L=10, n1=200, n_torus=(20,))
-        sl, sr, ps, flux = coupled_states(dspec, t0=0.25, dt=1e-3)
-        h_early = source_term(sl[0], sr[0], ps[0], flux, dspec)
+        fars, ps, flux = coupled_states(dspec, t0=0.25, dt=1e-3)
+        h_early = source_term(*fars[0], ps[0], flux, dspec)
         assert lp_norm(h_early, 1) < 1e-6  # the disturbance is already tiny
 
     def test_residual_identity_second_order(self):
@@ -170,25 +172,24 @@ class TestSourceTerm:
             scale = 2**level
             dspec = DomainSpec(n=2, L=10, n1=200 * scale, n_torus=(10 * scale,))
             delta = 0.02 / scale
-            sl, sr, ps, flux = coupled_states(dspec, t0=0.1, delta=delta,
-                                              dt=delta / 8, refine=8)
-            bundles = [assemble_bundle(a, b, c, flux, dspec)
-                       for a, b, c in zip(sl, sr, ps)]
+            fars, ps, flux = coupled_states(dspec, t0=0.1, delta=delta,
+                                            dt=delta / 8, refine=8)
+            bundles = [assemble_bundle(*far, p, flux, dspec) for far, p in zip(fars, ps)]
             mismatches.append(residual_mismatch(*bundles, flux))
         order = np.log2(mismatches[0] / mismatches[1])
         assert order >= 1.9
 
     def test_residual_needs_equispaced_snapshots(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
-        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
-        b = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
+        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
+        b = assemble_bundle(*fars[0], ps[0], flux, dspec)
         with pytest.raises(ValueError):
             discrete_residual(b, b, b, flux)
 
     def test_residual_needs_increasing_times(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
-        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3, refine=2)
-        b0, b1, b2 = (assemble_bundle(a, b, c, flux, dspec) for a, b, c in zip(sl, sr, ps))
+        fars, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3, refine=2)
+        b0, b1, b2 = (assemble_bundle(*far, p, flux, dspec) for far, p in zip(fars, ps))
         for triple in ((b1, b1, b1), (b2, b1, b0), (b0, b1, b1)):
             with pytest.raises(ValueError, match="strictly increase"):
                 discrete_residual(*triple, flux)
@@ -197,7 +198,7 @@ class TestSourceTerm:
 
     def test_bundle_builds_one_spline_and_matches_public_pieces(self, monkeypatch):
         dspec = DomainSpec(n=3, L=5, n1=100, n_torus=(6, 8))
-        sl, sr, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
+        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
         builds = []
 
         class CountingSpline(ansatz.ProfileSpline):
@@ -206,7 +207,7 @@ class TestSourceTerm:
                 super().__init__(state)
 
         monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
-        bundle = assemble_bundle(sl[0], sr[0], ps[0], flux, dspec)
+        bundle = assemble_bundle(*fars[0], ps[0], flux, dspec)
         assert len(builds) == 1
         spline, x1 = ProfileSpline(ps[0]), make_grid(dspec).x1
         span = ps[0].ur - ps[0].ul
@@ -214,7 +215,8 @@ class TestSourceTerm:
         assert np.array_equal(bundle.g, g)
         assert np.array_equal(bundle.dg, spline.slope(x1) / span)
         gg = g.reshape(-1, 1, 1)
-        ul, ur = (tile_to_cylinder(s, dspec) for s in (sl[0], sr[0]))
+        (far, _), cells = fars[0], far_field_grid(dspec)[1][2:-2]
+        ul, ur = far[0][cells], far[1][cells]
         assert np.array_equal(bundle.u_tilde.values, ul * (1.0 - gg) + ur * gg)
         assert np.array_equal(bundle.h.values,
-                              source_term(sl[0], sr[0], ps[0], flux, dspec).values)
+                              source_term(*fars[0], ps[0], flux, dspec).values)

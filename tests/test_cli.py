@@ -272,6 +272,8 @@ class TestUnknownKeys:
     @pytest.mark.parametrize("command, text, message", [
         ("simulate", TINY_SIMULATE + "n_toru = 8\n",
          "unknown key 'n_toru' for simulate (closest known key: 'n_torus')"),
+        ("simulate", TINY_SIMULATE + "profile_refine = 2\n",
+         "unknown key 'profile_refine' for simulate"),
         ("periodic", "sizes = 8,8\nt_end = 0.05\ndtt = 0.001\n",
          "unknown key 'dtt' for periodic (closest known key: 'dt')"),
         ("profile", "L = 10\nn1 = 100\nt_end = 0.5\nsizes = 8,8\n",

@@ -89,7 +89,7 @@ class TestNorms:
         spec = DomainSpec(n=2, L=3.0, n1=24, n_torus=(8,))
         for _ in range(20):
             f = Field(spec, rng.standard_normal(spec.shape))
-            vol = spec.measure
+            vol = 2.0 * spec.L
             ps = [1.0, 2.0, 4.0, 8.0]
             vals = [lp_norm(f, p) / vol ** (1.0 / p) for p in ps]
             for lo, hi in zip(vals[:-1], vals[1:]):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab import mdsolver
 from rarelab.domain import DomainSpec
@@ -26,7 +27,6 @@ def small_config(**kw):
         w0_modes=((1, 1, 0.1),),
         t_end=5.0,
         snapshot_times=(1.0, 5.0),
-        profile_refine=1,
     )
     base.update(kw)
     return SolverConfig(**base)
@@ -123,6 +123,27 @@ class TestPerturbedRun:
         got = seen[0].values[:, 0]
         assert seen[0].t == 0.0
         assert np.max(np.abs(got - expect)) < 1e-12
+
+
+@st.composite
+def small_perturbed_configs(draw):
+    """2-d and 3-d runs to t = 1 with 1-3 small sine modes on the torus."""
+    n = draw(st.sampled_from([2, 3]))
+    n_torus = tuple(draw(st.lists(st.integers(4, 8), min_size=n - 1, max_size=n - 1)))
+    wavenumbers = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(st.tuples(wavenumbers, st.floats(-0.1, 0.1)), min_size=1, max_size=3))
+    return small_config(spec=DomainSpec(n=n, L=11, n1=88, n_torus=n_torus), flux=burgers(n),
+                        w0_modes=tuple((*ks, amp) for ks, amp in rows),
+                        t_end=1.0, snapshot_times=())
+
+
+class TestMaximumPrinciple:
+    @settings(max_examples=25, deadline=None)
+    @given(small_perturbed_configs())
+    def test_range_never_grows_and_ghosts_match(self, config):
+        traj = run(config)
+        assert traj.max_principle_violation <= 1e-10
+        assert traj.boundary_mismatch == 0.0
 
 
 class TestDeterminism:
