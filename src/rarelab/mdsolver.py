@@ -243,6 +243,7 @@ def run(config: SolverConfig) -> Trajectory:
                 advective_rhs(w, flux, tspec.spacings))
 
     traj = Trajectory(series={}, steps=steps, dt=dt)
+    line = DomainSpec(n=1, L=spec.L, n1=n1)
     rows: list[dict] = []
 
     def record(k, v, w):
@@ -278,24 +279,27 @@ def run(config: SolverConfig) -> Trajectory:
             raise NumericalAbort(
                 "tail", t,
                 f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
-        slope_profile = np.broadcast_to(np.abs(bundle.dg).reshape(col), spec.shape)
-        slope_tail = tail_mass(Field(spec, slope_profile, t))
+        # the slope profile is constant along the torus: guard it on the line
+        slope_tail = tail_mass(Field(line, np.abs(bundle.dg), t))
         if slope_tail > config.tail_threshold:
             raise NumericalAbort(
                 "tail", t,
                 f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
 
+    # extremes of the state before the step; each step's new extremes
+    # are the next step's old ones
     viol = 0.0
+    old_lo, old_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
     for k in range(steps + 1):
         if k in snap:
             record(k, u, far)
         if k == steps:
             break
         check_cfl(u, flux, spacings, dt, k * dt)
-        old_lo, old_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
         u, far = strang_step((u, far), dt, spec.n, sweep, rhs)
         new_lo, new_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
         viol = max(viol, float(new_hi - old_hi), float(old_lo - new_lo))
+        old_lo, old_hi = new_lo, new_hi
 
     traj.max_principle_violation = viol
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}

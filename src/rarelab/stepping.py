@@ -171,7 +171,10 @@ def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
     """Uniform steps over [t0, t0 + span]: (steps, dt, record_indices).
 
     The step is the requested `dt` (or `dt_max` when dt is None),
-    shrunk so a whole number of steps spans the interval.  A requested
+    shrunk so a whole number of steps spans the interval.  A dt that
+    divides the span up to roundoff (1e-12 relative) is kept, since
+    span / (span / m) can exceed m by an ulp: a second schedule over the
+    same span with the returned dt takes the same steps.  A requested
     dt above the stable `dt_max` aborts.  Snapshot times are rounded to
     the step grid; `record_indices` holds the step indices to record,
     the final step when no snapshot time is given.
@@ -182,7 +185,7 @@ def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
         raise ValueError(f"dt must be positive, got {dt}")
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
         raise NumericalAbort("cfl", t0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
-    steps = max(1, math.ceil(span / (dt if dt is not None else dt_max)))
+    steps = max(1, math.ceil(span / (dt if dt is not None else dt_max) * (1.0 - 1e-12)))
     dt = span / steps
     record = set()
     for ts in snapshot_times:

@@ -1,4 +1,9 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +169,74 @@ class TestExitCodes:
         assert code == 1
         assert "holds under 4 snapshot times" in capsys.readouterr().err
         assert not (out / "norms.csv").exists()
+
+
+ROUNDOFF_STEPS = """\
+experiment = simulate
+dim = 2
+flux = burgers
+L = 11
+n1 = 88
+n_torus = 4
+w0_modes = 1,1,0.05
+rates.window = 0.1,0.5
+"""
+
+
+EVERY_TWENTIETH = "snapshots = 0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5\n"
+
+
+@pytest.mark.parametrize("t_end, dt, snapshots, steps", [
+    (0.5, 0.010309278350515464, "", 49),
+    (0.55, 0.55 / 30, EVERY_TWENTIETH, 30),
+    (0.6, 0.6 / 55, EVERY_TWENTIETH, 55),
+    (0.6, 0.6 / 111, EVERY_TWENTIETH, 111),
+])
+def test_profile_takes_the_cylinder_steps(tmp_path, t_end, dt, snapshots, steps):
+    """The profile march re-derives its schedule from the cylinder's dt
+    = t_end / steps, where t_end / dt can exceed steps by an ulp; it
+    must take the same steps, or the record compares different times.
+    The runs are too short for the rates to pass, so exit 3 is fine."""
+    text = ROUNDOFF_STEPS + f"t_end = {t_end!r}\ndt = {dt!r}\n" + snapshots
+    code, out = simulate(tmp_path, text)
+    assert code in (0, 3)
+    assert json.loads((out / "manifest.json").read_text())["steps"] == steps
+
+
+class TestHeapPolicy:
+    def test_main_applies_it(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(None))
+        assert run_cli(tmp_path, "validate", TINY_SIMULATE) == 0
+        assert len(calls) == 1
+
+    def test_simulate_runs_where_the_c_library_has_no_mallopt(self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: opened.append(name) or types.SimpleNamespace())
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 0 and opened == [None]
+        assert (out / "norms.csv").exists()
+
+    def test_importing_the_package_leaves_malloc_alone(self):
+        script = (
+            "import ctypes\n"
+            "looked_up = []\n"
+            "class Spy(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        looked_up.append(name)\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = Spy\n"
+            "import rarelab, rarelab.cli\n"
+            "print(looked_up.count('mallopt'))\n"
+            "rarelab.cli._keep_freed_memory()\n"
+            "print(looked_up.count('mallopt'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
 
 
 def run_cli(tmp_path, command, text):

@@ -273,6 +273,11 @@ class TestStepSchedule:
         assert steps == 20 and dt == pytest.approx(0.1)
         assert record == {0, 3, 20}
 
+    @pytest.mark.parametrize("span, steps", [(0.5, 49), (0.55, 30), (0.6, 111)])
+    def test_dt_dividing_the_span_keeps_its_steps(self, span, steps):
+        # span / (span / steps) exceeds steps by an ulp for these pairs
+        assert step_schedule(span, 1.0, span / steps, 0.0, ())[:2] == (steps, span / steps)
+
     def test_final_step_by_default(self):
         assert step_schedule(1.0, 0.3, None, 0.0, ())[2] == {4}
 
