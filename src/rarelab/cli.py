@@ -39,7 +39,10 @@ from .ineqlab import (
     interpolation_ratio,
     solve_theta,
 )
-from .mdsolver import NORM_COLUMNS, SolverConfig, run as run_solver, trig_polynomial, validate_config, write_norm_table
+from .mdsolver import (
+    NORM_COLUMNS, SolverConfig, run as run_solver, schedule as solver_schedule, trig_polynomial,
+    validate_config, write_norm_table,
+)
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
 from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
 from .rates import (
@@ -262,10 +265,20 @@ def _raise_on_failed(report: dict) -> None:
 
 
 def _simulate_inputs(cfg: dict[str, str]):
-    """(solver config, fit window); the window must clear the transient and
-    hold enough snapshot times for a fit, so a bad one fails before the solve."""
+    """(solver config, fit window), checked by the solver's own findings and
+    its step schedule.  The window must clear the transient and hold enough
+    of the times the run records, its snapshot times rounded to the step
+    grid, so a bad one fails before the solve.  A dt above the stable step
+    is left to the solve, which aborts on it."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
-    times = sc.snapshot_times or (sc.t_end,)
+    problems = validate_config(sc)
+    if problems:
+        raise ValueError("; ".join(problems))
+    try:
+        _, dt, record = solver_schedule(sc)
+    except NumericalAbort:
+        return sc, window
+    times = [idx * dt for idx in sorted(record)]
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
         raise ValueError(f"window ({lo:g}, {hi:g}) holds under {MIN_FIT_POINTS} snapshot times")
@@ -546,12 +559,12 @@ def _inputs(cfg: dict[str, str]) -> tuple[str, tuple]:
 
 def validate(cfg: dict[str, str]) -> list[str]:
     """Dry-run check of a config against its own experiment: the input
-    stage, and for simulate the solver's findings; returns findings."""
+    stage; returns findings."""
     try:
-        kind, inputs = _inputs(cfg)
+        _inputs(cfg)
     except ConfigError as e:
         return [str(e)]
-    return validate_config(inputs[0]) if kind == "simulate" else []
+    return []
 
 
 def run_experiment(cfg: dict[str, str], outdir, seed: int = 0) -> int:

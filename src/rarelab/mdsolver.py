@@ -44,6 +44,7 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "validate_config",
+    "schedule",
     "run",
     "trig_polynomial",
     "write_norm_table",
@@ -179,6 +180,17 @@ def validate_config(config: SolverConfig) -> list[str]:
     return problems
 
 
+def schedule(config: SolverConfig):
+    """(steps, dt, record_indices) of a run: `step_schedule` under the
+    CFL bound of the initial data's range.  Step k is recorded at time
+    k * dt, the snapshot times rounded to the step grid."""
+    spec, ul, ur = config.spec, config.ul, config.ur
+    amp = _disturbance_bound(config)
+    dt_max = max_advective_dt(config.flux, (spec.dx1, *spec.dx_torus),
+                              min(ul, ur) - amp, max(ul, ur) + amp, config.cfl)
+    return step_schedule(config.t_end, dt_max, config.dt, 0.0, config.snapshot_times)
+
+
 def run(config: SolverConfig) -> Trajectory:
     """Advance the cylinder solution and log the perturbation against the
     concurrently assembled ansatz."""
@@ -188,13 +200,8 @@ def run(config: SolverConfig) -> Trajectory:
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     n1 = spec.n1
-
-    amp = _disturbance_bound(config)
     spacings = (spec.dx1, *spec.dx_torus)
-    dt_max = max_advective_dt(flux, spacings, min(ul, ur) - amp, max(ul, ur) + amp,
-                              config.cfl)
-    steps, dt, snap = step_schedule(config.t_end, dt_max, config.dt, 0.0,
-                                    config.snapshot_times)
+    steps, dt, snap = schedule(config)
 
     grid = make_grid(spec)
 

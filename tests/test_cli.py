@@ -170,6 +170,18 @@ class TestExitCodes:
         assert "holds under 4 snapshot times" in capsys.readouterr().err
         assert not (out / "norms.csv").exists()
 
+    def test_window_counts_the_recorded_times(self, tmp_path, capsys):
+        """The step grid rounds 0.1 down to 0.0982 and 0.5 up to 0.5018,
+        so the window holds 3 recorded times, not the 5 requested."""
+        text = (ROUNDOFF_STEPS + f"t_end = 0.6\ndt = {0.6 / 55!r}\n"
+                "snapshots = 0.1,0.2,0.3,0.4,0.5\n")
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert "holds under 4 snapshot times" in capsys.readouterr().out
+        code, out = simulate(tmp_path, text)
+        assert code == 1
+        assert "config error: window (0.1, 0.5) holds under 4" in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
+
 
 ROUNDOFF_STEPS = """\
 experiment = simulate

@@ -10,7 +10,7 @@ from rarelab.decomp import (
     norm_bound_ratio,
     reconstruct,
 )
-from rarelab.domain import DomainSpec, Field, make_grid
+from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid
 
 
 def meshes(spec):
@@ -34,6 +34,28 @@ def random_trig_field(spec, rng, n_modes=5):
 
 SPEC2 = DomainSpec(n=2, L=2.0, n1=12, n_torus=(8,))
 SPEC3 = DomainSpec(n=3, L=2.0, n1=8, n_torus=(8, 6))
+
+
+def grad_magnitude(f):
+    return magnitude(c.values for c in gradient(f))
+
+
+def norm(f, m, p):
+    """L^p norm of f (m = 0) or of its gradient magnitude (m = 1)."""
+    return lp_norm(f.with_values(grad_magnitude(f)) if m == 1 else f, p)
+
+
+def tile(spec, subset, arr):
+    """An array over (x1, *subset directions) repeated over the full grid."""
+    shape = [spec.n1] + [1] * (spec.n - 1)
+    for pos, direction in enumerate(subset):
+        shape[direction - 1] = arr.shape[1 + pos]
+    return np.broadcast_to(arr.reshape(shape), spec.shape)
+
+
+def tiled_ratio(u, d, m, p):
+    """norm_bound_ratio with every part tiled onto the full grid."""
+    return sum(norm(Field(u.spec, d.broadcast(s)), m, p) for s in d.parts()) / norm(u, m, p)
 
 
 class TestWorkedExamples:
@@ -122,6 +144,47 @@ class TestDecomposeProperties:
         assert check_membership(d)["max_slice_average"] <= tol
 
 
+class TestPart:
+    def test_each_part_is_its_stored_array_on_its_own_cylinder(self):
+        d = decompose(random_trig_field(SPEC3, np.random.default_rng(3)))
+        for subset in d.parts():
+            f = d.part(subset)
+            assert (f.spec.n, f.spec.L, f.spec.n1) == (1 + len(subset), SPEC3.L, SPEC3.n1)
+            assert f.spec.n_torus == tuple(SPEC3.n_torus[k - 2] for k in subset)
+            assert np.array_equal(f.values, d.components[subset] if subset else d.u0)
+        assert d.part((3,)).spec.n_torus == (6,)
+
+    def test_one_d_part_is_on_the_line(self):
+        d = decompose(random_trig_field(SPEC3, np.random.default_rng(4)))
+        assert d.part(()).spec == DomainSpec(n=1, L=SPEC3.L, n1=SPEC3.n1)
+
+    @pytest.mark.parametrize("spec, top", [(SPEC2, (2,)), (SPEC3, (2, 3))], ids=["n2", "n3"])
+    def test_top_part_is_on_the_full_grid(self, spec, top):
+        d = decompose(random_trig_field(spec, np.random.default_rng(5)))
+        assert d.part(top).spec == d.spec
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n1=st.integers(4, 24),
+        n_torus=st.lists(st.integers(4, 8), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_own_cylinder_measures_like_the_tiled_part(self, n1, n_torus, seed):
+        spec = DomainSpec(n=1 + len(n_torus), L=2.0, n1=n1, n_torus=n_torus)
+        d = decompose(Field(spec, np.random.default_rng(seed).standard_normal(spec.shape)))
+        for subset in d.parts():
+            own, tiled = d.part(subset), Field(spec, d.broadcast(subset))
+            assert np.array_equal(tile(spec, subset, grad_magnitude(own)),
+                                  grad_magnitude(tiled))
+            for m in (0, 1):
+                for p in (1.0, 2.0, 4.0, np.inf):
+                    a, b = norm(own, m, p), norm(tiled, m, p)
+                    if np.isinf(p):
+                        assert a == b
+                    else:
+                        assert abs(a - b) <= 1e-14 * b
+
+
 class TestMembership:
     def test_construction_enforces_zero_slice_averages(self):
         rng = np.random.default_rng(7)
@@ -172,11 +235,24 @@ class TestNormBound:
                         continue
                     assert ratio <= bound
 
+    @pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["n2", "n3"])
+    def test_corpus_ratios_match_the_tiled_parts(self, spec):
+        # measuring parts on their own cylinders only reorders the sums
+        rng = np.random.default_rng(12)
+        mesh = meshes(spec)
+        fields = [Field(spec, 1.0 + 0.5 * np.tanh(mesh[0])),
+                  Field(spec, np.sin(2 * np.pi * mesh[1])),
+                  *(random_trig_field(spec, rng) for _ in range(20))]
+        for f in fields:
+            d = decompose(f)
+            for m in (0, 1):
+                for p in (1.0, 2.0, np.inf):
+                    got, want = norm_bound_ratio(f, d, m, p), tiled_ratio(f, d, m, p)
+                    assert got == want if np.isinf(p) else abs(got - want) <= 1e-14 * want
+
     def test_per_level_contraction(self):
         # averaging contracts; the first level subtraction at worst doubles
         rng = np.random.default_rng(13)
-        from rarelab.domain import lp_norm
-
         for _ in range(10):
             f = random_trig_field(SPEC3, rng)
             d = decompose(f)

@@ -100,6 +100,11 @@ class TestPerturbedRun:
     def traj(self):
         return run(small_config())
 
+    def test_records_the_times_of_its_schedule(self, traj):
+        steps, dt, record = mdsolver.schedule(small_config())
+        assert (traj.steps, traj.dt) == (steps, dt)
+        assert list(traj.series["t"]) == [k * dt for k in sorted(record)]
+
     def test_initial_perturbation_vanishes(self):
         cfg = small_config(snapshot_times=(0.0, 1.0))
         traj = run(cfg)
