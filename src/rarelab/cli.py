@@ -269,15 +269,15 @@ def _simulate_inputs(cfg: dict[str, str]):
     its step schedule.  The window must clear the transient and hold enough
     of the times the run records, its snapshot times rounded to the step
     grid, so a bad one fails before the solve.  A dt above the stable step
-    is left to the solve, which aborts on it."""
+    of the initial data is a config error too, so `validate` reports it."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
     problems = validate_config(sc)
     if problems:
         raise ValueError("; ".join(problems))
     try:
         _, dt, record = solver_schedule(sc)
-    except NumericalAbort:
-        return sc, window
+    except NumericalAbort as e:
+        raise ValueError(e.detail) from e
     times = [idx * dt for idx in sorted(record)]
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
@@ -298,7 +298,8 @@ def _exp_simulate(out: _Outputs, rng, sc: SolverConfig, window) -> None:
          "|grad phi|_2": 6, "|u-profile|_inf": 8},
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
-    out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt})
+    out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt,
+                "max_courant": traj.max_courant})
     _raise_on_failed(report)
 
 

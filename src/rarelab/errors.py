@@ -14,6 +14,7 @@ class NumericalAbort(RuntimeError):
     def __init__(self, reason: str, t: float, detail: str = ""):
         self.reason = reason
         self.t = t
+        self.detail = detail
         msg = f"numerical abort ({reason}) at t = {t:.6g}"
         if detail:
             msg += f": {detail}"

@@ -92,11 +92,16 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
+    """A run's norm series and its run-wide checks; `max_courant` is the
+    largest realized advective Courant number of the states the steps
+    produced."""
+
     series: dict[str, np.ndarray]
     steps: int
     dt: float
     max_principle_violation: float = 0.0
     boundary_mismatch: float = 0.0
+    max_courant: float = 0.0
 
 
 def trig_polynomial(modes, coords) -> np.ndarray:
@@ -302,8 +307,12 @@ def run(config: SolverConfig) -> Trajectory:
             record(k, u, far)
         if k == steps:
             break
-        check_cfl(u, flux, spacings, dt, k * dt)
         u, far = strang_step((u, far), dt, spec.n, sweep, rhs)
+        # each new state is checked before it is recorded or stepped, so a
+        # state that turned NaN aborts the run; the schedule already bounds
+        # the initial state's Courant number
+        courant = check_cfl(u, flux, spacings, dt, (k + 1) * dt)
+        traj.max_courant = max(traj.max_courant, courant)
         new_lo, new_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
         viol = max(viol, float(new_hi - old_hi), float(old_lo - new_lo))
         old_lo, old_hi = new_lo, new_hi

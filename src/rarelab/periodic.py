@@ -110,8 +110,12 @@ class TorusStepper:
 
     def sweep_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Half-step sweep along torus axis `axis`; a negative axis counts
-        from the end, which lets `values` stack several torus fields."""
-        return self.sweeps[axis].apply(values, axis=axis)
+        from the end, which lets `values` stack several torus fields.  Each
+        field is swept as its own block, so a stacked field takes the same
+        matrix products, and the same bits, as the field alone."""
+        blocks = values.reshape(-1, 1, *self.spec.sizes)
+        axis = axis % self.spec.ndim - self.spec.ndim
+        return self.sweeps[axis].apply(blocks, axis=axis).reshape(values.shape)
 
     def step(self, values: np.ndarray, t: float) -> np.ndarray:
         check_cfl(values, self.flux, self.spec.spacings, self.dt, t)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rarelab import cli
+from rarelab import cli, mdsolver
 from rarelab.mdsolver import NORM_COLUMNS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -42,6 +42,17 @@ class TestSimulateManifest:
         assert manifest["steps"] * manifest["dt"] == pytest.approx(2.0, rel=1e-12)
         rows = (out / "norms.csv").read_text().strip().splitlines()[1:]
         assert manifest["steps"] > len(rows)
+
+    def test_reports_the_largest_courant_number(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sc = cli.solver_config_from_dict(cli.load_config(cfg_path))
+        traj = run(sc)
+        assert 0.0 < traj.max_courant <= sc.cfl
+        assert manifest["max_courant"] == traj.max_courant
 
 TINY_SIMULATE_3D = TINY_SIMULATE.replace("dim = 2", "dim = 3").replace(
     "n_torus = 8", "n_torus = 8,8").replace(
@@ -120,10 +131,24 @@ class TestExitCodes:
         text = TINY_SIMULATE + "dt = 1.0\n"
         cfg_path = tmp_path / "big.cfg"
         cfg_path.write_text(text)
-        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
-        code, _ = simulate(tmp_path, text)
-        assert code == 2
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert "requested dt" in capsys.readouterr().out
+        code, out = simulate(tmp_path, text)
+        assert code == 1
         assert "requested dt" in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
+
+    def test_state_turning_nan_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
+        class NaNSweep(mdsolver.DiffusionSweep):
+            def apply(self, u, b_lo=None, b_hi=None, axis=0):
+                return np.full_like(u, np.nan)
+
+        monkeypatch.setattr(mdsolver, "DiffusionSweep", NaNSweep)
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "not finite" in err
+        assert not (out / "norms.csv").exists()
 
     def test_non_decaying_norms_fail_the_rates(self, tmp_path, capsys):
         t = np.linspace(0.5, 10.0, 20)

@@ -77,7 +77,7 @@ def dense_reference(n, h, dt, periodic, u, b_lo=0.0, b_hi=0.0):
 
 class TestDiffusionSweep:
     @pytest.mark.parametrize("periodic", [True, False])
-    @pytest.mark.parametrize("n", [5, 16, 33])
+    @pytest.mark.parametrize("n", [5, 16, 33, 128])
     def test_matches_dense_solve(self, periodic, n):
         rng = np.random.default_rng(n)
         h, dt = 1.0 / n, 0.37
@@ -135,6 +135,36 @@ class TestDiffusionSweep:
                 assert np.max(np.abs(line - sweep.apply(col))) < 1e-13
                 ref = dense_reference(n, h, dt, True, col)
                 assert np.max(np.abs(line - ref)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(33, 5), (17, 3, 4)])
+    def test_dirichlet_block_matches_dense_solve(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n, h, dt = shape[0], 1.0 / shape[0], 0.37
+        u = rng.standard_normal(shape)
+        b_lo, b_hi = rng.standard_normal(shape[1:]), rng.standard_normal(shape[1:])
+        got = DiffusionSweep(n, h, dt, periodic=False).apply(u, b_lo=b_lo, b_hi=b_hi)
+        for idx in np.ndindex(*shape[1:]):
+            col = (slice(None), *idx)
+            ref = dense_reference(n, h, dt, False, u[col], b_lo[idx], b_hi[idx])
+            assert np.max(np.abs(got[col] - ref)) < 1e-13
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_fortran_order_input_is_bitwise_c_order(self, periodic):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((20, 6, 7))
+        uf = np.asfortranarray(u)
+        ghosts = dict(b_lo=rng.standard_normal((6, 7)), b_hi=rng.standard_normal((6, 7)))
+        for axis in range(3) if periodic else (0,):
+            n = u.shape[axis]
+            sweep = DiffusionSweep(n, 1.0 / n, 0.37, periodic=periodic)
+            kw = dict(axis=axis) if periodic else ghosts
+            assert np.array_equal(sweep.apply(uf, **kw), sweep.apply(u, **kw))
+
+    @pytest.mark.parametrize("n", [4, 7, 16, 20, 128])
+    def test_circulant_is_symmetric_and_conserves_the_mean(self, n):
+        op = DiffusionSweep(n, 1.0 / n, 0.37, periodic=True)._op
+        assert np.max(np.abs(op - op.T)) <= 1e-16
+        assert np.max(np.abs(op.sum(axis=1) - 1.0)) <= 1e-15
 
 
 class TestAdvection:
@@ -311,6 +341,19 @@ class TestCFL:
         with pytest.raises(NumericalAbort) as exc:
             check_cfl(u, flux, (0.1,), dt=0.2, t=1.0)
         assert exc.value.reason == "cfl"
+
+    def test_returns_the_courant_number(self):
+        u = np.array([0.5, -2.0, 1.0])
+        assert check_cfl(u, burgers(1), (0.1,), dt=0.01, t=0.0) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, bad):
+        u = np.full(8, 0.1)
+        u[3] = bad
+        with pytest.raises(NumericalAbort) as exc:
+            check_cfl(u, burgers(1), (0.1,), dt=0.01, t=1.0)
+        assert exc.value.reason == "cfl"
+        assert "not finite" in str(exc.value)
 
 
 class TestFluxSets:
