@@ -96,7 +96,7 @@ def decompose(u: Field) -> DecompositionResult:
     """
     spec = u.spec
     torus_dirs = tuple(range(2, spec.n + 1))
-    u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values.copy()
+    u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values
     components: dict[tuple[int, ...], np.ndarray] = {}
 
     lower_sum = _tile(spec, (), u0).copy()
@@ -106,13 +106,25 @@ def decompose(u: Field) -> DecompositionResult:
         components.update(level)
         if k < spec.n - 1:
             for subset, comp in level.items():
-                lower_sum = lower_sum + _tile(spec, subset, comp)
+                lower_sum += _tile(spec, subset, comp)
+    # read-only, so a Field built on a part (`part`) shares it unchanged
+    for arr in (u0, *components.values()):
+        arr.setflags(write=False)
     return DecompositionResult(spec=spec, t=u.t, u0=u0, components=components)
+
+
+def _sum_tiled(d: DecompositionResult, subsets) -> np.ndarray:
+    """Sum of the given parts tiled onto the full grid, added in order
+    into one array that starts at zero."""
+    acc = np.zeros(d.spec.shape)
+    for s in subsets:
+        acc += d.broadcast(s)
+    return acc
 
 
 def reconstruct(d: DecompositionResult) -> Field:
     """Sum the 1-d part and all tiled components back into a Field."""
-    return Field(d.spec, sum(d.broadcast(s) for s in d.parts()), d.t)
+    return Field(d.spec, _sum_tiled(d, d.parts()), d.t)
 
 
 def check_membership(d: DecompositionResult) -> dict:
@@ -127,7 +139,7 @@ def check_membership(d: DecompositionResult) -> dict:
 
 def level_sum(d: DecompositionResult, k: int) -> np.ndarray:
     """Sum of all level-k components on the full grid (level 0 = 1-d part)."""
-    return sum((d.broadcast(s) for s in d.parts() if len(s) == k), np.zeros(d.spec.shape))
+    return _sum_tiled(d, (s for s in d.parts() if len(s) == k))
 
 
 def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> float:

@@ -19,7 +19,14 @@ in the outer 10% of the x1 range and experiments keep it small.
 
 All reductions use numpy's pairwise summation on arrays with a fixed
 layout, so results are reproducible and independent of any worker count.
-Fields are immutable once constructed.
+
+Fields are immutable once constructed.  A `Field` takes ownership of an
+array that owns its data and is C-contiguous: it makes that array
+read-only in place and keeps it, so a caller that writes to it afterwards
+gets a ValueError.  Any other input (a view, a Fortran-ordered or
+non-float array, a list) is copied.  The grid operators build each
+result in one fresh array and hand it over, so wrapping it costs no
+copy.
 """
 
 from __future__ import annotations
@@ -125,7 +132,9 @@ class Field:
     """Scalar samples on a DomainSpec grid at one instant.
 
     Values are stored as a read-only float array of shape
-    (n1, *n_torus); axis 0 is the line direction.
+    (n1, *n_torus); axis 0 is the line direction.  An array that owns
+    its data and is C-contiguous is taken over: it is made read-only in
+    place and kept, not copied.  Any other input is copied.
     """
 
     spec: DomainSpec
@@ -138,7 +147,8 @@ class Field:
             raise ValueError(f"values shape {v.shape} != grid shape {self.spec.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        v = v.copy()
+        if v.base is not None or not v.flags.c_contiguous:
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -150,18 +160,21 @@ def lp_norm(f: Field, p: float) -> float:
     """L^p norm over the truncated domain by midpoint quadrature.
 
     p = inf is the max of |f| (a separate code path, not a large-p limit).
+    At p = 2 and p = inf no |f| array is formed: v*v equals |v|*|v| and
+    the larger of max(v) and -min(v) equals max|v|, bitwise; the sup of
+    an all-zero field is +0.0 whatever the signs of its zeros.
     """
+    v = f.values
     if np.isinf(p):
-        return float(np.max(np.abs(f.values)))
+        return max(float(v.max()), -float(v.min())) + 0.0
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(f.values)
     if p == 1:
-        acc = float(np.sum(a))
+        acc = float(np.sum(np.abs(v)))
     elif p == 2:
-        acc = float(np.sum(a * a))
+        acc = float(np.sum(v * v))
     else:
-        acc = float(np.sum(a**p))
+        acc = float(np.sum(np.abs(v) ** p))
     return (acc * f.spec.cell_volume) ** (1.0 / p)
 
 
@@ -170,12 +183,24 @@ def derivative(f: Field, axis: int) -> Field:
 
     Central differences; torus directions wrap, the line direction falls
     back to one-sided second-order stencils at the two truncation ends.
+    The result is built in one array by slices: bitwise the rolled
+    difference on a torus axis and np.gradient(edge_order=2) on the line.
     """
     v = f.values
     h = f.spec.spacing(axis)
+    out = np.empty_like(v)
+    w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(w[2:], w[:-2], out=o[1:-1])
     if axis == 0:
-        return f.with_values(np.gradient(v, h, axis=0, edge_order=2))
-    return f.with_values((np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h))
+        o[1:-1] /= 2.0 * h
+        # np.gradient's one-sided ends, term for term
+        o[0] = (-1.5 / h) * w[0] + (2.0 / h) * w[1] + (-0.5 / h) * w[2]
+        o[-1] = (0.5 / h) * w[-3] + (-2.0 / h) * w[-2] + (1.5 / h) * w[-1]
+    else:
+        np.subtract(w[1], w[-1], out=o[0])
+        np.subtract(w[0], w[-2], out=o[-1])
+        out /= 2.0 * h
+    return f.with_values(out)
 
 
 def gradient(f: Field) -> list[Field]:
@@ -184,12 +209,27 @@ def gradient(f: Field) -> list[Field]:
 
 
 def magnitude(components) -> np.ndarray:
-    """Pointwise Euclidean length sqrt(sum c**2) of equal-shape arrays."""
-    return np.sqrt(sum(c * c for c in components))
+    """Pointwise Euclidean length sqrt(sum c**2) of equal-shape arrays.
+
+    The squares are summed in order into one array, with one scratch
+    array for the squares after the first.
+    """
+    it = iter(components)
+    first = next(it)
+    acc = first * first
+    sq = None
+    for c in it:
+        sq = np.multiply(c, c, out=sq)
+        acc += sq
+    return np.sqrt(acc, out=acc)
 
 
 def second_derivative(f: Field, axis: int) -> Field:
-    """Second partial along one axis, second order everywhere."""
+    """Second partial along one axis, second order everywhere.
+
+    A torus axis uses the wrapped stencil (v[i+1] - 2 v[i]) + v[i-1],
+    built by slices in one array.
+    """
     v = f.values
     h = f.spec.spacing(axis)
     if axis == 0:
@@ -198,10 +238,17 @@ def second_derivative(f: Field, axis: int) -> Field:
         # one-sided 4-point stencils keep O(h^2) at the truncation ends
         d2[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
         d2[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
-        return f.with_values(d2 / h**2)
-    up = np.roll(v, -1, axis=axis)
-    dn = np.roll(v, 1, axis=axis)
-    return f.with_values((up - 2.0 * v + dn) / h**2)
+        d2 /= h**2
+        return f.with_values(d2)
+    out = 2.0 * v
+    w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(w[2:], o[1:-1], out=o[1:-1])
+    np.subtract(w[1], o[0], out=o[0])
+    np.subtract(w[0], o[-1], out=o[-1])
+    np.add(o[1:], w[:-1], out=o[1:])
+    np.add(o[0], w[-1], out=o[0])
+    out /= h**2
+    return f.with_values(out)
 
 
 def laplacian(f: Field) -> Field:

@@ -106,6 +106,11 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
     For each split level k the left side uses the level sum; the right
     side uses the whole field with the level's own weight.  Levels with
     an infeasible weight are skipped; a zero right side is flagged.
+
+    A level with a single part (level 0 and the top level) is measured
+    on that part's own cylinder (`DecompositionResult.part`), which is
+    exact up to the order of the quadrature sums, as in
+    `decomp.norm_bound_ratio`.
     """
     if d is None:
         d = decompose(u)
@@ -118,7 +123,9 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
         if theta is None:
             out["flags"].append(f"level {k}: infeasible exponents, skipped")
             continue
-        lhs = lp_norm(_deriv_magnitude(Field(u.spec, level_sum(d, k), u.t), j), p)
+        level = [s for s in d.parts() if len(s) == k]
+        part = d.part(level[0]) if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
+        lhs = lp_norm(_deriv_magnitude(part, j), p)
         if lhs == 0.0:
             out["ratios"][k] = 0.0
             continue

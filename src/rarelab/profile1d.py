@@ -247,7 +247,8 @@ class ProfileSpline:
 
 
 def profile_to_field(p: ProfileState) -> Field:
-    """Repackage as a 1-d Field so the snapshot format applies."""
+    """Repackage as a 1-d Field so the snapshot format applies.  The
+    Field takes over the state's values array, which becomes read-only."""
     dx = p.dx
     L = -float(p.x1[0]) + 0.5 * dx
     spec = DomainSpec(n=1, L=L, n1=p.values.size)

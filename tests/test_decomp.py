@@ -154,6 +154,18 @@ class TestPart:
             assert np.array_equal(f.values, d.components[subset] if subset else d.u0)
         assert d.part((3,)).spec.n_torus == (6,)
 
+    @pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["n2", "n3"])
+    def test_parts_are_read_only_and_shared_without_side_effects(self, spec):
+        d = decompose(random_trig_field(spec, np.random.default_rng(6)))
+        stored = [d.part(s).values for s in d.parts()]
+        before = [a.copy() for a in stored]
+        for subset, arr, old in zip(d.parts(), stored, before):
+            assert arr is (d.components[subset] if subset else d.u0)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+            assert d.part(subset).values is arr and np.array_equal(arr, old)
+
     def test_one_d_part_is_on_the_line(self):
         d = decompose(random_trig_field(SPEC3, np.random.default_rng(4)))
         assert d.part(()).spec == DomainSpec(n=1, L=SPEC3.L, n1=SPEC3.n1)

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab.domain import (
     DomainSpec,
@@ -189,6 +190,46 @@ class TestFieldBasics:
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
+    def test_an_owned_c_array_is_kept_and_frozen(self):
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(8,))
+        arr = np.arange(64.0).reshape(spec.shape).copy()
+        f = Field(spec, arr)
+        assert f.values is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = -1.0
+        assert f.values[0, 0] == 0.0
+        assert f.with_values(arr).values is arr
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[:],
+        lambda a: a[:, ::-1],
+        lambda a: np.asfortranarray(a),
+        lambda a: a.astype(np.int64),
+        lambda a: a.tolist(),
+    ], ids=["contiguous-view", "strided-view", "fortran", "int", "list"])
+    def test_any_other_input_is_copied(self, make):
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(8,))
+        given_values = make(np.arange(64.0).reshape(spec.shape).copy())
+        f = Field(spec, given_values)
+        assert np.array_equal(f.values, np.asarray(given_values, dtype=float))
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        if isinstance(given_values, np.ndarray):
+            assert not np.shares_memory(f.values, given_values)
+            given_values[0, 0] = 99
+            assert f.values[0, 0] != 99
+
+    def test_a_rejected_array_stays_writable(self):
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(8,))
+        bad = np.ones(spec.shape)
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Field(spec, bad)
+        wrong = np.ones((8, 4))
+        with pytest.raises(ValueError, match="shape"):
+            Field(spec, wrong)
+        bad[0, 0] = 1.0
+        wrong[0, 0] = 2.0
+
     def test_tail_mass(self):
         spec = DomainSpec(n=2, L=1.0, n1=20, n_torus=(4,))
         vals = np.zeros(spec.shape)
@@ -235,3 +276,77 @@ class TestSnapshotIO:
         write_table(path, ("i", "x"), [(0, 0.1), (1, np.float64(1 / 3)), (2, np.nan)])
         assert path.read_text() == (
             "i,x\n0,0.10000000000000001\n1,0.33333333333333331\n2,nan\n")
+
+
+def _rolled_derivative(v, h, axis):
+    if axis == 0:
+        return np.gradient(v, h, axis=0, edge_order=2)
+    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
+
+
+def _rolled_second_derivative(v, h, axis):
+    if axis == 0:
+        d2 = np.empty_like(v)
+        d2[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        d2[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
+        d2[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
+        return d2 / h**2
+    return (np.roll(v, -1, axis=axis) - 2.0 * v + np.roll(v, 1, axis=axis)) / h**2
+
+
+@st.composite
+def grid_fields(draw):
+    """A Field on a random 1-, 2- or 3-d grid, with values spread over
+    many magnitudes and some exact (signed) zeros."""
+    n = draw(st.integers(1, 3))
+    n1 = draw(st.integers(4, 9))
+    n_torus = draw(st.lists(st.integers(4, 7), min_size=n - 1, max_size=n - 1))
+    spec = DomainSpec(n=n, L=draw(st.floats(0.1, 50.0)), n1=n1, n_torus=n_torus)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    v = rng.standard_normal(spec.shape) * 10.0 ** rng.integers(-8, 8, size=spec.shape)
+    v[rng.random(spec.shape) < 0.1] = 0.0
+    v[rng.random(spec.shape) < 0.1] = -0.0
+    return Field(spec, v)
+
+
+class TestOperatorsMatchReferenceFormulas:
+    """The slice stencils, the in-place magnitude and the abs-free norms
+    are bitwise the formulas they replaced: rolled copies for the torus
+    stencils, np.gradient on the line, a sum of squares, and |f| norms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_derivatives_are_bitwise_the_rolled_formulas(self, f):
+        for axis in range(f.spec.n):
+            h = f.spec.spacing(axis)
+            for got, want in ((derivative(f, axis).values, _rolled_derivative(f.values, h, axis)),
+                              (second_derivative(f, axis).values,
+                               _rolled_second_derivative(f.values, h, axis))):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_magnitude_is_bitwise_the_square_root_of_the_sum(self, f):
+        cs = [g.values for g in gradient(f)] + [f.values]
+        assert np.array_equal(magnitude(iter(cs)), np.sqrt(sum(c * c for c in cs)))
+        assert np.array_equal(magnitude(cs[:1]), np.sqrt(sum(c * c for c in cs[:1])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_norms_are_bitwise_the_abs_formulas(self, f):
+        a, vol = np.abs(f.values), f.spec.cell_volume
+        assert lp_norm(f, 1.0) == (float(np.sum(a)) * vol) ** 1.0
+        assert lp_norm(f, 2.0) == (float(np.sum(a * a)) * vol) ** 0.5
+        assert lp_norm(f, np.inf) == float(np.max(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sup_norm_of_signed_zeros_is_positive_zero(self, n):
+        spec = DomainSpec(n=n, L=1.0, n1=6, n_torus=(4,) * (n - 1))
+        for fill in (-0.0, 0.0):
+            got = lp_norm(Field(spec, np.full(spec.shape, fill)), np.inf)
+            assert got == 0.0 and not np.signbit(got)
+        mixed = np.zeros(spec.shape)
+        mixed.flat[::2] = -0.0
+        got = lp_norm(Field(spec, mixed), np.inf)
+        assert got == 0.0 and not np.signbit(got)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rarelab.decomp import decompose
-from rarelab.domain import DomainSpec, Field, make_grid
+from rarelab.decomp import decompose, level_sum
+from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
 from rarelab.ineqlab import (
+    _deriv_magnitude,
     chain_rule_power_gradient,
     derivative_interpolation_ratio,
     dilated_gn_ratio,
@@ -107,6 +108,26 @@ class TestGNRatio:
         b = gn_ratio(Field(spec, 3.7 * u.values), 0, 1, 2.0, 1.0, 2.0)["ratios"]
         for k in a:
             assert abs(a[k] - b[k]) <= 1e-12 * max(1.0, a[k])
+
+    @pytest.mark.parametrize("spec", [DomainSpec(n=2, L=4.0, n1=32, n_torus=(8,)),
+                                      DomainSpec(n=3, L=4.0, n1=16, n_torus=(8, 6))],
+                             ids=["n2", "n3"])
+    @pytest.mark.parametrize("j, m, p, q, r", [(0, 1, 2.0, 1.0, 2.0), (1, 2, 2.0, 2.0, 2.0),
+                                               (1, 2, np.inf, 2.0, 4.0)])
+    def test_levels_match_the_full_grid_level_sums(self, spec, j, m, p, q, r):
+        # single-part levels are measured on their own cylinder; only the
+        # order of the quadrature sums may differ from the tiled level sum
+        rng = np.random.default_rng(11)
+        u = Field(spec, rng.standard_normal(spec.shape))
+        d = decompose(u)
+        res = gn_ratio(u, j, m, p, q, r, d=d)
+        rhs_m, rhs_0 = lp_norm(_deriv_magnitude(u, m), r), lp_norm(u, q)
+        assert len(res["ratios"]) == spec.n, res["flags"]
+        for k, ratio in res["ratios"].items():
+            lhs = lp_norm(_deriv_magnitude(Field(spec, level_sum(d, k)), j), p)
+            theta = res["theta"][k]
+            want = lhs / (rhs_m**theta * rhs_0 ** (1.0 - theta))
+            assert ratio == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_corpus_maximum_stable(self):
         # regression guard: corpus max recorded from the reference run of
