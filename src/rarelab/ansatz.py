@@ -188,8 +188,8 @@ def discrete_residual(
     res = (nxt.u_tilde.values - prev.u_tilde.values) / (dt_lo + dt_hi)
     for axis in range(u.spec.n):
         fval = u.with_values(np.asarray(flux.f[axis](u.values), dtype=float))
-        res = res + derivative(fval, axis).values
-    res = res - laplacian(u).values
+        res = res + derivative(fval, axis)
+    res = res - laplacian(u)
     return u.with_values(res)
 
 

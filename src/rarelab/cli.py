@@ -96,9 +96,11 @@ def _int_at_least(cfg: dict[str, str], key: str, default: str, least: int) -> in
 
 
 def _modes(s: str) -> tuple[tuple[float, ...], ...]:
-    """'k1,k2,amp; k1,k2,amp' -> ((k1,k2,amp), ...)."""
-    return tuple(tuple(float(tok) for tok in chunk.split(",")) for chunk in s.split(";")
-                 if chunk.strip())
+    """w0_modes 'k1,k2,amp; k1,k2,amp' -> ((k1,k2,amp), ...), every entry finite."""
+    modes = tuple(tuple(map(float, chunk.split(","))) for chunk in s.split(";") if chunk.strip())
+    if not all(np.isfinite(row).all() for row in modes):
+        raise ValueError(f"w0_modes entries must be finite, got '{s}'")
+    return modes
 
 
 def _v0_from_spec(s: str):
@@ -106,7 +108,10 @@ def _v0_from_spec(s: str):
     if s in ("", "none", "0"):
         return None
     if s.startswith("gaussian:"):
-        amp, center, width = (float(x) for x in s.split(":", 1)[1].split(","))
+        params = _floats(s.split(":", 1)[1])
+        if len(params) != 3 or not np.isfinite(params).all() or not params[2] > 0:
+            raise ValueError(f"v0 needs finite gaussian:amp,center,width with width > 0, got '{s}'")
+        amp, center, width = params
         return lambda x: amp * np.exp(-(((np.asarray(x) - center) / width) ** 2))
     raise ValueError(f"unknown v0 spec '{s}' (use none or gaussian:amp,center,width)")
 
@@ -304,25 +309,26 @@ def _exp_simulate(out: _Outputs, rng, sc: SolverConfig, window) -> None:
 
 
 def _profile_inputs(cfg: dict[str, str]):
-    """(initial state, flux, t_end, cfl, snapshot times) of a profile config,
-    checked by drawing up the run's step schedule."""
+    """(initial state, its half-length L, flux, t_end, cfl, snapshot times)
+    of a profile config, checked by drawing up the run's step schedule."""
     t_end, cfl = float(cfg.get("t_end", "100")), float(cfg.get("cfl", "0.4"))
     if not cfl > 0:
         raise ValueError(f"cfl must be positive, got {cfl}")
-    p0 = make_initial_state(float(cfg.get("L", "120")), int(cfg.get("n1", "4800")),
+    L = float(cfg.get("L", "120"))
+    p0 = make_initial_state(L, int(cfg.get("n1", "4800")),
                             float(cfg.get("ul", "-0.5")), float(cfg.get("ur", "0.5")))
     flux = flux_from_name(cfg.get("flux", "burgers"), 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
     step_schedule(t_end, max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl), None, 0.0, snaps)
-    return p0, flux, t_end, cfl, snaps
+    return p0, L, flux, t_end, cfl, snaps
 
 
-def _exp_profile(out: _Outputs, rng, p0, flux, t_end, cfl, snaps) -> None:
+def _exp_profile(out: _Outputs, rng, p0, L, flux, t_end, cfl, snaps) -> None:
     states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
     write_profile_series(states, flux, out.path("profile_series.csv"))
     last = states[-1]
-    write_snapshot(profile_to_field(last), out.path("profile_final.field"))
+    write_snapshot(profile_to_field(last, L), out.path("profile_final.field"))
     exact = inviscid_rarefaction(last.x1, last.t, flux, last.ul, last.ur)
     out.json("profile_summary.json", {
         "t_final": last.t,
@@ -371,12 +377,11 @@ def _exp_periodic(out: _Outputs, rng, w0, tspec, flux, ubar, t_end, dt, snaps) -
     out.finish({"experiment": "periodic"})
 
 
-def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator,
-                           n_modes: int = 5) -> Field:
+def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
     grid = make_grid(spec)
     mesh = np.meshgrid(grid.x1, *grid.torus, indexing="ij")
     vals = np.zeros(spec.shape)
-    for _ in range(n_modes):
+    for _ in range(5):
         amp = rng.standard_normal()
         term = np.full(spec.shape, amp)
         decay = np.exp(-((mesh[0] / (0.5 * spec.L)) ** 2))

@@ -10,8 +10,12 @@ absorbs the remainder, so reconstruction is exact on grid functions.
 Averages are plain grid means (exact sums), so membership and
 reconstruction are machine-precision statements, not quadrature ones.
 
-Norms of the parts are taken on each part's own cylinder: the line for
-the 1-d part, x1 times its own torus directions for a component.  That
+`decompose` builds each part once, as a Field on the part's own
+cylinder: the line for the 1-d part, x1 times its own torus directions
+for a component.  Every consumer reads those Fields; `broadcast` tiles
+one back onto the full grid where a full-grid array is needed.
+
+Norms of the parts are taken on each part's own cylinder.  That
 is exact, not an approximation.  Every torus factor has measure 1, so
 the L^p norm of a part tiled onto the full grid equals its norm on its
 own cylinder; along an absent direction the central difference of a
@@ -42,34 +46,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """1-d part plus one reduced-shape array per direction subset.
+    """The parts of a split field, each a Field on its own cylinder.
 
-    `components` maps each non-empty sorted subset of torus directions
-    (2-based, matching x2..xn) to an array over (x1, those directions).
+    `parts` maps each sorted subset of torus directions (2-based,
+    matching x2..xn) to the part that depends on x1 and those directions
+    only, in level order.  The empty subset is the 1-d part on the line;
+    the top subset is on the full grid.
     """
 
     spec: DomainSpec
     t: float
-    u0: np.ndarray
-    components: dict[tuple[int, ...], np.ndarray]
+    parts: dict[tuple[int, ...], Field]
 
     def broadcast(self, subset: tuple[int, ...]) -> np.ndarray:
-        """Component tiled back onto the full grid; the empty subset is
-        the 1-d part."""
-        return _tile(self.spec, subset, self.components[subset] if subset else self.u0)
-
-    def part(self, subset: tuple[int, ...]) -> Field:
-        """The stored array of a part as a Field on its own cylinder:
-        x1 times the subset's torus directions, in order.  The empty
-        subset is the 1-d part on the line; the top subset is on the
-        full grid."""
-        own = DomainSpec(n=1 + len(subset), L=self.spec.L, n1=self.spec.n1,
-                         n_torus=tuple(self.spec.n_torus[d - 2] for d in subset))
-        return Field(own, self.components[subset] if subset else self.u0, self.t)
-
-    def parts(self):
-        """The 1-d part (empty subset), then every component by level."""
-        return [(), *sorted(self.components, key=lambda s: (len(s), s))]
+        """A part tiled back onto the full grid."""
+        return _tile(self.spec, subset, self.parts[subset].values)
 
 
 def _tile(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
@@ -83,8 +74,7 @@ def _tile(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.nda
 def _average_keep(values: np.ndarray, keep: tuple[int, ...], spec: DomainSpec) -> np.ndarray:
     """Average over every torus axis not in `keep`; squeeze those axes."""
     drop = tuple(ax for ax in range(1, spec.n) if (ax + 1) not in keep)
-    out = values.mean(axis=drop, keepdims=False) if drop else values
-    return out
+    return values.mean(axis=drop, keepdims=False) if drop else values
 
 
 def decompose(u: Field) -> DecompositionResult:
@@ -97,20 +87,20 @@ def decompose(u: Field) -> DecompositionResult:
     spec = u.spec
     torus_dirs = tuple(range(2, spec.n + 1))
     u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values
-    components: dict[tuple[int, ...], np.ndarray] = {}
+    arrays = {(): u0}
 
     lower_sum = _tile(spec, (), u0).copy()
     for k in range(1, spec.n):
         remainder = u.values - lower_sum
         level = {s: _average_keep(remainder, s, spec) for s in combinations(torus_dirs, k)}
-        components.update(level)
+        arrays.update(level)
         if k < spec.n - 1:
             for subset, comp in level.items():
                 lower_sum += _tile(spec, subset, comp)
-    # read-only, so a Field built on a part (`part`) shares it unchanged
-    for arr in (u0, *components.values()):
-        arr.setflags(write=False)
-    return DecompositionResult(spec=spec, t=u.t, u0=u0, components=components)
+    parts = {s: Field(DomainSpec(n=1 + len(s), L=spec.L, n1=spec.n1,
+                                 n_torus=[spec.n_torus[d - 2] for d in s]), arr, u.t)
+             for s, arr in arrays.items()}
+    return DecompositionResult(spec=spec, t=u.t, parts=parts)
 
 
 def _sum_tiled(d: DecompositionResult, subsets) -> np.ndarray:
@@ -124,22 +114,22 @@ def _sum_tiled(d: DecompositionResult, subsets) -> np.ndarray:
 
 def reconstruct(d: DecompositionResult) -> Field:
     """Sum the 1-d part and all tiled components back into a Field."""
-    return Field(d.spec, _sum_tiled(d, d.parts()), d.t)
+    return Field(d.spec, _sum_tiled(d, d.parts), d.t)
 
 
 def check_membership(d: DecompositionResult) -> dict:
     """Largest slice average of each component along each of its own
     directions; all of them vanish for a decomposition built here."""
-    detail = {subset: {direction: float(np.max(np.abs(comp.mean(axis=1 + pos))))
+    detail = {subset: {direction: float(np.max(np.abs(part.values.mean(axis=1 + pos))))
                        for pos, direction in enumerate(subset)}
-              for subset, comp in d.components.items()}
+              for subset, part in d.parts.items() if subset}
     worst = max((sl for per_dir in detail.values() for sl in per_dir.values()), default=0.0)
     return {"max_slice_average": worst, "per_component": detail}
 
 
 def level_sum(d: DecompositionResult, k: int) -> np.ndarray:
     """Sum of all level-k components on the full grid (level 0 = 1-d part)."""
-    return _sum_tiled(d, (s for s in d.parts() if len(s) == k))
+    return _sum_tiled(d, (s for s in d.parts if len(s) == k))
 
 
 def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> float:
@@ -148,26 +138,29 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
     Each partial average contracts L^p and the level recursion at worst
     doubles per level, so the ratio is bounded by 4**(n-1); the observed
     values sit well below that.  A constant field at m = 1 has no
-    denominator; that case is reported as NaN.
+    denominator; that case is reported as NaN.  `d` must split a field
+    on u's grid.
 
-    Each part is measured on its own cylinder (`DecompositionResult.part`),
-    not tiled onto the full grid.  The result is the same up to the order
-    of the quadrature sums, and bitwise the same at p = inf: the torus
-    factors have measure 1, and the derivative along a direction the part
-    does not depend on is exactly 0.
+    Each part is measured on its own cylinder, not tiled onto the full
+    grid.  The result is the same up to the order of the quadrature sums,
+    and bitwise the same at p = inf: the torus factors have measure 1,
+    and the derivative along a direction the part does not depend on is
+    exactly 0.
     """
     if m not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {m}")
+    if d.spec != u.spec:
+        raise ValueError(f"decomposition grid {d.spec} differs from field grid {u.spec}")
 
     def nrm(field: Field) -> float:
         if m == 1:
-            field = field.with_values(magnitude(c.values for c in gradient(field)))
+            field = field.with_values(magnitude(gradient(field)))
         return lp_norm(field, p)
 
     denom = nrm(u)
     if denom == 0.0:
         return float("nan")
-    return sum(nrm(d.part(s)) for s in d.parts()) / denom
+    return sum(nrm(part) for part in d.parts.values()) / denom
 
 
 def dump_components(d: DecompositionResult, outdir) -> dict:
@@ -175,7 +168,7 @@ def dump_components(d: DecompositionResult, outdir) -> dict:
     import os
 
     manifest = {"t": d.t, "n": d.spec.n, "components": []}
-    for subset in d.parts():
+    for subset in d.parts:
         f = Field(d.spec, d.broadcast(subset), d.t)
         name = "component_" + ("_".join(str(s) for s in subset) or "0") + ".field"
         write_snapshot(f, os.path.join(outdir, name))

@@ -6,10 +6,10 @@ coordinates; torus directions use the uniform grid {j/m}.  All norms are
 midpoint-rule quadratures over the truncation; the measure of the
 truncated domain is 2L since every torus factor has measure 1.
 
-One set of grid operators serves every module: `derivative` (one first
-partial), `gradient` (the list of them), `magnitude` (the pointwise
-Euclidean length of component arrays), `second_derivative` and
-`laplacian`.
+One set of grid operators serves every module.  `derivative` (one first
+partial), `gradient` (the list of them), `second_derivative` and
+`laplacian` take a Field and return arrays; `magnitude` is the pointwise
+Euclidean length of such arrays.
 
 Truncation caveat: fields of interest decay in |x1| (perturbations are
 integrable along the line by construction), so the truncated norm is a
@@ -20,19 +20,19 @@ in the outer 10% of the x1 range and experiments keep it small.
 All reductions use numpy's pairwise summation on arrays with a fixed
 layout, so results are reproducible and independent of any worker count.
 
-Fields are immutable once constructed.  A `Field` takes ownership of an
+A Field is an input, a solver state, a split part or a measured
+magnitude, never an intermediate derivative.  It takes ownership of an
 array that owns its data and is C-contiguous: it makes that array
 read-only in place and keeps it, so a caller that writes to it afterwards
 gets a ValueError.  Any other input (a view, a Fortran-ordered or
-non-float array, a list) is copied.  The grid operators build each
-result in one fresh array and hand it over, so wrapping it costs no
-copy.
+non-float array, a list) is copied.  Each operator result is one fresh
+array, so wrapping it with `Field.with_values` costs no copy.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def make_grid(spec: DomainSpec) -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar samples on a DomainSpec grid at one instant.
+    """Scalar samples on a DomainSpec grid at one instant: an input, a
+    solver state, a split part or a measured magnitude.
 
     Values are stored as a read-only float array of shape
     (n1, *n_torus); axis 0 is the line direction.  An array that owns
@@ -178,7 +179,7 @@ def lp_norm(f: Field, p: float) -> float:
     return (acc * f.spec.cell_volume) ** (1.0 / p)
 
 
-def derivative(f: Field, axis: int) -> Field:
+def derivative(f: Field, axis: int) -> np.ndarray:
     """First partial along one axis, second order everywhere.
 
     Central differences; torus directions wrap, the line direction falls
@@ -200,11 +201,11 @@ def derivative(f: Field, axis: int) -> Field:
         np.subtract(w[1], w[-1], out=o[0])
         np.subtract(w[0], w[-2], out=o[-1])
         out /= 2.0 * h
-    return f.with_values(out)
+    return out
 
 
-def gradient(f: Field) -> list[Field]:
-    """All first partials, one Field per direction."""
+def gradient(f: Field) -> list[np.ndarray]:
+    """All first partials, one array per direction."""
     return [derivative(f, axis) for axis in range(f.spec.n)]
 
 
@@ -224,7 +225,7 @@ def magnitude(components) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def second_derivative(f: Field, axis: int) -> Field:
+def second_derivative(f: Field, axis: int) -> np.ndarray:
     """Second partial along one axis, second order everywhere.
 
     A torus axis uses the wrapped stencil (v[i+1] - 2 v[i]) + v[i-1],
@@ -239,7 +240,7 @@ def second_derivative(f: Field, axis: int) -> Field:
         d2[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
         d2[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
         d2 /= h**2
-        return f.with_values(d2)
+        return d2
     out = 2.0 * v
     w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(w[2:], o[1:-1], out=o[1:-1])
@@ -248,15 +249,15 @@ def second_derivative(f: Field, axis: int) -> Field:
     np.add(o[1:], w[:-1], out=o[1:])
     np.add(o[0], w[-1], out=o[0])
     out /= h**2
-    return f.with_values(out)
+    return out
 
 
-def laplacian(f: Field) -> Field:
-    return f.with_values(sum(second_derivative(f, axis).values for axis in range(f.spec.n)))
+def laplacian(f: Field) -> np.ndarray:
+    return sum(second_derivative(f, axis) for axis in range(f.spec.n))
 
 
-def tail_mass(f: Field, fraction: float = 0.1) -> float:
-    """Fraction of the |f| mass in the outer `fraction` of the x1 range.
+def tail_mass(f: Field) -> float:
+    """Fraction of the |f| mass in the outer 10% of the x1 range.
 
     Returns 0 for an identically zero field.  Used as the diagnostic
     guarding against structure reaching the truncation boundary.
@@ -265,7 +266,7 @@ def tail_mass(f: Field, fraction: float = 0.1) -> float:
     total = float(np.sum(a))
     if total == 0.0:
         return 0.0
-    k = max(1, int(round(f.spec.n1 * fraction / 2.0)))
+    k = max(1, int(round(f.spec.n1 * 0.1 / 2.0)))
     outer = float(np.sum(a[:k])) + float(np.sum(a[-k:]))
     return outer / total
 

@@ -87,14 +87,14 @@ def _deriv_magnitude(f: Field, order: int) -> Field:
     if order == 0:
         return f
     if order == 1:
-        return f.with_values(magnitude(c.values for c in gradient(f)))
+        return f.with_values(magnitude(gradient(f)))
     if order == 2:
         n = f.spec.n
-        grads = gradient(f)
+        grads = [f.with_values(g) for g in gradient(f)]
         # Hessian rows: the pure second partial first, then the mixed ones
         rows = ([second_derivative(f, i)] + [derivative(grads[i], j) for j in range(n) if j != i]
                 for i in range(n))
-        return f.with_values(magnitude(c.values for row in rows for c in row))
+        return f.with_values(magnitude(c for row in rows for c in row))
     raise ValueError(f"derivative order {order} not supported (max 2)")
 
 
@@ -108,12 +108,14 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
     an infeasible weight are skipped; a zero right side is flagged.
 
     A level with a single part (level 0 and the top level) is measured
-    on that part's own cylinder (`DecompositionResult.part`), which is
-    exact up to the order of the quadrature sums, as in
-    `decomp.norm_bound_ratio`.
+    on that part's own cylinder, which is exact up to the order of the
+    quadrature sums, as in `decomp.norm_bound_ratio`.  A given `d` must
+    split a field on u's grid.
     """
     if d is None:
         d = decompose(u)
+    elif d.spec != u.spec:
+        raise ValueError(f"decomposition grid {d.spec} differs from field grid {u.spec}")
     rhs_m = lp_norm(_deriv_magnitude(u, m), r)
     rhs_0 = lp_norm(u, q)
     out = {"ratios": {}, "theta": {}, "flags": []}
@@ -123,8 +125,8 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
         if theta is None:
             out["flags"].append(f"level {k}: infeasible exponents, skipped")
             continue
-        level = [s for s in d.parts() if len(s) == k]
-        part = d.part(level[0]) if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
+        level = [s for s in d.parts if len(s) == k]
+        part = d.parts[level[0]] if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
         lhs = lp_norm(_deriv_magnitude(part, j), p)
         if lhs == 0.0:
             out["ratios"][k] = 0.0
@@ -169,8 +171,7 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     is invariant under u -> lambda u.
     """
     check_interpolation_exponents(p, q)
-    grads = [c.values for c in gradient(u)]
-    gv = chain_rule_power_gradient(u.values, grads, p / 2.0)
+    gv = chain_rule_power_gradient(u.values, gradient(u), p / 2.0)
     gnorm = lp_norm(u.with_values(magnitude(gv)), 2)
     uq = lp_norm(u, q)
     lhs = lp_norm(u, p)
@@ -200,12 +201,10 @@ def derivative_interpolation_ratio(u: Field, i: int, p: float) -> dict:
     if not 1 <= i <= u.spec.n:
         raise ValueError(f"direction {i} outside 1..{u.spec.n}")
     psi = derivative(u, i - 1)
-    lhs = lp_norm(psi, p)
-    d2 = second_derivative(u, i - 1)
-    dv = chain_rule_power_gradient(psi.values, [d2.values], p / 2.0)[0]
-    rhs = lp_norm(u.with_values(np.abs(dv)), 2) ** (2.0 / (p + 2.0)) * lp_norm(
-        u, p
-    ) ** (2.0 / (p + 2.0))
+    lhs = lp_norm(u.with_values(psi), p)
+    dv = chain_rule_power_gradient(psi, [second_derivative(u, i - 1)], p / 2.0)[0]
+    e = 2.0 / (p + 2.0)
+    rhs = lp_norm(u.with_values(np.abs(dv)), 2) ** e * lp_norm(u, p) ** e
     out = {"lhs": lhs, "rhs": rhs}
     if lhs == 0.0:
         out["ratio"] = 0.0
@@ -245,15 +244,15 @@ def extreme_case_checks(u: Field, p: float = 2.0, r: float = 2.0,
     spacing = [spec.spacing(ax) for ax in range(spec.n)]
     product = np.ones(spec.shape)
     for ax, g in enumerate(grads):
-        product = product * (np.sum(np.abs(g.values), axis=ax, keepdims=True) * spacing[ax])
+        product = product * (np.sum(np.abs(g), axis=ax, keepdims=True) * spacing[ax])
     lhs = np.abs(u.values) ** spec.n
     report["pointwise_margin"] = float(np.max(lhs - product))
     report["pointwise_ok"] = bool(report["pointwise_margin"] <= 1e-12 * scale**spec.n)
 
     for ax in range(spec.n):
         h = spacing[ax]
-        dpsi = grads[ax].values
-        d2psi = second_derivative(u, ax).values
+        dpsi = grads[ax]
+        d2psi = second_derivative(u, ax)
         num = np.sum(np.abs(dpsi) ** p, axis=ax) * h
         fac_r = (np.sum(np.abs(d2psi) ** r, axis=ax) * h) ** (p / (2.0 * r))
         fac_q = (np.sum(np.abs(u.values) ** q, axis=ax) * h) ** (p / (2.0 * q))
@@ -310,9 +309,9 @@ def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2,
     f = dilated_line_field(d, profile, halfwidth, points)
     p = n / (n - 1.0)
     num = lp_norm(f, p)
-    den = lp_norm(gradient(f)[0], 1)
+    den = lp_norm(f.with_values(gradient(f)[0]), 1)
     ref = dilated_line_field(1.0, profile, halfwidth, points)
-    c_ref = lp_norm(ref, p) / lp_norm(gradient(ref)[0], 1)
+    c_ref = lp_norm(ref, p) / lp_norm(ref.with_values(gradient(ref)[0]), 1)
     return {
         "d": d,
         "measured": num / den,
@@ -333,7 +332,7 @@ def dilated_gn_ratio(d: float, theta: float, profile=gaussian_bump,
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     f = dilated_line_field(d, profile, halfwidth, points)
     num = lp_norm(f, 2)
-    den = lp_norm(gradient(f)[0], 2) ** theta * lp_norm(f, 1) ** (1.0 - theta)
+    den = lp_norm(f.with_values(gradient(f)[0]), 2) ** theta * lp_norm(f, 1) ** (1.0 - theta)
     return {
         "d": d,
         "measured": num / den,

@@ -262,7 +262,7 @@ def run(config: SolverConfig) -> Trajectory:
         t = k * dt
         bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
         phi = Field(spec, v - bundle.u_tilde.values, t)
-        grad_phi = Field(spec, magnitude(c.values for c in gradient(phi)), t)
+        grad_phi = Field(spec, magnitude(gradient(phi)), t)
         prof_b = bundle.profile_values.reshape(col)
         tails = tail_mass(phi)
         rows.append(dict(

@@ -162,19 +162,19 @@ def solve_periodic(
     out = []
     for k in range(steps + 1):
         if k in record:
-            out.append(PeriodicState(spec, u.copy(), k * dt, ubar))
+            out.append(PeriodicState(spec, u, k * dt, ubar))
         if k < steps:
             u = stepper.step(u, k * dt)
     return out
 
 
-def spectral_derivative(values: np.ndarray, axis: int, size: int | None = None) -> np.ndarray:
+def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     """Exact derivative of the trigonometric interpolant along one axis.
 
     Unit period per direction; the unpaired highest mode of an even-size
     grid contributes nothing to a real derivative and is dropped.
     """
-    m = values.shape[axis] if size is None else size
+    m = values.shape[axis]
     k = np.fft.fftfreq(m, d=1.0 / m)
     mult = 2.0j * np.pi * k
     if m % 2 == 0:

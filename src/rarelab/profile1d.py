@@ -246,17 +246,17 @@ class ProfileSpline:
         return np.where((x < self._lo) | (x > self._hi), 0.0, out)
 
 
-def profile_to_field(p: ProfileState) -> Field:
-    """Repackage as a 1-d Field so the snapshot format applies.  The
-    Field takes over the state's values array, which becomes read-only."""
-    dx = p.dx
-    L = -float(p.x1[0]) + 0.5 * dx
+def profile_to_field(p: ProfileState, L: float) -> Field:
+    """Repackage as a 1-d Field on the grid of half-length L the state was
+    made on, so the snapshot format applies (L rebuilt from the cell
+    centres would carry roundoff).  The Field takes over the values."""
     spec = DomainSpec(n=1, L=L, n1=p.values.size)
     return Field(spec=spec, values=p.values, t=p.t)
 
 
-def write_profile_series(states, flux: FluxSet, path, ps=(1.0, 2.0, np.inf)) -> None:
-    """CSV time series: slope bound, slope norms, deviation integral."""
+def write_profile_series(states, flux: FluxSet, path) -> None:
+    """CSV time series: slope bound, slope L^1, L^2, L^inf norms, deviation integral."""
+    ps = (1.0, 2.0, np.inf)
     names = ["t", "max_slope", "t_max_slope"]
     names += ["slope_linf" if np.isinf(q) else f"slope_l{q:g}" for q in ps]
     names.append("end_state_deviation")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rarelab import cli, mdsolver
+from rarelab.domain import read_snapshot
 from rarelab.mdsolver import NORM_COLUMNS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -321,6 +322,15 @@ class TestTorusAndProfileConfigs:
         ("counterexample", "n = 1", "n must be at least 2"),
         ("rates", "rates.window = 1,2", "needs input = <norms.csv>"),
         ("rates", "input = tests", "needs input = <norms.csv>"),
+        ("simulate", "w0_modes = 1,1,nan", "w0_modes entries must be finite"),
+        ("simulate", "w0_modes = 1,1,inf", "w0_modes entries must be finite"),
+        ("simulate", "w0_modes = nan,1,0.1", "w0_modes entries must be finite"),
+        ("periodic", "w0_modes = 1,1,nan", "w0_modes entries must be finite"),
+        ("simulate", "v0 = gaussian:0.1,0,0", "with width > 0, got 'gaussian:0.1,0,0'"),
+        ("simulate", "v0 = gaussian:0.1,0,-1", "with width > 0, got 'gaussian:0.1,0,-1'"),
+        ("simulate", "v0 = gaussian:nan,0,1", "v0 needs finite gaussian:amp,center,width"),
+        ("simulate", "v0 = gaussian:0.1,inf,1", "v0 needs finite gaussian:amp,center,width"),
+        ("simulate", "v0 = gaussian:0.1,0", "v0 needs finite gaussian:amp,center,width"),
     ])
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, command, line, message):
         text = f"experiment = {command}\nL = 10\nn1 = 100\nt_end = 0.5\n{line}\n"
@@ -366,6 +376,13 @@ class TestPeriodicDefaults:
         assert report["rate_2alpha"] == pytest.approx(8 * np.pi**2, rel=1e-3)
         series = (tmp_path / "out" / "periodic_series.csv").read_text().splitlines()
         assert len(series) > 10
+
+
+def test_profile_snapshot_keeps_the_configured_half_length(tmp_path):
+    # 7.3 is not the sum of -x1[0] and dx / 2 in floating point
+    assert run_cli(tmp_path, "profile", "L = 7.3\nn1 = 100\nt_end = 0.5\n") == 0
+    f = read_snapshot(tmp_path / "out" / "profile_final.field")
+    assert f.spec.L == 7.3 and f.spec.n1 == 100
 
 
 def test_cli_runs_store_no_fields(tmp_path, capsys):

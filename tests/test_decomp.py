@@ -37,7 +37,7 @@ SPEC3 = DomainSpec(n=3, L=2.0, n1=8, n_torus=(8, 6))
 
 
 def grad_magnitude(f):
-    return magnitude(c.values for c in gradient(f))
+    return magnitude(gradient(f))
 
 
 def norm(f, m, p):
@@ -55,7 +55,7 @@ def tile(spec, subset, arr):
 
 def tiled_ratio(u, d, m, p):
     """norm_bound_ratio with every part tiled onto the full grid."""
-    return sum(norm(Field(u.spec, d.broadcast(s)), m, p) for s in d.parts()) / norm(u, m, p)
+    return sum(norm(Field(u.spec, d.broadcast(s)), m, p) for s in d.parts) / norm(u, m, p)
 
 
 class TestWorkedExamples:
@@ -63,14 +63,14 @@ class TestWorkedExamples:
         mesh = meshes(SPEC2)
         f = Field(SPEC2, np.cosh(mesh[0] / 2))
         d = decompose(f)
-        assert np.allclose(d.u0, np.cosh(make_grid(SPEC2).x1 / 2), atol=1e-14)
-        assert np.max(np.abs(d.components[(2,)])) < 1e-14
+        assert np.allclose(d.parts[()].values, np.cosh(make_grid(SPEC2).x1 / 2), atol=1e-14)
+        assert np.max(np.abs(d.parts[(2,)].values)) < 1e-14
 
     def test_single_transverse_mode(self):
         mesh = meshes(SPEC2)
         f = Field(SPEC2, np.sin(2 * np.pi * mesh[1]))
         d = decompose(f)
-        assert np.max(np.abs(d.u0)) < 1e-15
+        assert np.max(np.abs(d.parts[()].values)) < 1e-15
         assert np.allclose(d.broadcast((2,)), f.values, atol=1e-14)
 
     def test_three_dimensional_hand_example(self):
@@ -81,7 +81,7 @@ class TestWorkedExamples:
         f = Field(SPEC3, 1.0 + np.sin(2 * np.pi * mesh[1]) * np.sin(2 * np.pi * mesh[2])
                   + np.cos(2 * np.pi * mesh[1]))
         d = decompose(f)
-        assert np.allclose(d.u0, 1.0, atol=1e-14)
+        assert np.allclose(d.parts[()].values, 1.0, atol=1e-14)
         assert np.max(np.abs(d.broadcast((2,)) - np.cos(2 * np.pi * mesh[1]))) < 1e-13
         assert np.max(np.abs(d.broadcast((3,)))) < 1e-13
         expect = np.sin(2 * np.pi * mesh[1]) * np.sin(2 * np.pi * mesh[2])
@@ -117,11 +117,12 @@ class TestReconstruction:
                 c = c - c.mean(axis=pos, keepdims=True)
             comps[subset] = c
         d0 = decompose(Field(spec, np.zeros(spec.shape)))
-        d = type(d0)(spec=spec, t=0.0, u0=u0, components=comps)
+        parts = {s: Field(d0.parts[s].spec, arr) for s, arr in {(): u0, **comps}.items()}
+        d = type(d0)(spec=spec, t=0.0, parts=parts)
         again = decompose(reconstruct(d))
-        assert np.max(np.abs(again.u0 - u0)) < 1e-13
+        assert np.max(np.abs(again.parts[()].values - u0)) < 1e-13
         for subset in comps:
-            assert np.max(np.abs(again.components[subset] - comps[subset])) < 1e-13
+            assert np.max(np.abs(again.parts[subset].values - comps[subset])) < 1e-13
 
 
 class TestDecomposeProperties:
@@ -147,33 +148,32 @@ class TestDecomposeProperties:
 class TestPart:
     def test_each_part_is_its_stored_array_on_its_own_cylinder(self):
         d = decompose(random_trig_field(SPEC3, np.random.default_rng(3)))
-        for subset in d.parts():
-            f = d.part(subset)
+        for subset, f in d.parts.items():
             assert (f.spec.n, f.spec.L, f.spec.n1) == (1 + len(subset), SPEC3.L, SPEC3.n1)
             assert f.spec.n_torus == tuple(SPEC3.n_torus[k - 2] for k in subset)
-            assert np.array_equal(f.values, d.components[subset] if subset else d.u0)
-        assert d.part((3,)).spec.n_torus == (6,)
+            assert np.array_equal(tile(SPEC3, subset, f.values), d.broadcast(subset))
+        assert d.parts[(3,)].spec.n_torus == (6,)
 
     @pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["n2", "n3"])
     def test_parts_are_read_only_and_shared_without_side_effects(self, spec):
         d = decompose(random_trig_field(spec, np.random.default_rng(6)))
-        stored = [d.part(s).values for s in d.parts()]
+        stored = [part.values for part in d.parts.values()]
         before = [a.copy() for a in stored]
-        for subset, arr, old in zip(d.parts(), stored, before):
-            assert arr is (d.components[subset] if subset else d.u0)
+        for subset, arr, old in zip(d.parts, stored, before):
+            assert np.shares_memory(d.broadcast(subset), arr)
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
-            assert d.part(subset).values is arr and np.array_equal(arr, old)
+            assert d.parts[subset].values is arr and np.array_equal(arr, old)
 
     def test_one_d_part_is_on_the_line(self):
         d = decompose(random_trig_field(SPEC3, np.random.default_rng(4)))
-        assert d.part(()).spec == DomainSpec(n=1, L=SPEC3.L, n1=SPEC3.n1)
+        assert d.parts[()].spec == DomainSpec(n=1, L=SPEC3.L, n1=SPEC3.n1)
 
     @pytest.mark.parametrize("spec, top", [(SPEC2, (2,)), (SPEC3, (2, 3))], ids=["n2", "n3"])
     def test_top_part_is_on_the_full_grid(self, spec, top):
         d = decompose(random_trig_field(spec, np.random.default_rng(5)))
-        assert d.part(top).spec == d.spec
+        assert d.parts[top].spec == d.spec
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -184,8 +184,8 @@ class TestPart:
     def test_own_cylinder_measures_like_the_tiled_part(self, n1, n_torus, seed):
         spec = DomainSpec(n=1 + len(n_torus), L=2.0, n1=n1, n_torus=n_torus)
         d = decompose(Field(spec, np.random.default_rng(seed).standard_normal(spec.shape)))
-        for subset in d.parts():
-            own, tiled = d.part(subset), Field(spec, d.broadcast(subset))
+        for subset, own in d.parts.items():
+            tiled = Field(spec, d.broadcast(subset))
             assert np.array_equal(tile(spec, subset, grad_magnitude(own)),
                                   grad_magnitude(tiled))
             for m in (0, 1):
@@ -206,10 +206,10 @@ class TestMembership:
 
     def test_violator_flagged_with_direction(self):
         d = decompose(Field(SPEC2, np.zeros(SPEC2.shape)))
-        bad = dict(d.components)
+        bad = dict(d.parts)
         mesh_t = np.arange(8) / 8
-        bad[(2,)] = np.broadcast_to(1.0 + np.sin(2 * np.pi * mesh_t), (SPEC2.n1, 8)).copy()
-        d_bad = type(d)(spec=SPEC2, t=0.0, u0=d.u0, components=bad)
+        bad[(2,)] = Field(SPEC2, np.broadcast_to(1.0 + np.sin(2 * np.pi * mesh_t), (SPEC2.n1, 8)))
+        d_bad = type(d)(spec=SPEC2, t=0.0, parts=bad)
         rep = check_membership(d_bad)
         assert rep["per_component"][(2,)][2] == pytest.approx(1.0)
 
@@ -285,6 +285,13 @@ class TestNormBound:
         with pytest.raises(ValueError):
             norm_bound_ratio(f, decompose(f), 2, 2.0)
 
+    def test_decomposition_of_another_grid_rejected(self):
+        rng = np.random.default_rng(14)
+        f = random_trig_field(DomainSpec(n=3, L=2.0, n1=16, n_torus=(8, 8)), rng)
+        g = random_trig_field(DomainSpec(n=3, L=2.0, n1=32, n_torus=(4, 6)), rng)
+        with pytest.raises(ValueError, match="n1=32.*differs from field grid.*n1=16"):
+            norm_bound_ratio(f, decompose(g), 1, 2.0)
+
 
 class TestLinearity:
     def test_power_of_two_scaling_bitwise(self):
@@ -292,9 +299,8 @@ class TestLinearity:
         f = Field(SPEC3, rng.standard_normal(SPEC3.shape))
         d1 = decompose(f)
         d2 = decompose(Field(SPEC3, 4.0 * f.values))
-        assert np.array_equal(d2.u0, 4.0 * d1.u0)
-        for subset in d1.components:
-            assert np.array_equal(d2.components[subset], 4.0 * d1.components[subset])
+        for subset in d1.parts:
+            assert np.array_equal(d2.parts[subset].values, 4.0 * d1.parts[subset].values)
 
     def test_general_linear_combination(self):
         rng = np.random.default_rng(22)
@@ -303,10 +309,9 @@ class TestLinearity:
         a, b = 1.7, -0.3
         du = decompose(Field(SPEC2, a * f.values + b * g.values))
         df, dg = decompose(f), decompose(g)
-        assert np.max(np.abs(du.u0 - (a * df.u0 + b * dg.u0))) < 2e-13
-        for subset in du.components:
-            combo = a * df.components[subset] + b * dg.components[subset]
-            assert np.max(np.abs(du.components[subset] - combo)) < 2e-13
+        for subset in du.parts:
+            combo = a * df.parts[subset].values + b * dg.parts[subset].values
+            assert np.max(np.abs(du.parts[subset].values - combo)) < 2e-13
 
 
 class TestDump:

@@ -129,6 +129,13 @@ class TestGNRatio:
             want = lhs / (rhs_m**theta * rhs_0 ** (1.0 - theta))
             assert ratio == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_decomposition_of_another_grid_rejected(self):
+        rng = np.random.default_rng(12)
+        u = Field(DomainSpec(n=3, L=4.0, n1=16, n_torus=(8, 8)), rng.standard_normal((16, 8, 8)))
+        g = Field(DomainSpec(n=3, L=4.0, n1=32, n_torus=(4, 6)), rng.standard_normal((32, 4, 6)))
+        with pytest.raises(ValueError, match="n1=32.*differs from field grid.*n1=16"):
+            gn_ratio(u, 0, 1, 2.0, 1.0, 2.0, d=decompose(g))
+
     def test_corpus_maximum_stable(self):
         # regression guard: corpus max recorded from the reference run of
         # this seeded corpus; the bound asserts no blow-up, not a constant

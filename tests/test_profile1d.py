@@ -213,7 +213,7 @@ class TestInterpolantAndIO:
         assert np.max(np.abs(got - evolved[0].values)) < 1e-14
 
     def test_snapshot_roundtrip(self, evolved, tmp_path):
-        f = profile_to_field(evolved[0])
+        f = profile_to_field(evolved[0], 50.0)
         assert f.spec.n == 1
         path = tmp_path / "profile.field"
         write_snapshot(f, path)
