@@ -12,10 +12,12 @@ check; it exercises every term of the closed form.
 The ansatz reads the solver's stacked [left, right] far field through
 the row map of `far_field_grid`.  Formula-side derivatives are taken
 spectrally on the torus grid (exact for resolved modes).  The weight and
-its slope come from a spline of the profile on any grid: the cylinder
-run passes the profile on its own x1 grid, the residual check a finer
-one, where the closed form is then more accurate than the
-finite-difference residual it is checked against.
+its slope come from `profile1d.ProfileSpline`, a not-a-knot cubic spline
+of the profile on any grid whose nodal slopes solve one tridiagonal
+system with LAPACK ``dgtsv``: the cylinder run passes the profile on its
+own x1 grid, the residual check a finer one, where the closed form is
+then more accurate than the finite-difference residual it is checked
+against.
 """
 
 from __future__ import annotations

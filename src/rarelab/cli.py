@@ -95,6 +95,13 @@ def _int_at_least(cfg: dict[str, str], key: str, default: str, least: int) -> in
     return value
 
 
+def _finite(cfg: dict[str, str], key: str, default: str | None) -> float:
+    value = float(cfg.get(key, default))
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _modes(s: str) -> tuple[tuple[float, ...], ...]:
     """w0_modes 'k1,k2,amp; k1,k2,amp' -> ((k1,k2,amp), ...), every entry finite."""
     modes = tuple(tuple(map(float, chunk.split(","))) for chunk in s.split(";") if chunk.strip())
@@ -326,7 +333,7 @@ def _profile_inputs(cfg: dict[str, str]):
 
 def _exp_profile(out: _Outputs, rng, p0, L, flux, t_end, cfl, snaps) -> None:
     states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
-    write_profile_series(states, flux, out.path("profile_series.csv"))
+    write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
     write_snapshot(profile_to_field(last, L), out.path("profile_final.field"))
     exact = inviscid_rarefaction(last.x1, last.t, flux, last.ul, last.ur)
@@ -346,8 +353,8 @@ def _periodic_inputs(cfg: dict[str, str]):
     default 100 snapshots spaced evenly up to t_end."""
     tspec = TorusSpec(sizes=tuple(int(x) for x in cfg.get("sizes", "32,32").split(",")))
     flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
-    ubar, t_end = float(cfg.get("ubar", "-0.5")), float(cfg.get("t_end", "0.5"))
-    dt = float(cfg["dt"]) if "dt" in cfg else None
+    ubar, t_end = _finite(cfg, "ubar", "-0.5"), _finite(cfg, "t_end", "0.5")
+    dt = _finite(cfg, "dt", None) if "dt" in cfg else None
     w0 = trig_polynomial(_modes(cfg.get("w0_modes", "1,1,0.1")), tspec.coordinates())
     if abs(float(np.mean(w0))) > 1e-12:
         raise ValueError(f"w0_modes average {float(np.mean(w0)):.3e}, not zero")

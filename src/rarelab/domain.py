@@ -61,7 +61,7 @@ class DomainSpec:
     Attributes:
         n: spatial dimension, 1 to 3 (n=1 means a bare line, used for
            1-d profile snapshots).
-        L: half-length of the x1 truncation, L > 0.
+        L: half-length of the x1 truncation, finite and > 0.
         n1: number of x1 cells (cell centers at -L + (i+1/2)*dx1).
         n_torus: cells per torus direction, one entry per direction.
     """
@@ -80,8 +80,8 @@ class DomainSpec:
                 f"need {self.n - 1} torus cell counts for n={self.n}, "
                 f"got {len(self.n_torus)}"
             )
-        if not self.L > 0:
-            raise ValueError(f"half-length L must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"half-length L must be positive and finite, got {self.L}")
         if self.n1 < 4:
             raise ValueError(f"n1 must be at least 4, got {self.n1}")
         if any(m < 4 for m in self.n_torus):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from . import stepping
 from .domain import DomainSpec, Field, make_grid, write_table
@@ -219,30 +219,72 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
 
 
 class ProfileSpline:
-    """Cubic interpolant of a profile state, clamped to ul/ur outside.
+    """Not-a-knot cubic interpolant of a profile state, clamped to ul/ur outside.
 
     Downstream modules sample values and slopes through this object on
     grids of their own; the cylinder run samples the profile at its own
     x1 cell centres, which are the profile's grid points.
+
+    The nodal slopes solve de Boor's not-a-knot tridiagonal system (the
+    third derivative is continuous across the second and the next-to-last
+    node) with one LAPACK ``dgtsv``.  Bands, right-hand side, Hermite
+    coefficients and the power-form sums are built in the order
+    ``scipy.interpolate.CubicSpline`` builds them, so values and slopes
+    equal that spline's bit for bit.  Needs at least 4 nodes.
     """
 
     def __init__(self, state: ProfileState):
         self.state = state
-        self._spline = CubicSpline(state.x1, state.values)
-        self._deriv = self._spline.derivative()
-        self._lo = float(state.x1[0])
-        self._hi = float(state.x1[-1])
+        x, y = state.x1, state.values
+        n = x.size
+        if n < 4:
+            raise ValueError(f"a profile spline needs at least 4 nodes, got {n}")
+        h = np.diff(x)
+        if not (np.all(np.isfinite(x)) and np.all(h > 0.0) and np.all(np.isfinite(y))):
+            raise ValueError("profile nodes must be finite and strictly increasing, "
+                             "and its values finite")
+        sec = np.diff(y) / h
+        d, du, dl, b = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+        d[1:-1] = 2 * (h[:-1] + h[1:])
+        du[1:] = h[:-1]
+        dl[:-1] = h[1:]
+        b[1:-1] = 3 * (h[1:] * sec[:-1] + h[:-1] * sec[1:])
+        w = x[2] - x[0]
+        d[0], du[0] = h[1], w
+        b[0] = ((h[0] + 2 * w) * h[1] * sec[0] + h[0] ** 2 * sec[1]) / w
+        w = x[-1] - x[-3]
+        d[-1], dl[-1] = h[-2], w
+        b[-1] = (h[-1] ** 2 * sec[-2] + (2 * w + h[-1]) * h[-2] * sec[-1]) / w
+        *_, s, info = dgtsv(dl, d, du, b, True, True, True, True)
+        if info != 0:
+            raise ValueError(f"not-a-knot system: dgtsv info = {info}")
+        t = (s[:-1] + s[1:] - 2 * sec) / h
+        # power-form coefficients per interval, highest first; each sum
+        # starts from +0.0 as scipy's does, so a -0.0 node value reads +0.0
+        self._c = (t / h, (sec - s[:-1]) / h - t, s[:-1] + 0.0, y[:-1] + 0.0)
+        self._lo = float(x[0])
+        self._hi = float(x[-1])
+
+    def _pieces(self, x):
+        """The clamped points' offsets from their interval's left node, and
+        that interval's coefficients (the last interval is closed)."""
+        x1 = self.state.x1
+        xc = np.clip(x, self._lo, self._hi)
+        i = np.clip(np.searchsorted(x1, xc, "right") - 1, 0, x1.size - 2)
+        return xc - x1[i], [c[i] for c in self._c]
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._spline(np.clip(x, self._lo, self._hi))
+        z, (c0, c1, c2, c3) = self._pieces(x)
+        out = c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
         out = np.where(x < self._lo, self.state.ul, out)
         out = np.where(x > self._hi, self.state.ur, out)
         return out
 
     def slope(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._deriv(np.clip(x, self._lo, self._hi))
+        z, (c0, c1, c2, _) = self._pieces(x)
+        out = c2 + 2 * c1 * z + 3 * c0 * (z * z)
         return np.where((x < self._lo) | (x > self._hi), 0.0, out)
 
 
@@ -254,7 +296,7 @@ def profile_to_field(p: ProfileState, L: float) -> Field:
     return Field(spec=spec, values=p.values, t=p.t)
 
 
-def write_profile_series(states, flux: FluxSet, path) -> None:
+def write_profile_series(states, path) -> None:
     """CSV time series: slope bound, slope L^1, L^2, L^inf norms, deviation integral."""
     ps = (1.0, 2.0, np.inf)
     names = ["t", "max_slope", "t_max_slope"]

@@ -277,6 +277,19 @@ class TestHeapPolicy:
         assert done.stdout.split() == ["0", "1"]
 
 
+class TestStartUp:
+    def test_importing_the_package_loads_no_interpolation_or_optimisation(self):
+        # each of these pulls in hundreds of modules that no run uses
+        script = ("import sys\nimport rarelab, rarelab.cli\n"
+                  "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.sparse')"
+                  " if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 def run_cli(tmp_path, command, text):
     cfg_path = tmp_path / f"{command}.cfg"
     cfg_path.write_text(text)
@@ -297,9 +310,13 @@ class TestTorusAndProfileConfigs:
         ("periodic", "t_end = -1", "must span a positive time"),
         ("periodic", "snapshots = 0.1,9", "snapshot time 9.0 outside"),
         ("periodic", "w0_modes = 0,0,1", "not zero"),
+        ("periodic", "ubar = nan", "ubar must be finite, got nan"),
+        ("periodic", "t_end = inf", "t_end must be finite, got inf"),
+        ("periodic", "dt = inf", "dt must be finite, got inf"),
         ("profile", "t_end = -1", "must span a positive time"),
         ("profile", "snapshots = 0.1,50", "snapshot time 50.0 outside"),
         ("profile", "n1 = 2", "n1 must be at least 4"),
+        ("profile", "L = inf", "half-length L must be positive and finite, got inf"),
         ("profile", "cfl = 0", "cfl must be positive"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
         ("profile", "flux = cubic", "f_1'' dips to"),

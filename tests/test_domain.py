@@ -47,6 +47,8 @@ class TestGrid:
         [
             dict(n=2, L=-1.0, n1=8, n_torus=(8,)),
             dict(n=2, L=0.0, n1=8, n_torus=(8,)),
+            dict(n=2, L=np.inf, n1=8, n_torus=(8,)),
+            dict(n=2, L=np.nan, n1=8, n_torus=(8,)),
             dict(n=2, L=1.0, n1=3, n_torus=(8,)),
             dict(n=2, L=1.0, n1=8, n_torus=(3,)),
             dict(n=4, L=1.0, n1=8, n_torus=(8, 8, 8)),

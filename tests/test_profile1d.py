@@ -212,6 +212,18 @@ class TestInterpolantAndIO:
         got = sp.value(evolved[0].x1)
         assert np.max(np.abs(got - evolved[0].values)) < 1e-14
 
+    @pytest.mark.parametrize("x1, values, message", [
+        ([0.0, 1.0], [0.0, 0.1], "at least 4 nodes, got 2"),
+        ([0.0, 1.0, 2.0], [0.0, 0.1, 0.2], "at least 4 nodes, got 3"),
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 0.1, 0.2, 0.3], "strictly increasing"),
+        ([0.0, 1.0, 2.0, np.inf], [0.0, 0.1, 0.2, 0.3], "strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 0.2, 0.3], "values finite"),
+    ])
+    def test_spline_rejects_short_unordered_or_non_finite_samples(self, x1, values, message):
+        state = ProfileState(np.array(x1), np.array(values), 0.0, -0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            ProfileSpline(state)
+
     def test_snapshot_roundtrip(self, evolved, tmp_path):
         f = profile_to_field(evolved[0], 50.0)
         assert f.spec.n == 1
@@ -223,7 +235,7 @@ class TestInterpolantAndIO:
 
     def test_series_csv(self, evolved, tmp_path):
         path = tmp_path / "series.csv"
-        write_profile_series(evolved, FLUX, path)
+        write_profile_series(evolved, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0].startswith("t,max_slope,t_max_slope")
         assert len(rows) == 1 + len(evolved)
@@ -239,3 +251,62 @@ class TestInterpolantAndIO:
             ProfileState(np.linspace(-1, 1, 8), np.zeros(8), 0.0, 0.5, -0.5)
         with pytest.raises(ValueError):
             ProfileState(np.linspace(-1, 1, 8), np.zeros(4), 0.0, -0.5, 0.5)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scipy_reference(state):
+    """(value, slope) of scipy's not-a-knot CubicSpline, clamped as ProfileSpline clamps."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(state.x1, state.values)
+    deriv = spline.derivative()
+    lo, hi = state.x1[0], state.x1[-1]
+
+    def value(x):
+        out = np.where(x < lo, state.ul, spline(np.clip(x, lo, hi)))
+        return np.where(x > hi, state.ur, out)
+
+    def slope(x):
+        return np.where((x < lo) | (x > hi), 0.0, deriv(np.clip(x, lo, hi)))
+
+    return value, slope
+
+
+class TestSplineMatchesScipy:
+    """ProfileSpline solves scipy's not-a-knot system in the same order of
+    operations, so values and slopes agree bit for bit: at the nodes,
+    between them and in the clamped tails."""
+
+    @pytest.mark.parametrize("data", ["tanh", "noisy", "uneven"])
+    @pytest.mark.parametrize("n1", [4, 5, 64, 3200])
+    def test_values_and_slopes_are_bitwise_equal(self, n1, data):
+        rng = np.random.default_rng(n1)
+        state = make_initial_state(L=20.0, n1=n1, ul=-0.5, ur=0.5)
+        if data == "noisy":
+            state = ProfileState(state.x1, state.values + 0.05 * rng.standard_normal(n1),
+                                 0.0, state.ul, state.ur)
+        elif data == "uneven":
+            x1 = state.x1 + 0.3 * state.dx * rng.uniform(-1.0, 1.0, n1)
+            state = ProfileState(x1, initial_profile(x1, state.ul, state.ur),
+                                 0.0, state.ul, state.ur)
+        x1 = state.x1
+        points = np.concatenate([x1, 0.5 * (x1[1:] + x1[:-1]),
+                                 rng.uniform(x1[0], x1[-1], 4000),
+                                 rng.uniform(-40.0, 40.0, 1000), [-1e6, 1e6]])
+        sp, (value, slope) = ProfileSpline(state), scipy_reference(state)
+        assert same_bits(sp.value(points), value(points))
+        assert same_bits(sp.slope(points), slope(points))
+
+    def test_a_signed_zero_node_reads_as_scipy_reads_it(self):
+        # a -0.0 node on a decreasing concave stretch: every term of the
+        # power sum is -0.0 there, and scipy's sum starts from +0.0
+        state = ProfileState(np.arange(7.0), np.array([0.9, 0.8, 0.5, -0.0, -1.0, -3.0, -7.0]),
+                             0.0, -8.0, 1.0)
+        value, slope = scipy_reference(state)
+        sp = ProfileSpline(state)
+        assert same_bits(sp.value(state.x1), value(state.x1))
+        assert same_bits(sp.slope(state.x1), slope(state.x1))
