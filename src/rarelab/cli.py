@@ -5,9 +5,11 @@ counterexample, rates, validate.  Configs are flat key = value text
 (dotted prefixes group related keys, '#' starts a comment).  Each
 experiment is an input stage, which turns a config into checked inputs
 or raises, and a run stage, which takes those inputs; `validate` runs
-the input stage only.  Every file a run writes is digested in its
-manifest (config hash, versions, wall time).  Exit codes: 0 ok, 1 config
-error, 2 numerical abort (CFL or tail guard), 3 rate acceptance failure.
+the input stage only.  Random fields (decompose, gn-study) come from the
+config key `seed` (an integer >= 0, default 0).  Every file a run writes
+is digested in its manifest (config hash, versions, wall time).  Exit
+codes: 0 ok, 1 config or usage error, 2 numerical abort (CFL or tail
+guard), 3 rate acceptance failure.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .mdsolver import (
     validate_config, write_norm_table,
 )
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
+from .periodic import schedule as torus_schedule
 from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
 from .rates import (
     MIN_FIT_POINTS,
@@ -80,8 +83,11 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, errors="replace") as fh:  # a stray byte fails as a bad line
+            return parse_config(fh.read())
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from e
 
 
 def _floats(s: str) -> list[float]:
@@ -89,7 +95,10 @@ def _floats(s: str) -> list[float]:
 
 
 def _int_at_least(cfg: dict[str, str], key: str, default: str, least: int) -> int:
-    value = int(cfg.get(key, default))
+    try:
+        value = int(cfg.get(key, default))
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got '{cfg[key]}'") from None
     if value < least:
         raise ValueError(f"{key} must be at least {least}, got {value}")
     return value
@@ -194,11 +203,10 @@ def _sha256(path) -> str:
 
 
 class _Outputs:
-    def __init__(self, outdir, cfg_text: str, seed: int):
+    def __init__(self, outdir, cfg_text: str):
         os.makedirs(outdir, exist_ok=True)
         self.outdir = outdir
         self.cfg_text = cfg_text
-        self.seed = seed
         self.t0 = time.time()
         self.files: list[str] = []
 
@@ -215,7 +223,6 @@ class _Outputs:
             "version": __version__,
             "numpy": np.__version__,
             "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
-            "seed": self.seed,
             "wall_seconds": time.time() - self.t0,
             "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},
             **(extra or {}),
@@ -286,10 +293,7 @@ def _simulate_inputs(cfg: dict[str, str]):
     problems = validate_config(sc)
     if problems:
         raise ValueError("; ".join(problems))
-    try:
-        _, dt, record = solver_schedule(sc)
-    except NumericalAbort as e:
-        raise ValueError(e.detail) from e
+    _, dt, record = solver_schedule(sc)
     times = [idx * dt for idx in sorted(record)]
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
@@ -297,7 +301,7 @@ def _simulate_inputs(cfg: dict[str, str]):
     return sc, window
 
 
-def _exp_simulate(out: _Outputs, rng, sc: SolverConfig, window) -> None:
+def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
     traj = run_solver(sc)
     write_norm_table(traj, out.path("norms.csv"))
     report = _rate_report(traj.series, window)
@@ -331,7 +335,7 @@ def _profile_inputs(cfg: dict[str, str]):
     return p0, L, flux, t_end, cfl, snaps
 
 
-def _exp_profile(out: _Outputs, rng, p0, L, flux, t_end, cfl, snaps) -> None:
+def _exp_profile(out: _Outputs, p0, L, flux, t_end, cfl, snaps) -> None:
     states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
     write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
@@ -360,11 +364,11 @@ def _periodic_inputs(cfg: dict[str, str]):
         raise ValueError(f"w0_modes average {float(np.mean(w0)):.3e}, not zero")
     snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
              else tuple(np.linspace(t_end / 100.0, t_end, 100)))
-    step_schedule(t_end, np.inf, dt, 0.0, snaps)
+    torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)
     return w0, tspec, flux, ubar, t_end, dt, snaps
 
 
-def _exp_periodic(out: _Outputs, rng, w0, tspec, flux, ubar, t_end, dt, snaps) -> None:
+def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, t_end, dt, snaps) -> None:
     states = solve_periodic(w0, ubar, flux, t_end, snaps, spec=tspec, dt=dt)
     norms = np.array(write_periodic_series(states, out.path("periodic_series.csv")))
     ts = np.array([s.t for s in states])
@@ -402,11 +406,13 @@ def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
 
 
 def _decompose_inputs(cfg: dict[str, str]):
-    """(grid, number of fields) of a decompose config."""
-    return _domain(cfg, "3", "2", "16", "8"), _int_at_least(cfg, "n_fields", "50", 1)
+    """(grid, number of fields, seed) of a decompose config."""
+    return (_domain(cfg, "3", "2", "16", "8"), _int_at_least(cfg, "n_fields", "50", 1),
+            _int_at_least(cfg, "seed", "0", 0))
 
 
-def _exp_decompose(out: _Outputs, rng, spec: DomainSpec, n_fields: int) -> None:
+def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
     worst = {"reconstruction": 0.0, "membership": 0.0, "ratio": 0.0}
     for _ in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -427,14 +433,15 @@ def _exp_decompose(out: _Outputs, rng, spec: DomainSpec, n_fields: int) -> None:
     out.json("decomposition_suite.json", worst)
     parts = dump_components(decompose(_random_cylinder_field(spec, rng)), out.outdir)
     out.files += ["decomposition.json", *(c["file"] for c in parts["components"])]
-    out.finish({"experiment": "decompose", "n_fields": n_fields})
+    out.finish({"experiment": "decompose", "n_fields": n_fields, "seed": seed})
 
 
 def _gn_inputs(cfg: dict[str, str]):
-    """(grid, number of fields, j, m, p, q, r) of a gn-study config; the
+    """(grid, number of fields, seed, j, m, p, q, r) of a gn-study config; the
     exponents must fit a split level and the interpolation quotient."""
     spec = _domain(cfg, "2", "4", "64", "16")
     n_fields = _int_at_least(cfg, "n_fields", "40", 1)
+    seed = _int_at_least(cfg, "seed", "0", 0)
     j, m = int(cfg.get("j", "0")), int(cfg.get("m", "1"))
     p, q, r = (float(cfg.get(k, d)) for k, d in (("p", "2"), ("q", "1"), ("r", "2")))
     if m > 2:
@@ -442,10 +449,12 @@ def _gn_inputs(cfg: dict[str, str]):
     if all(solve_theta(j, m, p, q, r, k) is None for k in range(spec.n)):
         raise ValueError(f"exponents j={j} m={m} p={p:g} q={q:g} r={r:g} fit no split level")
     check_interpolation_exponents(max(p, 2.0), q)
-    return spec, n_fields, j, m, p, q, r
+    return spec, n_fields, seed, j, m, p, q, r
 
 
-def _exp_gn_study(out: _Outputs, rng, spec: DomainSpec, n_fields: int, j, m, p, q, r) -> None:
+def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int,
+                  j, m, p, q, r) -> None:
+    rng = np.random.default_rng(seed)
     rows = []
     for i in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -458,7 +467,7 @@ def _exp_gn_study(out: _Outputs, rng, spec: DomainSpec, n_fields: int, j, m, p, 
         "interpolation_ratio_max": max(row[2] for row in rows),
         "exponents": {"j": j, "m": m, "p": p, "q": q, "r": r},
     })
-    out.finish({"experiment": "gn-study", "n_fields": n_fields})
+    out.finish({"experiment": "gn-study", "n_fields": n_fields, "seed": seed})
 
 
 _PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
@@ -479,7 +488,7 @@ def _counterexample_inputs(cfg: dict[str, str]):
     return n, ds, _PROFILES[name], thetas
 
 
-def _exp_counterexample(out: _Outputs, rng, n: int, ds, profile, thetas) -> None:
+def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> None:
     sob = [dilated_sobolev_ratio(d, profile, n) for d in ds]
     write_table(out.path("sobolev_scaling.csv"), ("d", "measured", "predicted", "ratio"),
                 ((row["d"], row["measured"], row["predicted"], row["measured"] / row["predicted"])
@@ -512,7 +521,7 @@ def _rates_inputs(cfg: dict[str, str]):
     return src, np.genfromtxt(src, delimiter=",", names=True), _window(cfg)
 
 
-def _exp_rates(out: _Outputs, rng, src: str, table, window) -> None:
+def _exp_rates(out: _Outputs, src: str, table, window) -> None:
     report = _rate_report(table, window)
     write_rate_report(report, out.path("rates.json"))
     out.finish({"experiment": "rates", "input": src})
@@ -562,6 +571,8 @@ def _inputs(cfg: dict[str, str]) -> tuple[str, tuple]:
         inputs = _EXPERIMENTS[kind][0](read)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except NumericalAbort as e:  # a step schedule's dt above the stable step
+        raise ConfigError(e.detail) from e
     unknown = [f"unknown key '{key}' for {kind}" + "".join(
         f" (closest known key: '{c}')" for c in difflib.get_close_matches(key, read.asked, n=1))
         for key in sorted(set(cfg) - read.asked)]
@@ -580,11 +591,10 @@ def validate(cfg: dict[str, str]) -> list[str]:
     return []
 
 
-def run_experiment(cfg: dict[str, str], outdir, seed: int = 0) -> int:
+def run_experiment(cfg: dict[str, str], outdir) -> int:
     kind, inputs = _inputs(cfg)
     cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
-    out = _Outputs(outdir, cfg_text, seed)
-    _EXPERIMENTS[kind][1](out, np.random.default_rng(seed), *inputs)
+    _EXPERIMENTS[kind][1](_Outputs(outdir, cfg_text), *inputs)
     return 0
 
 
@@ -632,9 +642,12 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True,
                         help="flat key=value config file")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="corpus seed")
-    args = parser.parse_args(argv)
+        if name != "validate":
+            sp.add_argument("--out", default="out", help="output directory")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if e.code else 0
 
     try:
         cfg = load_config(args.config)
@@ -651,7 +664,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config says experiment = {cfg['experiment']}, "
                 f"but the {args.command} subcommand was invoked")
-        return run_experiment(cfg, args.out, seed=args.seed)
+        return run_experiment(cfg, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -38,11 +38,11 @@ class FluxSet:
     def n(self) -> int:
         return len(self.f)
 
-    def check_convexity(self, umin: float, umax: float, samples: int = 2001) -> None:
-        """Verify f_1''(u) >= a0 > 0 on [umin, umax] by dense sampling."""
+    def check_convexity(self, umin: float, umax: float) -> None:
+        """Verify f_1''(u) >= a0 > 0 on [umin, umax] at 2001 samples."""
         if not self.a0 > 0:
             raise ValueError(f"convexity floor a0 must be positive, got {self.a0}")
-        u = np.linspace(umin, umax, samples)
+        u = np.linspace(umin, umax, 2001)
         curv = np.asarray(self.d2f[0](u), dtype=float)
         low = float(np.min(curv))
         if low < self.a0 - 1e-12:

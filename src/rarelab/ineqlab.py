@@ -5,9 +5,8 @@ cylinder: dilating a 1-d bump sends the Sobolev-quotient to infinity at
 a known power of the dilation.  Splitting a field by torus averaging
 (see `decomp`) repairs it: each split level satisfies the inequality of
 its own effective dimension.  This module measures all of those
-quotients on corpora of fields, reproduces the two dilation scalings
-with their exact exponents, and checks the two extreme-case bounds that
-anchor the proof of the averaged-case inequality.
+quotients on corpora of fields and reproduces the two dilation scalings
+with their exact exponents.
 
 All constants are treated as existence statements: the lab records
 corpus maxima and verifies boundedness and scale invariance, never a
@@ -28,8 +27,6 @@ __all__ = [
     "gn_ratio",
     "interpolation_ratio",
     "check_interpolation_exponents",
-    "derivative_interpolation_ratio",
-    "extreme_case_checks",
     "dilated_sobolev_ratio",
     "dilated_gn_ratio",
     "dilation_slope",
@@ -99,8 +96,7 @@ def _deriv_magnitude(f: Field, order: int) -> Field:
 
 
 def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
-             d: DecompositionResult | None = None,
-             decay_at_infinity: bool = False) -> dict:
+             d: DecompositionResult | None = None) -> dict:
     """Per-level interpolation quotients for one exponent set.
 
     For each split level k the left side uses the level sum; the right
@@ -120,7 +116,7 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
     rhs_0 = lp_norm(u, q)
     out = {"ratios": {}, "theta": {}, "flags": []}
     for k in range(u.spec.n):
-        theta = solve_theta(j, m, p, q, r, k, decay_at_infinity)
+        theta = solve_theta(j, m, p, q, r, k)
         out["theta"][k] = theta
         if theta is None:
             out["flags"].append(f"level {k}: infeasible exponents, skipped")
@@ -188,79 +184,6 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     if rhs == 0.0:
         out["flag"] = "zero right-hand side"
     return out
-
-
-def derivative_interpolation_ratio(u: Field, i: int, p: float) -> dict:
-    """Quotient for the single-direction derivative interpolation bound.
-
-    Compares |d_i u|_p against
-    |d_i(|d_i u|^(p/2))|_2 ** (2/(p+2)) * |u|_p ** (2/(p+2)).
-    """
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if not 1 <= i <= u.spec.n:
-        raise ValueError(f"direction {i} outside 1..{u.spec.n}")
-    psi = derivative(u, i - 1)
-    lhs = lp_norm(u.with_values(psi), p)
-    dv = chain_rule_power_gradient(psi, [second_derivative(u, i - 1)], p / 2.0)[0]
-    e = 2.0 / (p + 2.0)
-    rhs = lp_norm(u.with_values(np.abs(dv)), 2) ** e * lp_norm(u, p) ** e
-    out = {"lhs": lhs, "rhs": rhs}
-    if lhs == 0.0:
-        out["ratio"] = 0.0
-    elif rhs == 0.0:
-        out["ratio"] = float("inf")
-        out["flag"] = "zero right-hand side"
-    else:
-        out["ratio"] = lhs / rhs
-    return out
-
-
-def extreme_case_checks(u: Field, p: float = 2.0, r: float = 2.0,
-                        q: float = 2.0, avg_tol: float = 1e-10) -> dict:
-    """The two 1-d building blocks behind the averaged-case inequality.
-
-    Requires zero slice averages in every torus direction (project with
-    the decomposition first and keep the top level).  Checks the
-    pointwise product bound |u|^n <= prod of directional slope masses at
-    every grid point, and reports per-direction quotients for the
-    second-derivative interpolation along lines (2/p = 1/r + 1/q).
-    """
-    if abs(2.0 / p - (_inv(r) + _inv(q))) > 1e-12:
-        raise ValueError(f"need 2/p = 1/r + 1/q, got p={p}, r={r}, q={q}")
-    spec = u.spec
-    scale = float(np.max(np.abs(u.values))) or 1.0
-    report = {"precondition": [], "pointwise_margin": None, "line_ratios": {}}
-    for direction in range(2, spec.n + 1):
-        drift = float(np.max(np.abs(u.values.mean(axis=direction - 1))))
-        if drift > avg_tol * scale:
-            report["precondition"].append(
-                f"direction {direction}: slice average {drift:.3e} is not zero"
-            )
-    if report["precondition"]:
-        return report
-
-    grads = gradient(u)
-    spacing = [spec.spacing(ax) for ax in range(spec.n)]
-    product = np.ones(spec.shape)
-    for ax, g in enumerate(grads):
-        product = product * (np.sum(np.abs(g), axis=ax, keepdims=True) * spacing[ax])
-    lhs = np.abs(u.values) ** spec.n
-    report["pointwise_margin"] = float(np.max(lhs - product))
-    report["pointwise_ok"] = bool(report["pointwise_margin"] <= 1e-12 * scale**spec.n)
-
-    for ax in range(spec.n):
-        h = spacing[ax]
-        dpsi = grads[ax]
-        d2psi = second_derivative(u, ax)
-        num = np.sum(np.abs(dpsi) ** p, axis=ax) * h
-        fac_r = (np.sum(np.abs(d2psi) ** r, axis=ax) * h) ** (p / (2.0 * r))
-        fac_q = (np.sum(np.abs(u.values) ** q, axis=ax) * h) ** (p / (2.0 * q))
-        den = fac_r * fac_q
-        ok = den > 0.0
-        ratios = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        report["line_ratios"][ax + 1] = float(np.max(ratios))
-    return report
 
 
 # --- dilation counterexamples ------------------------------------------------

@@ -29,6 +29,7 @@ __all__ = [
     "TorusSpec",
     "PeriodicState",
     "TorusStepper",
+    "schedule",
     "solve_periodic",
     "spectral_derivative",
     "w_sup_norms",
@@ -118,13 +119,23 @@ class TorusStepper:
         return self.sweeps[axis].apply(blocks, axis=axis).reshape(values.shape)
 
     def step(self, values: np.ndarray, t: float) -> np.ndarray:
-        check_cfl(values, self.flux, self.spec.spacings, self.dt, t)
+        """The state at t + dt; aborts when its Courant number exceeds 1 or is not finite."""
         (values,) = strang_step(
             (values,), self.dt, self.spec.ndim,
             lambda s, axis: (self.sweep_axis(s[0], axis),),
             lambda s: (advective_rhs(s[0], self.flux, self.spec.spacings),),
         )
+        check_cfl(values, self.flux, self.spec.spacings, self.dt, t + self.dt)
         return values
+
+
+def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,
+             snapshot_times, dt: float | None = None):
+    """(steps, dt, record_indices) of a torus run from ubar + w0: `step_schedule`
+    under the CFL bound (Courant number 0.4) of the data's range."""
+    amp = float(np.max(np.abs(w0)))
+    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, 0.4)
+    return step_schedule(t_end, dt_max, dt, 0.0, snapshot_times)
 
 
 def solve_periodic(
@@ -135,7 +146,6 @@ def solve_periodic(
     snapshot_times,
     spec: TorusSpec | None = None,
     dt: float | None = None,
-    cfl: float = 0.4,
 ) -> list[PeriodicState]:
     """Evolve the torus solution from data ubar + w0.
 
@@ -153,10 +163,7 @@ def solve_periodic(
             f"disturbance mean {float(np.mean(w0)):.3e} violates the "
             "zero-average requirement"
         )
-    amp = float(np.max(np.abs(w0)))
-    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, cfl)
-    steps, dt, record = step_schedule(t_end, dt_max, dt, 0.0, snapshot_times)
-
+    steps, dt, record = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
     stepper = TorusStepper(spec, flux, dt)
     u = ubar + w0
     out = []

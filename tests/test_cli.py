@@ -313,6 +313,7 @@ class TestTorusAndProfileConfigs:
         ("periodic", "ubar = nan", "ubar must be finite, got nan"),
         ("periodic", "t_end = inf", "t_end must be finite, got inf"),
         ("periodic", "dt = inf", "dt must be finite, got inf"),
+        ("periodic", "dt = 0.2", "requested dt"),
         ("profile", "t_end = -1", "must span a positive time"),
         ("profile", "snapshots = 0.1,50", "snapshot time 50.0 outside"),
         ("profile", "n1 = 2", "n1 must be at least 4"),
@@ -326,6 +327,10 @@ class TestTorusAndProfileConfigs:
         ("decompose", "dim = 4", "dimension must be 1, 2 or 3"),
         ("decompose", "n_fields = 0", "n_fields must be at least 1"),
         ("decompose", "dim = 2\nn_torus = 8,8", "need 1 torus cell counts"),
+        ("decompose", "seed = -1", "seed must be at least 0, got -1"),
+        ("decompose", "seed = 1.5", "seed must be an integer, got '1.5'"),
+        ("gn-study", "seed = -3", "seed must be at least 0, got -3"),
+        ("gn-study", "seed = x", "seed must be an integer, got 'x'"),
         ("gn-study", "n_fields = 0", "n_fields must be at least 1"),
         ("gn-study", "j = 2\nm = 1", "need 0 <= j < m"),
         ("gn-study", "m = 3", "derivative orders up to 2"),
@@ -425,6 +430,13 @@ class TestUnknownKeys:
         ("counterexample", "thetas = 0,1\nL = 10\n", "unknown key 'L' for counterexample"),
         ("rates", f"input = {GOLDEN / 'simulate2d_norms.csv'}\nrate.window = 1,2\n",
          "(closest known key: 'rates.window')"),
+        # only decompose and gn-study draw random fields, so only they read a seed
+        ("simulate", TINY_SIMULATE + "seed = 1\n", "unknown key 'seed' for simulate"),
+        ("profile", "L = 10\nn1 = 100\nt_end = 0.5\nseed = 1\n", "unknown key 'seed' for profile"),
+        ("periodic", "sizes = 8,8\nt_end = 0.05\nseed = 1\n", "unknown key 'seed' for periodic"),
+        ("counterexample", "seed = 1\n", "unknown key 'seed' for counterexample"),
+        ("rates", f"input = {GOLDEN / 'simulate2d_norms.csv'}\nseed = 1\n",
+         "unknown key 'seed' for rates"),
     ])
     def test_unread_key_is_a_config_error(self, tmp_path, capsys, command, text, message):
         assert run_cli(tmp_path, command, text) == 1
@@ -464,5 +476,68 @@ def test_every_experiment_digests_every_file_it_writes(tmp_path):
     for command, out in outdirs.items():
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == command
+        assert ("seed" in manifest) == (command in ("decompose", "gn-study")), command
         written = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["files"]) == written, command
+
+
+@pytest.mark.parametrize("command", ["decompose", "gn-study"])
+def test_the_seed_key_fixes_the_random_fields(tmp_path, command):
+    def files(name, seed):
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(f"{TINY_RUNS[command]}seed = {seed}\n")
+        out = tmp_path / name
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == seed
+        return {f: (out / f).read_bytes() for f in manifest["files"]}
+
+    first = files("first", 5)
+    assert files("again", 5) == first
+    assert files("other", 6) != first
+
+
+class TestUsageErrors:
+    """A bad command line or an unreadable config exits 1, like a bad
+    config value; exit 2 stays a numerical abort."""
+
+    def cfg(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        return str(cfg_path)
+
+    def test_missing_config_flag(self, capsys):
+        assert cli.main(["simulate"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", self.cfg(tmp_path), "--out", str(out),
+                         "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_takes_no_out(self, tmp_path):
+        assert cli.main(["validate", "--config", self.cfg(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_0(self, argv):
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("name", ["nonexist.cfg", ""])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, command, name):
+        path = tmp_path / name  # a missing file, or a directory
+        out = ["--out", str(tmp_path / "out")] if command != "validate" else []
+        assert cli.main([command, "--config", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert "Traceback" not in err
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\xff\xfe = 1\nL = 12\n\x00\x81\n")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 3: expected 'key = value'")

@@ -19,10 +19,8 @@ from rarelab.decomp import decompose, norm_bound_ratio
 from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
 from rarelab.fluxes import burgers
 from rarelab.ineqlab import (
-    derivative_interpolation_ratio,
     dilated_gn_ratio,
     dilated_sobolev_ratio,
-    extreme_case_checks,
     gn_ratio,
     hat_bump,
     interpolation_ratio,
@@ -78,16 +76,6 @@ def analysis_values() -> dict[str, float]:
             res = interpolation_ratio(f, p, q)
             for key in ("lhs", "rhs", "ratio"):
                 out[f"{dim}/interpolation_ratio/p={p:g},q={q:g}/{key}"] = res[key]
-        for i in range(1, n + 1):
-            for p in (2.0, 4.0):
-                res = derivative_interpolation_ratio(f, i, p)
-                for key in ("lhs", "rhs", "ratio"):
-                    out[f"{dim}/derivative_interpolation_ratio/i={i},p={p:g}/{key}"] = res[key]
-        top = Field(spec, d.broadcast(tuple(range(2, n + 1))))
-        res = extreme_case_checks(top)
-        out[f"{dim}/extreme_case_checks/pointwise_margin"] = res["pointwise_margin"]
-        for ax, ratio in res["line_ratios"].items():
-            out[f"{dim}/extreme_case_checks/line_ratio/{ax}"] = ratio
 
         rng = np.random.default_rng(100 + seed)
         tspec = TorusSpec(sizes=(8, 6, 5)[:n])

@@ -6,13 +6,10 @@ from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
 from rarelab.ineqlab import (
     _deriv_magnitude,
     chain_rule_power_gradient,
-    derivative_interpolation_ratio,
     dilated_gn_ratio,
     dilated_line_field,
     dilated_sobolev_ratio,
     dilation_slope,
-    extreme_case_checks,
-    gaussian_bump,
     gn_ratio,
     hat_bump,
     interpolation_ratio,
@@ -196,46 +193,6 @@ class TestInterpolationRatio:
             interpolation_ratio(u, 2.0, 3.0)
 
 
-class TestDerivativeInterpolationRatio:
-    def test_pure_mode_saturates_at_one(self):
-        # single transverse mode: both sides evaluate in closed form and
-        # the quotient is exactly 1; the grid sees it to O(h^2)
-        spec = DomainSpec(n=2, L=3.0, n1=24, n_torus=(128,))
-        grid = make_grid(spec)
-        u = Field(spec, np.broadcast_to(np.sin(2 * np.pi * grid.torus[0])[None, :],
-                                        spec.shape))
-        res = derivative_interpolation_ratio(u, 2, 2.0)
-        assert res["ratio"] == pytest.approx(1.0, abs=5e-3)
-
-    def test_constant_gives_zero(self):
-        spec = DomainSpec(n=2, L=2.0, n1=16, n_torus=(8,))
-        res = derivative_interpolation_ratio(Field(spec, np.ones(spec.shape)), 2, 2.0)
-        assert res["ratio"] == 0.0
-
-    def test_refinement_stability(self):
-        vals = []
-        for m in (48, 96):
-            spec = DomainSpec(n=2, L=4.0, n1=m, n_torus=(m,))
-            u = bump_times_mode(spec)
-            vals.append(derivative_interpolation_ratio(u, 2, 4.0)["ratio"])
-        assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
-
-    def test_scale_invariance(self):
-        spec = DomainSpec(n=2, L=4.0, n1=48, n_torus=(24,))
-        u = bump_times_mode(spec)
-        a = derivative_interpolation_ratio(u, 1, 2.0)["ratio"]
-        b = derivative_interpolation_ratio(Field(spec, 7.3 * u.values), 1, 2.0)["ratio"]
-        assert abs(a - b) <= 1e-12 * max(1.0, a)
-
-    def test_parameter_guards(self):
-        spec = DomainSpec(n=2, L=2.0, n1=16, n_torus=(8,))
-        u = Field(spec, np.ones(spec.shape))
-        with pytest.raises(ValueError):
-            derivative_interpolation_ratio(u, 2, 1.0)
-        with pytest.raises(ValueError):
-            derivative_interpolation_ratio(u, 3, 2.0)
-
-
 class TestChainRulePowerGradient:
     def test_matches_smooth_formula(self):
         x = np.linspace(-2, 2, 401)
@@ -257,54 +214,6 @@ class TestChainRulePowerGradient:
         got = chain_rule_power_gradient(v, [dv], 1.0)[0]
         assert np.array_equal(np.abs(got), dv)
         assert np.array_equal(got[1:], [3.0, -4.0])
-
-
-class TestExtremeCases:
-    def test_pointwise_product_bound_holds(self):
-        spec = DomainSpec(n=2, L=4.0, n1=64, n_torus=(32,))
-        rep = extreme_case_checks(bump_times_mode(spec))
-        assert not rep["precondition"]
-        assert rep["pointwise_ok"]
-        assert rep["pointwise_margin"] <= 0.0
-
-    def test_zero_field(self):
-        spec = DomainSpec(n=2, L=2.0, n1=16, n_torus=(8,))
-        rep = extreme_case_checks(Field(spec, np.zeros(spec.shape)))
-        assert rep["pointwise_margin"] == 0.0
-
-    def test_nonzero_average_flagged(self):
-        spec = DomainSpec(n=2, L=2.0, n1=16, n_torus=(8,))
-        grid = make_grid(spec)
-        vals = np.broadcast_to(1.0 + np.sin(2 * np.pi * grid.torus[0])[None, :],
-                               spec.shape)
-        rep = extreme_case_checks(Field(spec, vals))
-        assert any("direction 2" in msg for msg in rep["precondition"])
-
-    def test_projection_through_decomposition_clears_precondition(self):
-        spec = DomainSpec(n=3, L=3.0, n1=24, n_torus=(8, 8))
-        rng = np.random.default_rng(17)
-        grid = make_grid(spec)
-        mesh = np.meshgrid(grid.x1, *grid.torus, indexing="ij")
-        vals = np.exp(-mesh[0] ** 2) * (0.3 + np.cos(2 * np.pi * mesh[1])
-                                        * np.sin(2 * np.pi * mesh[2]))
-        d = decompose(Field(spec, vals))
-        top = Field(spec, d.broadcast((2, 3)))
-        rep = extreme_case_checks(top)
-        assert not rep["precondition"]
-        assert rep["pointwise_ok"]
-
-    def test_line_ratios_reported_per_direction(self):
-        spec = DomainSpec(n=2, L=4.0, n1=64, n_torus=(32,))
-        rep = extreme_case_checks(bump_times_mode(spec))
-        assert set(rep["line_ratios"]) == {1, 2}
-        # p = r = q = 2 makes both line bounds integration-by-parts facts
-        assert rep["line_ratios"][1] <= 1.0 + 1e-8
-        assert rep["line_ratios"][2] <= 1.0 + 1e-8
-
-    def test_exponent_relation_enforced(self):
-        spec = DomainSpec(n=2, L=2.0, n1=16, n_torus=(8,))
-        with pytest.raises(ValueError):
-            extreme_case_checks(Field(spec, np.zeros(spec.shape)), p=2.0, r=2.0, q=4.0)
 
 
 class TestDilationStudies:

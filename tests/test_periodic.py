@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from rarelab.errors import ConfigError
+from rarelab import periodic
+from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.periodic import (
     PeriodicState,
@@ -14,6 +15,7 @@ from rarelab.periodic import (
     w_sup_norms,
     write_periodic_series,
 )
+from rarelab.stepping import strang_step
 
 FLUX = burgers(2)
 
@@ -38,6 +40,21 @@ class TestSolvePeriodic:
         spec = TorusSpec(sizes=(8, 8))
         with pytest.raises(ConfigError):
             solve_periodic(np.full(spec.sizes, 0.01), 0.0, FLUX, 0.1, (0.1,), spec=spec)
+
+    def test_nan_on_the_last_step_aborts(self, monkeypatch):
+        steps = []
+
+        def nan_last(state, dt, ndim, sweep, rhs):
+            steps.append(dt)
+            out = strang_step(state, dt, ndim, sweep, rhs)
+            return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
+
+        monkeypatch.setattr(periodic, "strang_step", nan_last)
+        spec = TorusSpec(sizes=(8, 8))
+        with pytest.raises(NumericalAbort) as info:
+            solve_periodic(product_mode(spec), -0.5, FLUX, 0.01, (0.01,), spec=spec, dt=1e-3)
+        assert len(steps) == 10
+        assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.01)
 
     def test_mean_preserved_along_the_run(self):
         spec = TorusSpec(sizes=(16, 16))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rarelab import profile1d
 from rarelab.domain import read_snapshot, write_snapshot
 from rarelab.errors import NumericalAbort
 from rarelab.fluxes import burgers, cubic, linear_flux
@@ -16,6 +17,7 @@ from rarelab.profile1d import (
     profile_to_field,
     write_profile_series,
 )
+from rarelab.stepping import strang_step
 
 FLUX = burgers(1)
 
@@ -90,7 +92,7 @@ class TestEvolution:
 
     def test_boundary_pinned(self, evolved):
         for st in evolved:
-            assert not st.validate(boundary_tol=1e-8)
+            assert not st.validate()
 
     def test_constant_data_is_fixed_point_of_the_kernels(self):
         # the end states bracket strictly, so a constant profile state is
@@ -117,6 +119,21 @@ class TestEvolution:
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort):
             evolve_profile(p0, FLUX, 1.0, dt=1.0)
+
+    def test_nan_on_the_last_step_aborts(self, monkeypatch):
+        steps = []
+
+        def nan_last(state, dt, ndim, sweep, rhs):
+            steps.append(dt)
+            out = strang_step(state, dt, ndim, sweep, rhs)
+            return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
+
+        monkeypatch.setattr(profile1d, "strang_step", nan_last)
+        p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
+        with pytest.raises(NumericalAbort) as info:
+            evolve_profile(p0, FLUX, 0.5, dt=0.05)
+        assert len(steps) == 10
+        assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.5)
 
 
 class TestQuantitativeBounds:
