@@ -4,12 +4,15 @@ Subcommands: simulate, profile, periodic, decompose, gn-study,
 counterexample, rates, validate.  Configs are flat key = value text
 (dotted prefixes group related keys, '#' starts a comment).  Each
 experiment is an input stage, which turns a config into checked inputs
-or raises, and a run stage, which takes those inputs; `validate` runs
-the input stage only.  Random fields (decompose, gn-study) come from the
-config key `seed` (an integer >= 0, default 0).  Every file a run writes
-is digested in its manifest (config hash, versions, wall time).  Exit
-codes: 0 ok, 1 config or usage error, 2 numerical abort (CFL or tail
-guard), 3 rate acceptance failure.
+or raises, and a run stage, which takes those inputs.  The input stage
+reads every number with `_number` or `_numbers`, so a bad one is a
+config error that names its key ("<key> must be ..., got '<raw>'"), and
+then calls the schedule and range checks the run itself calls: `validate`
+runs the input stage only and rejects what the run would reject.  Random
+fields (decompose, gn-study) come from the config key `seed` (an integer
+>= 0, default 0).  Every file a run writes is digested in its manifest
+(config hash, versions, wall time).  Exit codes: 0 ok, 1 config or usage
+error, 2 numerical abort (CFL or tail guard), 3 rate acceptance failure.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .mdsolver import (
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
 from .periodic import schedule as torus_schedule
 from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
+from .profile1d import schedule as profile_schedule
 from .rates import (
     MIN_FIT_POINTS,
     exponent_ordering,
@@ -57,7 +61,6 @@ from .rates import (
     verify_main_theorem,
     write_rate_report,
 )
-from .stepping import max_advective_dt, step_schedule
 
 __all__ = ["parse_config", "load_config", "run_experiment", "validate", "main"]
 
@@ -90,33 +93,41 @@ def load_config(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from e
 
 
-def _floats(s: str) -> list[float]:
-    return [float(tok) for tok in s.replace(";", ",").split(",") if tok.strip()]
-
-
-def _int_at_least(cfg: dict[str, str], key: str, default: str, least: int) -> int:
+def _number(cfg: dict[str, str], key: str, default: str | None = None, kind=float,
+            finite: bool = True, least: int | None = None):
+    """cfg[key] (or `default`; None if both are missing) read as one `kind`, int or float:
+    a float must be finite unless `finite` is false, and any number at least `least`."""
+    raw = cfg.get(key, default)
+    if raw is None:
+        return None
     try:
-        value = int(cfg.get(key, default))
+        value = kind(raw)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got '{cfg[key]}'") from None
-    if value < least:
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got '{raw}'") from None
+    if kind is float and finite and not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if least is not None and value < least:
         raise ValueError(f"{key} must be at least {least}, got {value}")
     return value
 
 
-def _finite(cfg: dict[str, str], key: str, default: str | None) -> float:
-    value = float(cfg.get(key, default))
-    if not np.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
-    return value
+def _numbers(key: str, raw: str, kind=float) -> list:
+    """The entries of `raw`, the value of `key` or a part of it, split at ','
+    or ';' and read as `kind`, int or float; every float must be finite."""
+    try:
+        values = [kind(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
+        if kind is float and not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        noun = "integers" if kind is int else "finite numbers"
+        raise ValueError(f"{key} entries must be {noun}, got '{raw}'") from None
+    return values
 
 
 def _modes(s: str) -> tuple[tuple[float, ...], ...]:
     """w0_modes 'k1,k2,amp; k1,k2,amp' -> ((k1,k2,amp), ...), every entry finite."""
-    modes = tuple(tuple(map(float, chunk.split(","))) for chunk in s.split(";") if chunk.strip())
-    if not all(np.isfinite(row).all() for row in modes):
-        raise ValueError(f"w0_modes entries must be finite, got '{s}'")
-    return modes
+    return tuple(tuple(_numbers("w0_modes", row)) for row in s.split(";") if row.strip())
 
 
 def _v0_from_spec(s: str):
@@ -124,8 +135,8 @@ def _v0_from_spec(s: str):
     if s in ("", "none", "0"):
         return None
     if s.startswith("gaussian:"):
-        params = _floats(s.split(":", 1)[1])
-        if len(params) != 3 or not np.isfinite(params).all() or not params[2] > 0:
+        params = _numbers("v0", s.split(":", 1)[1])
+        if len(params) != 3 or not params[2] > 0:
             raise ValueError(f"v0 needs finite gaussian:amp,center,width with width > 0, got '{s}'")
         amp, center, width = params
         return lambda x: amp * np.exp(-(((np.asarray(x) - center) / width) ** 2))
@@ -141,23 +152,24 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
         times = sorted(set(round(t, 6) for t in prefix + decades + [t_end]))
         return tuple(t for t in times if 0 < t <= t_end)
     if spec.startswith("geometric:"):
-        t0, ratio = (float(x) for x in spec.split(":", 1)[1].split(","))
-        if not (t0 > 0 and ratio > 1):
-            raise ValueError(f"geometric snapshots need t0 > 0 and ratio > 1, got {spec}")
-        times = []
-        t = t0
+        pair = _numbers("snapshots", spec.split(":", 1)[1])
+        if len(pair) != 2 or not (pair[0] > 0 and pair[1] > 1):
+            raise ValueError(f"snapshots must be geometric:t0,ratio with t0 > 0 and ratio > 1, "
+                             f"got '{spec}'")
+        t0, ratio = pair
+        times, t = [], t0
         while t <= t_end * (1 + 1e-9):
             times.append(min(t, t_end))
             t *= ratio
         return tuple(times)
-    return tuple(sorted(set(float(x) for x in _floats(spec))))
+    return tuple(sorted(set(_numbers("snapshots", spec))))
 
 
 def _window(cfg: dict[str, str]):
     """rates.window as (lo, hi), or None for the default fit window."""
     if "rates.window" not in cfg:
         return None
-    window = tuple(_floats(cfg["rates.window"]))
+    window = tuple(_numbers("rates.window", cfg["rates.window"]))
     if len(window) != 2 or not window[0] < window[1]:
         raise ValueError(f"rates.window must be two times lo < hi, got {window}")
     return window
@@ -166,29 +178,28 @@ def _window(cfg: dict[str, str]):
 def _domain(cfg: dict[str, str], dim: str, L: str, n1: str, m: str) -> DomainSpec:
     """The cylinder grid of a config (keys dim, L, n1, n_torus); without
     n_torus every torus direction gets m cells."""
-    n = int(cfg.get("dim", dim))
-    n_torus = cfg.get("n_torus", ",".join([m] * (n - 1)))
-    return DomainSpec(n=n, L=float(cfg.get("L", L)), n1=int(cfg.get("n1", n1)),
-                      n_torus=tuple(int(x) for x in n_torus.split(",") if x.strip()))
+    n = _number(cfg, "dim", dim, int)
+    n_torus = tuple(_numbers("n_torus", cfg.get("n_torus", ",".join([m] * (n - 1))), int))
+    return DomainSpec(n, _number(cfg, "L", L, finite=False), _number(cfg, "n1", n1, int), n_torus)
 
 
 def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
     """The solver config of a simulate config; ValueError on a value that
     does not parse."""
     spec = _domain(cfg, "2", "80", "3200", "20")
-    t_end = float(cfg.get("t_end", "100"))
+    t_end = _number(cfg, "t_end", "100")
     return SolverConfig(
         spec=spec,
         flux=flux_from_name(cfg.get("flux", "burgers"), spec.n),
-        ul=float(cfg.get("ul", "-0.5")),
-        ur=float(cfg.get("ur", "0.5")),
+        ul=_number(cfg, "ul", "-0.5"),
+        ur=_number(cfg, "ur", "0.5"),
         w0_modes=_modes(cfg.get("w0_modes", "")),
         v0=_v0_from_spec(cfg.get("v0", "none")),
         t_end=t_end,
         snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
-        cfl=float(cfg.get("cfl", "0.4")),
-        tail_threshold=float(cfg.get("tail_threshold", "0.25")),
-        dt=float(cfg["dt"]) if "dt" in cfg else None,
+        cfl=_number(cfg, "cfl", "0.4"),
+        tail_threshold=_number(cfg, "tail_threshold", "0.25"),
+        dt=_number(cfg, "dt"),
     )
 
 
@@ -322,16 +333,14 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, its half-length L, flux, t_end, cfl, snapshot times)
     of a profile config, checked by drawing up the run's step schedule."""
-    t_end, cfl = float(cfg.get("t_end", "100")), float(cfg.get("cfl", "0.4"))
-    if not cfl > 0:
-        raise ValueError(f"cfl must be positive, got {cfl}")
-    L = float(cfg.get("L", "120"))
-    p0 = make_initial_state(L, int(cfg.get("n1", "4800")),
-                            float(cfg.get("ul", "-0.5")), float(cfg.get("ur", "0.5")))
+    t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", "0.4")
+    L = _number(cfg, "L", "120", finite=False)
+    p0 = make_initial_state(L, _number(cfg, "n1", "4800", int),
+                            _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = flux_from_name(cfg.get("flux", "burgers"), 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    step_schedule(t_end, max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl), None, 0.0, snaps)
+    profile_schedule(p0, flux, t_end, None, cfl, snaps)
     return p0, L, flux, t_end, cfl, snaps
 
 
@@ -355,13 +364,10 @@ def _periodic_inputs(cfg: dict[str, str]):
     """(disturbance, torus grid, flux, ubar, t_end, dt, snapshot times) of a
     periodic config, checked by drawing up the run's step schedule; by
     default 100 snapshots spaced evenly up to t_end."""
-    tspec = TorusSpec(sizes=tuple(int(x) for x in cfg.get("sizes", "32,32").split(",")))
+    tspec = TorusSpec(sizes=tuple(_numbers("sizes", cfg.get("sizes", "32,32"), int)))
     flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
-    ubar, t_end = _finite(cfg, "ubar", "-0.5"), _finite(cfg, "t_end", "0.5")
-    dt = _finite(cfg, "dt", None) if "dt" in cfg else None
+    ubar, t_end, dt = _number(cfg, "ubar", "-0.5"), _number(cfg, "t_end", "0.5"), _number(cfg, "dt")
     w0 = trig_polynomial(_modes(cfg.get("w0_modes", "1,1,0.1")), tspec.coordinates())
-    if abs(float(np.mean(w0))) > 1e-12:
-        raise ValueError(f"w0_modes average {float(np.mean(w0)):.3e}, not zero")
     snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
              else tuple(np.linspace(t_end / 100.0, t_end, 100)))
     torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)
@@ -407,8 +413,8 @@ def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
 
 def _decompose_inputs(cfg: dict[str, str]):
     """(grid, number of fields, seed) of a decompose config."""
-    return (_domain(cfg, "3", "2", "16", "8"), _int_at_least(cfg, "n_fields", "50", 1),
-            _int_at_least(cfg, "seed", "0", 0))
+    return (_domain(cfg, "3", "2", "16", "8"), _number(cfg, "n_fields", "50", int, least=1),
+            _number(cfg, "seed", "0", int, least=0))
 
 
 def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) -> None:
@@ -440,10 +446,10 @@ def _gn_inputs(cfg: dict[str, str]):
     """(grid, number of fields, seed, j, m, p, q, r) of a gn-study config; the
     exponents must fit a split level and the interpolation quotient."""
     spec = _domain(cfg, "2", "4", "64", "16")
-    n_fields = _int_at_least(cfg, "n_fields", "40", 1)
-    seed = _int_at_least(cfg, "seed", "0", 0)
-    j, m = int(cfg.get("j", "0")), int(cfg.get("m", "1"))
-    p, q, r = (float(cfg.get(k, d)) for k, d in (("p", "2"), ("q", "1"), ("r", "2")))
+    n_fields = _number(cfg, "n_fields", "40", int, least=1)
+    seed = _number(cfg, "seed", "0", int, least=0)
+    j, m = _number(cfg, "j", "0", int), _number(cfg, "m", "1", int)
+    p, q, r = (_number(cfg, k, d, finite=False) for k, d in (("p", "2"), ("q", "1"), ("r", "2")))
     if m > 2:
         raise ValueError(f"gn-study takes derivative orders up to 2, got m={m}")
     if all(solve_theta(j, m, p, q, r, k) is None for k in range(spec.n)):
@@ -475,14 +481,14 @@ _PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
 
 def _counterexample_inputs(cfg: dict[str, str]):
     """(n, dilations, bump profile, thetas) of a counterexample config."""
-    n = _int_at_least(cfg, "n", "2", 2)
-    ds = _floats(cfg.get("dilations", "1,2,4,8,16,32,64"))
+    n = _number(cfg, "n", "2", int, least=2)
+    ds = _numbers("dilations", cfg.get("dilations", "1,2,4,8,16,32,64"))
     if len(set(ds)) < 2 or min(ds) <= 0:
         raise ValueError(f"dilations must be at least two distinct positive numbers, got {ds}")
     name = cfg.get("profile", "gaussian")
     if name not in _PROFILES:
         raise ValueError(f"unknown profile '{name}' (use {' or '.join(_PROFILES)})")
-    thetas = _floats(cfg.get("thetas", "0,0.3333333333333333,0.6666666666666666,1"))
+    thetas = _numbers("thetas", cfg.get("thetas", "0,0.3333333333333333,0.6666666666666666,1"))
     if not thetas or not all(0.0 <= theta <= 1.0 for theta in thetas):
         raise ValueError(f"thetas must lie in [0, 1] and not be empty, got {thetas}")
     return n, ds, _PROFILES[name], thetas

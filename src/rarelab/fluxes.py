@@ -62,12 +62,12 @@ def burgers(n: int) -> FluxSet:
     return FluxSet(f=(f,) * n, df=(df,) * n, d2f=(_const(1.0),) * n, a0=1.0)
 
 
-def cubic(n: int, a0: float = 1.0) -> FluxSet:
-    """f_i(u) = u^3 / 3; convex only on u >= a0/2, so a0 must match the data."""
+def cubic(n: int) -> FluxSet:
+    """f_i(u) = u^3 / 3; f_1'' = 2u reaches the floor a0 = 1 only on u >= 1/2."""
     f = lambda u: np.asarray(u, dtype=float) ** 3 / 3.0
     df = lambda u: np.asarray(u, dtype=float) ** 2
     d2f = lambda u: 2.0 * np.asarray(u, dtype=float)
-    return FluxSet(f=(f,) * n, df=(df,) * n, d2f=(d2f,) * n, a0=a0)
+    return FluxSet(f=(f,) * n, df=(df,) * n, d2f=(d2f,) * n, a0=1.0)
 
 
 def linear_flux(n: int, speeds: Sequence[float]) -> FluxSet:

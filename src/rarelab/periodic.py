@@ -132,37 +132,24 @@ class TorusStepper:
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,
              snapshot_times, dt: float | None = None):
     """(steps, dt, record_indices) of a torus run from ubar + w0: `step_schedule`
-    under the CFL bound (Courant number 0.4) of the data's range."""
+    under the CFL bound (Courant number 0.4) of the data's range.  The
+    disturbance must average to zero (to 1e-12): a nonzero average belongs
+    in the background constant, not the disturbance."""
+    mean = float(np.mean(w0))
+    if abs(mean) > 1e-12:
+        raise ConfigError(f"disturbance mean {mean:.3e} violates the zero-average requirement")
     amp = float(np.max(np.abs(w0)))
     dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, 0.4)
     return step_schedule(t_end, dt_max, dt, 0.0, snapshot_times)
 
 
-def solve_periodic(
-    w0: np.ndarray,
-    ubar: float,
-    flux: FluxSet,
-    t_end: float,
-    snapshot_times,
-    spec: TorusSpec | None = None,
-    dt: float | None = None,
-) -> list[PeriodicState]:
-    """Evolve the torus solution from data ubar + w0.
-
-    The disturbance must average to zero (to 1e-12): a nonzero average
-    belongs in the background constant, not the disturbance.  Snapshot
-    times are rounded to the step grid.
-    """
+def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, t_end: float, snapshot_times,
+                   spec: TorusSpec, dt: float | None = None) -> list[PeriodicState]:
+    """Evolve the torus solution from data ubar + w0 on the grid `spec`, under
+    the rules of `schedule`; snapshot times are rounded to the step grid."""
     w0 = np.asarray(w0, dtype=float)
-    if spec is None:
-        spec = TorusSpec(sizes=w0.shape)
     if w0.shape != spec.sizes:
         raise ConfigError(f"w0 shape {w0.shape} does not match torus {spec.sizes}")
-    if abs(float(np.mean(w0))) > 1e-12:
-        raise ConfigError(
-            f"disturbance mean {float(np.mean(w0)):.3e} violates the "
-            "zero-average requirement"
-        )
     steps, dt, record = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
     stepper = TorusStepper(spec, flux, dt)
     u = ubar + w0

@@ -26,6 +26,7 @@ __all__ = [
     "inviscid_rarefaction",
     "initial_profile",
     "make_initial_state",
+    "schedule",
     "evolve_profile",
     "oleinik_bound",
     "profile_norm_checks",
@@ -141,6 +142,13 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
     return ProfileState(x1=x1, values=initial_profile(x1, ul, ur), t=0.0, ul=ul, ur=ur)
 
 
+def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snapshot_times):
+    """(steps, dt, record_indices) of a march from p0 to t_end: `step_schedule`
+    under the CFL bound of the end states' range."""
+    dt_max = max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl)
+    return step_schedule(t_end - p0.t, dt_max, dt, p0.t, snapshot_times)
+
+
 def evolve_profile(
     p0: ProfileState,
     flux: FluxSet,
@@ -156,8 +164,7 @@ def evolve_profile(
     tails of the data.  Snapshot times are rounded to the step grid.
     """
     dx = p0.dx
-    dt_max = max_advective_dt(flux, (dx,), p0.ul, p0.ur, cfl)
-    steps, dt, record = step_schedule(t_end - p0.t, dt_max, dt, p0.t, snapshot_times)
+    steps, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
 
     sweep = DiffusionSweep(p0.values.size, dx, dt / 2.0, periodic=False)
     ghosts = (np.full((2,), p0.ul), np.full((2,), p0.ur))

@@ -229,7 +229,9 @@ def _advective_rate(flux: FluxSet, spacings, u) -> float:
 
 
 def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: float) -> float:
-    """Largest dt honouring the advective CFL number."""
+    """Largest dt honouring the advective CFL number, which must lie in (0, 0.5]."""
+    if not 0.0 < cfl <= 0.5:
+        raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
     rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
     return np.inf if rate == 0.0 else cfl / rate
 

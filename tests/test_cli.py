@@ -175,7 +175,7 @@ class TestExitCodes:
         assert "transient" in capsys.readouterr().err
 
     @pytest.mark.parametrize("window, message", [
-        ("1,x", "could not convert string to float: 'x'"),
+        ("1,x", "rates.window entries must be finite numbers, got '1,x'"),
         ("2,1", "rates.window must be two times lo < hi"),
         ("0.05,2", "starts inside the transient"),
     ])
@@ -309,7 +309,7 @@ class TestTorusAndProfileConfigs:
         ("periodic", "sizes = 2,2", "torus sizes must be at least 4"),
         ("periodic", "t_end = -1", "must span a positive time"),
         ("periodic", "snapshots = 0.1,9", "snapshot time 9.0 outside"),
-        ("periodic", "w0_modes = 0,0,1", "not zero"),
+        ("periodic", "w0_modes = 0,0,1", "violates the zero-average requirement"),
         ("periodic", "ubar = nan", "ubar must be finite, got nan"),
         ("periodic", "t_end = inf", "t_end must be finite, got inf"),
         ("periodic", "dt = inf", "dt must be finite, got inf"),
@@ -318,7 +318,11 @@ class TestTorusAndProfileConfigs:
         ("profile", "snapshots = 0.1,50", "snapshot time 50.0 outside"),
         ("profile", "n1 = 2", "n1 must be at least 4"),
         ("profile", "L = inf", "half-length L must be positive and finite, got inf"),
-        ("profile", "cfl = 0", "cfl must be positive"),
+        ("profile", "cfl = 0", "cfl must lie in (0, 0.5], got 0.0"),
+        # validate once passed these, and the run then aborted
+        ("profile", "cfl = 5", "cfl must lie in (0, 0.5], got 5.0"),
+        ("profile", "cfl = 0.7", "cfl must lie in (0, 0.5], got 0.7"),
+        ("profile", "cfl = inf", "cfl must be finite, got inf"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
         ("profile", "flux = cubic", "f_1'' dips to"),
         ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
@@ -350,8 +354,8 @@ class TestTorusAndProfileConfigs:
         ("periodic", "w0_modes = 1,1,nan", "w0_modes entries must be finite"),
         ("simulate", "v0 = gaussian:0.1,0,0", "with width > 0, got 'gaussian:0.1,0,0'"),
         ("simulate", "v0 = gaussian:0.1,0,-1", "with width > 0, got 'gaussian:0.1,0,-1'"),
-        ("simulate", "v0 = gaussian:nan,0,1", "v0 needs finite gaussian:amp,center,width"),
-        ("simulate", "v0 = gaussian:0.1,inf,1", "v0 needs finite gaussian:amp,center,width"),
+        ("simulate", "v0 = gaussian:nan,0,1", "v0 entries must be finite numbers, got 'nan,0,1'"),
+        ("simulate", "v0 = gaussian:0.1,inf,1", "v0 entries must be finite numbers, got '0.1,inf,1'"),
         ("simulate", "v0 = gaussian:0.1,0", "v0 needs finite gaussian:amp,center,width"),
     ])
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, command, line, message):
@@ -541,3 +545,77 @@ class TestUsageErrors:
         assert cli.main(["validate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: line 3: expected 'key = value'")
+
+
+# every key whose value holds numbers, per experiment
+NUMERIC_KEYS = {
+    "simulate": ("dim", "L", "n1", "n_torus", "t_end", "ul", "ur", "w0_modes", "cfl",
+                 "tail_threshold", "dt", "snapshots", "rates.window"),
+    "profile": ("t_end", "cfl", "L", "n1", "ul", "ur", "snapshots"),
+    "periodic": ("sizes", "ubar", "t_end", "dt", "w0_modes", "snapshots"),
+    "decompose": ("dim", "L", "n1", "n_torus", "n_fields", "seed"),
+    "gn-study": ("dim", "L", "n1", "n_torus", "n_fields", "seed", "j", "m", "p", "q", "r"),
+    "counterexample": ("n", "dilations", "thetas"),
+    "rates": ("rates.window",),
+}
+NAME_KEYS = {"experiment", "flux", "v0", "profile", "input"}
+RATES_INPUT = f"input = {GOLDEN / 'simulate2d_norms.csv'}\n"
+
+
+class TestEveryBadNumberNamesItsKey:
+    def test_the_list_holds_every_key_an_input_stage_reads(self):
+        assert sum(map(len, NUMERIC_KEYS.values())) == 47
+        for kind, keys in NUMERIC_KEYS.items():
+            cfg = cli._AskedKeys(cli.parse_config(RATES_INPUT if kind == "rates" else ""))
+            cli._EXPERIMENTS[kind][0](cfg)
+            assert cfg.asked - NAME_KEYS == set(keys), kind
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in NUMERIC_KEYS.items()
+                                           for key in keys])
+    def test_a_value_that_does_not_parse(self, tmp_path, capsys, kind, key):
+        text = f"experiment = {kind}\n{RATES_INPUT if kind == 'rates' else ''}{key} = abc\n"
+        assert run_cli(tmp_path, kind, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "'abc'" in err
+        assert "Traceback" not in err
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert capsys.readouterr().out.startswith(f"violation: {key} ")
+
+
+class TestValidateAcceptsOnlyWhatTheRunAccepts:
+    """Configs that used to hang (a geometric schedule without end) or
+    crash (an infinite or NaN snapshot time, a one-number geometric
+    schedule).  Each is a config error from both `validate` and the run,
+    checked in a child process under a timeout, so that a hang fails
+    instead of stalling the suite."""
+
+    @pytest.mark.parametrize("kind, lines, message", [
+        ("profile", "t_end = inf", "t_end must be finite, got inf"),
+        ("simulate", "t_end = inf\nsnapshots = geometric:1,2", "t_end must be finite, got inf"),
+        *((kind, f"snapshots = {value}", message)
+          for kind in ("profile", "periodic")
+          for value, message in (
+              ("inf", "snapshots entries must be finite numbers, got 'inf'"),
+              ("nan", "snapshots entries must be finite numbers, got 'nan'"),
+              ("geometric:1", "snapshots must be geometric:t0,ratio with t0 > 0 and ratio > 1, "
+                              "got 'geometric:1'"))),
+    ])
+    def test_hang_or_traceback_is_a_config_error(self, tmp_path, kind, lines, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"experiment = {kind}\n{lines}\n")
+        script = ("import sys\nfrom rarelab import cli\n"
+                  "cfg, kind, out = sys.argv[1:]\n"
+                  "print(cli.main(['validate', '--config', cfg]),"
+                  " cli.main([kind, '--config', cfg, '--out', out]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(cfg_path), kind,
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.stdout.splitlines() == [f"violation: {message}", "1 1"], done.stderr
+        assert done.stderr == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_profile_runs_at_the_largest_courant_number(self, tmp_path):
+        text = "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\ncfl = 0.5\n"
+        assert run_cli(tmp_path, "validate", text) == 0
+        assert run_cli(tmp_path, "profile", text) == 0

@@ -1,4 +1,4 @@
-"""No rarelab module imports a name it never uses.
+"""No rarelab module or test module imports a name it never uses.
 
 Read with the standard library's `ast`: a name bound by an import
 statement counts as used when the module reads it anywhere or lists it
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rarelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rarelab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +32,8 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 

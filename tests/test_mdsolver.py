@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rarelab import mdsolver
 from rarelab.domain import DomainSpec
 from rarelab.errors import ConfigError, NumericalAbort
-from rarelab.fluxes import burgers, cubic, linear_flux
+from rarelab.fluxes import burgers, cubic
 from rarelab.mdsolver import (
     SolverConfig,
     run,
