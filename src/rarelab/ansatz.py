@@ -119,7 +119,8 @@ def _ansatz_and_defect(far, t, profile, flux, dspec):
     if far.shape != (2, *tspec.sizes):
         raise ValueError(f"far field shape {far.shape} != {(2, *tspec.sizes)}")
     # the weight is the profile rescaled onto (0, 1), from one spline build
-    x1, spline, span = make_grid(dspec).x1, ProfileSpline(profile), profile.ur - profile.ul
+    spline = ProfileSpline(make_grid(profile.spec).x1, profile.values, profile.ul, profile.ur)
+    x1, span = make_grid(dspec).x1, profile.ur - profile.ul
     prof = spline.value(x1)
     g, dg = (prof - profile.ul) / span, spline.slope(x1) / span
 

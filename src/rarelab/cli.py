@@ -45,12 +45,14 @@ from .ineqlab import (
     solve_theta,
 )
 from .mdsolver import (
-    NORM_COLUMNS, SolverConfig, run as run_solver, schedule as solver_schedule, trig_polynomial,
-    validate_config, write_norm_table,
+    NORM_COLUMNS, SolverConfig, mode_problems, run as run_solver, schedule as solver_schedule,
+    trig_polynomial, validate_config, write_norm_table,
 )
 from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
 from .periodic import schedule as torus_schedule
-from .profile1d import evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, profile_to_field, write_profile_series
+from .profile1d import (
+    evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, write_profile_series,
+)
 from .profile1d import schedule as profile_schedule
 from .rates import (
     MIN_FIT_POINTS,
@@ -331,25 +333,24 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
 
 
 def _profile_inputs(cfg: dict[str, str]):
-    """(initial state, its half-length L, flux, t_end, cfl, snapshot times)
-    of a profile config, checked by drawing up the run's step schedule."""
+    """(initial state, flux, t_end, cfl, snapshot times) of a profile
+    config, checked by drawing up the run's step schedule."""
     t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", "0.4")
-    L = _number(cfg, "L", "120", finite=False)
-    p0 = make_initial_state(L, _number(cfg, "n1", "4800", int),
+    p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = flux_from_name(cfg.get("flux", "burgers"), 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
     profile_schedule(p0, flux, t_end, None, cfl, snaps)
-    return p0, L, flux, t_end, cfl, snaps
+    return p0, flux, t_end, cfl, snaps
 
 
-def _exp_profile(out: _Outputs, p0, L, flux, t_end, cfl, snaps) -> None:
+def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
     states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
     write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
-    write_snapshot(profile_to_field(last, L), out.path("profile_final.field"))
-    exact = inviscid_rarefaction(last.x1, last.t, flux, last.ul, last.ur)
+    write_snapshot(last, out.path("profile_final.field"))
+    exact = inviscid_rarefaction(make_grid(last.spec).x1, last.t, flux, last.ul, last.ur)
     out.json("profile_summary.json", {
         "t_final": last.t,
         "sup_distance_to_fan": float(np.max(np.abs(last.values - exact))),
@@ -362,12 +363,16 @@ def _exp_profile(out: _Outputs, p0, L, flux, t_end, cfl, snaps) -> None:
 
 def _periodic_inputs(cfg: dict[str, str]):
     """(disturbance, torus grid, flux, ubar, t_end, dt, snapshot times) of a
-    periodic config, checked by drawing up the run's step schedule; by
-    default 100 snapshots spaced evenly up to t_end."""
+    periodic config, checked by the mode rule and by drawing up the run's
+    step schedule; by default 100 snapshots spaced evenly up to t_end."""
     tspec = TorusSpec(sizes=tuple(_numbers("sizes", cfg.get("sizes", "32,32"), int)))
     flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
     ubar, t_end, dt = _number(cfg, "ubar", "-0.5"), _number(cfg, "t_end", "0.5"), _number(cfg, "dt")
-    w0 = trig_polynomial(_modes(cfg.get("w0_modes", "1,1,0.1")), tspec.coordinates())
+    modes = _modes(cfg.get("w0_modes", "1,1,0.1"))
+    w0 = trig_polynomial(modes, tspec.coordinates())
+    problems = mode_problems(modes, tspec.sizes)
+    if problems:
+        raise ValueError("; ".join(problems))
     snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
              else tuple(np.linspace(t_end / 100.0, t_end, 100)))
     torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)

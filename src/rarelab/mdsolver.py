@@ -35,7 +35,7 @@ from .domain import (
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
-from .profile1d import evolve_profile, initial_profile, make_initial_state
+from .profile1d import evolve_profile, make_initial_state
 from .stepping import (
     DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "schedule",
     "run",
     "trig_polynomial",
+    "mode_problems",
     "write_norm_table",
     "NORM_COLUMNS",
 ]
@@ -72,8 +73,8 @@ class SolverConfig:
     w0_modes lists (k_1, ..., k_n, amplitude) rows; each row contributes
     amplitude * prod over nonzero k of sin(2 pi k_d x_d).  A row needs at
     least one nonzero wavenumber, which is what keeps the disturbance
-    average at zero.  v0 is an optional integrable 1-d profile added to
-    the initial data.
+    average at zero, and wavenumbers the grid carries (`mode_problems`).
+    v0 is an optional integrable 1-d profile added to the initial data.
     """
 
     spec: DomainSpec
@@ -121,6 +122,21 @@ def trig_polynomial(modes, coords) -> np.ndarray:
     return out
 
 
+def mode_problems(modes, sizes) -> list[str]:
+    """Findings for the mode rows a grid of sizes[d] points per unit period
+    in direction d cannot carry: every wavenumber must be an integer with
+    2|k_d| < sizes[d], or its samples alias to a lower mode or to zero."""
+    problems = []
+    for row in modes:
+        ks = row[:-1]
+        if any(k != round(k) for k in ks):
+            problems.append(f"w0_modes row {row} needs integer wavenumbers")
+        elif any(2 * abs(k) >= m for k, m in zip(ks, sizes)):
+            problems.append(f"w0_modes row {row} needs 2|k_d| below the grid's "
+                            f"{tuple(sizes)} points per unit period")
+    return problems
+
+
 def _disturbance_bound(config: SolverConfig) -> float:
     amp = sum(abs(row[-1]) for row in config.w0_modes)
     if config.v0 is not None:
@@ -130,7 +146,8 @@ def _disturbance_bound(config: SolverConfig) -> float:
 
 
 def validate_config(config: SolverConfig) -> list[str]:
-    """Dry-run check of every invariant; returns human-readable findings."""
+    """Dry-run check of every invariant but the step grid's, which
+    `schedule` owns; returns human-readable findings."""
     problems = []
     spec = config.spec
     if spec.n < 2:
@@ -139,10 +156,6 @@ def validate_config(config: SolverConfig) -> list[str]:
         problems.append(f"need ul < ur, got {config.ul} >= {config.ur}")
     if not 0.0 < config.tail_threshold < 1.0:
         problems.append(f"tail threshold must lie in (0, 1), got {config.tail_threshold}")
-    if config.t_end <= 0:
-        problems.append(f"t_end must be positive, got {config.t_end}")
-    if config.dt is not None and not config.dt > 0:
-        problems.append(f"dt must be positive, got {config.dt}")
 
     for row in config.w0_modes:
         if len(row) != spec.n + 1:
@@ -166,9 +179,11 @@ def validate_config(config: SolverConfig) -> list[str]:
         problems.append(f"flux evaluation failed: {e}")
 
     try:
-        far_field_grid(spec)
+        tspec, _ = far_field_grid(spec)
     except ValueError as e:
         problems.append(str(e))
+    else:
+        problems += mode_problems(config.w0_modes, tspec.sizes)
 
     amp = _disturbance_bound(config)
     try:
@@ -180,10 +195,6 @@ def validate_config(config: SolverConfig) -> list[str]:
         max_advective_dt(config.flux, (spec.dx1,), config.ul, config.ur, config.cfl)
     except ValueError as e:
         problems.append(str(e))
-
-    for ts in config.snapshot_times:
-        if not 0.0 <= ts <= config.t_end:
-            problems.append(f"snapshot time {ts} outside [0, {config.t_end}]")
     return problems
 
 
@@ -214,10 +225,9 @@ def run(config: SolverConfig) -> Trajectory:
 
     # 1-d backbone on the cylinder's x1 grid with its dt, sampled at the
     # snapshot instants
-    profiles = evolve_profile(
-        make_initial_state(spec.L, n1, ul, ur), flux, config.t_end, dt=dt,
-        cfl=config.cfl, snapshot_times=tuple(idx * dt for idx in sorted(snap)),
-    )
+    p0 = make_initial_state(spec.L, n1, ul, ur)
+    profiles = evolve_profile(p0, flux, config.t_end, dt=dt, cfl=config.cfl,
+                              snapshot_times=tuple(idx * dt for idx in sorted(snap)))
     prof_at = dict(zip(sorted(snap), profiles))
 
     # far field: [left, right] torus solutions; the row map gives the
@@ -229,9 +239,9 @@ def run(config: SolverConfig) -> Trajectory:
     far = np.stack([ul + w0, ur + w0])
     lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
 
-    # initial data: exact tangent backbone + optional 1-d bump + modes
+    # initial data: the profile's tangent data + optional 1-d bump + modes
     col = (-1,) + (1,) * (spec.n - 1)
-    u = np.broadcast_to(initial_profile(grid.x1, ul, ur).reshape(col), spec.shape).copy()
+    u = np.broadcast_to(p0.values.reshape(col), spec.shape).copy()
     if config.v0 is not None:
         u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
     u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
@@ -257,7 +267,6 @@ def run(config: SolverConfig) -> Trajectory:
                 advective_rhs(w, flux, tspec.spacings))
 
     traj = Trajectory(series={}, steps=steps, dt=dt)
-    line = DomainSpec(n=1, L=spec.L, n1=n1)
     rows: list[dict] = []
 
     def record(k, v, w):
@@ -294,7 +303,7 @@ def run(config: SolverConfig) -> Trajectory:
                 "tail", t,
                 f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
         # the slope profile is constant along the torus: guard it on the line
-        slope_tail = tail_mass(Field(line, np.abs(bundle.dg), t))
+        slope_tail = tail_mass(Field(p0.spec, np.abs(bundle.dg), t))
         if slope_tail > config.tail_threshold:
             raise NumericalAbort(
                 "tail", t,

@@ -11,13 +11,12 @@ and the t^(-1+1/p) decay of the slope's L^p norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import stepping
-from .domain import DomainSpec, Field, make_grid, write_table
+from .domain import DomainSpec, Field, derivative, lp_norm, make_grid, write_table
 from .fluxes import FluxSet
 from .stepping import DiffusionSweep, check_cfl, max_advective_dt, step_schedule, strang_step
 
@@ -31,39 +30,24 @@ __all__ = [
     "oleinik_bound",
     "profile_norm_checks",
     "ProfileSpline",
-    "profile_to_field",
     "write_profile_series",
 ]
 
 
-@dataclass(frozen=True)
-class ProfileState:
-    """Samples of the viscous rarefaction profile on its own x1 grid."""
+@dataclass(frozen=True, kw_only=True)
+class ProfileState(Field):
+    """The viscous rarefaction profile at one instant: a Field on the line
+    DomainSpec(n=1, L, n1), with the end states ul < ur it joins."""
 
-    x1: np.ndarray
-    values: np.ndarray
-    t: float
     ul: float
     ur: float
 
     def __post_init__(self):
-        x = np.asarray(self.x1, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if x.shape != v.shape or x.ndim != 1:
-            raise ValueError("x1 and values must be 1-d arrays of equal length")
-        object.__setattr__(self, "x1", x)
-        object.__setattr__(self, "values", v)
+        super().__post_init__()
+        if self.spec.n != 1:
+            raise ValueError(f"a profile lives on a line (n = 1), got n = {self.spec.n}")
         if not self.ul < self.ur:
             raise ValueError(f"need ul < ur, got {self.ul}, {self.ur}")
-
-    @property
-    def dx(self) -> float:
-        return float(self.x1[1] - self.x1[0])
-
-    @cached_property
-    def slope(self) -> np.ndarray:
-        """The discrete slope (second-order differences), computed once."""
-        return np.gradient(self.values, self.dx, edge_order=2)
 
     def validate(self) -> list[str]:
         """Check range, monotonicity and boundary approach.
@@ -137,15 +121,15 @@ def initial_profile(x1, ul: float, ur: float):
 
 
 def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
-    """Cell-centered grid on [-L, L] filled with the tangent data."""
-    x1 = make_grid(DomainSpec(n=1, L=L, n1=n1)).x1
-    return ProfileState(x1=x1, values=initial_profile(x1, ul, ur), t=0.0, ul=ul, ur=ur)
+    """The tangent data on the line DomainSpec(n=1, L, n1)."""
+    spec = DomainSpec(n=1, L=L, n1=n1)
+    return ProfileState(spec, initial_profile(make_grid(spec).x1, ul, ur), ul=ul, ur=ur)
 
 
 def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 to t_end: `step_schedule`
     under the CFL bound of the end states' range."""
-    dt_max = max_advective_dt(flux, (p0.dx,), p0.ul, p0.ur, cfl)
+    dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur, cfl)
     return step_schedule(t_end - p0.t, dt_max, dt, p0.t, snapshot_times)
 
 
@@ -157,16 +141,18 @@ def evolve_profile(
     cfl: float = 0.4,
     snapshot_times=(),
 ) -> list[ProfileState]:
-    """March the profile to t_end, returning states at the requested times.
+    """The profile at the requested times of a march from p0 to t_end.
 
     Implicit trapezoidal diffusion plus explicit second-order advection;
     ends are pinned to ul/ur, consistent with the exponentially small
-    tails of the data.  Snapshot times are rounded to the step grid.
+    tails of the data.  Snapshot times are rounded to the step grid of
+    [p0.t, t_end], and the march stops at the last of them.
     """
-    dx = p0.dx
-    steps, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
+    spec, dx = p0.spec, p0.spec.dx1
+    _, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
+    last = max(record)
 
-    sweep = DiffusionSweep(p0.values.size, dx, dt / 2.0, periodic=False)
+    sweep = DiffusionSweep(spec.n1, dx, dt / 2.0, periodic=False)
     ghosts = (np.full((2,), p0.ul), np.full((2,), p0.ur))
 
     def sweep_line(state, axis):
@@ -176,12 +162,12 @@ def evolve_profile(
         # looked up on the module, so a wrapper installed there sees the march
         return (stepping.advective_rhs(state[0], flux, (dx,), ghosts),)
 
-    u = p0.values.copy()
+    u = p0.values
     out = []
-    for k in range(steps + 1):
+    for k in range(last + 1):
         if k in record:
-            out.append(ProfileState(p0.x1, u.copy(), p0.t + k * dt, p0.ul, p0.ur))
-        if k < steps:
+            out.append(ProfileState(spec, u, p0.t + k * dt, ul=p0.ul, ur=p0.ur))
+        if k < last:
             (u,) = strang_step((u,), dt, 1, sweep_line, rhs)
             # check each new state, so a state that turned NaN aborts the march
             check_cfl(u, flux, (dx,), dt, p0.t + (k + 1) * dt)
@@ -191,12 +177,13 @@ def evolve_profile(
 def oleinik_bound(p: ProfileState) -> tuple[float, float]:
     """Largest discrete slope and its product with time.
 
-    The product t * max_slope is the quantity that stays bounded for a
-    convex flux (one-sided entropy estimate); the ceiling constant is
-    problem-dependent, so trajectories are reported rather than checked
-    against a fixed value.
+    For a convex flux the product t * max_slope stays bounded (Oleinik's
+    one-sided entropy estimate).  For viscous Burgers the ceiling is
+    exactly 1: the slope v = u_x solves v_t + u v_x + v^2 = v_xx, whose
+    maximum principle gives u_x <= 1/t from any data.  The product is
+    reported, not judged.
     """
-    max_slope = float(np.max(p.slope))
+    max_slope = float(np.max(derivative(p, 0)))
     return max_slope, p.t * max_slope
 
 
@@ -209,29 +196,21 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
     """
     if p.t <= 0:
         raise ValueError("norm checks need t > 0")
-    dx = p.dx
-    left = p.x1 < 0
-    ut1 = float(np.sum(p.values[left] - p.ul) + np.sum(p.ur - p.values[~left])) * dx
-    slope = p.slope
-    report = {"t": p.t, "ut1": ut1, "norms": {}, "ratios": {}}
-    for q in ps:
-        if np.isinf(q):
-            nrm = float(np.max(np.abs(slope)))
-            ratio = nrm * p.t
-        else:
-            nrm = float(np.sum(np.abs(slope) ** q) * dx) ** (1.0 / q)
-            ratio = nrm / p.t ** (-1.0 + 1.0 / q)
-        report["norms"][q] = nrm
-        report["ratios"][q] = ratio
-    return report
+    left = make_grid(p.spec).x1 < 0
+    ut1 = float(np.sum(p.values[left] - p.ul) + np.sum(p.ur - p.values[~left])) * p.spec.dx1
+    slope = p.with_values(derivative(p, 0))
+    norms = {q: lp_norm(slope, q) for q in ps}
+    ratios = {q: norms[q] / p.t ** (-1.0 + 1.0 / q) for q in ps}
+    return {"t": p.t, "ut1": ut1, "norms": norms, "ratios": ratios}
 
 
 class ProfileSpline:
-    """Not-a-knot cubic interpolant of a profile state, clamped to ul/ur outside.
+    """Not-a-knot cubic interpolant of samples `values` at the nodes `x1`,
+    clamped to the end states ul/ur outside them.
 
-    Downstream modules sample values and slopes through this object on
-    grids of their own; the cylinder run samples the profile at its own
-    x1 cell centres, which are the profile's grid points.
+    Downstream modules sample a profile's values and slopes through this
+    object on grids of their own; the cylinder run samples the profile at
+    its own x1 cell centres, which are the profile's grid points.
 
     The nodal slopes solve de Boor's not-a-knot tridiagonal system (the
     third derivative is continuous across the second and the next-to-last
@@ -241,9 +220,10 @@ class ProfileSpline:
     equal that spline's bit for bit.  Needs at least 4 nodes.
     """
 
-    def __init__(self, state: ProfileState):
-        self.state = state
-        x, y = state.x1, state.values
+    def __init__(self, x1, values, ul: float, ur: float):
+        x, y = np.asarray(x1, dtype=float), np.asarray(values, dtype=float)
+        if x.shape != y.shape or x.ndim != 1:
+            raise ValueError("profile nodes and values must be 1-d arrays of equal length")
         n = x.size
         if n < 4:
             raise ValueError(f"a profile spline needs at least 4 nodes, got {n}")
@@ -270,13 +250,14 @@ class ProfileSpline:
         # power-form coefficients per interval, highest first; each sum
         # starts from +0.0 as scipy's does, so a -0.0 node value reads +0.0
         self._c = (t / h, (sec - s[:-1]) / h - t, s[:-1] + 0.0, y[:-1] + 0.0)
+        self._x, self._ul, self._ur = x, ul, ur
         self._lo = float(x[0])
         self._hi = float(x[-1])
 
     def _pieces(self, x):
         """The clamped points' offsets from their interval's left node, and
         that interval's coefficients (the last interval is closed)."""
-        x1 = self.state.x1
+        x1 = self._x
         xc = np.clip(x, self._lo, self._hi)
         i = np.clip(np.searchsorted(x1, xc, "right") - 1, 0, x1.size - 2)
         return xc - x1[i], [c[i] for c in self._c]
@@ -285,8 +266,8 @@ class ProfileSpline:
         x = np.asarray(x, dtype=float)
         z, (c0, c1, c2, c3) = self._pieces(x)
         out = c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
-        out = np.where(x < self._lo, self.state.ul, out)
-        out = np.where(x > self._hi, self.state.ur, out)
+        out = np.where(x < self._lo, self._ul, out)
+        out = np.where(x > self._hi, self._ur, out)
         return out
 
     def slope(self, x):
@@ -294,14 +275,6 @@ class ProfileSpline:
         z, (c0, c1, c2, _) = self._pieces(x)
         out = c2 + 2 * c1 * z + 3 * c0 * (z * z)
         return np.where((x < self._lo) | (x > self._hi), 0.0, out)
-
-
-def profile_to_field(p: ProfileState, L: float) -> Field:
-    """Repackage as a 1-d Field on the grid of half-length L the state was
-    made on, so the snapshot format applies (L rebuilt from the cell
-    centres would carry roundoff).  The Field takes over the values."""
-    spec = DomainSpec(n=1, L=L, n1=p.values.size)
-    return Field(spec=spec, values=p.values, t=p.t)
 
 
 def write_profile_series(states, path) -> None:

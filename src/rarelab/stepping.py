@@ -203,10 +203,11 @@ def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
     same span with the returned dt takes the same steps.  A requested
     dt above the stable `dt_max` aborts.  Snapshot times are rounded to
     the step grid; `record_indices` holds the step indices to record,
-    the final step when no snapshot time is given.
+    the final step when no snapshot time is given.  This is the one
+    owner of the rules t_end > t0, dt > 0 and t0 <= snapshot <= t_end.
     """
     if not span > 0:
-        raise ValueError(f"the run must span a positive time, got {span}")
+        raise ValueError(f"t_end must exceed the start time {t0:g}, got {t0 + span:g}")
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
@@ -217,7 +218,7 @@ def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
     for ts in snapshot_times:
         idx = int(round((ts - t0) / dt))
         if not 0 <= idx <= steps:
-            raise ValueError(f"snapshot time {ts} outside [{t0}, {t0 + span}]")
+            raise ValueError(f"snapshots entry {ts} lies outside [{t0:g}, {t0 + span:g}]")
         record.add(idx)
     return steps, dt, record or {steps}
 

@@ -63,7 +63,7 @@ class TestMixingWeight:
 
     def test_saturates_outside(self):
         p0 = make_initial_state(L=10.0, n1=400, ul=-0.5, ur=0.5)
-        spline = ProfileSpline(p0)
+        spline = ProfileSpline(make_grid(p0.spec).x1, p0.values, p0.ul, p0.ur)
         x = np.array([-50.0, 50.0])
         assert np.array_equal(spline.value(x), [p0.ul, p0.ur])
         assert np.array_equal(spline.slope(x), [0.0, 0.0])
@@ -202,14 +202,15 @@ class TestSourceTerm:
         builds = []
 
         class CountingSpline(ansatz.ProfileSpline):
-            def __init__(self, state):
-                builds.append(state.t)
-                super().__init__(state)
+            def __init__(self, *nodes):
+                builds.append(nodes)
+                super().__init__(*nodes)
 
         monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
         bundle = assemble_bundle(*fars[0], ps[0], flux, dspec)
         assert len(builds) == 1
-        spline, x1 = ProfileSpline(ps[0]), make_grid(dspec).x1
+        nodes = (make_grid(ps[0].spec).x1, ps[0].values, ps[0].ul, ps[0].ur)
+        spline, x1 = ProfileSpline(*nodes), make_grid(dspec).x1
         span = ps[0].ur - ps[0].ul
         g = (spline.value(x1) - ps[0].ul) / span
         assert np.array_equal(bundle.g, g)

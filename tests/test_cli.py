@@ -307,15 +307,15 @@ class TestTorusAndProfileConfigs:
     @pytest.mark.parametrize("command, line, message", [
         ("periodic", "dt = 0", "dt must be positive"),
         ("periodic", "sizes = 2,2", "torus sizes must be at least 4"),
-        ("periodic", "t_end = -1", "must span a positive time"),
-        ("periodic", "snapshots = 0.1,9", "snapshot time 9.0 outside"),
+        ("periodic", "t_end = -1", "t_end must exceed the start time 0, got -1"),
+        ("periodic", "snapshots = 0.1,9", "snapshots entry 9.0 lies outside [0, 0.5]"),
         ("periodic", "w0_modes = 0,0,1", "violates the zero-average requirement"),
         ("periodic", "ubar = nan", "ubar must be finite, got nan"),
         ("periodic", "t_end = inf", "t_end must be finite, got inf"),
         ("periodic", "dt = inf", "dt must be finite, got inf"),
         ("periodic", "dt = 0.2", "requested dt"),
-        ("profile", "t_end = -1", "must span a positive time"),
-        ("profile", "snapshots = 0.1,50", "snapshot time 50.0 outside"),
+        ("profile", "t_end = -1", "t_end must exceed the start time 0, got -1"),
+        ("profile", "snapshots = 0.1,50", "snapshots entry 50.0 lies outside [0, 0.5]"),
         ("profile", "n1 = 2", "n1 must be at least 4"),
         ("profile", "L = inf", "half-length L must be positive and finite, got inf"),
         ("profile", "cfl = 0", "cfl must lie in (0, 0.5], got 0.0"),
@@ -378,8 +378,10 @@ class TestTorusAndProfileConfigs:
 
     @pytest.mark.parametrize("text", [
         "experiment = periodic\nsizes = 8,8\nt_end = 0.05\n",
+        "experiment = periodic\nsizes = 8,8\nt_end = 0.05\nw0_modes = 3,1,0.1\n",
         "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\n",
         TINY_SIMULATE,
+        TINY_SIMULATE_3D,
         "experiment = decompose\ndim = 2\n",
         "experiment = gn-study\ndim = 3\nj = 1\nm = 2\n",
         "experiment = counterexample\nprofile = hat\n",
@@ -391,6 +393,32 @@ class TestTorusAndProfileConfigs:
     def test_unknown_experiment_is_a_violation(self, tmp_path, capsys):
         assert run_cli(tmp_path, "validate", "experiment = nothing\n") == 1
         assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestModesTheGridCannotCarry:
+    """A mode row whose samples alias is a config error (exit 1) in
+    `validate` and in the run.  Before the rule, the first passed
+    `validate` and exited 3 on roundoff, the second aborted on the tail
+    guard (exit 2), and the third sampled to zero."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", TINY_SIMULATE + "w0_modes = 4,4,0.1\n",
+         "w0_modes row (4.0, 4.0, 0.1) needs 2|k_d| below the grid's (4, 8) points"),
+        ("simulate", TINY_SIMULATE + "w0_modes = 0.5,1,0.1\n",
+         "w0_modes row (0.5, 1.0, 0.1) needs integer wavenumbers"),
+        ("periodic", "experiment = periodic\nsizes = 8,8\nw0_modes = 4,1,0.1\n",
+         "w0_modes row (4.0, 1.0, 0.1) needs 2|k_d| below the grid's (8, 8) points"),
+    ])
+    def test_is_a_config_error(self, tmp_path, capsys, command, text, message):
+        assert run_cli(tmp_path, command, text) == 1
+        assert message in capsys.readouterr().err
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["cyl2d", "cyl2d_tiny", "cyl3d", "cyl3d_tiny"])
+    def test_bench_configs_carry_their_modes(self, capsys, name):
+        path = Path(__file__).resolve().parents[1] / "bench" / "configs" / f"{name}.cfg"
+        assert cli.main(["validate", "--config", str(path)]) == 0
 
 
 class TestPeriodicDefaults:

@@ -8,6 +8,7 @@ from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers, cubic
 from rarelab.mdsolver import (
     SolverConfig,
+    mode_problems,
     run,
     trig_polynomial,
     validate_config,
@@ -57,9 +58,38 @@ class TestValidation:
         cfg = small_config(flux=cubic(2), ul=-0.5, ur=0.5)
         assert any("a0" in m or "f_1''" in m for m in validate_config(cfg))
 
+    def test_modes_the_far_field_cannot_carry(self):
+        # L = 20, n1 = 400: 10 far-field points per unit period in x1 and 10 across
+        assert validate_config(small_config(w0_modes=((4, 4, 0.1), (-4, 0, 0.1)))) == []
+        for row in ((5, 1, 0.1), (1, -5, 0.1), (1.5, 1, 0.1)):
+            found = validate_config(small_config(w0_modes=(row,)))
+            assert len(found) == 1 and f"w0_modes row {row}" in found[0]
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(t_end=0.0, snapshot_times=()), "t_end must exceed the start time 0, got 0"),
+        (dict(dt=-0.01), "dt must be positive"),
+        (dict(snapshot_times=(1.0, 9.0)), "snapshots entry 9.0 lies outside"),
+    ])
+    def test_step_grid_rules_belong_to_the_schedule(self, kw, message):
+        cfg = small_config(**kw)
+        assert validate_config(cfg) == []
+        with pytest.raises(ValueError, match=message):
+            mdsolver.schedule(cfg)
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
     def test_run_raises_on_invalid(self):
         with pytest.raises(ConfigError):
             run(small_config(cfl=0.9))
+
+
+class TestModeRule:
+    def test_every_wavenumber_an_integer_below_half_the_points(self):
+        assert mode_problems([(1, 1, 0.1), (0, 3, 0.1), (-1, 0, 0.1)], (4, 8)) == []
+        rows = [(2, 1, 0.1), (1, 4, 0.1), (-2, 0, 0.1), (0.5, 1, 0.1)]
+        found = mode_problems(rows, (4, 8))
+        assert [f"w0_modes row {row}" in msg for row, msg in zip(rows, found)] == [True] * 4
+        assert "integer" in found[-1] and "(4, 8) points" in found[0]
 
 
 class TestTrigPolynomial:
@@ -132,10 +162,12 @@ class TestPerturbedRun:
 
 @st.composite
 def small_perturbed_configs(draw):
-    """2-d and 3-d runs to t = 1 with 1-3 small sine modes on the torus."""
+    """2-d and 3-d runs to t = 1 with 1-3 small sine modes on the torus, each
+    wavenumber one the grid carries (2|k_d| below its points per unit period:
+    4 along x1, n_torus across)."""
     n = draw(st.sampled_from([2, 3]))
     n_torus = tuple(draw(st.lists(st.integers(4, 8), min_size=n - 1, max_size=n - 1)))
-    wavenumbers = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    wavenumbers = st.tuples(*(st.integers(0, (m - 1) // 2) for m in (4, *n_torus))).filter(any)
     rows = draw(st.lists(st.tuples(wavenumbers, st.floats(-0.1, 0.1)), min_size=1, max_size=3))
     return small_config(spec=DomainSpec(n=n, L=11, n1=88, n_torus=n_torus), flux=burgers(n),
                         w0_modes=tuple((*ks, amp) for ks, amp in rows),

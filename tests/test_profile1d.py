@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rarelab import profile1d
-from rarelab.domain import read_snapshot, write_snapshot
+from rarelab import profile1d, stepping
+from rarelab.domain import DomainSpec, Field, derivative, make_grid, read_snapshot, write_snapshot
 from rarelab.errors import NumericalAbort
 from rarelab.fluxes import burgers, cubic, linear_flux
 from rarelab.profile1d import (
@@ -14,10 +14,9 @@ from rarelab.profile1d import (
     make_initial_state,
     oleinik_bound,
     profile_norm_checks,
-    profile_to_field,
     write_profile_series,
 )
-from rarelab.stepping import strang_step
+from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
 
 FLUX = burgers(1)
 
@@ -80,6 +79,11 @@ def evolved():
     return evolve_profile(p0, FLUX, 20.0, snapshot_times=(5.0, 10.0, 20.0))
 
 
+def spline(state):
+    """The not-a-knot spline of a profile state on its own grid."""
+    return ProfileSpline(make_grid(state.spec).x1, state.values, state.ul, state.ur)
+
+
 class TestEvolution:
     def test_range_invariance(self, evolved):
         for st in evolved:
@@ -97,8 +101,6 @@ class TestEvolution:
     def test_constant_data_is_fixed_point_of_the_kernels(self):
         # the end states bracket strictly, so a constant profile state is
         # outside the type; the stepping kernels themselves hold constants
-        from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
-
         u = np.full(64, 0.3)
         sweep = DiffusionSweep(64, 0.1, 0.02, periodic=False)
         v = sweep.apply(u, b_lo=0.3, b_hi=0.3)
@@ -106,6 +108,44 @@ class TestEvolution:
         (v,) = strang_step((v,), 0.02, 0, None,
                            lambda s: (advective_rhs(s[0], FLUX, (0.1,), ghosts),))
         assert np.max(np.abs(v - 0.3)) < 1e-15
+
+    def test_states_are_fields_on_the_line(self, evolved):
+        for st in evolved:
+            assert isinstance(st, Field)
+            assert st.spec == DomainSpec(n=1, L=50.0, n1=2000)
+            assert (st.ul, st.ur) == (-0.5, 0.5)
+
+    def test_one_step_is_the_strang_step_on_the_cylinder_spacing(self):
+        # L = 80, n1 = 3200: the cell-centre difference x1[1] - x1[0] is
+        # 0.04999999999999716, while the cylinder steps with 2L/n1 = 0.05
+        p0 = make_initial_state(L=80.0, n1=3200, ul=-0.5, ur=0.5)
+        spec, dt = p0.spec, 0.02
+        assert spec.dx1 == 0.05 != make_grid(spec).x1[1] - make_grid(spec).x1[0]
+        _, p1 = evolve_profile(p0, FLUX, dt, dt=dt, snapshot_times=(0.0, dt))
+        sweep = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
+        ghosts = (np.full(2, -0.5), np.full(2, 0.5))
+        (u,) = strang_step((p0.values,), dt, 1,
+                           lambda s, axis: (sweep.apply(s[0], b_lo=-0.5, b_hi=0.5),),
+                           lambda s: (advective_rhs(s[0], FLUX, (spec.dx1,), ghosts),))
+        assert p1.spec == spec and p1.t == dt
+        assert np.array_equal(p1.values, u)
+
+    def test_march_stops_at_the_last_record(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return stepping.check_cfl(*args)
+
+        monkeypatch.setattr(profile1d, "check_cfl", counted)
+        p0 = make_initial_state(L=20.0, n1=400, ul=-0.5, ur=0.5)
+        short = evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0))
+        assert len(calls) == 80 and calls[-1] == pytest.approx(4.0)
+        calls.clear()
+        full = evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0, 10.0))
+        assert len(calls) == 200
+        for a, b in zip(short, full):
+            assert a.t == b.t and np.array_equal(a.values, b.values)
 
     def test_snapshot_times_rounded_to_steps(self, evolved):
         assert [pytest.approx(s.t, abs=1e-9) for s in evolved] == [5.0, 10.0, 20.0]
@@ -197,7 +237,7 @@ class TestLongTimeApproach:
     def test_sup_distance_to_fan_decreases(self, long_run):
         dists = []
         for st in long_run:
-            fan = inviscid_rarefaction(st.x1, st.t, FLUX, st.ul, st.ur)
+            fan = inviscid_rarefaction(make_grid(st.spec).x1, st.t, FLUX, st.ul, st.ur)
             dists.append(float(np.max(np.abs(st.values - fan))))
         assert dists[1] < dists[0]
 
@@ -211,22 +251,22 @@ class TestConvergence:
             states[lev] = evolve_profile(p0, FLUX, 10.0, snapshot_times=(10.0,))[0]
         errs = []
         for lev in (0, 1):
-            fine = ProfileSpline(states[lev + 1])
+            fine = spline(states[lev + 1])
             errs.append(float(np.max(np.abs(
-                states[lev].values - fine.value(states[lev].x1)))))
+                states[lev].values - fine.value(make_grid(states[lev].spec).x1)))))
         assert np.log2(errs[0] / errs[1]) >= 1.9
 
 
 class TestInterpolantAndIO:
     def test_spline_clamps_outside(self, evolved):
-        sp = ProfileSpline(evolved[0])
+        sp = spline(evolved[0])
         assert sp.value(np.array([-100.0]))[0] == -0.5
         assert sp.value(np.array([100.0]))[0] == 0.5
         assert sp.slope(np.array([-100.0]))[0] == 0.0
 
     def test_spline_interpolates_nodes(self, evolved):
-        sp = ProfileSpline(evolved[0])
-        got = sp.value(evolved[0].x1)
+        sp = spline(evolved[0])
+        got = sp.value(make_grid(evolved[0].spec).x1)
         assert np.max(np.abs(got - evolved[0].values)) < 1e-14
 
     @pytest.mark.parametrize("x1, values, message", [
@@ -235,20 +275,18 @@ class TestInterpolantAndIO:
         ([0.0, 1.0, 1.0, 2.0], [0.0, 0.1, 0.2, 0.3], "strictly increasing"),
         ([0.0, 1.0, 2.0, np.inf], [0.0, 0.1, 0.2, 0.3], "strictly increasing"),
         ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 0.2, 0.3], "values finite"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.1, 0.2, 0.3], "equal length"),
     ])
     def test_spline_rejects_short_unordered_or_non_finite_samples(self, x1, values, message):
-        state = ProfileState(np.array(x1), np.array(values), 0.0, -0.5, 0.5)
         with pytest.raises(ValueError, match=message):
-            ProfileSpline(state)
+            ProfileSpline(np.array(x1), np.array(values), -0.5, 0.5)
 
     def test_snapshot_roundtrip(self, evolved, tmp_path):
-        f = profile_to_field(evolved[0], 50.0)
-        assert f.spec.n == 1
         path = tmp_path / "profile.field"
-        write_snapshot(f, path)
+        write_snapshot(evolved[1], path)
         g = read_snapshot(path)
-        assert np.array_equal(g.values, evolved[0].values)
-        assert g.spec.L == pytest.approx(50.0)
+        assert g.spec == evolved[1].spec and g.t == evolved[1].t
+        assert same_bits(g.values, evolved[1].values)
 
     def test_series_csv(self, evolved, tmp_path):
         path = tmp_path / "series.csv"
@@ -257,17 +295,21 @@ class TestInterpolantAndIO:
         assert rows[0].startswith("t,max_slope,t_max_slope")
         assert len(rows) == 1 + len(evolved)
 
-    def test_slope_is_computed_once_per_state(self, evolved):
+    def test_slope_is_the_grid_derivative(self, evolved):
         st = evolved[1]
-        assert st.slope is st.slope
-        assert np.array_equal(st.slope, np.gradient(st.values, st.dx, edge_order=2))
-        assert oleinik_bound(st)[0] == float(np.max(st.slope))
+        slope = derivative(st, 0)
+        assert np.array_equal(slope, np.gradient(st.values, st.spec.dx1, edge_order=2))
+        assert oleinik_bound(st)[0] == float(np.max(slope))
 
     def test_state_validation_guards(self):
-        with pytest.raises(ValueError):
-            ProfileState(np.linspace(-1, 1, 8), np.zeros(8), 0.0, 0.5, -0.5)
-        with pytest.raises(ValueError):
-            ProfileState(np.linspace(-1, 1, 8), np.zeros(4), 0.0, -0.5, 0.5)
+        line = DomainSpec(n=1, L=1.0, n1=8)
+        with pytest.raises(ValueError, match="need ul < ur"):
+            ProfileState(line, np.zeros(8), ul=0.5, ur=-0.5)
+        with pytest.raises(ValueError, match="grid shape"):
+            ProfileState(line, np.zeros(4), ul=-0.5, ur=0.5)
+        with pytest.raises(ValueError, match="n = 2"):
+            ProfileState(DomainSpec(n=2, L=1.0, n1=8, n_torus=(4,)), np.zeros((8, 4)),
+                         ul=-0.5, ur=0.5)
 
 
 def same_bits(a, b) -> bool:
@@ -275,17 +317,17 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def scipy_reference(state):
+def scipy_reference(x1, values, ul, ur):
     """(value, slope) of scipy's not-a-knot CubicSpline, clamped as ProfileSpline clamps."""
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(state.x1, state.values)
+    spline = CubicSpline(x1, values)
     deriv = spline.derivative()
-    lo, hi = state.x1[0], state.x1[-1]
+    lo, hi = x1[0], x1[-1]
 
     def value(x):
-        out = np.where(x < lo, state.ul, spline(np.clip(x, lo, hi)))
-        return np.where(x > hi, state.ur, out)
+        out = np.where(x < lo, ul, spline(np.clip(x, lo, hi)))
+        return np.where(x > hi, ur, out)
 
     def slope(x):
         return np.where((x < lo) | (x > hi), 0.0, deriv(np.clip(x, lo, hi)))
@@ -303,27 +345,26 @@ class TestSplineMatchesScipy:
     def test_values_and_slopes_are_bitwise_equal(self, n1, data):
         rng = np.random.default_rng(n1)
         state = make_initial_state(L=20.0, n1=n1, ul=-0.5, ur=0.5)
+        x1, values = make_grid(state.spec).x1, state.values
         if data == "noisy":
-            state = ProfileState(state.x1, state.values + 0.05 * rng.standard_normal(n1),
-                                 0.0, state.ul, state.ur)
+            values = values + 0.05 * rng.standard_normal(n1)
         elif data == "uneven":
-            x1 = state.x1 + 0.3 * state.dx * rng.uniform(-1.0, 1.0, n1)
-            state = ProfileState(x1, initial_profile(x1, state.ul, state.ur),
-                                 0.0, state.ul, state.ur)
-        x1 = state.x1
+            x1 = x1 + 0.3 * state.spec.dx1 * rng.uniform(-1.0, 1.0, n1)
+            values = initial_profile(x1, state.ul, state.ur)
         points = np.concatenate([x1, 0.5 * (x1[1:] + x1[:-1]),
                                  rng.uniform(x1[0], x1[-1], 4000),
                                  rng.uniform(-40.0, 40.0, 1000), [-1e6, 1e6]])
-        sp, (value, slope) = ProfileSpline(state), scipy_reference(state)
+        nodes = (x1, values, state.ul, state.ur)
+        sp, (value, slope) = ProfileSpline(*nodes), scipy_reference(*nodes)
         assert same_bits(sp.value(points), value(points))
         assert same_bits(sp.slope(points), slope(points))
 
     def test_a_signed_zero_node_reads_as_scipy_reads_it(self):
         # a -0.0 node on a decreasing concave stretch: every term of the
         # power sum is -0.0 there, and scipy's sum starts from +0.0
-        state = ProfileState(np.arange(7.0), np.array([0.9, 0.8, 0.5, -0.0, -1.0, -3.0, -7.0]),
-                             0.0, -8.0, 1.0)
-        value, slope = scipy_reference(state)
-        sp = ProfileSpline(state)
-        assert same_bits(sp.value(state.x1), value(state.x1))
-        assert same_bits(sp.slope(state.x1), slope(state.x1))
+        x1 = np.arange(7.0)
+        nodes = (x1, np.array([0.9, 0.8, 0.5, -0.0, -1.0, -3.0, -7.0]), -8.0, 1.0)
+        value, slope = scipy_reference(*nodes)
+        sp = ProfileSpline(*nodes)
+        assert same_bits(sp.value(x1), value(x1))
+        assert same_bits(sp.slope(x1), slope(x1))
