@@ -32,7 +32,7 @@ from . import __version__
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
 from .domain import DomainSpec, Field, make_grid, write_snapshot, write_table
 from .errors import ConfigError, NumericalAbort
-from .fluxes import flux_from_name
+from .fluxes import FluxSet, flux_from_name, linear_flux
 from .ineqlab import (
     check_interpolation_exponents,
     dilated_gn_ratio,
@@ -146,9 +146,13 @@ def _v0_from_spec(s: str):
 
 
 def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
-    """'auto' = fine prefix + log-spaced decades; or an explicit list."""
+    """'auto' = fine prefix + log-spaced decades; or an explicit list.
+    Without a positive t_end 'auto' is empty: the step schedule rejects
+    that t_end."""
     spec = spec.strip().lower()
     if spec in ("", "auto"):
+        if not t_end > 0:
+            return ()
         prefix = list(np.arange(0.1, min(1.0, t_end), 0.1))
         decades = list(np.geomspace(max(t_end / 100.0, 1.0), t_end, 33))
         times = sorted(set(round(t, 6) for t in prefix + decades + [t_end]))
@@ -165,6 +169,16 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
             t *= ratio
         return tuple(times)
     return tuple(sorted(set(_numbers("snapshots", spec))))
+
+
+def _flux(cfg: dict[str, str], n: int) -> FluxSet:
+    """The flux set that the config key `flux` names (default burgers),
+    in n directions; linear speeds are read with `_numbers`."""
+    name = cfg.get("flux", "burgers")
+    kind, colon, speeds = name.strip().lower().partition(":")
+    if kind == "linear" and colon:
+        return linear_flux(n, _numbers("flux", speeds))
+    return flux_from_name(name, n)
 
 
 def _window(cfg: dict[str, str]):
@@ -192,7 +206,7 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
     t_end = _number(cfg, "t_end", "100")
     return SolverConfig(
         spec=spec,
-        flux=flux_from_name(cfg.get("flux", "burgers"), spec.n),
+        flux=_flux(cfg, spec.n),
         ul=_number(cfg, "ul", "-0.5"),
         ur=_number(cfg, "ur", "0.5"),
         w0_modes=_modes(cfg.get("w0_modes", "")),
@@ -338,7 +352,7 @@ def _profile_inputs(cfg: dict[str, str]):
     t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", "0.4")
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
-    flux = flux_from_name(cfg.get("flux", "burgers"), 1)
+    flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
     profile_schedule(p0, flux, t_end, None, cfl, snaps)
@@ -366,7 +380,7 @@ def _periodic_inputs(cfg: dict[str, str]):
     periodic config, checked by the mode rule and by drawing up the run's
     step schedule; by default 100 snapshots spaced evenly up to t_end."""
     tspec = TorusSpec(sizes=tuple(_numbers("sizes", cfg.get("sizes", "32,32"), int)))
-    flux = flux_from_name(cfg.get("flux", "burgers"), tspec.ndim)
+    flux = _flux(cfg, tspec.ndim)
     ubar, t_end, dt = _number(cfg, "ubar", "-0.5"), _number(cfg, "t_end", "0.5"), _number(cfg, "dt")
     modes = _modes(cfg.get("w0_modes", "1,1,0.1"))
     w0 = trig_polynomial(modes, tspec.coordinates())

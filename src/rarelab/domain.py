@@ -27,6 +27,9 @@ read-only in place and keeps it, so a caller that writes to it afterwards
 gets a ValueError.  Any other input (a view, a Fortran-ordered or
 non-float array, a list) is copied.  Each operator result is one fresh
 array, so wrapping it with `Field.with_values` costs no copy.
+`magnitude` takes ownership the same way: it overwrites the writable
+arrays it is handed and returns the first one, so a caller passes it
+operator results it no longer needs, never an array it reads later.
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ def lp_norm(f: Field, p: float) -> float:
     elif p == 2:
         acc = float(np.sum(v * v))
     else:
-        acc = float(np.sum(np.abs(v) ** p))
+        a = np.abs(v)
+        a **= p
+        acc = float(np.sum(a))
     return (acc * f.spec.cell_volume) ** (1.0 / p)
 
 
@@ -209,19 +214,25 @@ def gradient(f: Field) -> list[np.ndarray]:
     return [derivative(f, axis) for axis in range(f.spec.n)]
 
 
+def _square(c: np.ndarray) -> np.ndarray:
+    """c * c, in c's own buffer unless c is read-only."""
+    return np.multiply(c, c, out=c if c.flags.writeable else None)
+
+
 def magnitude(components) -> np.ndarray:
     """Pointwise Euclidean length sqrt(sum c**2) of equal-shape arrays.
 
-    The squares are summed in order into one array, with one scratch
-    array for the squares after the first.
+    Takes ownership of its components, as operator results are handed
+    to it: each writable one is squared in place, the squares are added
+    in order into the first, and the square root is taken there, so the
+    result is the first component's buffer.  A read-only component (a
+    Field's values) is squared into a new array instead.  Bitwise
+    np.sqrt(sum(c * c)) either way.
     """
     it = iter(components)
-    first = next(it)
-    acc = first * first
-    sq = None
+    acc = _square(next(it))
     for c in it:
-        sq = np.multiply(c, c, out=sq)
-        acc += sq
+        acc += _square(c)
     return np.sqrt(acc, out=acc)
 
 

@@ -73,6 +73,8 @@ def cubic(n: int) -> FluxSet:
 def linear_flux(n: int, speeds: Sequence[float]) -> FluxSet:
     """f_i(u) = c_i u.  Degenerate in the line direction (f_1'' = 0):
     useful for exercising validation failure paths."""
+    if len(speeds) != n:
+        raise ValueError(f"linear flux wants {n} speeds, got {len(speeds)}")
     fs, dfs, d2fs = [], [], []
     for c in speeds:
         fs.append(lambda u, c=c: c * np.asarray(u, dtype=float))
@@ -89,8 +91,5 @@ def flux_from_name(name: str, n: int) -> FluxSet:
     if name == "cubic":
         return cubic(n)
     if name.startswith("linear:"):
-        speeds = [float(s) for s in name.split(":", 1)[1].split(",")]
-        if len(speeds) != n:
-            raise ValueError(f"linear flux wants {n} speeds, got {len(speeds)}")
-        return linear_flux(n, speeds)
+        return linear_flux(n, [float(s) for s in name.split(":", 1)[1].split(",")])
     raise ValueError(f"unknown flux '{name}' (try burgers, cubic, linear:c1,..,cn)")

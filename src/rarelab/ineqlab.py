@@ -137,16 +137,28 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
 
 
 def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[np.ndarray]:
-    """Components of grad(|v|**power) for power >= 1, without differencing
-    across the sign kink: power * |v|**(power-1) * sign(v) * grad(v).
-    Where v vanishes the factor is 0 for power > 1 and has magnitude 1
-    for power = 1, since |grad |v|| = |grad v| across a simple zero."""
-    if power < 1.0:
-        raise ValueError(f"power must be >= 1, got {power}")
-    mag = np.abs(values)
-    at_zero = 1.0 if power == 1.0 else 0.0
-    factor = np.where(mag > 0.0, power * mag ** (power - 1.0) * np.sign(values), at_zero)
-    return [factor * dv for dv in derivs]
+    """Components of grad(|v|**power) for finite power >= 1, without
+    differencing across the sign kink: power * |v|**(power-1) * sign(v)
+    * grad(v).  Where v vanishes the factor is 0 for power > 1 and has
+    magnitude 1 for power = 1, since |grad |v|| = |grad v| across a
+    simple zero.
+
+    Takes ownership of the partials, as `magnitude` does: each writable
+    one is scaled in place and returned, a read-only one into a new
+    array.  The factor is one array, built in the order of
+    np.where(|v| > 0, power * |v|**(power-1) * sign(v), at_zero); off
+    the zeros it is never NaN or negative, so copying v's sign onto it
+    is bitwise the product with sign(v).
+    """
+    if not 1.0 <= power < np.inf:
+        raise ValueError(f"power must be finite and >= 1, got {power}")
+    factor = np.abs(values, dtype=float)
+    zero = ~(factor > 0.0)
+    factor **= power - 1.0
+    factor *= power
+    np.copysign(factor, values, out=factor)
+    factor[zero] = 1.0 if power == 1.0 else 0.0
+    return [np.multiply(factor, dv, out=dv if dv.flags.writeable else None) for dv in derivs]
 
 
 def check_interpolation_exponents(p: float, q: float) -> None:
@@ -167,8 +179,9 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     is invariant under u -> lambda u.
     """
     check_interpolation_exponents(p, q)
-    gv = chain_rule_power_gradient(u.values, gradient(u), p / 2.0)
-    gnorm = lp_norm(u.with_values(magnitude(gv)), 2)
+    # |grad(|u|^(p/2))| is built in u's partials, which are freed with it
+    gnorm = lp_norm(u.with_values(magnitude(
+        chain_rule_power_gradient(u.values, gradient(u), p / 2.0))), 2)
     uq = lp_norm(u, q)
     lhs = lp_norm(u, p)
     rhs = 0.0

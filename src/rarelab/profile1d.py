@@ -49,25 +49,6 @@ class ProfileState(Field):
         if not self.ul < self.ur:
             raise ValueError(f"need ul < ur, got {self.ul}, {self.ur}")
 
-    def validate(self) -> list[str]:
-        """Check range, monotonicity and boundary approach.
-
-        The mathematical statements are strict (open range, positive
-        slope) but the tails saturate to the end states at machine
-        precision, so the checks carry floating-point slack: range
-        within 1e-10, forward differences above -1e-12, ends within 1e-8.
-        """
-        problems = []
-        if self.values.min() < self.ul - 1e-10 or self.values.max() > self.ur + 1e-10:
-            problems.append("values leave the interval [ul, ur]")
-        if np.min(np.diff(self.values)) < -1e-12:
-            problems.append("forward differences dip below -1e-12")
-        if abs(self.values[0] - self.ul) > 1e-8:
-            problems.append(f"left boundary off by {abs(self.values[0] - self.ul):.3e}")
-        if abs(self.values[-1] - self.ur) > 1e-8:
-            problems.append(f"right boundary off by {abs(self.values[-1] - self.ur):.3e}")
-        return problems
-
 
 def inviscid_rarefaction(x1, t: float, flux: FluxSet, ul: float, ur: float):
     """Self-similar entropy solution of the two-state dam-break problem.

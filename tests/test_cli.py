@@ -357,6 +357,11 @@ class TestTorusAndProfileConfigs:
         ("simulate", "v0 = gaussian:nan,0,1", "v0 entries must be finite numbers, got 'nan,0,1'"),
         ("simulate", "v0 = gaussian:0.1,inf,1", "v0 entries must be finite numbers, got '0.1,inf,1'"),
         ("simulate", "v0 = gaussian:0.1,0", "v0 needs finite gaussian:amp,center,width"),
+        ("simulate", "flux = linear:1,x", "flux entries must be finite numbers, got '1,x'"),
+        ("profile", "flux = linear:x", "flux entries must be finite numbers, got 'x'"),
+        ("periodic", "flux = linear:1,inf", "flux entries must be finite numbers, got '1,inf'"),
+        ("periodic", "flux = linear:1", "linear flux wants 2 speeds, got 1"),
+        ("simulate", "flux = linear:", "linear flux wants 2 speeds, got 0"),
     ])
     def test_bad_input_is_a_config_error(self, tmp_path, capsys, command, line, message):
         text = f"experiment = {command}\nL = 10\nn1 = 100\nt_end = 0.5\n{line}\n"
@@ -366,6 +371,16 @@ class TestTorusAndProfileConfigs:
         assert "Traceback" not in err
         assert run_cli(tmp_path, "validate", text) == 1
         assert message in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", ["0", "-1"])
+    def test_auto_snapshots_leave_a_bad_t_end_to_the_schedule(self, tmp_path, capsys, t_end):
+        text = f"experiment = simulate\nt_end = {t_end}\nsnapshots = auto\n"
+        message = f"t_end must exceed the start time 0, got {t_end}"
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert capsys.readouterr().out == f"violation: {message}\n"
+        assert run_cli(tmp_path, "simulate", text) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_malformed_norm_table_is_a_config_error(self, tmp_path, capsys):
         table = tmp_path / "norms.csv"

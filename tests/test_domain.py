@@ -158,11 +158,13 @@ class TestDerivatives:
         assert np.allclose(d, [(1 - 4) / (2 * h), 1 / h, 1 / h, 1 / h, (0 - 3) / (2 * h)])
 
     def test_magnitude_is_the_euclidean_length(self):
+        # magnitude overwrites what it is handed, so it gets copies
         a = np.array([[3.0, -1.0], [0.0, 2.0]])
         b = np.array([[4.0, 1.0], [0.0, -2.0]])
-        assert np.array_equal(magnitude([a]), np.abs(a))
-        assert np.allclose(magnitude([a, b]), np.hypot(a, b), rtol=1e-15)
-        assert np.allclose(magnitude(iter([a, b, a])), np.sqrt(2 * a**2 + b**2), rtol=1e-15)
+        assert np.array_equal(magnitude([a.copy()]), np.abs(a))
+        assert np.allclose(magnitude([a.copy(), b.copy()]), np.hypot(a, b), rtol=1e-15)
+        assert np.allclose(magnitude(iter([a.copy(), b.copy(), a.copy()])),
+                           np.sqrt(2 * a**2 + b**2), rtol=1e-15)
 
     def test_second_derivative_and_laplacian(self):
         spec = DomainSpec(n=2, L=3.0, n1=256, n_torus=(64,))
@@ -331,9 +333,25 @@ class TestOperatorsMatchReferenceFormulas:
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
     def test_magnitude_is_bitwise_the_square_root_of_the_sum(self, f):
+        # magnitude squares in the buffers it is handed and returns the first
         cs = [*gradient(f), f.values]
-        assert np.array_equal(magnitude(iter(cs)), np.sqrt(sum(c * c for c in cs)))
-        assert np.array_equal(magnitude(cs[:1]), np.sqrt(sum(c * c for c in cs[:1])))
+        handed = [c.copy() for c in cs]
+        got = magnitude(iter(handed))
+        assert got is handed[0]
+        assert np.array_equal(got, np.sqrt(sum(c * c for c in cs)))
+        assert np.array_equal(magnitude([cs[0].copy()]), np.sqrt(sum(c * c for c in cs[:1])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields())
+    def test_magnitude_leaves_a_read_only_component_untouched(self, f):
+        kept = f.values.copy()
+        for cs in ([f.values, *gradient(f)], [*gradient(f), f.values], [f.values]):
+            want = np.sqrt(sum(c * c for c in [x.copy() for x in cs]))
+            got = magnitude(cs)
+            assert got is not f.values
+            assert np.array_equal(got, want)
+            assert np.array_equal(f.values, kept)
+            assert np.array_equal(np.signbit(f.values), np.signbit(kept))
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
@@ -341,6 +359,7 @@ class TestOperatorsMatchReferenceFormulas:
         a, vol = np.abs(f.values), f.spec.cell_volume
         assert lp_norm(f, 1.0) == (float(np.sum(a)) * vol) ** 1.0
         assert lp_norm(f, 2.0) == (float(np.sum(a * a)) * vol) ** 0.5
+        assert lp_norm(f, 3.5) == (float(np.sum(a ** 3.5)) * vol) ** (1.0 / 3.5)
         assert lp_norm(f, np.inf) == float(np.max(a))
 
     @pytest.mark.parametrize("n", [1, 2, 3])

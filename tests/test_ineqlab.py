@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab.decomp import decompose, level_sum
 from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
@@ -17,6 +18,19 @@ from rarelab.ineqlab import (
 )
 
 DILATIONS = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+
+
+@st.composite
+def signed_samples(draw):
+    """Values on a random 1-, 2- or 3-d grid, spread over many magnitudes,
+    with both signs and exact (signed) zeros, plus one partial per axis."""
+    n = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(4, 9), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    v[rng.random(shape) < 0.15] = 0.0
+    v[rng.random(shape) < 0.15] = -0.0
+    return v, [rng.standard_normal(shape) for _ in range(n)]
 
 
 def bump_times_mode(spec, k=1):
@@ -198,7 +212,7 @@ class TestChainRulePowerGradient:
         x = np.linspace(-2, 2, 401)
         v = np.sin(x)
         dv = np.cos(x)
-        got = chain_rule_power_gradient(v, [dv], 2.0)[0]
+        got = chain_rule_power_gradient(v, [dv.copy()], 2.0)[0]
         assert np.allclose(got, 2 * np.abs(v) * np.sign(v) * dv, atol=1e-14)
 
     def test_zero_convention(self):
@@ -211,9 +225,42 @@ class TestChainRulePowerGradient:
         # |grad |v|| = |grad v| across a simple zero of v
         v = np.array([0.0, 1.0, -2.0])
         dv = np.array([5.0, 3.0, 4.0])
-        got = chain_rule_power_gradient(v, [dv], 1.0)[0]
+        got = chain_rule_power_gradient(v, [dv.copy()], 1.0)[0]
         assert np.array_equal(np.abs(got), dv)
         assert np.array_equal(got[1:], [3.0, -4.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_samples(), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]))
+    def test_in_place_factor_is_bitwise_the_where_formula(self, case, power):
+        v, derivs = case
+        mag = np.abs(v)
+        at_zero = 1.0 if power == 1.0 else 0.0
+        factor = np.where(mag > 0.0, power * mag ** (power - 1.0) * np.sign(v), at_zero)
+        want = [factor * dv for dv in derivs]
+        handed = [dv.copy() for dv in derivs]
+        got = chain_rule_power_gradient(v, handed, power)
+        for g, h, w in zip(got, handed, want):
+            assert g is h
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_samples(), st.sampled_from([1.0, 1.5, 3.0]))
+    def test_read_only_partials_are_left_untouched(self, case, power):
+        v, derivs = case
+        want = chain_rule_power_gradient(v, [dv.copy() for dv in derivs], power)
+        kept = [dv.copy() for dv in derivs]
+        for dv in derivs:
+            dv.setflags(write=False)
+        got = chain_rule_power_gradient(v, derivs, power)
+        for g, dv, k, w in zip(got, derivs, kept, want):
+            assert g is not dv
+            assert np.array_equal(g, w) and np.array_equal(dv, k)
+
+    @pytest.mark.parametrize("power", [0.5, np.inf, np.nan])
+    def test_power_outside_one_to_infinity_rejected(self, power):
+        with pytest.raises(ValueError):
+            chain_rule_power_gradient(np.ones(4), [np.ones(4)], power)
 
 
 class TestDilationStudies:

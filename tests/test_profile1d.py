@@ -21,6 +21,27 @@ from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
 FLUX = burgers(1)
 
 
+def profile_problems(st: ProfileState) -> list[str]:
+    """Range, monotonicity and boundary approach of a profile state.
+
+    The mathematical statements are strict (open range, positive slope)
+    but the tails saturate to the end states at machine precision, so the
+    checks carry floating-point slack: range within 1e-10, forward
+    differences above -1e-12, ends within 1e-8.
+    """
+    v = st.values
+    problems = []
+    if v.min() < st.ul - 1e-10 or v.max() > st.ur + 1e-10:
+        problems.append("values leave the interval [ul, ur]")
+    if np.min(np.diff(v)) < -1e-12:
+        problems.append("forward differences dip below -1e-12")
+    if abs(v[0] - st.ul) > 1e-8:
+        problems.append(f"left boundary off by {abs(v[0] - st.ul):.3e}")
+    if abs(v[-1] - st.ur) > 1e-8:
+        problems.append(f"right boundary off by {abs(v[-1] - st.ur):.3e}")
+    return problems
+
+
 class TestInviscidFan:
     def test_fan_center(self):
         assert inviscid_rarefaction(0.0, 1.0, FLUX, -0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +117,7 @@ class TestEvolution:
 
     def test_boundary_pinned(self, evolved):
         for st in evolved:
-            assert not st.validate()
+            assert not profile_problems(st)
 
     def test_constant_data_is_fixed_point_of_the_kernels(self):
         # the end states bracket strictly, so a constant profile state is
