@@ -32,7 +32,7 @@ from . import __version__
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
 from .domain import DomainSpec, Field, make_grid, write_snapshot, write_table
 from .errors import ConfigError, NumericalAbort
-from .fluxes import FluxSet, flux_from_name, linear_flux
+from .fluxes import FluxSet, burgers, cubic, linear_flux
 from .ineqlab import (
     check_interpolation_exponents,
     dilated_gn_ratio,
@@ -172,13 +172,18 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
 
 
 def _flux(cfg: dict[str, str], n: int) -> FluxSet:
-    """The flux set that the config key `flux` names (default burgers),
-    in n directions; linear speeds are read with `_numbers`."""
-    name = cfg.get("flux", "burgers")
-    kind, colon, speeds = name.strip().lower().partition(":")
+    """The flux set that the config key `flux` names, in n directions:
+    burgers (the default), cubic or linear:c1,..,cn, whose speeds are
+    read with `_numbers`."""
+    name = cfg.get("flux", "burgers").strip().lower()
+    kind, colon, speeds = name.partition(":")
     if kind == "linear" and colon:
         return linear_flux(n, _numbers("flux", speeds))
-    return flux_from_name(name, n)
+    if name == "burgers":
+        return burgers(n)
+    if name == "cubic":
+        return cubic(n)
+    raise ValueError(f"unknown flux '{name}' (try burgers, cubic, linear:c1,..,cn)")
 
 
 def _window(cfg: dict[str, str]):

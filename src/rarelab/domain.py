@@ -27,9 +27,10 @@ read-only in place and keeps it, so a caller that writes to it afterwards
 gets a ValueError.  Any other input (a view, a Fortran-ordered or
 non-float array, a list) is copied.  Each operator result is one fresh
 array, so wrapping it with `Field.with_values` costs no copy.
-`magnitude` takes ownership the same way: it overwrites the writable
-arrays it is handed and returns the first one, so a caller passes it
-operator results it no longer needs, never an array it reads later.
+`magnitude` takes ownership the same way: it overwrites the arrays it
+is handed and returns the first one, so a caller passes it operator
+results it no longer needs, never an array it reads later.  Arrays it
+may not overwrite (read-only, or sharing memory) it leaves untouched.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "derivative",
     "gradient",
     "magnitude",
+    "overwritable",
     "second_derivative",
     "laplacian",
     "tail_mass",
@@ -214,25 +216,30 @@ def gradient(f: Field) -> list[np.ndarray]:
     return [derivative(f, axis) for axis in range(f.spec.n)]
 
 
-def _square(c: np.ndarray) -> np.ndarray:
-    """c * c, in c's own buffer unless c is read-only."""
-    return np.multiply(c, c, out=c if c.flags.writeable else None)
+def overwritable(arrays: list[np.ndarray]) -> bool:
+    """Whether an in-place pass may overwrite every one of arrays: each
+    is writable and no two may share memory.  An array handed twice, or
+    two overlapping views, would be overwritten before it is read again."""
+    return all(a.flags.writeable for a in arrays) and not any(
+        np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 def magnitude(components) -> np.ndarray:
     """Pointwise Euclidean length sqrt(sum c**2) of equal-shape arrays.
 
     Takes ownership of its components, as operator results are handed
-    to it: each writable one is squared in place, the squares are added
-    in order into the first, and the square root is taken there, so the
-    result is the first component's buffer.  A read-only component (a
-    Field's values) is squared into a new array instead.  Bitwise
-    np.sqrt(sum(c * c)) either way.
+    to it: each one is squared in place, the squares are added in order
+    into the first, and the square root is taken there, so the result is
+    the first component's buffer.  When they are not all `overwritable`
+    (a Field's read-only values, an array handed twice) none is written
+    and the result is a new array.  Bitwise np.sqrt(sum(c * c)) either way.
     """
-    it = iter(components)
-    acc = _square(next(it))
-    for c in it:
-        acc += _square(c)
+    comps = list(components)
+    if not overwritable(comps):
+        return np.sqrt(sum(c * c for c in comps))
+    acc = np.multiply(comps[0], comps[0], out=comps[0])
+    for c in comps[1:]:
+        acc += np.multiply(c, c, out=c)
     return np.sqrt(acc, out=acc)
 
 

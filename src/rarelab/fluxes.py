@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["FluxSet", "burgers", "cubic", "linear_flux", "flux_from_name"]
+__all__ = ["FluxSet", "burgers", "cubic", "linear_flux"]
 
 FluxFn = Callable[[np.ndarray], np.ndarray]
 
@@ -81,15 +81,3 @@ def linear_flux(n: int, speeds: Sequence[float]) -> FluxSet:
         dfs.append(_const(c))
         d2fs.append(_const(0.0))
     return FluxSet(f=tuple(fs), df=tuple(dfs), d2f=tuple(d2fs), a0=1.0)
-
-
-def flux_from_name(name: str, n: int) -> FluxSet:
-    """Build a flux set from a config token: 'burgers', 'cubic', 'linear:c1,..'."""
-    name = name.strip().lower()
-    if name == "burgers":
-        return burgers(n)
-    if name == "cubic":
-        return cubic(n)
-    if name.startswith("linear:"):
-        return linear_flux(n, [float(s) for s in name.split(":", 1)[1].split(",")])
-    raise ValueError(f"unknown flux '{name}' (try burgers, cubic, linear:c1,..,cn)")

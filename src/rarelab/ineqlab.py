@@ -19,7 +19,8 @@ import numpy as np
 
 from .decomp import DecompositionResult, decompose, level_sum
 from .domain import (
-    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, second_derivative,
+    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, overwritable,
+    second_derivative,
 )
 
 __all__ = [
@@ -143,12 +144,13 @@ def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[
     magnitude 1 for power = 1, since |grad |v|| = |grad v| across a
     simple zero.
 
-    Takes ownership of the partials, as `magnitude` does: each writable
-    one is scaled in place and returned, a read-only one into a new
-    array.  The factor is one array, built in the order of
-    np.where(|v| > 0, power * |v|**(power-1) * sign(v), at_zero); off
-    the zeros it is never NaN or negative, so copying v's sign onto it
-    is bitwise the product with sign(v).
+    Takes ownership of the partials, as `magnitude` does: each one is
+    scaled in place and returned, unless they are not all `overwritable`,
+    when none is written and the results are new arrays.  The factor is
+    one array, built in the order of np.where(|v| > 0, power *
+    |v|**(power-1) * sign(v), at_zero); off the zeros it is never NaN or
+    negative, so copying v's sign onto it is bitwise the product with
+    sign(v).
     """
     if not 1.0 <= power < np.inf:
         raise ValueError(f"power must be finite and >= 1, got {power}")
@@ -158,7 +160,9 @@ def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[
     factor *= power
     np.copysign(factor, values, out=factor)
     factor[zero] = 1.0 if power == 1.0 else 0.0
-    return [np.multiply(factor, dv, out=dv if dv.flags.writeable else None) for dv in derivs]
+    derivs = list(derivs)
+    outs = derivs if overwritable(derivs) else [None] * len(derivs)
+    return [np.multiply(factor, dv, out=o) for dv, o in zip(derivs, outs)]
 
 
 def check_interpolation_exponents(p: float, q: float) -> None:

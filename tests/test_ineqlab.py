@@ -257,6 +257,18 @@ class TestChainRulePowerGradient:
             assert g is not dv
             assert np.array_equal(g, w) and np.array_equal(dv, k)
 
+    @settings(max_examples=30, deadline=None)
+    @given(signed_samples(), st.sampled_from([1.0, 1.5, 3.0]))
+    def test_aliased_partials_are_left_untouched(self, case, power):
+        # a partial handed twice would be scaled twice in place
+        v, derivs = case
+        dv, kept = derivs[0], derivs[0].copy()
+        want = chain_rule_power_gradient(v, [kept.copy()], power)[0]
+        for handed in ([dv, dv], [dv, dv[...]]):
+            got = chain_rule_power_gradient(v, handed, power)
+            assert all(np.array_equal(g, want) for g in got)
+            assert np.array_equal(dv, kept)
+
     @pytest.mark.parametrize("power", [0.5, np.inf, np.nan])
     def test_power_outside_one_to_infinity_rejected(self, power):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelab.errors import NumericalAbort
-from rarelab.fluxes import burgers, cubic, flux_from_name, linear_flux
+from rarelab.cli import _flux
+from rarelab.fluxes import burgers, cubic, linear_flux
 from rarelab.periodic import TorusSpec, TorusStepper
 from rarelab.stepping import (
     DiffusionSweep,
@@ -368,7 +369,8 @@ class TestFluxSets:
             linear_flux(2, [1.0, 0.5]).check_convexity(-1.0, 1.0)
 
     def test_from_name(self):
-        assert flux_from_name("burgers", 3).n == 3
-        assert flux_from_name("linear:1,2", 2).df[1](np.float64(0.0)) == 2.0
+        # the config key `flux` names a flux set
+        assert _flux({"flux": "burgers"}, 3).n == 3
+        assert _flux({"flux": "linear:1,2"}, 2).df[1](np.float64(0.0)) == 2.0
         with pytest.raises(ValueError):
-            flux_from_name("what", 2)
+            _flux({"flux": "what"}, 2)
