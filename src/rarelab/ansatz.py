@@ -57,14 +57,6 @@ class AnsatzBundle:
     h: Field
     t: float
 
-    def check(self) -> list[str]:
-        problems = []
-        if not (np.all(self.g > 0.0) and np.all(self.g < 1.0)):
-            problems.append("mixing weight leaves (0, 1)")
-        if np.any(np.diff(self.g) < 0.0):
-            problems.append("mixing weight is not increasing")
-        return problems
-
 
 def mean_flux_curvature(d2f, a, b):
     """Average of f'' along the straight segment from b to a.

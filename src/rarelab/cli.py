@@ -235,10 +235,11 @@ def _sha256(path) -> str:
 
 
 class _Outputs:
-    def __init__(self, outdir, cfg_text: str):
+    def __init__(self, outdir, cfg_text: str, kind: str):
         os.makedirs(outdir, exist_ok=True)
         self.outdir = outdir
         self.cfg_text = cfg_text
+        self.kind = kind
         self.t0 = time.time()
         self.files: list[str] = []
 
@@ -257,6 +258,7 @@ class _Outputs:
             "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
             "wall_seconds": time.time() - self.t0,
             "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},
+            "experiment": self.kind,
             **(extra or {}),
         }
         path = os.path.join(self.outdir, "manifest.json")
@@ -346,8 +348,7 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
          "|grad phi|_2": 6, "|u-profile|_inf": 8},
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
-    out.finish({"experiment": "simulate", "steps": traj.steps, "dt": traj.dt,
-                "max_courant": traj.max_courant})
+    out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant})
     _raise_on_failed(report)
 
 
@@ -377,7 +378,7 @@ def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
     })
     _write_decay_plot(out.path("plots.gp"), "profile_series.csv",
                       {"max_slope": 2, "slope_l2": 5}, {"slope": -1.0})
-    out.finish({"experiment": "profile"})
+    out.finish()
 
 
 def _periodic_inputs(cfg: dict[str, str]):
@@ -415,7 +416,7 @@ def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, t_end, dt, snaps) -> Non
         fh.write('set datafile separator ","\nset logscale y\n'
                  'plot "periodic_series.csv" using 1:2 with lines title "sup|w|",'
                  ' "" using 1:3 with lines title "sup|grad w|"\n')
-    out.finish({"experiment": "periodic"})
+    out.finish()
 
 
 def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
@@ -463,7 +464,7 @@ def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) ->
     out.json("decomposition_suite.json", worst)
     parts = dump_components(decompose(_random_cylinder_field(spec, rng)), out.outdir)
     out.files += ["decomposition.json", *(c["file"] for c in parts["components"])]
-    out.finish({"experiment": "decompose", "n_fields": n_fields, "seed": seed})
+    out.finish({"n_fields": n_fields, "seed": seed})
 
 
 def _gn_inputs(cfg: dict[str, str]):
@@ -497,7 +498,7 @@ def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int,
         "interpolation_ratio_max": max(row[2] for row in rows),
         "exponents": {"j": j, "m": m, "p": p, "q": q, "r": r},
     })
-    out.finish({"experiment": "gn-study", "n_fields": n_fields, "seed": seed})
+    out.finish({"n_fields": n_fields, "seed": seed})
 
 
 _PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
@@ -540,7 +541,7 @@ def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> None:
         fh.write('set datafile separator ","\nset logscale xy\n'
                  'plot "sobolev_scaling.csv" using 1:2 title "measured", '
                  f'x**({summary["sobolev_slope_predicted"]}) title "guide"\n')
-    out.finish({"experiment": "counterexample"})
+    out.finish()
 
 
 def _rates_inputs(cfg: dict[str, str]):
@@ -554,7 +555,7 @@ def _rates_inputs(cfg: dict[str, str]):
 def _exp_rates(out: _Outputs, src: str, table, window) -> None:
     report = _rate_report(table, window)
     write_rate_report(report, out.path("rates.json"))
-    out.finish({"experiment": "rates", "input": src})
+    out.finish({"input": src})
     _raise_on_failed(report)
 
 
@@ -624,7 +625,7 @@ def validate(cfg: dict[str, str]) -> list[str]:
 def run_experiment(cfg: dict[str, str], outdir) -> int:
     kind, inputs = _inputs(cfg)
     cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
-    _EXPERIMENTS[kind][1](_Outputs(outdir, cfg_text), *inputs)
+    _EXPERIMENTS[kind][1](_Outputs(outdir, cfg_text, kind), *inputs)
     return 0
 
 

@@ -13,7 +13,9 @@ that takes the same Strang step as the cylinder, in lockstep: the x1
 sweep reads the far field averaged over its own matching sweep, and
 each Heun stage reads ghost rows from the matching far-field stage, so
 a cylinder field that equals a tiled torus field stays equal to it away
-from the fan.
+from the fan.  The pair is one state of `stepping.march`, the loop the
+profile and torus solvers run too; `run` supplies its per-step check
+(Courant number, maximum principle) and its snapshot record.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile) puts more than
@@ -37,7 +39,7 @@ from .fluxes import FluxSet
 from .periodic import TorusStepper
 from .profile1d import evolve_profile, make_initial_state
 from .stepping import (
-    DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
+    DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
 
 __all__ = [
@@ -234,7 +236,7 @@ def run(config: SolverConfig) -> Trajectory:
     # torus row of every x1 cell, and the ghost cells read the first and
     # last two rows of their side
     tspec, far_rows = far_field_grid(spec)
-    stepper = TorusStepper(tspec, flux, dt)
+    stepper = TorusStepper(tspec, dt)
     w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
     far = np.stack([ul + w0, ur + w0])
     lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
@@ -267,16 +269,28 @@ def run(config: SolverConfig) -> Trajectory:
                 advective_rhs(w, flux, tspec.spacings))
 
     traj = Trajectory(series={}, steps=steps, dt=dt)
-    rows: list[dict] = []
+    # extremes of the state before the step; each step's new extremes
+    # are the next step's old ones
+    extremes = [min(np.min(u), np.min(far)), max(np.max(u), np.max(far))]
 
-    def record(k, v, w):
+    def check(state, t):
+        # the schedule already bounds the initial state's Courant number
+        v, w = state
+        traj.max_courant = max(traj.max_courant, check_cfl(v, flux, spacings, dt, t))
+        lo, hi = min(np.min(v), np.min(w)), max(np.max(v), np.max(w))
+        traj.max_principle_violation = max(traj.max_principle_violation,
+                                           float(hi - extremes[1]), float(extremes[0] - lo))
+        extremes[:] = lo, hi
+
+    def record(k, state):
+        v, w = state
         t = k * dt
         bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
         phi = Field(spec, v - bundle.u_tilde.values, t)
         grad_phi = Field(spec, magnitude(gradient(phi)), t)
         prof_b = bundle.profile_values.reshape(col)
         tails = tail_mass(phi)
-        rows.append(dict(
+        sample = dict(
             t=t,
             phi_l1=lp_norm(phi, 1),
             phi_l2=lp_norm(phi, 2),
@@ -289,7 +303,7 @@ def run(config: SolverConfig) -> Trajectory:
             tail_mass=tails,
             max_u=float(np.max(v)),
             min_u=float(np.min(v)),
-        ))
+        )
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
@@ -298,7 +312,7 @@ def run(config: SolverConfig) -> Trajectory:
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
             mismatch = float(np.max(np.abs(w[side, row] - w[side, j])))
             traj.boundary_mismatch = max(traj.boundary_mismatch, mismatch)
-        if tails > config.tail_threshold and rows[-1]["phi_l1"] > config.tail_floor:
+        if tails > config.tail_threshold and sample["phi_l1"] > config.tail_floor:
             raise NumericalAbort(
                 "tail", t,
                 f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
@@ -308,27 +322,12 @@ def run(config: SolverConfig) -> Trajectory:
             raise NumericalAbort(
                 "tail", t,
                 f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
+        return sample
 
-    # extremes of the state before the step; each step's new extremes
-    # are the next step's old ones
-    viol = 0.0
-    old_lo, old_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
-    for k in range(steps + 1):
-        if k in snap:
-            record(k, u, far)
-        if k == steps:
-            break
-        u, far = strang_step((u, far), dt, spec.n, sweep, rhs)
-        # each new state is checked before it is recorded or stepped, so a
-        # state that turned NaN aborts the run; the schedule already bounds
-        # the initial state's Courant number
-        courant = check_cfl(u, flux, spacings, dt, (k + 1) * dt)
-        traj.max_courant = max(traj.max_courant, courant)
-        new_lo, new_hi = min(np.min(u), np.min(far)), max(np.max(u), np.max(far))
-        viol = max(viol, float(new_hi - old_hi), float(old_lo - new_lo))
-        old_lo, old_hi = new_lo, new_hi
-
-    traj.max_principle_violation = viol
+    # handed over, not kept: no name here holds the start state while it is stepped
+    start = [(u, far)]
+    del u, far
+    rows = march(start.pop(), (steps, dt, snap), spec.n, sweep, rhs, check, record)
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     return traj
 

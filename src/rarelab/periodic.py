@@ -6,9 +6,10 @@ end states.  Conservation form keeps the disturbance average at zero,
 and dissipation drives the disturbance to zero exponentially fast; the
 rate is measured (by a log-linear fit), never assumed.
 
-A torus step is the shared Strang step of `stepping`.  `TorusStepper`
-sweeps along negative axes, so the cylinder solver marches both far
-fields as one stacked (2, m1, ...) array with the same stepper.
+A torus run is the shared march of `stepping`.  `TorusStepper` holds
+only the diffusion sweeps; it sweeps along negative axes, so the
+cylinder solver marches both far fields as one stacked (2, m1, ...)
+array with the same sweeps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigError
 from .fluxes import FluxSet
 from .rates import log_linear_fit
 from .stepping import (
-    DiffusionSweep, advective_rhs, check_cfl, max_advective_dt, step_schedule, strang_step,
+    DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
 
 __all__ = [
@@ -98,12 +99,11 @@ class PeriodicState:
 
 
 class TorusStepper:
-    """One Strang step on the torus; also drives the cylinder far field."""
+    """The half-step diffusion sweeps of a torus grid; they also sweep the
+    cylinder's stacked far field."""
 
-    def __init__(self, spec: TorusSpec, flux: FluxSet, dt: float):
+    def __init__(self, spec: TorusSpec, dt: float):
         self.spec = spec
-        self.flux = flux
-        self.dt = dt
         self.sweeps = [
             DiffusionSweep(m, h, dt / 2.0, periodic=True)
             for m, h in zip(spec.sizes, spec.spacings)
@@ -117,16 +117,6 @@ class TorusStepper:
         blocks = values.reshape(-1, 1, *self.spec.sizes)
         axis = axis % self.spec.ndim - self.spec.ndim
         return self.sweeps[axis].apply(blocks, axis=axis).reshape(values.shape)
-
-    def step(self, values: np.ndarray, t: float) -> np.ndarray:
-        """The state at t + dt; aborts when its Courant number exceeds 1 or is not finite."""
-        (values,) = strang_step(
-            (values,), self.dt, self.spec.ndim,
-            lambda s, axis: (self.sweep_axis(s[0], axis),),
-            lambda s: (advective_rhs(s[0], self.flux, self.spec.spacings),),
-        )
-        check_cfl(values, self.flux, self.spec.spacings, self.dt, t + self.dt)
-        return values
 
 
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,
@@ -150,16 +140,16 @@ def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, t_end: float, sna
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != spec.sizes:
         raise ConfigError(f"w0 shape {w0.shape} does not match torus {spec.sizes}")
-    steps, dt, record = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
-    stepper = TorusStepper(spec, flux, dt)
-    u = ubar + w0
-    out = []
-    for k in range(steps + 1):
-        if k in record:
-            out.append(PeriodicState(spec, u, k * dt, ubar))
-        if k < steps:
-            u = stepper.step(u, k * dt)
-    return out
+    plan = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
+    dt = plan[1]
+    stepper = TorusStepper(spec, dt)
+    return march(
+        (ubar + w0,), plan, spec.ndim,
+        lambda state, axis: (stepper.sweep_axis(state[0], axis),),
+        lambda state: (advective_rhs(state[0], flux, spec.spacings),),
+        lambda state, t: check_cfl(state[0], flux, spec.spacings, dt, t),
+        lambda k, state: PeriodicState(spec, state[0], k * dt, ubar),
+    )
 
 
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dgtsv
 from . import stepping
 from .domain import DomainSpec, Field, derivative, lp_norm, make_grid, write_table
 from .fluxes import FluxSet
-from .stepping import DiffusionSweep, check_cfl, max_advective_dt, step_schedule, strang_step
+from .stepping import DiffusionSweep, check_cfl, march, max_advective_dt, step_schedule
 
 __all__ = [
     "ProfileState",
@@ -131,28 +131,22 @@ def evolve_profile(
     """
     spec, dx = p0.spec, p0.spec.dx1
     _, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
-    last = max(record)
 
     sweep = DiffusionSweep(spec.n1, dx, dt / 2.0, periodic=False)
     ghosts = (np.full((2,), p0.ul), np.full((2,), p0.ur))
-
-    def sweep_line(state, axis):
-        return (sweep.apply(state[0], b_lo=p0.ul, b_hi=p0.ur),)
 
     def rhs(state):
         # looked up on the module, so a wrapper installed there sees the march
         return (stepping.advective_rhs(state[0], flux, (dx,), ghosts),)
 
-    u = p0.values
-    out = []
-    for k in range(last + 1):
-        if k in record:
-            out.append(ProfileState(spec, u, p0.t + k * dt, ul=p0.ul, ur=p0.ur))
-        if k < last:
-            (u,) = strang_step((u,), dt, 1, sweep_line, rhs)
-            # check each new state, so a state that turned NaN aborts the march
-            check_cfl(u, flux, (dx,), dt, p0.t + (k + 1) * dt)
-    return out
+    return march(
+        (p0.values,), (max(record), dt, record), 1,
+        lambda state, axis: (sweep.apply(state[0], b_lo=p0.ul, b_hi=p0.ur),),
+        rhs,
+        lambda state, t: check_cfl(state[0], flux, (dx,), dt, t),
+        lambda k, state: ProfileState(spec, state[0], p0.t + k * dt, ul=p0.ul, ur=p0.ur),
+        t0=p0.t,
+    )
 
 
 def oleinik_bound(p: ProfileState) -> tuple[float, float]:

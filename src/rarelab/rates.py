@@ -25,11 +25,15 @@ __all__ = [
     "exponent_ordering",
     "write_rate_report",
     "EXPONENT_TOL",
+    "ORDERING_TOL",
+    "DEGENERATE_FLOOR",
     "MIN_FIT_POINTS",
 ]
 
 # tolerance on fitted exponents at the reference resolution
 EXPONENT_TOL = 0.15
+ORDERING_TOL = 0.1  # how far fitted exponents may invert the ordering in 1/p
+DEGENERATE_FLOOR = 1e-9  # a sup distance at the solver noise floor: no fit
 
 MIN_FIT_POINTS = 4  # fewest points a fit window may hold
 
@@ -106,17 +110,17 @@ def fit_window(times, window=None) -> tuple[float, float]:
     return tuple(window)
 
 
-def _judge(times, series, predicted: float, window, tol: float) -> dict:
-    """Fit the window and pass when the exponent is at most predicted + tol;
-    faster decay is consistent with the one-sided bound and noted."""
+def _judge(times, series, predicted: float, window) -> dict:
+    """Fit the window; pass when the exponent is at most predicted plus
+    EXPONENT_TOL (faster decay is consistent with the one-sided bound, noted)."""
     fit = fit_power_law(times, series, window)
     report = {
-        "status": "pass" if fit.exponent <= predicted + tol else "fail",
+        "status": "pass" if fit.exponent <= predicted + EXPONENT_TOL else "fail",
         "predicted": predicted,
-        "tolerance": tol,
+        "tolerance": EXPONENT_TOL,
         "fit": asdict(fit),
     }
-    if fit.exponent < predicted - tol:
+    if fit.exponent < predicted - EXPONENT_TOL:
         report["note"] = (
             "decay faster than the predicted bound; consistent (the rate "
             "statement is an upper bound)"
@@ -124,30 +128,28 @@ def _judge(times, series, predicted: float, window, tol: float) -> dict:
     return report
 
 
-def verify_main_theorem(times, distance_series, window=None, tol: float = EXPONENT_TOL,
-                        degenerate_floor: float = 1e-9) -> dict:
+def verify_main_theorem(times, distance_series, window=None) -> dict:
     """Check the sup-norm approach rate to the 1-d profile.
 
     The series should be |u - profile|_inf.  Passes when the fitted
-    exponent is at most -1/2 + tol: the rate statement is one-sided, so
-    faster decay is consistent and noted as such.  A series at the
-    solver noise floor is flagged degenerate and skipped.
+    exponent is at most -1/2 + EXPONENT_TOL: the rate statement is
+    one-sided, so faster decay is consistent and noted as such.  A series
+    at most DEGENERATE_FLOOR is flagged degenerate and skipped.
     """
     window = fit_window(times, window)
     series = np.asarray(distance_series, dtype=float)
-    if float(np.max(series)) <= degenerate_floor:
+    if float(np.max(series)) <= DEGENERATE_FLOOR:
         return {"status": "degenerate, skip",
-                "max_value": float(np.max(series)), "floor": degenerate_floor}
-    return _judge(times, series, -0.5, window, tol)
+                "max_value": float(np.max(series)), "floor": DEGENERATE_FLOOR}
+    return _judge(times, series, -0.5, window)
 
 
-def verify_apriori(times, series, p: float, which: str, window=None,
-                   tol: float = EXPONENT_TOL) -> dict:
+def verify_apriori(times, series, p: float, which: str, window=None) -> dict:
     """Check one perturbation norm against its predicted rate.
 
     For p = 1 the prediction is boundedness, checked as max/min <= 3
     over the window; otherwise the fitted exponent must not exceed the
-    predicted one by more than tol (faster decay is consistent).
+    predicted one by more than EXPONENT_TOL (faster decay is consistent).
     """
     window = fit_window(times, window)
     if which == "phi" and p == 1.0:
@@ -162,15 +164,15 @@ def verify_apriori(times, series, p: float, which: str, window=None,
             "max_over_min": ratio,
             "window": tuple(float(w) for w in window),
         }
-    return _judge(times, series, predicted_exponent(p, which), window, tol)
+    return _judge(times, series, predicted_exponent(p, which), window)
 
 
-def exponent_ordering(fits: dict, tol: float = 0.1) -> dict:
+def exponent_ordering(fits: dict) -> dict:
     """Check fitted exponents follow the predicted ordering in 1/p.
 
     `fits` maps p (possibly inf) to fitted exponents.  The predicted
     exponent -1/2 + 1/(2p) increases with 1/p, so the fitted values must
-    not invert that ordering by more than tol.
+    not invert that ordering by more than ORDERING_TOL.
     """
     ps = sorted(fits, key=lambda p: 0.0 if np.isinf(p) else 1.0 / p)
     pairs = []
@@ -179,8 +181,8 @@ def exponent_ordering(fits: dict, tol: float = 0.1) -> dict:
         gap = fits[hi_p] - fits[lo_p]
         pairs.append({"steeper_p": lo_p if not np.isinf(lo_p) else "inf",
                       "shallower_p": hi_p, "gap": gap})
-    failed = any(pair["gap"] < -tol for pair in pairs)
-    return {"status": "fail" if failed else "pass", "pairs": pairs, "tolerance": tol}
+    failed = any(pair["gap"] < -ORDERING_TOL for pair in pairs)
+    return {"status": "fail" if failed else "pass", "pairs": pairs, "tolerance": ORDERING_TOL}
 
 
 def write_rate_report(report: dict, path) -> None:

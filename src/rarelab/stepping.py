@@ -10,8 +10,10 @@ sweep per direction) and the advection A explicitly (Heun's method over
 upwind-biased second-order conservative fluxes).  The implicit treatment
 removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
 remains the only step-size restriction.  A step advances a tuple of
-arrays together (the cylinder solution and its stacked far field), and
-`step_schedule` fixes the step count and the steps to record.
+arrays together (the cylinder solution and its stacked far field).
+`step_schedule` fixes the step count and the steps to record, and
+`march` is the one loop every solver runs over that plan: step, check
+the new state, keep the recorded ones.
 
 Each direction's diffusion operator is built once per solver and a
 sweep applies it to every line at once: the bounded x1 direction is an
@@ -38,6 +40,7 @@ __all__ = [
     "DiffusionSweep",
     "advective_rhs",
     "strang_step",
+    "march",
     "step_schedule",
     "max_advective_dt",
     "check_cfl",
@@ -191,6 +194,24 @@ def strang_step(state: tuple, dt: float, ndim: int, sweep, rhs) -> tuple:
     for axis in range(ndim):
         state = sweep(state, axis)
     return state
+
+
+def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep, t0: float = 0.0) -> list:
+    """Take a schedule's plan = (steps, dt, record) of Strang steps from
+    `state` at time t0 and return keep(k, state) for each recorded k.
+    `check(state, t)` sees every new state, at t = t0 + (k + 1) dt, before
+    it is kept or stepped again, so a NaN state aborts even on the last
+    step.  Only the current state is held, so a start state the caller
+    hands over is freed by the first step."""
+    steps, dt, record = plan
+    out = []
+    for k in range(steps + 1):
+        if k in record:
+            out.append(keep(k, state))
+        if k < steps:
+            state = strang_step(state, dt, ndim, sweep, rhs)
+            check(state, t0 + (k + 1) * dt)
+    return out
 
 
 def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):

@@ -192,6 +192,17 @@ class TestDeterminism:
             assert np.array_equal(a.series[key], b.series[key]), key
 
 
+class TestStepCount:
+    def test_one_cylinder_check_per_step(self, monkeypatch):
+        # the benchmark counts steps as calls of mdsolver's check_cfl binding
+        calls, check_cfl = [], mdsolver.check_cfl
+        monkeypatch.setattr(mdsolver, "check_cfl",
+                            lambda *args: calls.append(args[-1]) or check_cfl(*args))
+        traj = run(small_config(t_end=2.0, snapshot_times=(1.0,)))
+        assert len(calls) == traj.steps
+        assert calls == [pytest.approx((k + 1) * traj.dt) for k in range(traj.steps)]
+
+
 class TestAborts:
     def test_cfl_abort(self):
         with pytest.raises(NumericalAbort) as exc:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from rarelab import periodic
+from rarelab import stepping
 from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.periodic import (
@@ -49,7 +49,7 @@ class TestSolvePeriodic:
             out = strang_step(state, dt, ndim, sweep, rhs)
             return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
 
-        monkeypatch.setattr(periodic, "strang_step", nan_last)
+        monkeypatch.setattr(stepping, "strang_step", nan_last)
         spec = TorusSpec(sizes=(8, 8))
         with pytest.raises(NumericalAbort) as info:
             solve_periodic(product_mode(spec), -0.5, FLUX, 0.01, (0.01,), spec=spec, dt=1e-3)

@@ -189,7 +189,7 @@ class TestEvolution:
             out = strang_step(state, dt, ndim, sweep, rhs)
             return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
 
-        monkeypatch.setattr(profile1d, "strang_step", nan_last)
+        monkeypatch.setattr(stepping, "strang_step", nan_last)
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort) as info:
             evolve_profile(p0, FLUX, 0.5, dt=0.05)

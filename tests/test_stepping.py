@@ -10,6 +10,7 @@ from rarelab.stepping import (
     DiffusionSweep,
     advective_rhs,
     check_cfl,
+    march,
     max_advective_dt,
     step_schedule,
     strang_step,
@@ -249,10 +250,13 @@ class TestTorusConservation:
         flux = burgers(spec.ndim)
         u = ubar + 0.2 * rng.standard_normal(spec.sizes)
         dt = max_advective_dt(flux, spec.spacings, float(u.min()), float(u.max()), 0.4)
-        stepper = TorusStepper(spec, flux, dt)
+        stepper = TorusStepper(spec, dt)
         mean0 = float(np.mean(u))
-        for k in range(3):
-            u = stepper.step(u, k * dt)
+        (u,) = march((u,), (3, dt, {3}), spec.ndim,
+                     lambda s, axis: (stepper.sweep_axis(s[0], axis),),
+                     lambda s: (advective_rhs(s[0], flux, spec.spacings),),
+                     lambda s, t: check_cfl(s[0], flux, spec.spacings, dt, t),
+                     lambda k, s: s[0])
         assert abs(float(np.mean(u)) - mean0) < 1e-14
 
 
@@ -272,6 +276,42 @@ class TestStrangStep:
         assert w[0] == pytest.approx(4.0 / 16 * heun, rel=1e-15)
 
 
+class TestMarch:
+    """The one step/record loop: each step adds dt to the state, since the
+    right-hand side is 1 and there is no diffusion axis."""
+
+    def march_ones(self, plan, t0=0.0):
+        checked = []
+        kept = march((np.zeros(1),), plan, 0, None, lambda s: (np.ones(1),),
+                     lambda s, t: checked.append((t, s[0][0])),
+                     lambda k, s: (k, s[0][0]), t0=t0)
+        return kept, checked
+
+    def test_records_the_plan_and_checks_every_step(self):
+        kept, checked = self.march_ones((5, 0.25, {0, 2, 5}), t0=3.0)
+        assert kept == [(0, 0.0), (2, 0.5), (5, 1.25)]
+        assert checked == [(3.0 + (k + 1) * 0.25, (k + 1) * 0.25) for k in range(5)]
+
+    def test_takes_the_plans_steps_past_its_last_record(self):
+        kept, checked = self.march_ones((4, 0.5, {1}))
+        assert kept == [(1, 0.5)] and len(checked) == 4
+
+    def test_nan_on_the_last_step_aborts(self):
+        calls = []
+
+        def rhs(state):
+            calls.append(1)
+            return (np.full(1, np.nan if len(calls) > 6 else 1.0),)
+
+        flux = burgers(1)
+        with pytest.raises(NumericalAbort) as info:
+            march((np.zeros(1),), (4, 0.1, {4}), 0, None, rhs,
+                  lambda s, t: check_cfl(s[0], flux, (1.0,), 0.1, t),
+                  lambda k, s: pytest.fail("a NaN state was kept"), t0=1.0)
+        assert len(calls) == 8  # two Heun stages in each of the 4 steps
+        assert info.value.reason == "cfl" and info.value.t == pytest.approx(1.4)
+
+
 class TestStackedFarField:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -285,7 +325,7 @@ class TestStackedFarField:
         pair = [c + 0.2 * rng.standard_normal(spec.sizes) for c in (-0.5, 0.5)]
         stack = np.stack(pair)
         rhs = advective_rhs(stack, flux, spec.spacings)
-        stepper = TorusStepper(spec, flux, 0.01)
+        stepper = TorusStepper(spec, 0.01)
         for i, u in enumerate(pair):
             assert np.array_equal(rhs[i], advective_rhs(u, flux, spec.spacings))
             for axis in range(spec.ndim):
