@@ -21,7 +21,6 @@ import argparse
 import ctypes
 import difflib
 import hashlib
-import json
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
-from .domain import DomainSpec, Field, make_grid, write_snapshot, write_table
+from .domain import DomainSpec, Field, make_grid, write_json, write_snapshot, write_table
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet, burgers, cubic, linear_flux
 from .ineqlab import (
@@ -48,12 +47,14 @@ from .mdsolver import (
     NORM_COLUMNS, SolverConfig, mode_problems, run as run_solver, schedule as solver_schedule,
     trig_polynomial, validate_config, write_norm_table,
 )
-from .periodic import TorusSpec, fit_exponential_decay, solve_periodic, write_periodic_series
-from .periodic import schedule as torus_schedule
-from .profile1d import (
-    evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound, write_profile_series,
+from .periodic import (
+    PERIODIC_COLUMNS, TorusSpec, fit_exponential_decay, schedule as torus_schedule,
+    solve_periodic, write_periodic_series,
 )
-from .profile1d import schedule as profile_schedule
+from .profile1d import (
+    PROFILE_COLUMNS, evolve_profile, inviscid_rarefaction, make_initial_state, oleinik_bound,
+    schedule as profile_schedule, write_profile_series,
+)
 from .rates import (
     MIN_FIT_POINTS,
     exponent_ordering,
@@ -248,8 +249,7 @@ class _Outputs:
         return os.path.join(self.outdir, name)
 
     def json(self, name: str, obj) -> None:
-        with open(self.path(name), "w") as fh:
-            json.dump(obj, fh, indent=2)
+        write_json(obj, self.path(name))
 
     def finish(self, extra: dict | None = None) -> str:
         manifest = {
@@ -262,8 +262,7 @@ class _Outputs:
             **(extra or {}),
         }
         path = os.path.join(self.outdir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        write_json(manifest, path)
         return path
 
 
@@ -275,11 +274,12 @@ _PLOT_HEADER = (
 )
 
 
-def _write_decay_plot(path, csv_name: str, columns: dict[str, int], guides: dict[str, float]):
-    """Gnuplot script: log-log decay curves plus predicted-slope guide lines."""
+def _write_decay_plot(path, csv_name: str, header, columns: dict, guides: dict[str, float]):
+    """Gnuplot script: log-log curves of the `header` columns named in `columns`, plus guides."""
     lines = [_PLOT_HEADER, f'set ylabel "norm"\n']
     plots = []
-    for label, col in columns.items():
+    for label, name in columns.items():
+        col = header.index(name) + 1  # gnuplot counts columns from 1
         plots.append(f'"{csv_name}" using (1+$1):{col} with linespoints title "{label}"')
     for label, slope in guides.items():
         plots.append(f"x**({slope}) title \"guide {label}: slope {slope}\"")
@@ -343,9 +343,9 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
     report["boundary_mismatch"] = traj.boundary_mismatch
     write_rate_report(report, out.path("rates.json"))
     _write_decay_plot(
-        out.path("plots.gp"), "norms.csv",
-        {"|phi|_1": 2, "|phi|_2": 3, "|phi|_4": 4, "|phi|_inf": 5,
-         "|grad phi|_2": 6, "|u-profile|_inf": 8},
+        out.path("plots.gp"), "norms.csv", NORM_COLUMNS,
+        {"|phi|_1": "phi_l1", "|phi|_2": "phi_l2", "|phi|_4": "phi_l4", "|phi|_inf": "phi_linf",
+         "|grad phi|_2": "grad_phi_l2", "|u-profile|_inf": "u_minus_profile_linf"},
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
     out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant})
@@ -376,8 +376,8 @@ def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
         "sup_distance_to_fan": float(np.max(np.abs(last.values - exact))),
         "oleinik_product": oleinik_bound(last)[1],
     })
-    _write_decay_plot(out.path("plots.gp"), "profile_series.csv",
-                      {"max_slope": 2, "slope_l2": 5}, {"slope": -1.0})
+    _write_decay_plot(out.path("plots.gp"), "profile_series.csv", PROFILE_COLUMNS,
+                      {"max_slope": "max_slope", "slope_l2": "slope_l2"}, {"slope": -1.0})
     out.finish()
 
 
@@ -412,10 +412,11 @@ def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, t_end, dt, snaps) -> Non
         report.update({"alpha": alpha, "rate_2alpha": 2 * alpha, "r2": r2,
                        "window": [lo, hi]})
     out.json("periodic_decay.json", report)
+    sup, grad = (PERIODIC_COLUMNS.index(name) + 1 for name in ("w_sup", "grad_w_sup"))
     with open(out.path("plots.gp"), "w") as fh:
         fh.write('set datafile separator ","\nset logscale y\n'
-                 'plot "periodic_series.csv" using 1:2 with lines title "sup|w|",'
-                 ' "" using 1:3 with lines title "sup|grad w|"\n')
+                 f'plot "periodic_series.csv" using 1:{sup} with lines title "sup|w|",'
+                 f' "" using 1:{grad} with lines title "sup|grad w|"\n')
     out.finish()
 
 
@@ -460,7 +461,7 @@ def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) ->
                 r = norm_bound_ratio(f, d, m, p)
                 if np.isfinite(r):
                     worst["ratio"] = max(worst["ratio"], r)
-    worst["ratio_bound"] = 4.0 ** (spec.n - 1)
+    worst["ratio_bound"] = 3.0 ** (spec.n - 1)
     out.json("decomposition_suite.json", worst)
     parts = dump_components(decompose(_random_cylinder_field(spec, rng)), out.outdir)
     out.files += ["decomposition.json", *(c["file"] for c in parts["components"])]

@@ -20,18 +20,18 @@ is exact, not an approximation.  Every torus factor has measure 1, so
 the L^p norm of a part tiled onto the full grid equals its norm on its
 own cylinder; along an absent direction the central difference of a
 constant is exactly 0, so the gradient magnitude is bitwise the same at
-every point.  Only the order of the quadrature sums changes.
+every point.  Only the order of the quadrature sums changes.  The part
+norms sum to at most 3**(n-1) times the field's (`norm_bound_ratio`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, write_snapshot
+from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, write_json, write_snapshot
 
 __all__ = [
     "DecompositionResult",
@@ -135,11 +135,15 @@ def level_sum(d: DecompositionResult, k: int) -> np.ndarray:
 def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> float:
     """(sum of component norms) / (norm of u), at derivative order m.
 
-    Each partial average contracts L^p and the level recursion at worst
-    doubles per level, so the ratio is bounded by 4**(n-1); the observed
-    values sit well below that.  A constant field at m = 1 has no
-    denominator; that case is reported as NaN.  `d` must split a field
-    on u's grid.
+    At most 3**(n-1): with A_d the grid mean over x_d, part S is u under
+    I - A_d for each d in S and A_d for every other torus direction.
+    A_d commutes with every grid derivative (along x_d both orders give
+    0), so at m = 1 part S is that product applied to grad u.  A_d
+    contracts the L^p norm of a vector's Euclidean length (|A_d v| <=
+    A_d |v| pointwise, then Jensen), so I - A_d at most doubles it, and
+    2**|S| summed over the subsets S of the n-1 torus directions is
+    3**(n-1).  A constant field at m = 1 has no denominator; that case
+    is reported as NaN.  `d` must split a field on u's grid.
 
     Each part is measured on its own cylinder, not tiled onto the full
     grid.  The result is the same up to the order of the quadrature sums,
@@ -176,6 +180,5 @@ def dump_components(d: DecompositionResult, outdir) -> dict:
             {"subset": list(subset), "file": name,
              "l2": lp_norm(f, 2), "linf": lp_norm(f, np.inf)}
         )
-    with open(os.path.join(outdir, "decomposition.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(manifest, os.path.join(outdir, "decomposition.json"))
     return manifest

@@ -35,6 +35,7 @@ may not overwrite (read-only, or sharing memory) it leaves untouched.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "write_table",
+    "write_json",
 ]
 
 
@@ -158,8 +160,8 @@ class Field:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, t: float | None = None) -> "Field":
-        return Field(self.spec, values, self.t if t is None else t)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.spec, values, self.t)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -318,3 +320,18 @@ def write_table(path, names, rows) -> None:
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
+
+def write_json(obj, path) -> None:
+    """Strict JSON of obj, indented by 2: str keys, lists for tuples, Python
+    numbers for numpy scalars, non-finite floats as "inf", "-inf", "nan"."""
+    def ready(x):
+        if isinstance(x, dict):
+            return {str(k): ready(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [ready(v) for v in x]
+        if isinstance(x, np.generic):
+            x = x.item()
+        return str(x) if isinstance(x, float) and not np.isfinite(x) else x
+
+    with open(path, "w") as fh:
+        json.dump(ready(obj), fh, indent=2, allow_nan=False)

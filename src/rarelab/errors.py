@@ -11,11 +11,8 @@ class NumericalAbort(RuntimeError):
     """A run stopped itself: CFL violation or tail mass at the truncation
     boundary (CLI exit code 2)."""
 
-    def __init__(self, reason: str, t: float, detail: str = ""):
+    def __init__(self, reason: str, t: float, detail: str):
         self.reason = reason
         self.t = t
         self.detail = detail
-        msg = f"numerical abort ({reason}) at t = {t:.6g}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"numerical abort ({reason}) at t = {t:.6g}: {detail}")

@@ -10,7 +10,8 @@ with their exact exponents.
 
 All constants are treated as existence statements: the lab records
 corpus maxima and verifies boundedness and scale invariance, never a
-specific constant.
+specific constant.  No field is assumed to decay along the line, so
+`solve_theta` always excludes the exceptional family that needs it.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ def _inv(x: float) -> float:
     return 0.0 if np.isinf(x) else 1.0 / x
 
 
-def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int,
-                decay_at_infinity: bool = False):
+def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int):
     """Interpolation weight for the effective-dimension-(k+1) inequality.
 
     Solves 1/p = j/(k+1) + (1/r - m/(k+1)) theta + (1 - theta)/q for
     theta and returns None when the result leaves [j/m, 1] or hits one
     of the two exceptional parameter families:
 
-    1) j = 0, r m < k+1, q = infinity needs decay of u along the line;
+    1) j = 0, r m < k+1, q = infinity (needs decay of u along the line);
     2) theta = 1 with 1 < r < infinity and m - j - (k+1)/r a
        non-negative integer.
     """
@@ -71,7 +71,7 @@ def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int,
     if theta < j / m - 1e-12 or theta > 1.0 + 1e-12:
         return None
     theta = min(max(theta, j / m), 1.0)
-    if j == 0 and np.isinf(q) and not np.isinf(r) and r * m < dim and not decay_at_infinity:
+    if j == 0 and np.isinf(q) and not np.isinf(r) and r * m < dim:
         return None
     if 1.0 < r < np.inf and theta >= 1.0 - 1e-12:
         gap = m - j - dim / r
@@ -205,6 +205,9 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
 
 # --- dilation counterexamples ------------------------------------------------
 
+HALFWIDTH = 8.0  # the sampled line is [-HALFWIDTH d, HALFWIDTH d] at dilation d
+
+
 def gaussian_bump(x):
     return np.exp(-np.asarray(x, dtype=float) ** 2)
 
@@ -215,8 +218,7 @@ def hat_bump(x):
     return np.maximum(0.0, 1.0 - np.abs(x))
 
 
-def dilated_line_field(d: float, profile=gaussian_bump, halfwidth: float = 8.0,
-                       points: int = 4001) -> Field:
+def dilated_line_field(d: float, profile=gaussian_bump, points: int = 4001) -> Field:
     """The 1-d profile stretched by d, sampled on a grid scaled with d.
 
     Scaling the grid with the dilation keeps the sample values identical
@@ -225,7 +227,7 @@ def dilated_line_field(d: float, profile=gaussian_bump, halfwidth: float = 8.0,
     """
     if d <= 0:
         raise ValueError(f"dilation must be positive, got {d}")
-    spec = DomainSpec(n=1, L=halfwidth * d, n1=points)
+    spec = DomainSpec(n=1, L=HALFWIDTH * d, n1=points)
     vals = np.asarray(profile(make_grid(spec).x1 / d), dtype=float)
     edge = max(abs(vals[0]), abs(vals[-1]))
     body = float(np.max(np.abs(vals)))
@@ -236,8 +238,7 @@ def dilated_line_field(d: float, profile=gaussian_bump, halfwidth: float = 8.0,
     return Field(spec, vals)
 
 
-def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2,
-                          halfwidth: float = 8.0, points: int = 4001) -> dict:
+def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2, points: int = 4001) -> dict:
     """Sobolev quotient of the dilated bump on the n-cylinder.
 
     Returns the measured quotient |z|_{n/(n-1)} / |grad z|_1 (the torus
@@ -246,11 +247,11 @@ def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2,
     """
     if n < 2:
         raise ValueError("the cylinder setting needs n >= 2")
-    f = dilated_line_field(d, profile, halfwidth, points)
+    f = dilated_line_field(d, profile, points)
     p = n / (n - 1.0)
     num = lp_norm(f, p)
     den = lp_norm(f.with_values(gradient(f)[0]), 1)
-    ref = dilated_line_field(1.0, profile, halfwidth, points)
+    ref = dilated_line_field(1.0, profile, points)
     c_ref = lp_norm(ref, p) / lp_norm(ref.with_values(gradient(ref)[0]), 1)
     return {
         "d": d,
@@ -260,8 +261,7 @@ def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2,
     }
 
 
-def dilated_gn_ratio(d: float, theta: float, profile=gaussian_bump,
-                     halfwidth: float = 8.0, points: int = 4001) -> dict:
+def dilated_gn_ratio(d: float, theta: float, profile=gaussian_bump, points: int = 4001) -> dict:
     """Two-norm interpolation quotient of the dilated bump.
 
     |z|_2 / (|grad z|_2^theta |z|_1^(1-theta)) grows like
@@ -270,7 +270,7 @@ def dilated_gn_ratio(d: float, theta: float, profile=gaussian_bump,
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    f = dilated_line_field(d, profile, halfwidth, points)
+    f = dilated_line_field(d, profile, points)
     num = lp_norm(f, 2)
     den = lp_norm(f.with_values(gradient(f)[0]), 2) ** theta * lp_norm(f, 1) ** (1.0 - theta)
     return {

@@ -36,7 +36,10 @@ __all__ = [
     "w_sup_norms",
     "fit_exponential_decay",
     "write_periodic_series",
+    "PERIODIC_COLUMNS",
 ]
+
+PERIODIC_COLUMNS = ("t", "w_sup", "grad_w_sup", "mean_drift")
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end:
         raise ConfigError(f"disturbance mean {mean:.3e} violates the zero-average requirement")
     amp = float(np.max(np.abs(w0)))
     dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, 0.4)
-    return step_schedule(t_end, dt_max, dt, 0.0, snapshot_times)
+    return step_schedule(t_end, dt_max, dt, snapshot_times)
 
 
 def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, t_end: float, snapshot_times,
@@ -191,7 +194,7 @@ def write_periodic_series(states, path) -> list[tuple[float, float]]:
     """CSV time series (t, sup |w|, sup |grad w|, mean drift); returns the
     `w_sup_norms` pair of every state."""
     norms = [w_sup_norms(st) for st in states]
-    write_table(path, ("t", "w_sup", "grad_w_sup", "mean_drift"),
+    write_table(path, PERIODIC_COLUMNS,
                 ((st.t, sup, gsup, st.mean_drift()) for st, (sup, gsup) in zip(states, norms)))
     return norms
 

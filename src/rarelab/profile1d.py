@@ -3,9 +3,10 @@
 The profile solves u_t + (f_1(u))_x = u_xx from hyperbolic-tangent data
 joining the two end states ul < ur.  It replaces the Lipschitz inviscid
 rarefaction fan as the smooth backbone that the multi-d experiments
-perturb.  Checks provided here: the one-sided Oleinik slope bound, the
-linear-in-time growth of the integrated deviation from the end states,
-and the t^(-1+1/p) decay of the slope's L^p norms.
+perturb.  A march starts from the tangent data at t = 0, as every
+`stepping.march` does.  Checks provided here: the one-sided Oleinik
+slope bound, the linear-in-time growth of the integrated deviation from
+the end states, and the t^(-1+1/p) decay of the slope's L^p norms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ __all__ = [
     "profile_norm_checks",
     "ProfileSpline",
     "write_profile_series",
+    "PROFILE_COLUMNS",
 ]
+
+PROFILE_COLUMNS = ("t", "max_slope", "t_max_slope", "slope_l1", "slope_l2", "slope_linf",
+                   "end_state_deviation")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,27 +113,24 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
 
 
 def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snapshot_times):
-    """(steps, dt, record_indices) of a march from p0 to t_end: `step_schedule`
-    under the CFL bound of the end states' range."""
+    """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
+    `step_schedule` under the CFL bound of the end states' range."""
     dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur, cfl)
-    return step_schedule(t_end - p0.t, dt_max, dt, p0.t, snapshot_times)
+    return step_schedule(t_end, dt_max, dt, snapshot_times)
 
 
-def evolve_profile(
-    p0: ProfileState,
-    flux: FluxSet,
-    t_end: float,
-    dt: float | None = None,
-    cfl: float = 0.4,
-    snapshot_times=(),
-) -> list[ProfileState]:
+def evolve_profile(p0: ProfileState, flux: FluxSet, t_end: float, dt: float | None = None,
+                   cfl: float = 0.4, snapshot_times=()) -> list[ProfileState]:
     """The profile at the requested times of a march from p0 to t_end.
 
     Implicit trapezoidal diffusion plus explicit second-order advection;
     ends are pinned to ul/ur, consistent with the exponentially small
-    tails of the data.  Snapshot times are rounded to the step grid of
-    [p0.t, t_end], and the march stops at the last of them.
+    tails of the data.  The march starts at t = 0, the time p0 must have.
+    Snapshot times are rounded to the step grid of [0, t_end], and the
+    march stops at the last of them.
     """
+    if p0.t != 0:
+        raise ValueError(f"a profile march starts at t = 0, got a state at t = {p0.t}")
     spec, dx = p0.spec, p0.spec.dx1
     _, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
 
@@ -144,8 +146,7 @@ def evolve_profile(
         lambda state, axis: (sweep.apply(state[0], b_lo=p0.ul, b_hi=p0.ur),),
         rhs,
         lambda state, t: check_cfl(state[0], flux, (dx,), dt, t),
-        lambda k, state: ProfileState(spec, state[0], p0.t + k * dt, ul=p0.ul, ur=p0.ur),
-        t0=p0.t,
+        lambda k, state: ProfileState(spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
     )
 
 
@@ -255,12 +256,9 @@ class ProfileSpline:
 def write_profile_series(states, path) -> None:
     """CSV time series: slope bound, slope L^1, L^2, L^inf norms, deviation integral."""
     ps = (1.0, 2.0, np.inf)
-    names = ["t", "max_slope", "t_max_slope"]
-    names += ["slope_linf" if np.isinf(q) else f"slope_l{q:g}" for q in ps]
-    names.append("end_state_deviation")
     rows = []
     for st in states:
         rep = (profile_norm_checks(st, ps) if st.t > 0
                else {"norms": dict.fromkeys(ps, np.nan), "ut1": np.nan})
         rows.append([st.t, *oleinik_bound(st), *(rep["norms"][q] for q in ps), rep["ut1"]])
-    write_table(path, names, rows)
+    write_table(path, PROFILE_COLUMNS, rows)

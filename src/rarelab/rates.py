@@ -9,10 +9,11 @@ such, with a note.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .domain import write_json
 
 __all__ = [
     "RateFit",
@@ -186,16 +187,4 @@ def exponent_ordering(fits: dict) -> dict:
 
 
 def write_rate_report(report: dict, path) -> None:
-    def _clean(obj):
-        if isinstance(obj, dict):
-            return {str(k): _clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [_clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return float(obj)
-        if isinstance(obj, float) and np.isinf(obj):
-            return "inf"
-        return obj
-
-    with open(path, "w") as fh:
-        json.dump(_clean(report), fh, indent=2)
+    write_json(report, path)

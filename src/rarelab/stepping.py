@@ -13,7 +13,7 @@ remains the only step-size restriction.  A step advances a tuple of
 arrays together (the cylinder solution and its stacked far field).
 `step_schedule` fixes the step count and the steps to record, and
 `march` is the one loop every solver runs over that plan: step, check
-the new state, keep the recorded ones.
+the new state, keep the recorded ones.  Every march starts at t = 0.
 
 Each direction's diffusion operator is built once per solver and a
 sweep applies it to every line at once: the bounded x1 direction is an
@@ -196,11 +196,11 @@ def strang_step(state: tuple, dt: float, ndim: int, sweep, rhs) -> tuple:
     return state
 
 
-def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep, t0: float = 0.0) -> list:
+def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep) -> list:
     """Take a schedule's plan = (steps, dt, record) of Strang steps from
-    `state` at time t0 and return keep(k, state) for each recorded k.
-    `check(state, t)` sees every new state, at t = t0 + (k + 1) dt, before
-    it is kept or stepped again, so a NaN state aborts even on the last
+    `state` at time 0 and return keep(k, state) for each recorded k.
+    `check(state, t)` sees every new state, at t = (k + 1) dt, before it
+    is kept or stepped again, so a NaN state aborts even on the last
     step.  Only the current state is held, so a start state the caller
     hands over is freed by the first step."""
     steps, dt, record = plan
@@ -210,36 +210,36 @@ def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep, t0: float = 0.
             out.append(keep(k, state))
         if k < steps:
             state = strang_step(state, dt, ndim, sweep, rhs)
-            check(state, t0 + (k + 1) * dt)
+            check(state, (k + 1) * dt)
     return out
 
 
-def step_schedule(span: float, dt_max: float, dt, t0: float, snapshot_times):
-    """Uniform steps over [t0, t0 + span]: (steps, dt, record_indices).
+def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
+    """Uniform steps over [0, t_end]: (steps, dt, record_indices).
 
     The step is the requested `dt` (or `dt_max` when dt is None),
     shrunk so a whole number of steps spans the interval.  A dt that
-    divides the span up to roundoff (1e-12 relative) is kept, since
-    span / (span / m) can exceed m by an ulp: a second schedule over the
-    same span with the returned dt takes the same steps.  A requested
+    divides t_end up to roundoff (1e-12 relative) is kept, since
+    t_end / (t_end / m) can exceed m by an ulp: a second schedule to the
+    same t_end with the returned dt takes the same steps.  A requested
     dt above the stable `dt_max` aborts.  Snapshot times are rounded to
     the step grid; `record_indices` holds the step indices to record,
     the final step when no snapshot time is given.  This is the one
-    owner of the rules t_end > t0, dt > 0 and t0 <= snapshot <= t_end.
+    owner of the rules t_end > 0, dt > 0 and 0 <= snapshot <= t_end.
     """
-    if not span > 0:
-        raise ValueError(f"t_end must exceed the start time {t0:g}, got {t0 + span:g}")
+    if not t_end > 0:
+        raise ValueError(f"t_end must exceed the start time 0, got {t_end:g}")
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
-        raise NumericalAbort("cfl", t0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
-    steps = max(1, math.ceil(span / (dt if dt is not None else dt_max) * (1.0 - 1e-12)))
-    dt = span / steps
+        raise NumericalAbort("cfl", 0.0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
+    steps = max(1, math.ceil(t_end / (dt if dt is not None else dt_max) * (1.0 - 1e-12)))
+    dt = t_end / steps
     record = set()
     for ts in snapshot_times:
-        idx = int(round((ts - t0) / dt))
+        idx = int(round(ts / dt))
         if not 0 <= idx <= steps:
-            raise ValueError(f"snapshots entry {ts} lies outside [{t0:g}, {t0 + span:g}]")
+            raise ValueError(f"snapshots entry {ts} lies outside [0, {t_end:g}]")
         record.add(idx)
     return steps, dt, record or {steps}
 

@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -526,6 +527,52 @@ def test_every_experiment_digests_every_file_it_writes(tmp_path):
         assert ("seed" in manifest) == (command in ("decompose", "gn-study")), command
         written = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["files"]) == written, command
+
+
+def test_an_infinite_exponent_is_written_as_strict_json(tmp_path):
+    cfg_path = tmp_path / "gn.cfg"
+    cfg_path.write_text(TINY_RUNS["gn-study"] + "r = inf\n")
+    out = tmp_path / "out"
+    assert cli.main(["gn-study", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    summary = json.loads((out / "gn_summary.json").read_text(), parse_constant=reject)
+    assert summary["exponents"] == {"j": 0, "m": 1, "p": 2.0, "q": 1.0, "r": "inf"}
+
+
+# the CSV column each plotted curve must read, by its title in plots.gp
+PLOTTED = {
+    "|phi|_1": "phi_l1", "|phi|_2": "phi_l2", "|phi|_4": "phi_l4", "|phi|_inf": "phi_linf",
+    "|grad phi|_2": "grad_phi_l2", "|u-profile|_inf": "u_minus_profile_linf",
+    "max_slope": "max_slope", "slope_l2": "slope_l2",
+    "sup|w|": "w_sup", "sup|grad w|": "grad_w_sup",
+    "measured": "measured",
+}
+
+
+@pytest.mark.parametrize("command, labels", [
+    ("simulate", ["|phi|_1", "|phi|_2", "|phi|_4", "|phi|_inf", "|grad phi|_2",
+                  "|u-profile|_inf"]),
+    ("profile", ["max_slope", "slope_l2"]),
+    ("periodic", ["sup|w|", "sup|grad w|"]),
+    ("counterexample", ["measured"]),
+])
+def test_every_plotted_column_is_the_one_its_title_names(tmp_path, command, labels):
+    cfg_path = tmp_path / f"{command}.cfg"
+    cfg_path.write_text(TINY_RUNS[command])
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    curves = re.findall(r'"([^"]*)" using [^:]*:(\d+)(?: with \w+)? title "([^"]+)"',
+                        (out / "plots.gp").read_text())
+    assert [title for *_, title in curves] == labels
+    csv = None
+    for name, col, title in curves:
+        csv = name or csv  # "" plots the file named before
+        header = (out / csv).read_text().splitlines()[0].split(",")
+        assert header[int(col) - 1] == PLOTTED[title], title
 
 
 @pytest.mark.parametrize("command", ["decompose", "gn-study"])

@@ -236,7 +236,7 @@ class TestNormBound:
     @pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["n2", "n3"])
     def test_corpus_respects_combinatorial_bound(self, spec):
         rng = np.random.default_rng(12)
-        bound = 4.0 ** (spec.n - 1)
+        bound = 3.0 ** (spec.n - 1)  # the proof is in norm_bound_ratio
         for _ in range(20):
             f = random_trig_field(spec, rng)
             d = decompose(f)

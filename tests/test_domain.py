@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from rarelab.domain import (
     read_snapshot,
     second_derivative,
     tail_mass,
+    write_json,
     write_snapshot,
     write_table,
 )
@@ -286,6 +288,32 @@ class TestSnapshotIO:
         write_table(path, ("i", "x"), [(0, 0.1), (1, np.float64(1 / 3)), (2, np.nan)])
         assert path.read_text() == (
             "i,x\n0,0.10000000000000001\n1,0.33333333333333331\n2,nan\n")
+
+
+def strict_json(text: str):
+    """json.loads that rejects the Infinity, -Infinity and NaN tokens."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_spelled_out(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        path = tmp_path / "out.json"
+        write_json({"inf": inf, "-inf": -inf, "nan": nan,
+                    "np": [np.float64(inf), np.float64(-inf), np.float64(nan)],
+                    "finite": (np.float64(0.1), np.int64(3), 2, 0.5, "x", None),
+                    1.0: {np.inf: True}}, path)
+        assert strict_json(path.read_text()) == {
+            "inf": "inf", "-inf": "-inf", "nan": "nan", "np": ["inf", "-inf", "nan"],
+            "finite": [0.1, 3, 2, 0.5, "x", None], "1.0": {"inf": True}}
+
+    def test_finite_floats_keep_their_repr(self, tmp_path):
+        path = tmp_path / "out.json"
+        values = [0.1, 1e-300, np.float64(2.0) / 3.0, -0.0]
+        write_json(values, path)
+        assert path.read_text() == json.dumps([float(v) for v in values], indent=2)
 
 
 def _rolled_derivative(v, h, axis):

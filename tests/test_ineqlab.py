@@ -73,9 +73,8 @@ class TestSolveTheta:
         assert solve_theta(0, 1, 1.0, 2.0, 4.0, 0) is None
 
     def test_decay_guard(self):
-        # j=0, r m < k+1, q = inf: needs the decay flag
+        # j=0, r m < k+1, q = inf: needs decay along the line, never assumed
         assert solve_theta(0, 1, 4.0, np.inf, 1.0, 1) is None
-        assert solve_theta(0, 1, 4.0, np.inf, 1.0, 1, decay_at_infinity=True) is not None
 
     def test_theta_one_integer_gap_guard(self):
         # theta = 1 with 1 < r < inf and m - j - (k+1)/r a non-negative integer
@@ -314,7 +313,7 @@ class TestDilationStudies:
 
     def test_fat_tails_rejected(self):
         with pytest.raises(ValueError):
-            dilated_line_field(1.0, profile=lambda x: 1.0 / (1.0 + x**2), halfwidth=8.0)
+            dilated_line_field(1.0, profile=lambda x: 1.0 / (1.0 + x**2))
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -141,11 +141,16 @@ class TestPerturbedRun:
         assert traj.series["t"][0] == 0.0
         assert traj.series["phi_linf"][0] < 1e-13
 
-    def test_range_stays_inside_data_range(self, traj):
+    def test_range_stays_inside_data_range(self, monkeypatch):
+        # the data range is ul - 0.1 .. ur + 0.1; every new state passes
+        # through mdsolver's check_cfl binding
+        extremes, check_cfl = [], mdsolver.check_cfl
+        monkeypatch.setattr(mdsolver, "check_cfl", lambda v, *args: extremes.append(
+            (np.min(v), np.max(v))) or check_cfl(v, *args))
+        traj = run(small_config())
         assert traj.max_principle_violation <= 1e-10
-        for i in range(len(traj.series["t"])):
-            assert traj.series["max_u"][i] <= 0.6 + 1e-10
-            assert traj.series["min_u"][i] >= -0.6 - 1e-10
+        assert len(extremes) == traj.steps
+        assert all(-0.6 - 1e-10 <= lo and hi <= 0.6 + 1e-10 for lo, hi in extremes)
 
     def test_v0_sets_initial_perturbation(self, monkeypatch):
         # the record's first norm is |phi|_1, so a spy on lp_norm sees phi
@@ -210,8 +215,7 @@ class TestAborts:
         assert exc.value.reason == "cfl"
 
     def test_tail_abort(self):
-        cfg = small_config(tail_threshold=1e-12, tail_floor=0.0,
-                           snapshot_times=(1.0,), t_end=1.0)
+        cfg = small_config(tail_threshold=1e-12, snapshot_times=(1.0,), t_end=1.0)
         with pytest.raises(NumericalAbort) as exc:
             run(cfg)
         assert exc.value.reason == "tail"

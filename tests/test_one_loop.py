@@ -59,7 +59,7 @@ def test_a_fourth_loop_is_found():
         "stepping.py": (
             "def strang_step(state, dt, ndim, sweep, rhs):\n"
             "    return state\n"
-            "def march(state, plan, ndim, sweep, rhs, check, keep, t0=0.0):\n"
+            "def march(state, plan, ndim, sweep, rhs, check, keep):\n"
             "    return [strang_step(state, plan[1], ndim, sweep, rhs)]\n"
         ),
         "solver.py": (

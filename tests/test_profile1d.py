@@ -176,6 +176,12 @@ class TestEvolution:
         with pytest.raises(ValueError, match="dt must be positive"):
             evolve_profile(p0, FLUX, 1.0, dt=0.0)
 
+    def test_march_starts_at_time_zero(self):
+        p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
+        later = ProfileState(p0.spec, p0.values, 0.5, ul=p0.ul, ur=p0.ur)
+        with pytest.raises(ValueError, match="starts at t = 0, got a state at t = 0.5"):
+            evolve_profile(later, FLUX, 1.0)
+
     def test_cfl_guard(self):
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort):

@@ -280,17 +280,17 @@ class TestMarch:
     """The one step/record loop: each step adds dt to the state, since the
     right-hand side is 1 and there is no diffusion axis."""
 
-    def march_ones(self, plan, t0=0.0):
+    def march_ones(self, plan):
         checked = []
         kept = march((np.zeros(1),), plan, 0, None, lambda s: (np.ones(1),),
                      lambda s, t: checked.append((t, s[0][0])),
-                     lambda k, s: (k, s[0][0]), t0=t0)
+                     lambda k, s: (k, s[0][0]))
         return kept, checked
 
     def test_records_the_plan_and_checks_every_step(self):
-        kept, checked = self.march_ones((5, 0.25, {0, 2, 5}), t0=3.0)
+        kept, checked = self.march_ones((5, 0.25, {0, 2, 5}))
         assert kept == [(0, 0.0), (2, 0.5), (5, 1.25)]
-        assert checked == [(3.0 + (k + 1) * 0.25, (k + 1) * 0.25) for k in range(5)]
+        assert checked == [((k + 1) * 0.25, (k + 1) * 0.25) for k in range(5)]
 
     def test_takes_the_plans_steps_past_its_last_record(self):
         kept, checked = self.march_ones((4, 0.5, {1}))
@@ -307,9 +307,9 @@ class TestMarch:
         with pytest.raises(NumericalAbort) as info:
             march((np.zeros(1),), (4, 0.1, {4}), 0, None, rhs,
                   lambda s, t: check_cfl(s[0], flux, (1.0,), 0.1, t),
-                  lambda k, s: pytest.fail("a NaN state was kept"), t0=1.0)
+                  lambda k, s: pytest.fail("a NaN state was kept"))
         assert len(calls) == 8  # two Heun stages in each of the 4 steps
-        assert info.value.reason == "cfl" and info.value.t == pytest.approx(1.4)
+        assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.4)
 
 
 class TestStackedFarField:
@@ -335,38 +335,38 @@ class TestStackedFarField:
 
 class TestStepSchedule:
     def test_shrinks_dt_to_a_whole_number_of_steps(self):
-        steps, dt, record = step_schedule(1.0, 0.3, None, 0.0, (0.5, 1.0))
+        steps, dt, record = step_schedule(1.0, 0.3, None, (0.5, 1.0))
         assert steps == 4 and dt == 0.25
         assert record == {2, 4}
 
-    def test_requested_dt_and_start_offset(self):
-        steps, dt, record = step_schedule(2.0, 1.0, 0.1, 5.0, (5.0, 5.31, 7.0))
+    def test_requested_dt_and_rounded_snapshots(self):
+        steps, dt, record = step_schedule(2.0, 1.0, 0.1, (0.0, 0.31, 2.0))
         assert steps == 20 and dt == pytest.approx(0.1)
         assert record == {0, 3, 20}
 
     @pytest.mark.parametrize("span, steps", [(0.5, 49), (0.55, 30), (0.6, 111)])
     def test_dt_dividing_the_span_keeps_its_steps(self, span, steps):
         # span / (span / steps) exceeds steps by an ulp for these pairs
-        assert step_schedule(span, 1.0, span / steps, 0.0, ())[:2] == (steps, span / steps)
+        assert step_schedule(span, 1.0, span / steps, ())[:2] == (steps, span / steps)
 
     def test_final_step_by_default(self):
-        assert step_schedule(1.0, 0.3, None, 0.0, ())[2] == {4}
+        assert step_schedule(1.0, 0.3, None, ())[2] == {4}
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            step_schedule(1.0, 0.3, dt, 0.0, ())
+            step_schedule(1.0, 0.3, dt, ())
 
     def test_dt_above_stable_aborts(self):
         with pytest.raises(NumericalAbort) as exc:
-            step_schedule(1.0, 0.3, 0.31, 0.0, ())
+            step_schedule(1.0, 0.3, 0.31, ())
         assert exc.value.reason == "cfl"
 
     def test_bad_span_and_snapshot_rejected(self):
         with pytest.raises(ValueError):
-            step_schedule(0.0, 0.3, None, 0.0, ())
+            step_schedule(0.0, 0.3, None, ())
         with pytest.raises(ValueError, match="outside"):
-            step_schedule(1.0, 0.3, None, 0.0, (1.5,))
+            step_schedule(1.0, 0.3, None, (1.5,))
 
 
 class TestCFL:
