@@ -7,11 +7,22 @@ periodic disturbance.  The package builds the 1-d viscous profile, the
 two periodic far-field solutions and their blended ansatz, simulates
 the full equation, splits fields by torus averaging, and measures decay
 rates, interpolation-inequality quotients and dilation scalings.
+
+`import rarelab` loads only the numpy modules: `decomp`, `domain`,
+`errors`, `fluxes`, `ineqlab` and `rates`.  The four solver modules,
+`ansatz`, `mdsolver`, `periodic` and `profile1d`, load on first
+attribute access (`rarelab.mdsolver`, a star import, or importing them
+by name).  They pull in `stepping` and with it `scipy.linalg.lapack`,
+which costs more start-up than the rest of the package and which the
+split inequalities never call.  `rarelab.cli` imports the solvers
+itself, so a `simulate` run pays for scipy when it loads the CLI.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import ansatz, decomp, domain, fluxes, ineqlab, mdsolver, periodic, profile1d, rates
+from . import decomp, domain, fluxes, ineqlab, rates
 from .domain import DomainSpec, Field, gradient, laplacian, lp_norm, make_grid
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet, burgers
@@ -38,3 +49,10 @@ __all__ = [
     "lp_norm",
     "make_grid",
 ]
+
+
+def __getattr__(name: str):
+    # importing the submodule also binds it on the package, so this runs once per name
+    if name in ("ansatz", "mdsolver", "periodic", "profile1d"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,6 +26,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
@@ -255,6 +256,7 @@ class _Outputs:
         manifest = {
             "version": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
             "wall_seconds": time.time() - self.t0,
             "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},

@@ -34,10 +34,6 @@ class FluxSet:
     df: tuple[FluxFn, ...]
     d2f: tuple[FluxFn, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.f)
-
     def check_convexity(self, umin: float, umax: float) -> None:
         """Verify f_1''(u) >= A0 on [umin, umax] at 2001 samples."""
         low = float(np.min(self.d2f[0](np.linspace(umin, umax, 2001))))

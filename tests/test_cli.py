@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from rarelab import cli, mdsolver
 from rarelab.domain import read_snapshot
@@ -55,6 +56,17 @@ class TestSimulateManifest:
         traj = run(sc)
         assert 0.0 < traj.max_courant <= sc.cfl
         assert manifest["max_courant"] == traj.max_courant
+
+    def test_records_the_scipy_that_solved_it(self, tmp_path):
+        # every sweep's numbers come from scipy's LAPACK, so the run names its version
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["numpy"] == np.__version__
+
 
 TINY_SIMULATE_3D = TINY_SIMULATE.replace("dim = 2", "dim = 3").replace(
     "n_torus = 8", "n_torus = 8,8").replace(
@@ -271,11 +283,7 @@ class TestHeapPolicy:
             "rarelab.cli._keep_freed_memory()\n"
             "print(looked_up.count('mallopt'))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1"]
+        assert run_fresh(script).split() == ["0", "1"]
 
 
 class TestStartUp:
@@ -284,11 +292,36 @@ class TestStartUp:
         script = ("import sys\nimport rarelab, rarelab.cli\n"
                   "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.sparse')"
                   " if m in sys.modules])\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert run_fresh(script) == "[]"
+
+    def test_the_analysis_modules_load_no_scipy(self):
+        # the split inequalities need only numpy; scipy's import is most of the start-up
+        script = ("import sys\nimport rarelab\n"
+                  "from rarelab import decomp, domain, errors, fluxes, ineqlab, rates\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        assert run_fresh(script) == "[]"
+
+    def test_the_solver_modules_load_on_first_use(self):
+        script = ("import sys\nimport rarelab\n"
+                  "print('rarelab.mdsolver' in sys.modules)\n"
+                  "fns = [rarelab.mdsolver.run, rarelab.ansatz.assemble_bundle,\n"
+                  "       rarelab.periodic.solve_periodic, rarelab.profile1d.evolve_profile]\n"
+                  "print(all(callable(f) for f in fns), 'scipy.linalg' in sys.modules)\n")
+        assert run_fresh(script).split() == ["False", "True", "True"]
+
+    def test_the_cli_loads_scipy(self):
+        # simulate's set-up pays for scipy here, so its timed run imports nothing
+        script = "import sys\nimport rarelab.cli\nprint('scipy.linalg' in sys.modules)\n"
+        assert run_fresh(script) == "True"
+
+
+def run_fresh(script: str) -> str:
+    """Run script in a new interpreter that imports rarelab from this tree; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def run_cli(tmp_path, command, text):

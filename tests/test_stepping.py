@@ -410,7 +410,7 @@ class TestFluxSets:
 
     def test_from_name(self):
         # the config key `flux` names a flux set
-        assert _flux({"flux": "burgers"}, 3).n == 3
+        assert len(_flux({"flux": "burgers"}, 3).f) == 3
         assert _flux({"flux": "linear:1,2"}, 2).df[1](np.float64(0.0)) == 2.0
         with pytest.raises(ValueError):
             _flux({"flux": "what"}, 2)
