@@ -350,7 +350,8 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
          "|grad phi|_2": "grad_phi_l2", "|u-profile|_inf": "u_minus_profile_linf"},
         {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
     )
-    out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant})
+    out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant,
+                "planar_at": traj.planar_at})
     _raise_on_failed(report)
 
 

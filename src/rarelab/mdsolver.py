@@ -21,6 +21,25 @@ The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile) puts more than
 the configured fraction of its mass into the outer decade of the x1
 range (`TAIL_FLOOR` exempts a perturbation at roundoff).
+
+Planar hand-off.  The periodic part of the perturbation dies out, so
+the solution tends to the planar wave: what remains is the level-0
+part of the split, the torus average v(x1) of the cylinder state.  At
+each record the run measures tau, the larger of max|v - A v| on the
+cylinder (A averages over the torus axes) and max|w - mean w| on each
+far-field side.  The far field must be constant, not only planar: a
+mode with only k_1 nonzero is planar on the cylinder from t = 0, but
+its far field still moves the Dirichlet data.  Once tau is below
+`PLANAR_TOL`, the next step starts from the torus average and the run
+marches that line with the same dt and the same x1 sweep, its two ends
+pinned to the far-field means.  The torus part is then at roundoff, so
+the line is the cylinder state to roundoff and it stays so: a planar
+state with constant Dirichlet data takes a Strang step whose torus
+sweeps and torus fluxes do nothing.  Line records are the cylinder
+records of a planar field: the torus has measure 1, so the norms on the
+line are the norms on the cylinder, the ansatz is the profile and its
+defect is 0.  The hand-off is decided at records only, so a run whose
+only snapshot is t_end never hands off.
 """
 
 from __future__ import annotations
@@ -32,7 +51,8 @@ import numpy as np
 
 from .ansatz import assemble_bundle, far_field_grid
 from .domain import (
-    DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, tail_mass, write_table,
+    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, tail_mass,
+    write_table,
 )
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
@@ -68,6 +88,7 @@ NORM_COLUMNS = (
 )
 
 TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
+PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
 
 
 @dataclass(frozen=True)
@@ -96,9 +117,15 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """A run's norm series and its run-wide checks; `max_courant` is the
-    largest realized advective Courant number of the states the steps
-    produced."""
+    """A run's norm series and its run-wide checks.
+
+    `max_courant` is the largest realized advective Courant number of
+    the states the steps produced, always taken with the cylinder's
+    spacings, on the line too.  `boundary_mismatch` is measured only
+    before the hand-off, while the far field exists.  `planar_at` is
+    {"step", "t", "tau"} of the record after which the run marched the
+    line, or None when it never handed off.
+    """
 
     series: dict[str, np.ndarray]
     steps: int
@@ -106,6 +133,7 @@ class Trajectory:
     max_principle_violation: float = 0.0
     boundary_mismatch: float = 0.0
     max_courant: float = 0.0
+    planar_at: Optional[dict] = None
 
 
 def trig_polynomial(modes, coords) -> np.ndarray:
@@ -250,7 +278,21 @@ def run(config: SolverConfig) -> Trajectory:
     sweeps += [DiffusionSweep(m, h, dt / 2.0, periodic=True)
                for m, h in zip(spec.n_torus, spec.dx_torus)]
 
+    # A state is the pair (cylinder, far field) up to the hand-off and the
+    # 1-tuple (line,) after it; the closures branch on its length.
+    traj = Trajectory(series={}, steps=steps, dt=dt)
+    torus_axes = tuple(range(1, spec.n))
+    ends = []  # the far-field means that pin the line's ends
+
     def sweep(state, axis):
+        if len(state) == 2 and traj.planar_at is not None:
+            v, w = state
+            ends[:] = float(np.mean(w[0])), float(np.mean(w[1]))
+            state = (np.mean(v, axis=torus_axes),)
+        if len(state) == 1:  # the line has no torus axes
+            if axis > 0:
+                return state
+            return (sweeps[0].apply(state[0], b_lo=ends[0], b_hi=ends[1]),)
         v, w = state
         w_new = stepper.sweep_axis(w, axis - spec.n)
         if axis > 0:
@@ -262,33 +304,35 @@ def run(config: SolverConfig) -> Trajectory:
         return sweeps[0].apply(v, b_lo=b_lo, b_hi=b_hi), w_new
 
     def rhs(state):
+        if len(state) == 1:
+            ghosts = tuple(np.full(2, end) for end in ends)
+            return (advective_rhs(state[0], flux, spacings[:1], ghosts=ghosts),)
         v, w = state
         return (advective_rhs(v, flux, spacings, ghosts=(w[0, lo_rows], w[1, hi_rows])),
                 advective_rhs(w, flux, tspec.spacings))
 
-    traj = Trajectory(series={}, steps=steps, dt=dt)
     # extremes of the state before the step; each step's new extremes
     # are the next step's old ones
     extremes = [min(np.min(u), np.min(far)), max(np.max(u), np.max(far))]
 
     def check(state, t):
-        # the schedule already bounds the initial state's Courant number
-        v, w = state
-        traj.max_courant = max(traj.max_courant, check_cfl(v, flux, spacings, dt, t))
-        lo, hi = min(np.min(v), np.min(w)), max(np.max(v), np.max(w))
+        # the schedule already bounds the initial state's Courant number;
+        # the line is checked with the cylinder's spacings, so its Courant
+        # number is that of the planar cylinder field it stands for
+        traj.max_courant = max(traj.max_courant, check_cfl(state[0], flux, spacings, dt, t))
+        lo, hi = min(np.min(s) for s in state), max(np.max(s) for s in state)
         traj.max_principle_violation = max(traj.max_principle_violation,
                                            float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
-    def record(k, state):
-        v, w = state
-        t = k * dt
-        bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
-        phi = Field(spec, v - bundle.u_tilde.values, t)
-        grad_phi = Field(spec, magnitude(gradient(phi)), t)
-        prof_b = bundle.profile_values.reshape(col)
+    def sample(phi, deviation, h, slope):
+        """The norm row of perturbation phi, on the cylinder or on the line
+        (where the ansatz defect h is None: it is 0), after the tail guards
+        of phi and of the fan's slope profile."""
+        t = phi.t
+        grad_phi = Field(phi.spec, magnitude(gradient(phi)), t)
         tails = tail_mass(phi)
-        sample = dict(
+        row = dict(
             t=t,
             phi_l1=lp_norm(phi, 1),
             phi_l2=lp_norm(phi, 2),
@@ -296,10 +340,32 @@ def run(config: SolverConfig) -> Trajectory:
             phi_linf=lp_norm(phi, np.inf),
             grad_phi_l2=lp_norm(grad_phi, 2),
             grad_phi_l4=lp_norm(grad_phi, 4),
-            u_minus_profile_linf=float(np.max(np.abs(v - prof_b))),
-            h_l1=lp_norm(bundle.h, 1),
+            u_minus_profile_linf=float(np.max(np.abs(deviation))),
+            h_l1=0.0 if h is None else lp_norm(h, 1),
             tail_mass=tails,
         )
+        if tails > config.tail_threshold and row["phi_l1"] > TAIL_FLOOR:
+            raise NumericalAbort(
+                "tail", t,
+                f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
+        # the slope profile is constant along the torus: guard it on the line
+        slope_tail = tail_mass(Field(p0.spec, np.abs(slope), t))
+        if slope_tail > config.tail_threshold:
+            raise NumericalAbort(
+                "tail", t,
+                f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
+        return row
+
+    def record(k, state):
+        t = k * dt
+        if len(state) == 1:
+            # the ansatz of a constant far field is the profile, and its
+            # defect is 0; the fan slope is the profile's own
+            prof = prof_at[k]
+            phi = Field(p0.spec, state[0] - prof.values, t)
+            return sample(phi, phi.values, None, derivative(prof, 0))
+        v, w = state
+        bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
@@ -308,17 +374,14 @@ def run(config: SolverConfig) -> Trajectory:
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
             mismatch = float(np.max(np.abs(w[side, row] - w[side, j])))
             traj.boundary_mismatch = max(traj.boundary_mismatch, mismatch)
-        if tails > config.tail_threshold and sample["phi_l1"] > TAIL_FLOOR:
-            raise NumericalAbort(
-                "tail", t,
-                f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
-        # the slope profile is constant along the torus: guard it on the line
-        slope_tail = tail_mass(Field(p0.spec, np.abs(bundle.dg), t))
-        if slope_tail > config.tail_threshold:
-            raise NumericalAbort(
-                "tail", t,
-                f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
-        return sample
+        # tau: the torus part of the cylinder and the far field's distance
+        # from its constants; the last record has no step left to hand off
+        tau = max(float(np.max(np.abs(v - np.mean(v, axis=torus_axes, keepdims=True)))),
+                  *(float(np.max(np.abs(side - np.mean(side)))) for side in w))
+        if tau < PLANAR_TOL and k < steps:
+            traj.planar_at = dict(step=k, t=t, tau=tau)
+        return sample(Field(spec, v - bundle.u_tilde.values, t),
+                      v - bundle.profile_values.reshape(col), bundle.h, bundle.dg)
 
     # handed over, not kept: no name here holds the start state while it is stepped
     start = [(u, far)]

@@ -1,0 +1,123 @@
+"""The planar hand-off of `mdsolver.run`: once the torus part of the
+cylinder and of its far field is below `PLANAR_TOL`, the run marches the
+torus average as a line.  With the tolerance patched to 0 the run never
+hands off, so that run is the reference every hand-off run must match
+within the golden gate: 1e-11 + 1e-9 |reference| per entry, 1e-4
+absolute for tail_mass."""
+
+import json
+
+import numpy as np
+import pytest
+
+from rarelab import cli, mdsolver
+from rarelab.mdsolver import NORM_COLUMNS
+
+TINY_2D = """\
+experiment = simulate
+dim = 2
+flux = burgers
+L = 12
+n1 = 96
+n_torus = 8
+t_end = 2
+rates.window = 1,2
+w0_modes = 1,1,0.1; 0,2,0.05
+snapshots = auto
+"""
+TINY_3D = TINY_2D.replace("dim = 2", "dim = 3").replace("n_torus = 8", "n_torus = 8,8").replace(
+    "w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,1,1,0.1; 0,1,2,0.05")
+
+
+def config(text):
+    return cli.solver_config_from_dict(cli.parse_config(text))
+
+
+def never_handing_off(monkeypatch, sc):
+    with monkeypatch.context() as m:
+        m.setattr(mdsolver, "PLANAR_TOL", 0.0)
+        ref = mdsolver.run(sc)
+    assert ref.planar_at is None
+    return ref
+
+
+def assert_within_gate(traj, ref):
+    for name in NORM_COLUMNS:
+        new, old = traj.series[name], ref.series[name]
+        atol = 1e-4 if name == "tail_mass" else 1e-11
+        assert new.shape == old.shape, name
+        assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old)), name
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
+    def test_hand_off_matches_the_full_cylinder_run(self, monkeypatch, text):
+        sc = config(text)
+        traj, ref = mdsolver.run(sc), never_handing_off(monkeypatch, sc)
+        at = traj.planar_at
+        assert at is not None and 0 < at["step"] < traj.steps
+        assert at["t"] == at["step"] * traj.dt and at["tau"] < mdsolver.PLANAR_TOL
+        assert_within_gate(traj, ref)
+        assert traj.max_courant == ref.max_courant
+        # the line keeps the maximum principle; the far field's ghost check
+        # ran before the hand-off only
+        assert traj.max_principle_violation <= 1e-12
+        assert traj.boundary_mismatch == ref.boundary_mismatch == 0.0
+
+
+class TestStepCount:
+    def test_the_line_calls_check_cfl_once_per_step(self, monkeypatch):
+        # the benchmark counts steps as calls of mdsolver's check_cfl binding,
+        # and the line phase keeps passing the cylinder's spacings
+        sc = config(TINY_2D)
+        calls, check_cfl = [], mdsolver.check_cfl
+        monkeypatch.setattr(mdsolver, "check_cfl",
+                            lambda *args: calls.append(args[2]) or check_cfl(*args))
+        traj = mdsolver.run(sc)
+        assert traj.planar_at is not None and traj.planar_at["step"] < traj.steps
+        assert len(calls) == traj.steps
+        assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
+
+
+class TestWhenToHandOff:
+    def test_a_planar_mode_waits_for_a_constant_far_field(self, monkeypatch):
+        # k_2 = 0: the cylinder is planar from t = 0, its far field is not
+        sc = config(TINY_2D.replace("w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,0,0.1"))
+        seen, assemble_bundle = [], mdsolver.assemble_bundle
+        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, t, *args: seen.append(
+            (t, max(float(np.max(np.abs(s - np.mean(s)))) for s in w)))
+            or assemble_bundle(w, t, *args))
+        traj = mdsolver.run(sc)
+        monkeypatch.undo()
+        at = traj.planar_at
+        assert at is not None and at["t"] > 0.5
+        # the last cylinder record is the hand-off's, the first with a constant far field
+        assert seen[-1][0] == at["t"] and seen[-1][1] < mdsolver.PLANAR_TOL
+        assert all(gap >= mdsolver.PLANAR_TOL for _, gap in seen[:-1])
+        assert_within_gate(traj, never_handing_off(monkeypatch, sc))
+
+    @pytest.mark.parametrize("snapshots", ["auto", "0, 0.5, 1, 2"])
+    def test_a_planar_bump_hands_off_at_the_first_record(self, monkeypatch, snapshots):
+        # no modes: exactly planar at t = 0, where tau is 0 and a tolerance
+        # of 0 must still not hand off
+        sc = config(TINY_2D.replace("w0_modes = 1,1,0.1; 0,2,0.05", "v0 = gaussian:0.1,0,2")
+                    .replace("snapshots = auto", f"snapshots = {snapshots}"))
+        traj = mdsolver.run(sc)
+        first = min(round(t / traj.dt) for t in sc.snapshot_times)
+        assert traj.planar_at["step"] == first
+        assert_within_gate(traj, never_handing_off(monkeypatch, sc))
+
+
+class TestManifest:
+    def test_simulate_reports_the_hand_off(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_2D)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        at = json.loads((tmp_path / "a" / "manifest.json").read_text())["planar_at"]
+        assert at == mdsolver.run(config(TINY_2D)).planar_at
+        assert set(at) == {"step", "t", "tau"}
+        monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["planar_at"] is None
+        rates = [json.loads((tmp_path / d / "rates.json").read_text()) for d in "ab"]
+        assert rates[0].keys() == rates[1].keys() and "planar_at" not in rates[0]
