@@ -15,6 +15,13 @@ cylinder: the line for the 1-d part, x1 times its own torus directions
 for a component.  Every consumer reads those Fields; `broadcast` tiles
 one back onto the full grid where a full-grid array is needed.
 
+A split keeps the field it splits, and each gradient magnitude, of the
+field and of every part, once it is first asked for: the measurements
+at derivative order 1 (`norm_bound_ratio`, `ineqlab.gn_ratio`) read
+them, so a split must be `decompose(u)` of the very u they measure.
+The kept magnitudes cost one field's bytes per full-grid one: |grad u|
+and |grad| of the top part, plus the smaller parts on their cylinders.
+
 Norms of the parts are taken on each part's own cylinder.  That
 is exact, not an approximation.  Every torus factor has measure 1, so
 the L^p norm of a part tiled onto the full grid equals its norm on its
@@ -26,7 +33,7 @@ norms sum to at most 3**(n-1) times the field's (`norm_bound_ratio`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -44,23 +51,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DecompositionResult:
-    """The parts of a split field, each a Field on its own cylinder.
+    """A field and its parts, each part a Field on its own cylinder.
 
     `parts` maps each sorted subset of torus directions (2-based,
     matching x2..xn) to the part that depends on x1 and those directions
     only, in level order.  The empty subset is the 1-d part on the line;
-    the top subset is on the full grid.
+    the top subset is on the full grid.  `field` is the field split.
     """
 
-    spec: DomainSpec
-    t: float
+    field: Field
     parts: dict[tuple[int, ...], Field]
+    _grad: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
+
+    @property
+    def spec(self) -> DomainSpec:
+        return self.field.spec
+
+    @property
+    def t(self) -> float:
+        return self.field.t
 
     def broadcast(self, subset: tuple[int, ...]) -> np.ndarray:
         """A part tiled back onto the full grid."""
         return _tile(self.spec, subset, self.parts[subset].values)
+
+    def grad_magnitude(self, subset: tuple[int, ...] | None = None) -> Field:
+        """|grad| of a part, or of the field when subset is None, as a
+        Field on the part's own cylinder.  Built on first use and kept, so
+        the split holds one field's bytes per full-grid magnitude."""
+        if subset not in self._grad:
+            f = self.field if subset is None else self.parts[subset]
+            self._grad[subset] = f.with_values(magnitude(gradient(f)))
+        return self._grad[subset]
+
+    def check_split_of(self, u: Field) -> None:
+        """Raise ValueError unless this is the split of u itself."""
+        if self.spec != u.spec:
+            raise ValueError(f"decomposition grid {self.spec} differs from field grid {u.spec}")
+        if self.field is not u:
+            raise ValueError("decomposition splits another field: pass decompose(u)")
 
 
 def _tile(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
@@ -100,7 +132,7 @@ def decompose(u: Field) -> DecompositionResult:
     parts = {s: Field(DomainSpec(n=1 + len(s), L=spec.L, n1=spec.n1,
                                  n_torus=[spec.n_torus[d - 2] for d in s]), arr, u.t)
              for s, arr in arrays.items()}
-    return DecompositionResult(spec=spec, t=u.t, parts=parts)
+    return DecompositionResult(field=u, parts=parts)
 
 
 def _sum_tiled(d: DecompositionResult, subsets) -> np.ndarray:
@@ -143,7 +175,9 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
     A_d |v| pointwise, then Jensen), so I - A_d at most doubles it, and
     2**|S| summed over the subsets S of the n-1 torus directions is
     3**(n-1).  A constant field at m = 1 has no denominator; that case
-    is reported as NaN.  `d` must split a field on u's grid.
+    is reported as NaN.  `d` must be decompose(u): at m = 1 the
+    gradient magnitudes are the ones the split keeps, each built once
+    whatever the number of calls.
 
     Each part is measured on its own cylinder, not tiled onto the full
     grid.  The result is the same up to the order of the quadrature sums,
@@ -153,18 +187,17 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
     """
     if m not in (0, 1):
         raise ValueError(f"derivative order must be 0 or 1, got {m}")
-    if d.spec != u.spec:
-        raise ValueError(f"decomposition grid {d.spec} differs from field grid {u.spec}")
+    d.check_split_of(u)
 
-    def nrm(field: Field) -> float:
+    def nrm(subset) -> float:
         if m == 1:
-            field = field.with_values(magnitude(gradient(field)))
-        return lp_norm(field, p)
+            return lp_norm(d.grad_magnitude(subset), p)
+        return lp_norm(u if subset is None else d.parts[subset], p)
 
-    denom = nrm(u)
+    denom = nrm(None)
     if denom == 0.0:
         return float("nan")
-    return sum(nrm(part) for part in d.parts.values()) / denom
+    return sum(nrm(s) for s in d.parts) / denom
 
 
 def dump_components(d: DecompositionResult, outdir) -> dict:

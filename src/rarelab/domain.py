@@ -188,28 +188,40 @@ def lp_norm(f: Field, p: float) -> float:
     return (acc * f.spec.cell_volume) ** (1.0 / p)
 
 
-def derivative(f: Field, axis: int) -> np.ndarray:
+def derivative(f: Field, axis: int, rows: tuple[int, int] | None = None) -> np.ndarray:
     """First partial along one axis, second order everywhere.
 
     Central differences; torus directions wrap, the line direction falls
     back to one-sided second-order stencils at the two truncation ends.
     The result is built in one array by slices: bitwise the rolled
     difference on a torus axis and np.gradient(edge_order=2) on the line.
+
+    `rows = (start, stop)`, with 0 <= start < stop <= n1, builds only
+    those x1 rows of the partial, with the same stencils, so the window
+    is bitwise the slice derivative(f, axis)[start:stop].
     """
     v = f.values
     h = f.spec.spacing(axis)
+    start, stop = (0, f.spec.n1) if rows is None else rows
+    if axis == 0:
+        out = np.empty((stop - start, *v.shape[1:]))
+        lo, hi = max(start, 1), min(stop, f.spec.n1 - 1)  # rows with both neighbours
+        inner = out[lo - start:hi - start]
+        np.subtract(v[lo + 1:hi + 1], v[lo - 1:hi - 1], out=inner)
+        inner /= 2.0 * h
+        # np.gradient's one-sided ends, term for term
+        if start == 0:
+            out[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
+        if stop == f.spec.n1:
+            out[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
+        return out
+    v = v[start:stop]
     out = np.empty_like(v)
     w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(w[2:], w[:-2], out=o[1:-1])
-    if axis == 0:
-        o[1:-1] /= 2.0 * h
-        # np.gradient's one-sided ends, term for term
-        o[0] = (-1.5 / h) * w[0] + (2.0 / h) * w[1] + (-0.5 / h) * w[2]
-        o[-1] = (0.5 / h) * w[-3] + (-2.0 / h) * w[-2] + (1.5 / h) * w[-1]
-    else:
-        np.subtract(w[1], w[-1], out=o[0])
-        np.subtract(w[0], w[-2], out=o[-1])
-        out /= 2.0 * h
+    np.subtract(w[1], w[-1], out=o[0])
+    np.subtract(w[0], w[-2], out=o[-1])
+    out /= 2.0 * h
     return out
 
 

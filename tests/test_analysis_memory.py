@@ -1,15 +1,25 @@
 """Peak memory of the analysis operators, in units of one field's bytes.
 
 `magnitude` and `chain_rule_power_gradient` work in the partials they
-are handed, so |grad u| costs the n partials and nothing more.  Each
-full-grid temporary that creeps back into that path adds 1.0 to these
-peaks, and each bound sits half a field above the measured peak.  The
-peaks are traced by `tracemalloc` on a 128x32x32 field (1 MiB), large
-enough that numpy's fixed ufunc buffers (3 x 64 KiB in the strided
-stencils) are under 0.2 of it.  Measured: `interpolation_ratio` 4.25
-(8.00 when each step of the chain rule took a new array),
-`norm_bound_ratio` at m = 1 and `gn_ratio` 3.19 (5.00 when the squares
-in `magnitude` did).
+are handed, so |grad u| costs the n partials and nothing more, and
+`interpolation_ratio` builds |grad(|u|^(p/2))| a slab of x1 rows at a
+time into one output array.  Each full-grid temporary that creeps back
+into these paths adds 1.0 to these peaks, and each bound sits half a
+field above the measured peak.  The peaks are traced by `tracemalloc`
+on a 128x32x32 field (1 MiB), large enough that numpy's fixed ufunc
+buffers (3 x 64 KiB in the strided stencils) are under 0.2 of it.
+
+A split keeps |grad u| and each part's |grad| once they are first asked
+for: 2.06 fields here, one for u, one for the top part and 0.06 for the
+parts on smaller cylinders.  So the first call on a fresh `decompose`
+builds them and the next call only reads them; both are measured.
+
+Measured: `interpolation_ratio` 2.01 (4.25 with full-grid partials,
+8.00 when each step of the chain rule took a new array);
+`norm_bound_ratio` at m = 1, first call 4.26 (the kept magnitudes, then
+the top part's 3 partials), later calls 1.00 (0.00 at p = inf);
+`gn_ratio`, first call 3.19 (5.00 when the squares in `magnitude` took
+new arrays), later calls 2.00.
 """
 
 import tracemalloc
@@ -32,9 +42,8 @@ def field():
 
 
 def peak_in_fields(fn, f: Field) -> float:
-    """Largest memory held during fn() beyond what was held before it,
-    over the bytes of one field; a first call fills any caches."""
-    fn()
+    """Largest memory held during one fn() beyond what was held before
+    it, over the bytes of one field."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -47,15 +56,28 @@ def peak_in_fields(fn, f: Field) -> float:
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_interpolation_ratio_peak(field, p):
-    assert peak_in_fields(lambda: interpolation_ratio(field, p, 1.0), field) < 4.75
+    assert peak_in_fields(lambda: interpolation_ratio(field, p, 1.0), field) < 2.5
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_gradient_norm_bound_ratio_first_call_peak(field, p):
+    d = decompose(field)
+    assert peak_in_fields(lambda: norm_bound_ratio(field, d, 1, p), field) < 4.75
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
 def test_gradient_norm_bound_ratio_peak(field, p):
     d = decompose(field)
-    assert peak_in_fields(lambda: norm_bound_ratio(field, d, 1, p), field) < 3.75
+    norm_bound_ratio(field, d, 1, p)
+    assert peak_in_fields(lambda: norm_bound_ratio(field, d, 1, p), field) < 1.5
+
+
+def test_gn_ratio_first_call_peak(field):
+    d = decompose(field)
+    assert peak_in_fields(lambda: gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d), field) < 3.7
 
 
 def test_gn_ratio_peak(field):
     d = decompose(field)
-    assert peak_in_fields(lambda: gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d), field) < 3.75
+    gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d)
+    assert peak_in_fields(lambda: gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d), field) < 2.5

@@ -11,6 +11,7 @@ from rarelab.decomp import (
     reconstruct,
 )
 from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid
+from rarelab.ineqlab import gn_ratio
 
 
 def meshes(spec):
@@ -118,7 +119,9 @@ class TestReconstruction:
             comps[subset] = c
         d0 = decompose(Field(spec, np.zeros(spec.shape)))
         parts = {s: Field(d0.parts[s].spec, arr) for s, arr in {(): u0, **comps}.items()}
-        d = type(d0)(spec=spec, t=0.0, parts=parts)
+        u = (u0[:, None, None] + comps[(2,)][:, :, None] + comps[(3,)][:, None, :]
+             + comps[(2, 3)])
+        d = type(d0)(field=Field(spec, u), parts=parts)
         again = decompose(reconstruct(d))
         assert np.max(np.abs(again.parts[()].values - u0)) < 1e-13
         for subset in comps:
@@ -209,7 +212,7 @@ class TestMembership:
         bad = dict(d.parts)
         mesh_t = np.arange(8) / 8
         bad[(2,)] = Field(SPEC2, np.broadcast_to(1.0 + np.sin(2 * np.pi * mesh_t), (SPEC2.n1, 8)))
-        d_bad = type(d)(spec=SPEC2, t=0.0, parts=bad)
+        d_bad = type(d)(field=bad[(2,)], parts=bad)  # the 1-d part is 0
         rep = check_membership(d_bad)
         assert rep["per_component"][(2,)][2] == pytest.approx(1.0)
 
@@ -291,6 +294,45 @@ class TestNormBound:
         g = random_trig_field(DomainSpec(n=3, L=2.0, n1=32, n_torus=(4, 6)), rng)
         with pytest.raises(ValueError, match="n1=32.*differs from field grid.*n1=16"):
             norm_bound_ratio(f, decompose(g), 1, 2.0)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_split_of_another_field_on_the_grid_rejected(self, m):
+        # the split keeps the magnitudes of the field it splits, so a
+        # split of v would measure v's gradient in place of u's
+        rng = np.random.default_rng(15)
+        f, g = (random_trig_field(SPEC3, rng) for _ in range(2))
+        for p in (1.0, 2.0, np.inf):
+            with pytest.raises(ValueError, match="splits another field"):
+                norm_bound_ratio(f, decompose(g), m, p)
+
+
+class TestKeptMagnitudes:
+    def test_each_magnitude_is_built_once_per_split(self, monkeypatch):
+        import rarelab.decomp
+
+        calls = []
+        real = rarelab.decomp.gradient
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(rarelab.decomp, "gradient", counted)
+        f = random_trig_field(SPEC3, np.random.default_rng(16))
+        d = decompose(f)
+        for p in (1.0, 2.0, np.inf):
+            norm_bound_ratio(f, d, 1, p)
+        gn_ratio(f, 0, 1, 2.0, 1.0, 2.0, d=d)
+        assert len(calls) == 1 + len(d.parts)
+
+    def test_kept_magnitudes_are_the_fresh_ones(self):
+        f = random_trig_field(SPEC3, np.random.default_rng(17))
+        d = decompose(f)
+        for subset, g in ((None, f), *d.parts.items()):
+            kept = d.grad_magnitude(subset)
+            assert kept is d.grad_magnitude(subset)
+            assert kept.spec == g.spec
+            assert np.array_equal(kept.values, grad_magnitude(g))
 
 
 class TestLinearity:

@@ -364,6 +364,17 @@ class TestOperatorsMatchReferenceFormulas:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(max_examples=60, deadline=None)
+    @given(grid_fields(), st.data())
+    def test_a_row_window_is_bitwise_the_slice(self, f, data):
+        start = data.draw(st.integers(0, f.spec.n1 - 1))
+        stop = data.draw(st.integers(start + 1, f.spec.n1))
+        for axis in range(f.spec.n):
+            got = derivative(f, axis, (start, stop))
+            want = derivative(f, axis)[start:stop]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=60, deadline=None)
     @given(grid_fields())
     def test_magnitude_is_bitwise_the_square_root_of_the_sum(self, f):
         # magnitude squares in the buffers it is handed and returns the first

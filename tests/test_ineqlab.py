@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelab.decomp import decompose, level_sum
-from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
+from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid
 from rarelab.ineqlab import (
+    SLAB_CELLS,
     _deriv_magnitude,
+    _power_gradient_magnitude,
     chain_rule_power_gradient,
     dilated_gn_ratio,
     dilated_line_field,
@@ -146,6 +148,15 @@ class TestGNRatio:
         with pytest.raises(ValueError, match="n1=32.*differs from field grid.*n1=16"):
             gn_ratio(u, 0, 1, 2.0, 1.0, 2.0, d=decompose(g))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_split_of_another_field_on_the_grid_rejected(self, m):
+        # at m = 1 the right side reads the |grad| the split keeps
+        rng = np.random.default_rng(13)
+        spec = DomainSpec(n=3, L=4.0, n1=16, n_torus=(8, 8))
+        u, v = (Field(spec, rng.standard_normal(spec.shape)) for _ in range(2))
+        with pytest.raises(ValueError, match="splits another field"):
+            gn_ratio(u, 0, m, 2.0, 1.0, 2.0, d=decompose(v))
+
     def test_corpus_maximum_stable(self):
         # regression guard: corpus max recorded from the reference run of
         # this seeded corpus; the bound asserts no blow-up, not a constant
@@ -204,6 +215,32 @@ class TestInterpolationRatio:
             interpolation_ratio(u, 1.5, 1.0)
         with pytest.raises(ValueError):
             interpolation_ratio(u, 2.0, 3.0)
+
+
+@st.composite
+def slab_fields(draw):
+    """A Field on a 1-, 2- or 3-d grid whose line runs from 4 rows up to
+    past two slabs of `_power_gradient_magnitude`, with exact zeros."""
+    n = draw(st.integers(1, 3))
+    n_torus = draw(st.lists(st.integers(4, 6), min_size=n - 1, max_size=n - 1))
+    slab_rows = max(1, SLAB_CELLS // int(np.prod(n_torus, dtype=int)))
+    n1 = draw(st.integers(4, 2 * slab_rows + 3))
+    spec = DomainSpec(n=n, L=draw(st.floats(0.5, 20.0)), n1=n1, n_torus=n_torus)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    v = rng.standard_normal(spec.shape)
+    v[rng.random(spec.shape) < 0.15] = 0.0
+    v[rng.random(spec.shape) < 0.15] = -0.0
+    return Field(spec, v)
+
+
+class TestPowerGradientMagnitude:
+    @settings(max_examples=40, deadline=None)
+    @given(slab_fields(), st.sampled_from([1.0, 1.5, 2.0]))
+    def test_slabs_are_bitwise_the_full_grid_formula(self, u, power):
+        want = magnitude(chain_rule_power_gradient(u.values, gradient(u), power))
+        got = _power_gradient_magnitude(u, power)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestChainRulePowerGradient:
