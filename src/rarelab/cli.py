@@ -294,9 +294,13 @@ def _write_decay_plot(path, csv_name: str, header, columns: dict, guides: dict[s
 
 def _rate_report(table, window) -> dict:
     """Every rate verdict, from the exported norm-table columns alone, so
-    that `rates` on a simulate run's norms.csv reproduces its verdicts."""
+    that `rates` on a simulate run's norms.csv reproduces its verdicts.
+    A column that is missing or not finite is a config error."""
     try:
         cols = {name: np.asarray(table[name], dtype=float) for name in NORM_COLUMNS}
+        for name, col in cols.items():
+            if not np.isfinite(col).all():
+                raise ValueError(f"column {name} entries must be finite numbers")
         times = cols["t"]
         window = fit_window(times, window)
         report = {"main_rate": verify_main_theorem(times, cols["u_minus_profile_linf"], window)}
@@ -357,19 +361,20 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
 
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, flux, t_end, cfl, snapshot times) of a profile
-    config, checked by drawing up the run's step schedule."""
+    config, checked by the run's step schedule, which must record a t > 0."""
     t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", "0.4")
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    profile_schedule(p0, flux, t_end, None, cfl, snaps)
+    if max(profile_schedule(p0, flux, t_end, None, cfl, snaps)[2]) == 0:
+        raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, got {snaps}")
     return p0, flux, t_end, cfl, snaps
 
 
 def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
-    states = evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps)
+    states = list(evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps))
     write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
     write_snapshot(last, out.path("profile_final.field"))
@@ -549,15 +554,19 @@ def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> None:
 
 
 def _rates_inputs(cfg: dict[str, str]):
-    """(norm table path, its parsed rows, fit window) of a rates config."""
+    """(norm table path, its rate report) of a rates config: the report is
+    drawn up here, so `validate` rejects what the run would reject."""
     src = cfg.get("input", "")
     if not os.path.isfile(src):
         raise ValueError(f"rates experiment needs input = <norms.csv>, got '{src}'")
-    return src, np.genfromtxt(src, delimiter=",", names=True), _window(cfg)
+    with open(src, errors="replace") as fh:
+        lines = [line for line in fh if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"norm table {src} holds no rows")
+    return src, _rate_report(np.genfromtxt(lines, delimiter=",", names=True), _window(cfg))
 
 
-def _exp_rates(out: _Outputs, src: str, table, window) -> None:
-    report = _rate_report(table, window)
+def _exp_rates(out: _Outputs, src: str, report) -> None:
     write_rate_report(report, out.path("rates.json"))
     out.finish({"input": src})
     _raise_on_failed(report)

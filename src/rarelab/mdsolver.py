@@ -15,27 +15,28 @@ each Heun stage reads ghost rows from the matching far-field stage, so
 a cylinder field that equals a tiled torus field stays equal to it away
 from the fan.  The pair is one state of `stepping.march`, the loop the
 profile and torus solvers run too; `run` supplies its per-step check
-(Courant number, maximum principle) and its snapshot record.
+(Courant number, maximum principle) and its snapshot record.  Each
+record pulls the next profile from `evolve_profile`'s stream on the same
+x1 grid and dt, so the profile march keeps pace and one profile is held.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile) puts more than
 the configured fraction of its mass into the outer decade of the x1
 range (`TAIL_FLOOR` exempts a perturbation at roundoff).
 
-Planar hand-off.  The periodic part of the perturbation dies out, so
-the solution tends to the planar wave: what remains is the level-0
-part of the split, the torus average v(x1) of the cylinder state.  At
-each record the run measures tau, the larger of max|v - A v| on the
-cylinder (A averages over the torus axes) and max|w - mean w| on each
-far-field side.  The far field must be constant, not only planar: a
-mode with only k_1 nonzero is planar on the cylinder from t = 0, but
-its far field still moves the Dirichlet data.  Once tau is below
-`PLANAR_TOL`, the next step starts from the torus average and the run
-marches that line with the same dt and the same x1 sweep, its two ends
-pinned to the far-field means.  The torus part is then at roundoff, so
-the line is the cylinder state to roundoff and it stays so: a planar
-state with constant Dirichlet data takes a Strang step whose torus
-sweeps and torus fluxes do nothing.  Line records are the cylinder
+Planar hand-off.  The periodic part of the perturbation dies out, so the
+solution tends to the planar wave, the torus average v(x1) of the
+cylinder state (the level-0 part of the split).  At each record the run
+measures tau, the larger of max|v - A v| on the cylinder (A averages
+over the torus axes) and max|w - mean w| on each far-field side, which
+must be constant, not only planar: a mode with only k_1 nonzero is
+planar on the cylinder from t = 0, but its far field still moves the
+Dirichlet data.  Once tau is below `PLANAR_TOL`, the next step starts
+from the torus average and the run marches that line with the profile's
+own step, `profile1d.pinned_line`, its ends pinned to the far-field
+means.  The line is the cylinder state to roundoff and stays so: a
+planar state with constant Dirichlet data takes a Strang step whose
+torus sweeps and torus fluxes do nothing.  Line records are the cylinder
 records of a planar field: the torus has measure 1, so the norms on the
 line are the norms on the cylinder, the ansatz is the profile and its
 defect is 0.  The hand-off is decided at records only, so a run whose
@@ -57,7 +58,7 @@ from .domain import (
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
-from .profile1d import evolve_profile, make_initial_state
+from .profile1d import evolve_profile, make_initial_state, pinned_line
 from .stepping import (
     DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
@@ -245,18 +246,15 @@ def run(config: SolverConfig) -> Trajectory:
         raise ConfigError("; ".join(problems))
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
-    n1 = spec.n1
     spacings = (spec.dx1, *spec.dx_torus)
     steps, dt, snap = schedule(config)
 
     grid = make_grid(spec)
 
-    # 1-d backbone on the cylinder's x1 grid with its dt, sampled at the
-    # snapshot instants
-    p0 = make_initial_state(spec.L, n1, ul, ur)
+    # the 1-d backbone on the cylinder's x1 grid with its dt, pulled at each record
+    p0 = make_initial_state(spec.L, spec.n1, ul, ur)
     profiles = evolve_profile(p0, flux, config.t_end, dt=dt, cfl=config.cfl,
                               snapshot_times=tuple(idx * dt for idx in sorted(snap)))
-    prof_at = dict(zip(sorted(snap), profiles))
 
     # far field: [left, right] torus solutions; the row map gives the
     # torus row of every x1 cell, and the ghost cells read the first and
@@ -274,7 +272,7 @@ def run(config: SolverConfig) -> Trajectory:
         u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
     u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
 
-    sweeps = [DiffusionSweep(n1, spec.dx1, dt / 2.0, periodic=False)]
+    sweeps = [DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)]
     sweeps += [DiffusionSweep(m, h, dt / 2.0, periodic=True)
                for m, h in zip(spec.n_torus, spec.dx_torus)]
 
@@ -282,17 +280,14 @@ def run(config: SolverConfig) -> Trajectory:
     # 1-tuple (line,) after it; the closures branch on its length.
     traj = Trajectory(series={}, steps=steps, dt=dt)
     torus_axes = tuple(range(1, spec.n))
-    ends = []  # the far-field means that pin the line's ends
+    line = []  # (sweep, rhs) of the line, its ends pinned to the far-field means
 
     def sweep(state, axis):
         if len(state) == 2 and traj.planar_at is not None:
-            v, w = state
-            ends[:] = float(np.mean(w[0])), float(np.mean(w[1]))
-            state = (np.mean(v, axis=torus_axes),)
-        if len(state) == 1:  # the line has no torus axes
-            if axis > 0:
-                return state
-            return (sweeps[0].apply(state[0], b_lo=ends[0], b_hi=ends[1]),)
+            line[:] = pinned_line(p0.spec, flux, dt, *(float(np.mean(side)) for side in state[1]))
+            state = (np.mean(state[0], axis=torus_axes),)
+        if len(state) == 1:
+            return line[0](state, axis)
         v, w = state
         w_new = stepper.sweep_axis(w, axis - spec.n)
         if axis > 0:
@@ -305,8 +300,7 @@ def run(config: SolverConfig) -> Trajectory:
 
     def rhs(state):
         if len(state) == 1:
-            ghosts = tuple(np.full(2, end) for end in ends)
-            return (advective_rhs(state[0], flux, spacings[:1], ghosts=ghosts),)
+            return line[1](state)
         v, w = state
         return (advective_rhs(v, flux, spacings, ghosts=(w[0, lo_rows], w[1, hi_rows])),
                 advective_rhs(w, flux, tspec.spacings))
@@ -358,18 +352,20 @@ def run(config: SolverConfig) -> Trajectory:
 
     def record(k, state):
         t = k * dt
+        prof = next(profiles)
+        if prof.t != t:
+            raise RuntimeError(f"the profile at t = {prof.t} stands for a record at t = {t}")
         if len(state) == 1:
             # the ansatz of a constant far field is the profile, and its
             # defect is 0; the fan slope is the profile's own
-            prof = prof_at[k]
             phi = Field(p0.spec, state[0] - prof.values, t)
             return sample(phi, phi.values, None, derivative(prof, 0))
         v, w = state
-        bundle = assemble_bundle(w, t, prof_at[k], flux, spec)
+        bundle = assemble_bundle(w, t, prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
-        for side, idx, row in ((0, -1, lo_rows[1]), (1, n1, hi_rows[0])):
+        for side, idx, row in ((0, -1, lo_rows[1]), (1, spec.n1, hi_rows[0])):
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
             mismatch = float(np.max(np.abs(w[side, row] - w[side, j])))
@@ -386,7 +382,7 @@ def run(config: SolverConfig) -> Trajectory:
     # handed over, not kept: no name here holds the start state while it is stepped
     start = [(u, far)]
     del u, far
-    rows = march(start.pop(), (steps, dt, snap), spec.n, sweep, rhs, check, record)
+    rows = list(march(start.pop(), (steps, dt, snap), spec.n, sweep, rhs, check, record))
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     return traj
 

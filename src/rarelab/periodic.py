@@ -146,13 +146,13 @@ def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, t_end: float, sna
     plan = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
     dt = plan[1]
     stepper = TorusStepper(spec, dt)
-    return march(
+    return list(march(
         (ubar + w0,), plan, spec.ndim,
         lambda state, axis: (stepper.sweep_axis(state[0], axis),),
         lambda state: (advective_rhs(state[0], flux, spec.spacings),),
         lambda state, t: check_cfl(state[0], flux, spec.spacings, dt, t),
         lambda k, state: PeriodicState(spec, state[0], k * dt, ubar),
-    )
+    ))
 
 
 def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:

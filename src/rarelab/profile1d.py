@@ -3,10 +3,10 @@
 The profile solves u_t + (f_1(u))_x = u_xx from hyperbolic-tangent data
 joining the two end states ul < ur.  It replaces the Lipschitz inviscid
 rarefaction fan as the smooth backbone that the multi-d experiments
-perturb.  A march starts from the tangent data at t = 0, as every
-`stepping.march` does.  Checks provided here: the one-sided Oleinik
-slope bound, the linear-in-time growth of the integrated deviation from
-the end states, and the t^(-1+1/p) decay of the slope's L^p norms.
+perturb.  Its march takes the step of `pinned_line`, as a planar cylinder
+run does.  Checks provided here: the one-sided Oleinik slope bound, the
+linear-in-time growth of the integrated deviation from the end states,
+and the t^(-1+1/p) decay of the slope's L^p norms.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "initial_profile",
     "make_initial_state",
     "schedule",
+    "pinned_line",
     "evolve_profile",
     "oleinik_bound",
     "profile_norm_checks",
@@ -119,9 +120,21 @@ def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snap
     return step_schedule(t_end, dt_max, dt, snapshot_times)
 
 
+def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float):
+    """(sweep, rhs) of the `stepping.march` step of u_t + (f_1(u))_x = u_xx
+    on the x1 line of `spec`, its ghost cells pinned to lo and hi: the one
+    pinned-end line step.  A sweep along a cylinder's torus axis does nothing."""
+    diffusion = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
+    ghosts = (np.full((2,), lo), np.full((2,), hi))
+    return (lambda state, axis: state if axis else (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
+            # looked up on the module, so a wrapper installed there sees the line
+            lambda state: (stepping.advective_rhs(state[0], flux, (spec.dx1,), ghosts),))
+
+
 def evolve_profile(p0: ProfileState, flux: FluxSet, t_end: float, dt: float | None = None,
-                   cfl: float = 0.4, snapshot_times=()) -> list[ProfileState]:
-    """The profile at the requested times of a march from p0 to t_end.
+                   cfl: float = 0.4, snapshot_times=()):
+    """The profile at the requested times of a march from p0 to t_end, yielded
+    as the march reaches them (p0 and the schedule are checked at the call).
 
     Implicit trapezoidal diffusion plus explicit second-order advection;
     ends are pinned to ul/ur, consistent with the exponentially small
@@ -131,22 +144,12 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, t_end: float, dt: float | No
     """
     if p0.t != 0:
         raise ValueError(f"a profile march starts at t = 0, got a state at t = {p0.t}")
-    spec, dx = p0.spec, p0.spec.dx1
     _, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
-
-    sweep = DiffusionSweep(spec.n1, dx, dt / 2.0, periodic=False)
-    ghosts = (np.full((2,), p0.ul), np.full((2,), p0.ur))
-
-    def rhs(state):
-        # looked up on the module, so a wrapper installed there sees the march
-        return (stepping.advective_rhs(state[0], flux, (dx,), ghosts),)
-
     return march(
         (p0.values,), (max(record), dt, record), 1,
-        lambda state, axis: (sweep.apply(state[0], b_lo=p0.ul, b_hi=p0.ur),),
-        rhs,
-        lambda state, t: check_cfl(state[0], flux, (dx,), dt, t),
-        lambda k, state: ProfileState(spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
+        *pinned_line(p0.spec, flux, dt, p0.ul, p0.ur),
+        lambda state, t: check_cfl(state[0], flux, (p0.spec.dx1,), dt, t),
+        lambda k, state: ProfileState(p0.spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
     )
 
 

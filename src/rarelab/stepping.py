@@ -13,13 +13,7 @@ remains the only step-size restriction.  A step advances a tuple of
 arrays together (the cylinder solution and its stacked far field).
 `step_schedule` fixes the step count and the steps to record, and
 `march` is the one loop every solver runs over that plan: step, check
-the new state, keep the recorded ones.  Every march starts at t = 0.
-
-Each direction's diffusion operator is built once per solver and a
-sweep applies it to every line at once: the bounded x1 direction is an
-LDL^T solve of its constant tridiagonal matrix (LAPACK dpttrf once,
-dpttrs per sweep), and a periodic direction is a product with its
-circulant m x m matrix (see `DiffusionSweep`).
+the new state, yield the recorded ones.  Every march starts at t = 0.
 
 The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
@@ -196,22 +190,20 @@ def strang_step(state: tuple, dt: float, ndim: int, sweep, rhs) -> tuple:
     return state
 
 
-def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep) -> list:
+def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep):
     """Take a schedule's plan = (steps, dt, record) of Strang steps from
-    `state` at time 0 and return keep(k, state) for each recorded k.
-    `check(state, t)` sees every new state, at t = (k + 1) dt, before it
-    is kept or stepped again, so a NaN state aborts even on the last
-    step.  Only the current state is held, so a start state the caller
-    hands over is freed by the first step."""
+    `state` at time 0, yielding keep(k, state) at each recorded k; a
+    consumer that stops takes no later step.  `check(state, t)` sees every
+    new state, at t = (k + 1) dt, before it is kept or stepped again, so a
+    NaN state aborts even on the last step.  Only the current state is
+    held: a start state the caller hands over is freed by the first step."""
     steps, dt, record = plan
-    out = []
     for k in range(steps + 1):
         if k in record:
-            out.append(keep(k, state))
+            yield keep(k, state)
         if k < steps:
             state = strang_step(state, dt, ndim, sweep, rhs)
             check(state, (k + 1) * dt)
-    return out
 
 
 def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):

@@ -31,7 +31,7 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     sl = solve_periodic(w0, -0.5, flux, times[-1], times, spec=tspec, dt=dt)
     sr = solve_periodic(w0, 0.5, flux, times[-1], times, spec=tspec, dt=dt)
     p0 = make_initial_state(dspec.L, dspec.n1 * refine, -0.5, 0.5)
-    ps = evolve_profile(p0, burgers(1), times[-1], dt=dt, snapshot_times=times)
+    ps = list(evolve_profile(p0, burgers(1), times[-1], dt=dt, snapshot_times=times))
     fars = [(np.stack([a.values, b.values]), a.t) for a, b in zip(sl, sr)]
     return fars, ps, flux
 

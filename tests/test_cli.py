@@ -324,6 +324,19 @@ def run_fresh(script: str) -> str:
     return done.stdout.strip()
 
 
+def norm_table(drop=(), **cells) -> str:
+    """A norm table of 20 rows at t = 0.5 .. 10 whose norms decay like
+    (1 + t)^(-1/2), without the columns in `drop`; cells[name] = (row,
+    text) writes `text` into one cell."""
+    t = np.linspace(0.5, 10.0, 20)
+    cols = {name: [f"{x:.17g}" for x in (1.0 + t) ** -0.5] for name in NORM_COLUMNS}
+    cols["t"], cols["tail_mass"] = [f"{x:.17g}" for x in t], ["0"] * t.size
+    for name, (row, text) in cells.items():
+        cols[name][row] = text
+    names = [name for name in NORM_COLUMNS if name not in drop]
+    return "".join(",".join(row) + "\n" for row in [names, *zip(*(cols[n] for n in names))])
+
+
 def run_cli(tmp_path, command, text):
     cfg_path = tmp_path / f"{command}.cfg"
     cfg_path.write_text(text)
@@ -358,6 +371,7 @@ class TestTorusAndProfileConfigs:
         ("profile", "cfl = 0.7", "cfl must lie in (0, 0.5], got 0.7"),
         ("profile", "cfl = inf", "cfl must be finite, got inf"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
+        ("profile", "snapshots = 0", "snapshots must hold a time after t = 0 on the step grid"),
         ("profile", "flux = cubic", "f_1'' dips to"),
         ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
         ("periodic", "w0_modes = 1,0.1", "needs 2 wavenumbers + amplitude"),
@@ -416,14 +430,33 @@ class TestTorusAndProfileConfigs:
         assert run_cli(tmp_path, "simulate", text) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    def test_malformed_norm_table_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, line, message", [
+        ("t,phi_l1\n1\n2,3,4\n", "", "got 3 columns instead of 2"),
+        ("", "", "holds no rows"),
+        (",".join(NORM_COLUMNS) + "\n", "", "holds no rows"),
+        (norm_table(phi_l2=(5, "a")), "", "column phi_l2 entries must be finite numbers"),
+        (norm_table(phi_l2=(5, "nan")), "", "column phi_l2 entries must be finite numbers"),
+        (norm_table(grad_phi_l4=(0, "inf")), "", "column grad_phi_l4 entries must be finite"),
+        # validate once passed these, and the run then failed
+        (norm_table(drop=("h_l1",)), "", "no field of name h_l1"),
+        (norm_table(), "rates.window = 0.5,10", "starts inside the transient"),
+        (norm_table(), "rates.window = 5,5.5", "need >= 4"),
+        (norm_table(phi_l4=(12, "-0.1")), "", "series must be positive inside the fit window"),
+    ], ids=["ragged", "empty", "no-rows", "a", "nan", "inf", "no-column", "transient",
+            "short-window", "non-positive"])
+    def test_malformed_norm_table_is_a_config_error(self, tmp_path, capsys, content, line,
+                                                    message):
         table = tmp_path / "norms.csv"
-        table.write_text("t,phi_l1\n1\n2,3,4\n")
-        text = f"experiment = rates\ninput = {table}\n"
+        table.write_text(content)
+        text = f"experiment = rates\ninput = {table}\n{line}\n"
         assert run_cli(tmp_path, "rates", text) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
         assert run_cli(tmp_path, "validate", text) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("violation:") and message in out
 
     @pytest.mark.parametrize("text", [
         "experiment = periodic\nsizes = 8,8\nt_end = 0.05\n",

@@ -1,0 +1,83 @@
+"""Every solver takes the one pinned-end line step: within `src/`, a
+Dirichlet `DiffusionSweep` is built only by `profile1d.pinned_line`, the
+step of the profile march and of a cylinder run's planar line, and by
+`mdsolver.run` for the cylinder, whose ends move with the far field.
+
+Read with the standard library's `ast`.  A build is a call of the name
+`DiffusionSweep`, bare or as an attribute, whose `periodic` argument
+(keyword or fourth positional) is not the constant True.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALLOWED = {("profile1d.py", "pinned_line"), ("mdsolver.py", "run")}
+
+
+def _periodic(call: ast.Call) -> bool:
+    given = [kw.value for kw in call.keywords if kw.arg == "periodic"] + call.args[3:4]
+    return bool(given) and isinstance(given[0], ast.Constant) and given[0].value is True
+
+
+class _Builds(ast.NodeVisitor):
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, int]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "DiffusionSweep" and not _periodic(node):
+            self.found.append((".".join(self.scope) or "<module>", node.lineno))
+        self.generic_visit(node)
+
+
+def dirichlet_builds(sources: dict[str, str]) -> list[str]:
+    """'<file>:<line> in <scope>' for every Dirichlet DiffusionSweep built
+    outside profile1d.pinned_line and mdsolver.run."""
+    found = []
+    for name, source in sorted(sources.items()):
+        builds = _Builds()
+        builds.visit(ast.parse(source))
+        found += [f"{name}:{line} in {scope}" for scope, line in builds.found
+                  if (name, scope) not in ALLOWED]
+    return found
+
+
+def test_one_pinned_line_step():
+    sources = {p.name: p.read_text() for p in SRC.rglob("*.py")}
+    assert {"profile1d.py", "mdsolver.py"} <= sources.keys()
+    assert dirichlet_builds(sources) == []
+
+
+def test_a_third_copy_is_found():
+    sources = {
+        "profile1d.py": (
+            "def pinned_line(spec, flux, dt, lo, hi):\n"
+            "    return DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)\n"
+        ),
+        "mdsolver.py": (
+            "from . import stepping\n"
+            "def run(config):\n"
+            "    sweeps = [DiffusionSweep(8, 0.1, 0.01, periodic=False)]\n"
+            "    sweeps += [DiffusionSweep(4, 0.25, 0.01, periodic=True)]\n"
+            "    def sweep(state, axis):\n"
+            "        return stepping.DiffusionSweep(8, 0.1, 0.01, False).apply(state)\n"
+            "    return sweeps, sweep\n"
+        ),
+        "solver.py": (
+            "class Line:\n"
+            "    def __init__(self, n, h, dt):\n"
+            "        self.sweep = DiffusionSweep(n, h, dt / 2.0, periodic=n < 0)\n"
+        ),
+    }
+    assert dirichlet_builds(sources) == ["mdsolver.py:6 in run.sweep",
+                                         "solver.py:3 in Line.__init__"]

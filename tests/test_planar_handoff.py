@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from rarelab import cli, mdsolver
+from rarelab import cli, mdsolver, profile1d
 from rarelab.mdsolver import NORM_COLUMNS
 
 TINY_2D = """\
@@ -77,6 +77,22 @@ class TestStepCount:
         assert traj.planar_at is not None and traj.planar_at["step"] < traj.steps
         assert len(calls) == traj.steps
         assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
+
+
+class TestLockstepProfile:
+    def test_the_profile_march_has_taken_k_steps_at_record_k(self, monkeypatch):
+        # the run pulls each profile from the march's stream at its record,
+        # before and after the hand-off; the profile march checks each step
+        sc = config(TINY_2D)
+        taken, seen = [], []
+        check_cfl, gradient = profile1d.check_cfl, mdsolver.gradient
+        monkeypatch.setattr(profile1d, "check_cfl",
+                            lambda *args: taken.append(args[-1]) or check_cfl(*args))
+        monkeypatch.setattr(mdsolver, "gradient",
+                            lambda phi: seen.append((phi.t, len(taken))) or gradient(phi))
+        traj = mdsolver.run(sc)
+        assert traj.planar_at is not None and len(seen) == len(traj.series["t"]) > 2
+        assert [steps for _, steps in seen] == [round(t / traj.dt) for t, _ in seen]
 
 
 class TestWhenToHandOff:

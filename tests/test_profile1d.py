@@ -97,7 +97,7 @@ class TestInitialProfile:
 def evolved():
     # margins sized so the diffusive corner tails stay 1e-8-far from the ends
     p0 = make_initial_state(L=50.0, n1=2000, ul=-0.5, ur=0.5)
-    return evolve_profile(p0, FLUX, 20.0, snapshot_times=(5.0, 10.0, 20.0))
+    return list(evolve_profile(p0, FLUX, 20.0, snapshot_times=(5.0, 10.0, 20.0)))
 
 
 def spline(state):
@@ -160,10 +160,10 @@ class TestEvolution:
 
         monkeypatch.setattr(profile1d, "check_cfl", counted)
         p0 = make_initial_state(L=20.0, n1=400, ul=-0.5, ur=0.5)
-        short = evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0))
+        short = list(evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0)))
         assert len(calls) == 80 and calls[-1] == pytest.approx(4.0)
         calls.clear()
-        full = evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0, 10.0))
+        full = list(evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0, 10.0)))
         assert len(calls) == 200
         for a, b in zip(short, full):
             assert a.t == b.t and np.array_equal(a.values, b.values)
@@ -198,7 +198,7 @@ class TestEvolution:
         monkeypatch.setattr(stepping, "strang_step", nan_last)
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort) as info:
-            evolve_profile(p0, FLUX, 0.5, dt=0.05)
+            list(evolve_profile(p0, FLUX, 0.5, dt=0.05))
         assert len(steps) == 10
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.5)
 
@@ -259,7 +259,7 @@ class TestLongTimeApproach:
     @pytest.fixture(scope="class")
     def long_run(self):
         p0 = make_initial_state(L=160.0, n1=6400, ul=-0.5, ur=0.5)
-        return evolve_profile(p0, FLUX, 200.0, snapshot_times=(50.0, 200.0))
+        return list(evolve_profile(p0, FLUX, 200.0, snapshot_times=(50.0, 200.0)))
 
     def test_sup_distance_to_fan_decreases(self, long_run):
         dists = []
@@ -275,7 +275,7 @@ class TestConvergence:
         states = {}
         for lev, n1 in enumerate((800, 1600, 3200)):
             p0 = make_initial_state(L=40.0, n1=n1, ul=-0.5, ur=0.5)
-            states[lev] = evolve_profile(p0, FLUX, 10.0, snapshot_times=(10.0,))[0]
+            states[lev] = list(evolve_profile(p0, FLUX, 10.0, snapshot_times=(10.0,)))[0]
         errs = []
         for lev in (0, 1):
             fine = spline(states[lev + 1])

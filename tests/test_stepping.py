@@ -282,9 +282,9 @@ class TestMarch:
 
     def march_ones(self, plan):
         checked = []
-        kept = march((np.zeros(1),), plan, 0, None, lambda s: (np.ones(1),),
-                     lambda s, t: checked.append((t, s[0][0])),
-                     lambda k, s: (k, s[0][0]))
+        kept = list(march((np.zeros(1),), plan, 0, None, lambda s: (np.ones(1),),
+                          lambda s, t: checked.append((t, s[0][0])),
+                          lambda k, s: (k, s[0][0])))
         return kept, checked
 
     def test_records_the_plan_and_checks_every_step(self):
@@ -296,6 +296,13 @@ class TestMarch:
         kept, checked = self.march_ones((4, 0.5, {1}))
         assert kept == [(1, 0.5)] and len(checked) == 4
 
+    def test_a_consumer_that_stops_takes_no_later_step(self):
+        checked = []
+        kept = march((np.zeros(1),), (5, 0.25, {2, 5}), 0, None, lambda s: (np.ones(1),),
+                     lambda s, t: checked.append(t), lambda k, s: (k, s[0][0]))
+        assert next(kept) == (2, 0.5)
+        assert checked == [0.25, 0.5]
+
     def test_nan_on_the_last_step_aborts(self):
         calls = []
 
@@ -305,9 +312,9 @@ class TestMarch:
 
         flux = burgers(1)
         with pytest.raises(NumericalAbort) as info:
-            march((np.zeros(1),), (4, 0.1, {4}), 0, None, rhs,
-                  lambda s, t: check_cfl(s[0], flux, (1.0,), 0.1, t),
-                  lambda k, s: pytest.fail("a NaN state was kept"))
+            list(march((np.zeros(1),), (4, 0.1, {4}), 0, None, rhs,
+                       lambda s, t: check_cfl(s[0], flux, (1.0,), 0.1, t),
+                       lambda k, s: pytest.fail("a NaN state was kept")))
         assert len(calls) == 8  # two Heun stages in each of the 4 steps
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.4)
 
