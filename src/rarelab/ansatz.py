@@ -9,7 +9,7 @@ finite differences on three equispaced bundles.  Agreement of the two
 at second order under refinement is the module's central correctness
 check; it exercises every term of the closed form.
 
-The ansatz reads the solver's stacked [left, right] far field through
+The ansatz reads the solver's far-field sides, left and right, through
 the row map of `far_field_grid`.  Formula-side derivatives are taken
 spectrally on the torus grid (exact for resolved modes).  The weight and
 its slope come from `profile1d.ProfileSpline`, a not-a-knot cubic spline
@@ -99,17 +99,17 @@ def far_field_grid(spec: DomainSpec) -> tuple[TorusSpec, np.ndarray]:
 def _ansatz_and_defect(far, t, profile, flux, dspec):
     """(g, dg, profile values, ansatz values, defect values) at one instant.
 
-    `far` is the stacked [left, right] far field on the torus of
-    `far_field_grid(dspec)`.  Every term of the defect carries either a
-    disturbance factor or the distance of the ansatz from the bare
-    profile, so the defect inherits the exponential decay of the torus
-    disturbances.
+    `far` is the pair (left, right) of far-field sides, each a field on
+    the torus of `far_field_grid(dspec)`.  Every term of the defect
+    carries either a disturbance factor or the distance of the ansatz
+    from the bare profile, so the defect inherits the exponential decay
+    of the torus disturbances.
     """
     if abs(t - profile.t) > 1e-9:
         raise ValueError(f"time stamps differ: {(t, profile.t)}")
     tspec, rows = far_field_grid(dspec)
-    if far.shape != (2, *tspec.sizes):
-        raise ValueError(f"far field shape {far.shape} != {(2, *tspec.sizes)}")
+    if [np.shape(side) for side in far] != [tspec.sizes] * 2:
+        raise ValueError(f"far field shape {[np.shape(s) for s in far]} != 2 x {tspec.sizes}")
     # the weight is the profile rescaled onto (0, 1), from one spline build
     spline = ProfileSpline(make_grid(profile.spec).x1, profile.values, profile.ul, profile.ur)
     x1, span = make_grid(dspec).x1, profile.ur - profile.ul
@@ -147,16 +147,14 @@ def _ansatz_and_defect(far, t, profile, flux, dspec):
     return g, dg, prof, utild, h
 
 
-def source_term(
-    far: np.ndarray, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
-) -> Field:
+def source_term(far, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> Field:
     """Closed-form defect of the ansatz under the conservation law."""
     *_, h = _ansatz_and_defect(far, t, profile, flux, dspec)
     return Field(dspec, h, t=t)
 
 
 def assemble_bundle(
-    far: np.ndarray, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
+    far, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
 ) -> AnsatzBundle:
     g, dg, prof, utild, h = _ansatz_and_defect(far, t, profile, flux, dspec)
     return AnsatzBundle(

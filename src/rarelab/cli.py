@@ -238,7 +238,10 @@ def _sha256(path) -> str:
 
 class _Outputs:
     def __init__(self, outdir, cfg_text: str, kind: str):
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {outdir}: {e.strerror}") from e
         self.outdir = outdir
         self.cfg_text = cfg_text
         self.kind = kind

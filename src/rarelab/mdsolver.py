@@ -8,16 +8,17 @@ time-dependent Dirichlet data read from the two torus solutions, which
 is what the exact solution approaches at the two far fields; ghost
 cells are filled by exact index tiling, never interpolation.
 
-The two torus solutions form one stacked (2, m1, ...) far-field array
-that takes the same Strang step as the cylinder, in lockstep: the x1
-sweep reads the far field averaged over its own matching sweep, and
-each Heun stage reads ghost rows from the matching far-field stage, so
-a cylinder field that equals a tiled torus field stays equal to it away
-from the fan.  The pair is one state of `stepping.march`, the loop the
-profile and torus solvers run too; `run` supplies its per-step check
-(Courant number, maximum principle) and its snapshot record.  Each
-record pulls the next profile from `evolve_profile`'s stream on the same
-x1 grid and dt, so the profile march keeps pace and one profile is held.
+The far field is two torus fields, left and right, each stepped by the
+calls of a torus run, in lockstep with the cylinder: the x1 sweep reads
+the far field averaged over its own matching sweep, and each Heun stage
+reads ghost rows from the matching far-field stage, so a cylinder field
+that equals a tiled torus field stays equal to it away from the fan.
+The triple (cylinder, left, right) is one state of `stepping.march`,
+the loop the profile and torus solvers run too; `run` supplies its
+per-step check (Courant number, maximum principle) and its snapshot
+record.  Each record pulls the next profile from `evolve_profile`'s
+stream on the same x1 grid and dt, so the profile march keeps pace and
+one profile is held.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile) puts more than
@@ -26,21 +27,22 @@ range (`TAIL_FLOOR` exempts a perturbation at roundoff).
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
-cylinder state (the level-0 part of the split).  At each record the run
-measures tau, the larger of max|v - A v| on the cylinder (A averages
-over the torus axes) and max|w - mean w| on each far-field side, which
-must be constant, not only planar: a mode with only k_1 nonzero is
-planar on the cylinder from t = 0, but its far field still moves the
-Dirichlet data.  Once tau is below `PLANAR_TOL`, the next step starts
-from the torus average and the run marches that line with the profile's
-own step, `profile1d.pinned_line`, its ends pinned to the far-field
-means.  The line is the cylinder state to roundoff and stays so: a
-planar state with constant Dirichlet data takes a Strang step whose
-torus sweeps and torus fluxes do nothing.  Line records are the cylinder
-records of a planar field: the torus has measure 1, so the norms on the
-line are the norms on the cylinder, the ansatz is the profile and its
-defect is 0.  The hand-off is decided at records only, so a run whose
-only snapshot is t_end never hands off.
+cylinder state (the level-0 part of the split).  At each record the
+cylinder march measures tau, the larger of max|v - A v| on the cylinder
+(A averages over the torus axes) and max|w - mean w| on each far-field
+side, which must be constant, not only planar: a mode with only k_1
+nonzero is planar on the cylinder from t = 0, but its far field still
+moves the Dirichlet data.  A record with tau below `PLANAR_TOL` stops
+the cylinder march; a second, 1-d march takes the plan's remaining steps
+from that record's torus average with the profile's step,
+`profile1d.pinned_line`, its ends at the far-field means.  The line is
+the cylinder state to roundoff and stays so: a planar state with
+constant Dirichlet data takes a Strang step whose torus sweeps and torus
+fluxes do nothing.  Line records are the cylinder records of a planar
+field: the torus has measure 1, so the norms on the line are the norms
+on the cylinder, the ansatz is the profile and its defect is 0.  The
+hand-off is decided at records only, so a run whose only snapshot is
+t_end never hands off.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def run(config: SolverConfig) -> Trajectory:
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
-    steps, dt, snap = schedule(config)
+    steps, dt, snap = plan = schedule(config)
 
     grid = make_grid(spec)
 
@@ -256,13 +258,13 @@ def run(config: SolverConfig) -> Trajectory:
     profiles = evolve_profile(p0, flux, config.t_end, dt=dt, cfl=config.cfl,
                               snapshot_times=tuple(idx * dt for idx in sorted(snap)))
 
-    # far field: [left, right] torus solutions; the row map gives the
+    # far field: the left and right torus solutions; the row map gives the
     # torus row of every x1 cell, and the ghost cells read the first and
-    # last two rows of their side
+    # last two rows of their side.  The torus stepper also sweeps the
+    # cylinder's torus axes, whose grid the far field shares.
     tspec, far_rows = far_field_grid(spec)
     stepper = TorusStepper(tspec, dt)
     w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
-    far = np.stack([ul + w0, ur + w0])
     lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
 
     # initial data: the profile's tangent data + optional 1-d bump + modes
@@ -271,43 +273,34 @@ def run(config: SolverConfig) -> Trajectory:
     if config.v0 is not None:
         u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
     u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
+    dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
 
-    sweeps = [DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)]
-    sweeps += [DiffusionSweep(m, h, dt / 2.0, periodic=True)
-               for m, h in zip(spec.n_torus, spec.dx_torus)]
-
-    # A state is the pair (cylinder, far field) up to the hand-off and the
-    # 1-tuple (line,) after it; the closures branch on its length.
+    # a cylinder state is (cylinder, left side, right side); a line state is (line,)
     traj = Trajectory(series={}, steps=steps, dt=dt)
     torus_axes = tuple(range(1, spec.n))
-    line = []  # (sweep, rhs) of the line, its ends pinned to the far-field means
 
     def sweep(state, axis):
-        if len(state) == 2 and traj.planar_at is not None:
-            line[:] = pinned_line(p0.spec, flux, dt, *(float(np.mean(side)) for side in state[1]))
-            state = (np.mean(state[0], axis=torus_axes),)
-        if len(state) == 1:
-            return line[0](state, axis)
-        v, w = state
-        w_new = stepper.sweep_axis(w, axis - spec.n)
+        v, wl, wr = state
+        wl_new, wr_new = stepper.sweep_axis(wl, axis), stepper.sweep_axis(wr, axis)
         if axis > 0:
-            return sweeps[axis].apply(v, axis=axis), w_new
+            return stepper.sweep_axis(v, axis), wl_new, wr_new
         # trapezoidal Dirichlet data: the ghost rows averaged over the
         # far field's own matching x1 sweep
-        b_lo = 0.5 * w[0, lo_rows[1]] + 0.5 * w_new[0, lo_rows[1]]
-        b_hi = 0.5 * w[1, hi_rows[0]] + 0.5 * w_new[1, hi_rows[0]]
-        return sweeps[0].apply(v, b_lo=b_lo, b_hi=b_hi), w_new
+        b_lo = 0.5 * wl[lo_rows[1]] + 0.5 * wl_new[lo_rows[1]]
+        b_hi = 0.5 * wr[hi_rows[0]] + 0.5 * wr_new[hi_rows[0]]
+        return dirichlet.apply(v, b_lo=b_lo, b_hi=b_hi), wl_new, wr_new
 
     def rhs(state):
-        if len(state) == 1:
-            return line[1](state)
-        v, w = state
-        return (advective_rhs(v, flux, spacings, ghosts=(w[0, lo_rows], w[1, hi_rows])),
-                advective_rhs(w, flux, tspec.spacings))
+        v, wl, wr = state
+        return (advective_rhs(v, flux, spacings, ghosts=(wl[lo_rows], wr[hi_rows])),
+                *(advective_rhs(w, flux, tspec.spacings) for w in (wl, wr)))
 
+    # handed over, not kept: no name here holds the start state while it is stepped
+    start = [(u, ul + w0, ur + w0)]
+    del u
     # extremes of the state before the step; each step's new extremes
     # are the next step's old ones
-    extremes = [min(np.min(u), np.min(far)), max(np.max(u), np.max(far))]
+    extremes = [min(np.min(s) for s in start[0]), max(np.max(s) for s in start[0])]
 
     def check(state, t):
         # the schedule already bounds the initial state's Courant number;
@@ -350,39 +343,56 @@ def run(config: SolverConfig) -> Trajectory:
                 f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
         return row
 
-    def record(k, state):
-        t = k * dt
+    def next_profile(k):
         prof = next(profiles)
-        if prof.t != t:
-            raise RuntimeError(f"the profile at t = {prof.t} stands for a record at t = {t}")
-        if len(state) == 1:
-            # the ansatz of a constant far field is the profile, and its
-            # defect is 0; the fan slope is the profile's own
-            phi = Field(p0.spec, state[0] - prof.values, t)
-            return sample(phi, phi.values, None, derivative(prof, 0))
-        v, w = state
-        bundle = assemble_bundle(w, t, prof, flux, spec)
+        if prof.t != k * dt:
+            raise RuntimeError(f"the profile at t = {prof.t} stands for a record at t = {k * dt}")
+        return prof
+
+    line_march = None  # the remaining steps, from the record that hands off
+
+    def record(k, state):
+        nonlocal line_march
+        prof, (v, wl, wr) = next_profile(k), state
+        t = prof.t
+        bundle = assemble_bundle((wl, wr), t, prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
-        for side, idx, row in ((0, -1, lo_rows[1]), (1, spec.n1, hi_rows[0])):
+        for w, idx, row in ((wl, -1, lo_rows[1]), (wr, spec.n1, hi_rows[0])):
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
-            mismatch = float(np.max(np.abs(w[side, row] - w[side, j])))
+            mismatch = float(np.max(np.abs(w[row] - w[j])))
             traj.boundary_mismatch = max(traj.boundary_mismatch, mismatch)
         # tau: the torus part of the cylinder and the far field's distance
         # from its constants; the last record has no step left to hand off
         tau = max(float(np.max(np.abs(v - np.mean(v, axis=torus_axes, keepdims=True)))),
-                  *(float(np.max(np.abs(side - np.mean(side)))) for side in w))
+                  *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
         if tau < PLANAR_TOL and k < steps:
             traj.planar_at = dict(step=k, t=t, tau=tau)
+            # the line march counts from the hand-off: its keep and check add k
+            ends = (float(np.mean(w)) for w in (wl, wr))
+            line_march = march((np.mean(v, axis=torus_axes),),
+                               (steps - k, dt, {i - k for i in snap if i > k}), 1,
+                               *pinned_line(p0.spec, flux, dt, *ends),
+                               lambda state, s: check(state, t + s),
+                               lambda j, state: record_line(k + j, state))
         return sample(Field(spec, v - bundle.u_tilde.values, t),
                       v - bundle.profile_values.reshape(col), bundle.h, bundle.dg)
 
-    # handed over, not kept: no name here holds the start state while it is stepped
-    start = [(u, far)]
-    del u, far
-    rows = list(march(start.pop(), (steps, dt, snap), spec.n, sweep, rhs, check, record))
+    def record_line(k, state):
+        # the ansatz of a constant far field is the profile, and its
+        # defect is 0; the fan slope is the profile's own
+        prof = next_profile(k)
+        phi = Field(p0.spec, state[0] - prof.values, prof.t)
+        return sample(phi, phi.values, None, derivative(prof, 0))
+
+    rows = []
+    for row in march(start.pop(), plan, spec.n, sweep, rhs, check, record):
+        rows.append(row)
+        if line_march is not None:
+            break  # the cylinder march takes no later step
+    rows += line_march or ()
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     return traj
 

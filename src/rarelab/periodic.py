@@ -7,9 +7,8 @@ and dissipation drives the disturbance to zero exponentially fast; the
 rate is measured (by a log-linear fit), never assumed.
 
 A torus run is the shared march of `stepping`.  `TorusStepper` holds
-only the diffusion sweeps; it sweeps along negative axes, so the
-cylinder solver marches both far fields as one stacked (2, m1, ...)
-array with the same sweeps.
+only the diffusion sweeps, which also sweep the cylinder's two far-field
+sides, each a torus field, and the cylinder's own torus axes.
 """
 
 from __future__ import annotations
@@ -102,24 +101,20 @@ class PeriodicState:
 
 
 class TorusStepper:
-    """The half-step diffusion sweeps of a torus grid; they also sweep the
-    cylinder's stacked far field."""
+    """The half-step diffusion sweeps of a torus grid; they also sweep a
+    cylinder field along the torus axes it shares with that grid."""
 
     def __init__(self, spec: TorusSpec, dt: float):
-        self.spec = spec
         self.sweeps = [
             DiffusionSweep(m, h, dt / 2.0, periodic=True)
             for m, h in zip(spec.sizes, spec.spacings)
         ]
 
     def sweep_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Half-step sweep along torus axis `axis`; a negative axis counts
-        from the end, which lets `values` stack several torus fields.  Each
-        field is swept as its own block, so a stacked field takes the same
-        matrix products, and the same bits, as the field alone."""
-        blocks = values.reshape(-1, 1, *self.spec.sizes)
-        axis = axis % self.spec.ndim - self.spec.ndim
-        return self.sweeps[axis].apply(blocks, axis=axis).reshape(values.shape)
+        """Half-step sweep along torus axis `axis` of a field with one axis
+        per torus direction; axis 0 of a cylinder field is its line, so a
+        cylinder field takes the sweeps of axes 1 and up."""
+        return self.sweeps[axis].apply(values, axis=axis)
 
 
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,

@@ -60,8 +60,8 @@ def inviscid_rarefaction(x1, t: float, flux: FluxSet, ul: float, ur: float):
     """Self-similar entropy solution of the two-state dam-break problem.
 
     Constant states outside the fan; inside, the wave speed f_1' is
-    inverted by bisection to 1e-12.  Requires t > 0 and f_1' strictly
-    increasing on [ul, ur].
+    inverted by bisection to 1e-12, or to one ulp where that is coarser.
+    Requires t > 0 and f_1' strictly increasing on [ul, ur].
     """
     if t <= 0:
         raise ValueError(f"rarefaction fan needs t > 0, got t = {t}")
@@ -84,12 +84,13 @@ def inviscid_rarefaction(x1, t: float, flux: FluxSet, ul: float, ur: float):
         target = s[fan]
         lo = np.full_like(target, ul)
         hi = np.full_like(target, ur)
-        while np.max(hi - lo) > 1e-12:
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        while np.any((hi - lo > 1e-12) & (lo < mid) & (mid < hi)):
             below = np.asarray(df(mid), dtype=float) < target
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        out[fan] = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        out[fan] = mid
     return float(out[0]) if scalar else out
 
 
@@ -121,12 +122,12 @@ def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snap
 
 
 def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float):
-    """(sweep, rhs) of the `stepping.march` step of u_t + (f_1(u))_x = u_xx
+    """(sweep, rhs) of the 1-d `stepping.march` step of u_t + (f_1(u))_x = u_xx
     on the x1 line of `spec`, its ghost cells pinned to lo and hi: the one
-    pinned-end line step.  A sweep along a cylinder's torus axis does nothing."""
+    pinned-end line step."""
     diffusion = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
     ghosts = (np.full((2,), lo), np.full((2,), hi))
-    return (lambda state, axis: state if axis else (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
+    return (lambda state, axis: (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
             # looked up on the module, so a wrapper installed there sees the line
             lambda state: (stepping.advective_rhs(state[0], flux, (spec.dx1,), ghosts),))
 

@@ -10,10 +10,10 @@ sweep per direction) and the advection A explicitly (Heun's method over
 upwind-biased second-order conservative fluxes).  The implicit treatment
 removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
 remains the only step-size restriction.  A step advances a tuple of
-arrays together (the cylinder solution and its stacked far field).
-`step_schedule` fixes the step count and the steps to record, and
-`march` is the one loop every solver runs over that plan: step, check
-the new state, yield the recorded ones.  Every march starts at t = 0.
+arrays together (the cylinder solution and its two far-field sides).
+`step_schedule` fixes the steps and the records; `march`, the one loop
+of every solver, steps from t = 0, checks each new state and yields the
+records (a cylinder run's line march adds its hand-off step to each).
 
 The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
@@ -58,11 +58,11 @@ class DiffusionSweep:
     operator (I - alpha T)^-1 (I + alpha T) is the circulant C whose first
     column is the inverse DFT of the multiplier
     (1 - alpha lam_k) / (1 + alpha lam_k), lam_k = 2 - 2 cos(2 pi k / m).
-    A sweep is one matrix product with C along the axis: O(m^2) flops
-    per line against the FFT's O(m log m), but one BLAS call covers every
-    line, while a real FFT pays its per-line overhead on each short line.
-    On the torus axes the solvers use (4 to a few dozen cells) the product
-    is several times faster; at m = 256 the FFT is faster again.
+    A sweep is a matrix product with C, one for all lines along the last
+    axis: O(m^2) flops per line against the FFT's O(m log m), but a real
+    FFT pays its per-line overhead on each short line.  On the torus axes
+    the solvers use (4 to a few dozen cells) the product is several times
+    faster; at m = 256 the FFT is faster again.
     """
 
     def __init__(self, length: int, h: float, dt: float, periodic: bool):
@@ -85,13 +85,8 @@ class DiffusionSweep:
         if self.periodic:
             # C order first, so any input layout reaches BLAS the same way
             u = np.ascontiguousarray(u)
-            axis %= u.ndim
             if axis == u.ndim - 1:
-                # one product per block of rows along the axis before: a torus
-                # field then takes the same BLAS call alone and in a stack
-                # (gemv for one row and gemm for more round differently)
-                rows = u.shape[axis - 1] if axis else 1
-                out = u.reshape(-1, rows, self.length) @ self._op.T
+                out = u.reshape(-1, self.length) @ self._op.T
             else:
                 out = self._op @ u.reshape(-1, self.length, math.prod(u.shape[axis + 1:]))
             return out.reshape(u.shape)
@@ -144,19 +139,16 @@ def _along(axis: int, start, stop) -> tuple:
 def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> np.ndarray:
     """-sum_i d/dx_i f_i(u) with conservative flux differencing.
 
-    The trailing len(spacings) axes are spatial; leading axes, if any,
-    stack independent fields.  `ghosts`, when given, is a pair of arrays
-    of shape (2, *transverse) holding two ghost layers at the low/high
-    end of the first spatial axis, which is then treated as bounded
-    while every other axis wraps.  With ghosts=None all axes wrap (torus
-    solver).  The N+1 faces of an axis come from four shifted views of
-    the axis padded by two layers.
+    Axis i of `values` is spatial direction i, of spacing spacings[i].
+    `ghosts`, when given, is a pair of arrays of shape (2, *transverse)
+    holding two ghost layers at the low/high end of axis 0, which is then
+    treated as bounded while every other axis wraps.  With ghosts=None
+    all axes wrap (torus solver).  The N+1 faces of an axis come from
+    four shifted views of the axis padded by two layers.
     """
     out = np.zeros_like(values)
-    lead = values.ndim - len(spacings)
-    for d, h in enumerate(spacings):
-        axis = lead + d
-        if d == 0 and ghosts is not None:
+    for axis, h in enumerate(spacings):
+        if axis == 0 and ghosts is not None:
             lo, hi = ghosts
         else:
             lo, hi = values[_along(axis, -2, None)], values[_along(axis, None, 2)]
@@ -164,7 +156,7 @@ def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> n
         face = _reconstruct_faces(
             p[_along(axis, None, -3)], p[_along(axis, 1, -2)],
             p[_along(axis, 2, -1)], p[_along(axis, 3, None)],
-            flux.f[d], flux.df[d],
+            flux.f[axis], flux.df[axis],
         )
         diff = face[_along(axis, 1, None)] - face[_along(axis, None, -1)]
         diff /= h

@@ -695,6 +695,18 @@ class TestUsageErrors:
         assert err.startswith(f"config error: cannot read config {path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub", ["", "run"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, sub):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TINY_RUNS["counterexample"])
+        taken = tmp_path / "taken"  # a file, as --out or as a parent of it
+        taken.write_text("kept\n")
+        out = taken / sub if sub else taken
+        assert cli.main(["counterexample", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert "Traceback" not in err and taken.read_text() == "kept\n"
+
     def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "binary.cfg"
         path.write_bytes(b"\xff\xfe = 1\nL = 12\n\x00\x81\n")

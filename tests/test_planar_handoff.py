@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from rarelab import cli, mdsolver, profile1d
-from rarelab.mdsolver import NORM_COLUMNS
+from rarelab.ansatz import far_field_grid
+from rarelab.errors import NumericalAbort
+from rarelab.mdsolver import NORM_COLUMNS, trig_polynomial
+from rarelab.periodic import solve_periodic
 
 TINY_2D = """\
 experiment = simulate
@@ -77,6 +80,50 @@ class TestStepCount:
         assert traj.planar_at is not None and traj.planar_at["step"] < traj.steps
         assert len(calls) == traj.steps
         assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
+
+
+class TestFarFieldSides:
+    @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
+    def test_each_side_is_the_torus_run_bitwise(self, monkeypatch, text):
+        # the sides the run hands to the ansatz at each record before the
+        # hand-off are the two torus solutions on the run's step grid
+        sc = config(text)
+        seen, assemble_bundle = [], mdsolver.assemble_bundle
+        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, t, *args: seen.append(
+            (t, [side.copy() for side in w])) or assemble_bundle(w, t, *args))
+        traj = mdsolver.run(sc)
+        assert traj.planar_at is not None and len(seen) > 2
+        assert seen[-1][0] == traj.planar_at["t"]
+        tspec, _ = far_field_grid(sc.spec)
+        w0 = trig_polynomial(sc.w0_modes, tspec.coordinates())
+        times = [t for t, _ in seen]
+        for i, ubar in enumerate((sc.ul, sc.ur)):
+            states = solve_periodic(w0, ubar, sc.flux, sc.t_end, times, tspec, dt=traj.dt)
+            assert [st.t for st in states] == times
+            for (_, sides), st in zip(seen, states):
+                assert np.array_equal(sides[i], st.values)
+
+
+class TestLineClock:
+    def test_a_nan_on_the_line_aborts_at_the_runs_time(self, monkeypatch):
+        # the line march's check sees the whole run's time, not its own
+        sc = config(TINY_2D)
+        traj, j = mdsolver.run(sc), 3
+        k0 = traj.planar_at["step"]
+        assert k0 + j < traj.steps
+        calls, pinned_line = [], mdsolver.pinned_line
+
+        def nan_after_j_steps(*args):
+            sweep, rhs = pinned_line(*args)
+            # two Heun stages per step: the (2j+1)-th call is in line step j
+            return sweep, lambda state: calls.append(1) or (
+                (np.full_like(state[0], np.nan),) if len(calls) > 2 * j else rhs(state))
+
+        monkeypatch.setattr(mdsolver, "pinned_line", nan_after_j_steps)
+        with pytest.raises(NumericalAbort) as info:
+            mdsolver.run(sc)
+        assert info.value.reason == "cfl"
+        assert info.value.t == pytest.approx((k0 + j + 1) * traj.dt, rel=1e-15)
 
 
 class TestLockstepProfile:

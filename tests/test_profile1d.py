@@ -4,7 +4,7 @@ import pytest
 from rarelab import profile1d, stepping
 from rarelab.domain import DomainSpec, Field, derivative, make_grid, read_snapshot, write_snapshot
 from rarelab.errors import NumericalAbort
-from rarelab.fluxes import burgers, cubic, linear_flux
+from rarelab.fluxes import FluxSet, burgers, cubic, linear_flux
 from rarelab.profile1d import (
     ProfileSpline,
     ProfileState,
@@ -65,6 +65,22 @@ class TestInviscidFan:
         flux = cubic(1)
         got = inviscid_rarefaction(2.25, 1.0, flux, 1.0, 2.0)
         assert got == pytest.approx(1.5, abs=1e-10)
+
+    def test_bisection_stops_where_an_ulp_exceeds_the_tolerance(self):
+        # above |u| = 8192 one ulp is wider than 1e-12; the flux counts its
+        # calls, so a bisection that cannot stop raises instead of hanging
+        calls = []
+
+        def df(u):
+            calls.append(1)
+            if len(calls) > 300:
+                raise RuntimeError("the bisection does not stop")
+            return np.asarray(u, dtype=float)
+
+        flux = FluxSet(f=FLUX.f, df=(df,), d2f=FLUX.d2f)
+        x = np.linspace(100.0, 110.0, 11)
+        u = inviscid_rarefaction(x, 1e-3, flux, 1e5, 1.1e5)
+        assert np.max(np.abs(u - x / 1e-3)) <= 2 * np.spacing(1.1e5)
 
     def test_time_and_monotonicity_guards(self):
         with pytest.raises(ValueError):

@@ -319,27 +319,6 @@ class TestMarch:
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.4)
 
 
-class TestStackedFarField:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(4, 9), min_size=1, max_size=3),
-        seed=st.integers(0, 2**16),
-    )
-    def test_stack_is_bitwise_two_fields(self, sizes, seed):
-        rng = np.random.default_rng(seed)
-        spec = TorusSpec(sizes=tuple(sizes))
-        flux = burgers(spec.ndim)
-        pair = [c + 0.2 * rng.standard_normal(spec.sizes) for c in (-0.5, 0.5)]
-        stack = np.stack(pair)
-        rhs = advective_rhs(stack, flux, spec.spacings)
-        stepper = TorusStepper(spec, 0.01)
-        for i, u in enumerate(pair):
-            assert np.array_equal(rhs[i], advective_rhs(u, flux, spec.spacings))
-            for axis in range(spec.ndim):
-                assert np.array_equal(stepper.sweep_axis(stack, axis - spec.ndim)[i],
-                                      stepper.sweep_axis(u, axis))
-
-
 class TestStepSchedule:
     def test_shrinks_dt_to_a_whole_number_of_steps(self):
         steps, dt, record = step_schedule(1.0, 0.3, None, (0.5, 1.0))
