@@ -21,6 +21,8 @@ at derivative order 1 (`norm_bound_ratio`, `ineqlab.gn_ratio`) read
 them, so a split must be `decompose(u)` of the very u they measure.
 The kept magnitudes cost one field's bytes per full-grid one: |grad u|
 and |grad| of the top part, plus the smaller parts on their cylinders.
+Each of those Fields, like u and every part, keeps its own L^p norms
+(`domain.lp_norm`), so no measurement here takes a norm twice.
 
 Norms of the parts are taken on each part's own cylinder.  That
 is exact, not an approximation.  Every torus factor has measure 1, so
@@ -75,8 +77,9 @@ class DecompositionResult:
         return self.field.t
 
     def broadcast(self, subset: tuple[int, ...]) -> np.ndarray:
-        """A part tiled back onto the full grid."""
-        return _tile(self.spec, subset, self.parts[subset].values)
+        """A part tiled back onto the full grid, as a read-only view."""
+        return np.broadcast_to(_lift(self.spec, subset, self.parts[subset].values),
+                               self.spec.shape)
 
     def grad_magnitude(self, subset: tuple[int, ...] | None = None) -> Field:
         """|grad| of a part, or of the field when subset is None, as a
@@ -95,12 +98,13 @@ class DecompositionResult:
             raise ValueError("decomposition splits another field: pass decompose(u)")
 
 
-def _tile(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
-    """Read-only full-grid view of an array over (x1, *subset directions)."""
+def _lift(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
+    """View of an array over (x1, *subset directions) with a length-1
+    axis for each other torus direction, so it broadcasts on the grid."""
     shape = [spec.n1] + [1] * (spec.n - 1)
     for pos, d in enumerate(subset):
         shape[d - 1] = comp.shape[1 + pos]
-    return np.broadcast_to(comp.reshape(shape), spec.shape)
+    return comp.reshape(shape)
 
 
 def _average_keep(values: np.ndarray, keep: tuple[int, ...], spec: DomainSpec) -> np.ndarray:
@@ -114,39 +118,46 @@ def decompose(u: Field) -> DecompositionResult:
 
     Level k components average (u minus all lower levels) over the
     complementary torus directions; levels are processed in increasing
-    order with the running lower-level sum reused across subsets.
+    order with the running lower-level sum reused across subsets.  That
+    sum adds the parts as broadcasting views: the additions, in the order,
+    of adding each part tiled onto a full-grid copy.
     """
     spec = u.spec
     torus_dirs = tuple(range(2, spec.n + 1))
     u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values
     arrays = {(): u0}
 
-    lower_sum = _tile(spec, (), u0).copy()
+    lower_sum = _lift(spec, (), u0)
     for k in range(1, spec.n):
         remainder = u.values - lower_sum
         level = {s: _average_keep(remainder, s, spec) for s in combinations(torus_dirs, k)}
         arrays.update(level)
         if k < spec.n - 1:
             for subset, comp in level.items():
-                lower_sum += _tile(spec, subset, comp)
+                lower_sum = lower_sum + _lift(spec, subset, comp)
     parts = {s: Field(DomainSpec(n=1 + len(s), L=spec.L, n1=spec.n1,
                                  n_torus=[spec.n_torus[d - 2] for d in s]), arr, u.t)
              for s, arr in arrays.items()}
     return DecompositionResult(field=u, parts=parts)
 
 
-def _sum_tiled(d: DecompositionResult, subsets) -> np.ndarray:
-    """Sum of the given parts tiled onto the full grid, added in order
-    into one array that starts at zero."""
-    acc = np.zeros(d.spec.shape)
+def _sum_parts(d: DecompositionResult, subsets) -> np.ndarray:
+    """Sum of the given parts on the full grid: zero plus each part, in
+    order.  Each part is added as a broadcasting view, in place once the
+    sum has all of its axes, so no part is tiled onto the full grid."""
+    acc = np.zeros((1,) * d.spec.n)
     for s in subsets:
-        acc += d.broadcast(s)
-    return acc
+        part = _lift(d.spec, s, d.parts[s].values)
+        if np.broadcast_shapes(acc.shape, part.shape) == acc.shape:
+            acc += part
+        else:
+            acc = acc + part
+    return acc if acc.shape == d.spec.shape else np.broadcast_to(acc, d.spec.shape).copy()
 
 
 def reconstruct(d: DecompositionResult) -> Field:
     """Sum the 1-d part and all tiled components back into a Field."""
-    return Field(d.spec, _sum_tiled(d, d.parts), d.t)
+    return Field(d.spec, _sum_parts(d, d.parts), d.t)
 
 
 def check_membership(d: DecompositionResult) -> dict:
@@ -161,7 +172,7 @@ def check_membership(d: DecompositionResult) -> dict:
 
 def level_sum(d: DecompositionResult, k: int) -> np.ndarray:
     """Sum of all level-k components on the full grid (level 0 = 1-d part)."""
-    return _sum_tiled(d, (s for s in d.parts if len(s) == k))
+    return _sum_parts(d, (s for s in d.parts if len(s) == k))
 
 
 def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> float:

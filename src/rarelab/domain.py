@@ -31,13 +31,16 @@ array, so wrapping it with `Field.with_values` costs no copy.
 is handed and returns the first one, so a caller passes it operator
 results it no longer needs, never an array it reads later.  Arrays it
 may not overwrite (read-only, or sharing memory) it leaves untouched.
+
+A Field's values never change, so it keeps its norms: `lp_norm` computes
+each (field, p) once.  `with_values` starts a new Field with none kept.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,12 +145,14 @@ class Field:
     Values are stored as a read-only float array of shape
     (n1, *n_torus); axis 0 is the line direction.  An array that owns
     its data and is C-contiguous is taken over: it is made read-only in
-    place and kept, not copied.  Any other input is copied.
+    place and kept, not copied.  Any other input is copied.  The values
+    never change, so the Field keeps each L^p norm `lp_norm` takes of it.
     """
 
     spec: DomainSpec
     values: np.ndarray
     t: float = 0.0
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -165,18 +170,25 @@ class Field:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """L^p norm over the truncated domain by midpoint quadrature.
+    """L^p norm over the truncated domain by midpoint quadrature, for
+    p >= 1 or p = inf; computed once per (f, p) and kept on f."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    if p not in f._norms:
+        f._norms[p] = _lp_norm(f, p)
+    return f._norms[p]
 
-    p = inf is the max of |f| (a separate code path, not a large-p limit).
-    At p = 2 and p = inf no |f| array is formed: v*v equals |v|*|v| and
-    the larger of max(v) and -min(v) equals max|v|, bitwise; the sup of
-    an all-zero field is +0.0 whatever the signs of its zeros.
+
+def _lp_norm(f: Field, p: float) -> float:
+    """The norm itself.  p = inf is the max of |f| (a separate code path,
+    not a large-p limit).  At p = 2 and p = inf no |f| array is formed:
+    v*v equals |v|*|v| and the larger of max(v) and -min(v) equals
+    max|v|, bitwise; the sup of an all-zero field is +0.0 whatever the
+    signs of its zeros.
     """
     v = f.values
     if np.isinf(p):
         return max(float(v.max()), -float(v.min())) + 0.0
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     if p == 1:
         acc = float(np.sum(np.abs(v)))
     elif p == 2:

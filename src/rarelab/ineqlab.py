@@ -108,7 +108,7 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
     on that part's own cylinder, which is exact up to the order of the
     quadrature sums, as in `decomp.norm_bound_ratio`.  A given `d` must
     be decompose(u): at m = 1 the right side reads the |grad u| that the
-    split keeps.
+    split keeps, and at j = 1 a single-part level its part's kept |grad|.
     """
     if d is None:
         d = decompose(u)
@@ -124,8 +124,11 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
             out["flags"].append(f"level {k}: infeasible exponents, skipped")
             continue
         level = [s for s in d.parts if len(s) == k]
-        part = d.parts[level[0]] if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
-        lhs = lp_norm(_deriv_magnitude(part, j), p)
+        if len(level) == 1 and j == 1:
+            lhs = lp_norm(d.grad_magnitude(level[0]), p)
+        else:
+            part = d.parts[level[0]] if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
+            lhs = lp_norm(_deriv_magnitude(part, j), p)
         if lhs == 0.0:
             out["ratios"][k] = 0.0
             continue
@@ -181,7 +184,8 @@ def _power_gradient_magnitude(u: Field, power: float) -> np.ndarray:
 
     It is built a slab of x1 rows at a time, each from that slab's rows
     of the partials (`derivative`'s row window), so no full-grid partial
-    is ever held.
+    is ever held.  At power 1 the chain-rule factor is +-1 (1 at zeros),
+    which `magnitude` squares away, so the raw partials go to it unscaled.
     """
     n1 = u.spec.n1
     step = max(1, SLAB_CELLS // (u.values.size // n1))
@@ -189,8 +193,9 @@ def _power_gradient_magnitude(u: Field, power: float) -> np.ndarray:
     for start in range(0, n1, step):
         stop = min(start + step, n1)
         partials = [derivative(u, axis, (start, stop)) for axis in range(u.spec.n)]
-        out[start:stop] = magnitude(
-            chain_rule_power_gradient(u.values[start:stop], partials, power))
+        if power != 1.0:
+            partials = chain_rule_power_gradient(u.values[start:stop], partials, power)
+        out[start:stop] = magnitude(partials)
     return out
 
 

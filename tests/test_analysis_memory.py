@@ -13,13 +13,16 @@ A split keeps |grad u| and each part's |grad| once they are first asked
 for: 2.06 fields here, one for u, one for the top part and 0.06 for the
 parts on smaller cylinders.  So the first call on a fresh `decompose`
 builds them and the next call only reads them; both are measured.
+Each Field also keeps its norms, so a later call takes no norm again.
 
-Measured: `interpolation_ratio` 2.01 (4.25 with full-grid partials,
-8.00 when each step of the chain rule took a new array);
-`norm_bound_ratio` at m = 1, first call 4.26 (the kept magnitudes, then
-the top part's 3 partials), later calls 1.00 (0.00 at p = inf);
-`gn_ratio`, first call 3.19 (5.00 when the squares in `magnitude` took
-new arrays), later calls 2.00.
+Measured, each on a fresh field: `interpolation_ratio` 2.01 at p = 2
+and p = 4 (4.25 with full-grid partials, 8.00 when each step of the
+chain rule took a new array); `norm_bound_ratio` at m = 1, first call
+4.26 (the kept magnitudes, then the top part's 3 partials), later calls
+0.00 (1.00 at p = 1 and p = 2 before the norms were kept); `gn_ratio`,
+first call 3.19 (5.00 when the squares in `magnitude` took new arrays),
+later calls 2.00 (level 1's sum, a new Field each call, and its
+squares).
 """
 
 import tracemalloc

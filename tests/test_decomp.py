@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,72 @@ class TestDecomposeProperties:
         tol = 1e-12 * float(np.max(np.abs(f.values)))
         assert np.max(np.abs(reconstruct(d).values - f.values)) <= tol
         assert check_membership(d)["max_slice_average"] <= tol
+
+
+def tiled_decompose(u):
+    """Parts of u by the full-grid recipe: each lower level is tiled onto
+    a full-grid copy of the 1-d part and added there in place."""
+    spec = u.spec
+    dirs = tuple(range(2, spec.n + 1))
+    u0 = u.values.mean(axis=tuple(range(1, spec.n))) if spec.n > 1 else u.values
+    parts = {(): u0}
+    lower = tile(spec, (), u0).copy()
+    for k in range(1, spec.n):
+        remainder = u.values - lower
+        level = list(combinations(dirs, k))
+        for s in level:
+            drop = tuple(d - 1 for d in dirs if d not in s)
+            parts[s] = remainder.mean(axis=drop) if drop else remainder
+        if k < spec.n - 1:
+            for s in level:
+                lower += tile(spec, s, parts[s])
+    return parts
+
+
+class TestTiledReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(4, 8),
+        n_torus=st.lists(st.integers(4, 7), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decompose_is_bitwise_the_tiled_recipe(self, n1, n_torus, seed):
+        spec = DomainSpec(n=1 + len(n_torus), L=2.0, n1=n1, n_torus=n_torus)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(spec.shape) * 10.0 ** rng.integers(-4, 4, size=spec.shape)
+        want = tiled_decompose(Field(spec, v))
+        got = decompose(Field(spec, v)).parts
+        assert list(got) == list(want)
+        for s, part in got.items():
+            assert np.array_equal(part.values, want[s])
+            assert np.array_equal(np.signbit(part.values), np.signbit(want[s]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(4, 8),
+        n_torus=st.lists(st.integers(4, 7), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sums_of_parts_are_bitwise_the_tiled_sums(self, n1, n_torus, seed):
+        spec = DomainSpec(n=1 + len(n_torus), L=2.0, n1=n1, n_torus=n_torus)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(spec.shape) * 10.0 ** rng.integers(-4, 4, size=spec.shape)
+        v[rng.random(spec.shape) < 0.2] = -0.0
+        v[rng.integers(0, n1)] = -0.0  # a row whose 1-d part is -0.0
+        d = decompose(Field(spec, v))
+
+        def tiled_sum(subsets):
+            acc = np.zeros(spec.shape)
+            for s in subsets:
+                acc += tile(spec, s, d.parts[s].values)
+            return acc
+
+        pairs = [(reconstruct(d).values, tiled_sum(d.parts))]
+        pairs += [(level_sum(d, k), tiled_sum([s for s in d.parts if len(s) == k]))
+                  for k in range(spec.n)]
+        for got, want in pairs:
+            assert got.shape == spec.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPart:
@@ -333,6 +401,27 @@ class TestKeptMagnitudes:
             assert kept is d.grad_magnitude(subset)
             assert kept.spec == g.spec
             assert np.array_equal(kept.values, grad_magnitude(g))
+
+
+    def test_gn_ratio_at_first_order_reads_the_kept_magnitudes(self, monkeypatch):
+        import rarelab.decomp
+        import rarelab.ineqlab
+
+        f = random_trig_field(SPEC3, np.random.default_rng(18))
+        want = gn_ratio(f, 1, 2, 2.0, 2.0, 2.0)
+        d = decompose(f)
+        for p in (1.0, 2.0, np.inf):
+            norm_bound_ratio(f, d, 1, p)
+        differentiated = []
+        for module in (rarelab.decomp, rarelab.ineqlab):
+            real = module.gradient
+            monkeypatch.setattr(module, "gradient",
+                                lambda g, real=real: differentiated.append(g) or real(g))
+        got = gn_ratio(f, 1, 2, 2.0, 2.0, 2.0, d=d)
+        single = [d.parts[()], d.parts[(2, 3)]]
+        assert differentiated  # the second-order right side is built fresh
+        assert not any(g is part for g in differentiated for part in single)
+        assert got == want
 
 
 class TestLinearity:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -87,6 +88,15 @@ class TestNorms:
         spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(4,))
         with pytest.raises(ValueError):
             lp_norm(Field(spec, np.ones(spec.shape)), 0.5)
+
+    @pytest.mark.parametrize("p", [float("nan"), -np.inf])
+    def test_nan_and_minus_infinity_rejected(self, p):
+        # -inf is not the sup norm, and nan is no exponent at all
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(4,))
+        f = Field(spec, np.ones(spec.shape))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+                lp_norm(f, p)
 
     def test_holder_consistency_on_corpus(self):
         # measure-normalized norms are ordered in p on every field
@@ -428,3 +438,37 @@ class TestOperatorsMatchReferenceFormulas:
         mixed.flat[::2] = -0.0
         got = lp_norm(Field(spec, mixed), np.inf)
         assert got == 0.0 and not np.signbit(got)
+
+
+class TestKeptNorms:
+    """A Field keeps each norm `lp_norm` takes of it; a kept norm is the
+    norm a fresh Field with the same values would give, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields(), st.lists(st.sampled_from([1.0, 2.0, 4.0, np.inf]), max_size=8))
+    def test_kept_norms_are_the_fresh_ones_in_any_order(self, f, ps):
+        for p in ps:
+            fresh = Field(f.spec, f.values.copy(), f.t)
+            assert lp_norm(f, p).hex() == lp_norm(fresh, p).hex()
+
+    def test_a_norm_is_computed_once_per_field_and_p(self, monkeypatch):
+        import rarelab.domain
+
+        calls = []
+        real = rarelab.domain._lp_norm
+        monkeypatch.setattr(rarelab.domain, "_lp_norm",
+                            lambda f, p: calls.append(p) or real(f, p))
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(4,))
+        f = Field(spec, np.arange(32.0).reshape(spec.shape))
+        for p in (2.0, 1, 2, np.inf, 1.0, float("inf"), np.float64(2.0)):
+            lp_norm(f, p)
+        assert calls == [2.0, 1, np.inf]
+
+    def test_a_new_field_starts_with_no_kept_norm(self):
+        spec = DomainSpec(n=2, L=1.0, n1=8, n_torus=(4,))
+        f = Field(spec, np.ones(spec.shape))
+        assert lp_norm(f, 2.0) == np.sqrt(2.0)
+        doubled = f.with_values(2.0 * np.ones(spec.shape))
+        assert lp_norm(doubled, 2.0) == 2.0 * np.sqrt(2.0)
+        later = dataclasses.replace(f, t=1.0)
+        assert later._norms == {} and "_norms" not in repr(later)

@@ -243,6 +243,23 @@ class TestPowerGradientMagnitude:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(slab_fields())
+    def test_power_one_is_the_chain_rule_without_its_factor(self, u):
+        import rarelab.ineqlab
+
+        want = magnitude(chain_rule_power_gradient(u.values, gradient(u), 1))
+
+        def unused(*args):
+            raise AssertionError("the factor is +-1 at power 1")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rarelab.ineqlab, "chain_rule_power_gradient", unused)
+            got = _power_gradient_magnitude(u, 1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestChainRulePowerGradient:
     def test_matches_smooth_formula(self):
         x = np.linspace(-2, 2, 401)
