@@ -17,7 +17,8 @@ of the profile on any grid whose nodal slopes solve one tridiagonal
 system with LAPACK ``dgtsv``: the cylinder run passes the profile on its
 own x1 grid, the residual check a finer one, where the closed form is
 then more accurate than the finite-difference residual it is checked
-against.
+against.  The cylinder run reads only `u_tilde` and `h` of a bundle; the
+weight, its slope and the spline's profile values serve the checks.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ import argparse
 import ctypes
 import difflib
 import hashlib
+import math
 import os
 import sys
 import time
@@ -58,15 +59,20 @@ from .profile1d import (
 )
 from .rates import (
     MIN_FIT_POINTS,
+    PHI_SERIES,
     exponent_ordering,
     fit_power_law,
     fit_window,
+    predicted_exponent,
     verify_apriori,
     verify_main_theorem,
     write_rate_report,
 )
 
 __all__ = ["parse_config", "load_config", "run_experiment", "validate", "main"]
+
+
+MAX_SNAPSHOTS = 10**6  # most times a geometric snapshot list may hold
 
 
 class RatesFailure(RuntimeError):
@@ -148,7 +154,8 @@ def _v0_from_spec(s: str):
 
 
 def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
-    """'auto' = fine prefix + log-spaced decades; or an explicit list.
+    """'auto' = fine prefix + log-spaced decades; 'geometric:t0,ratio', at
+    most MAX_SNAPSHOTS times t0 ratio^i up to t_end; or an explicit list.
     Without a positive t_end 'auto' is empty: the step schedule rejects
     that t_end."""
     spec = spec.strip().lower()
@@ -165,8 +172,14 @@ def _snapshot_times(spec: str, t_end: float) -> tuple[float, ...]:
             raise ValueError(f"snapshots must be geometric:t0,ratio with t0 > 0 and ratio > 1, "
                              f"got '{spec}'")
         t0, ratio = pair
+        bound = min(t_end * (1 + 1e-9), sys.float_info.max)  # t overflows to inf beyond it
+        count = (math.floor((math.log(bound) - math.log(t0)) / math.log(ratio)) + 1
+                 if bound >= t0 else 0)
+        if count > MAX_SNAPSHOTS:
+            raise ValueError(f"snapshots '{spec}' up to t_end = {t_end:g} holds about {count:.3g} "
+                             f"times, more than {MAX_SNAPSHOTS}")
         times, t = [], t0
-        while t <= t_end * (1 + 1e-9):
+        while t <= bound:
             times.append(min(t, t_end))
             t *= ratio
         return tuple(times)
@@ -307,12 +320,11 @@ def _rate_report(table, window) -> dict:
         times = cols["t"]
         window = fit_window(times, window)
         report = {"main_rate": verify_main_theorem(times, cols["u_minus_profile_linf"], window)}
-        fits = {}
-        for p, col in ((1.0, "phi_l1"), (2.0, "phi_l2"), (4.0, "phi_l4"), (np.inf, "phi_linf")):
-            report[col] = verify_apriori(times, cols[col], p, "phi", window)
-            fits[p] = fit_power_law(times, cols[col], window).exponent
-        for p, col in ((2.0, "grad_phi_l2"), (4.0, "grad_phi_l4")):
-            report[col] = verify_apriori(times, cols[col], p, "grad_phi", window)
+        fits = {}  # the ordering in 1/p is checked on the phi norms
+        for col, (which, p) in PHI_SERIES.items():
+            report[col] = verify_apriori(times, cols[col], p, which, window)
+            if which == "phi":
+                fits[p] = fit_power_law(times, cols[col], window).exponent
     except ValueError as e:
         raise ConfigError(f"rate report: {e}") from e
     report["ordering"] = exponent_ordering(fits)
@@ -331,7 +343,8 @@ def _simulate_inputs(cfg: dict[str, str]):
     its step schedule.  The window must clear the transient and hold enough
     of the times the run records, its snapshot times rounded to the step
     grid, so a bad one fails before the solve.  A dt above the stable step
-    of the initial data is a config error too, so `validate` reports it."""
+    of the initial data is a config error too, so `validate` reports it, and
+    so is a run without a disturbance, whose phi norms are 0 and fit nothing."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
     problems = validate_config(sc)
     if problems:
@@ -341,6 +354,9 @@ def _simulate_inputs(cfg: dict[str, str]):
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
         raise ValueError(f"window ({lo:g}, {hi:g}) holds under {MIN_FIT_POINTS} snapshot times")
+    if sc.v0 is None and not any(row[-1] for row in sc.w0_modes):
+        raise ValueError("simulate needs a disturbance: a w0_modes row with a nonzero "
+                         "amplitude, or v0")
     return sc, window
 
 
@@ -351,12 +367,12 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
     report["max_principle_violation"] = traj.max_principle_violation
     report["boundary_mismatch"] = traj.boundary_mismatch
     write_rate_report(report, out.path("rates.json"))
-    _write_decay_plot(
-        out.path("plots.gp"), "norms.csv", NORM_COLUMNS,
-        {"|phi|_1": "phi_l1", "|phi|_2": "phi_l2", "|phi|_4": "phi_l4", "|phi|_inf": "phi_linf",
-         "|grad phi|_2": "grad_phi_l2", "|u-profile|_inf": "u_minus_profile_linf"},
-        {"phi_inf": -0.5, "phi_2": -0.25, "grad_phi_2": -0.75},
-    )
+    curves = {f"|{which.replace('_', ' ')}|_{p:g}": col
+              for col, (which, p) in PHI_SERIES.items() if col != "grad_phi_l4"}
+    guides = {f"{which}_{p:g}": predicted_exponent(p, which)
+              for which, p in (PHI_SERIES[col] for col in ("phi_linf", "phi_l2", "grad_phi_l2"))}
+    _write_decay_plot(out.path("plots.gp"), "norms.csv", NORM_COLUMNS,
+                      {**curves, "|u-profile|_inf": "u_minus_profile_linf"}, guides)
     out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant,
                 "planar_at": traj.planar_at})
     _raise_on_failed(report)

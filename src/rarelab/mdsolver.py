@@ -18,12 +18,15 @@ the loop the profile and torus solvers run too; `run` supplies its
 per-step check (Courant number, maximum principle) and its snapshot
 record.  Each record pulls the next profile from `evolve_profile`'s
 stream on the same x1 grid and dt, so the profile march keeps pace and
-one profile is held.
+one profile is held.  Both phases build their norm row in one place: a
+column per `rates.PHI_SERIES` entry of phi = u - u_tilde, and |u - p|_inf
+against that profile p itself, tiled over the torus.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
-run when the perturbation (or the fan's slope profile) puts more than
-the configured fraction of its mass into the outer decade of the x1
-range (`TAIL_FLOOR` exempts a perturbation at roundoff).
+run when the perturbation (or the fan's slope profile, the profile's
+own x1 derivative) puts more than the configured fraction of its mass
+into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
+perturbation at roundoff).
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -61,6 +64,7 @@ from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
 from .profile1d import evolve_profile, make_initial_state, pinned_line
+from .rates import PHI_SERIES
 from .stepping import (
     DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
@@ -77,18 +81,7 @@ __all__ = [
     "NORM_COLUMNS",
 ]
 
-NORM_COLUMNS = (
-    "t",
-    "phi_l1",
-    "phi_l2",
-    "phi_l4",
-    "phi_linf",
-    "grad_phi_l2",
-    "grad_phi_l4",
-    "u_minus_profile_linf",
-    "h_l1",
-    "tail_mass",
-)
+NORM_COLUMNS = ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
 
 TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
 PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
@@ -312,35 +305,27 @@ def run(config: SolverConfig) -> Trajectory:
                                            float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
-    def sample(phi, deviation, h, slope):
-        """The norm row of perturbation phi, on the cylinder or on the line
-        (where the ansatz defect h is None: it is 0), after the tail guards
-        of phi and of the fan's slope profile."""
-        t = phi.t
-        grad_phi = Field(phi.spec, magnitude(gradient(phi)), t)
+    def sample(grid, v, ansatz, h, prof):
+        """The norm row of state v on `grid`, the cylinder or the line, with
+        perturbation phi = v - ansatz, ansatz defect h (None on the line:
+        it is 0) and profile prof, after the tail guards of phi and of the
+        fan's slope profile."""
+        t = prof.t
+        phi = Field(grid, v - ansatz, t)
+        fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
         tails = tail_mass(phi)
-        row = dict(
-            t=t,
-            phi_l1=lp_norm(phi, 1),
-            phi_l2=lp_norm(phi, 2),
-            phi_l4=lp_norm(phi, 4),
-            phi_linf=lp_norm(phi, np.inf),
-            grad_phi_l2=lp_norm(grad_phi, 2),
-            grad_phi_l4=lp_norm(grad_phi, 4),
-            u_minus_profile_linf=float(np.max(np.abs(deviation))),
-            h_l1=0.0 if h is None else lp_norm(h, 1),
-            tail_mass=tails,
-        )
-        if tails > config.tail_threshold and row["phi_l1"] > TAIL_FLOOR:
-            raise NumericalAbort(
-                "tail", t,
-                f"perturbation tail mass {tails:.3e} exceeds {config.tail_threshold:.3e}")
+        tiled = prof.values.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
+        row = dict(t=t, **{name: lp_norm(fields[which], p)
+                           for name, (which, p) in PHI_SERIES.items()},
+                   u_minus_profile_linf=float(np.max(np.abs(v - tiled))),
+                   h_l1=0.0 if h is None else lp_norm(h, 1), tail_mass=tails)
         # the slope profile is constant along the torus: guard it on the line
-        slope_tail = tail_mass(Field(p0.spec, np.abs(slope), t))
-        if slope_tail > config.tail_threshold:
-            raise NumericalAbort(
-                "tail", t,
-                f"fan slope tail mass {slope_tail:.3e} exceeds {config.tail_threshold:.3e}")
+        slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t))
+        for what, mass in (("perturbation", tails if row["phi_l1"] > TAIL_FLOOR else 0.0),
+                           ("fan slope", slope_tail)):
+            if mass > config.tail_threshold:
+                raise NumericalAbort("tail", t, f"{what} tail mass {mass:.3e} exceeds "
+                                                f"{config.tail_threshold:.3e}")
         return row
 
     def next_profile(k):
@@ -377,15 +362,13 @@ def run(config: SolverConfig) -> Trajectory:
                                *pinned_line(p0.spec, flux, dt, *ends),
                                lambda state, s: check(state, t + s),
                                lambda j, state: record_line(k + j, state))
-        return sample(Field(spec, v - bundle.u_tilde.values, t),
-                      v - bundle.profile_values.reshape(col), bundle.h, bundle.dg)
+        return sample(spec, v, bundle.u_tilde.values, bundle.h, prof)
 
     def record_line(k, state):
         # the ansatz of a constant far field is the profile, and its
-        # defect is 0; the fan slope is the profile's own
+        # defect is 0
         prof = next_profile(k)
-        phi = Field(p0.spec, state[0] - prof.values, prof.t)
-        return sample(phi, phi.values, None, derivative(prof, 0))
+        return sample(p0.spec, state[0], prof.values, None, prof)
 
     rows = []
     for row in march(start.pop(), plan, spec.n, sweep, rhs, check, record):

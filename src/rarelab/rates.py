@@ -5,6 +5,10 @@ that excludes the early transient (default: the last nine tenths of the
 run, in time).  The asserted rates are upper bounds: a series decaying
 faster than predicted is consistent with the theory and is reported as
 such, with a note.
+
+`PHI_SERIES` maps each norm-table column of phi or |grad phi| to the
+(which, p) of its rate in `predicted_exponent`, once: the solver's norm
+row, the table's columns and the rate report are built from it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .domain import write_json
 
 __all__ = [
     "RateFit",
+    "PHI_SERIES",
     "log_linear_fit",
     "fit_power_law",
     "fit_window",
@@ -37,6 +42,11 @@ ORDERING_TOL = 0.1  # how far fitted exponents may invert the ordering in 1/p
 DEGENERATE_FLOOR = 1e-9  # a sup distance at the solver noise floor: no fit
 
 MIN_FIT_POINTS = 4  # fewest points a fit window may hold
+
+# norm-table column -> (which, p): the L^p norm of phi or of |grad phi|
+PHI_SERIES = {"phi_l1": ("phi", 1.0), "phi_l2": ("phi", 2.0), "phi_l4": ("phi", 4.0),
+              "phi_linf": ("phi", np.inf), "grad_phi_l2": ("grad_phi", 2.0),
+              "grad_phi_l4": ("grad_phi", 4.0)}
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,8 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
     dt above the stable `dt_max` aborts.  Snapshot times are rounded to
     the step grid; `record_indices` holds the step indices to record,
     the final step when no snapshot time is given.  This is the one
-    owner of the rules t_end > 0, dt > 0 and 0 <= snapshot <= t_end.
+    owner of the rules t_end > 0, dt > 0, a finite t_end / dt and
+    0 <= snapshot <= t_end.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must exceed the start time 0, got {t_end:g}")
@@ -217,11 +218,14 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
         raise ValueError(f"dt must be positive, got {dt}")
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
         raise NumericalAbort("cfl", 0.0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
-    steps = max(1, math.ceil(t_end / (dt if dt is not None else dt_max) * (1.0 - 1e-12)))
+    step = dt if dt is not None else dt_max
+    if not (step > 0 and math.isfinite(t_end / step)):  # dt_max may underflow to 0
+        raise ValueError(f"t_end / dt = {t_end:g} / {step:g} is not finite: no step count")
+    steps = max(1, math.ceil(t_end / step * (1.0 - 1e-12)))
     dt = t_end / steps
     record = set()
     for ts in snapshot_times:
-        idx = int(round(ts / dt))
+        idx = round(ts / dt) if math.isfinite(ts / dt) else -1
         if not 0 <= idx <= steps:
             raise ValueError(f"snapshots entry {ts} lies outside [0, {t_end:g}]")
         record.add(idx)
@@ -239,6 +243,8 @@ def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: flo
     if not 0.0 < cfl <= 0.5:
         raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
     rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
+    if not math.isfinite(rate):
+        raise ValueError(f"the wave speed on [{umin:g}, {umax:g}] is not finite")
     return np.inf if rate == 0.0 else cfl / rate
 
 

@@ -733,8 +733,10 @@ RATES_INPUT = f"input = {GOLDEN / 'simulate2d_norms.csv'}\n"
 class TestEveryBadNumberNamesItsKey:
     def test_the_list_holds_every_key_an_input_stage_reads(self):
         assert sum(map(len, NUMERIC_KEYS.values())) == 47
+        # a simulate config needs a disturbance, a rates config its input
+        texts = {"simulate": "w0_modes = 1,1,0.1\n", "rates": RATES_INPUT}
         for kind, keys in NUMERIC_KEYS.items():
-            cfg = cli._AskedKeys(cli.parse_config(RATES_INPUT if kind == "rates" else ""))
+            cfg = cli._AskedKeys(cli.parse_config(texts.get(kind, "")))
             cli._EXPERIMENTS[kind][0](cfg)
             assert cfg.asked - NAME_KEYS == set(keys), kind
 

@@ -1,0 +1,87 @@
+"""One norm row for both phases of `mdsolver.run`: each record measures
+u against the profile it pulled from `evolve_profile`'s stream, tiled
+over the torus, and guards the fan's slope with that profile's own
+slope; the phi columns come from `rates.PHI_SERIES`."""
+
+import numpy as np
+import pytest
+
+from rarelab import cli, mdsolver
+from rarelab.domain import DomainSpec
+from rarelab.errors import NumericalAbort
+from rarelab.fluxes import burgers
+from rarelab.mdsolver import NORM_COLUMNS, SolverConfig
+from rarelab.rates import PHI_SERIES, predicted_exponent
+
+
+def config(**kw):
+    base = dict(spec=DomainSpec(n=2, L=12, n1=96, n_torus=(8,)), flux=burgers(2),
+                ul=-0.5, ur=0.5, t_end=2.0, snapshot_times=(0.0, 0.5, 1.0, 2.0))
+    return SolverConfig(**{**base, **kw})
+
+
+def spied_run(monkeypatch, sc):
+    """(trajectory, the profile each record pulled, the state each record saw)."""
+    profiles, states = [], []
+    evolve, march = mdsolver.evolve_profile, mdsolver.march
+
+    def evolve_spy(*args, **kw):
+        for prof in evolve(*args, **kw):
+            profiles.append(prof)
+            yield prof
+
+    def march_spy(state, plan, ndim, sweep, rhs, check, keep):
+        return march(state, plan, ndim, sweep, rhs, check,
+                     lambda k, s: states.append(s[0].copy()) or keep(k, s))
+
+    monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
+    monkeypatch.setattr(mdsolver, "march", march_spy)
+    return mdsolver.run(sc), profiles, states
+
+
+class TestAgainstTheProfileItself:
+    def test_both_phases_measure_u_against_the_pulled_profile(self, monkeypatch):
+        sc = config(w0_modes=((1, 1, 0.1), (0, 2, 0.05)),
+                    snapshot_times=tuple(np.linspace(0.0, 2.0, 21)))
+        traj, profiles, states = spied_run(monkeypatch, sc)
+        dims = {u.ndim for u in states}
+        assert traj.planar_at is not None and dims == {1, 2}  # cylinder and line records
+        assert len(profiles) == len(states) == traj.series["t"].size
+        for got, prof, u in zip(traj.series["u_minus_profile_linf"], profiles, states):
+            tiled = prof.values.reshape((-1,) + (1,) * (u.ndim - 1))
+            assert got == np.max(np.abs(u - tiled))
+
+    def test_an_undisturbed_run_reads_zero_at_every_record(self):
+        traj = mdsolver.run(config(w0_modes=()))
+        assert traj.planar_at["step"] == 0  # t = 0 is a cylinder record, the rest line records
+        assert list(traj.series["u_minus_profile_linf"]) == [0.0] * 4
+
+
+class TestFanSlopeGuard:
+    # the undisturbed run's phi is at roundoff, below TAIL_FLOOR, so only
+    # the fan's slope can abort it; that slope's tail mass is 8.6e-10 at
+    # t = 0 (the hand-off record, on the cylinder) and 1.3e-8 at the next
+    # record, t = 0.533 (on the line)
+    @pytest.mark.parametrize("threshold, t", [(1e-10, 0.0), (1e-9, 0.5)],
+                             ids=["cylinder", "line"])
+    def test_aborts_at_the_record_whose_slope_reaches_the_tail(self, threshold, t):
+        sc = config(w0_modes=(), tail_threshold=threshold)
+        with pytest.raises(NumericalAbort) as exc:
+            mdsolver.run(sc)
+        _, dt, _ = mdsolver.schedule(sc)
+        assert exc.value.reason == "tail" and "fan slope" in exc.value.detail
+        assert exc.value.t == round(t / dt) * dt
+
+
+class TestSeriesTable:
+    def test_the_phi_columns_are_the_table_in_order(self):
+        assert NORM_COLUMNS == ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
+
+    def test_each_rate_verdict_predicts_its_series_rate(self):
+        t = np.linspace(0.5, 10.0, 20)
+        table = {name: (1.0 + t) ** -0.5 for name in NORM_COLUMNS}
+        table["t"] = t
+        report = cli._rate_report(table, None)
+        for col, (which, p) in PHI_SERIES.items():
+            if p != 1.0:
+                assert report[col]["predicted"] == predicted_exponent(p, which), col

@@ -1,0 +1,74 @@
+"""`cli.validate` is total: on any finite value of the step and range keys
+it returns its findings and raises nothing.  Each config is tiny, and
+`validate` runs the input stage only, so no run starts."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rarelab import cli
+
+CONFIGS = {
+    "simulate": dict(experiment="simulate", dim="2", L="12", n1="96", n_torus="8", t_end="2",
+                     w0_modes="1,1,0.1", snapshots="auto"),
+    "periodic": dict(experiment="periodic", sizes="8,8"),
+    "profile": dict(experiment="profile", L="40", n1="800", t_end="16"),
+}
+# the step and range keys each experiment reads
+KEYS = {"simulate": ("dt", "t_end", "cfl", "ul", "ur"), "periodic": ("dt", "t_end", "ubar"),
+        "profile": ("t_end", "cfl", "ul", "ur")}
+
+# every finite double, subnormals included, with the extremes drawn often
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 1e-320, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(CONFIGS)))
+def test_validate_returns_findings_and_raises_nothing(data, kind):
+    values = data.draw(st.dictionaries(st.sampled_from(KEYS[kind]), finite_doubles, min_size=1))
+    cfg = {**CONFIGS[kind], **{key: repr(v) for key, v in values.items()}}
+    with np.errstate(all="ignore"):
+        assert isinstance(cli.validate(cfg), list)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CONFIGS["periodic"], dt="1e-320"), "t_end / dt"),
+    (dict(CONFIGS["periodic"], t_end="1e308"), "t_end / dt"),
+    (dict(CONFIGS["simulate"], dt="1e-320"), "t_end / dt"),
+    (dict(CONFIGS["periodic"], flux="cubic", ubar="1e200"), "wave speed"),
+], ids=["periodic-dt", "periodic-t_end", "simulate-dt", "cubic-ubar"])
+def test_an_overflowing_step_count_is_a_finding(cfg, message):
+    with np.errstate(all="ignore"):
+        findings = cli.validate(cfg)
+    assert len(findings) == 1 and message in findings[0]
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CONFIGS["simulate"], t_end="1", snapshots="1e308"),
+     "snapshots entry 1e+308 lies outside"),
+    (dict(CONFIGS["profile"], t_end="1.7976931348623157e308"), "t_end / dt"),
+], ids=["snapshot-past-the-step-grid", "profile-largest-t_end"])
+def test_an_extreme_time_is_a_finding(cfg, message):
+    findings = cli.validate(cfg)
+    assert len(findings) == 1 and message in findings[0]
+
+
+def test_a_geometric_list_past_the_ceiling_is_a_finding():
+    # 50 times more than MAX_SNAPSHOTS
+    cfg = dict(CONFIGS["profile"], t_end=repr(1.00001 ** (cli.MAX_SNAPSHOTS + 50)),
+               snapshots="geometric:1,1.00001")
+    findings = cli.validate(cfg)
+    assert len(findings) == 1
+    assert findings[0].startswith("snapshots 'geometric:1,1.00001' up to t_end")
+    assert findings[0].endswith(f"more than {cli.MAX_SNAPSHOTS}")
+
+
+def test_a_simulate_config_without_a_disturbance_is_a_finding():
+    for modes in ("", "1,1,0; 0,2,0"):
+        findings = cli.validate(dict(CONFIGS["simulate"], w0_modes=modes))
+        assert findings == ["simulate needs a disturbance: a w0_modes row with a nonzero "
+                            "amplitude, or v0"]
+    assert cli.validate(dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:0.1,0,2")) == []
