@@ -68,6 +68,7 @@ from .rates import (
     verify_main_theorem,
     write_rate_report,
 )
+from .stepping import CFL
 
 __all__ = ["parse_config", "load_config", "run_experiment", "validate", "main"]
 
@@ -233,7 +234,7 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
         v0=_v0_from_spec(cfg.get("v0", "none")),
         t_end=t_end,
         snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
-        cfl=_number(cfg, "cfl", "0.4"),
+        cfl=_number(cfg, "cfl", str(CFL)),
         tail_threshold=_number(cfg, "tail_threshold", "0.25"),
         dt=_number(cfg, "dt"),
     )
@@ -379,21 +380,22 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
 
 
 def _profile_inputs(cfg: dict[str, str]):
-    """(initial state, flux, t_end, cfl, snapshot times) of a profile
-    config, checked by the run's step schedule, which must record a t > 0."""
-    t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", "0.4")
+    """(initial state, flux, plan) of a profile config: the run's step
+    schedule, which must record a t > 0."""
+    t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", str(CFL))
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    if max(profile_schedule(p0, flux, t_end, None, cfl, snaps)[2]) == 0:
+    plan = profile_schedule(p0, flux, t_end, None, cfl, snaps)
+    if max(plan[2]) == 0:
         raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, got {snaps}")
-    return p0, flux, t_end, cfl, snaps
+    return p0, flux, plan
 
 
-def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
-    states = list(evolve_profile(p0, flux, t_end, cfl=cfl, snapshot_times=snaps))
+def _exp_profile(out: _Outputs, p0, flux, plan) -> None:
+    states = list(evolve_profile(p0, flux, plan))
     write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
     write_snapshot(last, out.path("profile_final.field"))
@@ -409,9 +411,9 @@ def _exp_profile(out: _Outputs, p0, flux, t_end, cfl, snaps) -> None:
 
 
 def _periodic_inputs(cfg: dict[str, str]):
-    """(disturbance, torus grid, flux, ubar, t_end, dt, snapshot times) of a
-    periodic config, checked by the mode rule and by drawing up the run's
-    step schedule; by default 100 snapshots spaced evenly up to t_end."""
+    """(disturbance, torus grid, flux, ubar, plan) of a periodic config,
+    checked by the mode rule; the plan is the run's step schedule, by
+    default with 100 snapshots spaced evenly up to t_end."""
     tspec = TorusSpec(sizes=tuple(_numbers("sizes", cfg.get("sizes", "32,32"), int)))
     flux = _flux(cfg, tspec.ndim)
     ubar, t_end, dt = _number(cfg, "ubar", "-0.5"), _number(cfg, "t_end", "0.5"), _number(cfg, "dt")
@@ -422,12 +424,11 @@ def _periodic_inputs(cfg: dict[str, str]):
         raise ValueError("; ".join(problems))
     snaps = (_snapshot_times(cfg["snapshots"], t_end) if "snapshots" in cfg
              else tuple(np.linspace(t_end / 100.0, t_end, 100)))
-    torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)
-    return w0, tspec, flux, ubar, t_end, dt, snaps
+    return w0, tspec, flux, ubar, torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)
 
 
-def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, t_end, dt, snaps) -> None:
-    states = solve_periodic(w0, ubar, flux, t_end, snaps, spec=tspec, dt=dt)
+def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, plan) -> None:
+    states = solve_periodic(w0, ubar, flux, tspec, plan)
     norms = np.array(write_periodic_series(states, out.path("periodic_series.csv")))
     ts = np.array([s.t for s in states])
     sups, w1inf = norms[:, 0], np.max(norms, axis=1)

@@ -39,6 +39,7 @@ each (field, p) once.  `with_values` starts a new Field with none kept.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -61,7 +62,10 @@ __all__ = [
     "read_snapshot",
     "write_table",
     "write_json",
+    "MAX_CELLS",
 ]
+
+MAX_CELLS = 10**7  # most cells a grid may hold
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,8 @@ class DomainSpec:
         L: half-length of the x1 truncation, finite and > 0.
         n1: number of x1 cells (cell centers at -L + (i+1/2)*dx1).
         n_torus: cells per torus direction, one entry per direction.
+
+    A grid holds at most MAX_CELLS cells.
     """
 
     n: int
@@ -96,6 +102,8 @@ class DomainSpec:
             raise ValueError(f"n1 must be at least 4, got {self.n1}")
         if any(m < 4 for m in self.n_torus):
             raise ValueError(f"torus cell counts must be at least 4, got {self.n_torus}")
+        if self.n1 * math.prod(self.n_torus) > MAX_CELLS:
+            raise ValueError(f"the grid {self.shape} holds more than {MAX_CELLS} cells")
 
     @property
     def dx1(self) -> float:

@@ -16,11 +16,11 @@ that equals a tiled torus field stays equal to it away from the fan.
 The triple (cylinder, left, right) is one state of `stepping.march`,
 the loop the profile and torus solvers run too; `run` supplies its
 per-step check (Courant number, maximum principle) and its snapshot
-record.  Each record pulls the next profile from `evolve_profile`'s
-stream on the same x1 grid and dt, so the profile march keeps pace and
-one profile is held.  Both phases build their norm row in one place: a
-column per `rates.PHI_SERIES` entry of phi = u - u_tilde, and |u - p|_inf
-against that profile p itself, tiled over the torus.
+record.  Each record pulls the next profile from `evolve_profile`'s march
+of the run's own plan on the same x1 grid, so the profile sits at the
+record's time and one profile is held.  Both phases build their norm row
+in one place: a column per `rates.PHI_SERIES` entry of phi = u - u_tilde,
+and |u - p|_inf against that profile p itself, tiled over the torus.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile, the profile's
@@ -66,7 +66,7 @@ from .periodic import TorusStepper
 from .profile1d import evolve_profile, make_initial_state, pinned_line
 from .rates import PHI_SERIES
 from .stepping import (
-    DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
+    CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
 
 __all__ = [
@@ -106,7 +106,7 @@ class SolverConfig:
     v0: Optional[Callable[[np.ndarray], np.ndarray]] = None
     t_end: float = 10.0
     snapshot_times: tuple[float, ...] = ()
-    cfl: float = 0.4
+    cfl: float = CFL
     tail_threshold: float = 0.25
     dt: float | None = None
 
@@ -246,10 +246,9 @@ def run(config: SolverConfig) -> Trajectory:
 
     grid = make_grid(spec)
 
-    # the 1-d backbone on the cylinder's x1 grid with its dt, pulled at each record
+    # the 1-d backbone on the cylinder's x1 grid, on the run's plan, pulled at each record
     p0 = make_initial_state(spec.L, spec.n1, ul, ur)
-    profiles = evolve_profile(p0, flux, config.t_end, dt=dt, cfl=config.cfl,
-                              snapshot_times=tuple(idx * dt for idx in sorted(snap)))
+    profiles = evolve_profile(p0, flux, plan)
 
     # far field: the left and right torus solutions; the row map gives the
     # torus row of every x1 cell, and the ghost cells read the first and
@@ -328,17 +327,11 @@ def run(config: SolverConfig) -> Trajectory:
                                                 f"{config.tail_threshold:.3e}")
         return row
 
-    def next_profile(k):
-        prof = next(profiles)
-        if prof.t != k * dt:
-            raise RuntimeError(f"the profile at t = {prof.t} stands for a record at t = {k * dt}")
-        return prof
-
     line_march = None  # the remaining steps, from the record that hands off
 
     def record(k, state):
         nonlocal line_march
-        prof, (v, wl, wr) = next_profile(k), state
+        prof, (v, wl, wr) = next(profiles), state
         t = prof.t
         bundle = assemble_bundle((wl, wr), t, prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
@@ -355,19 +348,19 @@ def run(config: SolverConfig) -> Trajectory:
                   *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
         if tau < PLANAR_TOL and k < steps:
             traj.planar_at = dict(step=k, t=t, tau=tau)
-            # the line march counts from the hand-off: its keep and check add k
+            # the line march counts from the hand-off: its check adds t
             ends = (float(np.mean(w)) for w in (wl, wr))
             line_march = march((np.mean(v, axis=torus_axes),),
                                (steps - k, dt, {i - k for i in snap if i > k}), 1,
                                *pinned_line(p0.spec, flux, dt, *ends),
                                lambda state, s: check(state, t + s),
-                               lambda j, state: record_line(k + j, state))
+                               lambda _, state: record_line(state))
         return sample(spec, v, bundle.u_tilde.values, bundle.h, prof)
 
-    def record_line(k, state):
+    def record_line(state):
         # the ansatz of a constant far field is the profile, and its
         # defect is 0
-        prof = next_profile(k)
+        prof = next(profiles)
         return sample(p0.spec, state[0], prof.values, None, prof)
 
     rows = []

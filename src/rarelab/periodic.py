@@ -13,16 +13,17 @@ sides, each a torus field, and the cylinder's own torus axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import magnitude, write_table
+from .domain import MAX_CELLS, magnitude, write_table
 from .errors import ConfigError
 from .fluxes import FluxSet
 from .rates import log_linear_fit
 from .stepping import (
-    DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
+    CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
 
 __all__ = [
@@ -47,7 +48,8 @@ class TorusSpec:
 
     Coordinates along direction d are (j + offsets[d]) / sizes[d].  A
     half-cell offset in the first direction lines the torus grid up with
-    the cell-centered line axis of the cylinder grid.
+    the cell-centered line axis of the cylinder grid.  A grid holds at
+    most `domain.MAX_CELLS` points.
     """
 
     sizes: tuple[int, ...]
@@ -61,6 +63,8 @@ class TorusSpec:
             raise ValueError("offsets and sizes must have equal length")
         if any(m < 4 for m in self.sizes):
             raise ValueError(f"torus sizes must be at least 4, got {self.sizes}")
+        if math.prod(self.sizes) > MAX_CELLS:
+            raise ValueError(f"torus sizes {self.sizes} hold more than {MAX_CELLS} points")
 
     @property
     def ndim(self) -> int:
@@ -120,25 +124,24 @@ class TorusStepper:
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,
              snapshot_times, dt: float | None = None):
     """(steps, dt, record_indices) of a torus run from ubar + w0: `step_schedule`
-    under the CFL bound (Courant number 0.4) of the data's range.  The
+    under the CFL bound (Courant number `CFL`) of the data's range.  The
     disturbance must average to zero (to 1e-12): a nonzero average belongs
     in the background constant, not the disturbance."""
     mean = float(np.mean(w0))
     if abs(mean) > 1e-12:
         raise ConfigError(f"disturbance mean {mean:.3e} violates the zero-average requirement")
     amp = float(np.max(np.abs(w0)))
-    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, 0.4)
+    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, CFL)
     return step_schedule(t_end, dt_max, dt, snapshot_times)
 
 
-def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, t_end: float, snapshot_times,
-                   spec: TorusSpec, dt: float | None = None) -> list[PeriodicState]:
-    """Evolve the torus solution from data ubar + w0 on the grid `spec`, under
-    the rules of `schedule`; snapshot times are rounded to the step grid."""
+def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec,
+                   plan) -> list[PeriodicState]:
+    """The torus solution from data ubar + w0 on the grid `spec` at each
+    recorded step of plan = (steps, dt, record), which `schedule` draws."""
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != spec.sizes:
         raise ConfigError(f"w0 shape {w0.shape} does not match torus {spec.sizes}")
-    plan = schedule(w0, ubar, flux, spec, t_end, snapshot_times, dt)
     dt = plan[1]
     stepper = TorusStepper(spec, dt)
     return list(march(

@@ -4,7 +4,8 @@ The profile solves u_t + (f_1(u))_x = u_xx from hyperbolic-tangent data
 joining the two end states ul < ur.  It replaces the Lipschitz inviscid
 rarefaction fan as the smooth backbone that the multi-d experiments
 perturb.  Its march takes the step of `pinned_line`, as a planar cylinder
-run does.  Checks provided here: the one-sided Oleinik slope bound, the
+run does, over the plan it is handed: `schedule`'s, or a run's own.
+Checks provided here: the one-sided Oleinik slope bound, the
 linear-in-time growth of the integrated deviation from the end states,
 and the t^(-1+1/p) decay of the slope's L^p norms.
 """
@@ -132,20 +133,19 @@ def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float
             lambda state: (stepping.advective_rhs(state[0], flux, (spec.dx1,), ghosts),))
 
 
-def evolve_profile(p0: ProfileState, flux: FluxSet, t_end: float, dt: float | None = None,
-                   cfl: float = 0.4, snapshot_times=()):
-    """The profile at the requested times of a march from p0 to t_end, yielded
-    as the march reaches them (p0 and the schedule are checked at the call).
+def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
+    """The profile at each recorded step of plan = (steps, dt, record) from
+    p0, yielded as the march reaches it; the march stops at the last record.
 
     Implicit trapezoidal diffusion plus explicit second-order advection;
     ends are pinned to ul/ur, consistent with the exponentially small
-    tails of the data.  The march starts at t = 0, the time p0 must have.
-    Snapshot times are rounded to the step grid of [0, t_end], and the
-    march stops at the last of them.
+    tails of the data.  The plan comes from `schedule`, or from a run that
+    marches the profile beside its own state; the march starts at t = 0,
+    the time p0 must have (checked at the call).
     """
     if p0.t != 0:
         raise ValueError(f"a profile march starts at t = 0, got a state at t = {p0.t}")
-    _, dt, record = schedule(p0, flux, t_end, dt, cfl, snapshot_times)
+    _, dt, record = plan
     return march(
         (p0.values,), (max(record), dt, record), 1,
         *pinned_line(p0.spec, flux, dt, p0.ul, p0.ur),

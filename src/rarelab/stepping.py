@@ -38,7 +38,12 @@ __all__ = [
     "step_schedule",
     "max_advective_dt",
     "check_cfl",
+    "CFL",
+    "MAX_STEPS",
 ]
+
+MAX_STEPS = 10**7  # most steps a schedule may take
+CFL = 0.4  # the advective Courant number of a run that does not set its own
 
 
 class DiffusionSweep:
@@ -204,13 +209,13 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
     The step is the requested `dt` (or `dt_max` when dt is None),
     shrunk so a whole number of steps spans the interval.  A dt that
     divides t_end up to roundoff (1e-12 relative) is kept, since
-    t_end / (t_end / m) can exceed m by an ulp: a second schedule to the
-    same t_end with the returned dt takes the same steps.  A requested
-    dt above the stable `dt_max` aborts.  Snapshot times are rounded to
-    the step grid; `record_indices` holds the step indices to record,
-    the final step when no snapshot time is given.  This is the one
-    owner of the rules t_end > 0, dt > 0, a finite t_end / dt and
-    0 <= snapshot <= t_end.
+    t_end / (t_end / m) can exceed m by an ulp: a config's dt = 0.6 / 111
+    over t_end = 0.6 takes its 111 steps, not 112 shorter ones.  A
+    requested dt above the stable `dt_max` aborts.  Snapshot times are
+    rounded to the step grid; `record_indices` holds the step indices to
+    record, the final step when no snapshot time is given.  This is the
+    one owner of the rules t_end > 0, dt > 0, at most `MAX_STEPS` steps
+    and 0 <= snapshot <= t_end.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must exceed the start time 0, got {t_end:g}")
@@ -219,9 +224,10 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
         raise NumericalAbort("cfl", 0.0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
     step = dt if dt is not None else dt_max
-    if not (step > 0 and math.isfinite(t_end / step)):  # dt_max may underflow to 0
-        raise ValueError(f"t_end / dt = {t_end:g} / {step:g} is not finite: no step count")
-    steps = max(1, math.ceil(t_end / step * (1.0 - 1e-12)))
+    span = t_end / step * (1.0 - 1e-12) if step > 0 else math.inf  # dt_max may underflow to 0
+    if not span <= MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end:g} / {step:g} takes more than {MAX_STEPS} steps")
+    steps = max(1, math.ceil(span))
     dt = t_end / steps
     record = set()
     for ts in snapshot_times:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rarelab import ansatz
+from rarelab import ansatz, periodic, profile1d
 
 from rarelab.ansatz import (
     assemble_bundle,
@@ -18,6 +18,7 @@ from rarelab.fluxes import burgers, cubic
 from rarelab.mdsolver import trig_polynomial
 from rarelab.periodic import solve_periodic
 from rarelab.profile1d import ProfileSpline, evolve_profile, make_initial_state
+from rarelab.stepping import CFL
 
 
 def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
@@ -28,10 +29,12 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     w0 = amp * trig_polynomial([(1,) * dspec.n + (1.0,)], tspec.coordinates())
     times = (t0,) if delta is None else (t0 - delta, t0, t0 + delta)
     dt = dt or 1e-3
-    sl = solve_periodic(w0, -0.5, flux, times[-1], times, spec=tspec, dt=dt)
-    sr = solve_periodic(w0, 0.5, flux, times[-1], times, spec=tspec, dt=dt)
+    sl, sr = (solve_periodic(w0, ubar, flux, tspec,
+                             periodic.schedule(w0, ubar, flux, tspec, times[-1], times, dt))
+              for ubar in (-0.5, 0.5))
     p0 = make_initial_state(dspec.L, dspec.n1 * refine, -0.5, 0.5)
-    ps = list(evolve_profile(p0, burgers(1), times[-1], dt=dt, snapshot_times=times))
+    plan = profile1d.schedule(p0, burgers(1), times[-1], dt, CFL, times)
+    ps = list(evolve_profile(p0, burgers(1), plan))
     fars = [(np.stack([a.values, b.values]), a.t) for a, b in zip(sl, sr)]
     return fars, ps, flux
 

@@ -244,10 +244,10 @@ EVERY_TWENTIETH = "snapshots = 0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5\n"
     (0.6, 0.6 / 111, EVERY_TWENTIETH, 111),
 ])
 def test_profile_takes_the_cylinder_steps(tmp_path, t_end, dt, snapshots, steps):
-    """The profile march re-derives its schedule from the cylinder's dt
-    = t_end / steps, where t_end / dt can exceed steps by an ulp; it
-    must take the same steps, or the record compares different times.
-    The runs are too short for the rates to pass, so exit 3 is fine."""
+    """A requested dt = t_end / steps keeps its steps, though t_end / dt
+    can exceed steps by an ulp; the profile marches the run's own plan,
+    so it takes the same steps.  The runs are too short for the rates
+    to pass, so exit 3 is fine."""
     text = ROUNDOFF_STEPS + f"t_end = {t_end!r}\ndt = {dt!r}\n" + snapshots
     code, out = simulate(tmp_path, text)
     assert code in (0, 3)

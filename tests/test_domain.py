@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelab.domain import (
+    MAX_CELLS,
     DomainSpec,
     Field,
     derivative,
@@ -61,6 +62,21 @@ class TestGrid:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DomainSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=1, L=40.0, n1=100_000_000_000),
+        dict(n=3, L=2.0, n1=10_000_000_000, n_torus=(8, 8)),
+        dict(n=2, L=1.0, n1=MAX_CELLS // 4 + 1, n_torus=(4,)),
+    ], ids=["profile-line", "decompose-grid", "one-row-past"])
+    def test_a_grid_past_the_cell_cap_is_rejected(self, kwargs):
+        # checked on the spec, before any array of that size exists
+        shape = (kwargs["n1"], *kwargs.get("n_torus", ()))
+        with pytest.raises(ValueError) as exc:
+            DomainSpec(**kwargs)
+        assert str(exc.value) == f"the grid {shape} holds more than {MAX_CELLS} cells"
+
+    def test_a_grid_at_the_cell_cap_is_a_spec(self):
+        assert DomainSpec(n=2, L=1.0, n1=MAX_CELLS // 4, n_torus=(4,)).num_points == MAX_CELLS
 
 
 class TestNorms:

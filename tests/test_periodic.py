@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from rarelab import stepping
+from rarelab.domain import MAX_CELLS
 from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.periodic import (
     PeriodicState,
     TorusSpec,
     fit_exponential_decay,
+    schedule,
     solve_periodic,
     spectral_derivative,
     w_sup_norms,
@@ -20,6 +22,11 @@ from rarelab.stepping import strang_step
 FLUX = burgers(2)
 
 
+def solve(w0, t_end, times, spec, dt=None):
+    """The torus run from -0.5 + w0 over the plan `schedule` draws."""
+    return solve_periodic(w0, -0.5, FLUX, spec, schedule(w0, -0.5, FLUX, spec, t_end, times, dt))
+
+
 def product_mode(spec, amp=0.1, k=(1, 1)):
     mesh = np.meshgrid(*spec.coordinates(), indexing="ij")
     out = np.full(spec.sizes, amp)
@@ -28,18 +35,30 @@ def product_mode(spec, amp=0.1, k=(1, 1)):
     return out
 
 
+class TestTorusSpec:
+    @pytest.mark.parametrize("sizes", [(100_000, 100_000), (MAX_CELLS // 4 + 1, 4)],
+                             ids=["1e10-points", "one-row-past"])
+    def test_a_grid_past_the_cell_cap_is_rejected(self, sizes):
+        # checked on the spec, before any array of that size exists
+        with pytest.raises(ValueError) as exc:
+            TorusSpec(sizes=sizes)
+        assert str(exc.value) == f"torus sizes {sizes} hold more than {MAX_CELLS} points"
+
+    def test_a_grid_at_the_cell_cap_is_a_spec(self):
+        assert TorusSpec(sizes=(MAX_CELLS // 4, 4)).sizes == (MAX_CELLS // 4, 4)
+
+
 class TestSolvePeriodic:
     def test_zero_disturbance_stays_constant(self):
         spec = TorusSpec(sizes=(16, 16))
-        states = solve_periodic(np.zeros(spec.sizes), -0.5, FLUX, 0.2, (0.1, 0.2),
-                                spec=spec)
+        states = solve(np.zeros(spec.sizes), 0.2, (0.1, 0.2), spec)
         for st in states:
             assert np.max(np.abs(st.values + 0.5)) < 1e-14
 
     def test_nonzero_mean_rejected(self):
         spec = TorusSpec(sizes=(8, 8))
         with pytest.raises(ConfigError):
-            solve_periodic(np.full(spec.sizes, 0.01), 0.0, FLUX, 0.1, (0.1,), spec=spec)
+            schedule(np.full(spec.sizes, 0.01), 0.0, FLUX, spec, 0.1, (0.1,))
 
     def test_nan_on_the_last_step_aborts(self, monkeypatch):
         steps = []
@@ -52,29 +71,27 @@ class TestSolvePeriodic:
         monkeypatch.setattr(stepping, "strang_step", nan_last)
         spec = TorusSpec(sizes=(8, 8))
         with pytest.raises(NumericalAbort) as info:
-            solve_periodic(product_mode(spec), -0.5, FLUX, 0.01, (0.01,), spec=spec, dt=1e-3)
+            solve(product_mode(spec), 0.01, (0.01,), spec, dt=1e-3)
         assert len(steps) == 10
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.01)
 
     def test_mean_preserved_along_the_run(self):
         spec = TorusSpec(sizes=(16, 16))
         w0 = product_mode(spec)
-        states = solve_periodic(w0, -0.5, FLUX, 0.2, np.linspace(0.02, 0.2, 10),
-                                spec=spec, dt=1e-3)
+        states = solve(w0, 0.2, np.linspace(0.02, 0.2, 10), spec, dt=1e-3)
         for st in states:
             assert st.mean_drift() <= 1e-10
 
     def test_dissipation_shrinks_sup(self):
         spec = TorusSpec(sizes=(24, 24))
         w0 = product_mode(spec)
-        states = solve_periodic(w0, -0.5, FLUX, 1.0, (1.0,), spec=spec, dt=2e-3)
+        states = solve(w0, 1.0, (1.0,), spec, dt=2e-3)
         assert np.max(np.abs(states[0].w)) < np.max(np.abs(w0))
 
     def test_sup_nonincreasing_per_snapshot(self):
         spec = TorusSpec(sizes=(20, 20))
         w0 = product_mode(spec) + product_mode(spec, amp=0.02, k=(2, 1))
-        states = solve_periodic(w0, -0.5, FLUX, 0.3, np.linspace(0.003, 0.3, 100),
-                                spec=spec, dt=1e-3)
+        states = solve(w0, 0.3, np.linspace(0.003, 0.3, 100), spec, dt=1e-3)
         sups = [np.max(np.abs(s.w)) for s in states]
         for a, b in zip(sups[:-1], sups[1:]):
             assert b <= a + 1e-10
@@ -83,7 +100,7 @@ class TestSolvePeriodic:
         spec = TorusSpec(sizes=(24, 24))
         w0 = product_mode(spec)
         times = np.linspace(0.01, 0.6, 60)
-        states = solve_periodic(w0, -0.5, FLUX, 0.6, times, spec=spec, dt=1e-3)
+        states = solve(w0, 0.6, times, spec, dt=1e-3)
         w1 = [max(w_sup_norms(s)) for s in states]
         start = next(i for i, s in enumerate(states) if s.t >= 0.5)
         for a, b in zip(w1[start:-1], w1[start + 1:]):
@@ -118,7 +135,7 @@ class TestDecayFit:
         w0 = product_mode(spec)
         t_end = 0.55
         times = np.linspace(0.005, t_end, 110)
-        states = solve_periodic(w0, -0.5, FLUX, t_end, times, spec=spec, dt=1e-3)
+        states = solve(w0, t_end, times, spec, dt=1e-3)
         ts = np.array([s.t for s in states])
         w1 = np.array([max(w_sup_norms(s)) for s in states])
         sup = np.array([w_sup_norms(s)[0] for s in states])

@@ -16,9 +16,14 @@ from rarelab.profile1d import (
     profile_norm_checks,
     write_profile_series,
 )
-from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
+from rarelab.stepping import CFL, DiffusionSweep, advective_rhs, strang_step
 
 FLUX = burgers(1)
+
+
+def plan(p0, t_end, dt=None, snapshot_times=()):
+    """The plan `profile1d.schedule` draws for a march of p0 under FLUX."""
+    return profile1d.schedule(p0, FLUX, t_end, dt, CFL, snapshot_times)
 
 
 def profile_problems(st: ProfileState) -> list[str]:
@@ -113,7 +118,7 @@ class TestInitialProfile:
 def evolved():
     # margins sized so the diffusive corner tails stay 1e-8-far from the ends
     p0 = make_initial_state(L=50.0, n1=2000, ul=-0.5, ur=0.5)
-    return list(evolve_profile(p0, FLUX, 20.0, snapshot_times=(5.0, 10.0, 20.0)))
+    return list(evolve_profile(p0, FLUX, plan(p0, 20.0, snapshot_times=(5.0, 10.0, 20.0))))
 
 
 def spline(state):
@@ -158,7 +163,7 @@ class TestEvolution:
         p0 = make_initial_state(L=80.0, n1=3200, ul=-0.5, ur=0.5)
         spec, dt = p0.spec, 0.02
         assert spec.dx1 == 0.05 != make_grid(spec).x1[1] - make_grid(spec).x1[0]
-        _, p1 = evolve_profile(p0, FLUX, dt, dt=dt, snapshot_times=(0.0, dt))
+        _, p1 = evolve_profile(p0, FLUX, plan(p0, dt, dt, (0.0, dt)))
         sweep = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
         ghosts = (np.full(2, -0.5), np.full(2, 0.5))
         (u,) = strang_step((p0.values,), dt, 1,
@@ -176,10 +181,10 @@ class TestEvolution:
 
         monkeypatch.setattr(profile1d, "check_cfl", counted)
         p0 = make_initial_state(L=20.0, n1=400, ul=-0.5, ur=0.5)
-        short = list(evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0)))
+        short = list(evolve_profile(p0, FLUX, plan(p0, 10.0, 0.05, (1.0, 4.0))))
         assert len(calls) == 80 and calls[-1] == pytest.approx(4.0)
         calls.clear()
-        full = list(evolve_profile(p0, FLUX, 10.0, dt=0.05, snapshot_times=(1.0, 4.0, 10.0)))
+        full = list(evolve_profile(p0, FLUX, plan(p0, 10.0, 0.05, (1.0, 4.0, 10.0))))
         assert len(calls) == 200
         for a, b in zip(short, full):
             assert a.t == b.t and np.array_equal(a.values, b.values)
@@ -190,18 +195,18 @@ class TestEvolution:
     def test_nonpositive_dt_rejected(self):
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(ValueError, match="dt must be positive"):
-            evolve_profile(p0, FLUX, 1.0, dt=0.0)
+            plan(p0, 1.0, 0.0)
 
     def test_march_starts_at_time_zero(self):
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         later = ProfileState(p0.spec, p0.values, 0.5, ul=p0.ul, ur=p0.ur)
         with pytest.raises(ValueError, match="starts at t = 0, got a state at t = 0.5"):
-            evolve_profile(later, FLUX, 1.0)
+            evolve_profile(later, FLUX, plan(p0, 1.0))
 
     def test_cfl_guard(self):
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort):
-            evolve_profile(p0, FLUX, 1.0, dt=1.0)
+            plan(p0, 1.0, 1.0)
 
     def test_nan_on_the_last_step_aborts(self, monkeypatch):
         steps = []
@@ -214,7 +219,7 @@ class TestEvolution:
         monkeypatch.setattr(stepping, "strang_step", nan_last)
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         with pytest.raises(NumericalAbort) as info:
-            list(evolve_profile(p0, FLUX, 0.5, dt=0.05))
+            list(evolve_profile(p0, FLUX, plan(p0, 0.5, 0.05)))
         assert len(steps) == 10
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.5)
 
@@ -240,7 +245,7 @@ class TestQuantitativeBounds:
         # the product climbs toward its ceiling with shrinking increments;
         # the ceiling itself is the quantitative content of the bound
         p0 = make_initial_state(L=60.0, n1=2400, ul=-0.5, ur=0.5)
-        states = evolve_profile(p0, FLUX, 40.0, snapshot_times=(5.0, 10.0, 20.0, 40.0))
+        states = evolve_profile(p0, FLUX, plan(p0, 40.0, snapshot_times=(5.0, 10.0, 20.0, 40.0)))
         prods = [oleinik_bound(st)[1] for st in states]
         assert max(prods) <= 1.05
         gaps = np.diff(prods)
@@ -275,7 +280,7 @@ class TestLongTimeApproach:
     @pytest.fixture(scope="class")
     def long_run(self):
         p0 = make_initial_state(L=160.0, n1=6400, ul=-0.5, ur=0.5)
-        return list(evolve_profile(p0, FLUX, 200.0, snapshot_times=(50.0, 200.0)))
+        return list(evolve_profile(p0, FLUX, plan(p0, 200.0, snapshot_times=(50.0, 200.0))))
 
     def test_sup_distance_to_fan_decreases(self, long_run):
         dists = []
@@ -291,7 +296,7 @@ class TestConvergence:
         states = {}
         for lev, n1 in enumerate((800, 1600, 3200)):
             p0 = make_initial_state(L=40.0, n1=n1, ul=-0.5, ur=0.5)
-            states[lev] = list(evolve_profile(p0, FLUX, 10.0, snapshot_times=(10.0,)))[0]
+            states[lev] = list(evolve_profile(p0, FLUX, plan(p0, 10.0, snapshot_times=(10.0,))))[0]
         errs = []
         for lev in (0, 1):
             fine = spline(states[lev + 1])

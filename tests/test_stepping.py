@@ -7,6 +7,7 @@ from rarelab.cli import _flux
 from rarelab.fluxes import burgers, cubic, linear_flux
 from rarelab.periodic import TorusSpec, TorusStepper
 from rarelab.stepping import (
+    MAX_STEPS,
     DiffusionSweep,
     advective_rhs,
     check_cfl,
@@ -337,6 +338,18 @@ class TestStepSchedule:
 
     def test_final_step_by_default(self):
         assert step_schedule(1.0, 0.3, None, ())[2] == {4}
+
+    @pytest.mark.parametrize("span, dt",
+                             [(0.5, 1e-300), (0.5, 1e-9), (1.0, 1.0 / (MAX_STEPS + 1))],
+                             ids=["subnormal-dt", "nanosecond-dt", "one-step-past"])
+    def test_a_step_count_past_the_cap_is_rejected(self, span, dt):
+        with pytest.raises(ValueError) as exc:
+            step_schedule(span, 1.0, dt, ())
+        assert str(exc.value) == (f"t_end / dt = {span:g} / {dt:g} takes more than "
+                                  f"{MAX_STEPS} steps")
+
+    def test_a_step_count_at_the_cap_is_a_schedule(self):
+        assert step_schedule(1.0, 1.0, 1.0 / MAX_STEPS, ())[0] == MAX_STEPS
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_nonpositive_dt_rejected(self, dt):

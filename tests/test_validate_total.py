@@ -2,12 +2,17 @@
 it returns its findings and raises nothing.  Each config is tiny, and
 `validate` runs the input stage only, so no run starts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelab import cli
+from rarelab.domain import MAX_CELLS
+from rarelab.stepping import MAX_STEPS
 
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 CONFIGS = {
     "simulate": dict(experiment="simulate", dim="2", L="12", n1="96", n_torus="8", t_end="2",
                      w0_modes="1,1,0.1", snapshots="auto"),
@@ -44,6 +49,31 @@ def test_an_overflowing_step_count_is_a_finding(cfg, message):
     with np.errstate(all="ignore"):
         findings = cli.validate(cfg)
     assert len(findings) == 1 and message in findings[0]
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(CONFIGS["periodic"], dt="1e-300"),
+    dict(CONFIGS["periodic"], dt="1e-9"),
+    dict(cli.load_config(BENCH_CONFIGS / "cyl2d_tiny.cfg"), dt="1e-300"),
+], ids=["periodic-subnormal-dt", "periodic-nanosecond-dt", "cyl2d_tiny-subnormal-dt"])
+def test_a_step_count_past_the_cap_is_a_finding(cfg):
+    findings = cli.validate(cfg)
+    assert len(findings) == 1
+    assert "t_end / dt" in findings[0] and f"more than {MAX_STEPS} steps" in findings[0]
+
+
+# a spec past the cap fails before anything is allocated; without the cap
+# these configs allocate tens of GiB or more
+@pytest.mark.parametrize("cfg, message", [
+    (dict(CONFIGS["profile"], n1="100000000000"), "the grid (100000000000,) holds"),
+    (dict(CONFIGS["periodic"], sizes="100000,100000"), "torus sizes (100000, 100000) hold"),
+    (dict(experiment="decompose", n1="10000000000"), "the grid (10000000000, 8, 8) holds"),
+    (dict(experiment="gn-study", n1="10000000000"), "the grid (10000000000, 16) holds"),
+], ids=["profile", "periodic", "decompose", "gn-study"])
+def test_a_grid_past_the_cell_cap_is_a_finding(cfg, message):
+    findings = cli.validate(cfg)
+    assert len(findings) == 1
+    assert findings[0].startswith(message) and f"more than {MAX_CELLS}" in findings[0]
 
 
 @pytest.mark.parametrize("cfg, message", [
