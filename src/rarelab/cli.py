@@ -388,7 +388,7 @@ def _profile_inputs(cfg: dict[str, str]):
     flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    plan = profile_schedule(p0, flux, t_end, None, cfl, snaps)
+    plan = profile_schedule(p0, flux, t_end, cfl, snaps)
     if max(plan[2]) == 0:
         raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, got {snaps}")
     return p0, flux, plan

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fftfreq, ifft  # bound here: numpy loads numpy.fft on first use
 
 from .domain import MAX_CELLS, magnitude, write_table
 from .errors import ConfigError
@@ -160,14 +161,14 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     grid contributes nothing to a real derivative and is dropped.
     """
     m = values.shape[axis]
-    k = np.fft.fftfreq(m, d=1.0 / m)
+    k = fftfreq(m, d=1.0 / m)
     mult = 2.0j * np.pi * k
     if m % 2 == 0:
         mult[m // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = m
-    hat = np.fft.fft(values, axis=axis) * mult.reshape(shape)
-    return np.real(np.fft.ifft(hat, axis=axis))
+    hat = fft(values, axis=axis) * mult.reshape(shape)
+    return np.real(ifft(hat, axis=axis))
 
 
 def w_sup_norms(state: PeriodicState) -> tuple[float, float]:

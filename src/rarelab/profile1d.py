@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import stepping
+from ._lapack import dgtsv
 from .domain import DomainSpec, Field, derivative, lp_norm, make_grid, write_table
 from .fluxes import FluxSet
 from .stepping import DiffusionSweep, check_cfl, march, max_advective_dt, step_schedule
@@ -115,11 +115,12 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
     return ProfileState(spec, initial_profile(make_grid(spec).x1, ul, ur), ul=ul, ur=ur)
 
 
-def schedule(p0: ProfileState, flux: FluxSet, t_end: float, dt, cfl: float, snapshot_times):
+def schedule(p0: ProfileState, flux: FluxSet, t_end: float, cfl: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
-    `step_schedule` under the CFL bound of the end states' range."""
+    `step_schedule` at the largest step the CFL bound of the end states'
+    range allows."""
     dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur, cfl)
-    return step_schedule(t_end, dt_max, dt, snapshot_times)
+    return step_schedule(t_end, dt_max, None, snapshot_times)
 
 
 def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float):
@@ -194,10 +195,11 @@ class ProfileSpline:
 
     The nodal slopes solve de Boor's not-a-knot tridiagonal system (the
     third derivative is continuous across the second and the next-to-last
-    node) with one LAPACK ``dgtsv``.  Bands, right-hand side, Hermite
-    coefficients and the power-form sums are built in the order
-    ``scipy.interpolate.CubicSpline`` builds them, so values and slopes
-    equal that spline's bit for bit.  Needs at least 4 nodes.
+    node) with one LAPACK ``dgtsv``, scipy's routine bound through
+    `_lapack` without scipy.linalg's package init.  Bands, right-hand
+    side, Hermite coefficients and the power-form sums are built in the
+    order ``scipy.interpolate.CubicSpline`` builds them, so values and
+    slopes equal that spline's bit for bit.  Needs at least 4 nodes.
     """
 
     def __init__(self, x1, values, ul: float, ur: float):

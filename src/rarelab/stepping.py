@@ -18,6 +18,10 @@ records (a cylinder run's line march adds its hand-off step to each).
 The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
 accuracy; the whole step is second order in dt and dx.
+
+The sweeps' LAPACK routines come from `_lapack`, scipy's own compiled
+module loaded without scipy.linalg's package init, and `irfft` is bound
+here: a run that imports this module loads nothing while it steps.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from numpy.fft import irfft
 
+from ._lapack import dpttrf, dpttrs
 from .errors import NumericalAbort
 from .fluxes import FluxSet
 
@@ -57,7 +62,9 @@ class DiffusionSweep:
     Dirichlet sweeps run along axis 0 and take ghost-cell values held
     fixed over the sub-step.  I - alpha T is then symmetric positive
     definite and tridiagonal; its LDL^T factors come from LAPACK dpttrf,
-    and each sweep is one dpttrs solve of every line at once.
+    and each sweep is one dpttrs solve of every line at once.  Both are
+    scipy's routines, bound through `_lapack` (the same function objects
+    scipy.linalg.lapack exports, at a fraction of its import cost).
 
     Periodic sweeps run along any axis.  T is circulant, so the whole
     operator (I - alpha T)^-1 (I + alpha T) is the circulant C whose first
@@ -76,7 +83,7 @@ class DiffusionSweep:
         self.alpha = a = dt / (2.0 * h * h)
         if periodic:
             lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(length // 2 + 1) / length)
-            col = np.fft.irfft((1.0 - a * lam) / (1.0 + a * lam), length)
+            col = irfft((1.0 - a * lam) / (1.0 + a * lam), length)
             i = np.arange(length)
             self._op = col[(i[:, None] - i[None, :]) % length]
         else:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rarelab import ansatz, periodic, profile1d
+from rarelab import ansatz, periodic, stepping
 
 from rarelab.ansatz import (
     assemble_bundle,
@@ -33,7 +33,8 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
                              periodic.schedule(w0, ubar, flux, tspec, times[-1], times, dt))
               for ubar in (-0.5, 0.5))
     p0 = make_initial_state(dspec.L, dspec.n1 * refine, -0.5, 0.5)
-    plan = profile1d.schedule(p0, burgers(1), times[-1], dt, CFL, times)
+    dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur, CFL)
+    plan = stepping.step_schedule(times[-1], dt_max, dt, times)
     ps = list(evolve_profile(p0, burgers(1), plan))
     fars = [(np.stack([a.values, b.values]), a.t) for a, b in zip(sl, sr)]
     return fars, ps, flux

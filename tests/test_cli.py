@@ -306,13 +306,58 @@ class TestStartUp:
                   "print('rarelab.mdsolver' in sys.modules)\n"
                   "fns = [rarelab.mdsolver.run, rarelab.ansatz.assemble_bundle,\n"
                   "       rarelab.periodic.solve_periodic, rarelab.profile1d.evolve_profile]\n"
-                  "print(all(callable(f) for f in fns), 'scipy.linalg' in sys.modules)\n")
-        assert run_fresh(script).split() == ["False", "True", "True"]
+                  f"print(all(callable(f) for f in fns), {LAPACK_BOUND})\n")
+        assert run_fresh(script).split() == ["False", "True", "True", "False"]
 
     def test_the_cli_loads_scipy(self):
-        # simulate's set-up pays for scipy here, so its timed run imports nothing
-        script = "import sys\nimport rarelab.cli\nprint('scipy.linalg' in sys.modules)\n"
-        assert run_fresh(script) == "True"
+        # simulate's set-up binds scipy's LAPACK here, so its timed run imports nothing
+        script = f"import sys\nimport rarelab.cli\nprint('scipy' in sys.modules, {LAPACK_BOUND})\n"
+        assert run_fresh(script).split() == ["True", "True", "False"]
+
+    def test_the_cli_skips_scipy_linalgs_package_init(self):
+        # its array-API layer is most of the 0.3 s and 27 MB that scipy.linalg costs
+        script = ("import sys\nimport rarelab.cli\n"
+                  "print([m for m in ('scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py',"
+                  " 'numpy.testing') if m in sys.modules])\n")
+        assert run_fresh(script) == "[]"
+
+    def test_a_simulate_run_imports_no_module(self, tmp_path):
+        cfg_path = tmp_path / "simulate.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = ("import sys\nimport rarelab.cli\nbefore = set(sys.modules)\n"
+                  f"code = rarelab.cli.main({args!r})\n"
+                  "print(code, sorted(set(sys.modules) - before))\n")
+        assert run_fresh(script) == "0 []"
+
+    def test_scipy_linalg_hands_out_the_routines_the_sweeps_hold(self):
+        script = ("import sys\nimport rarelab.cli\nfrom rarelab import profile1d, stepping\n"
+                  "print('scipy.linalg' in sys.modules)\n"
+                  "from scipy.linalg import lapack\n"
+                  "print(stepping.dpttrf is lapack.dpttrf, stepping.dpttrs is lapack.dpttrs,"
+                  " profile1d.dgtsv is lapack.dgtsv)\n")
+        assert run_fresh(script).split() == ["False", "True", "True", "True"]
+
+    def test_without_the_extension_file_scipy_linalg_binds_the_same_routines(self):
+        sweep = ("import hashlib, sys\nimport numpy as np\nfrom rarelab import profile1d, stepping\n"
+                 "u = np.sin(np.arange(96 * 8).reshape(96, 8) / 7.0)\n"
+                 "x = stepping.DiffusionSweep(96, 0.1, 0.01, periodic=False).apply(\n"
+                 "    u, b_lo=np.full(8, -0.5), b_hi=np.full(8, 0.5))\n"
+                 "print('scipy.linalg' in sys.modules, hashlib.sha256(x.tobytes()).hexdigest())\n"
+                 "from scipy.linalg import lapack\n"
+                 "print(stepping.dpttrf is lapack.dpttrf, stepping.dpttrs is lapack.dpttrs,"
+                 " profile1d.dgtsv is lapack.dgtsv)\n")
+        # no suffix matches, so the module finds no `_flapack` file and imports scipy.linalg
+        miss = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+        direct, fallback = run_fresh(sweep).split(), run_fresh(miss + sweep).split()
+        assert direct[0] == "False" and fallback[0] == "True"
+        assert fallback[1] == direct[1]
+        assert fallback[2:] == ["True"] * 3
+
+
+# the sweeps' LAPACK routines are bound, and scipy.linalg's package init never ran
+LAPACK_BOUND = ("all(callable(f) for f in (rarelab.stepping.dpttrf, rarelab.stepping.dpttrs,"
+                " rarelab.profile1d.dgtsv)), 'scipy.linalg' in sys.modules")
 
 
 def run_fresh(script: str) -> str:

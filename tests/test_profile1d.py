@@ -22,8 +22,12 @@ FLUX = burgers(1)
 
 
 def plan(p0, t_end, dt=None, snapshot_times=()):
-    """The plan `profile1d.schedule` draws for a march of p0 under FLUX."""
-    return profile1d.schedule(p0, FLUX, t_end, dt, CFL, snapshot_times)
+    """The plan `profile1d.schedule` draws for a march of p0 under FLUX, or,
+    given dt, the plan `step_schedule` steps at dt under the same CFL bound."""
+    if dt is None:
+        return profile1d.schedule(p0, FLUX, t_end, CFL, snapshot_times)
+    dt_max = stepping.max_advective_dt(FLUX, (p0.spec.dx1,), p0.ul, p0.ur, CFL)
+    return stepping.step_schedule(t_end, dt_max, dt, snapshot_times)
 
 
 def profile_problems(st: ProfileState) -> list[str]:
