@@ -465,14 +465,21 @@ def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
     return Field(spec, vals)
 
 
+def _seeded(cfg: dict[str, str]):
+    """(seed, its generator) of a config that draws random fields.  The
+    generator is drawn in the input stage, so numpy.random (10-15 ms and
+    6 MB to load) loads before the run stage, which imports nothing."""
+    seed = _number(cfg, "seed", "0", int, least=0)
+    return seed, np.random.default_rng(seed)
+
+
 def _decompose_inputs(cfg: dict[str, str]):
-    """(grid, number of fields, seed) of a decompose config."""
+    """(grid, number of fields, seed, its generator) of a decompose config."""
     return (_domain(cfg, "3", "2", "16", "8"), _number(cfg, "n_fields", "50", int, least=1),
-            _number(cfg, "seed", "0", int, least=0))
+            *_seeded(cfg))
 
 
-def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rng) -> None:
     worst = {"reconstruction": 0.0, "membership": 0.0, "ratio": 0.0}
     for _ in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -497,11 +504,12 @@ def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int) ->
 
 
 def _gn_inputs(cfg: dict[str, str]):
-    """(grid, number of fields, seed, j, m, p, q, r) of a gn-study config; the
-    exponents must fit a split level and the interpolation quotient."""
+    """(grid, number of fields, seed, its generator, j, m, p, q, r) of a
+    gn-study config; the exponents must fit a split level and the
+    interpolation quotient."""
     spec = _domain(cfg, "2", "4", "64", "16")
     n_fields = _number(cfg, "n_fields", "40", int, least=1)
-    seed = _number(cfg, "seed", "0", int, least=0)
+    seed, rng = _seeded(cfg)
     j, m = _number(cfg, "j", "0", int), _number(cfg, "m", "1", int)
     p, q, r = (_number(cfg, k, d, finite=False) for k, d in (("p", "2"), ("q", "1"), ("r", "2")))
     if m > 2:
@@ -509,12 +517,11 @@ def _gn_inputs(cfg: dict[str, str]):
     if all(solve_theta(j, m, p, q, r, k) is None for k in range(spec.n)):
         raise ValueError(f"exponents j={j} m={m} p={p:g} q={q:g} r={r:g} fit no split level")
     check_interpolation_exponents(max(p, 2.0), q)
-    return spec, n_fields, seed, j, m, p, q, r
+    return spec, n_fields, seed, rng, j, m, p, q, r
 
 
-def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int,
+def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rng,
                   j, m, p, q, r) -> None:
-    rng = np.random.default_rng(seed)
     rows = []
     for i in range(n_fields):
         f = _random_cylinder_field(spec, rng)

@@ -16,11 +16,18 @@ that equals a tiled torus field stays equal to it away from the fan.
 The triple (cylinder, left, right) is one state of `stepping.march`,
 the loop the profile and torus solvers run too; `run` supplies its
 per-step check (Courant number, maximum principle) and its snapshot
-record.  Each record pulls the next profile from `evolve_profile`'s march
-of the run's own plan on the same x1 grid, so the profile sits at the
-record's time and one profile is held.  Both phases build their norm row
-in one place: a column per `rates.PHI_SERIES` entry of phi = u - u_tilde,
-and |u - p|_inf against that profile p itself, tiled over the torus.
+record.  The march holds the cylinder field x1-last, torus axes first,
+the layout `stepping`'s kernels run fastest on; the far-field sides
+keep their torus layout.  The field is transposed once at the start,
+and each record takes an x1-first copy, which the ansatz, tau, the
+norm row and the hand-off's torus average all read: a torus mean over
+the transposed view rounds differently, and every `Field` and artifact
+keeps the x1-first layout.  Each record pulls the next profile from
+`evolve_profile`'s march of the run's own plan on the same x1 grid, so
+the profile sits at the record's time and one profile is held.  Both
+phases build their norm row in one place: a column per
+`rates.PHI_SERIES` entry of phi = u - u_tilde, and |u - p|_inf against
+that profile p itself, tiled over the torus.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile, the profile's
@@ -265,6 +272,7 @@ def run(config: SolverConfig) -> Trajectory:
     if config.v0 is not None:
         u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
     u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
+    u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
     dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
@@ -275,7 +283,7 @@ def run(config: SolverConfig) -> Trajectory:
         v, wl, wr = state
         wl_new, wr_new = stepper.sweep_axis(wl, axis), stepper.sweep_axis(wr, axis)
         if axis > 0:
-            return stepper.sweep_axis(v, axis), wl_new, wr_new
+            return stepper.sweep_axis(v, axis, axis - 1), wl_new, wr_new
         # trapezoidal Dirichlet data: the ghost rows averaged over the
         # far field's own matching x1 sweep
         b_lo = 0.5 * wl[lo_rows[1]] + 0.5 * wl_new[lo_rows[1]]
@@ -284,7 +292,8 @@ def run(config: SolverConfig) -> Trajectory:
 
     def rhs(state):
         v, wl, wr = state
-        return (advective_rhs(v, flux, spacings, ghosts=(wl[lo_rows], wr[hi_rows])),
+        ghosts = (np.moveaxis(wl[lo_rows], 0, -1), np.moveaxis(wr[hi_rows], 0, -1))
+        return (advective_rhs(v, flux, spacings, ghosts=ghosts),
                 *(advective_rhs(w, flux, tspec.spacings) for w in (wl, wr)))
 
     # handed over, not kept: no name here holds the start state while it is stepped
@@ -332,6 +341,7 @@ def run(config: SolverConfig) -> Trajectory:
     def record(k, state):
         nonlocal line_march
         prof, (v, wl, wr) = next(profiles), state
+        v = np.ascontiguousarray(np.moveaxis(v, -1, 0))  # x1-first, as every reader takes it
         t = prof.t
         bundle = assemble_bundle((wl, wr), t, prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;

@@ -115,11 +115,13 @@ class TorusStepper:
             for m, h in zip(spec.sizes, spec.spacings)
         ]
 
-    def sweep_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Half-step sweep along torus axis `axis` of a field with one axis
-        per torus direction; axis 0 of a cylinder field is its line, so a
-        cylinder field takes the sweeps of axes 1 and up."""
-        return self.sweeps[axis].apply(values, axis=axis)
+    def sweep_axis(self, values: np.ndarray, axis: int, at: int | None = None) -> np.ndarray:
+        """Half-step sweep along torus direction `axis`, which lies on array
+        axis `at` of `values`, or on axis `axis` when `at` is None, as in a
+        torus field.  Direction 0 of a cylinder field is its line, so a
+        cylinder field takes the sweeps of directions 1 and up; it marches
+        x1-last, which puts direction d on array axis d - 1."""
+        return self.sweeps[axis].apply(values, axis=axis if at is None else at)
 
 
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,

@@ -19,6 +19,15 @@ The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
 accuracy; the whole step is second order in dt and dx.
 
+Layout.  Wherever a field has an x1 axis, the kernels take it as the
+last, contiguous axis: the Dirichlet sweep runs along the last axis
+only, and `advective_rhs` bounds the last axis when it is given ghosts.
+The line and the profile have no other axis; a cylinder run marches its
+field x1-last, torus axes first.  Each torus stencil then reads whole
+contiguous blocks instead of a short strided axis, the x1 stencil reads
+contiguous rows, and dpttrs takes the sweep's right-hand side without a
+layout copy.  Torus fields have no x1 axis and keep their own order.
+
 The sweeps' LAPACK routines come from `_lapack`, scipy's own compiled
 module loaded without scipy.linalg's package init, and `irfft` is bound
 here: a run that imports this module loads nothing while it steps.
@@ -59,12 +68,16 @@ class DiffusionSweep:
     operator depends only on (length, alpha), so it is built once, here,
     and a sweep instance is built once per solver.
 
-    Dirichlet sweeps run along axis 0 and take ghost-cell values held
-    fixed over the sub-step.  I - alpha T is then symmetric positive
-    definite and tridiagonal; its LDL^T factors come from LAPACK dpttrf,
-    and each sweep is one dpttrs solve of every line at once.  Both are
-    scipy's routines, bound through `_lapack` (the same function objects
-    scipy.linalg.lapack exports, at a fraction of its import cost).
+    Dirichlet sweeps run along the last axis, the x1 axis of every
+    solver that has one, and take ghost-cell values held fixed over the
+    sub-step.  I - alpha T is then symmetric positive definite and
+    tridiagonal; its LDL^T factors come from LAPACK dpttrf, and each
+    sweep is one dpttrs solve of every line at once.  The right-hand
+    side is built a row per line and handed over transposed: a
+    Fortran-ordered column per line, which dpttrs solves in place with no
+    layout copy either way.  Both are scipy's routines, bound through
+    `_lapack` (the same function objects scipy.linalg.lapack exports, at
+    a fraction of its import cost).
 
     Periodic sweeps run along any axis.  T is circulant, so the whole
     operator (I - alpha T)^-1 (I + alpha T) is the circulant C whose first
@@ -92,8 +105,12 @@ class DiffusionSweep:
                 raise ValueError(f"dpttrf failed with info = {info}")
             self._d, self._e = d, e
 
-    def apply(self, u: np.ndarray, b_lo=None, b_hi=None, axis: int = 0) -> np.ndarray:
+    def apply(self, u: np.ndarray, b_lo=None, b_hi=None, axis: int = -1) -> np.ndarray:
         """Advance along `axis`, where `u` has `length` cells."""
+        axis %= u.ndim
+        if u.shape[axis] != self.length:
+            raise ValueError(f"a sweep of {self.length} cells got {u.shape[axis]} "
+                             f"along axis {axis}")
         if self.periodic:
             # C order first, so any input layout reaches BLAS the same way
             u = np.ascontiguousarray(u)
@@ -102,43 +119,21 @@ class DiffusionSweep:
             else:
                 out = self._op @ u.reshape(-1, self.length, math.prod(u.shape[axis + 1:]))
             return out.reshape(u.shape)
-        if axis != 0:
-            raise ValueError("Dirichlet sweeps run along axis 0")
+        if axis != u.ndim - 1:
+            raise ValueError("Dirichlet sweeps run along the last axis")
         if b_lo is None or b_hi is None:
             raise ValueError("Dirichlet sweep needs ghost values on both ends")
-        u2 = u.reshape(self.length, -1)
+        u2 = u.reshape(-1, self.length)
         a = self.alpha
-        rhs = (1.0 - 2.0 * a) * u2
-        rhs[1:] += a * u2[:-1]
-        rhs[:-1] += a * u2[1:]
-        rhs[0] += 2.0 * a * np.ravel(b_lo)
-        rhs[-1] += 2.0 * a * np.ravel(b_hi)
-        x, info = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+        rhs, au = (1.0 - 2.0 * a) * u2, a * u2
+        rhs[:, 1:] += au[:, :-1]
+        rhs[:, :-1] += au[:, 1:]
+        rhs[:, 0] += 2.0 * a * np.ravel(b_lo)
+        rhs[:, -1] += 2.0 * a * np.ravel(b_hi)
+        x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=True)
         if info != 0:
             raise ValueError(f"dpttrs failed with info = {info}")
-        return np.ascontiguousarray(x).reshape(u.shape)
-
-
-def _reconstruct_faces(um1, u0, up1, up2, flux_f, flux_df):
-    """Upwind-biased second-order face flux (Fromm slopes, local
-    Lax-Friedrichs dissipation on the reconstruction jump).  Temporaries
-    are reused in place, but flux results never are: a flux may return
-    its argument."""
-    ul = up1 - um1
-    ul *= 0.25
-    ul += u0
-    ur = up2 - u0
-    ur *= 0.25
-    np.subtract(up1, ur, out=ur)
-    a = np.abs(flux_df(ul))
-    np.maximum(a, np.abs(flux_df(ur)), out=a)
-    face = flux_f(ul) + flux_f(ur)
-    face *= 0.5
-    a *= 0.5
-    ur -= ul
-    a *= ur
-    face -= a
-    return face
+        return x.T.reshape(u.shape)
 
 
 def _along(axis: int, start, stop) -> tuple:
@@ -151,28 +146,54 @@ def _along(axis: int, start, stop) -> tuple:
 def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> np.ndarray:
     """-sum_i d/dx_i f_i(u) with conservative flux differencing.
 
-    Axis i of `values` is spatial direction i, of spacing spacings[i].
-    `ghosts`, when given, is a pair of arrays of shape (2, *transverse)
-    holding two ghost layers at the low/high end of axis 0, which is then
-    treated as bounded while every other axis wraps.  With ghosts=None
-    all axes wrap (torus solver).  The N+1 faces of an axis come from
-    four shifted views of the axis padded by two layers.
+    Direction i has spacing spacings[i].  With ghosts=None every axis
+    wraps and axis i is direction i (torus solver).  `ghosts`, when
+    given, is a pair of arrays of shape (*transverse, 2) holding two
+    ghost layers at the low/high end of the last axis, which is then
+    direction 0 (x1) and bounded, while axis i wraps and is direction
+    i + 1 (the x1-last layout of the module docstring).  Directions are
+    summed in order, x1 first, whichever axis holds them.
+
+    The N+1 faces of a direction come from its axis padded by two
+    layers: upwind-biased second order (Fromm slopes, taken once per
+    cell) with local Lax-Friedrichs dissipation on the reconstruction
+    jump.  Both halves of the face flux are folded into one divide by
+    2h, which halving's exactness keeps bitwise equal to halving each.
+    Temporaries are reused in place, but flux results never are: a flux
+    may return its argument.
     """
-    out = np.zeros_like(values)
-    for axis, h in enumerate(spacings):
-        if axis == 0 and ghosts is not None:
+    axes = range(values.ndim)
+    if ghosts is not None:
+        axes = (values.ndim - 1, *axes[:-1])
+    out = None
+    for d, (axis, h) in enumerate(zip(axes, spacings)):
+        if d == 0 and ghosts is not None:
             lo, hi = ghosts
         else:
             lo, hi = values[_along(axis, -2, None)], values[_along(axis, None, 2)]
         p = np.concatenate([lo, values, hi], axis=axis)
-        face = _reconstruct_faces(
-            p[_along(axis, None, -3)], p[_along(axis, 1, -2)],
-            p[_along(axis, 2, -1)], p[_along(axis, 3, None)],
-            flux.f[axis], flux.df[axis],
-        )
-        diff = face[_along(axis, 1, None)] - face[_along(axis, None, -1)]
-        diff /= h
-        out -= diff
+        # the slope (u_{i+1} - u_{i-1}) / 4 of cells -1 .. N, then each
+        # face's left and right states; ur takes the slopes' buffer
+        slope = p[_along(axis, 2, None)] - p[_along(axis, None, -2)]
+        slope *= 0.25
+        ul = p[_along(axis, 1, -2)] + slope[_along(axis, None, -1)]
+        ur = slope[_along(axis, 1, None)]
+        np.subtract(p[_along(axis, 2, -1)], ur, out=ur)
+        # twice the face flux: f(ul) + f(ur) - max|f'| (ur - ul)
+        a = np.abs(flux.df[d](ul))
+        np.maximum(a, np.abs(flux.df[d](ur)), out=a)
+        face = flux.f[d](ul) + flux.f[d](ur)
+        ur -= ul
+        a *= ur
+        face -= a
+        left, right = face[_along(axis, None, -1)], face[_along(axis, 1, None)]
+        if out is None:  # the first direction: out = -(right - left) / 2h
+            out = left - right
+            out /= 2.0 * h
+        else:
+            diff = right - left
+            diff /= 2.0 * h
+            out -= diff
     return out
 
 
@@ -246,9 +267,12 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
 
 
 def _advective_rate(flux: FluxSet, spacings, u) -> float:
-    """sum_i max |f_i'(u)| / h_i over the values u."""
-    return sum(float(np.max(np.abs(np.asarray(flux.df[axis](u), dtype=float)))) / h
-               for axis, h in enumerate(spacings))
+    """sum_i max |f_i'(u)| / h_i over the values u.  The peak is taken
+    once per distinct derivative function, so a Burgers state is read
+    once, not once per direction."""
+    dfs = flux.df[:len(spacings)]
+    peak = {df: float(np.max(np.abs(np.asarray(df(u), dtype=float)))) for df in set(dfs)}
+    return sum(peak[df] / h for df, h in zip(dfs, spacings))
 
 
 def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: float) -> float:

@@ -330,6 +330,24 @@ class TestStartUp:
                   "print(code, sorted(set(sys.modules) - before))\n")
         assert run_fresh(script) == "0 []"
 
+    @pytest.mark.parametrize("command", ["simulate", "decompose", "gn-study"])
+    def test_a_run_stage_imports_no_module(self, tmp_path, command):
+        # decompose and gn-study draw their generator in the input stage, so
+        # numpy.random loads before the run stage; simulate never loads it
+        cfg_path = tmp_path / f"{command}.cfg"
+        cfg_path.write_text(TINY_RUNS[command])
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = ("import sys\nimport rarelab.cli as cli\n"
+                  f"inputs, run = cli._EXPERIMENTS[{command!r}]\n"
+                  "def spy(*args):\n"
+                  "    before = set(sys.modules)\n"
+                  "    run(*args)\n"
+                  "    print(sorted(set(sys.modules) - before))\n"
+                  f"cli._EXPERIMENTS[{command!r}] = (inputs, spy)\n"
+                  f"print(cli.main({args!r}), 'numpy.random' in sys.modules)\n")
+        assert run_fresh(script).splitlines() == [
+            "[]", f"0 {command != 'simulate'}"], command
+
     def test_scipy_linalg_hands_out_the_routines_the_sweeps_hold(self):
         script = ("import sys\nimport rarelab.cli\nfrom rarelab import profile1d, stepping\n"
                   "print('scipy.linalg' in sys.modules)\n"
@@ -340,7 +358,7 @@ class TestStartUp:
 
     def test_without_the_extension_file_scipy_linalg_binds_the_same_routines(self):
         sweep = ("import hashlib, sys\nimport numpy as np\nfrom rarelab import profile1d, stepping\n"
-                 "u = np.sin(np.arange(96 * 8).reshape(96, 8) / 7.0)\n"
+                 "u = np.sin(np.arange(96 * 8).reshape(8, 96) / 7.0)\n"
                  "x = stepping.DiffusionSweep(96, 0.1, 0.01, periodic=False).apply(\n"
                  "    u, b_lo=np.full(8, -0.5), b_hi=np.full(8, 0.5))\n"
                  "print('scipy.linalg' in sys.modules, hashlib.sha256(x.tobytes()).hexdigest())\n"

@@ -48,6 +48,7 @@ class TestAgainstTheProfileItself:
         assert traj.planar_at is not None and dims == {1, 2}  # cylinder and line records
         assert len(profiles) == len(states) == traj.series["t"].size
         for got, prof, u in zip(traj.series["u_minus_profile_linf"], profiles, states):
+            u = np.moveaxis(u, -1, 0)  # the march holds the cylinder x1-last
             tiled = prof.values.reshape((-1,) + (1,) * (u.ndim - 1))
             assert got == np.max(np.abs(u - tiled))
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rarelab.errors import NumericalAbort
 from rarelab.cli import _flux
-from rarelab.fluxes import burgers, cubic, linear_flux
+from rarelab.fluxes import FluxSet, burgers, cubic, linear_flux
 from rarelab.periodic import TorusSpec, TorusStepper
 from rarelab.stepping import (
     MAX_STEPS,
@@ -94,7 +94,7 @@ class TestDiffusionSweep:
         rng = np.random.default_rng(0)
         sweep = DiffusionSweep(12, 0.1, 0.05, periodic=True)
         u = rng.standard_normal((12, 7))
-        block = sweep.apply(u)
+        block = sweep.apply(u, axis=0)
         for j in range(7):
             assert np.allclose(block[:, j], sweep.apply(u[:, j]), atol=1e-14)
 
@@ -120,10 +120,31 @@ class TestDiffusionSweep:
         with pytest.raises(ValueError):
             sweep.apply(np.ones(8))
 
-    def test_dirichlet_runs_along_axis_zero(self):
+    def test_dirichlet_runs_along_the_last_axis(self):
         sweep = DiffusionSweep(8, 0.125, 0.3, periodic=False)
-        with pytest.raises(ValueError, match="axis 0"):
-            sweep.apply(np.ones((4, 8)), b_lo=0.0, b_hi=0.0, axis=1)
+        for shape, axis in [((8, 4), 0), ((4, 8, 4), 1), ((8, 4, 4), -3)]:
+            with pytest.raises(ValueError, match="the last axis"):
+                sweep.apply(np.ones(shape), b_lo=0.0, b_hi=0.0, axis=axis)
+        # along the last axis the sweep holds a constant matching its ghosts
+        got = sweep.apply(np.ones((4, 8)), b_lo=1.0, b_hi=1.0, axis=1)
+        assert np.max(np.abs(got - 1.0)) < 1e-14
+
+    def test_a_sweep_rejects_a_line_of_another_length(self):
+        for periodic in (True, False):
+            with pytest.raises(ValueError, match="a sweep of 8 cells got 4 along axis 1"):
+                DiffusionSweep(8, 0.125, 0.3, periodic).apply(np.ones((8, 4)), 0.0, 0.0)
+
+    @pytest.mark.parametrize("cols, n1", [(5, 7), (20, 96), (20, 3200)])
+    def test_dirichlet_block_is_each_lines_sweep_bitwise(self, cols, n1):
+        # the block hands dpttrs its transposed right-hand side; each
+        # line of it is the 1-d sweep of that line alone
+        rng = np.random.default_rng(n1)
+        u = rng.standard_normal((cols, n1))
+        b_lo, b_hi = rng.standard_normal(cols), rng.standard_normal(cols)
+        sweep = DiffusionSweep(n1, 1.0 / n1, 0.37, periodic=False)
+        block = sweep.apply(u, b_lo=b_lo, b_hi=b_hi)
+        for j in range(cols):
+            assert np.array_equal(block[j], sweep.apply(u[j], b_lo=b_lo[j], b_hi=b_hi[j]))
 
     @pytest.mark.parametrize("shape", [(9, 12), (5, 6, 7)])
     def test_periodic_axis_sweep_matches_lines(self, shape):
@@ -139,25 +160,24 @@ class TestDiffusionSweep:
                 ref = dense_reference(n, h, dt, True, col)
                 assert np.max(np.abs(line - ref)) < 1e-13
 
-    @pytest.mark.parametrize("shape", [(33, 5), (17, 3, 4)])
+    @pytest.mark.parametrize("shape", [(5, 33), (3, 4, 17)])
     def test_dirichlet_block_matches_dense_solve(self, shape):
         rng = np.random.default_rng(sum(shape))
-        n, h, dt = shape[0], 1.0 / shape[0], 0.37
+        n, h, dt = shape[-1], 1.0 / shape[-1], 0.37
         u = rng.standard_normal(shape)
-        b_lo, b_hi = rng.standard_normal(shape[1:]), rng.standard_normal(shape[1:])
+        b_lo, b_hi = rng.standard_normal(shape[:-1]), rng.standard_normal(shape[:-1])
         got = DiffusionSweep(n, h, dt, periodic=False).apply(u, b_lo=b_lo, b_hi=b_hi)
-        for idx in np.ndindex(*shape[1:]):
-            col = (slice(None), *idx)
-            ref = dense_reference(n, h, dt, False, u[col], b_lo[idx], b_hi[idx])
-            assert np.max(np.abs(got[col] - ref)) < 1e-13
+        for idx in np.ndindex(*shape[:-1]):
+            ref = dense_reference(n, h, dt, False, u[idx], b_lo[idx], b_hi[idx])
+            assert np.max(np.abs(got[idx] - ref)) < 1e-13
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_fortran_order_input_is_bitwise_c_order(self, periodic):
         rng = np.random.default_rng(3)
         u = rng.standard_normal((20, 6, 7))
         uf = np.asfortranarray(u)
-        ghosts = dict(b_lo=rng.standard_normal((6, 7)), b_hi=rng.standard_normal((6, 7)))
-        for axis in range(3) if periodic else (0,):
+        ghosts = dict(b_lo=rng.standard_normal((20, 6)), b_hi=rng.standard_normal((20, 6)))
+        for axis in range(3) if periodic else (2,):
             n = u.shape[axis]
             sweep = DiffusionSweep(n, 1.0 / n, 0.37, periodic=periodic)
             kw = dict(axis=axis) if periodic else ghosts
@@ -217,6 +237,18 @@ class TestAdvection:
         assert np.max(np.abs(rhs_bounded - np.tile(rhs_periodic, 4))) < 1e-14
 
 
+def x1_last(a):
+    """The x1-last, C-contiguous copy of an x1-first array, as a cylinder march holds it."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def bounded_rhs(values, flux, spacings, ghosts):
+    """advective_rhs of the x1-first `values` and (2, *transverse) `ghosts`,
+    taken in the x1-last layout and moved back x1-first."""
+    got = advective_rhs(x1_last(values), flux, spacings, tuple(x1_last(g) for g in ghosts))
+    return np.moveaxis(got, -1, 0)
+
+
 class TestAdvectionKernelReference:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -233,9 +265,30 @@ class TestAdvectionKernelReference:
         ghosts = None
         if with_ghosts:
             ghosts = tuple(1.0 + 0.5 * rng.standard_normal((2, *shape[1:])) for _ in range(2))
-        got = advective_rhs(values, flux, spacings, ghosts)
+            got = bounded_rhs(values, flux, spacings, ghosts)
+        else:
+            got = advective_rhs(values, flux, spacings)
         ref = reference_advective_rhs(values, flux, spacings, ghosts)
         assert np.array_equal(got, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(4, 24), min_size=1, max_size=3),
+        flux_name=st.sampled_from(sorted(FLUXES)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_x1_last_with_ghosts_is_the_x1_first_reference_bitwise(self, shape, flux_name,
+                                                                   seed):
+        # four levels, so neighbours tie exactly: zero slopes, zero jumps
+        # and equal wave speeds of opposite sign
+        rng = np.random.default_rng(seed)
+        levels = np.array([-1.0, -0.5, 0.5, 1.0])
+        flux = FLUXES[flux_name](len(shape))
+        values = levels[rng.integers(0, 4, shape)]
+        ghosts = tuple(levels[rng.integers(0, 4, (2, *shape[1:]))] for _ in range(2))
+        spacings = tuple(rng.uniform(0.05, 0.5, len(shape)))
+        got = bounded_rhs(values, flux, spacings, ghosts)
+        assert np.array_equal(got, reference_advective_rhs(values, flux, spacings, ghosts))
 
 
 class TestTorusConservation:
@@ -385,6 +438,29 @@ class TestCFL:
     def test_returns_the_courant_number(self):
         u = np.array([0.5, -2.0, 1.0])
         assert check_cfl(u, burgers(1), (0.1,), dt=0.01, t=0.0) == pytest.approx(0.2)
+
+    def test_each_distinct_derivative_reads_the_state_once(self):
+        # directions 0 and 2 share one derivative function, as every
+        # Burgers direction does: it is evaluated once per check
+        calls = []
+
+        def counted(df, name):
+            return lambda u: calls.append(name) or df(u)
+
+        speed, slow = counted(burgers(1).df[0], "speed"), counted(lambda u: 0.25 + 0 * u, "slow")
+        flux = FluxSet(f=burgers(3).f, df=(speed, slow, speed), d2f=burgers(3).d2f)
+        u = np.array([0.5, -2.0, 1.0])
+        got = check_cfl(u, flux, (0.1, 0.2, 0.4), dt=0.01, t=0.0)
+        assert sorted(calls) == ["slow", "speed"]
+        assert got == 0.01 * (2.0 / 0.1 + 0.25 / 0.2 + 2.0 / 0.4)
+
+    def test_distinct_speeds_add_in_direction_order(self):
+        flux = linear_flux(3, [1.0, -0.5, 2.0])
+        spacings = (0.1, 0.3, 0.7)
+        got = check_cfl(np.full((4, 4, 4), 0.2), flux, spacings, dt=0.01, t=0.0)
+        assert got == 0.01 * (1.0 / 0.1 + 0.5 / 0.3 + 2.0 / 0.7)
+        assert max_advective_dt(flux, spacings, -1.0, 1.0, 0.4) == 0.4 / (
+            1.0 / 0.1 + 0.5 / 0.3 + 2.0 / 0.7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_raises(self, bad):
