@@ -97,8 +97,8 @@ def far_field_grid(spec: DomainSpec) -> tuple[TorusSpec, np.ndarray]:
     return tspec, np.arange(-2, spec.n1 + 2) % tspec.sizes[0]
 
 
-def _ansatz_and_defect(far, t, profile, flux, dspec):
-    """(g, dg, profile values, ansatz values, defect values) at one instant.
+def _ansatz_and_defect(far, profile, flux, dspec):
+    """(g, dg, profile values, ansatz values, defect values) at profile.t.
 
     `far` is the pair (left, right) of far-field sides, each a field on
     the torus of `far_field_grid(dspec)`.  Every term of the defect
@@ -106,8 +106,6 @@ def _ansatz_and_defect(far, t, profile, flux, dspec):
     from the bare profile, so the defect inherits the exponential decay
     of the torus disturbances.
     """
-    if abs(t - profile.t) > 1e-9:
-        raise ValueError(f"time stamps differ: {(t, profile.t)}")
     tspec, rows = far_field_grid(dspec)
     if [np.shape(side) for side in far] != [tspec.sizes] * 2:
         raise ValueError(f"far field shape {[np.shape(s) for s in far]} != 2 x {tspec.sizes}")
@@ -148,16 +146,16 @@ def _ansatz_and_defect(far, t, profile, flux, dspec):
     return g, dg, prof, utild, h
 
 
-def source_term(far, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> Field:
-    """Closed-form defect of the ansatz under the conservation law."""
-    *_, h = _ansatz_and_defect(far, t, profile, flux, dspec)
-    return Field(dspec, h, t=t)
+def source_term(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> Field:
+    """Closed-form defect of the ansatz under the conservation law at profile.t."""
+    *_, h = _ansatz_and_defect(far, profile, flux, dspec)
+    return Field(dspec, h, t=profile.t)
 
 
-def assemble_bundle(
-    far, t: float, profile: ProfileState, flux: FluxSet, dspec: DomainSpec
-) -> AnsatzBundle:
-    g, dg, prof, utild, h = _ansatz_and_defect(far, t, profile, flux, dspec)
+def assemble_bundle(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> AnsatzBundle:
+    """The ansatz and its defect at profile.t, the time of the far field."""
+    g, dg, prof, utild, h = _ansatz_and_defect(far, profile, flux, dspec)
+    t = profile.t
     return AnsatzBundle(
         g=g, dg=dg, profile_values=prof, u_tilde=Field(dspec, utild, t=t),
         h=Field(dspec, h, t=t), t=t,

@@ -6,13 +6,16 @@ counterexample, rates, validate.  Configs are flat key = value text
 experiment is an input stage, which turns a config into checked inputs
 or raises, and a run stage, which takes those inputs.  The input stage
 reads every number with `_number` or `_numbers`, so a bad one is a
-config error that names its key ("<key> must be ..., got '<raw>'"), and
-then calls the schedule and range checks the run itself calls: `validate`
-runs the input stage only and rejects what the run would reject.  Random
-fields (decompose, gn-study) come from the config key `seed` (an integer
->= 0, default 0).  Every file a run writes is digested in its manifest
-(config hash, versions, wall time).  Exit codes: 0 ok, 1 config or usage
-error, 2 numerical abort (CFL or tail guard), 3 rate acceptance failure.
+config error that names its key ("<key> must be ..., got '<raw>'").  A
+marching experiment (simulate, profile, periodic) then draws its plan
+once, with its solver's `schedule`, which for simulate is also the one
+check of the cylinder config; the run stage marches that plan.
+`validate` runs the input stage only and rejects what the run would
+reject.  Random fields (decompose, gn-study) come from the config key
+`seed` (an integer >= 0, default 0).  Every file a run writes is
+digested in its manifest (config hash, versions, wall time).  Exit
+codes: 0 ok, 1 config or usage error, 2 numerical abort (CFL or tail
+guard), 3 rate acceptance failure.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .ineqlab import (
 )
 from .mdsolver import (
     NORM_COLUMNS, SolverConfig, mode_problems, run as run_solver, schedule as solver_schedule,
-    trig_polynomial, validate_config, write_norm_table,
+    trig_polynomial, write_norm_table,
 )
 from .periodic import (
     PERIODIC_COLUMNS, TorusSpec, fit_exponential_decay, schedule as torus_schedule,
@@ -340,17 +343,15 @@ def _raise_on_failed(report: dict) -> None:
 
 
 def _simulate_inputs(cfg: dict[str, str]):
-    """(solver config, fit window), checked by the solver's own findings and
-    its step schedule.  The window must clear the transient and hold enough
-    of the times the run records, its snapshot times rounded to the step
-    grid, so a bad one fails before the solve.  A dt above the stable step
-    of the initial data is a config error too, so `validate` reports it, and
-    so is a run without a disturbance, whose phi norms are 0 and fit nothing."""
+    """(solver config, plan, fit window), the plan drawn once by the
+    solver's `schedule`, which checks the config and raises its findings.
+    The window must clear the transient and hold enough of the times the
+    run records, its snapshot times rounded to the step grid, so a bad one
+    fails before the solve.  A dt above the stable step of the initial data
+    is a config error too, so `validate` reports it, and so is a run without
+    a disturbance, whose phi norms are 0 and fit nothing."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
-    problems = validate_config(sc)
-    if problems:
-        raise ValueError("; ".join(problems))
-    _, dt, record = solver_schedule(sc)
+    _, dt, record = plan = solver_schedule(sc)
     times = [idx * dt for idx in sorted(record)]
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
@@ -358,11 +359,11 @@ def _simulate_inputs(cfg: dict[str, str]):
     if sc.v0 is None and not any(row[-1] for row in sc.w0_modes):
         raise ValueError("simulate needs a disturbance: a w0_modes row with a nonzero "
                          "amplitude, or v0")
-    return sc, window
+    return sc, plan, window
 
 
-def _exp_simulate(out: _Outputs, sc: SolverConfig, window) -> None:
-    traj = run_solver(sc)
+def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> None:
+    traj = run_solver(sc, plan)
     write_norm_table(traj, out.path("norms.csv"))
     report = _rate_report(traj.series, window)
     report["max_principle_violation"] = traj.max_principle_violation

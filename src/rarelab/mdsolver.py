@@ -13,10 +13,12 @@ calls of a torus run, in lockstep with the cylinder: the x1 sweep reads
 the far field averaged over its own matching sweep, and each Heun stage
 reads ghost rows from the matching far-field stage, so a cylinder field
 that equals a tiled torus field stays equal to it away from the fan.
-The triple (cylinder, left, right) is one state of `stepping.march`,
-the loop the profile and torus solvers run too; `run` supplies its
-per-step check (Courant number, maximum principle) and its snapshot
-record.  The march holds the cylinder field x1-last, torus axes first,
+As in the profile and torus solvers, `schedule` checks a config and
+draws its plan, and `run` marches the plan it is handed.  The triple
+(cylinder, left, right) is one state of `stepping.march`, the loop the
+profile and torus solvers run too; `run` supplies its per-step check
+(Courant number, maximum principle) and its snapshot record.  The
+march holds the cylinder field x1-last, torus axes first,
 the layout `stepping`'s kernels run fastest on; the far-field sides
 keep their torus layout.  The field is transposed once at the start,
 and each record takes an x1-first copy, which the ansatz, tau, the
@@ -42,8 +44,9 @@ cylinder march measures tau, the larger of max|v - A v| on the cylinder
 (A averages over the torus axes) and max|w - mean w| on each far-field
 side, which must be constant, not only planar: a mode with only k_1
 nonzero is planar on the cylinder from t = 0, but its far field still
-moves the Dirichlet data.  A record with tau below `PLANAR_TOL` stops
-the cylinder march; a second, 1-d march takes the plan's remaining steps
+moves the Dirichlet data.  A record with tau below `PLANAR_TOL` returns
+the line's start state beside its norm row, and `run` stops the
+cylinder march there; a second, 1-d march takes the plan's remaining steps
 from that record's torus average with the profile's step,
 `profile1d.pinned_line`, its ends at the far-field means.  The line is
 the cylinder state to roundoff and stays so: a planar state with
@@ -79,7 +82,6 @@ from .stepping import (
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "validate_config",
     "schedule",
     "run",
     "trig_polynomial",
@@ -179,15 +181,18 @@ def _disturbance_bound(config: SolverConfig) -> float:
     return amp
 
 
-def validate_config(config: SolverConfig) -> list[str]:
-    """Dry-run check of every invariant but the step grid's, which
-    `schedule` owns; returns human-readable findings."""
+def schedule(config: SolverConfig):
+    """(steps, dt, record_indices) of a run, and the one check of its
+    config: every finding is raised as one `ConfigError`, joined by "; ",
+    before `step_schedule` runs under the CFL bound of the initial data's
+    range.  Step k is recorded at time k * dt, the snapshot times rounded
+    to the step grid."""
     problems = []
-    spec = config.spec
+    spec, flux, ul, ur = config.spec, config.flux, config.ul, config.ur
     if spec.n < 2:
         problems.append("cylinder runs need n >= 2 (one line + torus directions)")
-    if not config.ul < config.ur:
-        problems.append(f"need ul < ur, got {config.ul} >= {config.ur}")
+    if not ul < ur:
+        problems.append(f"need ul < ur, got {ul} >= {ur}")
     if not 0.0 < config.tail_threshold < 1.0:
         problems.append(f"tail threshold must lie in (0, 1), got {config.tail_threshold}")
 
@@ -200,7 +205,7 @@ def validate_config(config: SolverConfig) -> list[str]:
             )
 
     try:
-        speed = max(abs(float(config.flux.df[0](np.float64(u)))) for u in (config.ul, config.ur))
+        speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
         if spec.L < speed * config.t_end + 10.0:
             problems.append(
                 f"L = {spec.L} < fan speed {speed:.3g} * t_end + margin 10 = "
@@ -217,39 +222,29 @@ def validate_config(config: SolverConfig) -> list[str]:
         problems += mode_problems(config.w0_modes, tspec.sizes)
 
     amp = _disturbance_bound(config)
+    lo, hi = min(ul, ur) - amp, max(ul, ur) + amp
     try:
-        config.flux.check_convexity(min(config.ul, config.ur) - amp,
-                                    max(config.ul, config.ur) + amp)
+        flux.check_convexity(lo, hi)
     except ValueError as e:
         problems.append(str(e))
     try:  # the Courant range: the step bound's own rule
-        max_advective_dt(config.flux, (spec.dx1,), config.ul, config.ur, config.cfl)
+        max_advective_dt(flux, (spec.dx1,), ul, ur, config.cfl)
     except ValueError as e:
         problems.append(str(e))
-    return problems
-
-
-def schedule(config: SolverConfig):
-    """(steps, dt, record_indices) of a run: `step_schedule` under the
-    CFL bound of the initial data's range.  Step k is recorded at time
-    k * dt, the snapshot times rounded to the step grid."""
-    spec, ul, ur = config.spec, config.ul, config.ur
-    amp = _disturbance_bound(config)
-    dt_max = max_advective_dt(config.flux, (spec.dx1, *spec.dx_torus),
-                              min(ul, ur) - amp, max(ul, ur) + amp, config.cfl)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi, config.cfl)
     return step_schedule(config.t_end, dt_max, config.dt, config.snapshot_times)
 
 
-def run(config: SolverConfig) -> Trajectory:
-    """Advance the cylinder solution and log the perturbation against the
-    concurrently assembled ansatz."""
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
+def run(config: SolverConfig, plan) -> Trajectory:
+    """Advance the cylinder solution over plan = (steps, dt, record), the
+    `schedule` of this config, and log the perturbation against the
+    concurrently assembled ansatz.  The profile marches that same plan."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
-    steps, dt, snap = plan = schedule(config)
+    steps, dt, snap = plan
 
     grid = make_grid(spec)
 
@@ -336,14 +331,12 @@ def run(config: SolverConfig) -> Trajectory:
                                                 f"{config.tail_threshold:.3e}")
         return row
 
-    line_march = None  # the remaining steps, from the record that hands off
-
     def record(k, state):
-        nonlocal line_march
+        """(norm row, the line's start state if record k hands off, else None)"""
         prof, (v, wl, wr) = next(profiles), state
         v = np.ascontiguousarray(np.moveaxis(v, -1, 0))  # x1-first, as every reader takes it
         t = prof.t
-        bundle = assemble_bundle((wl, wr), t, prof, flux, spec)
+        bundle = assemble_bundle((wl, wr), prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
@@ -356,16 +349,11 @@ def run(config: SolverConfig) -> Trajectory:
         # from its constants; the last record has no step left to hand off
         tau = max(float(np.max(np.abs(v - np.mean(v, axis=torus_axes, keepdims=True)))),
                   *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
+        line = None
         if tau < PLANAR_TOL and k < steps:
             traj.planar_at = dict(step=k, t=t, tau=tau)
-            # the line march counts from the hand-off: its check adds t
-            ends = (float(np.mean(w)) for w in (wl, wr))
-            line_march = march((np.mean(v, axis=torus_axes),),
-                               (steps - k, dt, {i - k for i in snap if i > k}), 1,
-                               *pinned_line(p0.spec, flux, dt, *ends),
-                               lambda state, s: check(state, t + s),
-                               lambda _, state: record_line(state))
-        return sample(spec, v, bundle.u_tilde.values, bundle.h, prof)
+            line = (np.mean(v, axis=torus_axes), *(float(np.mean(w)) for w in (wl, wr)))
+        return sample(spec, v, bundle.u_tilde.values, bundle.h, prof), line
 
     def record_line(state):
         # the ansatz of a constant far field is the profile, and its
@@ -373,12 +361,19 @@ def run(config: SolverConfig) -> Trajectory:
         prof = next(profiles)
         return sample(p0.spec, state[0], prof.values, None, prof)
 
-    rows = []
-    for row in march(start.pop(), plan, spec.n, sweep, rhs, check, record):
+    rows, line = [], None
+    for row, line in march(start.pop(), plan, spec.n, sweep, rhs, check, record):
         rows.append(row)
-        if line_march is not None:
+        if line is not None:
             break  # the cylinder march takes no later step
-    rows += line_march or ()
+    if line is not None:
+        # the remaining steps, from the record that handed off; the line
+        # march counts from there, so its check adds the record's time t
+        k, t = traj.planar_at["step"], traj.planar_at["t"]
+        rows += march(line[:1], (steps - k, dt, {i - k for i in snap if i > k}), 1,
+                      *pinned_line(p0.spec, flux, dt, *line[1:]),
+                      lambda state, s: check(state, t + s),
+                      lambda _, state: record_line(state))
     traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     return traj
 

@@ -13,7 +13,7 @@ import scipy
 
 from rarelab import cli, mdsolver
 from rarelab.domain import read_snapshot
-from rarelab.mdsolver import NORM_COLUMNS, run
+from rarelab.mdsolver import NORM_COLUMNS, run, schedule
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -39,7 +39,8 @@ class TestSimulateManifest:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "dt_steps" not in manifest
-        traj = run(cli.solver_config_from_dict(cli.load_config(cfg_path)))
+        sc = cli.solver_config_from_dict(cli.load_config(cfg_path))
+        traj = run(sc, schedule(sc))
         assert manifest["steps"] == traj.steps
         assert manifest["dt"] == traj.dt
         assert manifest["steps"] * manifest["dt"] == pytest.approx(2.0, rel=1e-12)
@@ -53,7 +54,7 @@ class TestSimulateManifest:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         sc = cli.solver_config_from_dict(cli.load_config(cfg_path))
-        traj = run(sc)
+        traj = run(sc, schedule(sc))
         assert 0.0 < traj.max_courant <= sc.cfl
         assert manifest["max_courant"] == traj.max_courant
 

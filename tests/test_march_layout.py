@@ -38,7 +38,7 @@ def test_the_cylinder_marches_x1_last(monkeypatch, name):
 
     monkeypatch.setattr(mdsolver, "advective_rhs", rhs_spy)
     monkeypatch.setattr(stepping, "dpttrs", dpttrs_spy)
-    traj = mdsolver.run(sc)
+    traj = mdsolver.run(sc, mdsolver.schedule(sc))
     assert traj.planar_at is None  # every step is a cylinder step
     # two Heun stages per step; two half-step x1 sweeps per step each
     # for the cylinder and for the profile, the only Dirichlet sweeps

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,8 @@ from rarelab.mdsolver import (
     SolverConfig,
     mode_problems,
     run,
+    schedule,
     trig_polynomial,
-    validate_config,
     write_norm_table,
     NORM_COLUMNS,
 )
@@ -35,35 +37,49 @@ def small_config(**kw):
 
 class TestValidation:
     def test_reference_style_config_clean(self):
-        assert validate_config(small_config()) == []
+        steps, dt, record = schedule(small_config())
+        assert steps * dt == pytest.approx(5.0) and record
 
     def test_fan_speed_bound(self):
         cfg = small_config(t_end=50.0, snapshot_times=(50.0,))
-        found = validate_config(cfg)
-        assert any("fan" in msg for msg in found)
+        with pytest.raises(ConfigError, match="fan"):
+            schedule(cfg)
 
     def test_constant_mode_rejected(self):
-        found = validate_config(small_config(w0_modes=((0, 0, 0.1),)))
-        assert any("zero-average" in msg for msg in found)
+        with pytest.raises(ConfigError, match="zero-average"):
+            schedule(small_config(w0_modes=((0, 0, 0.1),)))
 
     def test_bad_cfl_and_threshold(self):
-        assert any("cfl" in m for m in validate_config(small_config(cfl=0.7)))
-        assert any("tail" in m for m in validate_config(small_config(tail_threshold=2.0)))
+        with pytest.raises(ConfigError, match="cfl"):
+            schedule(small_config(cfl=0.7))
+        with pytest.raises(ConfigError, match="tail"):
+            schedule(small_config(tail_threshold=2.0))
 
     def test_grid_alignment(self):
         cfg = small_config(spec=DomainSpec(n=2, L=20, n1=414, n_torus=(10,)))
-        assert any("unit period" in m for m in validate_config(cfg))
+        with pytest.raises(ConfigError, match="unit period"):
+            schedule(cfg)
 
     def test_convexity_on_working_range(self):
         cfg = small_config(flux=cubic(2), ul=-0.5, ur=0.5)
-        assert any("a0" in m or "f_1''" in m for m in validate_config(cfg))
+        with pytest.raises(ConfigError, match="a0|f_1''"):
+            schedule(cfg)
 
     def test_modes_the_far_field_cannot_carry(self):
         # L = 20, n1 = 400: 10 far-field points per unit period in x1 and 10 across
-        assert validate_config(small_config(w0_modes=((4, 4, 0.1), (-4, 0, 0.1)))) == []
+        assert schedule(small_config(w0_modes=((4, 4, 0.1), (-4, 0, 0.1))))
         for row in ((5, 1, 0.1), (1, -5, 0.1), (1.5, 1, 0.1)):
-            found = validate_config(small_config(w0_modes=(row,)))
-            assert len(found) == 1 and f"w0_modes row {row}" in found[0]
+            with pytest.raises(ConfigError, match=re.escape(f"w0_modes row {row}")) as exc:
+                schedule(small_config(w0_modes=(row,)))
+            assert "; " not in str(exc.value)  # the one finding
+
+    def test_findings_are_raised_together_in_order(self):
+        cfg = small_config(ul=0.5, ur=-0.5, cfl=0.7,
+                           spec=DomainSpec(n=2, L=20, n1=414, n_torus=(10,)))
+        with pytest.raises(ConfigError) as exc:
+            schedule(cfg)
+        found = str(exc.value).split("; ")
+        assert [f.split()[0] for f in found] == ["need", "1/dx1", "cfl"]
 
     @pytest.mark.parametrize("kw, message", [
         (dict(t_end=0.0, snapshot_times=()), "t_end must exceed the start time 0, got 0"),
@@ -72,15 +88,16 @@ class TestValidation:
     ])
     def test_step_grid_rules_belong_to_the_schedule(self, kw, message):
         cfg = small_config(**kw)
-        assert validate_config(cfg) == []
+        with pytest.raises(ValueError, match=message) as exc:
+            schedule(cfg)
+        assert not isinstance(exc.value, ConfigError)  # no finding on the config itself
         with pytest.raises(ValueError, match=message):
-            mdsolver.schedule(cfg)
-        with pytest.raises(ValueError, match=message):
-            run(cfg)
+            run(cfg, schedule(cfg))
 
     def test_run_raises_on_invalid(self):
+        cfg = small_config(cfl=0.9)
         with pytest.raises(ConfigError):
-            run(small_config(cfl=0.9))
+            run(cfg, schedule(cfg))
 
 
 class TestModeRule:
@@ -112,7 +129,8 @@ class TestTrigPolynomial:
 class TestZeroDisturbance:
     @pytest.fixture(scope="class")
     def traj(self):
-        return run(small_config(w0_modes=(), t_end=5.0, snapshot_times=(5.0,)))
+        cfg = small_config(w0_modes=(), t_end=5.0, snapshot_times=(5.0,))
+        return run(cfg, schedule(cfg))
 
     def test_perturbation_at_roundoff(self, traj):
         # same-grid backbone: the cylinder run reproduces the 1-d profile
@@ -128,16 +146,17 @@ class TestZeroDisturbance:
 class TestPerturbedRun:
     @pytest.fixture(scope="class")
     def traj(self):
-        return run(small_config())
+        cfg = small_config()
+        return run(cfg, schedule(cfg))
 
     def test_records_the_times_of_its_schedule(self, traj):
-        steps, dt, record = mdsolver.schedule(small_config())
+        steps, dt, record = schedule(small_config())
         assert (traj.steps, traj.dt) == (steps, dt)
         assert list(traj.series["t"]) == [k * dt for k in sorted(record)]
 
     def test_initial_perturbation_vanishes(self):
         cfg = small_config(snapshot_times=(0.0, 1.0))
-        traj = run(cfg)
+        traj = run(cfg, schedule(cfg))
         assert traj.series["t"][0] == 0.0
         assert traj.series["phi_linf"][0] < 1e-13
 
@@ -147,7 +166,8 @@ class TestPerturbedRun:
         extremes, check_cfl = [], mdsolver.check_cfl
         monkeypatch.setattr(mdsolver, "check_cfl", lambda v, *args: extremes.append(
             (np.min(v), np.max(v))) or check_cfl(v, *args))
-        traj = run(small_config())
+        cfg = small_config()
+        traj = run(cfg, schedule(cfg))
         assert traj.max_principle_violation <= 1e-10
         assert len(extremes) == traj.steps
         assert all(-0.6 - 1e-10 <= lo and hi <= 0.6 + 1e-10 for lo, hi in extremes)
@@ -157,7 +177,8 @@ class TestPerturbedRun:
         seen, lp_norm = [], mdsolver.lp_norm
         monkeypatch.setattr(mdsolver, "lp_norm", lambda f, p: seen.append(f) or lp_norm(f, p))
         v0 = lambda x: 0.02 * np.exp(-((x - 3.0) ** 2))
-        run(small_config(v0=v0, snapshot_times=(0.0,), t_end=1.0))
+        cfg = small_config(v0=v0, snapshot_times=(0.0,), t_end=1.0)
+        run(cfg, schedule(cfg))
         grid_x1 = np.linspace(-20 + 0.05, 20 - 0.05, 400)
         expect = v0(grid_x1)
         got = seen[0].values[:, 0]
@@ -183,7 +204,7 @@ class TestMaximumPrinciple:
     @settings(max_examples=25, deadline=None)
     @given(small_perturbed_configs())
     def test_range_never_grows_and_ghosts_match(self, config):
-        traj = run(config)
+        traj = run(config, schedule(config))
         assert traj.max_principle_violation <= 1e-10
         assert traj.boundary_mismatch == 0.0
 
@@ -191,8 +212,8 @@ class TestMaximumPrinciple:
 class TestDeterminism:
     def test_bitwise_identical_norm_tables(self):
         cfg = small_config(t_end=2.0, snapshot_times=(1.0, 2.0))
-        a = run(cfg)
-        b = run(cfg)
+        a = run(cfg, schedule(cfg))
+        b = run(cfg, schedule(cfg))
         for key in a.series:
             assert np.array_equal(a.series[key], b.series[key]), key
 
@@ -203,7 +224,8 @@ class TestStepCount:
         calls, check_cfl = [], mdsolver.check_cfl
         monkeypatch.setattr(mdsolver, "check_cfl",
                             lambda *args: calls.append(args[-1]) or check_cfl(*args))
-        traj = run(small_config(t_end=2.0, snapshot_times=(1.0,)))
+        cfg = small_config(t_end=2.0, snapshot_times=(1.0,))
+        traj = run(cfg, schedule(cfg))
         assert len(calls) == traj.steps
         assert calls == [pytest.approx((k + 1) * traj.dt) for k in range(traj.steps)]
 
@@ -211,19 +233,21 @@ class TestStepCount:
 class TestAborts:
     def test_cfl_abort(self):
         with pytest.raises(NumericalAbort) as exc:
-            run(small_config(dt=1.0))
+            cfg = small_config(dt=1.0)
+            run(cfg, schedule(cfg))
         assert exc.value.reason == "cfl"
 
     def test_tail_abort(self):
         cfg = small_config(tail_threshold=1e-12, snapshot_times=(1.0,), t_end=1.0)
         with pytest.raises(NumericalAbort) as exc:
-            run(cfg)
+            run(cfg, schedule(cfg))
         assert exc.value.reason == "tail"
 
 
 class TestNormTable:
     def test_csv_columns(self, tmp_path):
-        traj = run(small_config(t_end=1.0, snapshot_times=(0.5, 1.0)))
+        cfg = small_config(t_end=1.0, snapshot_times=(0.5, 1.0))
+        traj = run(cfg, schedule(cfg))
         path = tmp_path / "norms.csv"
         write_norm_table(traj, path)
         rows = path.read_text().strip().splitlines()

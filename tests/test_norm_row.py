@@ -36,7 +36,7 @@ def spied_run(monkeypatch, sc):
 
     monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
     monkeypatch.setattr(mdsolver, "march", march_spy)
-    return mdsolver.run(sc), profiles, states
+    return mdsolver.run(sc, mdsolver.schedule(sc)), profiles, states
 
 
 class TestAgainstTheProfileItself:
@@ -53,7 +53,8 @@ class TestAgainstTheProfileItself:
             assert got == np.max(np.abs(u - tiled))
 
     def test_an_undisturbed_run_reads_zero_at_every_record(self):
-        traj = mdsolver.run(config(w0_modes=()))
+        sc = config(w0_modes=())
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         assert traj.planar_at["step"] == 0  # t = 0 is a cylinder record, the rest line records
         assert list(traj.series["u_minus_profile_linf"]) == [0.0] * 4
 
@@ -68,7 +69,7 @@ class TestFanSlopeGuard:
     def test_aborts_at_the_record_whose_slope_reaches_the_tail(self, threshold, t):
         sc = config(w0_modes=(), tail_threshold=threshold)
         with pytest.raises(NumericalAbort) as exc:
-            mdsolver.run(sc)
+            mdsolver.run(sc, mdsolver.schedule(sc))
         _, dt, _ = mdsolver.schedule(sc)
         assert exc.value.reason == "tail" and "fan slope" in exc.value.detail
         assert exc.value.t == round(t / dt) * dt

@@ -1,9 +1,9 @@
 """One plan per run: within `src/`, a plan = (steps, dt, record) is drawn
 only by a module's `schedule`, the one caller of `stepping.step_schedule`,
-and the solvers that march a plan, `evolve_profile` and `solve_periodic`,
-draw none.  A cylinder run hands its own plan to the profile, an input
-stage hands its plan to its run stage, and the default Courant number
-has one owner.
+and the solvers that march a plan, `evolve_profile`, `solve_periodic`
+and the cylinder's `run`, draw none.  A cylinder run hands the plan it
+is handed to the profile, an input stage draws its plan once and hands
+it to its run stage, and the default Courant number has one owner.
 
 The source checks read `src/` with the standard library's `ast`.  A call
 counts by the name it calls, bare or as an attribute
@@ -21,7 +21,7 @@ from rarelab.fluxes import burgers
 from rarelab.mdsolver import SolverConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MARCHERS = ("evolve_profile", "solve_periodic")
+MARCHERS = ("evolve_profile", "solve_periodic", "run")
 
 
 class _Calls(ast.NodeVisitor):
@@ -68,6 +68,13 @@ def test_only_a_schedule_draws_a_plan():
 
 def test_a_second_plan_is_found():
     sources = {
+        "mdsolver.py": (
+            "def schedule(config):\n"
+            "    return step_schedule(config.t_end, 1.0, None, ())\n"
+            "def run(config):\n"
+            "    steps, dt, record = plan = schedule(config)\n"
+            "    return plan\n"
+        ),
         "profile1d.py": (
             "from .stepping import step_schedule\n"
             "def schedule(p0, t_end):\n"
@@ -85,6 +92,7 @@ def test_a_second_plan_is_found():
         ),
     }
     assert plan_draws(sources) == [
+        "mdsolver.py:4 in run calls schedule",
         "periodic.py:3 in solve_periodic calls step_schedule",
         "periodic.py:6 in torus_plan calls step_schedule",
         "profile1d.py:5 in evolve_profile calls schedule",
@@ -108,9 +116,10 @@ def test_the_run_hands_the_profile_its_own_plan(monkeypatch):
     handed, evolve = [], mdsolver.evolve_profile
     monkeypatch.setattr(mdsolver, "evolve_profile",
                         lambda *args, **kw: handed.append((args[2:], kw)) or evolve(*args, **kw))
-    traj = mdsolver.run(sc)
+    plan = mdsolver.schedule(sc)
+    traj = mdsolver.run(sc, plan)
     assert traj.planar_at is not None  # the line phase pulls from the same stream
-    assert handed == [((mdsolver.schedule(sc),), {})]
+    assert handed == [((plan,), {})] and handed[0][0][0] is plan
 
 
 def counted(monkeypatch, module, alias):
@@ -133,5 +142,13 @@ def test_a_profile_run_draws_its_plan_once(monkeypatch, tmp_path):
 def test_a_periodic_run_draws_its_plan_once(monkeypatch, tmp_path):
     calls = counted(monkeypatch, periodic, "torus_schedule")
     cfg = dict(experiment="periodic", sizes="8,8")
+    assert cli.run_experiment(cfg, tmp_path) == 0
+    assert len(calls) == 1
+
+
+def test_a_simulate_run_draws_its_plan_once(monkeypatch, tmp_path):
+    calls = counted(monkeypatch, mdsolver, "solver_schedule")
+    cfg = {"experiment": "simulate", "L": "12", "n1": "96", "n_torus": "8", "t_end": "2",
+           "rates.window": "1,2", "w0_modes": "1,1,0.1; 0,2,0.05", "snapshots": "auto"}
     assert cli.run_experiment(cfg, tmp_path) == 0
     assert len(calls) == 1

@@ -39,7 +39,7 @@ def config(text):
 def never_handing_off(monkeypatch, sc):
     with monkeypatch.context() as m:
         m.setattr(mdsolver, "PLANAR_TOL", 0.0)
-        ref = mdsolver.run(sc)
+        ref = mdsolver.run(sc, mdsolver.schedule(sc))
     assert ref.planar_at is None
     return ref
 
@@ -56,7 +56,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
     def test_hand_off_matches_the_full_cylinder_run(self, monkeypatch, text):
         sc = config(text)
-        traj, ref = mdsolver.run(sc), never_handing_off(monkeypatch, sc)
+        traj, ref = mdsolver.run(sc, mdsolver.schedule(sc)), never_handing_off(monkeypatch, sc)
         at = traj.planar_at
         assert at is not None and 0 < at["step"] < traj.steps
         assert at["t"] == at["step"] * traj.dt and at["tau"] < mdsolver.PLANAR_TOL
@@ -76,7 +76,7 @@ class TestStepCount:
         calls, check_cfl = [], mdsolver.check_cfl
         monkeypatch.setattr(mdsolver, "check_cfl",
                             lambda *args: calls.append(args[2]) or check_cfl(*args))
-        traj = mdsolver.run(sc)
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         assert traj.planar_at is not None and traj.planar_at["step"] < traj.steps
         assert len(calls) == traj.steps
         assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
@@ -89,9 +89,9 @@ class TestFarFieldSides:
         # hand-off are the two torus solutions on the run's step grid
         sc = config(text)
         seen, assemble_bundle = [], mdsolver.assemble_bundle
-        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, t, *args: seen.append(
-            (t, [side.copy() for side in w])) or assemble_bundle(w, t, *args))
-        traj = mdsolver.run(sc)
+        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, prof, *args: seen.append(
+            (prof.t, [side.copy() for side in w])) or assemble_bundle(w, prof, *args))
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         assert traj.planar_at is not None and len(seen) > 2
         assert seen[-1][0] == traj.planar_at["t"]
         tspec, _ = far_field_grid(sc.spec)
@@ -109,7 +109,7 @@ class TestLineClock:
     def test_a_nan_on_the_line_aborts_at_the_runs_time(self, monkeypatch):
         # the line march's check sees the whole run's time, not its own
         sc = config(TINY_2D)
-        traj, j = mdsolver.run(sc), 3
+        traj, j = mdsolver.run(sc, mdsolver.schedule(sc)), 3
         k0 = traj.planar_at["step"]
         assert k0 + j < traj.steps
         calls, pinned_line = [], mdsolver.pinned_line
@@ -122,7 +122,7 @@ class TestLineClock:
 
         monkeypatch.setattr(mdsolver, "pinned_line", nan_after_j_steps)
         with pytest.raises(NumericalAbort) as info:
-            mdsolver.run(sc)
+            mdsolver.run(sc, mdsolver.schedule(sc))
         assert info.value.reason == "cfl"
         assert info.value.t == pytest.approx((k0 + j + 1) * traj.dt, rel=1e-15)
 
@@ -138,7 +138,7 @@ class TestLockstepProfile:
                             lambda *args: taken.append(args[-1]) or check_cfl(*args))
         monkeypatch.setattr(mdsolver, "gradient",
                             lambda phi: seen.append((phi.t, len(taken))) or gradient(phi))
-        traj = mdsolver.run(sc)
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         assert traj.planar_at is not None and len(seen) == len(traj.series["t"]) > 2
         assert [steps for _, steps in seen] == [round(t / traj.dt) for t, _ in seen]
 
@@ -148,10 +148,10 @@ class TestWhenToHandOff:
         # k_2 = 0: the cylinder is planar from t = 0, its far field is not
         sc = config(TINY_2D.replace("w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,0,0.1"))
         seen, assemble_bundle = [], mdsolver.assemble_bundle
-        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, t, *args: seen.append(
-            (t, max(float(np.max(np.abs(s - np.mean(s)))) for s in w)))
-            or assemble_bundle(w, t, *args))
-        traj = mdsolver.run(sc)
+        monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, prof, *args: seen.append(
+            (prof.t, max(float(np.max(np.abs(s - np.mean(s)))) for s in w)))
+            or assemble_bundle(w, prof, *args))
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         monkeypatch.undo()
         at = traj.planar_at
         assert at is not None and at["t"] > 0.5
@@ -166,7 +166,7 @@ class TestWhenToHandOff:
         # of 0 must still not hand off
         sc = config(TINY_2D.replace("w0_modes = 1,1,0.1; 0,2,0.05", "v0 = gaussian:0.1,0,2")
                     .replace("snapshots = auto", f"snapshots = {snapshots}"))
-        traj = mdsolver.run(sc)
+        traj = mdsolver.run(sc, mdsolver.schedule(sc))
         first = min(round(t / traj.dt) for t in sc.snapshot_times)
         assert traj.planar_at["step"] == first
         assert_within_gate(traj, never_handing_off(monkeypatch, sc))
@@ -178,7 +178,8 @@ class TestManifest:
         cfg.write_text(TINY_2D)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         at = json.loads((tmp_path / "a" / "manifest.json").read_text())["planar_at"]
-        assert at == mdsolver.run(config(TINY_2D)).planar_at
+        sc = config(TINY_2D)
+        assert at == mdsolver.run(sc, mdsolver.schedule(sc)).planar_at
         assert set(at) == {"step", "t", "tau"}
         monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
