@@ -9,13 +9,14 @@ reads every number with `_number` or `_numbers`, so a bad one is a
 config error that names its key ("<key> must be ..., got '<raw>'").  A
 marching experiment (simulate, profile, periodic) then draws its plan
 once, with its solver's `schedule`, which for simulate is also the one
-check of the cylinder config; the run stage marches that plan.
-`validate` runs the input stage only and rejects what the run would
-reject.  Random fields (decompose, gn-study) come from the config key
-`seed` (an integer >= 0, default 0).  Every file a run writes is
-digested in its manifest (config hash, versions, wall time).  Exit
-codes: 0 ok, 1 config or usage error, 2 numerical abort (CFL or tail
-guard), 3 rate acceptance failure.
+check of the cylinder config; the run stage marches that plan.  A run
+stage returns its verdicts and manifest fields, and `run_experiment`
+then writes the manifest, which digests every file the run wrote
+(config hash, versions, wall time), and exits 3 if a verdict reads
+'fail'.  `validate` runs the input stage only and rejects what the run
+would reject.  Random fields (decompose, gn-study) come from the config
+key `seed` (an integer >= 0, default 0).  Exit codes: 0 ok, 1 config or
+usage error, 2 numerical abort (CFL or tail guard), 3 a failed verdict.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class _Outputs:
         self.outdir = outdir
         self.cfg_text = cfg_text
         self.kind = kind
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         self.files: list[str] = []
 
     def path(self, name: str) -> str:
@@ -272,20 +273,18 @@ class _Outputs:
     def json(self, name: str, obj) -> None:
         write_json(obj, self.path(name))
 
-    def finish(self, extra: dict | None = None) -> str:
+    def finish(self, fields: dict) -> None:
         manifest = {
             "version": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
-            "wall_seconds": time.time() - self.t0,
+            "wall_seconds": time.perf_counter() - self.t0,
             "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},
             "experiment": self.kind,
-            **(extra or {}),
+            **fields,
         }
-        path = os.path.join(self.outdir, "manifest.json")
-        write_json(manifest, path)
-        return path
+        write_json(manifest, os.path.join(self.outdir, "manifest.json"))
 
 
 _PLOT_HEADER = (
@@ -335,13 +334,6 @@ def _rate_report(table, window) -> dict:
     return report
 
 
-def _raise_on_failed(report: dict) -> None:
-    failed = [k for k, v in report.items()
-              if isinstance(v, dict) and v.get("status") == "fail"]
-    if failed:
-        raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
-
-
 def _simulate_inputs(cfg: dict[str, str]):
     """(solver config, plan, fit window), the plan drawn once by the
     solver's `schedule`, which checks the config and raises its findings.
@@ -362,7 +354,7 @@ def _simulate_inputs(cfg: dict[str, str]):
     return sc, plan, window
 
 
-def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> None:
+def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> tuple[dict, dict]:
     traj = run_solver(sc, plan)
     write_norm_table(traj, out.path("norms.csv"))
     report = _rate_report(traj.series, window)
@@ -375,9 +367,8 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> None:
               for which, p in (PHI_SERIES[col] for col in ("phi_linf", "phi_l2", "grad_phi_l2"))}
     _write_decay_plot(out.path("plots.gp"), "norms.csv", NORM_COLUMNS,
                       {**curves, "|u-profile|_inf": "u_minus_profile_linf"}, guides)
-    out.finish({"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant,
-                "planar_at": traj.planar_at})
-    _raise_on_failed(report)
+    return report, {"steps": traj.steps, "dt": traj.dt, "max_courant": traj.max_courant,
+                    "planar_at": traj.planar_at}
 
 
 def _profile_inputs(cfg: dict[str, str]):
@@ -395,7 +386,7 @@ def _profile_inputs(cfg: dict[str, str]):
     return p0, flux, plan
 
 
-def _exp_profile(out: _Outputs, p0, flux, plan) -> None:
+def _exp_profile(out: _Outputs, p0, flux, plan) -> tuple[dict, dict]:
     states = list(evolve_profile(p0, flux, plan))
     write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
@@ -408,7 +399,7 @@ def _exp_profile(out: _Outputs, p0, flux, plan) -> None:
     })
     _write_decay_plot(out.path("plots.gp"), "profile_series.csv", PROFILE_COLUMNS,
                       {"max_slope": "max_slope", "slope_l2": "slope_l2"}, {"slope": -1.0})
-    out.finish()
+    return {}, {}
 
 
 def _periodic_inputs(cfg: dict[str, str]):
@@ -428,7 +419,7 @@ def _periodic_inputs(cfg: dict[str, str]):
     return w0, tspec, flux, ubar, torus_schedule(w0, ubar, flux, tspec, t_end, snaps, dt)
 
 
-def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, plan) -> None:
+def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, plan) -> tuple[dict, dict]:
     states = solve_periodic(w0, ubar, flux, tspec, plan)
     norms = np.array(write_periodic_series(states, out.path("periodic_series.csv")))
     ts = np.array([s.t for s in states])
@@ -446,7 +437,7 @@ def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, plan) -> None:
         fh.write('set datafile separator ","\nset logscale y\n'
                  f'plot "periodic_series.csv" using 1:{sup} with lines title "sup|w|",'
                  f' "" using 1:{grad} with lines title "sup|grad w|"\n')
-    out.finish()
+    return {}, {}
 
 
 def _random_cylinder_field(spec: DomainSpec, rng: np.random.Generator) -> Field:
@@ -480,7 +471,8 @@ def _decompose_inputs(cfg: dict[str, str]):
             *_seeded(cfg))
 
 
-def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rng) -> None:
+def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int,
+                   rng) -> tuple[dict, dict]:
     worst = {"reconstruction": 0.0, "membership": 0.0, "ratio": 0.0}
     for _ in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -501,7 +493,7 @@ def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rn
     out.json("decomposition_suite.json", worst)
     parts = dump_components(decompose(_random_cylinder_field(spec, rng)), out.outdir)
     out.files += ["decomposition.json", *(c["file"] for c in parts["components"])]
-    out.finish({"n_fields": n_fields, "seed": seed})
+    return {}, {"n_fields": n_fields, "seed": seed}
 
 
 def _gn_inputs(cfg: dict[str, str]):
@@ -522,7 +514,7 @@ def _gn_inputs(cfg: dict[str, str]):
 
 
 def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rng,
-                  j, m, p, q, r) -> None:
+                  j, m, p, q, r) -> tuple[dict, dict]:
     rows = []
     for i in range(n_fields):
         f = _random_cylinder_field(spec, rng)
@@ -535,7 +527,7 @@ def _exp_gn_study(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int, rng
         "interpolation_ratio_max": max(row[2] for row in rows),
         "exponents": {"j": j, "m": m, "p": p, "q": q, "r": r},
     })
-    out.finish({"n_fields": n_fields, "seed": seed})
+    return {}, {"n_fields": n_fields, "seed": seed}
 
 
 _PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
@@ -556,7 +548,7 @@ def _counterexample_inputs(cfg: dict[str, str]):
     return n, ds, _PROFILES[name], thetas
 
 
-def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> None:
+def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> tuple[dict, dict]:
     sob = [dilated_sobolev_ratio(d, profile, n) for d in ds]
     write_table(out.path("sobolev_scaling.csv"), ("d", "measured", "predicted", "ratio"),
                 ((row["d"], row["measured"], row["predicted"], row["measured"] / row["predicted"])
@@ -578,7 +570,7 @@ def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> None:
         fh.write('set datafile separator ","\nset logscale xy\n'
                  'plot "sobolev_scaling.csv" using 1:2 title "measured", '
                  f'x**({summary["sobolev_slope_predicted"]}) title "guide"\n')
-    out.finish()
+    return {}, {}
 
 
 def _rates_inputs(cfg: dict[str, str]):
@@ -594,10 +586,9 @@ def _rates_inputs(cfg: dict[str, str]):
     return src, _rate_report(np.genfromtxt(lines, delimiter=",", names=True), _window(cfg))
 
 
-def _exp_rates(out: _Outputs, src: str, report) -> None:
+def _exp_rates(out: _Outputs, src: str, report) -> tuple[dict, dict]:
     write_rate_report(report, out.path("rates.json"))
-    out.finish({"input": src})
-    _raise_on_failed(report)
+    return report, {"input": src}
 
 
 # experiment -> (input stage, run stage)
@@ -664,9 +655,17 @@ def validate(cfg: dict[str, str]) -> list[str]:
 
 
 def run_experiment(cfg: dict[str, str], outdir) -> int:
+    """Run a config's experiment: the input stage, then the run stage, which
+    writes its artifacts to `outdir` and returns (verdicts, manifest fields);
+    then write the manifest and raise RatesFailure if a verdict reads 'fail'."""
     kind, inputs = _inputs(cfg)
     cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
-    _EXPERIMENTS[kind][1](_Outputs(outdir, cfg_text, kind), *inputs)
+    out = _Outputs(outdir, cfg_text, kind)
+    verdicts, fields = _EXPERIMENTS[kind][1](out, *inputs)
+    out.finish(fields)
+    failed = [k for k, v in verdicts.items() if isinstance(v, dict) and v.get("status") == "fail"]
+    if failed:
+        raise RatesFailure(f"rate checks failed: {', '.join(failed)}")
     return 0
 
 

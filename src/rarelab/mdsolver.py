@@ -228,12 +228,11 @@ def schedule(config: SolverConfig):
     except ValueError as e:
         problems.append(str(e))
     try:  # the Courant range: the step bound's own rule
-        max_advective_dt(flux, (spec.dx1,), ul, ur, config.cfl)
+        dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi, config.cfl)
     except ValueError as e:
         problems.append(str(e))
     if problems:
         raise ConfigError("; ".join(problems))
-    dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi, config.cfl)
     return step_schedule(config.t_end, dt_max, config.dt, config.snapshot_times)
 
 

@@ -342,8 +342,9 @@ class TestStartUp:
                   f"inputs, run = cli._EXPERIMENTS[{command!r}]\n"
                   "def spy(*args):\n"
                   "    before = set(sys.modules)\n"
-                  "    run(*args)\n"
+                  "    result = run(*args)\n"
                   "    print(sorted(set(sys.modules) - before))\n"
+                  "    return result\n"
                   f"cli._EXPERIMENTS[{command!r}] = (inputs, spy)\n"
                   f"print(cli.main({args!r}), 'numpy.random' in sys.modules)\n")
         assert run_fresh(script).splitlines() == [

@@ -81,6 +81,27 @@ class TestValidation:
         found = str(exc.value).split("; ")
         assert [f.split()[0] for f in found] == ["need", "1/dx1", "cfl"]
 
+    def test_one_stable_step_per_schedule(self, monkeypatch):
+        calls, bound = [], mdsolver.max_advective_dt
+        monkeypatch.setattr(mdsolver, "max_advective_dt",
+                            lambda *args: calls.append(args[1:4]) or bound(*args))
+        sc = small_config()
+        _, dt, _ = schedule(sc)
+        # one call, over the disturbed range with every spacing; its bound is the step's
+        assert calls == [((sc.spec.dx1, *sc.spec.dx_torus), -0.6, 0.6)]
+        assert dt <= bound(sc.flux, calls[0][0], -0.6, 0.6, sc.cfl)
+
+    @pytest.mark.parametrize("kw, tail", [
+        (dict(ul=0.7, ur=1e155), ["the wave speed on [0.6, 1e+155] is not finite"]),
+        (dict(ul=0.7, ur=1.2, w0_modes=((1, 1, 1e200),)),
+         ["f_1'' dips to -2e+200 < a0 = 1 on [-1e+200, 1e+200]",
+          "the wave speed on [-1e+200, 1e+200] is not finite"]),
+    ])
+    def test_a_wave_speed_that_overflows_names_the_disturbed_range(self, kw, tail):
+        with np.errstate(over="ignore"), pytest.raises(ConfigError) as exc:
+            schedule(small_config(flux=cubic(2), **kw))
+        assert str(exc.value).split("; ")[-len(tail):] == tail
+
     @pytest.mark.parametrize("kw, message", [
         (dict(t_end=0.0, snapshot_times=()), "t_end must exceed the start time 0, got 0"),
         (dict(dt=-0.01), "dt must be positive"),
