@@ -11,14 +11,12 @@ check; it exercises every term of the closed form.
 
 The ansatz reads the solver's far-field sides, left and right, through
 the row map of `far_field_grid`.  Formula-side derivatives are taken
-spectrally on the torus grid (exact for resolved modes).  The weight and
-its slope come from `profile1d.ProfileSpline`, a not-a-knot cubic spline
-of the profile on any grid whose nodal slopes solve one tridiagonal
-system with LAPACK ``dgtsv``: the cylinder run passes the profile on its
-own x1 grid, the residual check a finer one, where the closed form is
-then more accurate than the finite-difference residual it is checked
-against.  The cylinder run reads only `u_tilde` and `h` of a bundle; the
-weight, its slope and the spline's profile values serve the checks.
+spectrally on the torus grid (exact for resolved modes).  The ansatz
+reads the profile at its own nodes, which must be the cylinder's x1
+cells: the weight is the profile itself rescaled onto (0, 1), and its
+slope the nodal slope of the profile's not-a-knot cubic spline, one
+tridiagonal solve in `profile1d.ProfileSpline`.  A bundle keeps only
+what the run and the residual check read: the ansatz and its defect.
 """
 
 from __future__ import annotations
@@ -49,11 +47,8 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 @dataclass(frozen=True)
 class AnsatzBundle:
-    """Everything the perturbation bookkeeping needs at one instant."""
+    """The ansatz and its closed-form defect at one instant."""
 
-    g: np.ndarray              # mixing weight on the x1 axis, in (0, 1)
-    dg: np.ndarray             # its x1 slope, non-negative up to roundoff
-    profile_values: np.ndarray # 1-d profile sampled on the x1 axis
     u_tilde: Field
     h: Field
     t: float
@@ -98,22 +93,26 @@ def far_field_grid(spec: DomainSpec) -> tuple[TorusSpec, np.ndarray]:
 
 
 def _ansatz_and_defect(far, profile, flux, dspec):
-    """(g, dg, profile values, ansatz values, defect values) at profile.t.
+    """(ansatz values, defect values) at profile.t.
 
     `far` is the pair (left, right) of far-field sides, each a field on
-    the torus of `far_field_grid(dspec)`.  Every term of the defect
-    carries either a disturbance factor or the distance of the ansatz
-    from the bare profile, so the defect inherits the exponential decay
-    of the torus disturbances.
+    the torus of `far_field_grid(dspec)`, and `profile` lives on the x1
+    line of `dspec`.  Every term of the defect carries either a
+    disturbance factor or the distance of the ansatz from the bare
+    profile, so the defect inherits the exponential decay of the torus
+    disturbances.
     """
     tspec, rows = far_field_grid(dspec)
     if [np.shape(side) for side in far] != [tspec.sizes] * 2:
         raise ValueError(f"far field shape {[np.shape(s) for s in far]} != 2 x {tspec.sizes}")
-    # the weight is the profile rescaled onto (0, 1), from one spline build
-    spline = ProfileSpline(make_grid(profile.spec).x1, profile.values, profile.ul, profile.ur)
-    x1, span = make_grid(dspec).x1, profile.ur - profile.ul
-    prof = spline.value(x1)
-    g, dg = (prof - profile.ul) / span, spline.slope(x1) / span
+    line = profile.spec
+    if (line.L, line.n1) != (dspec.L, dspec.n1):
+        raise ValueError(f"profile line (L, n1) = ({line.L}, {line.n1}) is not the x1 grid "
+                         f"({dspec.L}, {dspec.n1}) of the cylinder")
+    # the weight is the profile rescaled onto (0, 1), read at its nodes
+    prof, span = profile.values, profile.ur - profile.ul
+    g = (prof - profile.ul) / span
+    dg = ProfileSpline(make_grid(line).x1, prof).slopes / span
 
     bshape = (-1,) + (1,) * (dspec.n - 1)
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
@@ -143,23 +142,20 @@ def _ansatz_and_defect(far, profile, flux, dspec):
 
     ddiff = spectral_derivative(wr - wl, 0)[cells]
     h -= 2.0 * ddiff * dgg
-    return g, dg, prof, utild, h
+    return utild, h
 
 
 def source_term(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> Field:
     """Closed-form defect of the ansatz under the conservation law at profile.t."""
-    *_, h = _ansatz_and_defect(far, profile, flux, dspec)
+    _, h = _ansatz_and_defect(far, profile, flux, dspec)
     return Field(dspec, h, t=profile.t)
 
 
 def assemble_bundle(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> AnsatzBundle:
     """The ansatz and its defect at profile.t, the time of the far field."""
-    g, dg, prof, utild, h = _ansatz_and_defect(far, profile, flux, dspec)
+    utild, h = _ansatz_and_defect(far, profile, flux, dspec)
     t = profile.t
-    return AnsatzBundle(
-        g=g, dg=dg, profile_values=prof, u_tilde=Field(dspec, utild, t=t),
-        h=Field(dspec, h, t=t), t=t,
-    )
+    return AnsatzBundle(u_tilde=Field(dspec, utild, t=t), h=Field(dspec, h, t=t), t=t)
 
 
 def discrete_residual(

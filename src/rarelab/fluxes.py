@@ -36,7 +36,8 @@ class FluxSet:
 
     def check_convexity(self, umin: float, umax: float) -> None:
         """Verify f_1''(u) >= A0 on [umin, umax] at 2001 samples."""
-        low = float(np.min(self.d2f[0](np.linspace(umin, umax, 2001))))
+        with np.errstate(over="ignore"):  # an overflowing range is judged, not warned about
+            low = float(np.min(self.d2f[0](np.linspace(umin, umax, 2001))))
         if low < A0 - 1e-12:
             raise ValueError(f"f_1'' dips to {low:.6g} < a0 = {A0:.6g} on [{umin}, {umax}]")
 

@@ -205,7 +205,8 @@ def schedule(config: SolverConfig):
             )
 
     try:
-        speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
+        with np.errstate(over="ignore"):  # a non-finite speed is a finding, not a warning
+            speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
         if spec.L < speed * config.t_end + 10.0:
             problems.append(
                 f"L = {spec.L} < fan speed {speed:.3g} * t_end + margin 10 = "

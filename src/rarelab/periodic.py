@@ -128,12 +128,12 @@ def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end:
              snapshot_times, dt: float | None = None):
     """(steps, dt, record_indices) of a torus run from ubar + w0: `step_schedule`
     under the CFL bound (Courant number `CFL`) of the data's range.  The
-    disturbance must average to zero (to 1e-12): a nonzero average belongs
-    in the background constant, not the disturbance."""
-    mean = float(np.mean(w0))
-    if abs(mean) > 1e-12:
+    disturbance must average to zero, to 1e-12 of its largest value, so
+    that roundoff in the mean of a large one passes: a nonzero average
+    belongs in the background constant, not the disturbance."""
+    mean, amp = float(np.mean(w0)), float(np.max(np.abs(w0)))
+    if abs(mean) > 1e-12 * amp:
         raise ConfigError(f"disturbance mean {mean:.3e} violates the zero-average requirement")
-    amp = float(np.max(np.abs(w0)))
     dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, CFL)
     return step_schedule(t_end, dt_max, dt, snapshot_times)
 

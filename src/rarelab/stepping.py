@@ -279,7 +279,8 @@ def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: flo
     """Largest dt honouring the advective CFL number, which must lie in (0, 0.5]."""
     if not 0.0 < cfl <= 0.5:
         raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
-    rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
+    with np.errstate(over="ignore"):  # a non-finite speed is the error below, not a warning
+        rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
     if not math.isfinite(rate):
         raise ValueError(f"the wave speed on [{umin:g}, {umax:g}] is not finite")
     return np.inf if rate == 0.0 else cfl / rate

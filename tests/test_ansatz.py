@@ -21,8 +21,9 @@ from rarelab.profile1d import ProfileSpline, evolve_profile, make_initial_state
 from rarelab.stepping import CFL
 
 
-def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
-    """Evolve the stacked far field and the profile to matching instants."""
+def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None):
+    """Evolve the stacked far field and the profile on the cylinder's x1
+    grid to matching instants."""
     flux = burgers(dspec.n)
     tspec, _ = far_field_grid(dspec)
     w0 = amp * trig_polynomial([(1,) * dspec.n + (1.0,)], tspec.coordinates())
@@ -31,7 +32,7 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     sl, sr = (solve_periodic(w0, ubar, flux, tspec,
                              periodic.schedule(w0, ubar, flux, tspec, times[-1], times, dt))
               for ubar in (-0.5, 0.5))
-    p0 = make_initial_state(dspec.L, dspec.n1 * refine, -0.5, 0.5)
+    p0 = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
     dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur, CFL)
     plan = stepping.step_schedule(times[-1], dt_max, dt, times)
     ps = list(evolve_profile(p0, burgers(1), plan))
@@ -39,12 +40,17 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None, refine=8):
     return [np.stack([a.values, b.values]) for a, b in zip(sl, sr)], ps, flux
 
 
-def weight_problems(bundle) -> list[str]:
+def weight(profile):
+    """The ansatz's mixing weight: the profile rescaled onto (0, 1)."""
+    return (profile.values - profile.ul) / (profile.ur - profile.ul)
+
+
+def weight_problems(g) -> list[str]:
     """The mixing weight must lie in (0, 1) and increase along x1."""
     problems = []
-    if not (np.all(bundle.g > 0.0) and np.all(bundle.g < 1.0)):
+    if not (np.all(g > 0.0) and np.all(g < 1.0)):
         problems.append("mixing weight leaves (0, 1)")
-    if np.any(np.diff(bundle.g) < 0.0):
+    if np.any(np.diff(g) < 0.0):
         problems.append("mixing weight is not increasing")
     return problems
 
@@ -64,22 +70,19 @@ def flat_bundle(dspec, profile):
 class TestMixingWeight:
     def test_range_monotone_and_center(self):
         dspec = DomainSpec(n=2, L=20, n1=800, n_torus=(8,))
-        bundle = flat_bundle(dspec, make_initial_state(L=20.0, n1=1600, ul=-0.5, ur=0.5))
-        g, dg = bundle.g, bundle.dg
+        prof = make_initial_state(L=20.0, n1=800, ul=-0.5, ur=0.5)
+        x1 = make_grid(dspec).x1
+        g, dg = weight(prof), ProfileSpline(x1, prof.values).slopes / (prof.ur - prof.ul)
+        # the flat bundle blends its two constant states with exactly this weight
+        assert np.array_equal(flat_bundle(dspec, prof).u_tilde.values[:, 0],
+                              prof.ul * (1.0 - g) + prof.ur * g)
         assert np.all((g >= 0.0) & (g <= 1.0))
         assert np.all(np.diff(g) >= -1e-14)
-        # in the far tails the spline's slope is roundoff, down to -5e-16
-        assert np.all(dg[np.abs(make_grid(dspec).x1) <= 15.0] >= 0.0)
+        # in the far tails the spline's slope is roundoff, down to -3.9e-16
+        assert np.all(dg[np.abs(x1) <= 15.0] >= 0.0)
         # odd-symmetric data on a symmetric grid: g(x) + g(-x) = 1, so the
         # weight is 1/2 at the origin
         assert np.max(np.abs(g + g[::-1] - 1.0)) < 1e-12
-
-    def test_saturates_outside(self):
-        p0 = make_initial_state(L=10.0, n1=400, ul=-0.5, ur=0.5)
-        spline = ProfileSpline(make_grid(p0.spec).x1, p0.values, p0.ul, p0.ur)
-        x = np.array([-50.0, 50.0])
-        assert np.array_equal(spline.value(x), [p0.ul, p0.ur])
-        assert np.array_equal(spline.slope(x), [0.0, 0.0])
 
 
 class TestFluxCurvatureAverage:
@@ -138,15 +141,15 @@ class TestAnsatzAssembly:
         dspec = DomainSpec(n=2, L=10, n1=200, n_torus=(10,))
         prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
         bundle = flat_bundle(dspec, prof)
-        prof_b = bundle.profile_values[:, None]
+        prof_b = prof.values[:, None]
         assert np.max(np.abs(bundle.u_tilde.values - prof_b)) < 1e-14
         assert lp_norm(bundle.h, np.inf) < 1e-13
-        assert not weight_problems(bundle)
+        assert not weight_problems(weight(prof))
 
     def test_convex_combination_bounds(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(8,))
         fars, ps, flux = coupled_states(
-            DomainSpec(n=2, L=5, n1=100, n_torus=(8,)), t0=0.05, dt=2.5e-3, refine=2)
+            DomainSpec(n=2, L=5, n1=100, n_torus=(8,)), t0=0.05, dt=2.5e-3)
         u_tilde = assemble_bundle(fars[0], ps[0], flux, dspec).u_tilde
         far, cells = fars[0], far_field_grid(dspec)[1][2:-2]
         lo = np.minimum(far[0][cells], far[1][cells])
@@ -162,6 +165,23 @@ class TestAnsatzAssembly:
                     flat_far(DomainSpec(n=2, L=4, n1=32, n_torus=(8,)))):
             with pytest.raises(ValueError, match="far field shape"):
                 assemble_bundle(bad, prof, burgers(2), dspec)
+
+    @pytest.mark.parametrize("L, n1", [(4, 128), (4, 32), (5, 80)])
+    def test_profile_on_another_line_rejected(self, L, n1):
+        # the ansatz reads the profile at its nodes; it interpolates nothing
+        dspec = DomainSpec(n=2, L=4, n1=64, n_torus=(8,))
+        with pytest.raises(ValueError, match="is not the x1 grid"):
+            flat_bundle(dspec, make_initial_state(L, n1, -0.5, 0.5))
+
+    def test_weight_is_the_rescaled_profile_at_every_node(self):
+        # far states 0 and 1 make the ansatz 0 * (1 - g) + 1 * g = g exactly
+        dspec = DomainSpec(n=2, L=6, n1=96, n_torus=(8,))
+        p0 = make_initial_state(dspec.L, dspec.n1, -1.0, 3.0)
+        prof = dataclasses.replace(p0, values=p0.values + 0.01 * np.sin(make_grid(dspec).x1))
+        far = flat_far(dspec, 0.0, 1.0)
+        u_tilde = assemble_bundle(far, prof, burgers(2), dspec).u_tilde.values
+        g = (prof.values - prof.ul) / (prof.ur - prof.ul)
+        assert np.array_equal(u_tilde, np.broadcast_to(g[:, None], dspec.shape))
 
 
 class TestSourceTerm:
@@ -179,8 +199,7 @@ class TestSourceTerm:
             scale = 2**level
             dspec = DomainSpec(n=2, L=10, n1=200 * scale, n_torus=(10 * scale,))
             delta = 0.02 / scale
-            fars, ps, flux = coupled_states(dspec, t0=0.1, delta=delta,
-                                            dt=delta / 8, refine=8)
+            fars, ps, flux = coupled_states(dspec, t0=0.1, delta=delta, dt=delta / 8)
             bundles = [assemble_bundle(far, p, flux, dspec) for far, p in zip(fars, ps)]
             mismatches.append(residual_mismatch(*bundles, flux))
         order = np.log2(mismatches[0] / mismatches[1])
@@ -188,14 +207,14 @@ class TestSourceTerm:
 
     def test_residual_needs_equispaced_snapshots(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
-        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
+        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3)
         b = assemble_bundle(fars[0], ps[0], flux, dspec)
         with pytest.raises(ValueError):
             discrete_residual(b, b, b, flux)
 
     def test_residual_needs_increasing_times(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
-        fars, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3, refine=2)
+        fars, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3)
         b0, b1, b2 = (assemble_bundle(far, p, flux, dspec) for far, p in zip(fars, ps))
         for triple in ((b1, b1, b1), (b2, b1, b0), (b0, b1, b1)):
             with pytest.raises(ValueError, match="strictly increase"):
@@ -205,7 +224,7 @@ class TestSourceTerm:
 
     def test_bundle_builds_one_spline_and_matches_public_pieces(self, monkeypatch):
         dspec = DomainSpec(n=3, L=5, n1=100, n_torus=(6, 8))
-        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3, refine=2)
+        fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3)
         builds = []
 
         class CountingSpline(ansatz.ProfileSpline):
@@ -216,12 +235,10 @@ class TestSourceTerm:
         monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
         bundle = assemble_bundle(fars[0], ps[0], flux, dspec)
         assert len(builds) == 1
-        nodes = (make_grid(ps[0].spec).x1, ps[0].values, ps[0].ul, ps[0].ur)
-        spline, x1 = ProfileSpline(*nodes), make_grid(dspec).x1
-        span = ps[0].ur - ps[0].ul
-        g = (spline.value(x1) - ps[0].ul) / span
-        assert np.array_equal(bundle.g, g)
-        assert np.array_equal(bundle.dg, spline.slope(x1) / span)
+        # built once, from the profile at its own nodes, the cylinder's x1 cells
+        x1, values = builds[0]
+        assert np.array_equal(x1, make_grid(dspec).x1) and np.array_equal(values, ps[0].values)
+        g = weight(ps[0])
         gg = g.reshape(-1, 1, 1)
         far, cells = fars[0], far_field_grid(dspec)[1][2:-2]
         ul, ur = far[0][cells], far[1][cells]

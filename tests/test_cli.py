@@ -495,6 +495,23 @@ class TestTorusAndProfileConfigs:
         assert run_cli(tmp_path, "simulate", text) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lines, finding", [
+        ("ul = 0.7\nur = 1e155\nL = 12\nn1 = 96\nw0_modes = 1,1,0.1",
+         "L = 12.0 < fan speed inf * t_end + margin 10 = inf: the fan would reach the "
+         "boundary; the wave speed on [0.6, 1e+155] is not finite"),
+        ("ul = 0.7\nur = 1.2\nL = 16\nn1 = 128\nw0_modes = 1,1,1e200",
+         "f_1'' dips to -2e+200 < a0 = 1 on [-1e+200, 1e+200]; the wave speed on "
+         "[-1e+200, 1e+200] is not finite"),
+        ("ul = 0.7\nur = 1.7e308\nL = 12\nn1 = 96\nw0_modes = 1,1,0.1",
+         "L = 12.0 < fan speed inf * t_end + margin 10 = inf: the fan would reach the "
+         "boundary; the wave speed on [0.6, 1.7e+308] is not finite"),
+    ], ids=["fan-speed", "disturbed-range", "curvature"])
+    def test_an_overflowing_range_is_a_finding_not_a_warning(self, lines, finding):
+        # numpy's overflow warning once reached stderr ahead of these findings
+        text = f"experiment = simulate\ndim = 2\nflux = cubic\nn_torus = 8\nt_end = 0.5\n{lines}\n"
+        assert cli.validate(cli.parse_config(text)) == [finding]
+
     @pytest.mark.parametrize("content, line, message", [
         ("t,phi_l1\n1\n2,3,4\n", "", "got 3 columns instead of 2"),
         ("", "", "holds no rows"),
@@ -526,6 +543,8 @@ class TestTorusAndProfileConfigs:
     @pytest.mark.parametrize("text", [
         "experiment = periodic\nsizes = 8,8\nt_end = 0.05\n",
         "experiment = periodic\nsizes = 8,8\nt_end = 0.05\nw0_modes = 3,1,0.1\n",
+        # each row averages to zero; the grid mean is -1e-12, roundoff of the 1e4 row
+        "experiment = periodic\nsizes = 8,8\nw0_modes = 0,3,1e4; 1,1,0.1\nt_end = 0.01\n",
         "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\n",
         TINY_SIMULATE,
         TINY_SIMULATE_3D,

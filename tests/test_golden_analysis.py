@@ -54,9 +54,7 @@ def seeded_field(spec: DomainSpec, seed: int, t: float = 0.0) -> Field:
 
 
 def _bundle(u: Field) -> AnsatzBundle:
-    line = np.zeros(u.spec.n1)
-    return AnsatzBundle(g=line, dg=line, profile_values=line, u_tilde=u,
-                        h=u.with_values(np.zeros(u.spec.shape)), t=u.t)
+    return AnsatzBundle(u_tilde=u, h=u.with_values(np.zeros(u.spec.shape)), t=u.t)
 
 
 def analysis_values() -> dict[str, float]:
