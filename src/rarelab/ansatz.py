@@ -17,6 +17,11 @@ cells: the weight is the profile itself rescaled onto (0, 1), and its
 slope the nodal slope of the profile's not-a-knot cubic spline, one
 tridiagonal solve in `profile1d.ProfileSpline`.  A bundle keeps only
 what the run and the residual check read: the ansatz and its defect.
+
+The defect averages f'' between the far-field states at every cell; a
+constant f'' (Burgers') is summed once and broadcast.  The defect is
+built in place: a record peaks at five cylinder fields, the ansatz,
+the jump Ur - Ul, the mixed term, the defect and one temporary.
 """
 
 from __future__ import annotations
@@ -59,7 +64,17 @@ def mean_flux_curvature(d2f, a, b):
 
     Five-point Gauss-Legendre on the unit interval: exact whenever f''
     is a polynomial of degree <= 9, and spectrally accurate otherwise.
+    A constant f'' (one `fluxes` marks, as Burgers' is) is summed once,
+    on its value: the same weighted sum in the same order as each cell
+    of the array path, so the float returned broadcasts to it bitwise
+    and no array of the segments' shape is made.
     """
+    c = getattr(d2f, "constant", None)
+    if c is not None:
+        acc = 0.0
+        for w in _GL_WEIGHTS:
+            acc += w * c
+        return float(acc)
     b = np.asarray(b, dtype=float)
     span = np.asarray(a, dtype=float) - b
     acc = np.zeros(span.shape)
@@ -117,31 +132,44 @@ def _ansatz_and_defect(far, profile, flux, dspec):
     bshape = (-1,) + (1,) * (dspec.n - 1)
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
 
+    # built in place, each product in its formula's order, so bitwise
+    # the same: Ul and Ur are freed once the curvatures are taken
     cells = rows[2:-2]
+
+    def on_cells(side, axis, out):
+        # "clip": the rows are in range, and "raise" buffers a copy of out
+        return np.take(spectral_derivative(side, axis), cells, axis=0, out=out, mode="clip")
+
     Ul, Ur = far[0][cells], far[1][cells]
-    utild = Ul * (1.0 - gg) + Ur * gg
+    utild = Ul * (1.0 - gg)
+    tmp = Ur * gg
+    utild += tmp
+    curvatures = dict.fromkeys(flux.d2f[:dspec.n])
+    for d2f in curvatures:
+        curvatures[d2f] = [mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
+    jump = np.subtract(Ur, Ul, out=Ur)
+    del Ul, Ur
 
     wl = far[0] - profile.ul
     wr = far[1] - profile.ur
-
-    curvatures = {}
     mix = np.zeros_like(utild)
     for axis in range(dspec.n):
-        d2f = flux.d2f[axis]
-        if d2f not in curvatures:
-            curvatures[d2f] = [mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
-        curv_l, curv_r = curvatures[d2f]
-        dwl = spectral_derivative(wl, axis)[cells]
-        dwr = spectral_derivative(wr, axis)[cells]
-        mix += curv_l * dwl
-        mix -= curv_r * dwr
-    h = (Ur - Ul) * gg * (1.0 - gg) * mix
+        curv_l, curv_r = curvatures[flux.d2f[axis]]
+        mix += np.multiply(curv_l, on_cells(wl, axis, tmp), out=tmp)
+        mix -= np.multiply(curv_r, on_cells(wr, axis, tmp), out=tmp)
+    h = jump * gg
+    h *= 1.0 - gg
+    h *= mix
 
     curv1 = mean_flux_curvature(flux.d2f[0], pp, utild)
-    h += (Ur - Ul) * curv1 * (utild - pp) * dgg
+    jump *= curv1
+    jump *= np.subtract(utild, pp, out=mix)
+    jump *= dgg
+    h += jump
 
-    ddiff = spectral_derivative(wr - wl, 0)[cells]
-    h -= 2.0 * ddiff * dgg
+    ddiff = np.multiply(2.0, on_cells(wr - wl, 0, tmp), out=tmp)
+    ddiff *= dgg
+    h -= ddiff
     return utild, h
 
 

@@ -43,7 +43,11 @@ class FluxSet:
 
 
 def _const(c: float) -> FluxFn:
-    return lambda u: np.full_like(np.asarray(u, dtype=float), c)
+    """u -> c everywhere, marked: its `constant` attribute carries c, so
+    `ansatz.mean_flux_curvature` averages a constant f'' once, not per cell."""
+    fn = lambda u: np.full_like(np.asarray(u, dtype=float), c)
+    fn.constant = c
+    return fn
 
 
 def burgers(n: int) -> FluxSet:

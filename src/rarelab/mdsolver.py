@@ -142,18 +142,23 @@ class Trajectory:
 
 
 def trig_polynomial(modes, coords) -> np.ndarray:
-    """Sample sum over rows of amp * prod sin(2 pi k_d x_d) on a grid."""
-    mesh = np.meshgrid(*coords, indexing="ij")
-    shape = mesh[0].shape if len(mesh) == 1 else np.broadcast(*mesh).shape
-    out = np.zeros(shape)
+    """Sample sum over rows of amp * prod sin(2 pi k_d x_d) on a grid.
+
+    Each sine is taken on its own coordinate vector and the factors
+    multiply by broadcasting, in the order amp * s_1 * s_2 ...: each
+    value is bitwise that of the product over full coordinate meshes,
+    and no full-grid coordinate or sine is made."""
+    n = len(coords)
+    out = np.zeros(tuple(len(x) for x in coords))
     for row in modes:
         *ks, amp = row
-        if len(ks) != len(mesh):
-            raise ValueError(f"mode row {row} needs {len(mesh)} wavenumbers + amplitude")
-        term = np.full(shape, float(amp))
-        for k, x in zip(ks, mesh):
-            if k != 0:
-                term = term * np.sin(2.0 * np.pi * k * x)
+        if len(ks) != n:
+            raise ValueError(f"mode row {row} needs {n} wavenumbers + amplitude")
+        term = float(amp)
+        for axis, (k, x) in enumerate(zip(ks, coords)):
+            if k != 0:  # the sine along `axis`, broadcast over the later axes
+                s = np.sin(2.0 * np.pi * k * np.asarray(x))
+                term = term * s.reshape((-1,) + (1,) * (n - 1 - axis))
         out += term
     return out
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarelab import ansatz, periodic, stepping
 
@@ -14,10 +15,10 @@ from rarelab.ansatz import (
     source_term,
 )
 from rarelab.domain import DomainSpec, lp_norm, make_grid
-from rarelab.fluxes import burgers, cubic
+from rarelab.fluxes import _const, burgers, cubic, linear_flux
 from rarelab.mdsolver import trig_polynomial
-from rarelab.periodic import solve_periodic
-from rarelab.profile1d import ProfileSpline, evolve_profile, make_initial_state
+from rarelab.periodic import solve_periodic, spectral_derivative
+from rarelab.profile1d import ProfileSpline, ProfileState, evolve_profile, make_initial_state
 from rarelab.stepping import CFL
 
 
@@ -108,6 +109,120 @@ class TestFluxCurvatureAverage:
         a, b = 1.3, -0.4
         exact = ((a - b) and (a**10 - b**10) / (10 * (a - b)))
         assert mean_flux_curvature(d2f, a, b) == pytest.approx(exact, rel=1e-13)
+
+
+def reference_mean_flux_curvature(d2f, a, b):
+    """`mean_flux_curvature` as it was before a constant f'' was summed
+    once: every f'' evaluated on the five nodes of every segment."""
+    b = np.asarray(b, dtype=float)
+    span = np.asarray(a, dtype=float) - b
+    acc = np.zeros(span.shape)
+    x = np.empty(span.shape)
+    for theta, w in zip(ansatz._GL_NODES, ansatz._GL_WEIGHTS):
+        np.multiply(span, theta, out=x)
+        x += b
+        acc += w * np.asarray(d2f(x), dtype=float)
+    return acc if acc.ndim else float(acc)
+
+
+def reference_ansatz_and_defect(far, profile, flux, dspec):
+    """`ansatz._ansatz_and_defect` as it was before it was built in
+    place, with full-grid curvatures: the reference it must reproduce
+    bitwise (its input checks left out)."""
+    tspec, rows = far_field_grid(dspec)
+    prof, span = profile.values, profile.ur - profile.ul
+    g = (prof - profile.ul) / span
+    dg = ProfileSpline(make_grid(profile.spec).x1, prof).slopes / span
+
+    bshape = (-1,) + (1,) * (dspec.n - 1)
+    gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
+
+    cells = rows[2:-2]
+    Ul, Ur = far[0][cells], far[1][cells]
+    utild = Ul * (1.0 - gg) + Ur * gg
+
+    wl = far[0] - profile.ul
+    wr = far[1] - profile.ur
+
+    curvatures = {}
+    mix = np.zeros_like(utild)
+    for axis in range(dspec.n):
+        d2f = flux.d2f[axis]
+        if d2f not in curvatures:
+            curvatures[d2f] = [reference_mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
+        curv_l, curv_r = curvatures[d2f]
+        dwl = spectral_derivative(wl, axis)[cells]
+        dwr = spectral_derivative(wr, axis)[cells]
+        mix += curv_l * dwl
+        mix -= curv_r * dwr
+    h = (Ur - Ul) * gg * (1.0 - gg) * mix
+
+    curv1 = reference_mean_flux_curvature(flux.d2f[0], pp, utild)
+    h += (Ur - Ul) * curv1 * (utild - pp) * dgg
+
+    ddiff = spectral_derivative(wr - wl, 0)[cells]
+    h -= 2.0 * ddiff * dgg
+    return utild, h
+
+
+def bitwise_equal(got, want) -> bool:
+    """Equal values, signs of zero included."""
+    got = np.broadcast_to(got, np.shape(want))
+    return bool(np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+REFERENCE_FLUXES = {
+    "burgers": (burgers, -0.5, 0.5),
+    "cubic": (cubic, 0.7, 1.2),
+    "linear_flux": (lambda n: linear_flux(n, [1.0, -0.5, 2.0][:n]), -0.5, 0.5),
+}
+
+
+class TestBuiltInPlaceReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_torus=st.lists(st.integers(4, 7), min_size=0, max_size=2),
+        m1=st.sampled_from([4, 8]),
+        flux_name=st.sampled_from(sorted(REFERENCE_FLUXES)),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ansatz_and_defect_are_bitwise_the_reference(self, n_torus, m1, flux_name, flat,
+                                                         seed):
+        # 1-d, 2-d and 3-d; a flat far field makes every derivative and
+        # mix exactly zero, so the signs of those zeros are compared too
+        make_flux, ul, ur = REFERENCE_FLUXES[flux_name]
+        dspec = DomainSpec(n=1 + len(n_torus), L=2, n1=4 * m1, n_torus=n_torus)
+        tspec, _ = far_field_grid(dspec)
+        rng = np.random.default_rng(seed)
+        far = np.stack([np.full(tspec.sizes, u) for u in (ul, ur)])
+        if not flat:
+            far += 0.2 * rng.standard_normal(far.shape)
+        p0 = make_initial_state(dspec.L, dspec.n1, ul, ur)
+        prof = ProfileState(p0.spec, p0.values + 0.05 * rng.standard_normal(dspec.n1),
+                            t=0.5, ul=ul, ur=ur)
+        flux = make_flux(dspec.n)
+        got = ansatz._ansatz_and_defect(far, prof, flux, dspec)
+        want = reference_ansatz_and_defect(far, prof, flux, dspec)
+        assert all(bitwise_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.sampled_from([1.0, 0.0, -0.0, 2.5]),
+        shape=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_constant_curvature_broadcasts_to_the_array_path(self, c, shape, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape) for _ in "ab")
+        d2f = _const(c)
+        got = mean_flux_curvature(d2f, a, b)
+        assert isinstance(got, float)
+        assert bitwise_equal(got, reference_mean_flux_curvature(d2f, a, b))
+        # the same function unmarked takes the array path itself
+        unmarked = lambda u: d2f(u)
+        assert bitwise_equal(mean_flux_curvature(unmarked, a, b),
+                             reference_mean_flux_curvature(d2f, a, b))
 
 
 class TestTiling:

@@ -130,7 +130,51 @@ class TestModeRule:
         assert "integer" in found[-1] and "(4, 8) points" in found[0]
 
 
+def meshgrid_trig_polynomial(modes, coords):
+    """trig_polynomial as it was evaluated before its sines broadcast:
+    every factor on full coordinate meshes, the reference it must
+    reproduce bitwise."""
+    mesh = np.meshgrid(*coords, indexing="ij")
+    shape = mesh[0].shape if len(mesh) == 1 else np.broadcast(*mesh).shape
+    out = np.zeros(shape)
+    for *ks, amp in modes:
+        term = np.full(shape, float(amp))
+        for k, x in zip(ks, mesh):
+            if k != 0:
+                term = term * np.sin(2.0 * np.pi * k * x)
+        out += term
+    return out
+
+
 class TestTrigPolynomial:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 24), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_bitwise_the_meshgrid_evaluation(self, sizes, data):
+        # 1-d to 3-d; rows with zero and negative wavenumbers, an all-zero
+        # row included, and the half-cell offset of the far-field grid
+        n = len(sizes)
+        row = st.tuples(*[st.integers(-3, 3)] * n,
+                        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+        modes = data.draw(st.lists(row, max_size=4))
+        offset = data.draw(st.sampled_from([0.0, 0.5]))
+        coords = tuple((np.arange(m) + offset) / m for m in sizes)
+        got = trig_polynomial(modes, coords)
+        want = meshgrid_trig_polynomial(modes, coords)
+        assert got.shape == want.shape == tuple(sizes)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_the_bench_grids_bitwise(self):
+        rows = {2: [(1, 1, 0.1), (0, 2, 0.05), (-1, 0, 0.3)],
+                3: [(1, 1, 1, 0.1), (0, 1, 2, 0.05), (0, -2, 0, 0.02)]}
+        for coords in ((np.linspace(-80, 80, 3200), np.arange(20) / 20),
+                       (np.linspace(-12, 12, 192), np.arange(16) / 16, np.arange(16) / 16)):
+            modes = rows[len(coords)]
+            assert np.array_equal(trig_polynomial(modes, coords),
+                                  meshgrid_trig_polynomial(modes, coords))
+
     def test_reference_mode(self):
         xs = (np.array([0.25]), np.array([0.25]))
         val = trig_polynomial([(1, 1, 0.1)], xs)
