@@ -12,13 +12,13 @@ rates, interpolation-inequality quotients and dilation scalings.
 `errors`, `fluxes`, `ineqlab` and `rates`.  The four solver modules,
 `ansatz`, `mdsolver`, `periodic` and `profile1d`, load on first
 attribute access (`rarelab.mdsolver`, a star import, or importing them
-by name).  They pull in `stepping` and with it scipy, whose LAPACK the
-sweeps call and the split inequalities never do.  `rarelab._lapack`
+by name).  They pull in `stepping` and with it scipy's LAPACK, which
+the sweeps call and the split inequalities never do.  `rarelab._lapack`
 binds the three routines the sweeps use from scipy's compiled `_flapack`
-module without running scipy.linalg's package init, which alone would
-cost more start-up than the whole package.  `rarelab.cli` imports the
-solvers itself, so a `simulate` run binds LAPACK when it loads the CLI
-and imports nothing while it runs.
+module, found by path: neither scipy's package init nor scipy.linalg's
+runs, and the latter alone would cost more start-up than the whole
+package.  `rarelab.cli` imports the solvers itself, so a `simulate` run
+binds LAPACK when it loads the CLI and imports nothing while it runs.
 """
 
 import importlib

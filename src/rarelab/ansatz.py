@@ -21,7 +21,9 @@ what the run and the residual check read: the ansatz and its defect.
 The defect averages f'' between the far-field states at every cell; a
 constant f'' (Burgers') is summed once and broadcast.  The defect is
 built in place: a record peaks at five cylinder fields, the ansatz,
-the jump Ur - Ul, the mixed term, the defect and one temporary.
+the jump Ur - Ul, the mixed term, the defect and one temporary.  An f''
+that is not constant (cubic) averages into fields, each taken just
+before its use and freed after it; such a record peaks at eight.
 """
 
 from __future__ import annotations
@@ -45,9 +47,13 @@ __all__ = [
     "residual_mismatch",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# numpy.polynomial.legendre.leggauss(5) moved onto the unit interval,
+# (x + 1) / 2 and w / 2, written out bitwise so that numpy.polynomial
+# is not loaded for this one call
+_GL_NODES = np.array([0.04691007703066802, 0.23076534494715845, 0.5,
+                      0.7692346550528415, 0.9530899229693319])
+_GL_WEIGHTS = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+                        0.23931433524968315, 0.11846344252809464])
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ def mean_flux_curvature(d2f, a, b):
     for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
         np.multiply(span, theta, out=x)
         x += b
-        acc += w * np.asarray(d2f(x), dtype=float)
+        acc += np.multiply(w, np.asarray(d2f(x), dtype=float), out=x)  # x is read: reuse it
     return acc if acc.ndim else float(acc)
 
 
@@ -133,7 +139,8 @@ def _ansatz_and_defect(far, profile, flux, dspec):
     gg, dgg, pp = g.reshape(bshape), dg.reshape(bshape), prof.reshape(bshape)
 
     # built in place, each product in its formula's order, so bitwise
-    # the same: Ul and Ur are freed once the curvatures are taken
+    # the same: Ul and Ur are freed once their curvatures are taken, and
+    # the curvatures once mix is summed
     cells = rows[2:-2]
 
     def on_cells(side, axis, out):
@@ -142,8 +149,7 @@ def _ansatz_and_defect(far, profile, flux, dspec):
 
     Ul, Ur = far[0][cells], far[1][cells]
     utild = Ul * (1.0 - gg)
-    tmp = Ur * gg
-    utild += tmp
+    utild += Ur * gg
     curvatures = dict.fromkeys(flux.d2f[:dspec.n])
     for d2f in curvatures:
         curvatures[d2f] = [mean_flux_curvature(d2f, U, utild) for U in (Ul, Ur)]
@@ -153,21 +159,23 @@ def _ansatz_and_defect(far, profile, flux, dspec):
     wl = far[0] - profile.ul
     wr = far[1] - profile.ur
     mix = np.zeros_like(utild)
+    tmp = np.empty_like(utild)
     for axis in range(dspec.n):
         curv_l, curv_r = curvatures[flux.d2f[axis]]
         mix += np.multiply(curv_l, on_cells(wl, axis, tmp), out=tmp)
         mix -= np.multiply(curv_r, on_cells(wr, axis, tmp), out=tmp)
+    del curvatures, curv_l, curv_r
     h = jump * gg
     h *= 1.0 - gg
     h *= mix
+    del mix, tmp
 
-    curv1 = mean_flux_curvature(flux.d2f[0], pp, utild)
-    jump *= curv1
-    jump *= np.subtract(utild, pp, out=mix)
+    jump *= mean_flux_curvature(flux.d2f[0], pp, utild)
+    jump *= utild - pp
     jump *= dgg
     h += jump
 
-    ddiff = np.multiply(2.0, on_cells(wr - wl, 0, tmp), out=tmp)
+    ddiff = np.multiply(2.0, on_cells(wr - wl, 0, jump), out=jump)
     ddiff *= dgg
     h -= ddiff
     return utild, h

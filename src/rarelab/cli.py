@@ -23,17 +23,23 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import difflib
-import hashlib
 import math
 import os
 import sys
 import time
 
 import numpy as np
-import scipy
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto (4 MB)
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 - 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
+from ._lapack import SCIPY_VERSION
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
 from .domain import DomainSpec, Field, make_grid, write_json, write_snapshot, write_table
 from .errors import ConfigError, NumericalAbort
@@ -247,7 +253,7 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
 # --- artifact helpers ---------------------------------------------------------
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -277,8 +283,8 @@ class _Outputs:
         manifest = {
             "version": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
+            "scipy": SCIPY_VERSION,
+            "config_sha256": sha256(self.cfg_text.encode()).hexdigest(),
             "wall_seconds": time.perf_counter() - self.t0,
             "files": {name: _sha256(os.path.join(self.outdir, name)) for name in self.files},
             "experiment": self.kind,
@@ -636,11 +642,13 @@ def _inputs(cfg: dict[str, str]) -> tuple[str, tuple]:
         raise ConfigError(str(e)) from e
     except NumericalAbort as e:  # a step schedule's dt above the stable step
         raise ConfigError(e.detail) from e
-    unknown = [f"unknown key '{key}' for {kind}" + "".join(
-        f" (closest known key: '{c}')" for c in difflib.get_close_matches(key, read.asked, n=1))
-        for key in sorted(set(cfg) - read.asked)]
-    if unknown:
-        raise ConfigError("; ".join(unknown))
+    unread = sorted(set(cfg) - read.asked)
+    if unread:
+        import difflib  # only this error path reads it
+
+        raise ConfigError("; ".join(f"unknown key '{key}' for {kind}" + "".join(
+            f" (closest known key: '{c}')" for c in difflib.get_close_matches(key, read.asked, n=1))
+            for key in unread))
     return kind, inputs
 
 
@@ -702,8 +710,7 @@ def _keep_freed_memory() -> None:
     mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
-def main(argv=None) -> int:
-    _keep_freed_memory()
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rarelab",
         description="numerical experiments for rarefaction waves under periodic "
@@ -715,8 +722,17 @@ def main(argv=None) -> int:
                         help="flat key=value config file")
         if name != "validate":
             sp.add_argument("--out", default="out", help="output directory")
+    return parser
+
+
+# built once, at import: its message lookups load `locale`, which a run then finds loaded
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if e.code else 0
 

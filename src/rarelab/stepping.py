@@ -216,14 +216,18 @@ def _face_flux(values: np.ndarray, lo, hi, flux: FluxSet, d: int, axis: int) -> 
     return face
 
 
-def strang_step(state: tuple, dt: float, ndim: int, sweep, rhs) -> tuple:
+def strang_step(held: list, dt: float, ndim: int, sweep, rhs) -> tuple:
     """One step D(dt/2) A(dt) D(dt/2) of a tuple of arrays.
 
+    The state is popped from `held`, a one-item list, so the step holds
+    the only reference the caller handed it and frees the state after
+    its first sweep, however the call is forwarded.
     `sweep(state, axis)` returns the state after the half-step diffusion
     sweep along spatial axis `axis`, for axis = 0 .. ndim-1 in turn;
     `rhs(state)` returns the advective right-hand side of every array.
     Advection is Heun's method over `rhs`.
     """
+    state = held.pop()
     for axis in range(ndim):
         state = sweep(state, axis)
     k1 = rhs(state)
@@ -240,9 +244,9 @@ def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep):
     consumer that stops takes no later step.  `check(state, t)` sees every
     new state, at t = (k + 1) dt, before it is kept or stepped again, so a
     NaN state aborts even on the last step.  Only the current state is
-    held, in a one-item list whose pop hands it to the step, so the step
-    frees it after its first sweep; a start state the caller hands over
-    goes the same way."""
+    held, in a one-item list that the step pops, so the step frees it
+    after its first sweep; a start state the caller hands over goes the
+    same way."""
     steps, dt, record = plan
     held = [state]
     del state
@@ -250,7 +254,7 @@ def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep):
         if k in record:
             yield keep(k, held[0])
         if k < steps:
-            held.append(strang_step(held.pop(), dt, ndim, sweep, rhs))
+            held.append(strang_step(held, dt, ndim, sweep, rhs))
             check(held[0], (k + 1) * dt)
 
 

@@ -103,6 +103,11 @@ class TestFluxCurvatureAverage:
         a, b = rng.standard_normal(20), rng.standard_normal(20)
         assert np.allclose(mean_flux_curvature(flux.d2f[0], a, b), a + b, atol=1e-13)
 
+    def test_nodes_and_weights_are_leggauss_on_the_unit_interval(self):
+        x, w = np.polynomial.legendre.leggauss(5)
+        assert ansatz._GL_NODES.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert ansatz._GL_WEIGHTS.tobytes() == (0.5 * w).tobytes()
+
     def test_degree_nine_exactness(self):
         # Gauss-Legendre with 5 nodes integrates degree-9 polynomials exactly
         d2f = lambda u: u**9

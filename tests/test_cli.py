@@ -1,4 +1,6 @@
 import ctypes
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -67,6 +69,21 @@ class TestSimulateManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scipy"] == scipy.__version__
         assert manifest["numpy"] == np.__version__
+
+    def test_digests_are_hashlibs_sha256(self, tmp_path):
+        # the manifest hashes with the interpreter's own SHA-256 where it
+        # has one; the digests are SHA-256 all the same
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = cli.load_config(cfg_path)
+        cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
+        assert manifest["config_sha256"] == hashlib.sha256(cfg_text.encode()).hexdigest()
+        assert manifest["files"] and manifest["files"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in manifest["files"]}
 
 
 TINY_SIMULATE_3D = TINY_SIMULATE.replace("dim = 2", "dim = 3").replace(
@@ -310,10 +327,25 @@ class TestStartUp:
                   f"print(all(callable(f) for f in fns), {LAPACK_BOUND})\n")
         assert run_fresh(script).split() == ["False", "True", "True", "False"]
 
-    def test_the_cli_loads_scipy(self):
-        # simulate's set-up binds scipy's LAPACK here, so its timed run imports nothing
+    def test_the_cli_binds_lapack_without_scipys_package_init(self):
+        # simulate's set-up binds scipy's LAPACK here, so its timed run
+        # imports nothing, and scipy's own package init never runs
         script = f"import sys\nimport rarelab.cli\nprint('scipy' in sys.modules, {LAPACK_BOUND})\n"
-        assert run_fresh(script).split() == ["True", "True", "False"]
+        assert run_fresh(script).split() == ["False", "True", "False"]
+
+    def test_a_simulate_run_loads_no_openssl_polynomials_or_difflib(self, tmp_path):
+        # OpenSSL's libcrypto alone is 4 MB resident; where the interpreter
+        # has no SHA-256 of its own, hashlib's OpenSSL one is the fallback
+        watched = ["numpy.polynomial", "difflib"]
+        if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            watched.append("_hashlib")
+        cfg_path = tmp_path / "simulate.cfg"
+        cfg_path.write_text(TINY_SIMULATE)
+        args = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script = ("import sys\nimport rarelab.cli\n"
+                  f"code = rarelab.cli.main({args!r})\n"
+                  f"print(code, [m for m in {watched!r} if m in sys.modules])\n")
+        assert run_fresh(script) == "0 []"
 
     def test_the_cli_skips_scipy_linalgs_package_init(self):
         # its array-API layer is most of the 0.3 s and 27 MB that scipy.linalg costs

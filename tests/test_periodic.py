@@ -63,9 +63,9 @@ class TestSolvePeriodic:
     def test_nan_on_the_last_step_aborts(self, monkeypatch):
         steps = []
 
-        def nan_last(state, dt, ndim, sweep, rhs):
+        def nan_last(held, dt, ndim, sweep, rhs):
             steps.append(dt)
-            out = strang_step(state, dt, ndim, sweep, rhs)
+            out = strang_step(held, dt, ndim, sweep, rhs)
             return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
 
         monkeypatch.setattr(stepping, "strang_step", nan_last)

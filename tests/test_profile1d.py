@@ -147,7 +147,7 @@ class TestEvolution:
         sweep = DiffusionSweep(64, 0.1, 0.02, periodic=False)
         v = sweep.apply(u, b_lo=0.3, b_hi=0.3)
         ghosts = (np.full(2, 0.3), np.full(2, 0.3))
-        (v,) = strang_step((v,), 0.02, 0, None,
+        (v,) = strang_step([(v,)], 0.02, 0, None,
                            lambda s: (advective_rhs(s[0], FLUX, (0.1,), ghosts),))
         assert np.max(np.abs(v - 0.3)) < 1e-15
 
@@ -166,7 +166,7 @@ class TestEvolution:
         _, p1 = evolve_profile(p0, FLUX, plan(p0, dt, dt, (0.0, dt)))
         sweep = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
         ghosts = (np.full(2, -0.5), np.full(2, 0.5))
-        (u,) = strang_step((p0.values,), dt, 1,
+        (u,) = strang_step([(p0.values,)], dt, 1,
                            lambda s, axis: (sweep.apply(s[0], b_lo=-0.5, b_hi=0.5),),
                            lambda s: (advective_rhs(s[0], FLUX, (spec.dx1,), ghosts),))
         assert p1.spec == spec and p1.t == dt
@@ -211,9 +211,9 @@ class TestEvolution:
     def test_nan_on_the_last_step_aborts(self, monkeypatch):
         steps = []
 
-        def nan_last(state, dt, ndim, sweep, rhs):
+        def nan_last(held, dt, ndim, sweep, rhs):
             steps.append(dt)
-            out = strang_step(state, dt, ndim, sweep, rhs)
+            out = strang_step(held, dt, ndim, sweep, rhs)
             return tuple(np.full_like(u, np.nan) for u in out) if len(steps) == 10 else out
 
         monkeypatch.setattr(stepping, "strang_step", nan_last)

@@ -26,7 +26,7 @@ FLUXES = {
 
 def advect(values, flux, spacings, dt, ghosts=None):
     """Advection alone: the shared Strang step with no diffusion axes."""
-    (out,) = strang_step((values,), dt, 0, None,
+    (out,) = strang_step([(values,)], dt, 0, None,
                          lambda s: (advective_rhs(s[0], flux, spacings, ghosts),))
     return out
 
@@ -386,7 +386,7 @@ class TestStrangStep:
             calls.append(axis)
             return tuple(0.5 * u for u in state)
 
-        (u, w) = strang_step((np.array([8.0]), np.array([4.0])), 0.1, 2, sweep,
+        (u, w) = strang_step([(np.array([8.0]), np.array([4.0]))], 0.1, 2, sweep,
                              lambda s: tuple(-u for u in s))
         assert calls == [0, 1, 0, 1]
         heun = 1.0 - 0.1 + 0.5 * 0.1**2
