@@ -224,9 +224,9 @@ def _window(cfg: dict[str, str]):
 
 def _domain(cfg: dict[str, str], dim: str, L: str, n1: str, m: str) -> DomainSpec:
     """The cylinder grid of a config (keys dim, L, n1, n_torus); without
-    n_torus every torus direction gets m cells."""
+    n_torus each of the (at most two) torus directions gets m cells."""
     n = _number(cfg, "dim", dim, int)
-    n_torus = tuple(_numbers("n_torus", cfg.get("n_torus", ",".join([m] * (n - 1))), int))
+    n_torus = tuple(_numbers("n_torus", cfg.get("n_torus", ",".join([m] * min(n - 1, 2))), int))
     return DomainSpec(n, _number(cfg, "L", L, finite=False), _number(cfg, "n1", n1, int), n_torus)
 
 
@@ -329,11 +329,12 @@ def _rate_report(table, window) -> dict:
         times = cols["t"]
         window = fit_window(times, window)
         report = {"main_rate": verify_main_theorem(times, cols["u_minus_profile_linf"], window)}
-        fits = {}  # the ordering in 1/p is checked on the phi norms
+        fits = {}  # the ordering in 1/p is checked on the phi norms' fits
         for col, (which, p) in PHI_SERIES.items():
             report[col] = verify_apriori(times, cols[col], p, which, window)
-            if which == "phi":
-                fits[p] = fit_power_law(times, cols[col], window).exponent
+            if which == "phi":  # phi_l1's verdict is a max/min ratio, without a fit
+                fits[p] = (report[col]["fit"]["exponent"] if "fit" in report[col]
+                           else fit_power_law(times, cols[col], window).exponent)
     except ValueError as e:
         raise ConfigError(f"rate report: {e}") from e
     report["ordering"] = exponent_ordering(fits)

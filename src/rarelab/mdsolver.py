@@ -273,7 +273,7 @@ def run(config: SolverConfig, plan) -> Trajectory:
         u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
     u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
-    dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
+    dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
     traj = Trajectory(series={}, steps=steps, dt=dt)

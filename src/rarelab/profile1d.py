@@ -127,7 +127,7 @@ def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float
     """(sweep, rhs) of the 1-d `stepping.march` step of u_t + (f_1(u))_x = u_xx
     on the x1 line of `spec`, its ghost cells pinned to lo and hi: the one
     pinned-end line step."""
-    diffusion = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
+    diffusion = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
     ghosts = (np.full((2,), lo), np.full((2,), hi))
     return (lambda state, axis: (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
             # looked up on the module, so a wrapper installed there sees the line

@@ -9,7 +9,9 @@ with the stiff diffusion D handled implicitly (trapezoidal rule, one
 sweep per direction) and the advection A explicitly (Heun's method over
 upwind-biased second-order conservative fluxes).  The implicit treatment
 removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
-remains the only step-size restriction.  A step advances a tuple of
+remains the only step-size restriction.  The x1 sweep, a Dirichlet solve
+on the truncated line, is `DiffusionSweep`; the torus directions'
+circulant sweeps are `periodic.TorusStepper`'s.  A step advances a tuple of
 arrays together (the cylinder solution and its two far-field sides).
 `step_schedule` fixes the steps and the records; `march`, the one loop
 of every solver, steps from t = 0, checks each new state and yields the
@@ -28,9 +30,9 @@ contiguous blocks instead of a short strided axis, the x1 stencil reads
 contiguous rows, and dpttrs takes the sweep's right-hand side without a
 layout copy.  Torus fields have no x1 axis and keep their own order.
 
-The sweeps' LAPACK routines come from `_lapack`, scipy's own compiled
-module loaded without scipy.linalg's package init, and `irfft` is bound
-here: a run that imports this module loads nothing while it steps.
+The Dirichlet sweep's LAPACK routines come from `_lapack`, scipy's own
+compiled module loaded without scipy.linalg's package init: a run that
+imports this module loads nothing while it steps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.fft import irfft
 
 from ._lapack import dpttrf, dpttrs
 from .errors import NumericalAbort
@@ -61,68 +62,41 @@ CFL = 0.4  # the advective Courant number of a run that does not set its own
 
 
 class DiffusionSweep:
-    """Trapezoidal half-step of 1-d diffusion along one axis.
+    """Trapezoidal half-step of 1-d diffusion along the last axis, the x1
+    axis of every solver that has one, with Dirichlet ghost data.
 
-    The sweep solves (I - alpha T) u' = (I + alpha T) u, with T the
-    second-difference stencil [1, -2, 1] and alpha = dt / (2 h^2).  Its
-    operator depends only on (length, alpha), so it is built once, here,
-    and a sweep instance is built once per solver.
-
-    Dirichlet sweeps run along the last axis, the x1 axis of every
-    solver that has one, and take ghost-cell values held fixed over the
-    sub-step.  I - alpha T is then symmetric positive definite and
-    tridiagonal; its LDL^T factors come from LAPACK dpttrf, and each
-    sweep is one dpttrs solve of every line at once.  The right-hand
-    side is built a row per line and handed over transposed: a
+    The sweep solves (I - alpha T) u' = (I + alpha T) u + 2 alpha b, with T
+    the second-difference stencil [1, -2, 1], alpha = dt / (2 h^2) and b
+    the ghost-cell values, held fixed over the sub-step, at the two ends.
+    I - alpha T is symmetric positive definite and tridiagonal; its LDL^T
+    factors come from LAPACK dpttrf when the sweep is built, and each
+    sweep is one dpttrs solve of every line at once.  A cylinder run
+    factors the same operator up to three times: for the cylinder, for
+    its profile and, after a hand-off, for its planar line.  The
+    right-hand side is built a row per line and handed over transposed: a
     Fortran-ordered column per line, which dpttrs solves in place with no
     layout copy either way.  Both are scipy's routines, bound through
     `_lapack` (the same function objects scipy.linalg.lapack exports, at
-    a fraction of its import cost).
-
-    Periodic sweeps run along any axis.  T is circulant, so the whole
-    operator (I - alpha T)^-1 (I + alpha T) is the circulant C whose first
-    column is the inverse DFT of the multiplier
-    (1 - alpha lam_k) / (1 + alpha lam_k), lam_k = 2 - 2 cos(2 pi k / m).
-    A sweep is a matrix product with C, one for all lines along the last
-    axis: O(m^2) flops per line against the FFT's O(m log m), but a real
-    FFT pays its per-line overhead on each short line.  On the torus axes
-    the solvers use (4 to a few dozen cells) the product is several times
-    faster; at m = 256 the FFT is faster again.
+    a fraction of its import cost).  The torus axes' circulant sweeps are
+    `periodic.TorusStepper`'s.
     """
 
-    def __init__(self, length: int, h: float, dt: float, periodic: bool):
-        self.length = length
-        self.periodic = periodic
-        self.alpha = a = dt / (2.0 * h * h)
-        if periodic:
-            lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(length // 2 + 1) / length)
-            col = irfft((1.0 - a * lam) / (1.0 + a * lam), length)
-            i = np.arange(length)
-            self._op = col[(i[:, None] - i[None, :]) % length]
-        else:
-            d, e, info = dpttrf(np.full(length, 1.0 + 2.0 * a), np.full(length - 1, -a))
-            if info != 0:
-                raise ValueError(f"dpttrf failed with info = {info}")
-            self._d, self._e = d, e
+    periodic = False  # read only by the benchmark's tracer, which files sweeps by it
 
-    def apply(self, u: np.ndarray, b_lo=None, b_hi=None, axis: int = -1) -> np.ndarray:
-        """Advance along `axis`, where `u` has `length` cells."""
-        axis %= u.ndim
-        if u.shape[axis] != self.length:
-            raise ValueError(f"a sweep of {self.length} cells got {u.shape[axis]} "
-                             f"along axis {axis}")
-        if self.periodic:
-            # C order first, so any input layout reaches BLAS the same way
-            u = np.ascontiguousarray(u)
-            if axis == u.ndim - 1:
-                out = u.reshape(-1, self.length) @ self._op.T
-            else:
-                out = self._op @ u.reshape(-1, self.length, math.prod(u.shape[axis + 1:]))
-            return out.reshape(u.shape)
-        if axis != u.ndim - 1:
-            raise ValueError("Dirichlet sweeps run along the last axis")
-        if b_lo is None or b_hi is None:
-            raise ValueError("Dirichlet sweep needs ghost values on both ends")
+    def __init__(self, length: int, h: float, dt: float):
+        self.length = length
+        self.alpha = a = dt / (2.0 * h * h)
+        d, e, info = dpttrf(np.full(length, 1.0 + 2.0 * a), np.full(length - 1, -a))
+        if info != 0:
+            raise ValueError(f"dpttrf failed with info = {info}")
+        self._d, self._e = d, e
+
+    def apply(self, u: np.ndarray, b_lo, b_hi) -> np.ndarray:
+        """Advance every line of `u` along its last axis, which has `length`
+        cells, between the ghost values b_lo and b_hi (one per line)."""
+        if u.shape[-1] != self.length:
+            raise ValueError(f"a sweep of {self.length} cells got {u.shape[-1]} "
+                             f"along axis {u.ndim - 1}")
         u2 = u.reshape(-1, self.length)
         a = self.alpha
         rhs, au = (1.0 - 2.0 * a) * u2, a * u2

@@ -147,6 +147,23 @@ class TestOneVerdictPath:
         fit = cli.fit_power_law(col["t"], col["u_minus_profile_linf"], (1.0, 2.0))
         assert main["fit"]["exponent"] == fit.exponent
 
+    def test_a_rate_report_fits_each_series_once(self, monkeypatch):
+        # the main rate and five norms fit inside their verdicts; only
+        # phi_l1, whose verdict is a max/min ratio, is fitted for the ordering
+        from rarelab import rates
+
+        fitted = []
+        for mod in (rates, cli):
+            def counted(times, values, window, fit=mod.fit_power_law):
+                fitted.append(window)
+                return fit(times, values, window)
+            monkeypatch.setattr(mod, "fit_power_law", counted)
+        t = np.linspace(0.5, 10.0, 20)
+        table = {name: (1.0 + t) ** -0.5 for name in NORM_COLUMNS}
+        report = cli._rate_report({**table, "t": t}, None)
+        assert len(fitted) == 7
+        assert report["ordering"]["status"] == "pass" and len(report["ordering"]["pairs"]) == 3
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("dt", ["0", "-0.01"])
@@ -172,7 +189,7 @@ class TestExitCodes:
 
     def test_state_turning_nan_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
         class NaNSweep(mdsolver.DiffusionSweep):
-            def apply(self, u, b_lo=None, b_hi=None, axis=0):
+            def apply(self, u, b_lo, b_hi):
                 return np.full_like(u, np.nan)
 
         monkeypatch.setattr(mdsolver, "DiffusionSweep", NaNSweep)
@@ -393,7 +410,7 @@ class TestStartUp:
     def test_without_the_extension_file_scipy_linalg_binds_the_same_routines(self):
         sweep = ("import hashlib, sys\nimport numpy as np\nfrom rarelab import profile1d, stepping\n"
                  "u = np.sin(np.arange(96 * 8).reshape(8, 96) / 7.0)\n"
-                 "x = stepping.DiffusionSweep(96, 0.1, 0.01, periodic=False).apply(\n"
+                 "x = stepping.DiffusionSweep(96, 0.1, 0.01).apply(\n"
                  "    u, b_lo=np.full(8, -0.5), b_hi=np.full(8, 0.5))\n"
                  "print('scipy.linalg' in sys.modules, hashlib.sha256(x.tobytes()).hexdigest())\n"
                  "from scipy.linalg import lapack\n"

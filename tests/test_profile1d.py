@@ -144,7 +144,7 @@ class TestEvolution:
         # the end states bracket strictly, so a constant profile state is
         # outside the type; the stepping kernels themselves hold constants
         u = np.full(64, 0.3)
-        sweep = DiffusionSweep(64, 0.1, 0.02, periodic=False)
+        sweep = DiffusionSweep(64, 0.1, 0.02)
         v = sweep.apply(u, b_lo=0.3, b_hi=0.3)
         ghosts = (np.full(2, 0.3), np.full(2, 0.3))
         (v,) = strang_step([(v,)], 0.02, 0, None,
@@ -164,7 +164,7 @@ class TestEvolution:
         spec, dt = p0.spec, 0.02
         assert spec.dx1 == 0.05 != make_grid(spec).x1[1] - make_grid(spec).x1[0]
         _, p1 = evolve_profile(p0, FLUX, plan(p0, dt, dt, (0.0, dt)))
-        sweep = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)
+        sweep = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
         ghosts = (np.full(2, -0.5), np.full(2, 0.5))
         (u,) = strang_step([(p0.values,)], dt, 1,
                            lambda s, axis: (sweep.apply(s[0], b_lo=-0.5, b_hi=0.5),),

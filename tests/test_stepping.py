@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,36 @@ def dense_reference(n, h, dt, periodic, u, b_lo=0.0, b_hi=0.0):
     return np.linalg.solve(A, B @ u + dt * c)
 
 
+class ParentPeriodicSweep:
+    """The periodic branch of `DiffusionSweep` as it stood before the
+    circulant moved into `periodic.TorusStepper`: the reference that
+    `TorusStepper.sweep_axis` must reproduce bitwise."""
+
+    def __init__(self, length, h, dt):
+        self.length = length
+        a = dt / (2.0 * h * h)
+        lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(length // 2 + 1) / length)
+        col = np.fft.irfft((1.0 - a * lam) / (1.0 + a * lam), length)
+        i = np.arange(length)
+        self._op = col[(i[:, None] - i[None, :]) % length]
+
+    def apply(self, u, axis=-1):
+        axis %= u.ndim
+        assert u.shape[axis] == self.length
+        u = np.ascontiguousarray(u)
+        if axis == u.ndim - 1:
+            out = u.reshape(-1, self.length) @ self._op.T
+        else:
+            out = self._op @ u.reshape(-1, self.length, math.prod(u.shape[axis + 1:]))
+        return out.reshape(u.shape)
+
+
+def torus_sweep(n, dt):
+    """The periodic sweep of n cells at spacing 1/n over the sub-step dt:
+    a torus stepper of step 2 dt, whose sweeps are half-steps."""
+    return TorusStepper(TorusSpec((n,)), 2 * dt)
+
+
 class TestDiffusionSweep:
     @pytest.mark.parametrize("periodic", [True, False])
     @pytest.mark.parametrize("n", [5, 16, 33, 128])
@@ -85,18 +117,20 @@ class TestDiffusionSweep:
         rng = np.random.default_rng(n)
         h, dt = 1.0 / n, 0.37
         u = rng.standard_normal(n)
-        sweep = DiffusionSweep(n, h, dt, periodic=periodic)
-        got = sweep.apply(u, b_lo=0.2, b_hi=-0.4)
+        if periodic:
+            got = torus_sweep(n, dt).sweep_axis(u, 0)
+        else:
+            got = DiffusionSweep(n, h, dt).apply(u, b_lo=0.2, b_hi=-0.4)
         ref = dense_reference(n, h, dt, periodic, u, 0.2, -0.4)
         assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_multicolumn_consistent(self):
         rng = np.random.default_rng(0)
-        sweep = DiffusionSweep(12, 0.1, 0.05, periodic=True)
+        sweep = torus_sweep(12, 0.05)
         u = rng.standard_normal((12, 7))
-        block = sweep.apply(u, axis=0)
+        block = sweep.sweep_axis(u, 0)
         for j in range(7):
-            assert np.allclose(block[:, j], sweep.apply(u[:, j]), atol=1e-14)
+            assert np.allclose(block[:, j], sweep.sweep_axis(u[:, j], 0), atol=1e-14)
 
     def test_heat_mode_decay_rate(self):
         # CN factor for one Fourier mode matches (1 + z/2)/(1 - z/2)
@@ -106,33 +140,23 @@ class TestDiffusionSweep:
         u = np.sin(2 * np.pi * x)
         lam = (2 * np.cos(2 * np.pi * h) - 2) / h**2
         expect = (1 + dt * lam / 2) / (1 - dt * lam / 2)
-        sweep = DiffusionSweep(n, h, dt, periodic=True)
-        got = sweep.apply(u)
+        got = torus_sweep(n, dt).sweep_axis(u, 0)
         assert np.max(np.abs(got - expect * u)) < 1e-13
 
     def test_constant_preserved_periodic(self):
-        sweep = DiffusionSweep(8, 0.125, 0.3, periodic=True)
         u = np.full(8, 0.7)
-        assert np.allclose(sweep.apply(u), 0.7, atol=1e-15)
-
-    def test_dirichlet_requires_ghosts(self):
-        sweep = DiffusionSweep(8, 0.125, 0.3, periodic=False)
-        with pytest.raises(ValueError):
-            sweep.apply(np.ones(8))
+        assert np.allclose(torus_sweep(8, 0.3).sweep_axis(u, 0), 0.7, atol=1e-15)
 
     def test_dirichlet_runs_along_the_last_axis(self):
-        sweep = DiffusionSweep(8, 0.125, 0.3, periodic=False)
-        for shape, axis in [((8, 4), 0), ((4, 8, 4), 1), ((8, 4, 4), -3)]:
-            with pytest.raises(ValueError, match="the last axis"):
-                sweep.apply(np.ones(shape), b_lo=0.0, b_hi=0.0, axis=axis)
         # along the last axis the sweep holds a constant matching its ghosts
-        got = sweep.apply(np.ones((4, 8)), b_lo=1.0, b_hi=1.0, axis=1)
+        got = DiffusionSweep(8, 0.125, 0.3).apply(np.ones((4, 8)), b_lo=1.0, b_hi=1.0)
         assert np.max(np.abs(got - 1.0)) < 1e-14
 
     def test_a_sweep_rejects_a_line_of_another_length(self):
-        for periodic in (True, False):
-            with pytest.raises(ValueError, match="a sweep of 8 cells got 4 along axis 1"):
-                DiffusionSweep(8, 0.125, 0.3, periodic).apply(np.ones((8, 4)), 0.0, 0.0)
+        with pytest.raises(ValueError, match="a sweep of 8 cells got 4 along axis 1"):
+            DiffusionSweep(8, 0.125, 0.3).apply(np.ones((8, 4)), 0.0, 0.0)
+        with pytest.raises(ValueError, match="a sweep of 8 cells got 4 along axis 1"):
+            torus_sweep(8, 0.3).sweep_axis(np.ones((8, 4)), 0, at=-1)
 
     @pytest.mark.parametrize("cols, n1", [(5, 7), (20, 96), (20, 3200)])
     def test_dirichlet_block_is_each_lines_sweep_bitwise(self, cols, n1):
@@ -141,7 +165,7 @@ class TestDiffusionSweep:
         rng = np.random.default_rng(n1)
         u = rng.standard_normal((cols, n1))
         b_lo, b_hi = rng.standard_normal(cols), rng.standard_normal(cols)
-        sweep = DiffusionSweep(n1, 1.0 / n1, 0.37, periodic=False)
+        sweep = DiffusionSweep(n1, 1.0 / n1, 0.37)
         block = sweep.apply(u, b_lo=b_lo, b_hi=b_hi)
         for j in range(cols):
             assert np.array_equal(block[j], sweep.apply(u[j], b_lo=b_lo[j], b_hi=b_hi[j]))
@@ -152,11 +176,11 @@ class TestDiffusionSweep:
         u = rng.standard_normal(shape)
         for axis, n in enumerate(shape):
             h, dt = 1.0 / n, 0.37
-            sweep = DiffusionSweep(n, h, dt, periodic=True)
-            got = sweep.apply(u, axis=axis)
+            sweep = torus_sweep(n, dt)
+            got = sweep.sweep_axis(u, 0, at=axis)
             lines = np.moveaxis(got, axis, -1).reshape(-1, n)
             for line, col in zip(lines, np.moveaxis(u, axis, -1).reshape(-1, n)):
-                assert np.max(np.abs(line - sweep.apply(col))) < 1e-13
+                assert np.max(np.abs(line - sweep.sweep_axis(col, 0))) < 1e-13
                 ref = dense_reference(n, h, dt, True, col)
                 assert np.max(np.abs(line - ref)) < 1e-13
 
@@ -166,7 +190,7 @@ class TestDiffusionSweep:
         n, h, dt = shape[-1], 1.0 / shape[-1], 0.37
         u = rng.standard_normal(shape)
         b_lo, b_hi = rng.standard_normal(shape[:-1]), rng.standard_normal(shape[:-1])
-        got = DiffusionSweep(n, h, dt, periodic=False).apply(u, b_lo=b_lo, b_hi=b_hi)
+        got = DiffusionSweep(n, h, dt).apply(u, b_lo=b_lo, b_hi=b_hi)
         for idx in np.ndindex(*shape[:-1]):
             ref = dense_reference(n, h, dt, False, u[idx], b_lo[idx], b_hi[idx])
             assert np.max(np.abs(got[idx] - ref)) < 1e-13
@@ -177,17 +201,48 @@ class TestDiffusionSweep:
         u = rng.standard_normal((20, 6, 7))
         uf = np.asfortranarray(u)
         ghosts = dict(b_lo=rng.standard_normal((20, 6)), b_hi=rng.standard_normal((20, 6)))
-        for axis in range(3) if periodic else (2,):
-            n = u.shape[axis]
-            sweep = DiffusionSweep(n, 1.0 / n, 0.37, periodic=periodic)
-            kw = dict(axis=axis) if periodic else ghosts
-            assert np.array_equal(sweep.apply(uf, **kw), sweep.apply(u, **kw))
+        if periodic:
+            stepper = TorusStepper(TorusSpec(u.shape), 2 * 0.37)
+            for axis in range(3):
+                assert np.array_equal(stepper.sweep_axis(uf, axis), stepper.sweep_axis(u, axis))
+        else:
+            sweep = DiffusionSweep(7, 1.0 / 7, 0.37)
+            assert np.array_equal(sweep.apply(uf, **ghosts), sweep.apply(u, **ghosts))
 
     @pytest.mark.parametrize("n", [4, 7, 16, 20, 128])
     def test_circulant_is_symmetric_and_conserves_the_mean(self, n):
-        op = DiffusionSweep(n, 1.0 / n, 0.37, periodic=True)._op
+        (op,) = torus_sweep(n, 0.37)._ops
         assert np.max(np.abs(op - op.T)) <= 1e-16
         assert np.max(np.abs(op.sum(axis=1) - 1.0)) <= 1e-15
+
+
+class TestTorusSweepReference:
+    """`TorusStepper.sweep_axis` is the parent's periodic sweep, bitwise."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sizes", [(12,), (4, 20), (16, 16), (6, 5, 7)])
+    @pytest.mark.parametrize("dt", [0.37, 0.0031])
+    def test_every_axis_of_a_torus_field(self, sizes, order, dt):
+        rng = np.random.default_rng(sum(sizes))
+        u = np.asarray(rng.standard_normal(sizes), order=order)
+        spec = TorusSpec(sizes)
+        stepper = TorusStepper(spec, dt)
+        for axis, (m, h) in enumerate(zip(spec.sizes, spec.spacings)):
+            ref = ParentPeriodicSweep(m, h, dt / 2.0).apply(u, axis=axis)
+            assert np.array_equal(stepper.sweep_axis(u, axis), ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sizes, n1", [((24, 8), 40), ((10, 6, 5), 33)])
+    def test_x1_last_cylinder_field_through_at(self, sizes, n1, order):
+        # direction d >= 1 of a cylinder field lies on array axis d - 1
+        rng = np.random.default_rng(n1)
+        v = np.asarray(rng.standard_normal((*sizes[1:], n1)), order=order)
+        spec, dt = TorusSpec(sizes, (0.5,) + (0.0,) * (len(sizes) - 1)), 0.0125
+        stepper = TorusStepper(spec, dt)
+        for axis in range(1, len(sizes)):
+            ref = ParentPeriodicSweep(sizes[axis], spec.spacings[axis], dt / 2.0).apply(
+                v, axis=axis - 1)
+            assert np.array_equal(stepper.sweep_axis(v, axis, axis - 1), ref)
 
 
 class TestAdvection:

@@ -39,3 +39,28 @@ def test_install_and_restore_round_trip():
         t.restore()
     for (m, a), fn in before.items():
         assert getattr(importlib.import_module(m), a) is fn
+
+
+def test_a_traced_run_files_its_sweeps_and_changes_no_number(tmp_path):
+    # every layer function reads what it needs of the call (a sweep's
+    # `periodic`, say): one that raises fails the run
+    from rarelab import cli
+
+    config = TRACER.parent / "configs" / "cyl2d_tiny.cfg"
+
+    def simulate(out):
+        return cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / out)])
+
+    assert simulate("plain") == 0
+    t = tracer.Tracer().install()
+    try:
+        code = t.run(lambda: simulate("traced"))
+    finally:
+        t.restore()
+    assert code == 0
+    calls = {layer: stat[0] for layer, stat in t.layers.items()}
+    assert set(calls) <= set(tracer.LAYERS) | {tracer.ROOT}
+    assert calls["stepping.sweep_dirichlet"] > 0 and calls["periodic.sweep_axis"] > 0
+    assert "stepping.sweep_periodic" not in calls
+    traced, plain = (tmp_path / d / "norms.csv" for d in ("traced", "plain"))
+    assert traced.read_bytes() == plain.read_bytes()

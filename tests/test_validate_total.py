@@ -102,3 +102,13 @@ def test_a_simulate_config_without_a_disturbance_is_a_finding():
         assert findings == ["simulate needs a disturbance: a w0_modes row with a nonzero "
                             "amplitude, or v0"]
     assert cli.validate(dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:0.1,0,2")) == []
+
+
+@pytest.mark.parametrize("n_torus", [None, "8"])
+@pytest.mark.parametrize("experiment", ["simulate", "decompose", "gn-study"])
+def test_a_huge_dim_is_a_finding(experiment, n_torus):
+    # the default n_torus is not built a direction at a time for it
+    cfg = dict(experiment=experiment, dim="100000000000")
+    if n_torus is not None:
+        cfg["n_torus"] = n_torus
+    assert cli.validate(cfg) == ["dimension must be 1, 2 or 3, got 100000000000"]
