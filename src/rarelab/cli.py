@@ -56,8 +56,8 @@ from .ineqlab import (
     solve_theta,
 )
 from .mdsolver import (
-    NORM_COLUMNS, SolverConfig, mode_problems, run as run_solver, schedule as solver_schedule,
-    trig_polynomial, write_norm_table,
+    NORM_COLUMNS, TAIL_THRESHOLD, SolverConfig, mode_problems, run as run_solver,
+    schedule as solver_schedule, trig_polynomial, write_norm_table,
 )
 from .periodic import (
     PERIODIC_COLUMNS, TorusSpec, fit_exponential_decay, schedule as torus_schedule,
@@ -245,7 +245,7 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
         t_end=t_end,
         snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
         cfl=_number(cfg, "cfl", str(CFL)),
-        tail_threshold=_number(cfg, "tail_threshold", "0.25"),
+        tail_threshold=_number(cfg, "tail_threshold", str(TAIL_THRESHOLD)),
         dt=_number(cfg, "dt"),
     )
 
@@ -428,8 +428,8 @@ def _periodic_inputs(cfg: dict[str, str]):
 
 def _exp_periodic(out: _Outputs, w0, tspec, flux, ubar, plan) -> tuple[dict, dict]:
     states = solve_periodic(w0, ubar, flux, tspec, plan)
-    norms = np.array(write_periodic_series(states, out.path("periodic_series.csv")))
-    ts = np.array([s.t for s in states])
+    norms = np.array(write_periodic_series(states, ubar, out.path("periodic_series.csv")))
+    ts = np.array([t for t, _ in states])
     sups, w1inf = norms[:, 0], np.max(norms, axis=1)
     inside = (sups >= 1e-10) & (sups <= 1e-2)
     report = {"sup_initial": float(np.max(np.abs(w0))), "sup_final": float(sups[-1])}
@@ -541,7 +541,9 @@ _PROFILES = {"gaussian": gaussian_bump, "hat": hat_bump}
 
 
 def _counterexample_inputs(cfg: dict[str, str]):
-    """(n, dilations, bump profile, thetas) of a counterexample config."""
+    """(dilations, Sobolev rows, theta -> interpolation rows) of a counterexample
+    config, drawn here so `validate` rejects a dilation whose quotient is not
+    finite and positive (|z'|^2 underflows to 0 or overflows): it has no slope."""
     n = _number(cfg, "n", "2", int, least=2)
     ds = _numbers("dilations", cfg.get("dilations", "1,2,4,8,16,32,64"))
     if len(set(ds)) < 2 or min(ds) <= 0:
@@ -552,26 +554,33 @@ def _counterexample_inputs(cfg: dict[str, str]):
     thetas = _numbers("thetas", cfg.get("thetas", "0,0.3333333333333333,0.6666666666666666,1"))
     if not thetas or not all(0.0 <= theta <= 1.0 for theta in thetas):
         raise ValueError(f"thetas must lie in [0, 1] and not be empty, got {thetas}")
-    return n, ds, _PROFILES[name], thetas
+    profile = _PROFILES[name]
+    try:
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            sob = [dilated_sobolev_ratio(d, profile, n) for d in ds]
+            gns = {theta: [dilated_gn_ratio(d, theta, profile) for d in ds] for theta in thetas}
+    except ValueError as e:  # a dilated grid past the float range
+        raise ValueError(f"dilations {ds}: {e}") from None
+    for row in (*sob, *(gn for rows in gns.values() for gn in rows)):
+        if not 0.0 < row["measured"] < math.inf:
+            raise ValueError(f"dilations entry {row['d']:g} gives the quotient "
+                             f"{row['measured']:g}, which must be finite and positive")
+    return ds, sob, gns
 
 
-def _exp_counterexample(out: _Outputs, n: int, ds, profile, thetas) -> tuple[dict, dict]:
-    sob = [dilated_sobolev_ratio(d, profile, n) for d in ds]
+def _exp_counterexample(out: _Outputs, ds, sob, gns) -> tuple[dict, dict]:
     write_table(out.path("sobolev_scaling.csv"), ("d", "measured", "predicted", "ratio"),
                 ((row["d"], row["measured"], row["predicted"], row["measured"] / row["predicted"])
                  for row in sob))
     summary = {
         "sobolev_slope": dilation_slope(ds, [row["measured"] for row in sob]),
         "sobolev_slope_predicted": sob[0]["exponent"],
-        "C_at_d1": sob[0]["measured"],
-        "theta_slopes": {},
-    }
-    for theta in thetas:
-        gn = [dilated_gn_ratio(d, theta, profile) for d in ds]
-        summary["theta_slopes"][f"{theta:.6g}"] = {
+        "C_at_d1": sob[0]["at_d1"],
+        "theta_slopes": {f"{theta:.6g}": {
             "measured": dilation_slope(ds, [row["measured"] for row in gn]),
             "predicted": gn[0]["exponent"],
-        }
+        } for theta, gn in gns.items()},
+    }
     out.json("counterexample_summary.json", summary)
     with open(out.path("plots.gp"), "w") as fh:
         fh.write('set datafile separator ","\nset logscale xy\n'

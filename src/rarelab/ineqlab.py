@@ -274,8 +274,8 @@ def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2, points: i
     """Sobolev quotient of the dilated bump on the n-cylinder.
 
     Returns the measured quotient |z|_{n/(n-1)} / |grad z|_1 (the torus
-    factors contribute measure one) and the predicted d**((n-1)/n)
-    growth relative to d = 1.
+    factors contribute measure one), its value at d = 1 (`at_d1`) and
+    the predicted d**((n-1)/n) growth of that constant.
     """
     if n < 2:
         raise ValueError("the cylinder setting needs n >= 2")
@@ -289,6 +289,7 @@ def dilated_sobolev_ratio(d: float, profile=gaussian_bump, n: int = 2, points: i
         "d": d,
         "measured": num / den,
         "predicted": d ** ((n - 1.0) / n) * c_ref,
+        "at_d1": c_ref,
         "exponent": (n - 1.0) / n,
     }
 
@@ -307,7 +308,7 @@ def dilated_gn_ratio(d: float, theta: float, profile=gaussian_bump, points: int 
     den = lp_norm(f.with_values(gradient(f)[0]), 2) ** theta * lp_norm(f, 1) ** (1.0 - theta)
     return {
         "d": d,
-        "measured": num / den,
+        "measured": num / den if den > 0 else np.inf,  # |z'|^2 may underflow to 0
         "exponent": 0.5 * (3.0 * theta - 1.0),
     }
 

@@ -88,11 +88,13 @@ __all__ = [
     "mode_problems",
     "write_norm_table",
     "NORM_COLUMNS",
+    "TAIL_THRESHOLD",
 ]
 
 NORM_COLUMNS = ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
 
 TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
+TAIL_THRESHOLD = 0.25  # the outer-decade mass share of a run that does not set its own
 PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
 
 
@@ -111,12 +113,12 @@ class SolverConfig:
     flux: FluxSet
     ul: float
     ur: float
+    t_end: float
+    snapshot_times: tuple[float, ...]
     w0_modes: tuple[tuple[float, ...], ...] = ()
     v0: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    t_end: float = 10.0
-    snapshot_times: tuple[float, ...] = ()
     cfl: float = CFL
-    tail_threshold: float = 0.25
+    tail_threshold: float = TAIL_THRESHOLD
     dt: float | None = None
 
 

@@ -4,7 +4,9 @@ The far field of the cylinder experiments is carried by two torus
 solutions started from the same zero-average disturbance around the two
 end states.  Conservation form keeps the disturbance average at zero,
 and dissipation drives the disturbance to zero exponentially fast; the
-rate is measured (by a log-linear fit), never assumed.
+rate is measured (by a log-linear fit), never assumed.  A run records
+plain (t, values) pairs, as the cylinder's far field holds its two sides;
+the disturbance is values - ubar.
 
 A torus run is the shared march of `stepping`.  `TorusStepper` owns the
 circulant diffusion sweeps of every torus direction: a torus run's, the
@@ -29,7 +31,6 @@ from .stepping import CFL, advective_rhs, check_cfl, march, max_advective_dt, st
 
 __all__ = [
     "TorusSpec",
-    "PeriodicState",
     "TorusStepper",
     "schedule",
     "solve_periodic",
@@ -79,30 +80,6 @@ class TorusSpec:
         return tuple(
             (np.arange(m) + off) / m for m, off in zip(self.sizes, self.offsets)
         )
-
-
-@dataclass(frozen=True)
-class PeriodicState:
-    spec: TorusSpec
-    values: np.ndarray
-    t: float
-    ubar: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.spec.sizes:
-            raise ValueError(f"values shape {v.shape} != torus shape {self.spec.sizes}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def w(self) -> np.ndarray:
-        """Disturbance relative to the background constant."""
-        return self.values - self.ubar
-
-    def mean_drift(self) -> float:
-        return abs(float(np.mean(self.values)) - self.ubar)
 
 
 class TorusStepper:
@@ -164,9 +141,11 @@ def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end:
 
 
 def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec,
-                   plan) -> list[PeriodicState]:
-    """The torus solution from data ubar + w0 on the grid `spec` at each
-    recorded step of plan = (steps, dt, record), which `schedule` draws."""
+                   plan) -> list[tuple[float, np.ndarray]]:
+    """(t, values) of the torus solution from data ubar + w0 on the grid
+    `spec` at each recorded step of plan = (steps, dt, record), which
+    `schedule` draws.  `values` is the march's own array, not a copy: each
+    sweep and Heun stage builds a new one, so none is written once kept."""
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != spec.sizes:
         raise ConfigError(f"w0 shape {w0.shape} does not match torus {spec.sizes}")
@@ -177,7 +156,7 @@ def solve_periodic(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec,
         lambda state, axis: (stepper.sweep_axis(state[0], axis),),
         lambda state: (advective_rhs(state[0], flux, spec.spacings),),
         lambda state, t: check_cfl(state[0], flux, spec.spacings, dt, t),
-        lambda k, state: PeriodicState(spec, state[0], k * dt, ubar),
+        lambda k, state: (k * dt, state[0]),
     ))
 
 
@@ -198,9 +177,8 @@ def spectral_derivative(values: np.ndarray, axis: int) -> np.ndarray:
     return np.real(ifft(hat, axis=axis))
 
 
-def w_sup_norms(state: PeriodicState) -> tuple[float, float]:
-    """(sup |w|, sup |grad w|) with the gradient taken spectrally."""
-    w = state.w
+def w_sup_norms(w: np.ndarray) -> tuple[float, float]:
+    """(sup |w|, sup |grad w|) of a disturbance w = values - ubar; the gradient is spectral."""
     grad = magnitude(spectral_derivative(w, axis) for axis in range(w.ndim))
     return float(np.max(np.abs(w))), float(np.max(grad))
 
@@ -216,11 +194,12 @@ def fit_exponential_decay(times, norms, window) -> tuple[float, float]:
     return -0.5 * slope, r2
 
 
-def write_periodic_series(states, path) -> list[tuple[float, float]]:
-    """CSV time series (t, sup |w|, sup |grad w|, mean drift); returns the
+def write_periodic_series(states, ubar: float, path) -> list[tuple[float, float]]:
+    """CSV time series (t, sup |w|, sup |grad w|, |mean - ubar|) of the
+    (t, values) pairs of a torus run around `ubar`; returns the
     `w_sup_norms` pair of every state."""
-    norms = [w_sup_norms(st) for st in states]
+    norms = [w_sup_norms(v - ubar) for _, v in states]
     write_table(path, PERIODIC_COLUMNS,
-                ((st.t, sup, gsup, st.mean_drift()) for st, (sup, gsup) in zip(states, norms)))
+                ((t, sup, gsup, abs(float(np.mean(v)) - ubar))
+                 for (t, v), (sup, gsup) in zip(states, norms)))
     return norms
-

@@ -155,8 +155,9 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
     )
 
 
-def oleinik_bound(p: ProfileState) -> tuple[float, float]:
-    """Largest discrete slope and its product with time.
+def oleinik_bound(p: ProfileState, slope=None) -> tuple[float, float]:
+    """Largest discrete slope and its product with time; `slope`, when
+    given, is the state's `derivative(p, 0)`.
 
     For a convex flux the product t * max_slope stays bounded (Oleinik's
     one-sided entropy estimate).  For viscous Burgers the ceiling is
@@ -164,12 +165,13 @@ def oleinik_bound(p: ProfileState) -> tuple[float, float]:
     maximum principle gives u_x <= 1/t from any data.  The product is
     reported, not judged.
     """
-    max_slope = float(np.max(derivative(p, 0)))
+    max_slope = float(np.max(derivative(p, 0) if slope is None else slope))
     return max_slope, p.t * max_slope
 
 
-def profile_norm_checks(p: ProfileState, ps) -> dict:
-    """Slope norms and the integrated end-state deviation at one time.
+def profile_norm_checks(p: ProfileState, ps, slope=None) -> dict:
+    """Slope norms and the integrated end-state deviation at one time;
+    `slope`, when given, is the state's `derivative(p, 0)`.
 
     Returns the deviation integral (grows at most linearly in t), the
     L^p norms of the slope for each requested p, and their ratios to
@@ -179,7 +181,7 @@ def profile_norm_checks(p: ProfileState, ps) -> dict:
         raise ValueError("norm checks need t > 0")
     left = make_grid(p.spec).x1 < 0
     ut1 = float(np.sum(p.values[left] - p.ul) + np.sum(p.ur - p.values[~left])) * p.spec.dx1
-    slope = p.with_values(derivative(p, 0))
+    slope = p.with_values(derivative(p, 0) if slope is None else slope)
     norms = {q: lp_norm(slope, q) for q in ps}
     ratios = {q: norms[q] / p.t ** (-1.0 + 1.0 / q) for q in ps}
     return {"t": p.t, "ut1": ut1, "norms": norms, "ratios": ratios}
@@ -234,7 +236,8 @@ def write_profile_series(states, path) -> None:
     ps = (1.0, 2.0, np.inf)
     rows = []
     for st in states:
-        rep = (profile_norm_checks(st, ps) if st.t > 0
+        slope = derivative(st, 0)
+        rep = (profile_norm_checks(st, ps, slope) if st.t > 0
                else {"norms": dict.fromkeys(ps, np.nan), "ut1": np.nan})
-        rows.append([st.t, *oleinik_bound(st), *(rep["norms"][q] for q in ps), rep["ut1"]])
+        rows.append([st.t, *oleinik_bound(st, slope), *(rep["norms"][q] for q in ps), rep["ut1"]])
     write_table(path, PROFILE_COLUMNS, rows)

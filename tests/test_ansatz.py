@@ -37,8 +37,8 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None):
     dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur, CFL)
     plan = stepping.step_schedule(times[-1], dt_max, dt, times)
     ps = list(evolve_profile(p0, burgers(1), plan))
-    assert all(abs(a.t - p.t) <= 1e-9 for a, p in zip(sl, ps))
-    return [np.stack([a.values, b.values]) for a, b in zip(sl, sr)], ps, flux
+    assert all(abs(ta - p.t) <= 1e-9 for (ta, _), p in zip(sl, ps))
+    return [np.stack([a, b]) for (_, a), (_, b) in zip(sl, sr)], ps, flux
 
 
 def weight(profile):

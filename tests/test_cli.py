@@ -15,6 +15,7 @@ import scipy
 
 from rarelab import cli, mdsolver
 from rarelab.domain import read_snapshot
+from rarelab.ineqlab import dilated_sobolev_ratio
 from rarelab.mdsolver import NORM_COLUMNS, run, schedule
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -103,11 +104,29 @@ def read_table(path):
     return lines[0].split(","), np.array([row.split(",") for row in lines[1:]], dtype=float)
 
 
+TINY_PERIODIC = """\
+experiment = periodic
+sizes = 8,8
+t_end = 0.05
+dt = 0.0025
+w0_modes = 1,1,0.1; 0,2,0.05
+"""
+
+
+def assert_matches_golden(path, golden):
+    head, new = read_table(path)
+    ghead, old = read_table(GOLDEN / golden)
+    assert head == ghead and new.shape == old.shape
+    atol = np.array([1e-4 if name == "tail_mass" else 1e-11 for name in head])
+    assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old))
+
+
 class TestGoldenNormTables:
     """The tiny 2-d and 3-d runs reproduce norm tables recorded before the
-    steppers were merged into one Strang step, within the benchmark's
-    tolerance: 1e-11 + 1e-9 |golden| per entry, 1e-4 absolute for
-    tail_mass."""
+    steppers were merged into one Strang step, and a tiny torus run its
+    series recorded while it still copied each state, within the
+    benchmark's tolerance: 1e-11 + 1e-9 |golden| per entry, 1e-4 absolute
+    for tail_mass."""
 
     @pytest.mark.parametrize("text, golden", [
         (TINY_SIMULATE, "simulate2d_norms.csv"),
@@ -116,11 +135,14 @@ class TestGoldenNormTables:
     def test_norm_table_matches_golden(self, tmp_path, text, golden):
         code, out = simulate(tmp_path, text)
         assert code == 0
-        head, new = read_table(out / "norms.csv")
-        ghead, old = read_table(GOLDEN / golden)
-        assert head == ghead and new.shape == old.shape
-        atol = np.array([1e-4 if name == "tail_mass" else 1e-11 for name in head])
-        assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old))
+        assert_matches_golden(out / "norms.csv", golden)
+
+    def test_periodic_series_matches_golden(self, tmp_path):
+        cfg_path = tmp_path / "periodic.cfg"
+        cfg_path.write_text(TINY_PERIODIC)
+        out = tmp_path / "out"
+        assert cli.main(["periodic", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert_matches_golden(out / "periodic_series.csv", "periodic2d_series.csv")
 
 
 class TestOneVerdictPath:
@@ -608,6 +630,36 @@ class TestTorusAndProfileConfigs:
     def test_unknown_experiment_is_a_violation(self, tmp_path, capsys):
         assert run_cli(tmp_path, "validate", "experiment = nothing\n") == 1
         assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestCounterexampleDilations:
+    def test_the_constant_is_the_quotient_at_d1(self, tmp_path):
+        # the first listed dilation is not d = 1 here; the constant must not move
+        def constant(text, name):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(text)
+            out = tmp_path / name
+            assert cli.main(["counterexample", "--config", str(cfg_path), "--out", str(out)]) == 0
+            return json.loads((out / "counterexample_summary.json").read_text())["C_at_d1"]
+
+        default = constant("", "default")
+        assert constant("dilations = 2,4,8,1\n", "unordered") == default
+        assert default == dilated_sobolev_ratio(1.0)["measured"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dilations, entry", [
+        ("1,1e200", "1e+200 gives the quotient inf"),  # |z'|^2 underflows to 0
+        ("1e-300,1", "1e-300 gives the quotient 0"),  # |z'|^2 overflows
+    ])
+    def test_a_quotient_past_the_float_range_is_a_config_error(self, tmp_path, capsys,
+                                                               dilations, entry):
+        text = f"experiment = counterexample\ndilations = {dilations}\n"
+        message = f"dilations entry {entry}, which must be finite and positive"
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert capsys.readouterr().out == f"violation: {message}\n"
+        assert run_cli(tmp_path, "counterexample", text) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestModesTheGridCannotCarry:

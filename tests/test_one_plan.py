@@ -3,7 +3,8 @@ only by a module's `schedule`, the one caller of `stepping.step_schedule`,
 and the solvers that march a plan, `evolve_profile`, `solve_periodic`
 and the cylinder's `run`, draw none.  A cylinder run hands the plan it
 is handed to the profile, an input stage draws its plan once and hands
-it to its run stage, and the default Courant number has one owner.
+it to its run stage, and the default Courant number and tail threshold
+have one owner each.
 
 The source checks read `src/` with the standard library's `ast`.  A call
 counts by the name it calls, bare or as an attribute
@@ -99,14 +100,34 @@ def test_a_second_plan_is_found():
     ]
 
 
+def src_nodes():
+    """(file name, node) of every node in src/."""
+    return [(p.name, node) for p in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))]
+
+
 def test_one_courant_number_literal():
     # 0.4 as a number or as a config default's text, anywhere in src/
-    found = [(p.name, node.lineno) for p in sorted(SRC.rglob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text()))
+    found = [(name, node.lineno) for name, node in src_nodes()
              if isinstance(node, ast.Constant) and node.value in (0.4, "0.4")]
     assert len(found) == 1 and found[0][0] == "stepping.py"
     assert stepping.CFL == 0.4
     assert SolverConfig.__dataclass_fields__["cfl"].default is stepping.CFL
+
+
+def test_one_tail_threshold_default():
+    # 0.25 as a config default's text anywhere in src/, or as the value a
+    # name or field is given; stepping's `slope *= 0.25` is arithmetic
+    nodes = src_nodes()
+    texts = [(name, node.lineno) for name, node in nodes
+             if isinstance(node, ast.Constant) and node.value == "0.25"]
+    given = [(name, node.lineno) for name, node in nodes
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and isinstance(node.value, ast.Constant) and node.value.value == 0.25]
+    assert texts == [] and len(given) == 1 and given[0][0] == "mdsolver.py"
+    assert mdsolver.TAIL_THRESHOLD == 0.25
+    default = SolverConfig.__dataclass_fields__["tail_threshold"].default
+    assert default is mdsolver.TAIL_THRESHOLD
 
 
 def test_the_run_hands_the_profile_its_own_plan(monkeypatch):

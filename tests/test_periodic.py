@@ -3,12 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from rarelab import stepping
+from rarelab import periodic, stepping
 from rarelab.domain import MAX_CELLS
 from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.periodic import (
-    PeriodicState,
     TorusSpec,
     fit_exponential_decay,
     schedule,
@@ -52,8 +51,8 @@ class TestSolvePeriodic:
     def test_zero_disturbance_stays_constant(self):
         spec = TorusSpec(sizes=(16, 16))
         states = solve(np.zeros(spec.sizes), 0.2, (0.1, 0.2), spec)
-        for st in states:
-            assert np.max(np.abs(st.values + 0.5)) < 1e-14
+        for _, v in states:
+            assert np.max(np.abs(v + 0.5)) < 1e-14
 
     def test_nonzero_mean_rejected(self):
         spec = TorusSpec(sizes=(8, 8))
@@ -75,24 +74,45 @@ class TestSolvePeriodic:
         assert len(steps) == 10
         assert info.value.reason == "cfl" and info.value.t == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("sizes, k", [((8, 6), (1, 1)), ((6, 8, 5), (1, 2, 1))])
+    def test_a_recorded_array_is_never_written_again(self, monkeypatch, sizes, k):
+        # the run keeps the march's own arrays, uncopied: each must still
+        # hold, once the march has finished, what it held when recorded
+        copies, march = [], periodic.march
+
+        def copying(*args):
+            for t, values in march(*args):
+                copies.append(values.copy())
+                yield t, values
+
+        monkeypatch.setattr(periodic, "march", copying)
+        spec = TorusSpec(sizes=sizes)
+        flux = burgers(len(sizes))
+        w0 = product_mode(spec, k=k)
+        plan = schedule(w0, -0.5, flux, spec, 0.05, np.linspace(0.0, 0.05, 11), 2.5e-3)
+        states = solve_periodic(w0, -0.5, flux, spec, plan)
+        assert len(states) == len(copies) == 11
+        for (_, values), copy in zip(states, copies):
+            assert np.array_equal(values, copy)
+
     def test_mean_preserved_along_the_run(self):
         spec = TorusSpec(sizes=(16, 16))
         w0 = product_mode(spec)
         states = solve(w0, 0.2, np.linspace(0.02, 0.2, 10), spec, dt=1e-3)
-        for st in states:
-            assert st.mean_drift() <= 1e-10
+        for _, v in states:
+            assert abs(float(np.mean(v)) + 0.5) <= 1e-10
 
     def test_dissipation_shrinks_sup(self):
         spec = TorusSpec(sizes=(24, 24))
         w0 = product_mode(spec)
         states = solve(w0, 1.0, (1.0,), spec, dt=2e-3)
-        assert np.max(np.abs(states[0].w)) < np.max(np.abs(w0))
+        assert np.max(np.abs(states[0][1] + 0.5)) < np.max(np.abs(w0))
 
     def test_sup_nonincreasing_per_snapshot(self):
         spec = TorusSpec(sizes=(20, 20))
         w0 = product_mode(spec) + product_mode(spec, amp=0.02, k=(2, 1))
         states = solve(w0, 0.3, np.linspace(0.003, 0.3, 100), spec, dt=1e-3)
-        sups = [np.max(np.abs(s.w)) for s in states]
+        sups = [np.max(np.abs(v + 0.5)) for _, v in states]
         for a, b in zip(sups[:-1], sups[1:]):
             assert b <= a + 1e-10
 
@@ -101,8 +121,8 @@ class TestSolvePeriodic:
         w0 = product_mode(spec)
         times = np.linspace(0.01, 0.6, 60)
         states = solve(w0, 0.6, times, spec, dt=1e-3)
-        w1 = [max(w_sup_norms(s)) for s in states]
-        start = next(i for i, s in enumerate(states) if s.t >= 0.5)
+        w1 = [max(w_sup_norms(v + 0.5)) for _, v in states]
+        start = next(i for i, (t, _) in enumerate(states) if t >= 0.5)
         for a, b in zip(w1[start:-1], w1[start + 1:]):
             assert b <= a * (1 + 1e-10)
 
@@ -136,9 +156,9 @@ class TestDecayFit:
         t_end = 0.55
         times = np.linspace(0.005, t_end, 110)
         states = solve(w0, t_end, times, spec, dt=1e-3)
-        ts = np.array([s.t for s in states])
-        w1 = np.array([max(w_sup_norms(s)) for s in states])
-        sup = np.array([w_sup_norms(s)[0] for s in states])
+        ts = np.array([t for t, _ in states])
+        w1 = np.array([max(w_sup_norms(v + 0.5)) for _, v in states])
+        sup = np.array([w_sup_norms(v + 0.5)[0] for _, v in states])
         inside = (sup >= 1e-10) & (sup <= 1e-2)
         assert int(np.sum(inside)) >= 4
         window = (float(ts[inside].min()), float(ts[inside].max()))
@@ -167,14 +187,13 @@ class TestSpectralDerivative:
 class TestIO:
     def test_series_csv(self, tmp_path):
         spec = TorusSpec(sizes=(8, 8))
-        states = [PeriodicState(spec, np.full(spec.sizes, 0.25), float(t), 0.25)
-                  for t in range(3)]
+        states = [(float(t), np.full(spec.sizes, 0.25)) for t in range(3)]
         path = tmp_path / "per.csv"
-        norms = write_periodic_series(states, path)
+        norms = write_periodic_series(states, 0.25, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,w_sup,grad_w_sup,mean_drift"
         assert len(rows) == 4
-        assert norms == [w_sup_norms(s) for s in states]
+        assert norms == [w_sup_norms(v - 0.25) for _, v in states]
 
     def test_cylinder_reader_rejects_torus_file(self, tmp_path):
         # an all-periodic 8 x 8 state at t = 0 in the old L = 0 header

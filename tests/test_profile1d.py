@@ -332,6 +332,14 @@ class TestInterpolantAndIO:
         assert rows[0].startswith("t,max_slope,t_max_slope")
         assert len(rows) == 1 + len(evolved)
 
+    def test_series_takes_each_slope_once(self, evolved, tmp_path, monkeypatch):
+        # the Oleinik pair and the slope norms of a row share one derivative
+        taken, slope = [], profile1d.derivative
+        monkeypatch.setattr(profile1d, "derivative",
+                            lambda st, axis: taken.append(st.t) or slope(st, axis))
+        write_profile_series(evolved, tmp_path / "series.csv")
+        assert taken == [st.t for st in evolved]
+
     def test_slope_is_the_grid_derivative(self, evolved):
         st = evolved[1]
         slope = derivative(st, 0)

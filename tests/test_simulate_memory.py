@@ -77,7 +77,7 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False) -> float
     measured.  The whole run is traced, so the state the step starts
     from counts as held, and freeing it counts as well."""
     sc = SolverConfig(spec=spec, flux=burgers(spec.n), ul=-0.5, ur=0.5, w0_modes=modes,
-                      t_end=0.005)
+                      t_end=0.005, snapshot_times=())
     plan = mdsolver.schedule(sc)
     assert plan[0] == 1
     strang_step, peaks = stepping.strang_step, []
