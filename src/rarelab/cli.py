@@ -41,7 +41,9 @@ except ImportError:
 from . import __version__
 from ._lapack import SCIPY_VERSION
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
-from .domain import DomainSpec, Field, make_grid, write_json, write_snapshot, write_table
+from .domain import (
+    DomainSpec, Field, check_gradient_grid, make_grid, write_json, write_snapshot, write_table,
+)
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet, burgers, cubic, linear_flux
 from .ineqlab import (
@@ -474,8 +476,9 @@ def _seeded(cfg: dict[str, str]):
 
 def _decompose_inputs(cfg: dict[str, str]):
     """(grid, number of fields, seed, its generator) of a decompose config."""
-    return (_domain(cfg, "3", "2", "16", "8"), _number(cfg, "n_fields", "50", int, least=1),
-            *_seeded(cfg))
+    spec = _domain(cfg, "3", "2", "16", "8")
+    check_gradient_grid(spec)
+    return spec, _number(cfg, "n_fields", "50", int, least=1), *_seeded(cfg)
 
 
 def _exp_decompose(out: _Outputs, spec: DomainSpec, n_fields: int, seed: int,
@@ -508,6 +511,7 @@ def _gn_inputs(cfg: dict[str, str]):
     gn-study config; the exponents must fit a split level and the
     interpolation quotient."""
     spec = _domain(cfg, "2", "4", "64", "16")
+    check_gradient_grid(spec)
     n_fields = _number(cfg, "n_fields", "40", int, least=1)
     seed, rng = _seeded(cfg)
     j, m = _number(cfg, "j", "0", int), _number(cfg, "m", "1", int)

@@ -15,14 +15,20 @@ cylinder: the line for the 1-d part, x1 times its own torus directions
 for a component.  Every consumer reads those Fields; `broadcast` tiles
 one back onto the full grid where a full-grid array is needed.
 
-A split keeps the field it splits, and each gradient magnitude, of the
-field and of every part, once it is first asked for: the measurements
-at derivative order 1 (`norm_bound_ratio`, `ineqlab.gn_ratio`) read
-them, so a split must be `decompose(u)` of the very u they measure.
-The kept magnitudes cost one field's bytes per full-grid one: |grad u|
-and |grad| of the top part, plus the smaller parts on their cylinders.
-Each of those Fields, like u and every part, keeps its own L^p norms
-(`domain.lp_norm`), so no measurement here takes a norm twice.
+`decompose` works row by row in x1: the torus means, each level's
+remainder and the top part are built a slab of rows at a time
+(`domain.slabs`), each straight into its part's array, so the split
+never holds a full-grid remainder or lower sum.
+
+A split keeps the field it splits and, once first asked for, the
+L^p norms of the gradient magnitude of the field and of every part:
+the measurements at derivative order 1 (`norm_bound_ratio`,
+`ineqlab.gn_ratio`) read them, so a split must be `decompose(u)` of the
+very u they measure.  It keeps floats, not magnitudes: the first
+request for a part builds its |grad| slab by slab into one array
+(`gradient_norms`), measures it at 1, 2, inf and the p asked, and frees
+it.  u and every part keep their own L^p norms (`domain.lp_norm`), so
+no measurement here takes a norm twice.
 
 Norms of the parts are taken on each part's own cylinder.  That
 is exact, not an approximation.  Every torus factor has measure 1, so
@@ -40,7 +46,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .domain import DomainSpec, Field, gradient, lp_norm, magnitude, write_json, write_snapshot
+from .domain import (
+    DomainSpec, Field, array_norms, gradient, lp_norm, magnitude, slabs, write_json,
+    write_snapshot,
+)
 
 __all__ = [
     "DecompositionResult",
@@ -49,6 +58,7 @@ __all__ = [
     "check_membership",
     "norm_bound_ratio",
     "level_sum",
+    "gradient_norms",
     "dump_components",
 ]
 
@@ -61,12 +71,13 @@ class DecompositionResult:
     matching x2..xn) to the part that depends on x1 and those directions
     only, in level order.  The empty subset is the 1-d part on the line;
     the top subset is on the full grid.  `field` is the field split.
+    The split keeps the gradient norms `grad_norm` takes, as floats.
     """
 
     field: Field
     parts: dict[tuple[int, ...], Field]
-    _grad: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
+    _norms: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     @property
     def spec(self) -> DomainSpec:
@@ -81,14 +92,17 @@ class DecompositionResult:
         return np.broadcast_to(_lift(self.spec, subset, self.parts[subset].values),
                                self.spec.shape)
 
-    def grad_magnitude(self, subset: tuple[int, ...] | None = None) -> Field:
-        """|grad| of a part, or of the field when subset is None, as a
-        Field on the part's own cylinder.  Built on first use and kept, so
-        the split holds one field's bytes per full-grid magnitude."""
-        if subset not in self._grad:
+    def grad_norm(self, subset: tuple[int, ...] | None, p: float) -> float:
+        """L^p norm of |grad| of a part, or of the field when subset is
+        None, on the part's own cylinder.  The first request for a part
+        measures its |grad| at 1, 2, inf and p and keeps those norms; a
+        later p builds |grad| again and keeps its norm too."""
+        if (subset, p) not in self._norms:
             f = self.field if subset is None else self.parts[subset]
-            self._grad[subset] = f.with_values(magnitude(gradient(f)))
-        return self._grad[subset]
+            ps = tuple(q for q in dict.fromkeys((1.0, 2.0, np.inf, p))
+                       if (subset, q) not in self._norms)
+            self._norms.update(((subset, q), x) for q, x in zip(ps, gradient_norms(f, ps)))
+        return self._norms[(subset, p)]
 
     def check_split_of(self, u: Field) -> None:
         """Raise ValueError unless this is the split of u itself."""
@@ -99,9 +113,10 @@ class DecompositionResult:
 
 
 def _lift(spec: DomainSpec, subset: tuple[int, ...], comp: np.ndarray) -> np.ndarray:
-    """View of an array over (x1, *subset directions) with a length-1
-    axis for each other torus direction, so it broadcasts on the grid."""
-    shape = [spec.n1] + [1] * (spec.n - 1)
+    """View of an array over (x1 rows, *subset directions) with a length-1
+    axis for each other torus direction, so it broadcasts on the grid, or
+    on a slab of its rows."""
+    shape = [comp.shape[0]] + [1] * (spec.n - 1)
     for pos, d in enumerate(subset):
         shape[d - 1] = comp.shape[1 + pos]
     return comp.reshape(shape)
@@ -120,25 +135,42 @@ def decompose(u: Field) -> DecompositionResult:
     complementary torus directions; levels are processed in increasing
     order with the running lower-level sum reused across subsets.  That
     sum adds the parts as broadcasting views: the additions, in the order,
-    of adding each part tiled onto a full-grid copy.
+    of adding each part tiled onto a full-grid copy.  The top part is
+    u minus the sum of every lower level.
+
+    Every step is row by row in x1, so each slab of rows (`slabs`) is
+    split on its own, straight into the parts' arrays: a slab's remainder
+    and lower sum are its only temporaries, and every value is bitwise
+    the one the whole grid at once would give.
     """
     spec = u.spec
+    if spec.n == 1:
+        return DecompositionResult(field=u, parts={(): Field(spec, u.values, u.t)})
     torus_dirs = tuple(range(2, spec.n + 1))
-    u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values
-    arrays = {(): u0}
+    levels = [list(combinations(torus_dirs, k)) for k in range(spec.n)]
+    specs = {s: DomainSpec(n=1 + len(s), L=spec.L, n1=spec.n1,
+                           n_torus=[spec.n_torus[d - 2] for d in s])
+             for level in levels for s in level}
+    arrays = {s: np.empty(part.shape) for s, part in specs.items()}
+    for start, stop in slabs(spec):
+        _split_rows(u.values[start:stop], {s: a[start:stop] for s, a in arrays.items()},
+                    levels, spec)
+    return DecompositionResult(field=u, parts={
+        s: Field(part, arrays[s], u.t) for s, part in specs.items()})
 
+
+def _split_rows(rows: np.ndarray, out: dict, levels: list, spec: DomainSpec) -> None:
+    """Split a slab of x1 rows into the same rows of every part, `out`."""
+    u0 = out[()][...] = rows.mean(axis=tuple(range(1, spec.n)))
     lower_sum = _lift(spec, (), u0)
-    for k in range(1, spec.n):
-        remainder = u.values - lower_sum
-        level = {s: _average_keep(remainder, s, spec) for s in combinations(torus_dirs, k)}
-        arrays.update(level)
-        if k < spec.n - 1:
-            for subset, comp in level.items():
-                lower_sum = lower_sum + _lift(spec, subset, comp)
-    parts = {s: Field(DomainSpec(n=1 + len(s), L=spec.L, n1=spec.n1,
-                                 n_torus=[spec.n_torus[d - 2] for d in s]), arr, u.t)
-             for s, arr in arrays.items()}
-    return DecompositionResult(field=u, parts=parts)
+    for level in levels[1:-1]:
+        remainder = rows - lower_sum
+        for s in level:
+            out[s][...] = _average_keep(remainder, s, spec)
+        del remainder  # so the lower sum is not built beside it
+        for s in level:
+            lower_sum = lower_sum + _lift(spec, s, out[s])
+    np.subtract(rows, lower_sum, out=out[levels[-1][0]])
 
 
 def _sum_parts(d: DecompositionResult, subsets) -> np.ndarray:
@@ -187,8 +219,9 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
     2**|S| summed over the subsets S of the n-1 torus directions is
     3**(n-1).  A constant field at m = 1 has no denominator; that case
     is reported as NaN.  `d` must be decompose(u): at m = 1 the
-    gradient magnitudes are the ones the split keeps, each built once
-    whatever the number of calls.
+    gradient norms are the ones the split keeps, each gradient magnitude
+    built once, slab by slab, whatever the number of calls at p = 1, 2
+    and inf.
 
     Each part is measured on its own cylinder, not tiled onto the full
     grid.  The result is the same up to the order of the quadrature sums,
@@ -202,13 +235,25 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
 
     def nrm(subset) -> float:
         if m == 1:
-            return lp_norm(d.grad_magnitude(subset), p)
+            return d.grad_norm(subset, p)
         return lp_norm(u if subset is None else d.parts[subset], p)
 
     denom = nrm(None)
     if denom == 0.0:
         return float("nan")
     return sum(nrm(s) for s in d.parts) / denom
+
+
+def gradient_norms(f: Field, ps) -> list[float]:
+    """L^p norms of |grad f|, one per p in ps.  |grad f| is built a slab
+    of x1 rows at a time into one array, each slab from that slab's
+    partials (`gradient`'s row window), and measured in place
+    (`array_norms`), so neither a full-grid partial nor a second
+    full-grid array is held.  Bitwise lp_norm(Field(magnitude(gradient(f))), p)."""
+    out = np.empty(f.spec.shape)
+    for rows in slabs(f.spec):
+        out[rows[0]:rows[1]] = magnitude(gradient(f, rows))
+    return array_norms(out, ps, f.spec.cell_volume, overwrite=True)
 
 
 def dump_components(d: DecompositionResult, outdir) -> dict:

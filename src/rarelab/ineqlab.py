@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomp import DecompositionResult, decompose, level_sum
+from .decomp import DecompositionResult, decompose, gradient_norms, level_sum
 from .domain import (
-    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, overwritable,
-    second_derivative,
+    DomainSpec, Field, array_norms, derivative, gradient, lp_norm, magnitude, make_grid,
+    overwritable, second_derivative, slabs,
 )
 
 __all__ = [
@@ -80,19 +80,22 @@ def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int):
     return float(theta)
 
 
-def _deriv_magnitude(f: Field, order: int) -> Field:
-    """Pointwise Euclidean size of all order-th partial derivatives."""
+def _deriv_norm(f: Field, order: int, p: float) -> float:
+    """L^p norm of the pointwise Euclidean size of all order-th partial
+    derivatives of f.  A magnitude is measured in its own array
+    (`array_norms`), never wrapped in a Field."""
     if order == 0:
-        return f
+        return lp_norm(f, p)
     if order == 1:
-        return f.with_values(magnitude(gradient(f)))
+        return gradient_norms(f, (p,))[0]
     if order == 2:
         n = f.spec.n
         grads = [f.with_values(g) for g in gradient(f)]
         # Hessian rows: the pure second partial first, then the mixed ones
         rows = ([second_derivative(f, i)] + [derivative(grads[i], j) for j in range(n) if j != i]
                 for i in range(n))
-        return f.with_values(magnitude(c for row in rows for c in row))
+        hessian = magnitude(c for row in rows for c in row)
+        return array_norms(hessian, (p,), f.spec.cell_volume, overwrite=True)[0]
     raise ValueError(f"derivative order {order} not supported (max 2)")
 
 
@@ -106,15 +109,17 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
 
     A level with a single part (level 0 and the top level) is measured
     on that part's own cylinder, which is exact up to the order of the
-    quadrature sums, as in `decomp.norm_bound_ratio`.  A given `d` must
-    be decompose(u): at m = 1 the right side reads the |grad u| that the
-    split keeps, and at j = 1 a single-part level its part's kept |grad|.
+    quadrature sums, as in `decomp.norm_bound_ratio`.  A level of several
+    parts is summed onto the full grid on each call and measured in that
+    array.  A given `d` must be decompose(u): at m = 1 the right side
+    reads the norm of |grad u| that the split keeps, and at j = 1 a
+    single-part level its part's kept norm.
     """
     if d is None:
         d = decompose(u)
     else:
         d.check_split_of(u)
-    rhs_m = lp_norm(d.grad_magnitude() if m == 1 else _deriv_magnitude(u, m), r)
+    rhs_m = d.grad_norm(None, r) if m == 1 else _deriv_norm(u, m, r)
     rhs_0 = lp_norm(u, q)
     out = {"ratios": {}, "theta": {}, "flags": []}
     for k in range(u.spec.n):
@@ -124,11 +129,12 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
             out["flags"].append(f"level {k}: infeasible exponents, skipped")
             continue
         level = [s for s in d.parts if len(s) == k]
-        if len(level) == 1 and j == 1:
-            lhs = lp_norm(d.grad_magnitude(level[0]), p)
+        if len(level) == 1:
+            lhs = d.grad_norm(level[0], p) if j == 1 else _deriv_norm(d.parts[level[0]], j, p)
+        elif j == 0:
+            lhs = array_norms(level_sum(d, k), (p,), u.spec.cell_volume, overwrite=True)[0]
         else:
-            part = d.parts[level[0]] if len(level) == 1 else Field(u.spec, level_sum(d, k), u.t)
-            lhs = lp_norm(_deriv_magnitude(part, j), p)
+            lhs = _deriv_norm(Field(u.spec, level_sum(d, k), u.t), j, p)
         if lhs == 0.0:
             out["ratios"][k] = 0.0
             continue
@@ -169,34 +175,30 @@ def chain_rule_power_gradient(values: np.ndarray, derivs, power: float) -> list[
     return [np.multiply(factor, dv, out=o) for dv, o in zip(derivs, outs)]
 
 
-# Cells of u per slab of `_power_gradient_magnitude`.  A slab's n partials
-# and its chain-rule factor are its only temporaries, 128 KiB each at
-# 2**14 cells: at n = 3 the four fit in a core's L2 cache and hold half a
-# 128 x 32 x 32 field.  Smaller slabs pay more per-call overhead than
-# they save: on a 128 x 48 x 48 field, 2**13 took 8.5 ms, 2**14 6.4 ms
-# and 2**15 5.9 ms, against 9.6 ms for the full-grid partials.
-SLAB_CELLS = 2**14
-
-
 def _power_gradient_magnitude(u: Field, power: float) -> np.ndarray:
     """|grad(|u|**power)| in one new array, bitwise
     magnitude(chain_rule_power_gradient(u.values, gradient(u), power)).
 
-    It is built a slab of x1 rows at a time, each from that slab's rows
-    of the partials (`derivative`'s row window), so no full-grid partial
-    is ever held.  At power 1 the chain-rule factor is +-1 (1 at zeros),
-    which `magnitude` squares away, so the raw partials go to it unscaled.
+    It is built a slab of x1 rows at a time (`slabs`), each from that
+    slab's rows of the partials (`gradient`'s row window), so no
+    full-grid partial is ever held.  At power 1 the chain-rule factor is
+    +-1 (1 at zeros), which `magnitude` squares away, so the raw partials
+    go to it unscaled.
     """
-    n1 = u.spec.n1
-    step = max(1, SLAB_CELLS // (u.values.size // n1))
     out = np.empty(u.spec.shape)
-    for start in range(0, n1, step):
-        stop = min(start + step, n1)
-        partials = [derivative(u, axis, (start, stop)) for axis in range(u.spec.n)]
+    for start, stop in slabs(u.spec):
+        partials = gradient(u, (start, stop))
         if power != 1.0:
             partials = chain_rule_power_gradient(u.values[start:stop], partials, power)
         out[start:stop] = magnitude(partials)
+        del partials  # so the next slab's partials are not built beside these
     return out
+
+
+def _power_gradient_norm(u: Field, power: float) -> float:
+    """L^2 norm of |grad(|u|**power)|, measured in the array that holds it."""
+    return array_norms(_power_gradient_magnitude(u, power), (2.0,), u.spec.cell_volume,
+                       overwrite=True)[0]
 
 
 def check_interpolation_exponents(p: float, q: float) -> None:
@@ -215,11 +217,22 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
     |grad(|u|^(p/2))|_2 ** (2 g_k / (1 + g_k p)) * |u|_q ** (1/(1 + g_k p))
     with g_k = (k+1)/2 (1/q - 1/p); both exponents scale so the quotient
     is invariant under u -> lambda u.
+
+    |u|^(p/2) can overflow where u does not (p = 2000 and |u| = 2).  Then
+    the quotient is taken of u / max|u|, whose power stays at most 1, and
+    both sides are scaled back by max|u|: the exponents of each summand
+    add up to 1, so each side is homogeneous of degree 1 in u.
     """
     check_interpolation_exponents(p, q)
-    gnorm = lp_norm(u.with_values(_power_gradient_magnitude(u, p / 2.0)), 2)
-    uq = lp_norm(u, q)
-    lhs = lp_norm(u, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gnorm = _power_gradient_norm(u, p / 2.0)
+    scale, v = 1.0, u
+    if not np.isfinite(gnorm):
+        scale = lp_norm(u, np.inf)
+        v = u.with_values(u.values / scale)
+        gnorm = _power_gradient_norm(v, p / 2.0)
+    uq = lp_norm(v, q)
+    lhs = lp_norm(v, p)
     rhs = 0.0
     detail = {}
     for k in range(u.spec.n):
@@ -228,7 +241,7 @@ def interpolation_ratio(u: Field, p: float, q: float) -> dict:
         e_q = 1.0 / (1.0 + gk * p)
         rhs += gnorm**e_grad * uq**e_q
         detail[k] = {"gamma": gk, "grad_exponent": e_grad, "norm_exponent": e_q}
-    out = {"lhs": lhs, "rhs": rhs, "detail": detail}
+    out = {"lhs": scale * lhs, "rhs": scale * rhs, "detail": detail}
     out["ratio"] = float("nan") if rhs == 0.0 else lhs / rhs
     if rhs == 0.0:
         out["flag"] = "zero right-hand side"

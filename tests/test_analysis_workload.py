@@ -6,7 +6,8 @@ invariants: exact reconstruction, zero slice averages, norm-bound ratios
 in [1, 4**(n-1)] and finite positive GN quotients.  Here every
 norm-bound ratio is also held to the proved bound 3**(n-1), tighter
 than the workload's own check, and the body takes each norm of each
-Field once.  The workload is loaded by path from `bench/workloads.py`.
+Field, and of each split gradient magnitude, once.  The workload is
+loaded by path from `bench/workloads.py`.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import rarelab.decomp
 import rarelab.domain
 import rarelab.ineqlab
 
@@ -40,25 +42,32 @@ def test_tiny_analysis_fails_no_operation(tmp_path, seed):
 
 
 def computed_norms(monkeypatch) -> list:
-    """(Field, p) of every norm computed, not read back from a Field."""
+    """(what, Field, p) of every norm computed, not read back: what is
+    "values" for a norm of the Field and "grad" for one of its |grad|."""
     computed = []
     real = rarelab.domain._lp_norm
+    real_grad = rarelab.decomp.gradient_norms
 
     def spy(f, p):
-        computed.append((f, p))
+        computed.append(("values", f, p))
         return real(f, p)
 
+    def grad_spy(f, ps):
+        computed.extend(("grad", f, p) for p in ps)
+        return real_grad(f, ps)
+
     monkeypatch.setattr(rarelab.domain, "_lp_norm", spy)
+    monkeypatch.setattr(rarelab.decomp, "gradient_norms", grad_spy)
     return computed
 
 
 def repeats(computed) -> list:
-    """The (Field, p) pairs computed more than once."""
+    """The (what, Field, p) computed more than once."""
     seen, again = set(), []
-    for f, p in computed:
-        key = (id(f), p)  # every f is held by `computed`, so ids stay unique
+    for what, f, p in computed:
+        key = (what, id(f), p)  # every f is held by `computed`, so ids stay unique
         if key in seen:
-            again.append((f.spec, p))
+            again.append((what, f.spec, p))
         seen.add(key)
     return again
 
@@ -66,12 +75,15 @@ def repeats(computed) -> list:
 def test_each_norm_of_each_field_is_computed_once(tmp_path, monkeypatch):
     computed = computed_norms(monkeypatch)
     tiny_body(1, tmp_path)
-    assert computed and repeats(computed) == []
+    assert {what for what, _, _ in computed} == {"values", "grad"}
+    assert repeats(computed) == []
 
 
 def test_a_second_computation_is_found(tmp_path, monkeypatch):
     computed = computed_norms(monkeypatch)
-    # gn_ratio and interpolation_ratio retake, uncached, six norms the bounds took
+    # gn_ratio and interpolation_ratio retake, uncached, five norms the bounds
+    # took: |u|_1 twice, |u|_2 and the |.|_2 of the 1-d and the top part;
+    # the split's gradient norms are read from the split, not through lp_norm
     monkeypatch.setattr(rarelab.ineqlab, "lp_norm", lambda f, p: rarelab.domain._lp_norm(f, p))
     tiny_body(1, tmp_path)
-    assert len(repeats(computed)) == 6 * workloads.Analysis(tiny=True).n_fields
+    assert len(repeats(computed)) == 5 * workloads.Analysis(tiny=True).n_fields

@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -647,19 +648,55 @@ class TestCounterexampleDilations:
         assert default == dilated_sobolev_ratio(1.0)["measured"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("dilations, entry", [
-        ("1,1e200", "1e+200 gives the quotient inf"),  # |z'|^2 underflows to 0
-        ("1e-300,1", "1e-300 gives the quotient 0"),  # |z'|^2 overflows
+    @pytest.mark.parametrize("dilations", [
+        "1,1e200",  # |z'|^2 underflows to 0
+        "1e-300,1",  # |z'|^2 overflows
     ])
-    def test_a_quotient_past_the_float_range_is_a_config_error(self, tmp_path, capsys,
-                                                               dilations, entry):
+    def test_a_norm_past_the_float_range_is_rescaled(self, tmp_path, capsys, dilations):
+        # these were config errors ("gives the quotient inf" and "0") while a
+        # norm whose sum left the float range was taken as that sum
         text = f"experiment = counterexample\ndilations = {dilations}\n"
-        message = f"dilations entry {entry}, which must be finite and positive"
+        assert run_cli(tmp_path, "validate", text) == 0
+        assert capsys.readouterr().out == "no violations\n"
+        assert run_cli(tmp_path, "counterexample", text) == 0
+        summary = json.loads((tmp_path / "out" / "counterexample_summary.json").read_text())
+        slopes = [(summary["sobolev_slope"], summary["sobolev_slope_predicted"]),
+                  *((s["measured"], s["predicted"]) for s in summary["theta_slopes"].values())]
+        assert all(abs(got - want) < 1e-14 for got, want in slopes), slopes
+
+
+class TestGradientGridsAndHugeExponents:
+    """decompose and gn-study square the gradients they measure: a grid on
+    which the squared gradient of a unit field overflows is a config error
+    that names L, in `validate` and in the run.  gn-study at a huge r or p
+    measures finite quotients, with no numpy warning."""
+
+    @pytest.mark.parametrize("command", ["decompose", "gn-study"])
+    def test_a_grid_whose_squared_gradient_overflows_is_a_config_error(self, tmp_path, capsys,
+                                                                       command):
+        text = f"experiment = {command}\n{TINY_RUNS[command]}L = 1e-200\n"
         assert run_cli(tmp_path, "validate", text) == 1
-        assert capsys.readouterr().out == f"violation: {message}\n"
-        assert run_cli(tmp_path, "counterexample", text) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        out = capsys.readouterr().out
+        assert out.startswith("violation: L = 1e-200 ") and "overflows" in out
+        assert run_cli(tmp_path, command, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: L = 1e-200 ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["decompose", "gn-study"])
+    def test_a_short_grid_inside_the_float_range_runs(self, tmp_path, command):
+        assert run_cli(tmp_path, command, TINY_RUNS[command] + "L = 1e-100\n") == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", ["r = 2000", "p = 2000"])
+    def test_a_huge_exponent_gives_finite_quotients(self, tmp_path, key):
+        # r = 2000 once wrote gn_ratio_max 0.0 (|grad u|_r overflowed) and
+        # p = 2000 ended in a traceback (|u|**1000 overflowed)
+        assert run_cli(tmp_path, "gn-study", TINY_RUNS["gn-study"] + key + "\n") == 0
+        summary = json.loads((tmp_path / "out" / "gn_summary.json").read_text())
+        for name in ("gn_ratio_max", "interpolation_ratio_max"):
+            assert 0.0 < summary[name] < math.inf, summary
 
 
 class TestModesTheGridCannotCarry:

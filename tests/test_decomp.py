@@ -12,7 +12,7 @@ from rarelab.decomp import (
     norm_bound_ratio,
     reconstruct,
 )
-from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid
+from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, slabs
 from rarelab.ineqlab import gn_ratio
 
 
@@ -374,16 +374,20 @@ class TestNormBound:
                 norm_bound_ratio(f, decompose(g), m, p)
 
 
-class TestKeptMagnitudes:
+class TestKeptGradientNorms:
+    """A split keeps the norms of each gradient magnitude, not the
+    magnitudes: each |grad| is built once, slab by slab, for p = 1, 2 and
+    inf together, and its norms are the ones a fresh Field of it gives."""
+
     def test_each_magnitude_is_built_once_per_split(self, monkeypatch):
         import rarelab.decomp
 
-        calls = []
+        windows = []
         real = rarelab.decomp.gradient
 
-        def counted(f):
-            calls.append(f)
-            return real(f)
+        def counted(f, rows=None):
+            windows.append((id(f), rows))
+            return real(f, rows)
 
         monkeypatch.setattr(rarelab.decomp, "gradient", counted)
         f = random_trig_field(SPEC3, np.random.default_rng(16))
@@ -391,19 +395,33 @@ class TestKeptMagnitudes:
         for p in (1.0, 2.0, np.inf):
             norm_bound_ratio(f, d, 1, p)
         gn_ratio(f, 0, 1, 2.0, 1.0, 2.0, d=d)
-        assert len(calls) == 1 + len(d.parts)
+        # every field is differentiated once, slab by slab, in order
+        assert windows == [(id(g), rows) for g in (f, *d.parts.values())
+                           for rows in slabs(g.spec)]
 
-    def test_kept_magnitudes_are_the_fresh_ones(self):
+    def test_kept_norms_are_the_fresh_ones(self):
         f = random_trig_field(SPEC3, np.random.default_rng(17))
         d = decompose(f)
         for subset, g in ((None, f), *d.parts.items()):
-            kept = d.grad_magnitude(subset)
-            assert kept is d.grad_magnitude(subset)
-            assert kept.spec == g.spec
-            assert np.array_equal(kept.values, grad_magnitude(g))
+            for p in (2.0, 1.0, 4.0, np.inf, 4.0):
+                kept = d.grad_norm(subset, p)
+                assert kept.hex() == norm(g, 1, p).hex()
+        assert all(type(x) is float for x in vars(d)["_norms"].values())
 
+    def test_a_new_p_builds_the_magnitude_again(self, monkeypatch):
+        import rarelab.decomp
 
-    def test_gn_ratio_at_first_order_reads_the_kept_magnitudes(self, monkeypatch):
+        f = random_trig_field(SPEC2, np.random.default_rng(19))
+        d = decompose(f)
+        built = []
+        real = rarelab.decomp.gradient_norms
+        monkeypatch.setattr(rarelab.decomp, "gradient_norms",
+                            lambda g, ps: built.append(ps) or real(g, ps))
+        for p in (2.0, 1.0, np.inf, 3.0, 2.0, 3.0):
+            d.grad_norm(None, p)
+        assert built == [(1.0, 2.0, np.inf), (3.0,)]
+
+    def test_gn_ratio_at_first_order_reads_the_kept_norms(self, monkeypatch):
         import rarelab.decomp
         import rarelab.ineqlab
 
@@ -415,13 +433,122 @@ class TestKeptMagnitudes:
         differentiated = []
         for module in (rarelab.decomp, rarelab.ineqlab):
             real = module.gradient
-            monkeypatch.setattr(module, "gradient",
-                                lambda g, real=real: differentiated.append(g) or real(g))
+            monkeypatch.setattr(module, "gradient", lambda g, rows=None, real=real:
+                                differentiated.append(g) or real(g, rows))
         got = gn_ratio(f, 1, 2, 2.0, 2.0, 2.0, d=d)
         single = [d.parts[()], d.parts[(2, 3)]]
         assert differentiated  # the second-order right side is built fresh
         assert not any(g is part for g in differentiated for part in single)
         assert got == want
+
+
+def parent_decompose(u):
+    """The full-grid split `decompose` replaced: each level's remainder is
+    u minus the running lower sum on the whole grid, and the top part is
+    the last remainder."""
+    spec = u.spec
+    torus_dirs = tuple(range(2, spec.n + 1))
+    u0 = u.values.mean(axis=tuple(range(1, spec.n)), keepdims=False) if spec.n > 1 else u.values
+
+    def lift(subset, comp):
+        shape = [spec.n1] + [1] * (spec.n - 1)
+        for pos, direction in enumerate(subset):
+            shape[direction - 1] = comp.shape[1 + pos]
+        return comp.reshape(shape)
+
+    def average_keep(values, keep):
+        drop = tuple(ax for ax in range(1, spec.n) if (ax + 1) not in keep)
+        return values.mean(axis=drop, keepdims=False) if drop else values
+
+    arrays = {(): u0}
+    lower_sum = lift((), u0)
+    for k in range(1, spec.n):
+        remainder = u.values - lower_sum
+        level = {s: average_keep(remainder, s) for s in combinations(torus_dirs, k)}
+        arrays.update(level)
+        if k < spec.n - 1:
+            for subset, comp in level.items():
+                lower_sum = lower_sum + lift(subset, comp)
+    return arrays
+
+
+def parent_lp_norm(values, cell_volume, p):
+    """The norm formulas `array_norms` took over, on a read-only array."""
+    if np.isinf(p):
+        return max(float(values.max()), -float(values.min())) + 0.0
+    if p == 1:
+        acc = float(np.sum(np.abs(values)))
+    elif p == 2:
+        acc = float(np.sum(values * values))
+    else:
+        a = np.abs(values)
+        a **= p
+        acc = float(np.sum(a))
+    return (acc * cell_volume) ** (1.0 / p)
+
+
+def parent_grad_norm(f, p):
+    """lp_norm(Field(magnitude(gradient(f))), p) with full-grid partials
+    and the parent's norm formulas."""
+    return parent_lp_norm(magnitude(gradient(f)), f.spec.cell_volume, p)
+
+
+@st.composite
+def slabbed_fields(draw):
+    """A Field on a 1-, 2- or 3-d grid with exact signed zeros, and a
+    number of rows per slab, 2 to 5, that n1 is not a multiple of."""
+    n = draw(st.integers(1, 3))
+    n_torus = draw(st.lists(st.integers(4, 6), min_size=n - 1, max_size=n - 1))
+    rows = draw(st.integers(2, 5))
+    n1 = rows * draw(st.integers(2, 4)) + draw(st.integers(1, rows - 1))
+    spec = DomainSpec(n=n, L=draw(st.floats(0.5, 20.0)), n1=n1, n_torus=n_torus)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    v = rng.standard_normal(spec.shape) * 10.0 ** rng.integers(-3, 3, size=spec.shape)
+    v[rng.random(spec.shape) < 0.15] = 0.0
+    v[rng.random(spec.shape) < 0.15] = -0.0
+    return Field(spec, v), rows
+
+
+def assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestParentSplitReference:
+    """The slab-by-slab split and the slab-built gradient norms are
+    bitwise the parent's full-grid ones: every part, the reconstruction
+    and every gradient norm, signs of zero included."""
+
+    def check(self, u):
+        d = decompose(u)
+        want = parent_decompose(u)
+        assert list(d.parts) == list(want)
+        for subset, part in d.parts.items():
+            assert_bitwise(part.values, want[subset])
+        rebuilt = type(d)(field=u, parts={s: Field(part.spec, want[s])
+                                          for s, part in d.parts.items()})
+        assert_bitwise(reconstruct(d).values, reconstruct(rebuilt).values)
+        for subset, g in ((None, u), *d.parts.items()):
+            for p in (1.0, 2.0, 4.0, np.inf):
+                assert d.grad_norm(subset, p).hex() == parent_grad_norm(g, p).hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(slabbed_fields())
+    def test_small_slabs_are_bitwise_the_full_grid_split(self, case):
+        import rarelab.domain
+
+        u, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rarelab.domain, "SLAB_CELLS", rows * (u.spec.num_points // u.spec.n1))
+            start, stop = slabs(u.spec)[-1]
+            assert len(slabs(u.spec)) > 2 and stop - start < rows
+            self.check(u)
+
+    @pytest.mark.parametrize("shape", [(7, 48, 48), (37, 48, 48), (513, 8, 6), (37, 9),
+                                       (513, 40), (7,)])
+    def test_default_slabs_are_bitwise_the_full_grid_split(self, shape):
+        spec = DomainSpec(n=len(shape), L=3.0, n1=shape[0], n_torus=shape[1:])
+        self.check(random_trig_field(spec, np.random.default_rng(sum(shape))))
 
 
 class TestLinearity:

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from rarelab.domain import (
     MAX_CELLS,
+    SLAB_CELLS,
     DomainSpec,
     Field,
+    array_norms,
     derivative,
     gradient,
     laplacian,
@@ -18,6 +20,7 @@ from rarelab.domain import (
     make_grid,
     read_snapshot,
     second_derivative,
+    slabs,
     tail_mass,
     write_json,
     write_snapshot,
@@ -399,6 +402,9 @@ class TestOperatorsMatchReferenceFormulas:
             want = derivative(f, axis)[start:stop]
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+        for got, want in zip(gradient(f, (start, stop)), gradient(f), strict=True):
+            assert np.array_equal(got, want[start:stop])
+            assert np.array_equal(np.signbit(got), np.signbit(want[start:stop]))
 
     @settings(max_examples=60, deadline=None)
     @given(grid_fields())
@@ -454,6 +460,76 @@ class TestOperatorsMatchReferenceFormulas:
         mixed.flat[::2] = -0.0
         got = lp_norm(Field(spec, mixed), np.inf)
         assert got == 0.0 and not np.signbit(got)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("shape", [(7,), (40000,), (37, 48, 48), (16, 8, 8), (5, 200, 200)])
+    def test_windows_cover_the_line_in_order(self, shape):
+        spec = DomainSpec(n=len(shape), L=1.0, n1=shape[0], n_torus=shape[1:])
+        windows = slabs(spec)
+        assert [w[0] for w in windows] == [0, *(w[1] for w in windows[:-1])]
+        assert windows[-1][1] == spec.n1
+        per_row = spec.num_points // spec.n1
+        assert all(stop - start == 1 or (stop - start) * per_row <= SLAB_CELLS
+                   for start, stop in windows)
+        assert all(b - a == windows[0][1] for a, b in windows[:-1])
+
+
+class TestArrayNorms:
+    """`array_norms` runs the norm formulas on a bare array: handed one it
+    may overwrite, it gives lp_norm's norms bitwise, and a finite p whose
+    plain sum leaves the float range is rescaled by max|v|, with no
+    warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_fields(), st.lists(st.sampled_from([1.0, 2.0, 4.0, 3.5, np.inf]),
+                                   min_size=1, max_size=5))
+    def test_a_given_up_array_measures_like_lp_norm(self, f, ps):
+        want = [lp_norm(Field(f.spec, f.values.copy()), p).hex() for p in ps]
+        kept = f.values.copy()
+        read = array_norms(f.values, ps, f.spec.cell_volume)
+        assert [x.hex() for x in read] == want
+        assert np.array_equal(f.values, kept)
+        assert np.array_equal(np.signbit(f.values), np.signbit(kept))
+        given_up = array_norms(f.values.copy(), ps, f.spec.cell_volume, overwrite=True)
+        assert [x.hex() for x in given_up] == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e160, 1e-170, 1e-200, 1e-300])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_a_sum_past_the_float_range_is_rescaled(self, scale, overwrite):
+        # the plain sums at p = 2, 3.5 and 4 overflow, or underflow to 0, at
+        # these scales; the reference scales by a power of two, which is exact
+        spec = DomainSpec(n=2, L=1.5, n1=12, n_torus=(8,))
+        rng = np.random.default_rng(3)
+        v = scale * rng.uniform(0.5, 2.0, spec.shape) * rng.choice([-1.0, 1.0], spec.shape)
+        k = -round(np.log2(scale))
+        ps = (1.0, 2.0, 4.0, 3.5, np.inf)
+        want = [2.0**-k * lp_norm(Field(spec, v * 2.0**k), p) for p in ps]
+        got = array_norms(v, ps, spec.cell_volume, overwrite)
+        for p, g, w in zip(ps, got, want):
+            assert 0.0 < g < np.inf and abs(g - w) <= 1e-13 * w, (p, g, w)
+
+    def test_a_rescaled_norm_needs_its_plain_sum_to_fail(self):
+        # 1e150**2 and 1e-150**2 are in range, so these norms are the plain ones
+        spec = DomainSpec(n=1, L=2.0, n1=4)
+        for v in (np.full(4, 1e150), np.full(4, 1e-150)):
+            plain = float(np.sum(v * v)) ** 0.5
+            assert array_norms(v.copy(), (2.0,), spec.cell_volume, True)[0] == plain
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_an_all_zero_array_has_norm_positive_zero(self, p):
+        v = np.zeros(12)
+        v[::3] = -0.0
+        for overwrite in (False, True):
+            got = array_norms(v.copy(), (p,), 0.5, overwrite)[0]
+            assert got == 0.0 and not np.signbit(got)
+
+    def test_p_below_one_is_rejected_before_any_work(self):
+        v = np.ones(4)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            array_norms(v, (2.0, 0.5), 1.0, overwrite=True)
+        assert np.array_equal(v, np.ones(4))
 
 
 class TestKeptNorms:

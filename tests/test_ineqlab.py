@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarelab.decomp import decompose, level_sum
-from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid
+from rarelab.domain import (
+    SLAB_CELLS, DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid,
+    second_derivative,
+)
 from rarelab.ineqlab import (
-    SLAB_CELLS,
-    _deriv_magnitude,
     _power_gradient_magnitude,
     chain_rule_power_gradient,
     dilated_gn_ratio,
@@ -33,6 +34,21 @@ def signed_samples(draw):
     v[rng.random(shape) < 0.15] = 0.0
     v[rng.random(shape) < 0.15] = -0.0
     return v, [rng.standard_normal(shape) for _ in range(n)]
+
+
+def deriv_magnitude(f, order):
+    """The size of all order-th partials of f as a Field, built on the
+    full grid: the formula `gn_ratio` measured before its magnitudes were
+    measured in their own arrays."""
+    if order == 0:
+        return f
+    if order == 1:
+        return f.with_values(magnitude(gradient(f)))
+    n = f.spec.n
+    grads = [f.with_values(g) for g in gradient(f)]
+    rows = ([second_derivative(f, i)] + [derivative(grads[i], j) for j in range(n) if j != i]
+            for i in range(n))
+    return f.with_values(magnitude(c for row in rows for c in row))
 
 
 def bump_times_mode(spec, k=1):
@@ -133,10 +149,10 @@ class TestGNRatio:
         u = Field(spec, rng.standard_normal(spec.shape))
         d = decompose(u)
         res = gn_ratio(u, j, m, p, q, r, d=d)
-        rhs_m, rhs_0 = lp_norm(_deriv_magnitude(u, m), r), lp_norm(u, q)
+        rhs_m, rhs_0 = lp_norm(deriv_magnitude(u, m), r), lp_norm(u, q)
         assert len(res["ratios"]) == spec.n, res["flags"]
         for k, ratio in res["ratios"].items():
-            lhs = lp_norm(_deriv_magnitude(Field(spec, level_sum(d, k)), j), p)
+            lhs = lp_norm(deriv_magnitude(Field(spec, level_sum(d, k)), j), p)
             theta = res["theta"][k]
             want = lhs / (rhs_m**theta * rhs_0 ** (1.0 - theta))
             assert ratio == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -217,10 +233,46 @@ class TestInterpolationRatio:
             interpolation_ratio(u, 2.0, 3.0)
 
 
+def power_of_two_below(x):
+    """The largest power of two at most x."""
+    return 2.0 ** np.floor(np.log2(x))
+
+
+class TestHugeExponents:
+    """At a huge exponent a power of |u| or |grad u| leaves the float range
+    where u does not.  Both quotients are invariant under u -> c u, so
+    each must equal its value at a power-of-two scale c (an exact
+    rescaling) at which every power stays in range."""
+
+    SPEC = DomainSpec(n=2, L=4.0, n1=32, n_torus=(8,))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gn_ratio_at_r_2000(self):
+        u = Field(self.SPEC, 40.0 * bump_times_mode(self.SPEC).values)
+        # |grad(c u)| peaks in [1, 2), so its 2000th powers sum in range
+        c = 1.0 / power_of_two_below(float(np.max(magnitude(gradient(u)))))
+        got = gn_ratio(u, 0, 1, 2.0, 1.0, 2000.0)["ratios"]
+        want = gn_ratio(Field(self.SPEC, c * u.values), 0, 1, 2.0, 1.0, 2000.0)["ratios"]
+        assert all(0.0 < got[k] < np.inf for k in got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_interpolation_ratio_at_p_2000(self):
+        u = Field(self.SPEC, 8.0 * bump_times_mode(self.SPEC).values)
+        # |c u| peaks in [1/2, 1), so |c u|**999 cannot overflow
+        c = 0.5 / power_of_two_below(float(np.max(np.abs(u.values))))
+        got = interpolation_ratio(u, 2000.0, 1.0)
+        want = interpolation_ratio(Field(self.SPEC, c * u.values), 2000.0, 1.0)
+        assert 0.0 < got["ratio"] < np.inf
+        assert got["ratio"] == pytest.approx(want["ratio"], rel=1e-12, abs=0.0)
+        for side in ("lhs", "rhs"):
+            assert got[side] == pytest.approx(want[side] / c, rel=1e-12, abs=0.0)
+
+
 @st.composite
 def slab_fields(draw):
     """A Field on a 1-, 2- or 3-d grid whose line runs from 4 rows up to
-    past two slabs of `_power_gradient_magnitude`, with exact zeros."""
+    past two of its `slabs`, with exact zeros."""
     n = draw(st.integers(1, 3))
     n_torus = draw(st.lists(st.integers(4, 6), min_size=n - 1, max_size=n - 1))
     slab_rows = max(1, SLAB_CELLS // int(np.prod(n_torus, dtype=int)))

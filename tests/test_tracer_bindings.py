@@ -7,6 +7,7 @@ in the benchmark's own tests.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("rarelab_bench_tracer", TRACER)
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
+_spec = importlib.util.spec_from_file_location("rarelab_bench_workloads",
+                                               TRACER.parent / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 @pytest.mark.parametrize("modname, attr", [row[:2] for row in tracer.FUNCTIONS])
@@ -64,3 +69,51 @@ def test_a_traced_run_files_its_sweeps_and_changes_no_number(tmp_path):
     assert "stepping.sweep_periodic" not in calls
     traced, plain = (tmp_path / d / "norms.csv" for d in ("traced", "plain"))
     assert traced.read_bytes() == plain.read_bytes()
+
+
+def exact(value):
+    """A value the analysis body returns, as plain data that compares
+    equal only when every float and array is bitwise the same."""
+    if isinstance(value, dict):
+        return [(repr(k), exact(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    if hasattr(value, "values"):  # a Field
+        return value.spec, value.values.tobytes()
+    return repr(value)
+
+
+def test_a_traced_analysis_run_changes_no_value(tmp_path):
+    # the split and the quotients measure through decomp's and ineqlab's own
+    # gradient and lp_norm bindings, which the tracer wraps as its
+    # domain.gradient and domain.lp_norm layers
+    from rarelab import decomp, ineqlab
+
+    work = workloads.Analysis(tiny=True)
+    work.setup(1, tmp_path)
+    plain = exact(work.body())
+    seen = Counter()
+
+    def counted(fn, key):
+        def call(*args, **kw):
+            seen[key] += 1
+            return fn(*args, **kw)
+        return call
+
+    t = tracer.Tracer().install()
+    try:
+        for module in (decomp, ineqlab):
+            for name in ("gradient", "lp_norm"):
+                setattr(module, name, counted(getattr(module, name), (module, name)))
+        traced = t.run(work.body)
+    finally:
+        t.restore()
+    assert exact(traced) == plain
+    calls = {layer: stat[0] for layer, stat in t.layers.items()}
+    assert set(calls) <= set(tracer.LAYERS) | {tracer.ROOT}
+    for name in ("gradient", "lp_norm"):
+        assert seen[decomp, name] > 0 and seen[ineqlab, name] > 0, name
+        assert calls[f"domain.{name}"] == seen[decomp, name] + seen[ineqlab, name]
+    assert not any(isinstance(r, Exception) for r in traced)
