@@ -4,10 +4,12 @@ The ansatz interpolates between the torus solutions through a weight
 that rescales the 1-d viscous profile onto (0, 1), so it carries the
 far-field oscillations and leaves an x1-integrable perturbation.  It is
 not an exact solution; `assemble_bundle` evaluates it and its defect
-in closed form, and `discrete_residual` recomputes the same defect by
-finite differences on three equispaced bundles.  Agreement of the two
-at second order under refinement is the module's central correctness
-check; it exercises every term of the closed form.
+in closed form, as the pair of plain arrays (ansatz, defect) that a
+cylinder record reads, and `discrete_residual` recomputes the same
+defect by finite differences on three equispaced ansatz Fields.
+Agreement of the two at second order under refinement
+(`residual_mismatch`) is the module's central correctness check; it
+exercises every term of the closed form.
 
 The ansatz reads the solver's far-field sides, left and right, through
 the row map of `far_field_grid`.  Formula-side derivatives are taken
@@ -15,8 +17,7 @@ spectrally on the torus grid (exact for resolved modes).  The ansatz
 reads the profile at its own nodes, which must be the cylinder's x1
 cells: the weight is the profile itself rescaled onto (0, 1), and its
 slope the nodal slope of the profile's not-a-knot cubic spline, one
-tridiagonal solve in `profile1d.ProfileSpline`.  A bundle keeps only
-what the run and the residual check read: the ansatz and its defect.
+tridiagonal solve in `profile1d.ProfileSpline`.
 
 The defect averages f'' between the far-field states at every cell; a
 constant f'' (Burgers') is summed once and broadcast.  The defect is
@@ -28,8 +29,6 @@ before its use and freed after it; such a record peaks at eight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import DomainSpec, Field, derivative, laplacian, make_grid
@@ -38,7 +37,6 @@ from .periodic import TorusSpec, spectral_derivative
 from .profile1d import ProfileSpline, ProfileState
 
 __all__ = [
-    "AnsatzBundle",
     "mean_flux_curvature",
     "far_field_grid",
     "source_term",
@@ -54,15 +52,6 @@ _GL_NODES = np.array([0.04691007703066802, 0.23076534494715845, 0.5,
                       0.7692346550528415, 0.9530899229693319])
 _GL_WEIGHTS = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
                         0.23931433524968315, 0.11846344252809464])
-
-
-@dataclass(frozen=True)
-class AnsatzBundle:
-    """The ansatz and its closed-form defect at one instant."""
-
-    u_tilde: Field
-    h: Field
-    t: float
 
 
 def mean_flux_curvature(d2f, a, b):
@@ -113,8 +102,10 @@ def far_field_grid(spec: DomainSpec) -> tuple[TorusSpec, np.ndarray]:
     return tspec, np.arange(-2, spec.n1 + 2) % tspec.sizes[0]
 
 
-def _ansatz_and_defect(far, profile, flux, dspec):
-    """(ansatz values, defect values) at profile.t.
+def assemble_bundle(far, profile: ProfileState, flux: FluxSet,
+                    dspec: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ansatz, defect), two arrays on the cylinder grid `dspec`, at
+    profile.t, the time of the far field.
 
     `far` is the pair (left, right) of far-field sides, each a field on
     the torus of `far_field_grid(dspec)`, and `profile` lives on the x1
@@ -183,21 +174,12 @@ def _ansatz_and_defect(far, profile, flux, dspec):
 
 def source_term(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> Field:
     """Closed-form defect of the ansatz under the conservation law at profile.t."""
-    _, h = _ansatz_and_defect(far, profile, flux, dspec)
+    _, h = assemble_bundle(far, profile, flux, dspec)
     return Field(dspec, h, t=profile.t)
 
 
-def assemble_bundle(far, profile: ProfileState, flux: FluxSet, dspec: DomainSpec) -> AnsatzBundle:
-    """The ansatz and its defect at profile.t, the time of the far field."""
-    utild, h = _ansatz_and_defect(far, profile, flux, dspec)
-    t = profile.t
-    return AnsatzBundle(u_tilde=Field(dspec, utild, t=t), h=Field(dspec, h, t=t), t=t)
-
-
-def discrete_residual(
-    prev: AnsatzBundle, mid: AnsatzBundle, nxt: AnsatzBundle, flux: FluxSet
-) -> Field:
-    """Finite-difference defect of the stored ansatz snapshots.
+def discrete_residual(prev: Field, mid: Field, nxt: Field, flux: FluxSet) -> Field:
+    """Finite-difference defect of three ansatz snapshots, at mid.t.
 
     Time derivative by the centered difference of the bracketing
     snapshots, space derivatives by the second-order grid operators.
@@ -208,19 +190,16 @@ def discrete_residual(
         raise ValueError(f"snapshot times {prev.t}, {mid.t}, {nxt.t} must strictly increase")
     if abs(dt_lo - dt_hi) > 1e-9 * max(dt_lo, dt_hi):
         raise ValueError("need equispaced snapshots for the centered difference")
-    u = mid.u_tilde
-    res = (nxt.u_tilde.values - prev.u_tilde.values) / (dt_lo + dt_hi)
-    for axis in range(u.spec.n):
-        fval = u.with_values(np.asarray(flux.f[axis](u.values), dtype=float))
+    res = (nxt.values - prev.values) / (dt_lo + dt_hi)
+    for axis in range(mid.spec.n):
+        fval = mid.with_values(np.asarray(flux.f[axis](mid.values), dtype=float))
         res = res + derivative(fval, axis)
-    res = res - laplacian(u)
-    return u.with_values(res)
+    res = res - laplacian(mid)
+    return mid.with_values(res)
 
 
-def residual_mismatch(
-    prev: AnsatzBundle, mid: AnsatzBundle, nxt: AnsatzBundle, flux: FluxSet
-) -> float:
-    """Max distance between the finite-difference defect and the closed form."""
+def residual_mismatch(prev: Field, mid: Field, nxt: Field, h: np.ndarray, flux: FluxSet) -> float:
+    """Max distance between the finite-difference defect of three ansatz
+    snapshots and h, the closed-form defect at the middle one."""
     res = discrete_residual(prev, mid, nxt, flux)
-    return float(np.max(np.abs(res.values - mid.h.values)))
-
+    return float(np.max(np.abs(res.values - h)))

@@ -8,6 +8,7 @@ convex on the working range: f_1'' >= A0 = 1, the one floor that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,9 +36,16 @@ class FluxSet:
     d2f: tuple[FluxFn, ...]
 
     def check_convexity(self, umin: float, umax: float) -> None:
-        """Verify f_1''(u) >= A0 on [umin, umax] at 2001 samples."""
-        with np.errstate(over="ignore"):  # an overflowing range is judged, not warned about
-            low = float(np.min(self.d2f[0](np.linspace(umin, umax, 2001))))
+        """Verify f_1''(u) >= A0 on [umin, umax] at 2001 samples.  A range
+        whose width overflows has no samples (np.linspace's would be NaN),
+        and a sample of f_1'' that is not finite fails too."""
+        if not math.isfinite(umax - umin):
+            raise ValueError(f"the range [{umin}, {umax}] is too wide to sample f_1''")
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
+            d2f = np.asarray(self.d2f[0](np.linspace(umin, umax, 2001)), dtype=float)
+        if not np.isfinite(d2f).all():
+            raise ValueError(f"f_1'' is not finite on [{umin}, {umax}]")
+        low = float(np.min(d2f))
         if low < A0 - 1e-12:
             raise ValueError(f"f_1'' dips to {low:.6g} < a0 = {A0:.6g} on [{umin}, {umax}]")
 

@@ -319,7 +319,7 @@ def run(config: SolverConfig, plan) -> Trajectory:
         """The norm row of state v on `grid`, the cylinder or the line, with
         perturbation phi = v - ansatz, ansatz defect h (None on the line:
         it is 0) and profile prof, after the tail guards of phi and of the
-        fan's slope profile."""
+        fan's slope profile; v, the ansatz and h are plain arrays."""
         t = prof.t
         phi = Field(grid, v - ansatz, t)
         fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
@@ -328,7 +328,7 @@ def run(config: SolverConfig, plan) -> Trajectory:
         row = dict(t=t, **{name: lp_norm(fields[which], p)
                            for name, (which, p) in PHI_SERIES.items()},
                    u_minus_profile_linf=float(np.max(np.abs(v - tiled))),
-                   h_l1=0.0 if h is None else lp_norm(h, 1), tail_mass=tails)
+                   h_l1=0.0 if h is None else lp_norm(Field(grid, h, t), 1), tail_mass=tails)
         # the slope profile is constant along the torus: guard it on the line
         slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t))
         for what, mass in (("perturbation", tails if row["phi_l1"] > TAIL_FLOOR else 0.0),
@@ -343,7 +343,7 @@ def run(config: SolverConfig, plan) -> Trajectory:
         prof, (v, wl, wr) = next(profiles), state
         v = np.ascontiguousarray(np.moveaxis(v, -1, 0))  # x1-first, as every reader takes it
         t = prof.t
-        bundle = assemble_bundle((wl, wr), prof, flux, spec)
+        ansatz, h = assemble_bundle((wl, wr), prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         m1 = tspec.sizes[0]
@@ -360,7 +360,7 @@ def run(config: SolverConfig, plan) -> Trajectory:
         if tau < PLANAR_TOL and k < steps:
             traj.planar_at = dict(step=k, t=t, tau=tau)
             line = (np.mean(v, axis=torus_axes), *(float(np.mean(w)) for w in (wl, wr)))
-        return sample(spec, v, bundle.u_tilde.values, bundle.h, prof), line
+        return sample(spec, v, ansatz, h, prof), line
 
     def record_line(state):
         # the ansatz of a constant far field is the profile, and its

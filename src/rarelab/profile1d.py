@@ -5,9 +5,10 @@ joining the two end states ul < ur.  It replaces the Lipschitz inviscid
 rarefaction fan as the smooth backbone that the multi-d experiments
 perturb.  Its march takes the step of `pinned_line`, as a planar cylinder
 run does, over the plan it is handed: `schedule`'s, or a run's own.
-Checks provided here: the one-sided Oleinik slope bound, the
-linear-in-time growth of the integrated deviation from the end states,
-and the t^(-1+1/p) decay of the slope's L^p norms.
+What the `profile` experiment measures of each recorded state is one
+`profile_row`, built from one slope: the one-sided Oleinik slope bound,
+the t^(-1+1/p) decay of the slope's L^p norms and the linear-in-time
+growth of the integrated deviation from the end states.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ __all__ = [
     "schedule",
     "pinned_line",
     "evolve_profile",
-    "oleinik_bound",
-    "profile_norm_checks",
     "ProfileSpline",
+    "profile_row",
     "write_profile_series",
     "PROFILE_COLUMNS",
 ]
@@ -155,38 +155,6 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
     )
 
 
-def oleinik_bound(p: ProfileState, slope=None) -> tuple[float, float]:
-    """Largest discrete slope and its product with time; `slope`, when
-    given, is the state's `derivative(p, 0)`.
-
-    For a convex flux the product t * max_slope stays bounded (Oleinik's
-    one-sided entropy estimate).  For viscous Burgers the ceiling is
-    exactly 1: the slope v = u_x solves v_t + u v_x + v^2 = v_xx, whose
-    maximum principle gives u_x <= 1/t from any data.  The product is
-    reported, not judged.
-    """
-    max_slope = float(np.max(derivative(p, 0) if slope is None else slope))
-    return max_slope, p.t * max_slope
-
-
-def profile_norm_checks(p: ProfileState, ps, slope=None) -> dict:
-    """Slope norms and the integrated end-state deviation at one time;
-    `slope`, when given, is the state's `derivative(p, 0)`.
-
-    Returns the deviation integral (grows at most linearly in t), the
-    L^p norms of the slope for each requested p, and their ratios to
-    t^(-1+1/p).  Requires t > 0 for the ratios to make sense.
-    """
-    if p.t <= 0:
-        raise ValueError("norm checks need t > 0")
-    left = make_grid(p.spec).x1 < 0
-    ut1 = float(np.sum(p.values[left] - p.ul) + np.sum(p.ur - p.values[~left])) * p.spec.dx1
-    slope = p.with_values(derivative(p, 0) if slope is None else slope)
-    norms = {q: lp_norm(slope, q) for q in ps}
-    ratios = {q: norms[q] / p.t ** (-1.0 + 1.0 / q) for q in ps}
-    return {"t": p.t, "ut1": ut1, "norms": norms, "ratios": ratios}
-
-
 class ProfileSpline:
     """The nodal slopes `.slopes` of the not-a-knot cubic spline through
     samples `values` at the nodes `x1`: the profile's slope at its own
@@ -231,13 +199,37 @@ class ProfileSpline:
         self.slopes = s
 
 
-def write_profile_series(states, path) -> None:
-    """CSV time series: slope bound, slope L^1, L^2, L^inf norms, deviation integral."""
-    ps = (1.0, 2.0, np.inf)
-    rows = []
-    for st in states:
-        slope = derivative(st, 0)
-        rep = (profile_norm_checks(st, ps, slope) if st.t > 0
-               else {"norms": dict.fromkeys(ps, np.nan), "ut1": np.nan})
-        rows.append([st.t, *oleinik_bound(st, slope), *(rep["norms"][q] for q in ps), rep["ut1"]])
-    write_table(path, PROFILE_COLUMNS, rows)
+def profile_row(p: ProfileState) -> dict:
+    """The `PROFILE_COLUMNS` row of p, every entry from its one slope
+    `derivative(p, 0)`.
+
+    max_slope is the largest discrete slope, and t_max_slope its product
+    with time.  For a convex flux that product stays bounded (Oleinik's
+    one-sided entropy estimate).  For viscous Burgers the ceiling is
+    exactly 1: the slope v = u_x solves v_t + u v_x + v^2 = v_xx, whose
+    maximum principle gives u_x <= 1/t from any data.  The product is
+    reported, not judged.  slope_l1, slope_l2 and slope_linf are the
+    slope's L^p norms, which decay like t^(-1+1/p) (the L^1 norm is
+    ur - ul for a monotone profile), and end_state_deviation integrates
+    p - ul left of the origin and ur - p right of it, which grows at most
+    linearly in t.  The decay laws speak of t > 0: a row at t = 0
+    holds NaN norms and a NaN deviation.
+    """
+    slope = derivative(p, 0)
+    max_slope = float(np.max(slope))
+    if p.t > 0:
+        left = make_grid(p.spec).x1 < 0
+        deviation = float(np.sum(p.values[left] - p.ul)
+                          + np.sum(p.ur - p.values[~left])) * p.spec.dx1
+        slope = p.with_values(slope)
+        norms = [lp_norm(slope, q) for q in (1.0, 2.0, np.inf)]
+    else:
+        deviation, norms = np.nan, [np.nan] * 3
+    return dict(zip(PROFILE_COLUMNS, (p.t, max_slope, p.t * max_slope, *norms, deviation)))
+
+
+def write_profile_series(states, path) -> list[dict]:
+    """The CSV of each state's `profile_row`; returns the rows."""
+    rows = [profile_row(st) for st in states]
+    write_table(path, PROFILE_COLUMNS, (row.values() for row in rows))
+    return rows

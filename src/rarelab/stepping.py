@@ -280,7 +280,9 @@ def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: flo
     """Largest dt honouring the advective CFL number, which must lie in (0, 0.5]."""
     if not 0.0 < cfl <= 0.5:
         raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
-    with np.errstate(over="ignore"):  # a non-finite speed is the error below, not a warning
+    # a non-finite speed, or a range too wide to sample (np.linspace gives
+    # NaN), is the error below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
     if not math.isfinite(rate):
         raise ValueError(f"the wave speed on [{umin:g}, {umax:g}] is not finite")

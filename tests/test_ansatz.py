@@ -14,7 +14,7 @@ from rarelab.ansatz import (
     residual_mismatch,
     source_term,
 )
-from rarelab.domain import DomainSpec, lp_norm, make_grid
+from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
 from rarelab.fluxes import _const, burgers, cubic, linear_flux
 from rarelab.mdsolver import trig_polynomial
 from rarelab.periodic import solve_periodic, spectral_derivative
@@ -63,9 +63,17 @@ def flat_far(dspec, ul=-0.5, ur=0.5):
 
 
 def flat_bundle(dspec, profile):
-    """The bundle of constant far fields at the profile's end states."""
+    """(ansatz, defect) of constant far fields at the profile's end states."""
     far = flat_far(dspec, profile.ul, profile.ur)
     return assemble_bundle(far, profile, burgers(dspec.n), dspec)
+
+
+def ansatz_snapshots(dspec, fars, ps, flux):
+    """The ansatz of each (far field, profile) pair as a Field at the
+    profile's time, and each defect array."""
+    pairs = [assemble_bundle(far, p, flux, dspec) for far, p in zip(fars, ps)]
+    return ([Field(dspec, u, p.t) for (u, _), p in zip(pairs, ps)],
+            [h for _, h in pairs])
 
 
 class TestMixingWeight:
@@ -75,7 +83,7 @@ class TestMixingWeight:
         x1 = make_grid(dspec).x1
         g, dg = weight(prof), ProfileSpline(x1, prof.values).slopes / (prof.ur - prof.ul)
         # the flat bundle blends its two constant states with exactly this weight
-        assert np.array_equal(flat_bundle(dspec, prof).u_tilde.values[:, 0],
+        assert np.array_equal(flat_bundle(dspec, prof)[0][:, 0],
                               prof.ul * (1.0 - g) + prof.ur * g)
         assert np.all((g >= 0.0) & (g <= 1.0))
         assert np.all(np.diff(g) >= -1e-14)
@@ -131,7 +139,7 @@ def reference_mean_flux_curvature(d2f, a, b):
 
 
 def reference_ansatz_and_defect(far, profile, flux, dspec):
-    """`ansatz._ansatz_and_defect` as it was before it was built in
+    """`ansatz.assemble_bundle` as it was before it was built in
     place, with full-grid curvatures: the reference it must reproduce
     bitwise (its input checks left out)."""
     tspec, rows = far_field_grid(dspec)
@@ -207,7 +215,7 @@ class TestBuiltInPlaceReference:
         prof = ProfileState(p0.spec, p0.values + 0.05 * rng.standard_normal(dspec.n1),
                             t=0.5, ul=ul, ur=ur)
         flux = make_flux(dspec.n)
-        got = ansatz._ansatz_and_defect(far, prof, flux, dspec)
+        got = assemble_bundle(far, prof, flux, dspec)
         want = reference_ansatz_and_defect(far, prof, flux, dspec)
         assert all(bitwise_equal(g, w) for g, w in zip(got, want))
 
@@ -260,22 +268,22 @@ class TestAnsatzAssembly:
     def test_zero_disturbance_reduces_to_profile(self):
         dspec = DomainSpec(n=2, L=10, n1=200, n_torus=(10,))
         prof = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
-        bundle = flat_bundle(dspec, prof)
+        u_tilde, h = flat_bundle(dspec, prof)
         prof_b = prof.values[:, None]
-        assert np.max(np.abs(bundle.u_tilde.values - prof_b)) < 1e-14
-        assert lp_norm(bundle.h, np.inf) < 1e-13
+        assert np.max(np.abs(u_tilde - prof_b)) < 1e-14
+        assert np.max(np.abs(h)) < 1e-13
         assert not weight_problems(weight(prof))
 
     def test_convex_combination_bounds(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(8,))
         fars, ps, flux = coupled_states(
             DomainSpec(n=2, L=5, n1=100, n_torus=(8,)), t0=0.05, dt=2.5e-3)
-        u_tilde = assemble_bundle(fars[0], ps[0], flux, dspec).u_tilde
+        u_tilde, _ = assemble_bundle(fars[0], ps[0], flux, dspec)
         far, cells = fars[0], far_field_grid(dspec)[1][2:-2]
         lo = np.minimum(far[0][cells], far[1][cells])
         hi = np.maximum(far[0][cells], far[1][cells])
-        assert np.all(u_tilde.values >= lo - 1e-14)
-        assert np.all(u_tilde.values <= hi + 1e-14)
+        assert np.all(u_tilde >= lo - 1e-14)
+        assert np.all(u_tilde <= hi + 1e-14)
 
     def test_wrong_far_field_shape_rejected(self):
         dspec = DomainSpec(n=2, L=4, n1=64, n_torus=(8,))
@@ -299,7 +307,7 @@ class TestAnsatzAssembly:
         p0 = make_initial_state(dspec.L, dspec.n1, -1.0, 3.0)
         prof = dataclasses.replace(p0, values=p0.values + 0.01 * np.sin(make_grid(dspec).x1))
         far = flat_far(dspec, 0.0, 1.0)
-        u_tilde = assemble_bundle(far, prof, burgers(2), dspec).u_tilde.values
+        u_tilde, _ = assemble_bundle(far, prof, burgers(2), dspec)
         g = (prof.values - prof.ul) / (prof.ur - prof.ul)
         assert np.array_equal(u_tilde, np.broadcast_to(g[:, None], dspec.shape))
 
@@ -320,22 +328,22 @@ class TestSourceTerm:
             dspec = DomainSpec(n=2, L=10, n1=200 * scale, n_torus=(10 * scale,))
             delta = 0.02 / scale
             fars, ps, flux = coupled_states(dspec, t0=0.1, delta=delta, dt=delta / 8)
-            bundles = [assemble_bundle(far, p, flux, dspec) for far, p in zip(fars, ps)]
-            mismatches.append(residual_mismatch(*bundles, flux))
+            snaps, defects = ansatz_snapshots(dspec, fars, ps, flux)
+            mismatches.append(residual_mismatch(*snaps, defects[1], flux))
         order = np.log2(mismatches[0] / mismatches[1])
         assert order >= 1.9
 
     def test_residual_needs_equispaced_snapshots(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
         fars, ps, flux = coupled_states(dspec, t0=0.05, dt=2.5e-3)
-        b = assemble_bundle(fars[0], ps[0], flux, dspec)
+        (b,), _ = ansatz_snapshots(dspec, fars, ps, flux)
         with pytest.raises(ValueError):
             discrete_residual(b, b, b, flux)
 
     def test_residual_needs_increasing_times(self):
         dspec = DomainSpec(n=2, L=5, n1=100, n_torus=(10,))
         fars, ps, flux = coupled_states(dspec, t0=0.05, delta=0.01, dt=2.5e-3)
-        b0, b1, b2 = (assemble_bundle(far, p, flux, dspec) for far, p in zip(fars, ps))
+        (b0, b1, b2), _ = ansatz_snapshots(dspec, fars, ps, flux)
         for triple in ((b1, b1, b1), (b2, b1, b0), (b0, b1, b1)):
             with pytest.raises(ValueError, match="strictly increase"):
                 discrete_residual(*triple, flux)
@@ -353,7 +361,7 @@ class TestSourceTerm:
                 super().__init__(*nodes)
 
         monkeypatch.setattr(ansatz, "ProfileSpline", CountingSpline)
-        bundle = assemble_bundle(fars[0], ps[0], flux, dspec)
+        u_tilde, h = assemble_bundle(fars[0], ps[0], flux, dspec)
         assert len(builds) == 1
         # built once, from the profile at its own nodes, the cylinder's x1 cells
         x1, values = builds[0]
@@ -362,6 +370,5 @@ class TestSourceTerm:
         gg = g.reshape(-1, 1, 1)
         far, cells = fars[0], far_field_grid(dspec)[1][2:-2]
         ul, ur = far[0][cells], far[1][cells]
-        assert np.array_equal(bundle.u_tilde.values, ul * (1.0 - gg) + ur * gg)
-        assert np.array_equal(bundle.h.values,
-                              source_term(fars[0], ps[0], flux, dspec).values)
+        assert np.array_equal(u_tilde, ul * (1.0 - gg) + ur * gg)
+        assert np.array_equal(h, source_term(fars[0], ps[0], flux, dspec).values)

@@ -113,19 +113,32 @@ dt = 0.0025
 w0_modes = 1,1,0.1; 0,2,0.05
 """
 
+TINY_PROFILE = """\
+experiment = profile
+L = 20
+n1 = 200
+t_end = 4
+snapshots = 0,1,2,4
+"""
+
 
 def assert_matches_golden(path, golden):
+    """Every entry within 1e-11 + 1e-9 |golden| (1e-4 for tail_mass); a NaN
+    entry (a t = 0 profile row's norms) must be NaN in both."""
     head, new = read_table(path)
     ghead, old = read_table(GOLDEN / golden)
     assert head == ghead and new.shape == old.shape
+    assert np.array_equal(np.isnan(new), np.isnan(old))
     atol = np.array([1e-4 if name == "tail_mass" else 1e-11 for name in head])
-    assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old))
+    close = np.abs(new - old) <= atol + 1e-9 * np.abs(old)
+    assert np.all(close | np.isnan(old))
 
 
 class TestGoldenNormTables:
     """The tiny 2-d and 3-d runs reproduce norm tables recorded before the
-    steppers were merged into one Strang step, and a tiny torus run its
-    series recorded while it still copied each state, within the
+    steppers were merged into one Strang step, a tiny torus run its
+    series recorded while it still copied each state, and a tiny profile
+    run its series and summary, within the
     benchmark's tolerance: 1e-11 + 1e-9 |golden| per entry, 1e-4 absolute
     for tail_mass."""
 
@@ -144,6 +157,19 @@ class TestGoldenNormTables:
         out = tmp_path / "out"
         assert cli.main(["periodic", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert_matches_golden(out / "periodic_series.csv", "periodic2d_series.csv")
+
+    def test_profile_series_matches_golden(self, tmp_path):
+        # recorded before the profile row was built in one function; its
+        # t = 0 snapshot writes a row of NaN norms
+        cfg_path = tmp_path / "profile.cfg"
+        cfg_path.write_text(TINY_PROFILE)
+        out = tmp_path / "out"
+        assert cli.main(["profile", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert_matches_golden(out / "profile_series.csv", "profile_series.csv")
+        got = json.loads((out / "profile_summary.json").read_text())
+        want = json.loads((GOLDEN / "profile_summary.json").read_text())
+        assert sorted(got) == sorted(want)
+        assert all(abs(got[k] - want[k]) <= 1e-11 + 1e-9 * abs(want[k]) for k in want)
 
 
 class TestOneVerdictPath:
@@ -575,9 +601,11 @@ class TestTorusAndProfileConfigs:
         ("ul = 0.7\nur = 1.2\nL = 16\nn1 = 128\nw0_modes = 1,1,1e200",
          "f_1'' dips to -2e+200 < a0 = 1 on [-1e+200, 1e+200]; the wave speed on "
          "[-1e+200, 1e+200] is not finite"),
+        # f_1'' = 2u overflows at the top of this range: not finite, so not convex
         ("ul = 0.7\nur = 1.7e308\nL = 12\nn1 = 96\nw0_modes = 1,1,0.1",
          "L = 12.0 < fan speed inf * t_end + margin 10 = inf: the fan would reach the "
-         "boundary; the wave speed on [0.6, 1.7e+308] is not finite"),
+         "boundary; f_1'' is not finite on [0.6, 1.7e+308]; the wave speed on "
+         "[0.6, 1.7e+308] is not finite"),
     ], ids=["fan-speed", "disturbed-range", "curvature"])
     def test_an_overflowing_range_is_a_finding_not_a_warning(self, lines, finding):
         # numpy's overflow warning once reached stderr ahead of these findings
@@ -663,6 +691,18 @@ class TestCounterexampleDilations:
         slopes = [(summary["sobolev_slope"], summary["sobolev_slope_predicted"]),
                   *((s["measured"], s["predicted"]) for s in summary["theta_slopes"].values())]
         assert all(abs(got - want) < 1e-14 for got, want in slopes), slopes
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_dilation_whose_derivative_is_nan_is_a_finding(self, tmp_path, capsys):
+        # at d = 1e-307 the x1 end stencils add inf to -inf; the finding
+        # once came after two numpy warnings
+        text = "experiment = counterexample\ndilations = 1e-307,1\n"
+        finding = "dilations [1e-307, 1.0]: field values must be finite"
+        assert run_cli(tmp_path, "validate", text) == 1
+        assert capsys.readouterr().out == f"violation: {finding}\n"
+        assert run_cli(tmp_path, "counterexample", text) == 1
+        assert capsys.readouterr().err == f"config error: {finding}\n"
 
 
 class TestGradientGridsAndHugeExponents:

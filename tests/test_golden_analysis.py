@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rarelab.ansatz import AnsatzBundle, discrete_residual
+from rarelab.ansatz import discrete_residual
 from rarelab.decomp import decompose, norm_bound_ratio
 from rarelab.domain import DomainSpec, Field, lp_norm, make_grid
 from rarelab.fluxes import burgers
@@ -53,10 +53,6 @@ def seeded_field(spec: DomainSpec, seed: int, t: float = 0.0) -> Field:
     return Field(spec, vals, t)
 
 
-def _bundle(u: Field) -> AnsatzBundle:
-    return AnsatzBundle(u_tilde=u, h=u.with_values(np.zeros(u.spec.shape)), t=u.t)
-
-
 def analysis_values() -> dict[str, float]:
     out: dict[str, float] = {}
     for seed, (dim, spec) in enumerate(SPECS.items()):
@@ -82,7 +78,7 @@ def analysis_values() -> dict[str, float]:
         out[f"{dim}/w_sup_norms/sup"] = sup
         out[f"{dim}/w_sup_norms/grad_sup"] = gsup
 
-        snaps = [_bundle(seeded_field(spec, 10 + seed + s, 0.5 + 0.1 * s)) for s in range(3)]
+        snaps = [seeded_field(spec, 10 + seed + s, 0.5 + 0.1 * s) for s in range(3)]
         res = discrete_residual(*snaps, burgers(n))
         for p in (1.0, 2.0, np.inf):
             out[f"{dim}/discrete_residual/l{p:g}"] = lp_norm(res, p)

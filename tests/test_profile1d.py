@@ -7,14 +7,14 @@ from rarelab.domain import DomainSpec, Field, derivative, make_grid, read_snapsh
 from rarelab.errors import NumericalAbort
 from rarelab.fluxes import FluxSet, burgers, cubic, linear_flux
 from rarelab.profile1d import (
+    PROFILE_COLUMNS,
     ProfileSpline,
     ProfileState,
     evolve_profile,
     initial_profile,
     inviscid_rarefaction,
     make_initial_state,
-    oleinik_bound,
-    profile_norm_checks,
+    profile_row,
     write_profile_series,
 )
 from rarelab.stepping import CFL, DiffusionSweep, advective_rhs, strang_step
@@ -228,17 +228,16 @@ class TestQuantitativeBounds:
     def test_initial_max_slope(self):
         # slope of the tangent data peaks at (ur - ul)/2 at the origin
         p0 = make_initial_state(L=20.0, n1=4000, ul=-0.5, ur=0.5)
-        ms, _ = oleinik_bound(p0)
-        assert ms == pytest.approx(0.5, rel=1e-4)
+        assert profile_row(p0)["max_slope"] == pytest.approx(0.5, rel=1e-4)
 
     def test_slope_positive_and_product_bounded(self, evolved):
         # entropy bound: slope stays positive; for the quadratic flux the
         # fan slope is 1/t, so t * max_slope approaches 1 from below
         products = []
         for st in evolved:
-            ms, prod = oleinik_bound(st)
-            assert ms > 0.0
-            products.append(prod)
+            row = profile_row(st)
+            assert row["max_slope"] > 0.0
+            products.append(row["t_max_slope"])
         assert max(products) <= 1.05
 
     def test_product_increments_shrink(self):
@@ -246,7 +245,7 @@ class TestQuantitativeBounds:
         # the ceiling itself is the quantitative content of the bound
         p0 = make_initial_state(L=60.0, n1=2400, ul=-0.5, ur=0.5)
         states = evolve_profile(p0, FLUX, plan(p0, 40.0, snapshot_times=(5.0, 10.0, 20.0, 40.0)))
-        prods = [oleinik_bound(st)[1] for st in states]
+        prods = [profile_row(st)["t_max_slope"] for st in states]
         assert max(prods) <= 1.05
         gaps = np.diff(prods)
         assert np.all(gaps > -0.05 * np.asarray(prods[:-1]))
@@ -254,26 +253,29 @@ class TestQuantitativeBounds:
 
     def test_slope_l1_telescopes(self, evolved):
         # a monotone profile's slope has L1 mass ur - ul
-        rep = profile_norm_checks(evolved[1], (1.0,))
-        assert rep["norms"][1.0] == pytest.approx(1.0, rel=1e-6)
+        assert profile_row(evolved[1])["slope_l1"] == pytest.approx(1.0, rel=1e-6)
 
     def test_deviation_integral_linear_growth(self, evolved):
         # fix the constant at t = 10 and check t = 20 stays under it
-        rep10 = profile_norm_checks(evolved[1], (1.0,))
-        rep20 = profile_norm_checks(evolved[2], (1.0,))
-        c = rep10["ut1"] / (1.0 + 10.0)
-        assert rep20["ut1"] <= c * (1.0 + 20.0)
+        dev10, dev20 = (profile_row(st)["end_state_deviation"] for st in evolved[1:3])
+        c = dev10 / (1.0 + 10.0)
+        assert dev20 <= c * (1.0 + 20.0)
 
     def test_slope_lp_ratios_bounded(self, evolved):
         # |slope|_p stays under a multiple of t^(-1+1/p)
-        for p in (2.0, np.inf):
-            ratios = [profile_norm_checks(st, (p,))["ratios"][p] for st in evolved]
+        for p, col in ((2.0, "slope_l2"), (np.inf, "slope_linf")):
+            ratios = [profile_row(st)[col] / st.t ** (-1.0 + 1.0 / p) for st in evolved]
             assert max(ratios) <= 1.1
 
-    def test_norm_checks_need_positive_time(self):
+    def test_a_row_at_time_zero_holds_nan_norms(self):
+        # the decay laws speak of t > 0; the slope bound is still taken
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
-        with pytest.raises(ValueError):
-            profile_norm_checks(p0, (1.0,))
+        row = profile_row(p0)
+        assert list(row) == list(PROFILE_COLUMNS)
+        assert row["t"] == 0.0 and row["t_max_slope"] == 0.0
+        assert row["max_slope"] == float(np.max(derivative(p0, 0)))
+        assert all(np.isnan(row[c]) for c in ("slope_l1", "slope_l2", "slope_linf",
+                                              "end_state_deviation"))
 
 
 class TestLongTimeApproach:
@@ -327,10 +329,13 @@ class TestInterpolantAndIO:
 
     def test_series_csv(self, evolved, tmp_path):
         path = tmp_path / "series.csv"
-        write_profile_series(evolved, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0].startswith("t,max_slope,t_max_slope")
-        assert len(rows) == 1 + len(evolved)
+        rows = write_profile_series(evolved, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == ",".join(PROFILE_COLUMNS)
+        assert len(lines) == 1 + len(evolved)
+        # it returns the rows it wrote, each the state's profile_row
+        assert rows == [profile_row(st) for st in evolved]
+        assert lines[1:] == [",".join(f"{x:.17g}" for x in row.values()) for row in rows]
 
     def test_series_takes_each_slope_once(self, evolved, tmp_path, monkeypatch):
         # the Oleinik pair and the slope norms of a row share one derivative
@@ -344,7 +349,7 @@ class TestInterpolantAndIO:
         st = evolved[1]
         slope = derivative(st, 0)
         assert np.array_equal(slope, np.gradient(st.values, st.spec.dx1, edge_order=2))
-        assert oleinik_bound(st)[0] == float(np.max(slope))
+        assert profile_row(st)["max_slope"] == float(np.max(slope))
 
     def test_state_validation_guards(self):
         line = DomainSpec(n=1, L=1.0, n1=8)

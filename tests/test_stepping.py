@@ -598,6 +598,35 @@ class TestFluxSets:
             cubic(1).check_convexity(-1.0, 1.0)
         cubic(1).check_convexity(0.6, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make_flux", [burgers, cubic])
+    @pytest.mark.parametrize("umin, umax", [(-9.8e307, 9.8e307), (-1e308, 1e308)])
+    def test_a_range_whose_width_overflows_fails(self, make_flux, umin, umax):
+        # np.linspace samples such a range as NaN, and NaN < A0 is False:
+        # the cubic check once passed it, with numpy's warning
+        with pytest.raises(ValueError, match="too wide to sample"):
+            make_flux(1).check_convexity(umin, umax)
+        with pytest.raises(ValueError, match="wave speed .* is not finite"):
+            max_advective_dt(make_flux(1), (0.1,), umin, umax, 0.4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_curvature_that_is_not_finite_fails(self):
+        # 2u overflows at the top of this range, whose least f_1'' is 1.2
+        with pytest.raises(ValueError, match="f_1'' is not finite on"):
+            cubic(1).check_convexity(0.6, 1e308)
+        nan_top = FluxSet(f=burgers(1).f, df=burgers(1).df,
+                          d2f=(lambda u: np.where(u > 1.0, np.nan, 2.0),))
+        with pytest.raises(ValueError, match="not finite"):
+            nan_top.check_convexity(0.0, 2.0)
+        nan_top.check_convexity(0.0, 1.0)
+
+    def test_an_ordinary_range_keeps_its_samples(self):
+        seen = []
+        flux = FluxSet(f=burgers(1).f, df=burgers(1).df,
+                       d2f=(lambda u: seen.append(u) or 2.0 * u,))
+        flux.check_convexity(0.6, 2.0)
+        assert np.array_equal(seen[0], np.linspace(0.6, 2.0, 2001))
+
     def test_linear_flux_degenerate_line_direction(self):
         with pytest.raises(ValueError):
             linear_flux(2, [1.0, 0.5]).check_convexity(-1.0, 1.0)

@@ -39,6 +39,33 @@ def test_validate_returns_findings_and_raises_nothing(data, kind):
         assert isinstance(cli.validate(cfg), list)
 
 
+# configs at the edge of the float range, each with its one finding (None:
+# none); validate must reach it without a numpy warning
+EDGE_CONFIGS = {
+    "counterexample-subnormal-dilation": (
+        dict(experiment="counterexample", dilations="1e-307,1"), "field values must be finite"),
+    "simulate-huge-v0": (dict(CONFIGS["simulate"], v0="gaussian:1e308,0,1"),
+                         "too wide to sample"),
+    "simulate-cubic-huge-v0": (dict(CONFIGS["simulate"], flux="cubic", ul="0.6", ur="1",
+                                    v0="gaussian:1e308,0,1"), "too wide to sample"),
+    "profile-cubic-overflowing-curvature": (
+        dict(CONFIGS["profile"], flux="cubic", ul="0.6", ur="1e308"), "f_1'' is not finite"),
+    "profile-tiny-L": (dict(CONFIGS["profile"], L="1e-300"), "t_end / dt"),
+    "periodic-huge-ubar": (dict(CONFIGS["periodic"], ubar="1e200"), "t_end / dt"),
+    "gn-study-huge-r": (dict(experiment="gn-study", j="1", m="2", r="2000"), None),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg, message", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+def test_an_edge_config_gives_its_finding_and_no_warning(cfg, message):
+    findings = cli.validate(cfg)
+    if message is None:
+        assert findings == []
+    else:
+        assert len(findings) == 1 and message in findings[0], findings
+
+
 @pytest.mark.parametrize("cfg, message", [
     (dict(CONFIGS["periodic"], dt="1e-320"), "t_end / dt"),
     (dict(CONFIGS["periodic"], t_end="1e308"), "t_end / dt"),
