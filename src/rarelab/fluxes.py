@@ -14,11 +14,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["A0", "FluxSet", "burgers", "cubic", "linear_flux"]
+__all__ = ["A0", "FluxSet", "sample_range", "burgers", "cubic", "linear_flux"]
 
 A0 = 1.0  # the convexity floor f_1'' must reach on the working range
 
 FluxFn = Callable[[np.ndarray], np.ndarray]
+
+
+def sample_range(umin: float, umax: float) -> np.ndarray:
+    """The 2001 evenly spaced samples of [umin, umax] at which a range of
+    data is judged, by the convexity and the Courant rules alike.  A range
+    whose width overflows has none (np.linspace's would be NaN)."""
+    if not math.isfinite(float(umax) - float(umin)):
+        raise ValueError(f"the range [{umin}, {umax}] is too wide to sample")
+    return np.linspace(umin, umax, 2001)
 
 
 @dataclass(frozen=True)
@@ -36,13 +45,11 @@ class FluxSet:
     d2f: tuple[FluxFn, ...]
 
     def check_convexity(self, umin: float, umax: float) -> None:
-        """Verify f_1''(u) >= A0 on [umin, umax] at 2001 samples.  A range
-        whose width overflows has no samples (np.linspace's would be NaN),
-        and a sample of f_1'' that is not finite fails too."""
-        if not math.isfinite(umax - umin):
-            raise ValueError(f"the range [{umin}, {umax}] is too wide to sample f_1''")
+        """Verify f_1''(u) >= A0 at the `sample_range` samples of [umin,
+        umax]; a sample of f_1'' that is not finite fails too."""
+        u = sample_range(umin, umax)
         with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
-            d2f = np.asarray(self.d2f[0](np.linspace(umin, umax, 2001)), dtype=float)
+            d2f = np.asarray(self.d2f[0](u), dtype=float)
         if not np.isfinite(d2f).all():
             raise ValueError(f"f_1'' is not finite on [{umin}, {umax}]")
         low = float(np.min(d2f))

@@ -60,6 +60,7 @@ t_end never hands off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -81,7 +82,6 @@ from .stepping import (
 
 __all__ = [
     "SolverConfig",
-    "Trajectory",
     "schedule",
     "run",
     "trig_polynomial",
@@ -122,27 +122,6 @@ class SolverConfig:
     dt: float | None = None
 
 
-@dataclass
-class Trajectory:
-    """A run's norm series and its run-wide checks.
-
-    `max_courant` is the largest realized advective Courant number of
-    the states the steps produced, always taken with the cylinder's
-    spacings, on the line too.  `boundary_mismatch` is measured only
-    before the hand-off, while the far field exists.  `planar_at` is
-    {"step", "t", "tau"} of the record after which the run marched the
-    line, or None when it never handed off.
-    """
-
-    series: dict[str, np.ndarray]
-    steps: int
-    dt: float
-    max_principle_violation: float = 0.0
-    boundary_mismatch: float = 0.0
-    max_courant: float = 0.0
-    planar_at: Optional[dict] = None
-
-
 def trig_polynomial(modes, coords) -> np.ndarray:
     """Sample sum over rows of amp * prod sin(2 pi k_d x_d) on a grid.
 
@@ -166,13 +145,22 @@ def trig_polynomial(modes, coords) -> np.ndarray:
 
 
 def mode_problems(modes, sizes) -> list[str]:
-    """Findings for the mode rows a grid of sizes[d] points per unit period
-    in direction d cannot carry: every wavenumber must be an integer with
-    2|k_d| < sizes[d], or its samples alias to a lower mode or to zero."""
+    """One finding for each mode row that a grid of sizes[d] points per unit
+    period in direction d cannot carry: a row needs a wavenumber per
+    direction and an amplitude, a nonzero wavenumber (a constant row breaks
+    the zero average), integer wavenumbers and 2|k_d| < sizes[d], or its
+    samples alias to a lower mode or to zero.  Infinite sizes judge every
+    rule but the last, on a grid that is not known."""
     problems = []
     for row in modes:
         ks = row[:-1]
-        if any(k != round(k) for k in ks):
+        if len(ks) != len(sizes):
+            problems.append(f"mode row {row} needs {len(sizes)} wavenumbers + amplitude")
+        elif all(k == 0 for k in ks):
+            problems.append(
+                f"mode row {row} is constant and violates the zero-average requirement"
+            )
+        elif any(k != round(k) for k in ks):
             problems.append(f"w0_modes row {row} needs integer wavenumbers")
         elif any(2 * abs(k) >= m for k, m in zip(ks, sizes)):
             problems.append(f"w0_modes row {row} needs 2|k_d| below the grid's "
@@ -203,39 +191,31 @@ def schedule(config: SolverConfig):
     if not 0.0 < config.tail_threshold < 1.0:
         problems.append(f"tail threshold must lie in (0, 1), got {config.tail_threshold}")
 
-    for row in config.w0_modes:
-        if len(row) != spec.n + 1:
-            problems.append(f"mode row {row} needs {spec.n} wavenumbers + amplitude")
-        elif all(k == 0 for k in row[:-1]):
-            problems.append(
-                f"mode row {row} is constant and violates the zero-average requirement"
-            )
+    with np.errstate(over="ignore"):  # a non-finite speed is the Courant rule's finding
+        speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
+    if math.isfinite(speed) and spec.L < speed * config.t_end + 10.0:
+        problems.append(
+            f"L = {spec.L} < fan speed {speed:.3g} * t_end + margin 10 = "
+            f"{speed * config.t_end + 10.0:.6g}: the fan would reach the boundary"
+        )
 
     try:
-        with np.errstate(over="ignore"):  # a non-finite speed is a finding, not a warning
-            speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
-        if spec.L < speed * config.t_end + 10.0:
-            problems.append(
-                f"L = {spec.L} < fan speed {speed:.3g} * t_end + margin 10 = "
-                f"{speed * config.t_end + 10.0:.6g}: the fan would reach the boundary"
-            )
-    except Exception as e:  # flux not evaluable
-        problems.append(f"flux evaluation failed: {e}")
-
-    try:
-        tspec, _ = far_field_grid(spec)
-    except ValueError as e:
+        sizes = far_field_grid(spec)[0].sizes
+    except ValueError as e:  # the rows still answer to the rules of any grid
         problems.append(str(e))
-    else:
-        problems += mode_problems(config.w0_modes, tspec.sizes)
+        sizes = (math.inf,) * spec.n
+    problems += mode_problems(config.w0_modes, sizes)
 
+    # one range, one finding per cause: the Courant rule judges a range too
+    # wide to sample or a speed that is not finite, and convexity the rest
     amp = _disturbance_bound(config)
     lo, hi = min(ul, ur) - amp, max(ul, ur) + amp
+    if math.isfinite(speed) and math.isfinite(hi - lo):
+        try:
+            flux.check_convexity(lo, hi)
+        except ValueError as e:
+            problems.append(str(e))
     try:
-        flux.check_convexity(lo, hi)
-    except ValueError as e:
-        problems.append(str(e))
-    try:  # the Courant range: the step bound's own rule
         dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi, config.cfl)
     except ValueError as e:
         problems.append(str(e))
@@ -244,10 +224,20 @@ def schedule(config: SolverConfig):
     return step_schedule(config.t_end, dt_max, config.dt, config.snapshot_times)
 
 
-def run(config: SolverConfig, plan) -> Trajectory:
+def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     """Advance the cylinder solution over plan = (steps, dt, record), the
     `schedule` of this config, and log the perturbation against the
-    concurrently assembled ansatz.  The profile marches that same plan."""
+    concurrently assembled ansatz.  The profile marches that same plan.
+
+    Returns (series, checks): the norm table's columns, one array per
+    `NORM_COLUMNS` entry, and the run-wide checks in the order
+    max_principle_violation, boundary_mismatch, max_courant, planar_at.
+    `max_courant` is the largest realized advective Courant number of
+    the states the steps produced, always taken with the cylinder's
+    spacings, on the line too.  `boundary_mismatch` is measured only
+    before the hand-off, while the far field exists.  `planar_at` is
+    {"step", "t", "tau"} of the record after which the run marched the
+    line, or None when it never handed off."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
@@ -278,7 +268,8 @@ def run(config: SolverConfig, plan) -> Trajectory:
     dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
-    traj = Trajectory(series={}, steps=steps, dt=dt)
+    checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
+                  planar_at=None)
     torus_axes = tuple(range(1, spec.n))
 
     def sweep(state, axis):
@@ -309,10 +300,11 @@ def run(config: SolverConfig, plan) -> Trajectory:
         # the schedule already bounds the initial state's Courant number;
         # the line is checked with the cylinder's spacings, so its Courant
         # number is that of the planar cylinder field it stands for
-        traj.max_courant = max(traj.max_courant, check_cfl(state[0], flux, spacings, dt, t))
+        checks["max_courant"] = max(checks["max_courant"],
+                                    check_cfl(state[0], flux, spacings, dt, t))
         lo, hi = min(np.min(s) for s in state), max(np.max(s) for s in state)
-        traj.max_principle_violation = max(traj.max_principle_violation,
-                                           float(hi - extremes[1]), float(extremes[0] - lo))
+        checks["max_principle_violation"] = max(checks["max_principle_violation"],
+                                                float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
     def sample(grid, v, ansatz, h, prof):
@@ -351,14 +343,14 @@ def run(config: SolverConfig, plan) -> Trajectory:
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
             mismatch = float(np.max(np.abs(w[row] - w[j])))
-            traj.boundary_mismatch = max(traj.boundary_mismatch, mismatch)
+            checks["boundary_mismatch"] = max(checks["boundary_mismatch"], mismatch)
         # tau: the torus part of the cylinder and the far field's distance
         # from its constants; the last record has no step left to hand off
         tau = max(float(np.max(np.abs(v - np.mean(v, axis=torus_axes, keepdims=True)))),
                   *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
         line = None
         if tau < PLANAR_TOL and k < steps:
-            traj.planar_at = dict(step=k, t=t, tau=tau)
+            checks["planar_at"] = dict(step=k, t=t, tau=tau)
             line = (np.mean(v, axis=torus_axes), *(float(np.mean(w)) for w in (wl, wr)))
         return sample(spec, v, ansatz, h, prof), line
 
@@ -376,15 +368,14 @@ def run(config: SolverConfig, plan) -> Trajectory:
     if line is not None:
         # the remaining steps, from the record that handed off; the line
         # march counts from there, so its check adds the record's time t
-        k, t = traj.planar_at["step"], traj.planar_at["t"]
+        k, t = checks["planar_at"]["step"], checks["planar_at"]["t"]
         rows += march(line[:1], (steps - k, dt, {i - k for i in snap if i > k}), 1,
                       *pinned_line(p0.spec, flux, dt, *line[1:]),
                       lambda state, s: check(state, t + s),
                       lambda _, state: record_line(state))
-    traj.series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
-    return traj
+    return {key: np.array([r[key] for r in rows]) for key in rows[0]}, checks
 
 
-def write_norm_table(traj: Trajectory, path) -> None:
-    """The norm-table CSV with the documented column set."""
-    write_table(path, NORM_COLUMNS, zip(*(traj.series[c] for c in NORM_COLUMNS)))
+def write_norm_table(series: dict, path) -> None:
+    """The norm-table CSV of a run's `series`, with the documented column set."""
+    write_table(path, NORM_COLUMNS, zip(*(series[c] for c in NORM_COLUMNS)))

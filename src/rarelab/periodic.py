@@ -26,7 +26,6 @@ from numpy.fft import fft, fftfreq, ifft, irfft  # bound here: numpy loads numpy
 from .domain import MAX_CELLS, magnitude, write_table
 from .errors import ConfigError
 from .fluxes import FluxSet
-from .rates import log_linear_fit
 from .stepping import CFL, advective_rhs, check_cfl, march, max_advective_dt, step_schedule
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "solve_periodic",
     "spectral_derivative",
     "w_sup_norms",
-    "fit_exponential_decay",
     "write_periodic_series",
     "PERIODIC_COLUMNS",
 ]
@@ -181,17 +179,6 @@ def w_sup_norms(w: np.ndarray) -> tuple[float, float]:
     """(sup |w|, sup |grad w|) of a disturbance w = values - ubar; the gradient is spectral."""
     grad = magnitude(spectral_derivative(w, axis) for axis in range(w.ndim))
     return float(np.max(np.abs(w))), float(np.max(grad))
-
-
-def fit_exponential_decay(times, norms, window) -> tuple[float, float]:
-    """Fit norms ~ C exp(-2 a t) on the window; returns (a, r^2).
-
-    The factor 2 matches the convention that the disturbance decays at
-    twice the rate the induced source term does.  At least 4 points must
-    fall inside the window and all of them must be positive.
-    """
-    slope, _, r2, _ = log_linear_fit(times, times, norms, window)
-    return -0.5 * slope, r2
 
 
 def write_periodic_series(states, ubar: float, path) -> list[tuple[float, float]]:

@@ -98,13 +98,13 @@ def inviscid_rarefaction(x1, t: float, flux: FluxSet, ul: float, ur: float):
 def initial_profile(x1, ul: float, ur: float):
     """Hyperbolic-tangent data joining ul to ur, centered at the origin.
 
-    np.tanh saturates to +-1 for large arguments, so the formula needs
-    no explicit overflow guard; values reach ul/ur exactly beyond
-    |x1| ~ 20.
+    np.tanh saturates to +-1 for large arguments, and ul and ur are
+    halved (exactly) before they are added or subtracted, so nothing
+    overflows; values reach ul/ur exactly beyond |x1| ~ 20.
     """
     x = np.asarray(x1, dtype=float)
-    mid = 0.5 * (ul + ur)
-    half = 0.5 * (ur - ul)
+    mid = 0.5 * ul + 0.5 * ur
+    half = 0.5 * ur - 0.5 * ul
     out = mid + half * np.tanh(x)
     return float(out) if np.ndim(x1) == 0 else out
 

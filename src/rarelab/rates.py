@@ -13,14 +13,11 @@ row, the table's columns and the rate report are built from it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .domain import write_json
 
 __all__ = [
-    "RateFit",
     "PHI_SERIES",
     "log_linear_fit",
     "fit_power_law",
@@ -49,15 +46,6 @@ PHI_SERIES = {"phi_l1": ("phi", 1.0), "phi_l2": ("phi", 2.0), "phi_l4": ("phi", 
               "grad_phi_l4": ("grad_phi", 4.0)}
 
 
-@dataclass(frozen=True)
-class RateFit:
-    exponent: float
-    intercept: float
-    r2: float
-    window: tuple[float, float]
-    n_points: int
-
-
 def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
     """Least squares of log(value) on x over the points whose time lies in
     the window; returns (slope, intercept, r^2, points used)."""
@@ -80,12 +68,14 @@ def log_linear_fit(x, times, values, window) -> tuple[float, float, float, int]:
     return float(slope), float(intercept), r2, n
 
 
-def fit_power_law(times, values, window) -> RateFit:
-    """Least squares of log(value) on log(1+t) inside the window."""
+def fit_power_law(times, values, window) -> dict:
+    """Least squares of log(value) on log(1+t) inside the window: the
+    `fit` entry of a rate verdict, with keys exponent, intercept, r2,
+    window and n_points."""
     t = np.asarray(times, dtype=float)
     slope, intercept, r2, n = log_linear_fit(np.log1p(t), t, values, window)
-    return RateFit(exponent=slope, intercept=intercept, r2=r2,
-                   window=(float(window[0]), float(window[1])), n_points=n)
+    return dict(exponent=slope, intercept=intercept, r2=r2,
+                window=(float(window[0]), float(window[1])), n_points=n)
 
 
 def predicted_exponent(p: float, which: str) -> float:
@@ -126,12 +116,12 @@ def _judge(times, series, predicted: float, window) -> dict:
     EXPONENT_TOL (faster decay is consistent with the one-sided bound, noted)."""
     fit = fit_power_law(times, series, window)
     report = {
-        "status": "pass" if fit.exponent <= predicted + EXPONENT_TOL else "fail",
+        "status": "pass" if fit["exponent"] <= predicted + EXPONENT_TOL else "fail",
         "predicted": predicted,
         "tolerance": EXPONENT_TOL,
-        "fit": asdict(fit),
+        "fit": fit,
     }
-    if fit.exponent < predicted - EXPONENT_TOL:
+    if fit["exponent"] < predicted - EXPONENT_TOL:
         report["note"] = (
             "decay faster than the predicted bound; consistent (the rate "
             "statement is an upper bound)"

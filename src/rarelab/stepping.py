@@ -43,7 +43,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import NumericalAbort
-from .fluxes import FluxSet
+from .fluxes import FluxSet, sample_range
 
 __all__ = [
     "DiffusionSweep",
@@ -240,7 +240,7 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
     divides t_end up to roundoff (1e-12 relative) is kept, since
     t_end / (t_end / m) can exceed m by an ulp: a config's dt = 0.6 / 111
     over t_end = 0.6 takes its 111 steps, not 112 shorter ones.  A
-    requested dt above the stable `dt_max` aborts.  Snapshot times are
+    requested dt above the stable `dt_max` is an error.  Snapshot times are
     rounded to the step grid; `record_indices` holds the step indices to
     record, the final step when no snapshot time is given.  This is the
     one owner of the rules t_end > 0, dt > 0, at most `MAX_STEPS` steps
@@ -251,7 +251,7 @@ def step_schedule(t_end: float, dt_max: float, dt, snapshot_times):
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt is not None and dt > dt_max * (1.0 + 1e-12):
-        raise NumericalAbort("cfl", 0.0, f"requested dt={dt:.3e} > stable {dt_max:.3e}")
+        raise ValueError(f"requested dt={dt:.3e} > stable {dt_max:.3e}")
     step = dt if dt is not None else dt_max
     span = t_end / step * (1.0 - 1e-12) if step > 0 else math.inf  # dt_max may underflow to 0
     if not span <= MAX_STEPS:
@@ -277,13 +277,13 @@ def _advective_rate(flux: FluxSet, spacings, u) -> float:
 
 
 def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: float) -> float:
-    """Largest dt honouring the advective CFL number, which must lie in (0, 0.5]."""
+    """Largest dt honouring the advective CFL number, which must lie in
+    (0, 0.5], over the `sample_range` samples of [umin, umax]."""
     if not 0.0 < cfl <= 0.5:
         raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
-    # a non-finite speed, or a range too wide to sample (np.linspace gives
-    # NaN), is the error below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        rate = _advective_rate(flux, spacings, np.linspace(umin, umax, 2001))
+    u = sample_range(umin, umax)
+    with np.errstate(over="ignore"):  # a non-finite speed is the error below
+        rate = _advective_rate(flux, spacings, u)
     if not math.isfinite(rate):
         raise ValueError(f"the wave speed on [{umin:g}, {umax:g}] is not finite")
     return np.inf if rate == 0.0 else cfl / rate

@@ -38,12 +38,12 @@ def test_the_cylinder_marches_x1_last(monkeypatch, name):
 
     monkeypatch.setattr(mdsolver, "advective_rhs", rhs_spy)
     monkeypatch.setattr(stepping, "dpttrs", dpttrs_spy)
-    traj = mdsolver.run(sc, mdsolver.schedule(sc))
-    assert traj.planar_at is None  # every step is a cylinder step
+    steps, _, _ = plan = mdsolver.schedule(sc)
+    assert mdsolver.run(sc, plan)[1]["planar_at"] is None  # every step is a cylinder step
     # two Heun stages per step; two half-step x1 sweeps per step each
     # for the cylinder and for the profile, the only Dirichlet sweeps
-    assert len(cylinder) == 2 * traj.steps
+    assert len(cylinder) == 2 * steps
     assert all(contiguous and shape == (*spec.n_torus, spec.n1)
                for contiguous, shape in cylinder)
-    assert len(solves) == 4 * traj.steps
+    assert len(solves) == 4 * steps
     assert all(fortran and in_place for fortran, in_place in solves)

@@ -193,37 +193,36 @@ class TestTrigPolynomial:
 
 class TestZeroDisturbance:
     @pytest.fixture(scope="class")
-    def traj(self):
+    def result(self):
         cfg = small_config(w0_modes=(), t_end=5.0, snapshot_times=(5.0,))
         return run(cfg, schedule(cfg))
 
-    def test_perturbation_at_roundoff(self, traj):
+    def test_perturbation_at_roundoff(self, result):
         # same-grid backbone: the cylinder run reproduces the 1-d profile
-        assert traj.series["phi_linf"][-1] < 1e-12
+        assert result[0]["phi_linf"][-1] < 1e-12
 
-    def test_max_principle(self, traj):
-        assert traj.max_principle_violation <= 1e-10
+    def test_max_principle(self, result):
+        assert result[1]["max_principle_violation"] <= 1e-10
 
-    def test_boundary_exact(self, traj):
-        assert traj.boundary_mismatch == 0.0
+    def test_boundary_exact(self, result):
+        assert result[1]["boundary_mismatch"] == 0.0
 
 
 class TestPerturbedRun:
-    @pytest.fixture(scope="class")
-    def traj(self):
+    def test_records_the_times_of_its_schedule(self):
         cfg = small_config()
-        return run(cfg, schedule(cfg))
-
-    def test_records_the_times_of_its_schedule(self, traj):
-        steps, dt, record = schedule(small_config())
-        assert (traj.steps, traj.dt) == (steps, dt)
-        assert list(traj.series["t"]) == [k * dt for k in sorted(record)]
+        steps, dt, record = plan = schedule(cfg)
+        series, checks = run(cfg, plan)
+        assert list(series) == list(NORM_COLUMNS)
+        assert list(checks) == ["max_principle_violation", "boundary_mismatch", "max_courant",
+                                "planar_at"]
+        assert list(series["t"]) == [k * dt for k in sorted(record)]
 
     def test_initial_perturbation_vanishes(self):
         cfg = small_config(snapshot_times=(0.0, 1.0))
-        traj = run(cfg, schedule(cfg))
-        assert traj.series["t"][0] == 0.0
-        assert traj.series["phi_linf"][0] < 1e-13
+        series, _ = run(cfg, schedule(cfg))
+        assert series["t"][0] == 0.0
+        assert series["phi_linf"][0] < 1e-13
 
     def test_range_stays_inside_data_range(self, monkeypatch):
         # the data range is ul - 0.1 .. ur + 0.1; every new state passes
@@ -232,9 +231,9 @@ class TestPerturbedRun:
         monkeypatch.setattr(mdsolver, "check_cfl", lambda v, *args: extremes.append(
             (np.min(v), np.max(v))) or check_cfl(v, *args))
         cfg = small_config()
-        traj = run(cfg, schedule(cfg))
-        assert traj.max_principle_violation <= 1e-10
-        assert len(extremes) == traj.steps
+        steps, _, _ = plan = schedule(cfg)
+        assert run(cfg, plan)[1]["max_principle_violation"] <= 1e-10
+        assert len(extremes) == steps
         assert all(-0.6 - 1e-10 <= lo and hi <= 0.6 + 1e-10 for lo, hi in extremes)
 
     def test_v0_sets_initial_perturbation(self, monkeypatch):
@@ -269,18 +268,17 @@ class TestMaximumPrinciple:
     @settings(max_examples=25, deadline=None)
     @given(small_perturbed_configs())
     def test_range_never_grows_and_ghosts_match(self, config):
-        traj = run(config, schedule(config))
-        assert traj.max_principle_violation <= 1e-10
-        assert traj.boundary_mismatch == 0.0
+        _, checks = run(config, schedule(config))
+        assert checks["max_principle_violation"] <= 1e-10
+        assert checks["boundary_mismatch"] == 0.0
 
 
 class TestDeterminism:
     def test_bitwise_identical_norm_tables(self):
         cfg = small_config(t_end=2.0, snapshot_times=(1.0, 2.0))
-        a = run(cfg, schedule(cfg))
-        b = run(cfg, schedule(cfg))
-        for key in a.series:
-            assert np.array_equal(a.series[key], b.series[key]), key
+        (a, _), (b, _) = run(cfg, schedule(cfg)), run(cfg, schedule(cfg))
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
 
 
 class TestStepCount:
@@ -290,16 +288,19 @@ class TestStepCount:
         monkeypatch.setattr(mdsolver, "check_cfl",
                             lambda *args: calls.append(args[-1]) or check_cfl(*args))
         cfg = small_config(t_end=2.0, snapshot_times=(1.0,))
-        traj = run(cfg, schedule(cfg))
-        assert len(calls) == traj.steps
-        assert calls == [pytest.approx((k + 1) * traj.dt) for k in range(traj.steps)]
+        steps, dt, _ = plan = schedule(cfg)
+        run(cfg, plan)
+        assert len(calls) == steps
+        assert calls == [pytest.approx((k + 1) * dt) for k in range(steps)]
 
 
 class TestAborts:
     def test_cfl_abort(self):
+        # the schedule refuses the step; a run handed it anyway aborts
+        with pytest.raises(ValueError, match="requested dt=1.000e\\+00 > stable"):
+            schedule(small_config(dt=1.0))
         with pytest.raises(NumericalAbort) as exc:
-            cfg = small_config(dt=1.0)
-            run(cfg, schedule(cfg))
+            run(small_config(), (2, 1.0, {2}))
         assert exc.value.reason == "cfl"
 
     def test_tail_abort(self):
@@ -312,9 +313,9 @@ class TestAborts:
 class TestNormTable:
     def test_csv_columns(self, tmp_path):
         cfg = small_config(t_end=1.0, snapshot_times=(0.5, 1.0))
-        traj = run(cfg, schedule(cfg))
+        series, _ = run(cfg, schedule(cfg))
         path = tmp_path / "norms.csv"
-        write_norm_table(traj, path)
+        write_norm_table(series, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == ",".join(NORM_COLUMNS)
         assert len(rows) == 3

@@ -21,7 +21,7 @@ def config(**kw):
 
 
 def spied_run(monkeypatch, sc):
-    """(trajectory, the profile each record pulled, the state each record saw)."""
+    """(the run's (series, checks), the profile each record pulled, the state each record saw)."""
     profiles, states = [], []
     evolve, march = mdsolver.evolve_profile, mdsolver.march
 
@@ -43,20 +43,20 @@ class TestAgainstTheProfileItself:
     def test_both_phases_measure_u_against_the_pulled_profile(self, monkeypatch):
         sc = config(w0_modes=((1, 1, 0.1), (0, 2, 0.05)),
                     snapshot_times=tuple(np.linspace(0.0, 2.0, 21)))
-        traj, profiles, states = spied_run(monkeypatch, sc)
+        (series, checks), profiles, states = spied_run(monkeypatch, sc)
         dims = {u.ndim for u in states}
-        assert traj.planar_at is not None and dims == {1, 2}  # cylinder and line records
-        assert len(profiles) == len(states) == traj.series["t"].size
-        for got, prof, u in zip(traj.series["u_minus_profile_linf"], profiles, states):
+        assert checks["planar_at"] is not None and dims == {1, 2}  # cylinder and line records
+        assert len(profiles) == len(states) == series["t"].size
+        for got, prof, u in zip(series["u_minus_profile_linf"], profiles, states):
             u = np.moveaxis(u, -1, 0)  # the march holds the cylinder x1-last
             tiled = prof.values.reshape((-1,) + (1,) * (u.ndim - 1))
             assert got == np.max(np.abs(u - tiled))
 
     def test_an_undisturbed_run_reads_zero_at_every_record(self):
         sc = config(w0_modes=())
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
-        assert traj.planar_at["step"] == 0  # t = 0 is a cylinder record, the rest line records
-        assert list(traj.series["u_minus_profile_linf"]) == [0.0] * 4
+        series, checks = mdsolver.run(sc, mdsolver.schedule(sc))
+        assert checks["planar_at"]["step"] == 0  # t = 0 is a cylinder record, the rest line records
+        assert list(series["u_minus_profile_linf"]) == [0.0] * 4
 
 
 class TestFanSlopeGuard:

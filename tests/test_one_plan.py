@@ -138,8 +138,8 @@ def test_the_run_hands_the_profile_its_own_plan(monkeypatch):
     monkeypatch.setattr(mdsolver, "evolve_profile",
                         lambda *args, **kw: handed.append((args[2:], kw)) or evolve(*args, **kw))
     plan = mdsolver.schedule(sc)
-    traj = mdsolver.run(sc, plan)
-    assert traj.planar_at is not None  # the line phase pulls from the same stream
+    _, checks = mdsolver.run(sc, plan)
+    assert checks["planar_at"] is not None  # the line phase pulls from the same stream
     assert handed == [((plan,), {})] and handed[0][0][0] is plan
 
 

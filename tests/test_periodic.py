@@ -9,13 +9,13 @@ from rarelab.errors import ConfigError, NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.periodic import (
     TorusSpec,
-    fit_exponential_decay,
     schedule,
     solve_periodic,
     spectral_derivative,
     w_sup_norms,
     write_periodic_series,
 )
+from rarelab.rates import log_linear_fit
 from rarelab.stepping import strang_step
 
 FLUX = burgers(2)
@@ -128,25 +128,26 @@ class TestSolvePeriodic:
 
 
 class TestDecayFit:
+    # the periodic experiment fits log(norm) on t and reads alpha = -slope / 2
     def test_exact_exponential(self):
         t = np.linspace(0, 2, 40)
-        alpha, r2 = fit_exponential_decay(t, np.exp(-3.0 * t), (0.0, 2.0))
-        assert alpha == pytest.approx(1.5, abs=1e-12)
+        slope, _, r2, _ = log_linear_fit(t, t, np.exp(-3.0 * t), (0.0, 2.0))
+        assert -0.5 * slope == pytest.approx(1.5, abs=1e-12)
         assert r2 == pytest.approx(1.0)
 
     def test_constant_series(self):
         t = np.linspace(0, 1, 10)
-        alpha, r2 = fit_exponential_decay(t, np.full(10, 2.5), (0.0, 1.0))
-        assert alpha == pytest.approx(0.0, abs=1e-14)
+        slope, _, r2, _ = log_linear_fit(t, t, np.full(10, 2.5), (0.0, 1.0))
+        assert -0.5 * slope == pytest.approx(0.0, abs=1e-14)
         assert r2 == 1.0
 
     def test_window_needs_four_points(self):
         with pytest.raises(ValueError):
-            fit_exponential_decay([0, 1, 2], [1, 0.5, 0.2], (0, 2))
+            log_linear_fit([0, 1, 2], [0, 1, 2], [1, 0.5, 0.2], (0, 2))
 
     def test_positive_values_required(self):
         with pytest.raises(ValueError):
-            fit_exponential_decay([0, 1, 2, 3], [1, 0.5, 0.0, 0.1], (0, 3))
+            log_linear_fit([0, 1, 2, 3], [0, 1, 2, 3], [1, 0.5, 0.0, 0.1], (0, 3))
 
     def test_burgers_mode_decays_at_heat_rate(self):
         # the slowest surviving pattern has squared wavenumber 2, so the
@@ -162,8 +163,8 @@ class TestDecayFit:
         inside = (sup >= 1e-10) & (sup <= 1e-2)
         assert int(np.sum(inside)) >= 4
         window = (float(ts[inside].min()), float(ts[inside].max()))
-        alpha, r2 = fit_exponential_decay(ts, w1, window)
-        assert 2 * alpha >= 0.9 * 8 * np.pi**2
+        slope, _, r2, _ = log_linear_fit(ts, ts, w1, window)
+        assert -slope >= 0.9 * 8 * np.pi**2
         assert r2 >= 0.99
 
 

@@ -40,13 +40,13 @@ def never_handing_off(monkeypatch, sc):
     with monkeypatch.context() as m:
         m.setattr(mdsolver, "PLANAR_TOL", 0.0)
         ref = mdsolver.run(sc, mdsolver.schedule(sc))
-    assert ref.planar_at is None
+    assert ref[1]["planar_at"] is None
     return ref
 
 
-def assert_within_gate(traj, ref):
+def assert_within_gate(run, ref):
     for name in NORM_COLUMNS:
-        new, old = traj.series[name], ref.series[name]
+        new, old = run[0][name], ref[0][name]
         atol = 1e-4 if name == "tail_mass" else 1e-11
         assert new.shape == old.shape, name
         assert np.all(np.abs(new - old) <= atol + 1e-9 * np.abs(old)), name
@@ -56,16 +56,18 @@ class TestEquivalence:
     @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
     def test_hand_off_matches_the_full_cylinder_run(self, monkeypatch, text):
         sc = config(text)
-        traj, ref = mdsolver.run(sc, mdsolver.schedule(sc)), never_handing_off(monkeypatch, sc)
-        at = traj.planar_at
-        assert at is not None and 0 < at["step"] < traj.steps
-        assert at["t"] == at["step"] * traj.dt and at["tau"] < mdsolver.PLANAR_TOL
-        assert_within_gate(traj, ref)
-        assert traj.max_courant == ref.max_courant
+        steps, dt, _ = plan = mdsolver.schedule(sc)
+        run, ref = mdsolver.run(sc, plan), never_handing_off(monkeypatch, sc)
+        checks = run[1]
+        at = checks["planar_at"]
+        assert at is not None and 0 < at["step"] < steps
+        assert at["t"] == at["step"] * dt and at["tau"] < mdsolver.PLANAR_TOL
+        assert_within_gate(run, ref)
+        assert checks["max_courant"] == ref[1]["max_courant"]
         # the line keeps the maximum principle; the far field's ghost check
         # ran before the hand-off only
-        assert traj.max_principle_violation <= 1e-12
-        assert traj.boundary_mismatch == ref.boundary_mismatch == 0.0
+        assert checks["max_principle_violation"] <= 1e-12
+        assert checks["boundary_mismatch"] == ref[1]["boundary_mismatch"] == 0.0
 
 
 class TestStepCount:
@@ -76,9 +78,10 @@ class TestStepCount:
         calls, check_cfl = [], mdsolver.check_cfl
         monkeypatch.setattr(mdsolver, "check_cfl",
                             lambda *args: calls.append(args[2]) or check_cfl(*args))
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
-        assert traj.planar_at is not None and traj.planar_at["step"] < traj.steps
-        assert len(calls) == traj.steps
+        steps, _, _ = plan = mdsolver.schedule(sc)
+        at = mdsolver.run(sc, plan)[1]["planar_at"]
+        assert at is not None and at["step"] < steps
+        assert len(calls) == steps
         assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
 
 
@@ -91,9 +94,9 @@ class TestFarFieldSides:
         seen, assemble_bundle = [], mdsolver.assemble_bundle
         monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, prof, *args: seen.append(
             (prof.t, [side.copy() for side in w])) or assemble_bundle(w, prof, *args))
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
-        assert traj.planar_at is not None and len(seen) > 2
-        assert seen[-1][0] == traj.planar_at["t"]
+        at = mdsolver.run(sc, mdsolver.schedule(sc))[1]["planar_at"]
+        assert at is not None and len(seen) > 2
+        assert seen[-1][0] == at["t"]
         tspec, _ = far_field_grid(sc.spec)
         w0 = trig_polynomial(sc.w0_modes, tspec.coordinates())
         times, plan = [t for t, _ in seen], mdsolver.schedule(sc)
@@ -109,9 +112,9 @@ class TestLineClock:
     def test_a_nan_on_the_line_aborts_at_the_runs_time(self, monkeypatch):
         # the line march's check sees the whole run's time, not its own
         sc = config(TINY_2D)
-        traj, j = mdsolver.run(sc, mdsolver.schedule(sc)), 3
-        k0 = traj.planar_at["step"]
-        assert k0 + j < traj.steps
+        steps, dt, _ = plan = mdsolver.schedule(sc)
+        k0, j = mdsolver.run(sc, plan)[1]["planar_at"]["step"], 3
+        assert k0 + j < steps
         calls, pinned_line = [], mdsolver.pinned_line
 
         def nan_after_j_steps(*args):
@@ -124,7 +127,7 @@ class TestLineClock:
         with pytest.raises(NumericalAbort) as info:
             mdsolver.run(sc, mdsolver.schedule(sc))
         assert info.value.reason == "cfl"
-        assert info.value.t == pytest.approx((k0 + j + 1) * traj.dt, rel=1e-15)
+        assert info.value.t == pytest.approx((k0 + j + 1) * dt, rel=1e-15)
 
 
 class TestLockstepProfile:
@@ -138,9 +141,10 @@ class TestLockstepProfile:
                             lambda *args: taken.append(args[-1]) or check_cfl(*args))
         monkeypatch.setattr(mdsolver, "gradient",
                             lambda phi: seen.append((phi.t, len(taken))) or gradient(phi))
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
-        assert traj.planar_at is not None and len(seen) == len(traj.series["t"]) > 2
-        assert [steps for _, steps in seen] == [round(t / traj.dt) for t, _ in seen]
+        _, dt, _ = plan = mdsolver.schedule(sc)
+        series, checks = mdsolver.run(sc, plan)
+        assert checks["planar_at"] is not None and len(seen) == len(series["t"]) > 2
+        assert [steps for _, steps in seen] == [round(t / dt) for t, _ in seen]
 
 
 class TestWhenToHandOff:
@@ -151,14 +155,14 @@ class TestWhenToHandOff:
         monkeypatch.setattr(mdsolver, "assemble_bundle", lambda w, prof, *args: seen.append(
             (prof.t, max(float(np.max(np.abs(s - np.mean(s)))) for s in w)))
             or assemble_bundle(w, prof, *args))
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
+        run = mdsolver.run(sc, mdsolver.schedule(sc))
         monkeypatch.undo()
-        at = traj.planar_at
+        at = run[1]["planar_at"]
         assert at is not None and at["t"] > 0.5
         # the last cylinder record is the hand-off's, the first with a constant far field
         assert seen[-1][0] == at["t"] and seen[-1][1] < mdsolver.PLANAR_TOL
         assert all(gap >= mdsolver.PLANAR_TOL for _, gap in seen[:-1])
-        assert_within_gate(traj, never_handing_off(monkeypatch, sc))
+        assert_within_gate(run, never_handing_off(monkeypatch, sc))
 
     @pytest.mark.parametrize("snapshots", ["auto", "0, 0.5, 1, 2"])
     def test_a_planar_bump_hands_off_at_the_first_record(self, monkeypatch, snapshots):
@@ -166,10 +170,11 @@ class TestWhenToHandOff:
         # of 0 must still not hand off
         sc = config(TINY_2D.replace("w0_modes = 1,1,0.1; 0,2,0.05", "v0 = gaussian:0.1,0,2")
                     .replace("snapshots = auto", f"snapshots = {snapshots}"))
-        traj = mdsolver.run(sc, mdsolver.schedule(sc))
-        first = min(round(t / traj.dt) for t in sc.snapshot_times)
-        assert traj.planar_at["step"] == first
-        assert_within_gate(traj, never_handing_off(monkeypatch, sc))
+        _, dt, _ = plan = mdsolver.schedule(sc)
+        run = mdsolver.run(sc, plan)
+        first = min(round(t / dt) for t in sc.snapshot_times)
+        assert run[1]["planar_at"]["step"] == first
+        assert_within_gate(run, never_handing_off(monkeypatch, sc))
 
 
 class TestManifest:
@@ -179,7 +184,7 @@ class TestManifest:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         at = json.loads((tmp_path / "a" / "manifest.json").read_text())["planar_at"]
         sc = config(TINY_2D)
-        assert at == mdsolver.run(sc, mdsolver.schedule(sc)).planar_at
+        assert at == mdsolver.run(sc, mdsolver.schedule(sc))[1]["planar_at"]
         assert set(at) == {"step", "t", "tau"}
         monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0

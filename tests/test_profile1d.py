@@ -204,9 +204,13 @@ class TestEvolution:
             evolve_profile(later, FLUX, plan(p0, 1.0))
 
     def test_cfl_guard(self):
+        # the plan refuses the step; a march handed it anyway aborts
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
-        with pytest.raises(NumericalAbort):
+        with pytest.raises(ValueError, match=r"requested dt=1\.000e\+00 > stable"):
             plan(p0, 1.0, 1.0)
+        with pytest.raises(NumericalAbort) as info:
+            list(evolve_profile(p0, FLUX, (1, 1.0, {1})))
+        assert info.value.reason == "cfl"
 
     def test_nan_on_the_last_step_aborts(self, monkeypatch):
         steps = []

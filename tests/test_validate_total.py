@@ -40,7 +40,8 @@ def test_validate_returns_findings_and_raises_nothing(data, kind):
 
 
 # configs at the edge of the float range, each with its one finding (None:
-# none); validate must reach it without a numpy warning
+# none) and no second one for the same cause; validate must reach it
+# without a numpy warning
 EDGE_CONFIGS = {
     "counterexample-subnormal-dilation": (
         dict(experiment="counterexample", dilations="1e-307,1"), "field values must be finite"),
@@ -48,6 +49,14 @@ EDGE_CONFIGS = {
                          "too wide to sample"),
     "simulate-cubic-huge-v0": (dict(CONFIGS["simulate"], flux="cubic", ul="0.6", ur="1",
                                     v0="gaussian:1e308,0,1"), "too wide to sample"),
+    "simulate-cubic-overflowing-speed": (
+        dict(CONFIGS["simulate"], flux="cubic", ul="0.6", ur="1e155"), "wave speed"),
+    "simulate-cubic-largest-ur": (
+        dict(CONFIGS["simulate"], flux="cubic", ul="0.6", ur="1.7e308"), "wave speed"),
+    "simulate-zero-v0": (dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:0,0,1"),
+                         "simulate needs a disturbance"),
+    "profile-widest-range": (dict(CONFIGS["profile"], ul="-1e308", ur="1e308"),
+                             "too wide to sample"),
     "profile-cubic-overflowing-curvature": (
         dict(CONFIGS["profile"], flux="cubic", ul="0.6", ur="1e308"), "f_1'' is not finite"),
     "profile-tiny-L": (dict(CONFIGS["profile"], L="1e-300"), "t_end / dt"),
@@ -64,6 +73,7 @@ def test_an_edge_config_gives_its_finding_and_no_warning(cfg, message):
         assert findings == []
     else:
         assert len(findings) == 1 and message in findings[0], findings
+        assert "; " not in findings[0], findings
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -124,11 +134,14 @@ def test_a_geometric_list_past_the_ceiling_is_a_finding():
 
 
 def test_a_simulate_config_without_a_disturbance_is_a_finding():
-    for modes in ("", "1,1,0; 0,2,0"):
-        findings = cli.validate(dict(CONFIGS["simulate"], w0_modes=modes))
+    # a zero-amplitude v0 is no disturbance either
+    for modes, v0 in (("", "none"), ("1,1,0; 0,2,0", "none"), ("", "gaussian:0,0,1"),
+                      ("1,1,0", "gaussian:-0,2,1")):
+        findings = cli.validate(dict(CONFIGS["simulate"], w0_modes=modes, v0=v0))
         assert findings == ["simulate needs a disturbance: a w0_modes row with a nonzero "
                             "amplitude, or v0"]
     assert cli.validate(dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:0.1,0,2")) == []
+    assert cli.validate(dict(CONFIGS["simulate"], v0="gaussian:0,0,1")) == []
 
 
 @pytest.mark.parametrize("n_torus", [None, "8"])
@@ -139,3 +152,22 @@ def test_a_huge_dim_is_a_finding(experiment, n_torus):
     if n_torus is not None:
         cfg["n_torus"] = n_torus
     assert cli.validate(cfg) == ["dimension must be 1, 2 or 3, got 100000000000"]
+
+
+# every w0_modes row rule lives in `mdsolver.mode_problems`, which both
+# experiments call before a row is sampled
+@pytest.mark.parametrize("row, finding", [
+    ("0,0,0.1", "mode row (0.0, 0.0, 0.1) is constant and violates the zero-average requirement"),
+    ("1,0.1", "mode row (1.0, 0.1) needs 2 wavenumbers + amplitude"),
+    ("0.5,1,0.1", "w0_modes row (0.5, 1.0, 0.1) needs integer wavenumbers"),
+], ids=["constant", "short", "fractional"])
+def test_both_experiments_give_a_row_the_same_finding(row, finding):
+    for kind in ("simulate", "periodic"):
+        assert cli.validate(dict(CONFIGS[kind], w0_modes=row)) == [finding], kind
+
+
+def test_a_grid_the_far_field_cannot_tile_still_reports_its_bad_rows():
+    findings = cli.validate(dict(CONFIGS["simulate"], n1="90", w0_modes="0,0,0.1; 1,0.1"))
+    assert findings == ["1/dx1 = 3.75 must be an integer >= 4 so the unit period tiles the grid; "
+                        "mode row (0.0, 0.0, 0.1) is constant and violates the zero-average "
+                        "requirement; mode row (1.0, 0.1) needs 2 wavenumbers + amplitude"]
