@@ -58,8 +58,8 @@ from .ineqlab import (
     solve_theta,
 )
 from .mdsolver import (
-    NORM_COLUMNS, TAIL_THRESHOLD, SolverConfig, mode_problems, run as run_solver,
-    schedule as solver_schedule, trig_polynomial, write_norm_table,
+    NORM_COLUMNS, TAIL_THRESHOLD, SolverConfig, _disturbance_bound, mode_problems,
+    run as run_solver, schedule as solver_schedule, trig_polynomial, write_norm_table,
 )
 from .periodic import (
     PERIODIC_COLUMNS, TorusSpec, schedule as torus_schedule, solve_periodic,
@@ -70,6 +70,7 @@ from .profile1d import (
     schedule as profile_schedule, write_profile_series,
 )
 from .rates import (
+    DEGENERATE_FLOOR,
     MIN_FIT_POINTS,
     PHI_SERIES,
     exponent_ordering,
@@ -163,8 +164,11 @@ def _v0_from_spec(s: str):
         if len(params) != 3 or not params[2] > 0:
             raise ValueError(f"v0 needs finite gaussian:amp,center,width with width > 0, got '{s}'")
         amp, center, width = params
-        return None if amp == 0 else (  # a zero amplitude is no disturbance, and no v0
-            lambda x: amp * np.exp(-(((np.asarray(x) - center) / width) ** 2)))
+
+        def v0(x):
+            with np.errstate(over="ignore", under="ignore"):  # far tails are 0, not warnings
+                return amp * np.exp(-(((np.asarray(x) - center) / width) ** 2))
+        return v0
     raise ValueError(f"unknown v0 spec '{s}' (use none or gaussian:amp,center,width)")
 
 
@@ -352,14 +356,16 @@ def _simulate_inputs(cfg: dict[str, str]):
     run records, its snapshot times rounded to the step grid, so a bad one
     fails before the solve.  A dt above the stable step of the initial data
     is a config error too, so `validate` reports it, and so is a run without
-    a disturbance, whose phi norms are 0 and fit nothing."""
+    a disturbance, whose phi norms are 0 and fit nothing: one whose sampled
+    size (`mdsolver._disturbance_bound`) is at most the noise floor the rate
+    report skips, `DEGENERATE_FLOOR`."""
     sc, window = solver_config_from_dict(cfg), _window(cfg)
     _, dt, record = plan = solver_schedule(sc)
     times = [idx * dt for idx in sorted(record)]
     lo, hi = fit_window(times, window)
     if sum(lo <= t <= hi for t in times) < MIN_FIT_POINTS:
         raise ValueError(f"window ({lo:g}, {hi:g}) holds under {MIN_FIT_POINTS} snapshot times")
-    if sc.v0 is None and not any(row[-1] for row in sc.w0_modes):
+    if not _disturbance_bound(sc) > DEGENERATE_FLOOR:
         raise ValueError("simulate needs a disturbance: a w0_modes row with a nonzero "
                          "amplitude, or v0")
     return sc, plan, window

@@ -20,15 +20,14 @@ remainder and the top part are built a slab of rows at a time
 (`domain.slabs`), each straight into its part's array, so the split
 never holds a full-grid remainder or lower sum.
 
-A split keeps the field it splits and, once first asked for, the
-L^p norms of the gradient magnitude of the field and of every part:
-the measurements at derivative order 1 (`norm_bound_ratio`,
-`ineqlab.gn_ratio`) read them, so a split must be `decompose(u)` of the
-very u they measure.  It keeps floats, not magnitudes: the first
-request for a part builds its |grad| slab by slab into one array
+A split keeps the field it splits, so the measurements that take it
+(`norm_bound_ratio`, `ineqlab.gn_ratio`) can check it is `decompose(u)`
+of the very u they measure.  u and every part keep their own L^p norms
+(`domain.lp_norm`) and those of their gradient magnitude (`grad_norm`),
+as floats, so no measurement here takes a norm twice.  The first
+|grad f| request builds it slab by slab into one array
 (`gradient_norms`), measures it at 1, 2, inf and the p asked, and frees
-it.  u and every part keep their own L^p norms (`domain.lp_norm`), so
-no measurement here takes a norm twice.
+it.
 
 Norms of the parts are taken on each part's own cylinder.  That
 is exact, not an approximation.  Every torus factor has measure 1, so
@@ -57,6 +56,7 @@ __all__ = [
     "reconstruct",
     "check_membership",
     "norm_bound_ratio",
+    "grad_norm",
     "level_sum",
     "gradient_norms",
     "dump_components",
@@ -71,13 +71,10 @@ class DecompositionResult:
     matching x2..xn) to the part that depends on x1 and those directions
     only, in level order.  The empty subset is the 1-d part on the line;
     the top subset is on the full grid.  `field` is the field split.
-    The split keeps the gradient norms `grad_norm` takes, as floats.
     """
 
     field: Field
     parts: dict[tuple[int, ...], Field]
-    _norms: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
 
     @property
     def spec(self) -> DomainSpec:
@@ -91,18 +88,6 @@ class DecompositionResult:
         """A part tiled back onto the full grid, as a read-only view."""
         return np.broadcast_to(_lift(self.spec, subset, self.parts[subset].values),
                                self.spec.shape)
-
-    def grad_norm(self, subset: tuple[int, ...] | None, p: float) -> float:
-        """L^p norm of |grad| of a part, or of the field when subset is
-        None, on the part's own cylinder.  The first request for a part
-        measures its |grad| at 1, 2, inf and p and keeps those norms; a
-        later p builds |grad| again and keeps its norm too."""
-        if (subset, p) not in self._norms:
-            f = self.field if subset is None else self.parts[subset]
-            ps = tuple(q for q in dict.fromkeys((1.0, 2.0, np.inf, p))
-                       if (subset, q) not in self._norms)
-            self._norms.update(((subset, q), x) for q, x in zip(ps, gradient_norms(f, ps)))
-        return self._norms[(subset, p)]
 
     def check_split_of(self, u: Field) -> None:
         """Raise ValueError unless this is the split of u itself."""
@@ -218,10 +203,10 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
     A_d |v| pointwise, then Jensen), so I - A_d at most doubles it, and
     2**|S| summed over the subsets S of the n-1 torus directions is
     3**(n-1).  A constant field at m = 1 has no denominator; that case
-    is reported as NaN.  `d` must be decompose(u): at m = 1 the
-    gradient norms are the ones the split keeps, each gradient magnitude
-    built once, slab by slab, whatever the number of calls at p = 1, 2
-    and inf.
+    is reported as NaN.  `d` must be decompose(u).  At m = 1 the
+    norms are the ones u and each part keep (`grad_norm`), each gradient
+    magnitude built once, slab by slab, whatever the number of calls at
+    p = 1, 2 and inf.
 
     Each part is measured on its own cylinder, not tiled onto the full
     grid.  The result is the same up to the order of the quadrature sums,
@@ -233,15 +218,22 @@ def norm_bound_ratio(u: Field, d: DecompositionResult, m: int, p: float) -> floa
         raise ValueError(f"derivative order must be 0 or 1, got {m}")
     d.check_split_of(u)
 
-    def nrm(subset) -> float:
-        if m == 1:
-            return d.grad_norm(subset, p)
-        return lp_norm(u if subset is None else d.parts[subset], p)
-
-    denom = nrm(None)
+    nrm = grad_norm if m == 1 else lp_norm
+    denom = nrm(u, p)
     if denom == 0.0:
         return float("nan")
-    return sum(nrm(s) for s in d.parts) / denom
+    return sum(nrm(part, p) for part in d.parts.values()) / denom
+
+
+def grad_norm(f: Field, p: float) -> float:
+    """L^p norm of |grad f|, kept on f beside its L^p norms.  The first
+    request measures |grad f| at 1, 2, inf and p and keeps those norms;
+    a later p builds |grad f| again and keeps its norm too."""
+    if ("grad", p) not in f._norms:
+        ps = tuple(q for q in dict.fromkeys((1.0, 2.0, np.inf, p))
+                   if ("grad", q) not in f._norms)
+        f._norms.update((("grad", q), x) for q, x in zip(ps, gradient_norms(f, ps)))
+    return f._norms[("grad", p)]
 
 
 def gradient_norms(f: Field, ps) -> list[float]:

@@ -174,7 +174,8 @@ class Field:
     (n1, *n_torus); axis 0 is the line direction.  An array that owns
     its data and is C-contiguous is taken over: it is made read-only in
     place and kept, not copied.  Any other input is copied.  The values
-    never change, so the Field keeps each L^p norm `lp_norm` takes of it.
+    never change, so the Field keeps each L^p norm `lp_norm` takes of it,
+    and each one `decomp.grad_norm` takes of its gradient magnitude.
     """
 
     spec: DomainSpec

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomp import DecompositionResult, decompose, gradient_norms, level_sum
+from .decomp import DecompositionResult, decompose, grad_norm, level_sum
 from .domain import (
     DomainSpec, Field, array_norms, derivative, gradient, lp_norm, magnitude, make_grid,
     overwritable, second_derivative, slabs,
@@ -82,12 +82,12 @@ def solve_theta(j: int, m: int, p: float, q: float, r: float, k: int):
 
 def _deriv_norm(f: Field, order: int, p: float) -> float:
     """L^p norm of the pointwise Euclidean size of all order-th partial
-    derivatives of f.  A magnitude is measured in its own array
-    (`array_norms`), never wrapped in a Field."""
+    derivatives of f, kept on f up to order 1.  A magnitude is measured
+    in its own array (`array_norms`), never wrapped in a Field."""
     if order == 0:
         return lp_norm(f, p)
     if order == 1:
-        return gradient_norms(f, (p,))[0]
+        return grad_norm(f, p)
     if order == 2:
         n = f.spec.n
         grads = [f.with_values(g) for g in gradient(f)]
@@ -111,15 +111,14 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
     on that part's own cylinder, which is exact up to the order of the
     quadrature sums, as in `decomp.norm_bound_ratio`.  A level of several
     parts is summed onto the full grid on each call and measured in that
-    array.  A given `d` must be decompose(u): at m = 1 the right side
-    reads the norm of |grad u| that the split keeps, and at j = 1 a
-    single-part level its part's kept norm.
+    array.  A given `d` must be decompose(u), whose parts keep their
+    norms, as u does (`decomp.grad_norm`).
     """
     if d is None:
         d = decompose(u)
     else:
         d.check_split_of(u)
-    rhs_m = d.grad_norm(None, r) if m == 1 else _deriv_norm(u, m, r)
+    rhs_m = _deriv_norm(u, m, r)
     rhs_0 = lp_norm(u, q)
     out = {"ratios": {}, "theta": {}, "flags": []}
     for k in range(u.spec.n):
@@ -130,7 +129,7 @@ def gn_ratio(u: Field, j: int, m: int, p: float, q: float, r: float,
             continue
         level = [s for s in d.parts if len(s) == k]
         if len(level) == 1:
-            lhs = d.grad_norm(level[0], p) if j == 1 else _deriv_norm(d.parts[level[0]], j, p)
+            lhs = _deriv_norm(d.parts[level[0]], j, p)
         elif j == 0:
             lhs = array_norms(level_sum(d, k), (p,), u.spec.cell_volume, overwrite=True)[0]
         else:
@@ -181,22 +180,23 @@ def _power_gradient_magnitude(u: Field, power: float) -> np.ndarray:
 
     It is built a slab of x1 rows at a time (`slabs`), each from that
     slab's rows of the partials (`gradient`'s row window), so no
-    full-grid partial is ever held.  At power 1 the chain-rule factor is
-    +-1 (1 at zeros), which `magnitude` squares away, so the raw partials
-    go to it unscaled.
+    full-grid partial is ever held.
     """
     out = np.empty(u.spec.shape)
     for start, stop in slabs(u.spec):
-        partials = gradient(u, (start, stop))
-        if power != 1.0:
-            partials = chain_rule_power_gradient(u.values[start:stop], partials, power)
+        partials = chain_rule_power_gradient(u.values[start:stop], gradient(u, (start, stop)),
+                                             power)
         out[start:stop] = magnitude(partials)
         del partials  # so the next slab's partials are not built beside these
     return out
 
 
 def _power_gradient_norm(u: Field, power: float) -> float:
-    """L^2 norm of |grad(|u|**power)|, measured in the array that holds it."""
+    """L^2 norm of |grad(|u|**power)|, measured in the array that holds it.
+    At power 1 the chain-rule factor is +-1 (1 at zeros), which the
+    magnitude squares away: the norm is u's own kept |grad u|_2."""
+    if power == 1.0:
+        return grad_norm(u, 2.0)
     return array_norms(_power_gradient_magnitude(u, power), (2.0,), u.spec.cell_volume,
                        overwrite=True)[0]
 

@@ -13,6 +13,7 @@ growth of the integrated deviation from the end states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import stepping
 from ._lapack import dgtsv
 from .domain import DomainSpec, Field, derivative, lp_norm, make_grid, write_table
-from .fluxes import FluxSet
+from .fluxes import FluxSet, sample_range
 from .stepping import DiffusionSweep, check_cfl, march, max_advective_dt, step_schedule
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "write_profile_series",
     "PROFILE_COLUMNS",
 ]
+
+FAN_MARGIN = 6.0  # sqrt(t) lengths the line keeps past the fan's reach (`schedule`)
 
 PROFILE_COLUMNS = ("t", "max_slope", "t_max_slope", "slope_l1", "slope_l2", "slope_linf",
                    "end_state_deviation")
@@ -62,14 +65,16 @@ def inviscid_rarefaction(x1, t: float, flux: FluxSet, ul: float, ur: float):
 
     Constant states outside the fan; inside, the wave speed f_1' is
     inverted by bisection to 1e-12, or to one ulp where that is coarser.
-    Requires t > 0 and f_1' strictly increasing on [ul, ur].
+    Requires t > 0 and f_1' strictly increasing on [ul, ur], probed at
+    the distinct `sample_range` samples: a range a few ulps wide has
+    fewer distinct floats than samples.
     """
     if t <= 0:
         raise ValueError(f"rarefaction fan needs t > 0, got t = {t}")
     if not ul < ur:
         raise ValueError(f"need ul < ur, got {ul}, {ur}")
     df = flux.df[0]
-    probe = np.asarray(df(np.linspace(ul, ur, 512)), dtype=float)
+    probe = np.asarray(df(np.unique(sample_range(ul, ur))), dtype=float)
     if np.any(np.diff(probe) <= 0.0):
         raise ValueError("f_1' is not strictly increasing on [ul, ur]")
 
@@ -118,9 +123,23 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
 def schedule(p0: ProfileState, flux: FluxSet, t_end: float, cfl: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
     `step_schedule` at the largest step the CFL bound of the end states'
-    range allows."""
+    range allows.
+
+    The line must hold the fan and its viscous layer until t_end:
+    L >= speed * t_end + FAN_MARGIN * sqrt(t_end), speed the larger
+    |f_1'| of the end states.  At a slack s = (L - speed t) / sqrt(t) of 6
+    or more a march on L = 200 and on the shorter line differ by at most
+    1.3e-5 at every record (dx1 0.2, Burgers (-0.5, 0.5) and cubic
+    (0.6, 1)); at s = 4.2 by 6e-4, and at s <= 1 the pinned ends double
+    t max u_x and more."""
     dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur, cfl)
-    return step_schedule(t_end, dt_max, None, snapshot_times)
+    plan = step_schedule(t_end, dt_max, None, snapshot_times)
+    speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (p0.ul, p0.ur))
+    bound = speed * t_end + FAN_MARGIN * math.sqrt(t_end)
+    if not p0.spec.L >= bound:
+        raise ValueError(f"L = {p0.spec.L} < fan speed {speed:.3g} * t_end + {FAN_MARGIN:g} "
+                         f"sqrt(t_end) = {bound:.6g}: the fan would reach the boundary")
+    return plan
 
 
 def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float):

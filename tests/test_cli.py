@@ -536,6 +536,11 @@ class TestTorusAndProfileConfigs:
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
         ("profile", "snapshots = 0", "snapshots must hold a time after t = 0 on the step grid"),
         ("profile", "flux = cubic", "f_1'' dips to"),
+        # the fan and its viscous layer would reach the pinned ends
+        ("profile", "L = 20\nn1 = 200\nt_end = 200",
+         "L = 20.0 < fan speed 0.5 * t_end + 6 sqrt(t_end) = 184.853"),
+        ("profile", "L = 20\nn1 = 200\nt_end = 40",
+         "L = 20.0 < fan speed 0.5 * t_end + 6 sqrt(t_end) = 57.9473"),
         ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
         ("periodic", "w0_modes = 1,0.1", "needs 2 wavenumbers + amplitude"),
         ("decompose", "n1 = 2", "n1 must be at least 4"),

@@ -8,12 +8,13 @@ from rarelab.decomp import (
     check_membership,
     decompose,
     dump_components,
+    grad_norm,
     level_sum,
     norm_bound_ratio,
     reconstruct,
 )
 from rarelab.domain import DomainSpec, Field, gradient, lp_norm, magnitude, make_grid, slabs
-from rarelab.ineqlab import gn_ratio
+from rarelab.ineqlab import gn_ratio, interpolation_ratio
 
 
 def meshes(spec):
@@ -375,26 +376,28 @@ class TestNormBound:
 
 
 class TestKeptGradientNorms:
-    """A split keeps the norms of each gradient magnitude, not the
-    magnitudes: each |grad| is built once, slab by slab, for p = 1, 2 and
-    inf together, and its norms are the ones a fresh Field of it gives."""
+    """A field and each part keep the norms of their gradient magnitude,
+    not the magnitudes: each |grad| is built once, slab by slab, for
+    p = 1, 2 and inf together, and its norms are the ones a fresh Field
+    of it gives."""
 
     def test_each_magnitude_is_built_once_per_split(self, monkeypatch):
         import rarelab.decomp
+        import rarelab.ineqlab
 
         windows = []
-        real = rarelab.decomp.gradient
+        for module in (rarelab.decomp, rarelab.ineqlab):
+            def counted(f, rows=None, real=module.gradient):
+                windows.append((id(f), rows))
+                return real(f, rows)
 
-        def counted(f, rows=None):
-            windows.append((id(f), rows))
-            return real(f, rows)
-
-        monkeypatch.setattr(rarelab.decomp, "gradient", counted)
+            monkeypatch.setattr(module, "gradient", counted)
         f = random_trig_field(SPEC3, np.random.default_rng(16))
         d = decompose(f)
         for p in (1.0, 2.0, np.inf):
             norm_bound_ratio(f, d, 1, p)
         gn_ratio(f, 0, 1, 2.0, 1.0, 2.0, d=d)
+        interpolation_ratio(f, 2.0, 1.0)
         # every field is differentiated once, slab by slab, in order
         assert windows == [(id(g), rows) for g in (f, *d.parts.values())
                            for rows in slabs(g.spec)]
@@ -402,23 +405,23 @@ class TestKeptGradientNorms:
     def test_kept_norms_are_the_fresh_ones(self):
         f = random_trig_field(SPEC3, np.random.default_rng(17))
         d = decompose(f)
-        for subset, g in ((None, f), *d.parts.items()):
+        fields = (f, *d.parts.values())
+        for g in fields:
             for p in (2.0, 1.0, 4.0, np.inf, 4.0):
-                kept = d.grad_norm(subset, p)
+                kept = grad_norm(g, p)
                 assert kept.hex() == norm(g, 1, p).hex()
-        assert all(type(x) is float for x in vars(d)["_norms"].values())
+        assert all(type(x) is float for g in fields for x in vars(g)["_norms"].values())
 
     def test_a_new_p_builds_the_magnitude_again(self, monkeypatch):
         import rarelab.decomp
 
         f = random_trig_field(SPEC2, np.random.default_rng(19))
-        d = decompose(f)
         built = []
         real = rarelab.decomp.gradient_norms
         monkeypatch.setattr(rarelab.decomp, "gradient_norms",
                             lambda g, ps: built.append(ps) or real(g, ps))
         for p in (2.0, 1.0, np.inf, 3.0, 2.0, 3.0):
-            d.grad_norm(None, p)
+            grad_norm(f, p)
         assert built == [(1.0, 2.0, np.inf), (3.0,)]
 
     def test_gn_ratio_at_first_order_reads_the_kept_norms(self, monkeypatch):
@@ -528,9 +531,11 @@ class TestParentSplitReference:
         rebuilt = type(d)(field=u, parts={s: Field(part.spec, want[s])
                                           for s, part in d.parts.items()})
         assert_bitwise(reconstruct(d).values, reconstruct(rebuilt).values)
-        for subset, g in ((None, u), *d.parts.items()):
+        for g in (u, *d.parts.values()):
             for p in (1.0, 2.0, 4.0, np.inf):
-                assert d.grad_norm(subset, p).hex() == parent_grad_norm(g, p).hex()
+                assert grad_norm(g, p).hex() == parent_grad_norm(g, p).hex()
+            assert {k: x.hex() for k, x in vars(g)["_norms"].items()} == {
+                ("grad", p): parent_grad_norm(g, p).hex() for p in (1.0, 2.0, np.inf, 4.0)}
 
     @settings(max_examples=80, deadline=None)
     @given(slabbed_fields())

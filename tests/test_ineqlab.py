@@ -9,6 +9,7 @@ from rarelab.domain import (
 )
 from rarelab.ineqlab import (
     _power_gradient_magnitude,
+    _power_gradient_norm,
     chain_rule_power_gradient,
     dilated_gn_ratio,
     dilated_line_field,
@@ -298,18 +299,21 @@ class TestPowerGradientMagnitude:
     @settings(max_examples=40, deadline=None)
     @given(slab_fields())
     def test_power_one_is_the_chain_rule_without_its_factor(self, u):
+        # at power 1 the norm is the one u keeps of |grad u|, built with
+        # no chain-rule factor
         import rarelab.ineqlab
 
-        want = magnitude(chain_rule_power_gradient(u.values, gradient(u), 1))
+        mag = magnitude(chain_rule_power_gradient(u.values, gradient(u), 1))
+        want = lp_norm(u.with_values(mag), 2.0)
 
         def unused(*args):
             raise AssertionError("the factor is +-1 at power 1")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rarelab.ineqlab, "chain_rule_power_gradient", unused)
-            got = _power_gradient_magnitude(u, 1)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = _power_gradient_norm(u, 1)
+        assert got.hex() == want.hex()
+        assert vars(u)["_norms"][("grad", 2.0)].hex() == want.hex()
 
 
 class TestChainRulePowerGradient:

@@ -1,12 +1,12 @@
-"""Kept norms have one owner each: within `src/`, only `domain.lp_norm`
-reads or writes `Field._norms`, and only `DecompositionResult.grad_norm`
-the split's kept gradient norms, `DecompositionResult._norms`, so no
-other code can keep a norm that those two would not give.
+"""Kept norms have two owners: within `src/`, only `domain.lp_norm`,
+for the L^p norms of a Field, and `decomp.grad_norm`, for those of its
+gradient magnitude, read or write `Field._norms`, so no other code can
+keep a norm that those two would not give.
 
 Read with the standard library's `ast`.  A touch is any attribute
 `._norms`, read, written or deleted, and any string constant "_norms",
-so getattr(f, "_norms") and vars(f)["_norms"] count as well.  The fields'
-declarations in the dataclass bodies are bare names and are not touches.
+so getattr(f, "_norms") and vars(f)["_norms"] count as well.  The field's
+declaration in the dataclass body is a bare name and is not a touch.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NAME = "_norms"
-ALLOWED = {("domain.py", "lp_norm"), ("decomp.py", "DecompositionResult.grad_norm")}
+ALLOWED = {("domain.py", "lp_norm"), ("decomp.py", "grad_norm")}
 
 
 class _Touches(ast.NodeVisitor):
@@ -72,9 +72,9 @@ def test_a_second_reader_is_found():
         ),
         "decomp.py": (
             "class DecompositionResult:\n"
-            "    _norms: dict\n"
-            "    def grad_norm(self, subset, p):\n"
-            "        return self._norms[(subset, p)]\n"
+            "    field: object\n"
+            "def grad_norm(f, p):\n"
+            "    return f._norms[('grad', p)]\n"
             "def norm_bound_ratio(u, d, m, p):\n"
             "    return u._norms.get(p)\n"
             "class Split:\n"

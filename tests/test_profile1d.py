@@ -100,6 +100,20 @@ class TestInviscidFan:
         with pytest.raises(ValueError):
             inviscid_rarefaction(0.0, 1.0, FLUX, 0.5, -0.5)
 
+    @pytest.mark.parametrize("width", [1e-13, 1e-14, 2 * np.spacing(0.5)])
+    def test_a_range_a_few_ulps_wide_is_a_fan(self, width):
+        # its samples repeat floats; the distinct ones still increase
+        ur = 0.5 + width
+        u = inviscid_rarefaction(np.linspace(0.0, 1.0, 5), 1.0, FLUX, 0.5, ur)
+        assert u[0] == 0.5 and u[-1] == ur and np.all(np.diff(u) >= 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_range_too_wide_to_sample_is_refused_without_a_warning(self):
+        # f_1' is probed at the `fluxes.sample_range` samples, whose width rule
+        # refuses this range before a difference of the probe could overflow
+        with pytest.raises(ValueError, match=r"the range \[-1e\+308, 1e\+308\] is too wide"):
+            inviscid_rarefaction(0.0, 1.0, FLUX, -1e308, 1e308)
+
 
 class TestInitialProfile:
     def test_center_value(self):
@@ -201,7 +215,15 @@ class TestEvolution:
         p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
         later = ProfileState(p0.spec, p0.values, 0.5, ul=p0.ul, ur=p0.ur)
         with pytest.raises(ValueError, match="starts at t = 0, got a state at t = 0.5"):
-            evolve_profile(later, FLUX, plan(p0, 1.0))
+            evolve_profile(later, FLUX, plan(p0, 0.5))
+
+    def test_a_line_the_fan_would_reach_is_refused(self):
+        # L = 5 holds the fan to t_end = 0.5 (bound 4.49), not to t_end = 1 (6.5)
+        p0 = make_initial_state(L=5.0, n1=100, ul=-0.5, ur=0.5)
+        assert plan(p0, 0.5)[0] > 0
+        with pytest.raises(ValueError, match=r"L = 5.0 < fan speed 0.5 \* t_end \+ 6 "
+                                             r"sqrt\(t_end\) = 6.5: the fan would reach"):
+            plan(p0, 1.0)
 
     def test_cfl_guard(self):
         # the plan refuses the step; a march handed it anyway aborts
@@ -285,7 +307,7 @@ class TestQuantitativeBounds:
 class TestLongTimeApproach:
     @pytest.fixture(scope="class")
     def long_run(self):
-        p0 = make_initial_state(L=160.0, n1=6400, ul=-0.5, ur=0.5)
+        p0 = make_initial_state(L=200.0, n1=8000, ul=-0.5, ur=0.5)
         return list(evolve_profile(p0, FLUX, plan(p0, 200.0, snapshot_times=(50.0, 200.0))))
 
     def test_sup_distance_to_fan_decreases(self, long_run):

@@ -88,13 +88,14 @@ def exact(value):
 def test_a_traced_analysis_run_changes_no_value(tmp_path):
     # the split and the quotients measure through decomp's and ineqlab's own
     # gradient and lp_norm bindings, which the tracer wraps as its
-    # domain.gradient and domain.lp_norm layers
+    # domain.gradient and domain.lp_norm layers.  The body differentiates
+    # through decomp's alone; a quotient at p = 4 reaches ineqlab's.
     from rarelab import decomp, ineqlab
 
     work = workloads.Analysis(tiny=True)
     work.setup(1, tmp_path)
     plain = exact(work.body())
-    seen = Counter()
+    seen, in_body = Counter(), Counter()
 
     def counted(fn, key):
         def call(*args, **kw):
@@ -102,15 +103,22 @@ def test_a_traced_analysis_run_changes_no_value(tmp_path):
             return fn(*args, **kw)
         return call
 
+    def body_then_power_two():
+        out = work.body()
+        in_body.update(seen)
+        ineqlab.interpolation_ratio(work.fields[0], 4.0, 2.0)
+        return out
+
     t = tracer.Tracer().install()
     try:
         for module in (decomp, ineqlab):
             for name in ("gradient", "lp_norm"):
                 setattr(module, name, counted(getattr(module, name), (module, name)))
-        traced = t.run(work.body)
+        traced = t.run(body_then_power_two)
     finally:
         t.restore()
     assert exact(traced) == plain
+    assert in_body[decomp, "gradient"] > 0 and in_body[ineqlab, "gradient"] == 0
     calls = {layer: stat[0] for layer, stat in t.layers.items()}
     assert set(calls) <= set(tracer.LAYERS) | {tracer.ROOT}
     for name in ("gradient", "lp_norm"):

@@ -55,6 +55,14 @@ EDGE_CONFIGS = {
         dict(CONFIGS["simulate"], flux="cubic", ul="0.6", ur="1.7e308"), "wave speed"),
     "simulate-zero-v0": (dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:0,0,1"),
                          "simulate needs a disturbance"),
+    # a v0 whose every sample on the grid is 0 or subnormal is no disturbance
+    "simulate-subnormal-v0-width": (
+        dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:1,0,1e-320"),
+        "simulate needs a disturbance"),
+    "simulate-v0-off-the-line": (dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:1,1000,1"),
+                                 "simulate needs a disturbance"),
+    "simulate-subnormal-v0": (dict(CONFIGS["simulate"], w0_modes="", v0="gaussian:1e-320,0,1"),
+                              "simulate needs a disturbance"),
     "profile-widest-range": (dict(CONFIGS["profile"], ul="-1e308", ur="1e308"),
                              "too wide to sample"),
     "profile-cubic-overflowing-curvature": (
