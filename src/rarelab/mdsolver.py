@@ -21,10 +21,11 @@ profile and torus solvers run too; `run` supplies its per-step check
 march holds the cylinder field x1-last, torus axes first,
 the layout `stepping`'s kernels run fastest on; the far-field sides
 keep their torus layout.  The field is transposed once at the start,
-and each record takes an x1-first copy, which the ansatz, tau, the
-norm row and the hand-off's torus average all read: a torus mean over
-the transposed view rounds differently, and every `Field` and artifact
-keeps the x1-first layout.  Each record pulls the next profile from
+and each record builds the whole line's field x1-first (see "Cylinder
+window"), which the ansatz, tau, the norm row and the hand-off's torus
+average all read: a torus mean over the transposed view rounds
+differently, and every `Field` and artifact keeps the x1-first
+layout.  Each record pulls the next profile from
 `evolve_profile`'s march of the run's own plan on the same x1 grid, so
 the profile sits at the record's time and one profile is held.  Both
 phases build their norm row in one place: a column per
@@ -36,6 +37,30 @@ run when the perturbation (or the fan's slope profile, the profile's
 own x1 derivative) puts more than the configured fraction of its mass
 into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
 perturbation at roundoff).
+
+Cylinder window.  Away from the fan the cylinder solution is its far
+field tiled along x1, so the cylinder march holds only the x1 cells of
+[-W, W], W = `cylinder_window`: min(L, ceil(S + reach)), where the line
+data p0 + v0 is its end states bit for bit beyond |x1| = S, and reach =
+max |f_1'| t_end + `profile1d.FAN_MARGIN` sqrt(t_end) is how far the fan
+and its viscous layer spread.  W is whole unit periods, so the window's
+ghost cells and Dirichlet data are the line's.  The march starts from
+the window's slice of the line's initial data, and each record builds
+the whole line's field in one array, the window from the march and
+every other cell from the far-field row it lies on: with W = L the run
+is the whole-line run byte for byte, and otherwise the cells outside
+differ from the whole line's by its roundoff.  Where the profile is its
+end states the ansatz is bitwise the far-field side (its weight is 0 or
+1), so phi outside the window is the profile's distance from its end
+states times the far-field jump over ur - ul.  Before the hand-off the
+tail guard therefore reads only that distance in the outer decade and
+cannot see structure the window cut off; the profile, marched on the
+whole line, can.  So each cylinder record checks that the profile's
+mass outside the window, the sum of |p - end state| dx1, is at most
+`TAIL_FLOOR`, phi's own roundoff floor, and aborts ("window") if not.
+The check is on mass, not bit for bit: the pinned ends' Dirichlet solves
+leave ulp-sized deviations in the profile's outer cells, and by t = 20
+the fan's viscous layer puts 4e-13 past W = 56 on `cyl2d`'s line.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -74,7 +99,7 @@ from .domain import (
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
-from .profile1d import evolve_profile, make_initial_state, pinned_line
+from .profile1d import FAN_MARGIN, ProfileState, evolve_profile, make_initial_state, pinned_line
 from .rates import PHI_SERIES
 from .stepping import (
     CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
@@ -83,6 +108,7 @@ from .stepping import (
 __all__ = [
     "SolverConfig",
     "schedule",
+    "cylinder_window",
     "run",
     "trig_polynomial",
     "mode_problems",
@@ -224,6 +250,26 @@ def schedule(config: SolverConfig):
     return step_schedule(config.t_end, dt_max, config.dt, config.snapshot_times)
 
 
+def cylinder_window(config: SolverConfig, p0: ProfileState) -> int:
+    """W, the integer half-length of the x1 window [-W, W] that `run`'s
+    cylinder march holds: min(L, ceil(S + reach)).
+
+    S is the smallest half-width beyond which the line data p0 + v0
+    equals ul on the left and ur on the right, bit for bit, and the reach
+    max |f_1'| * t_end + FAN_MARGIN * sqrt(t_end) is the fan's and its
+    viscous layer's, the margin the profile's own `schedule` keeps."""
+    spec, ul, ur = config.spec, config.ul, config.ur
+    x1 = make_grid(spec).x1
+    line = p0.values
+    if config.v0 is not None:
+        line = line + np.asarray(config.v0(x1), dtype=float)
+    moved = np.where(x1 < 0.0, line != ul, line != ur)
+    support = float(np.max(np.abs(x1[moved]))) if moved.any() else 0.0
+    speed = max(abs(float(config.flux.df[0](np.float64(u)))) for u in (ul, ur))
+    reach = speed * config.t_end + FAN_MARGIN * math.sqrt(config.t_end)
+    return min(round(spec.L), math.ceil(support + reach))
+
+
 def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     """Advance the cylinder solution over plan = (steps, dt, record), the
     `schedule` of this config, and log the perturbation against the
@@ -231,13 +277,17 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
 
     Returns (series, checks): the norm table's columns, one array per
     `NORM_COLUMNS` entry, and the run-wide checks in the order
-    max_principle_violation, boundary_mismatch, max_courant, planar_at.
+    max_principle_violation, boundary_mismatch, max_courant, planar_at,
+    cylinder_window.
     `max_courant` is the largest realized advective Courant number of
     the states the steps produced, always taken with the cylinder's
     spacings, on the line too.  `boundary_mismatch` is measured only
     before the hand-off, while the far field exists.  `planar_at` is
     {"step", "t", "tau"} of the record after which the run marched the
-    line, or None when it never handed off."""
+    line, or None when it never handed off.  `cylinder_window` is
+    {"L", "n1"}, the half-length W and the x1 cells of the window the
+    cylinder march held (module docstring), W = L on a line no longer
+    than the data's support and the fan's reach."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
@@ -256,20 +306,27 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     tspec, far_rows = far_field_grid(spec)
     stepper = TorusStepper(tspec, dt)
     w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
-    lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
+    lo_rows, hi_rows, cells = far_rows[:2], far_rows[-2:], far_rows[2:-2]
+
+    # the march holds x1 cells [off, n1 - off), whole periods inside the
+    # line, so its ghost cells lie on the line's ghost rows
+    W = cylinder_window(config, p0)
+    off = (round(spec.L) - W) * tspec.sizes[0]
+    left, window, right = slice(None, off), slice(off, spec.n1 - off), slice(spec.n1 - off, None)
 
     # initial data: the profile's tangent data + optional 1-d bump + modes
     col = (-1,) + (1,) * (spec.n - 1)
-    u = np.broadcast_to(p0.values.reshape(col), spec.shape).copy()
+    shape = (spec.n1 - 2 * off, *spec.n_torus)
+    u = np.broadcast_to(p0.values[window].reshape(col), shape).copy()
     if config.v0 is not None:
-        u = u + np.asarray(config.v0(grid.x1), dtype=float).reshape(col)
-    u = u + trig_polynomial(config.w0_modes, (grid.x1, *grid.torus))
+        u = u + np.asarray(config.v0(grid.x1), dtype=float)[window].reshape(col)
+    u = u + trig_polynomial(config.w0_modes, (grid.x1[window], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
-    dirichlet = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
+    dirichlet = DiffusionSweep(shape[0], spec.dx1, dt / 2.0)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
     checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
-                  planar_at=None)
+                  planar_at=None, cylinder_window=dict(L=W, n1=shape[0]))
     torus_axes = tuple(range(1, spec.n))
 
     def sweep(state, axis):
@@ -332,9 +389,22 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
 
     def record(k, state):
         """(norm row, the line's start state if record k hands off, else None)"""
-        prof, (v, wl, wr) = next(profiles), state
-        v = np.ascontiguousarray(np.moveaxis(v, -1, 0))  # x1-first, as every reader takes it
+        prof, (march_v, wl, wr) = next(profiles), state
         t = prof.t
+        # the window holds the fan while the profile's mass outside it is at
+        # roundoff, the floor below which phi's tail guard reads nothing
+        outside = np.concatenate((prof.values[left] - ul, prof.values[right] - ur))
+        spill = float(np.sum(np.abs(outside))) * spec.dx1
+        if spill > TAIL_FLOOR:
+            raise NumericalAbort("window", t, f"the profile's mass {spill:.3e} outside "
+                                              f"|x1| < {W} exceeds {TAIL_FLOOR:.0e}")
+        # x1-first, as every reader takes it: the window from the march, the
+        # rest the far-field rows its cells lie on, taken in place ("clip":
+        # the rows are in range, and "raise" buffers a copy of out)
+        v = np.empty(spec.shape)
+        v[window] = np.moveaxis(march_v, -1, 0)
+        np.take(wl, cells[left], axis=0, out=v[left], mode="clip")
+        np.take(wr, cells[right], axis=0, out=v[right], mode="clip")
         ansatz, h = assemble_bundle((wl, wr), prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid

@@ -215,7 +215,7 @@ class TestPerturbedRun:
         series, checks = run(cfg, plan)
         assert list(series) == list(NORM_COLUMNS)
         assert list(checks) == ["max_principle_violation", "boundary_mismatch", "max_courant",
-                                "planar_at"]
+                                "planar_at", "cylinder_window"]
         assert list(series["t"]) == [k * dt for k in sorted(record)]
 
     def test_initial_perturbation_vanishes(self):

@@ -28,6 +28,14 @@ kernel reads 8.50 -> 6.30 and 9.83 -> 6.51.  Freeing each cubic
 curvature once used and scaling f'' in its node buffer took the cubic
 record 12.11 -> 8.10, and the step's pop took a step forwarded through
 `*args` 9.24 -> 8.22.
+
+A run on this cylinder to t = 0.005 marches the x1 window [-20, 20],
+1,280 of the 4,096 cells (`mdsolver.cylinder_window`).  Its step is
+measured in units of the window's field and keeps the whole line's
+bound: 8.30 against 8.22 on the whole line.  Its record builds one
+field of the whole line from the window and the far-field rows: the
+whole record peaks at 7.09 fields against 7.07 on the whole line, and
+its ansatz at the 5.21 of `assemble_bundle` alone.
 """
 
 import tracemalloc
@@ -69,22 +77,31 @@ def bundle_peak(spec: DomainSpec, make_flux, ul: float, ur: float) -> float:
                           8 * int(np.prod(spec.shape)))
 
 
-def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False) -> float:
+def one_step_config(spec: DomainSpec, modes, snapshot_times=()) -> SolverConfig:
+    """A one-step run on `spec`; on `CYLINDER` its window is [-20, 20]."""
+    return SolverConfig(spec=spec, flux=burgers(spec.n), ul=-0.5, ur=0.5, w0_modes=modes,
+                        t_end=0.005, snapshot_times=snapshot_times)
+
+
+def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False,
+              windowed: bool = False) -> float:
     """The peak of a cylinder run's one Strang step beyond what was held
-    before it, traced where `stepping.march` takes it, by a spy that
-    forwards its arguments by name or, with `star`, as one `*args`
-    tuple that lives as long as the spy; the profile's steps are not
-    measured.  The whole run is traced, so the state the step starts
-    from counts as held, and freeing it counts as well."""
-    sc = SolverConfig(spec=spec, flux=burgers(spec.n), ul=-0.5, ur=0.5, w0_modes=modes,
-                      t_end=0.005, snapshot_times=())
+    before it, in units of the cylinder state the step takes: the whole
+    line, or with `windowed` the march's window.  It is traced where
+    `stepping.march` takes the step, by a spy that forwards its arguments
+    by name or, with `star`, as one `*args` tuple that lives as long as
+    the spy; the profile's steps are not measured.  The whole run is
+    traced, so the state the step starts from counts as held, and
+    freeing it counts as well."""
+    sc = one_step_config(spec, modes)
     plan = mdsolver.schedule(sc)
     assert plan[0] == 1
-    strang_step, peaks = stepping.strang_step, []
+    strang_step, peaks, cells = stepping.strang_step, [], []
 
     def measured(held, step):
         if len(held[0]) < 3:  # the profile's (line,) state
             return step()
+        cells.append(held[0][0].shape[-1])
         nbytes = held[0][0].nbytes
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
@@ -98,14 +115,48 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False) -> float
     def by_star(*args):
         return measured(args[0], lambda: strang_step(*args))
 
-    monkeypatch.setattr(stepping, "strang_step", by_star if star else by_name)
+    with monkeypatch.context() as m:
+        m.setattr(stepping, "strang_step", by_star if star else by_name)
+        if not windowed:
+            m.setattr(mdsolver, "cylinder_window", lambda config, p0: round(spec.L))
+        tracemalloc.start()
+        try:
+            checks = mdsolver.run(sc, plan)[1]
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 1
+    assert cells == [checks["cylinder_window"]["n1"]]  # the step held the march's state
+    return peaks[0]
+
+
+def record_peaks(monkeypatch, spec: DomainSpec, modes) -> tuple[float, float]:
+    """(the whole record, its `assemble_bundle`), the peaks of a windowed
+    one-step run's record at t_end beyond what was held before each, in
+    units of one field on the whole line; the whole run is traced."""
+    sc = one_step_config(spec, modes, snapshot_times=(0.005,))
+    march, assemble_bundle, peaks = mdsolver.march, mdsolver.assemble_bundle, {}
+
+    def traced(key, fn, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peaks[key] = (tracemalloc.get_traced_memory()[1] - before) / (8 * np.prod(spec.shape))
+        return out
+
+    def march_spy(state, plan, ndim, sweep, rhs, check, keep):
+        return march(state, plan, ndim, sweep, rhs, check,
+                     lambda k, st: traced("record", keep, k, st))
+
+    monkeypatch.setattr(mdsolver, "march", march_spy)
+    monkeypatch.setattr(mdsolver, "assemble_bundle",
+                        lambda *args: traced("bundle", assemble_bundle, *args))
     tracemalloc.start()
     try:
-        mdsolver.run(sc, plan)
+        checks = mdsolver.run(sc, mdsolver.schedule(sc))[1]
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1
-    return peaks[0]
+    assert checks["cylinder_window"]["n1"] < spec.n1
+    return peaks["record"], peaks["bundle"]
 
 
 @pytest.mark.parametrize("shape, bound", [((32, 4096), 6.7), ((16, 16, 512), 6.9)],
@@ -138,6 +189,20 @@ def test_cubic_record_peak():
 
 def test_cylinder_step_peak(monkeypatch):
     assert step_peak(monkeypatch, CYLINDER, MODES) < 8.7
+
+
+def test_a_windowed_step_peak_in_window_fields(monkeypatch):
+    # the march steps 1,280 of the 4,096 x1 cells, and its step holds
+    # no field of the whole line
+    assert step_peak(monkeypatch, CYLINDER, MODES, windowed=True) < 8.7
+
+
+def test_a_windowed_record_peak(monkeypatch):
+    # the record builds the whole line's field once, from the window and
+    # the far-field rows, and its ansatz keeps the bound of its own
+    record, bundle = record_peaks(monkeypatch, CYLINDER, MODES)
+    assert bundle < 5.7
+    assert record < 7.6
 
 
 def test_a_forwarded_step_frees_the_state_it_is_handed(monkeypatch):
