@@ -42,25 +42,30 @@ Cylinder window.  Away from the fan the cylinder solution is its far
 field tiled along x1, so the cylinder march holds only the x1 cells of
 [-W, W], W = `cylinder_window`: min(L, ceil(S + reach)), where the line
 data p0 + v0 is its end states bit for bit beyond |x1| = S, and reach =
-max |f_1'| t_end + `profile1d.FAN_MARGIN` sqrt(t_end) is how far the fan
-and its viscous layer spread.  W is whole unit periods, so the window's
-ghost cells and Dirichlet data are the line's.  The march starts from
-the window's slice of the line's initial data, and each record builds
-the whole line's field in one array, the window from the march and
-every other cell from the far-field row it lies on: with W = L the run
-is the whole-line run byte for byte, and otherwise the cells outside
-differ from the whole line's by its roundoff.  Where the profile is its
-end states the ansatz is bitwise the far-field side (its weight is 0 or
-1), so phi outside the window is the profile's distance from its end
-states times the far-field jump over ur - ul.  Before the hand-off the
-tail guard therefore reads only that distance in the outer decade and
-cannot see structure the window cut off; the profile, marched on the
-whole line, can.  So each cylinder record checks that the profile's
-mass outside the window, the sum of |p - end state| dx1, is at most
-`TAIL_FLOOR`, phi's own roundoff floor, and aborts ("window") if not.
-The check is on mass, not bit for bit: the pinned ends' Dirichlet solves
-leave ulp-sized deviations in the profile's outer cells, and by t = 20
-the fan's viscous layer puts 4e-13 past W = 56 on `cyl2d`'s line.
+speed t_end + `WINDOW_MARGIN` sqrt(t_end) is how far the fan, a bump
+and their viscous layers spread: speed is the largest |f_1'| on the
+solution's range (a bump's amplitude moves it, not only the end
+states), and at WINDOW_MARGIN sqrt(t) a unit heat kernel's tail is
+`TAIL_FLOOR`, the floor the self-check below enforces.  W is whole unit
+periods, so the window's ghost cells and Dirichlet data are the line's.
+The march starts from the window's slice of the line data, and each
+record builds the whole line's field in one array, the window from the
+march and every other cell from the far-field row it lies on: with W =
+L the run is the whole-line run byte for byte, and otherwise the cells
+outside differ from the whole line's by its roundoff.  Where the
+profile is its end states the ansatz is bitwise the far-field side (its
+weight is 0 or 1), so phi outside the window is the profile's distance
+from its end states times the far-field jump over ur - ul.  Before the
+hand-off the tail guard therefore reads only that distance in the outer
+decade and cannot see structure the window cut off.  So each cylinder
+record checks what the window assumes and aborts ("window") when a mass
+exceeds `TAIL_FLOOR`, phi's own roundoff floor: the profile's mass
+outside the window, the sum of |p - end state| dx1 (the profile,
+marched on the whole line, sees the fan spill between records), and,
+when W < L, the march's distance from the far field on its outermost
+unit period on each side (what a bump carries to the window's edge).
+The first is on mass, not bit for bit: the pinned ends' Dirichlet
+solves leave ulp-sized deviations in the profile's outer cells.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -99,7 +104,7 @@ from .domain import (
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
-from .profile1d import FAN_MARGIN, ProfileState, evolve_profile, make_initial_state, pinned_line
+from .profile1d import evolve_profile, make_initial_state, pinned_line
 from .rates import PHI_SERIES
 from .stepping import (
     CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
@@ -122,6 +127,9 @@ NORM_COLUMNS = ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
 TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
 TAIL_THRESHOLD = 0.25  # the outer-decade mass share of a run that does not set its own
 PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
+# sqrt(t) lengths at which a unit-viscosity heat kernel's tail, erfc(z) <
+# exp(-z^2) at z = WINDOW_MARGIN / 2, falls to TAIL_FLOOR (`cylinder_window`)
+WINDOW_MARGIN = 2.0 * math.sqrt(math.log(1.0 / TAIL_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -250,24 +258,24 @@ def schedule(config: SolverConfig):
     return step_schedule(config.t_end, dt_max, config.dt, config.snapshot_times)
 
 
-def cylinder_window(config: SolverConfig, p0: ProfileState) -> int:
+def cylinder_window(config: SolverConfig, x1: np.ndarray, line: np.ndarray) -> int:
     """W, the integer half-length of the x1 window [-W, W] that `run`'s
-    cylinder march holds: min(L, ceil(S + reach)).
+    cylinder march holds: min(L, ceil(S + reach)), for the line data
+    `line` = p0 + v0 at the cell centers x1.
 
-    S is the smallest half-width beyond which the line data p0 + v0
-    equals ul on the left and ur on the right, bit for bit, and the reach
-    max |f_1'| * t_end + FAN_MARGIN * sqrt(t_end) is the fan's and its
-    viscous layer's, the margin the profile's own `schedule` keeps."""
-    spec, ul, ur = config.spec, config.ul, config.ur
-    x1 = make_grid(spec).x1
-    line = p0.values
-    if config.v0 is not None:
-        line = line + np.asarray(config.v0(x1), dtype=float)
-    moved = np.where(x1 < 0.0, line != ul, line != ur)
+    S is the largest |x1| at which the line data differs from ul (left of
+    0) or ur (right of 0), bit for bit.  The reach speed * t_end +
+    WINDOW_MARGIN * sqrt(t_end) is how far the fan, a bump and their
+    viscous layers spread: speed is the largest |f_1'| on the solution's
+    range, the line data's range widened by the modes' amplitudes, which
+    `schedule` checks f_1 convex on, so the range's ends give it."""
+    moved = np.where(x1 < 0.0, line != config.ul, line != config.ur)
     support = float(np.max(np.abs(x1[moved]))) if moved.any() else 0.0
-    speed = max(abs(float(config.flux.df[0](np.float64(u)))) for u in (ul, ur))
-    reach = speed * config.t_end + FAN_MARGIN * math.sqrt(config.t_end)
-    return min(round(spec.L), math.ceil(support + reach))
+    amp = sum(abs(row[-1]) for row in config.w0_modes)
+    ends = (float(np.min(line)) - amp, float(np.max(line)) + amp)
+    speed = max(abs(float(config.flux.df[0](np.float64(u)))) for u in ends)
+    reach = speed * config.t_end + WINDOW_MARGIN * math.sqrt(config.t_end)
+    return min(round(config.spec.L), math.ceil(support + reach))
 
 
 def run(config: SolverConfig, plan) -> tuple[dict, dict]:
@@ -287,7 +295,9 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     line, or None when it never handed off.  `cylinder_window` is
     {"L", "n1"}, the half-length W and the x1 cells of the window the
     cylinder march held (module docstring), W = L on a line no longer
-    than the data's support and the fan's reach."""
+    than the data's support and the reach.  A cylinder record whose
+    window no longer holds the fan or the data's motion raises
+    `NumericalAbort` "window"."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
@@ -295,9 +305,13 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
 
     grid = make_grid(spec)
 
-    # the 1-d backbone on the cylinder's x1 grid, on the run's plan, pulled at each record
+    # the 1-d backbone on the cylinder's x1 grid, on the run's plan, pulled
+    # at each record, and the line data: its tangent data + optional 1-d bump
     p0 = make_initial_state(spec.L, spec.n1, ul, ur)
     profiles = evolve_profile(p0, flux, plan)
+    line = p0.values
+    if config.v0 is not None:
+        line = line + np.asarray(config.v0(grid.x1), dtype=float)
 
     # far field: the left and right torus solutions; the row map gives the
     # torus row of every x1 cell, and the ghost cells read the first and
@@ -310,16 +324,16 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
 
     # the march holds x1 cells [off, n1 - off), whole periods inside the
     # line, so its ghost cells lie on the line's ghost rows
-    W = cylinder_window(config, p0)
-    off = (round(spec.L) - W) * tspec.sizes[0]
+    W = cylinder_window(config, grid.x1, line)
+    m1 = tspec.sizes[0]
+    off = (round(spec.L) - W) * m1
+    cell = math.prod(spacings)  # a cylinder cell's volume
     left, window, right = slice(None, off), slice(off, spec.n1 - off), slice(spec.n1 - off, None)
 
-    # initial data: the profile's tangent data + optional 1-d bump + modes
+    # initial data: the window's line data + modes
     col = (-1,) + (1,) * (spec.n - 1)
     shape = (spec.n1 - 2 * off, *spec.n_torus)
-    u = np.broadcast_to(p0.values[window].reshape(col), shape).copy()
-    if config.v0 is not None:
-        u = u + np.asarray(config.v0(grid.x1), dtype=float)[window].reshape(col)
+    u = np.broadcast_to(line[window].reshape(col), shape).copy()
     u = u + trig_polynomial(config.w0_modes, (grid.x1[window], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
     dirichlet = DiffusionSweep(shape[0], spec.dx1, dt / 2.0)
@@ -392,12 +406,20 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         prof, (march_v, wl, wr) = next(profiles), state
         t = prof.t
         # the window holds the fan while the profile's mass outside it is at
-        # roundoff, the floor below which phi's tail guard reads nothing
+        # roundoff, the floor below which phi's tail guard reads nothing,
+        # and the march's outermost period on each side is the far field
         outside = np.concatenate((prof.values[left] - ul, prof.values[right] - ur))
-        spill = float(np.sum(np.abs(outside))) * spec.dx1
-        if spill > TAIL_FLOOR:
-            raise NumericalAbort("window", t, f"the profile's mass {spill:.3e} outside "
-                                              f"|x1| < {W} exceeds {TAIL_FLOOR:.0e}")
+        spills = {f"the profile's mass outside |x1| < {W}":
+                  float(np.sum(np.abs(outside))) * spec.dx1}
+        if off:
+            edge = ((wl, march_v[..., :m1], cells[window][:m1]),
+                    (wr, march_v[..., -m1:], cells[window][-m1:]))
+            spills[f"the cylinder's distance from its far field at {W - 1} < |x1| < {W}"] = max(
+                float(np.sum(np.abs(np.moveaxis(m, -1, 0) - w[rows]))) * cell for w, m, rows in edge)
+        for what, spill in spills.items():
+            if spill > TAIL_FLOOR:
+                raise NumericalAbort("window", t, f"{what}, {spill:.3e}, "
+                                                  f"exceeds {TAIL_FLOOR:.0e}")
         # x1-first, as every reader takes it: the window from the march, the
         # rest the far-field rows its cells lie on, taken in place ("clip":
         # the rows are in range, and "raise" buffers a copy of out)
@@ -408,7 +430,6 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         ansatz, h = assemble_bundle((wl, wr), prof, flux, spec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
-        m1 = tspec.sizes[0]
         for w, idx, row in ((wl, -1, lo_rows[1]), (wr, spec.n1, hi_rows[0])):
             x_ghost = -spec.L + (idx + 0.5) * spec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1

@@ -4,9 +4,10 @@ other cell from the far-field row it lies on.  A windowed run must match
 the same run on the whole line (`cylinder_window` patched to return L):
 every norm column within 1e-14 but phi_l1 (1e-11, the roundoff mass the
 whole line holds outside the window) and tail_mass (1e-4, the golden
-gate's), the same hand-off and the same rate verdicts.  A window of the
-fan's reach alone, without the data's support, trips the run's
-self-check, and with the check off it fails that comparison."""
+gate's), the same hand-off and the same rate verdicts, also at t = 50,
+where the fan's viscous layer has spread.  A window without the data's
+support, or one that a fast bump outruns, trips the run's self-check,
+and with the check off it fails that comparison."""
 
 import json
 import math
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 
 from rarelab import cli, mdsolver
+from rarelab.domain import make_grid
 from rarelab.errors import NumericalAbort
-from rarelab.mdsolver import NORM_COLUMNS
-from rarelab.profile1d import FAN_MARGIN, make_initial_state
+from rarelab.mdsolver import NORM_COLUMNS, WINDOW_MARGIN
+from rarelab.profile1d import make_initial_state
 
-# cyl2d_tiny's modes and fit window on a line long enough to window: W = 29 < L = 40
+# cyl2d_tiny's modes and fit window on a line long enough to window: W = 34 < L = 40
 WINDOWED = """\
 experiment = simulate
 dim = 2
@@ -36,6 +38,19 @@ CUBIC = WINDOWED.replace("flux = burgers", "flux = cubic\nul = 0.7\nur = 1.2")
 TINY_2D = WINDOWED.replace("L = 40", "L = 12").replace("n1 = 320", "n1 = 96")
 TINY_3D = TINY_2D.replace("dim = 2", "dim = 3").replace("n_torus = 8", "n_torus = 8,8").replace(
     "w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,1,1,0.1; 0,1,2,0.05")
+# t = 50 on a line that still windows, W = 112 < L = 130, with modes small
+# enough that the fan's own speed sets the reach: 6 sqrt(t) past it (W = 87)
+# the fan's viscous layer puts 6e-10 outside the window by t = 50
+LATE = WINDOWED.replace("L = 40", "L = 130").replace("n1 = 320", "n1 = 1040").replace(
+    "t_end = 2", "t_end = 50").replace("snapshots = auto", "snapshots = 1,10,30,35,40,45,50").replace(
+    "w0_modes = 1,1,0.1; 0,2,0.05", "w0_modes = 1,1,0.001; 0,2,0.0005")
+# a bump whose own extent, not the fan, sets the window: W = 37, reach alone 15
+FAR_BUMP = WINDOWED + "v0 = gaussian:0.1,16,1\n"
+# a bump that outruns the window of the end states' speed (32): Burgers
+# carries it at up to ur + 200
+FAST_BUMP = WINDOWED.replace("L = 40", "L = 36").replace("n1 = 320", "n1 = 288").replace(
+    "t_end = 2", "t_end = 0.25").replace("snapshots = auto", "snapshots = 0.05,0.13,0.16,0.19,0.22,0.25") + (
+    "v0 = gaussian:200,22,0.75\n")
 TOLERANCE = dict.fromkeys(NORM_COLUMNS, 1e-14) | dict(phi_l1=1e-11, tail_mass=1e-4)
 
 
@@ -43,24 +58,38 @@ def config(text):
     return cli.solver_config_from_dict(cli.parse_config(text))
 
 
+def line_of(sc):
+    """(x1, the line data p0 + v0) of a run's cylinder."""
+    x1 = make_grid(sc.spec).x1
+    line = make_initial_state(sc.spec.L, sc.spec.n1, sc.ul, sc.ur).values
+    return x1, line if sc.v0 is None else line + sc.v0(x1)
+
+
 def window_of(sc):
-    return mdsolver.cylinder_window(sc, make_initial_state(sc.spec.L, sc.spec.n1, sc.ul, sc.ur))
+    return mdsolver.cylinder_window(sc, *line_of(sc))
+
+
+def support(sc):
+    x1, line = line_of(sc)
+    return float(np.max(np.abs(x1[np.where(x1 < 0, line != sc.ul, line != sc.ur)])))
 
 
 def reach(sc):
+    """The reach at the end states' speed, blind to a bump's."""
     speed = max(abs(float(sc.flux.df[0](np.float64(u)))) for u in (sc.ul, sc.ur))
-    return speed * sc.t_end + FAN_MARGIN * math.sqrt(sc.t_end)
+    return speed * sc.t_end + WINDOW_MARGIN * math.sqrt(sc.t_end)
 
 
 def run_with_window(monkeypatch, sc, half):
     with monkeypatch.context() as m:
         if half is not None:
-            m.setattr(mdsolver, "cylinder_window", lambda config, p0: half)
+            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: half)
         return mdsolver.run(sc, mdsolver.schedule(sc))
 
 
 def statuses(series):
-    report = cli._rate_report(series, (1.0, 2.0))
+    t_end = float(series["t"][-1])
+    report = cli._rate_report(series, (t_end / 2, t_end))
     return {key: entry["status"] for key, entry in report.items() if "status" in entry}
 
 
@@ -76,8 +105,9 @@ def departures(run, ref) -> list[str]:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("text, never", [(WINDOWED, False), (WINDOWED, True), (CUBIC, False)],
-                             ids=["hands-off", "never-hands-off", "cubic"])
+    @pytest.mark.parametrize("text, never", [(WINDOWED, False), (WINDOWED, True), (CUBIC, False),
+                                             (LATE, True), (FAR_BUMP, False)],
+                             ids=["hands-off", "never-hands-off", "cubic", "late", "far-bump"])
     def test_the_window_matches_the_whole_line(self, monkeypatch, text, never):
         sc = config(text)
         if never:
@@ -92,18 +122,21 @@ class TestEquivalence:
         assert departures(run, ref) == []
         assert run[1]["max_courant"] == pytest.approx(ref[1]["max_courant"], rel=1e-12, abs=0)
 
-    def test_a_window_without_the_support_term_is_caught(self, monkeypatch):
-        sc = config(WINDOWED)
-        short = math.ceil(reach(sc))
-        assert short < window_of(sc)
+    @pytest.mark.parametrize("text, short", [(FAR_BUMP, lambda sc: math.ceil(reach(sc))),
+                                             (FAST_BUMP, lambda sc: math.ceil(support(sc) + reach(sc)))],
+                             ids=["no-support-term", "end-state-speed"])
+    def test_a_window_too_short_is_caught(self, monkeypatch, text, short):
+        sc = config(text)
+        half = short(sc)
+        assert half < window_of(sc)
         with pytest.raises(NumericalAbort) as exc:
-            run_with_window(monkeypatch, sc, short)
+            run_with_window(monkeypatch, sc, half)
         assert exc.value.reason == "window"
         # with the self-check off (its roundoff floor at infinity) the run
         # completes, and it departs from the whole line
         ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
         monkeypatch.setattr(mdsolver, "TAIL_FLOOR", math.inf)
-        assert "phi_l1" in departures(run_with_window(monkeypatch, sc, short), ref)
+        assert "phi_l1" in departures(run_with_window(monkeypatch, sc, half), ref)
 
 
 class TestRule:
@@ -121,17 +154,22 @@ class TestRule:
 
     def test_the_window_holds_a_bump_far_from_the_fan(self):
         # cyl2d's line at a quarter of its cells: the tangent data alone
-        # leaves the window at 29, a bump centered at 40 widens it to 62
+        # leaves the window at 34, a bump centered at 40 widens it to 67
         base = WINDOWED.replace("L = 40", "L = 80").replace("n1 = 320", "n1 = 640")
         bare, bumped = config(base), config(base + "v0 = gaussian:0.1,40,2\n")
-        assert window_of(bare) == 29 and window_of(bumped) == 62
-        # beyond W - reach the line data is its end states, bit for bit
-        p0 = make_initial_state(bumped.spec.L, bumped.spec.n1, bumped.ul, bumped.ur)
-        x1 = -bumped.spec.L + (np.arange(bumped.spec.n1) + 0.5) * bumped.spec.dx1
-        line = p0.values + bumped.v0(x1)
-        beyond = np.abs(x1) > window_of(bumped) - reach(bumped)
+        assert window_of(bare) == 34 and window_of(bumped) == 67
+        # beyond the support the line data is its end states, bit for bit
+        x1, line = line_of(bumped)
+        beyond = np.abs(x1) > support(bumped)
         assert np.all(line[beyond] == np.where(x1 < 0, bumped.ul, bumped.ur)[beyond])
-        assert not np.all(line[np.abs(x1) > 40.0] == bumped.ur)  # the bump is there
+        assert support(bumped) > 40.0  # the bump is there
+
+    def test_the_window_holds_a_fast_bump(self):
+        # the bump's amplitude is the speed that sets the reach: the window
+        # is the whole line, where the end states' speed would cut it at 32
+        sc = config(FAST_BUMP)
+        assert window_of(sc) == sc.spec.L
+        assert math.ceil(support(sc) + reach(sc)) == 32
 
 
 def test_the_manifest_reports_the_window(tmp_path):
@@ -139,4 +177,4 @@ def test_the_manifest_reports_the_window(tmp_path):
     cfg.write_text(WINDOWED)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["cylinder_window"] == {"L": 29, "n1": 232}
+    assert manifest["cylinder_window"] == {"L": 34, "n1": 272}

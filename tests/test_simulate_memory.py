@@ -118,7 +118,7 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False,
     with monkeypatch.context() as m:
         m.setattr(stepping, "strang_step", by_star if star else by_name)
         if not windowed:
-            m.setattr(mdsolver, "cylinder_window", lambda config, p0: round(spec.L))
+            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: round(spec.L))
         tracemalloc.start()
         try:
             checks = mdsolver.run(sc, plan)[1]
