@@ -89,12 +89,27 @@ def _deriv_norm(f: Field, order: int, p: float) -> float:
     if order == 1:
         return grad_norm(f, p)
     if order == 2:
-        n = f.spec.n
-        grads = [f.with_values(g) for g in gradient(f)]
-        # Hessian rows: the pure second partial first, then the mixed ones
-        rows = ([second_derivative(f, i)] + [derivative(grads[i], j) for j in range(n) if j != i]
-                for i in range(n))
-        hessian = magnitude(c for row in rows for c in row)
+        # `magnitude` of the Hessian, row by row: the pure second partial
+        # first, then the mixed ones.  Each component is squared and added
+        # into the first one's buffer and freed, and each first partial
+        # once its row is done, so the sum is magnitude's bit for bit
+        # and at most one partial and one component are held beside it.
+        def add_square(acc, c):
+            sq = np.multiply(c, c, out=c)
+            if acc is None:
+                return sq
+            acc += sq
+            return acc
+
+        acc = None
+        for i in range(f.spec.n):
+            acc = add_square(acc, second_derivative(f, i))
+            partial = f.with_values(derivative(f, i))
+            for j in range(f.spec.n):
+                if j != i:
+                    acc = add_square(acc, derivative(partial, j))
+            del partial
+        hessian = np.sqrt(acc, out=acc)
         return array_norms(hessian, (p,), f.spec.cell_volume, overwrite=True)[0]
     raise ValueError(f"derivative order {order} not supported (max 2)")
 

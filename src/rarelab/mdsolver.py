@@ -21,14 +21,14 @@ profile and torus solvers run too; `run` supplies its per-step check
 march holds the cylinder field x1-last, torus axes first,
 the layout `stepping`'s kernels run fastest on; the far-field sides
 keep their torus layout.  The field is transposed once at the start,
-and each record builds the whole line's field x1-first (see "Cylinder
+and each record takes the window's field x1-first (see "Cylinder
 window"), which the ansatz, tau, the norm row and the hand-off's torus
 average all read: a torus mean over the transposed view rounds
 differently, and every `Field` and artifact keeps the x1-first
 layout.  Each record pulls the next profile from
-`evolve_profile`'s march of the run's own plan on the same x1 grid, so
-the profile sits at the record's time and one profile is held.  Both
-phases build their norm row in one place: a column per
+`evolve_profile`'s march of the run's own plan on the same x1 cells,
+so the profile sits at the record's time and one profile is held.
+Both phases build their norm row in one place: a column per
 `rates.PHI_SERIES` entry of phi = u - u_tilde, and |u - p|_inf against
 that profile p itself, tiled over the torus.
 
@@ -38,34 +38,42 @@ own x1 derivative) puts more than the configured fraction of its mass
 into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
 perturbation at roundoff).
 
-Cylinder window.  Away from the fan the cylinder solution is its far
-field tiled along x1, so the cylinder march holds only the x1 cells of
-[-W, W], W = `cylinder_window`: min(L, ceil(S + reach)), where the line
-data p0 + v0 is its end states bit for bit beyond |x1| = S, and reach =
-speed t_end + `WINDOW_MARGIN` sqrt(t_end) is how far the fan, a bump
-and their viscous layers spread: speed is the largest |f_1'| on the
-solution's range (a bump's amplitude moves it, not only the end
-states), and at WINDOW_MARGIN sqrt(t) a unit heat kernel's tail is
-`TAIL_FLOOR`, the floor the self-check below enforces.  W is whole unit
-periods, so the window's ghost cells and Dirichlet data are the line's.
-The march starts from the window's slice of the line data, and each
-record builds the whole line's field in one array, the window from the
-march and every other cell from the far-field row it lies on: with W =
-L the run is the whole-line run byte for byte, and otherwise the cells
-outside differ from the whole line's by its roundoff.  Where the
-profile is its end states the ansatz is bitwise the far-field side (its
-weight is 0 or 1), so phi outside the window is the profile's distance
-from its end states times the far-field jump over ur - ul.  Before the
-hand-off the tail guard therefore reads only that distance in the outer
-decade and cannot see structure the window cut off.  So each cylinder
-record checks what the window assumes and aborts ("window") when a mass
-exceeds `TAIL_FLOOR`, phi's own roundoff floor: the profile's mass
-outside the window, the sum of |p - end state| dx1 (the profile,
-marched on the whole line, sees the fan spill between records), and,
-when W < L, the march's distance from the far field on its outermost
-unit period on each side (what a bump carries to the window's edge).
-The first is on mass, not bit for bit: the pinned ends' Dirichlet
-solves leave ulp-sized deviations in the profile's outer cells.
+Cylinder window.  Away from the fan the solution is its far field tiled
+along x1, so the whole run holds only the x1 cells of [-W, W], W =
+`cylinder_window`: min(L, ceil(S + reach)), where the line data p0 + v0
+is its end states bit for bit beyond |x1| = S, and reach = speed t_end
++ `WINDOW_MARGIN` sqrt(t_end) is how far the fan, a bump and their
+viscous layers spread: speed is the largest |f_1'| on the solution's
+range (a bump's amplitude moves it, not only the end states), and at
+WINDOW_MARGIN sqrt(t) a unit heat kernel's tail is `TAIL_FLOOR`, the
+floor the self-check below enforces.  W is whole unit periods, so the
+window's ghost cells and Dirichlet data are the line's, and its grid,
+the `DomainSpec` of half-length W, has the line's dx1.  Three marches
+hold the window: the cylinder, from the window's slice of the line
+data; the profile, from the window's slice of the whole line's tangent
+data (bitwise the same data there), its ends at ul and ur; and, after
+a hand-off, the line, its ends at the far-field means.  Each record is
+built on the window alone: the ansatz, phi, the norm row and tau.
+Beyond the window the cylinder is the far field's rows and the profile
+exactly its end states, so the ansatz there is bitwise the far-field
+side and phi is 0: the window's norms are the whole line's up to the
+order of the sums.  What lies beyond keeps its part in the rest:
+|u - p|_inf and tau take the larger of the window's value and the far
+field's, max|w - ul| and max|w - ur| on the sides (on the line, the
+far-field means' distance from them) and, for tau, each side's torus
+part; both tail masses keep the outer decade of [-L, L] and read 0
+where it lies beyond the window.  With W = L the run is the whole-line
+run byte for byte.
+
+The window is monitored, not trusted.  At each record every windowed
+march compares its outermost unit period on each side with what the
+window assumes lies beyond it: the profile with ul and ur, the cylinder
+with the far-field rows that period lies on, the line with the
+far-field means.  When either mass, the sum of |difference| times the
+cell volume, exceeds `TAIL_FLOOR`, phi's own roundoff floor, the run
+aborts ("window"), naming the march and the side.  The check is on
+mass, not bit for bit: the pinned ends' Dirichlet solves leave
+ulp-sized deviations in a march's outer cells.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -91,7 +99,7 @@ t_end never hands off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,7 +112,7 @@ from .domain import (
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet
 from .periodic import TorusStepper
-from .profile1d import evolve_profile, make_initial_state, pinned_line
+from .profile1d import ProfileState, evolve_profile, initial_profile, pinned_line
 from .rates import PHI_SERIES
 from .stepping import (
     CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
@@ -293,54 +301,57 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     before the hand-off, while the far field exists.  `planar_at` is
     {"step", "t", "tau"} of the record after which the run marched the
     line, or None when it never handed off.  `cylinder_window` is
-    {"L", "n1"}, the half-length W and the x1 cells of the window the
-    cylinder march held (module docstring), W = L on a line no longer
-    than the data's support and the reach.  A cylinder record whose
-    window no longer holds the fan or the data's motion raises
+    {"L", "n1"}, the half-length W and the x1 cells of the window that
+    every march and record of the run held (module docstring), W = L on
+    a line no longer than the data's support and the reach.  A record
+    at which a march has carried mass to the window's edge raises
     `NumericalAbort` "window"."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
     steps, dt, snap = plan
 
+    # the line data, on the whole line: its tangent data + optional 1-d bump
     grid = make_grid(spec)
-
-    # the 1-d backbone on the cylinder's x1 grid, on the run's plan, pulled
-    # at each record, and the line data: its tangent data + optional 1-d bump
-    p0 = make_initial_state(spec.L, spec.n1, ul, ur)
-    profiles = evolve_profile(p0, flux, plan)
-    line = p0.values
+    tangent = initial_profile(grid.x1, ul, ur)
+    line = tangent
     if config.v0 is not None:
         line = line + np.asarray(config.v0(grid.x1), dtype=float)
 
-    # far field: the left and right torus solutions; the row map gives the
-    # torus row of every x1 cell, and the ghost cells read the first and
-    # last two rows of their side.  The torus stepper also sweeps the
-    # cylinder's torus axes, whose grid the far field shares.
+    # far field: the left and right torus solutions; the ghost cells read
+    # the first and last two torus rows of their side.  The torus stepper
+    # also sweeps the cylinder's torus axes, whose grid the far field shares.
     tspec, far_rows = far_field_grid(spec)
     stepper = TorusStepper(tspec, dt)
     w0 = trig_polynomial(config.w0_modes, tspec.coordinates())
-    lo_rows, hi_rows, cells = far_rows[:2], far_rows[-2:], far_rows[2:-2]
+    lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
 
-    # the march holds x1 cells [off, n1 - off), whole periods inside the
-    # line, so its ghost cells lie on the line's ghost rows
+    # every march holds x1 cells [off, n1 - off), whole periods inside the
+    # line, so its ghost cells lie on the line's ghost rows and its
+    # outermost period on each side on the far field's rows in order;
+    # W = L keeps the line's own L
     W = cylinder_window(config, grid.x1, line)
     m1 = tspec.sizes[0]
     off = (round(spec.L) - W) * m1
+    window = slice(off, spec.n1 - off)
+    wspec = replace(spec, L=spec.L - (round(spec.L) - W), n1=spec.n1 - 2 * off)
+    lspec = DomainSpec(n=1, L=wspec.L, n1=wspec.n1)  # the window's x1 line
     cell = math.prod(spacings)  # a cylinder cell's volume
-    left, window, right = slice(None, off), slice(off, spec.n1 - off), slice(spec.n1 - off, None)
+
+    # the 1-d backbone on the window's x1 cells, on the run's plan,
+    # pulled at each record
+    profiles = evolve_profile(ProfileState(lspec, tangent[window], ul=ul, ur=ur), flux, plan)
 
     # initial data: the window's line data + modes
     col = (-1,) + (1,) * (spec.n - 1)
-    shape = (spec.n1 - 2 * off, *spec.n_torus)
-    u = np.broadcast_to(line[window].reshape(col), shape).copy()
+    u = np.broadcast_to(line[window].reshape(col), wspec.shape).copy()
     u = u + trig_polynomial(config.w0_modes, (grid.x1[window], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
-    dirichlet = DiffusionSweep(shape[0], spec.dx1, dt / 2.0)
+    dirichlet = DiffusionSweep(wspec.n1, spec.dx1, dt / 2.0)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
     checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
-                  planar_at=None, cylinder_window=dict(L=W, n1=shape[0]))
+                  planar_at=None, cylinder_window=dict(L=W, n1=wspec.n1))
     torus_axes = tuple(range(1, spec.n))
 
     def sweep(state, axis):
@@ -378,22 +389,47 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                                                 float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
-    def sample(grid, v, ansatz, h, prof):
-        """The norm row of state v on `grid`, the cylinder or the line, with
-        perturbation phi = v - ansatz, ansatz defect h (None on the line:
-        it is 0) and profile prof, after the tail guards of phi and of the
-        fan's slope profile; v, the ansatz and h are plain arrays."""
+    def check_edges(what, t, volume, values, beyond):
+        """Abort "window" once the march `what` (x1-first `values`) has
+        moved its outermost period on a side from `beyond`, the (left,
+        right) of what the window assumes lies past it, by more than
+        TAIL_FLOOR in mass."""
+        for side, period, far in (("left", values[:m1], beyond[0]),
+                                  ("right", values[-m1:], beyond[1])):
+            mass = float(np.sum(np.abs(period - far))) * volume
+            if mass > TAIL_FLOOR:
+                raise NumericalAbort("window", t, f"the {what}'s {side} edge, {W - 1} < |x1| < "
+                                                  f"{W}, differs from what lies beyond the window "
+                                                  f"by {mass:.3e} in mass, above {TAIL_FLOOR:.0e}")
+
+    def next_profile():
+        """The profile at the next record, once its edges are checked."""
+        prof = next(profiles)
+        if off:
+            check_edges("profile", prof.t, spec.dx1, prof.values, (ul, ur))
+        return prof
+
+    def sample(grid, v, ansatz, h, prof, far):
+        """The norm row of state v on `grid`, the window of the cylinder or
+        of the line, with perturbation phi = v - ansatz, ansatz defect h
+        (None on the line: it is 0) and profile prof, after the tail guards
+        of phi and of the fan's slope profile; v, the ansatz and h are
+        plain arrays.  Beyond the window lie `far`, the left and right
+        far field, and the end states."""
         t = prof.t
         phi = Field(grid, v - ansatz, t)
         fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
-        tails = tail_mass(phi)
+        tails = tail_mass(phi, spec.n1)
         tiled = prof.values.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
+        linf = float(np.max(np.abs(v - tiled)))
+        if off:
+            linf = max(linf, *(float(np.max(np.abs(w - e))) for w, e in zip(far, (ul, ur))))
         row = dict(t=t, **{name: lp_norm(fields[which], p)
                            for name, (which, p) in PHI_SERIES.items()},
-                   u_minus_profile_linf=float(np.max(np.abs(v - tiled))),
+                   u_minus_profile_linf=linf,
                    h_l1=0.0 if h is None else lp_norm(Field(grid, h, t), 1), tail_mass=tails)
         # the slope profile is constant along the torus: guard it on the line
-        slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t))
+        slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t), spec.n1)
         for what, mass in (("perturbation", tails if row["phi_l1"] > TAIL_FLOOR else 0.0),
                            ("fan slope", slope_tail)):
             if mass > config.tail_threshold:
@@ -401,55 +437,42 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                                                 f"{config.tail_threshold:.3e}")
         return row
 
+    def torus_part(a):
+        return float(np.max(np.abs(a - np.mean(a, axis=torus_axes, keepdims=True))))
+
     def record(k, state):
         """(norm row, the line's start state if record k hands off, else None)"""
-        prof, (march_v, wl, wr) = next(profiles), state
+        prof, (march_v, wl, wr) = next_profile(), state
         t = prof.t
-        # the window holds the fan while the profile's mass outside it is at
-        # roundoff, the floor below which phi's tail guard reads nothing,
-        # and the march's outermost period on each side is the far field
-        outside = np.concatenate((prof.values[left] - ul, prof.values[right] - ur))
-        spills = {f"the profile's mass outside |x1| < {W}":
-                  float(np.sum(np.abs(outside))) * spec.dx1}
+        v = np.ascontiguousarray(np.moveaxis(march_v, -1, 0))  # x1-first, as every reader takes it
         if off:
-            edge = ((wl, march_v[..., :m1], cells[window][:m1]),
-                    (wr, march_v[..., -m1:], cells[window][-m1:]))
-            spills[f"the cylinder's distance from its far field at {W - 1} < |x1| < {W}"] = max(
-                float(np.sum(np.abs(np.moveaxis(m, -1, 0) - w[rows]))) * cell for w, m, rows in edge)
-        for what, spill in spills.items():
-            if spill > TAIL_FLOOR:
-                raise NumericalAbort("window", t, f"{what}, {spill:.3e}, "
-                                                  f"exceeds {TAIL_FLOOR:.0e}")
-        # x1-first, as every reader takes it: the window from the march, the
-        # rest the far-field rows its cells lie on, taken in place ("clip":
-        # the rows are in range, and "raise" buffers a copy of out)
-        v = np.empty(spec.shape)
-        v[window] = np.moveaxis(march_v, -1, 0)
-        np.take(wl, cells[left], axis=0, out=v[left], mode="clip")
-        np.take(wr, cells[right], axis=0, out=v[right], mode="clip")
-        ansatz, h = assemble_bundle((wl, wr), prof, flux, spec)
+            check_edges("cylinder", t, cell, v, (wl, wr))
+        ansatz, h = assemble_bundle((wl, wr), prof, flux, wspec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
-        for w, idx, row in ((wl, -1, lo_rows[1]), (wr, spec.n1, hi_rows[0])):
-            x_ghost = -spec.L + (idx + 0.5) * spec.dx1
+        for w, idx, row in ((wl, -1, lo_rows[1]), (wr, wspec.n1, hi_rows[0])):
+            x_ghost = -wspec.L + (idx + 0.5) * wspec.dx1
             j = int(round((x_ghost % 1.0) * m1 - 0.5)) % m1
             mismatch = float(np.max(np.abs(w[row] - w[j])))
             checks["boundary_mismatch"] = max(checks["boundary_mismatch"], mismatch)
-        # tau: the torus part of the cylinder and the far field's distance
-        # from its constants; the last record has no step left to hand off
-        tau = max(float(np.max(np.abs(v - np.mean(v, axis=torus_axes, keepdims=True)))),
-                  *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
+        # tau: the torus part of the cylinder, beyond the window that of the
+        # far field's rows, and the far field's distance from its constants;
+        # the last record has no step left to hand off
+        tau = max(torus_part(v), *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)),
+                  *(torus_part(w) for w in (wl, wr) if off))
         line = None
         if tau < PLANAR_TOL and k < steps:
             checks["planar_at"] = dict(step=k, t=t, tau=tau)
             line = (np.mean(v, axis=torus_axes), *(float(np.mean(w)) for w in (wl, wr)))
-        return sample(spec, v, ansatz, h, prof), line
+        return sample(wspec, v, ansatz, h, prof, (wl, wr)), line
 
-    def record_line(state):
+    def record_line(state, far):
         # the ansatz of a constant far field is the profile, and its
         # defect is 0
-        prof = next(profiles)
-        return sample(p0.spec, state[0], prof.values, None, prof)
+        prof = next_profile()
+        if off:
+            check_edges("line", prof.t, spec.dx1, state[0], far)
+        return sample(prof.spec, state[0], prof.values, None, prof, far)
 
     rows, line = [], None
     for row, line in march(start.pop(), plan, spec.n, sweep, rhs, check, record):
@@ -458,12 +481,14 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
             break  # the cylinder march takes no later step
     if line is not None:
         # the remaining steps, from the record that handed off; the line
-        # march counts from there, so its check adds the record's time t
+        # march counts from there, so its check adds the record's time t,
+        # and beyond the window the line is the far-field means
         k, t = checks["planar_at"]["step"], checks["planar_at"]["t"]
+        far = line[1:]
         rows += march(line[:1], (steps - k, dt, {i - k for i in snap if i > k}), 1,
-                      *pinned_line(p0.spec, flux, dt, *line[1:]),
-                      lambda state, s: check(state, t + s),
-                      lambda _, state: record_line(state))
+                      *pinned_line(lspec, flux, dt, *far),
+                      lambda state, s: check((*state, *far) if off else state, t + s),
+                      lambda _, state: record_line(state, far))
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}, checks
 
 

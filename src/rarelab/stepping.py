@@ -71,8 +71,9 @@ class DiffusionSweep:
     I - alpha T is symmetric positive definite and tridiagonal; its LDL^T
     factors come from LAPACK dpttrf when the sweep is built, and each
     sweep is one dpttrs solve of every line at once.  A cylinder run
-    factors the same operator up to three times: for the cylinder, for
-    its profile and, after a hand-off, for its planar line.  The
+    factors the same operator, on the x1 cells of its window, up to three
+    times: for the cylinder, for its profile and, after a hand-off, for
+    its planar line.  The
     right-hand side is built a row per line and handed over transposed: a
     Fortran-ordered column per line, which dpttrs solves in place with no
     layout copy either way.  Both are scipy's routines, bound through

@@ -28,6 +28,12 @@ partials), later calls 0.00; `gn_ratio`, first call 1.57 (3.19), later
 calls 1.16 (2.00: level 1's sum is still built on each call, but is now
 measured in its own array).
 
+The second-order norm `ineqlab._deriv_norm(f, 2, p)` squares each
+Hessian component into one buffer and frees it once added, holding one
+first partial at a time: 3.19 (12.18 when every first partial and all
+n^2 components were held at once), with the value of `magnitude` over
+all the components bit for bit.
+
 One whole `analysis` workload iteration on its own 128x48x48 field,
 holding the reconstruction it returns, peaks at 3.30 (6.17 before the
 slab-built split and magnitudes): the reconstruction, the top part and
@@ -40,7 +46,10 @@ import numpy as np
 import pytest
 
 from rarelab.decomp import check_membership, decompose, norm_bound_ratio, reconstruct
-from rarelab.domain import DomainSpec, Field, make_grid
+from rarelab import ineqlab
+from rarelab.domain import (
+    DomainSpec, Field, array_norms, derivative, magnitude, make_grid, second_derivative,
+)
 from rarelab.ineqlab import gn_ratio, interpolation_ratio
 
 
@@ -101,6 +110,21 @@ def test_gn_ratio_peak(field):
     d = decompose(field)
     gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d)
     assert peak_in_fields(lambda: gn_ratio(field, 0, 1, 2.0, 1.0, 2.0, d=d), field) < 1.66
+
+
+def test_second_order_derivative_norm_peak(field):
+    assert peak_in_fields(lambda: ineqlab._deriv_norm(field, 2, 2.0), field) < 3.7
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_second_order_derivative_norm_is_the_magnitudes(field, p):
+    # every Hessian component at once, row by row, pure partial first
+    n = field.spec.n
+    partials = [field.with_values(derivative(field, i)) for i in range(n)]
+    hessian = magnitude([c for i in range(n) for c in [second_derivative(field, i)]
+                         + [derivative(partials[i], j) for j in range(n) if j != i]])
+    want = array_norms(hessian, (p,), field.spec.cell_volume)[0]
+    assert ineqlab._deriv_norm(field, 2, p) == want
 
 
 def test_a_whole_analysis_iteration_peak():

@@ -1,13 +1,16 @@
-"""The cylinder window of `mdsolver.run`: the multi-d march holds the x1
-cells of [-W, W] only, W = `cylinder_window`, and each record reads every
-other cell from the far-field row it lies on.  A windowed run must match
-the same run on the whole line (`cylinder_window` patched to return L):
+"""The cylinder window of `mdsolver.run`: the whole run, the cylinder,
+the profile, the line after a hand-off and every record, holds the x1
+cells of [-W, W] only, W = `cylinder_window`, and reads what lies beyond
+from the far field and the end states.  A windowed run must match the
+same run on the whole line (`cylinder_window` patched to return L):
 every norm column within 1e-14 but phi_l1 (1e-11, the roundoff mass the
 whole line holds outside the window) and tail_mass (1e-4, the golden
 gate's), the same hand-off and the same rate verdicts, also at t = 50,
 where the fan's viscous layer has spread.  A window without the data's
-support, or one that a fast bump outruns, trips the run's self-check,
-and with the check off it fails that comparison."""
+support, one that a fast bump outruns, one that the line after a
+hand-off carries a bump past, or one sized by 6 sqrt(t) in place of
+`WINDOW_MARGIN` sqrt(t), trips the self-check of the march that leaves
+it, and with the check off it fails that comparison."""
 
 import json
 import math
@@ -51,6 +54,9 @@ FAR_BUMP = WINDOWED + "v0 = gaussian:0.1,16,1\n"
 FAST_BUMP = WINDOWED.replace("L = 40", "L = 36").replace("n1 = 320", "n1 = 288").replace(
     "t_end = 2", "t_end = 0.25").replace("snapshots = auto", "snapshots = 0.05,0.13,0.16,0.19,0.22,0.25") + (
     "v0 = gaussian:200,22,0.75\n")
+# no modes: the run hands off at t = 0, and the line carries the bump
+# past the edge of a window of 32 (the rule's is the whole line, 40)
+LINE_BUMP = WINDOWED.replace("w0_modes = 1,1,0.1; 0,2,0.05\n", "") + "v0 = gaussian:0.1,24,1\n"
 TOLERANCE = dict.fromkeys(NORM_COLUMNS, 1e-14) | dict(phi_l1=1e-11, tail_mass=1e-4)
 
 
@@ -122,21 +128,82 @@ class TestEquivalence:
         assert departures(run, ref) == []
         assert run[1]["max_courant"] == pytest.approx(ref[1]["max_courant"], rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("text, short", [(FAR_BUMP, lambda sc: math.ceil(reach(sc))),
-                                             (FAST_BUMP, lambda sc: math.ceil(support(sc) + reach(sc)))],
-                             ids=["no-support-term", "end-state-speed"])
-    def test_a_window_too_short_is_caught(self, monkeypatch, text, short):
+    @pytest.mark.parametrize("text, short, march", [
+        (FAR_BUMP, lambda sc: math.ceil(reach(sc)), "cylinder"),
+        (FAST_BUMP, lambda sc: math.ceil(support(sc) + reach(sc)), "cylinder"),
+        (LINE_BUMP, lambda sc: 32, "line"),
+    ], ids=["no-support-term", "end-state-speed", "line-bump"])
+    def test_a_window_too_short_is_caught(self, monkeypatch, text, short, march):
         sc = config(text)
         half = short(sc)
         assert half < window_of(sc)
         with pytest.raises(NumericalAbort) as exc:
             run_with_window(monkeypatch, sc, half)
         assert exc.value.reason == "window"
+        assert exc.value.detail.startswith(f"the {march}'s ")
         # with the self-check off (its roundoff floor at infinity) the run
         # completes, and it departs from the whole line
         ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
         monkeypatch.setattr(mdsolver, "TAIL_FLOOR", math.inf)
         assert "phi_l1" in departures(run_with_window(monkeypatch, sc, half), ref)
+
+    def test_the_fan_outruns_a_window_of_six_sqrt_t(self, monkeypatch):
+        # the margin a 1e-5 sup error needs, not the TAIL_FLOOR the check
+        # enforces: the profile's viscous layer reaches the window's edge
+        sc = config(LATE)
+        monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
+        monkeypatch.setattr(mdsolver, "WINDOW_MARGIN", 6.0)
+        assert window_of(sc) == 87
+        with pytest.raises(NumericalAbort) as exc:
+            mdsolver.run(sc, mdsolver.schedule(sc))
+        assert exc.value.reason == "window" and exc.value.t == sc.t_end
+        assert exc.value.detail.startswith("the profile's left edge, 86 < |x1| < 87,")
+
+
+class TestBeyondTheWindow:
+    def test_the_outside_terms_are_the_whole_lines(self, monkeypatch):
+        # |u - p|_inf at every record and tau at the hand-off are those of
+        # the whole line built from the window's states, the far field's
+        # rows beyond the cylinder, the far-field means beyond the line and
+        # the end states beyond the profile, bit for bit
+        sc = config(WINDOWED)
+        spec, seen, profiles = sc.spec, [], []
+        evolve, march = mdsolver.evolve_profile, mdsolver.march
+
+        def evolve_spy(*args):
+            for prof in evolve(*args):
+                profiles.append(prof.values)
+                yield prof
+
+        def march_spy(state, plan, ndim, sweep, rhs, check, keep):
+            return march(state, plan, ndim, sweep, rhs, check,
+                         lambda k, st: seen.append([s.copy() for s in st]) or keep(k, st))
+
+        monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
+        monkeypatch.setattr(mdsolver, "march", march_spy)
+        series, checks = mdsolver.run(sc, mdsolver.schedule(sc))
+        off = (spec.n1 - checks["cylinder_window"]["n1"]) // 2
+        m1 = round(1 / spec.dx1)
+        at = checks["planar_at"]
+        assert off > 0 and at is not None and len(seen) == series["t"].size
+        beyond = np.arange(off) % m1
+        far = None
+        for i, (state, prof) in enumerate(zip(seen, profiles)):
+            if len(state) == 3:  # the cylinder and its far-field sides
+                march_v, wl, wr = state
+                v = np.concatenate((wl[beyond], np.moveaxis(march_v, -1, 0), wr[beyond]))
+                if series["t"][i] == at["t"]:
+                    torus = np.mean(v, axis=1, keepdims=True)
+                    tau = max(float(np.max(np.abs(v - torus))),
+                              *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
+                    assert tau == at["tau"]
+                    far = [float(np.mean(w)) for w in (wl, wr)]
+            else:  # the line, beyond the window the far-field means
+                v = np.concatenate((np.full(off, far[0]), state[0], np.full(off, far[1])))
+                v = v[:, None]
+            p = np.concatenate((np.full(off, sc.ul), prof, np.full(off, sc.ur)))
+            assert series["u_minus_profile_linf"][i] == np.max(np.abs(v - p[:, None]))
+        assert far is not None and series["t"][-1] > at["t"]
 
 
 class TestRule:

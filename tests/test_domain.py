@@ -281,6 +281,21 @@ class TestFieldBasics:
         assert tail_mass(Field(spec, vals2)) == pytest.approx(1.0)
         assert tail_mass(Field(spec, np.zeros(spec.shape))) == 0.0
 
+    @pytest.mark.parametrize("off", [0, 2, 4, 6])
+    def test_a_window_keeps_the_lines_outer_decade(self, off):
+        # a window of a 100-cell line, whose outer decade is 5 cells a side:
+        # the window's tail mass is the line's with 0 beyond the window
+        line = DomainSpec(n=2, L=10.0, n1=100, n_torus=(4,))
+        window = DomainSpec(n=2, L=10.0 - 0.2 * off, n1=100 - 2 * off, n_torus=(4,))
+        vals = np.random.default_rng(3).uniform(0.5, 1.0, window.shape)
+        whole = np.zeros(line.shape)
+        whole[off:line.n1 - off] = vals
+        got = tail_mass(Field(window, vals), line.n1)
+        assert got == pytest.approx(tail_mass(Field(line, whole)), rel=1e-14)
+        assert (got == 0.0) == (off >= 5)
+        if off == 0:
+            assert got == tail_mass(Field(window, vals))
+
 
 class TestSnapshotIO:
     def test_roundtrip_bitwise(self, tmp_path):

@@ -32,10 +32,12 @@ record 12.11 -> 8.10, and the step's pop took a step forwarded through
 A run on this cylinder to t = 0.005 marches the x1 window [-20, 20],
 1,280 of the 4,096 cells (`mdsolver.cylinder_window`).  Its step is
 measured in units of the window's field and keeps the whole line's
-bound: 8.30 against 8.22 on the whole line.  Its record builds one
-field of the whole line from the window and the far-field rows: the
-whole record peaks at 7.09 fields against 7.07 on the whole line, and
-its ansatz at the 5.21 of `assemble_bundle` alone.
+bound: 8.30 against 8.22 on the whole line.  Its record is built on
+the window alone and holds no field of the whole line: the whole record
+peaks at 2.21 fields of the whole line (7.08 of the window's, against
+7.07 on the whole line), its ansatz at 1.68 (5.39 of the window's).
+When each record built the whole line's field from the window and the
+far-field rows, these read 7.09 and 5.21.
 """
 
 import tracemalloc
@@ -198,11 +200,11 @@ def test_a_windowed_step_peak_in_window_fields(monkeypatch):
 
 
 def test_a_windowed_record_peak(monkeypatch):
-    # the record builds the whole line's field once, from the window and
-    # the far-field rows, and its ansatz keeps the bound of its own
+    # the record and its ansatz hold fields of the window, 1,280 of the
+    # 4,096 x1 cells, and none of the whole line
     record, bundle = record_peaks(monkeypatch, CYLINDER, MODES)
-    assert bundle < 5.7
-    assert record < 7.6
+    assert bundle < 2.2
+    assert record < 2.7
 
 
 def test_a_forwarded_step_frees_the_state_it_is_handed(monkeypatch):
