@@ -35,8 +35,9 @@ class FluxSet:
     """Fluxes f_i and derivatives for each of the n directions.
 
     Attributes:
-        f: flux evaluators, one per direction.
-        df: first derivatives (wave speeds).
+        f: flux evaluators, one per direction; each returns an array of
+            its own, which `stepping` then reuses in place.
+        df: first derivatives (wave speeds); one may return its argument.
         d2f: second derivatives (curvatures).
     """
 
@@ -67,14 +68,24 @@ def _const(c: float) -> FluxFn:
 
 def burgers(n: int) -> FluxSet:
     """f_i(u) = u^2 / 2 in every direction."""
-    f = lambda u: 0.5 * np.asarray(u, dtype=float) ** 2
+
+    def f(u):
+        out = np.square(np.asarray(u, dtype=float))
+        out *= 0.5
+        return out
+
     df = lambda u: np.asarray(u, dtype=float)
     return FluxSet(f=(f,) * n, df=(df,) * n, d2f=(_const(1.0),) * n)
 
 
 def cubic(n: int) -> FluxSet:
     """f_i(u) = u^3 / 3; f_1'' = 2u reaches the floor A0 = 1 only on u >= 1/2."""
-    f = lambda u: np.asarray(u, dtype=float) ** 3 / 3.0
+
+    def f(u):
+        out = np.asarray(u, dtype=float) ** 3
+        out /= 3.0
+        return out
+
     df = lambda u: np.asarray(u, dtype=float) ** 2
     d2f = lambda u: 2.0 * np.asarray(u, dtype=float)
     return FluxSet(f=(f,) * n, df=(df,) * n, d2f=(d2f,) * n)

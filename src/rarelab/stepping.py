@@ -26,9 +26,16 @@ last, contiguous axis: the Dirichlet sweep runs along the last axis
 only, and `advective_rhs` bounds the last axis when it is given ghosts.
 The line and the profile have no other axis; a cylinder run marches its
 field x1-last, torus axes first.  Each torus stencil then reads whole
-contiguous blocks instead of a short strided axis, the x1 stencil reads
-contiguous rows, and dpttrs takes the sweep's right-hand side without a
-layout copy.  Torus fields have no x1 axis and keep their own order.
+contiguous blocks instead of a short strided axis, and dpttrs takes the
+sweep's right-hand side without a layout copy.  Torus fields have no x1
+axis and keep their own order.  The last axis of a field with more than
+one runs flat: its stencil passes, in `_face_flux` and in the sweep's
+right-hand side, treat the rows as one contiguous run and rebuild or
+skip the few cells where a row meets the next.  A pass over short rows
+(192 cells on the 16 x 16 x 192 cylinder) cost about twice a pass over
+one run of the same cells.  Other axes already pass over long
+contiguous blocks; run flat, they would only add the spare cells at
+each row's end (+15% work on a 16-cell torus axis).
 
 The Dirichlet sweep's LAPACK routines come from `_lapack`, scipy's own
 compiled module loaded without scipy.linalg's package init: a run that
@@ -73,10 +80,14 @@ class DiffusionSweep:
     sweep is one dpttrs solve of every line at once.  A cylinder run
     factors the same operator, on the x1 cells of its window, up to three
     times: for the cylinder, for its profile and, after a hand-off, for
-    its planar line.  The
-    right-hand side is built a row per line and handed over transposed: a
-    Fortran-ordered column per line, which dpttrs solves in place with no
-    layout copy either way.  Both are scipy's routines, bound through
+    its planar line.  The right-hand side is a C-ordered row per line.
+    Its neighbour adds run over all rows as one flat run, after which
+    each row's end cells, which the flat adds reach across, are set to
+    their own two terms, (1 - 2 alpha) u_0 + alpha u_1 and its mirror,
+    in the order a row by itself would add them; lines of at least 2
+    cells are assumed.  It is handed over transposed: a Fortran-ordered
+    column per line, which dpttrs solves in place with no layout copy
+    either way.  Both are scipy's routines, bound through
     `_lapack` (the same function objects scipy.linalg.lapack exports, at
     a fraction of its import cost).  The torus axes' circulant sweeps are
     `periodic.TorusStepper`'s.
@@ -100,9 +111,15 @@ class DiffusionSweep:
                              f"along axis {u.ndim - 1}")
         u2 = u.reshape(-1, self.length)
         a = self.alpha
-        rhs, au = (1.0 - 2.0 * a) * u2, a * u2
-        rhs[:, 1:] += au[:, :-1]
-        rhs[:, :-1] += au[:, 1:]
+        rhs = np.multiply(1.0 - 2.0 * a, u2, order="C")
+        au = np.multiply(a, u2, order="C")
+        # each row's end cells, (1 - 2a) u_0 + a u_1 and (1 - 2a) u_{L-1}
+        # + a u_{L-2}, before the flat adds below reach across the rows
+        first, last = rhs[:, 0] + au[:, 1], rhs[:, -1] + au[:, -2]
+        flat, au = rhs.reshape(-1), au.reshape(-1)
+        flat[1:] += au[:-1]
+        flat[:-1] += au[1:]
+        rhs[:, 0], rhs[:, -1] = first, last
         rhs[:, 0] += 2.0 * a * np.ravel(b_lo)
         rhs[:, -1] += 2.0 * a * np.ravel(b_hi)
         x, info = dpttrs(self._d, self._e, rhs.T, overwrite_b=True)
@@ -134,7 +151,8 @@ def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> n
     faces are freed before the next direction starts: a direction holds
     the output, its faces and one difference beyond the helper's peak
     of about five fields.  Traced with ghosts on the 20 x 3200 and
-    16 x 16 x 192 cylinders, a call peaks at 6.30 and 6.51 fields
+    16 x 16 x 192 cylinders, a call peaks at 6.30 and 6.51 fields, and
+    on the 20 x 1360 window of the 20 x 3200 one at 6.31
     (`tests/test_simulate_memory.py` bounds it).
     """
     axes = range(values.ndim)
@@ -164,31 +182,50 @@ def _face_flux(values: np.ndarray, lo, hi, flux: FluxSet, d: int, axis: int) -> 
     """Twice the flux of direction d through the N+1 faces of `axis`.
 
     The axis is padded by the two layers lo and hi at each end, in a
-    copy that is freed as soon as the face states exist.
+    copy that is freed as soon as the face states exist.  The last axis
+    of a field with more than one runs flat (see the module's Layout):
+    its padded rows of N+4 cells lie end to end in one buffer, followed
+    by 3 zero cells, and each stencil pass below is one slice of it at
+    an offset of 1 or 2.  That yields rows of N+4 faces, whose last 3
+    mix two rows, or the last row and the zero cells; they are computed
+    and left out of the view returned.  The zeros only keep them finite.
+    A single row is contiguous already and keeps the plain copy, which
+    spares it the flat buffer's set-up.
 
     Upwind-biased second order (Fromm slopes, taken once per cell) with
     local Lax-Friedrichs dissipation on the reconstruction jump:
     f(ul) + f(ur) - max|f'| (ur - ul).  The caller folds both halves into
     one divide by 2h, which halving's exactness keeps bitwise equal to
-    halving each.  Temporaries are reused in place, but flux results
-    never are: a flux may return its argument.
+    halving each.  Temporaries are reused in place, and so is f(ul),
+    which `FluxSet` lets no f share with its argument; wave speeds are
+    not reused, since a df may return its argument.
     """
-    p = np.concatenate([lo, values, hi], axis=axis)
+    rows = values.shape[:-1]
+    flat = len(rows) > 0 and axis == len(rows)  # the last axis of a field with more than one
+    if flat:
+        size = math.prod(rows) * (values.shape[-1] + 4)
+        p = np.empty(size + 3, dtype=np.result_type(lo, values, hi))
+        np.concatenate([lo, values, hi], axis=-1, out=p[:size].reshape(*rows, -1))
+        p[size:] = 0.0  # read only by spare faces, and kept finite there
+    else:
+        p = np.concatenate([lo, values, hi], axis=axis)
+    at = 0 if flat else axis
     # the slope (u_{i+1} - u_{i-1}) / 4 of cells -1 .. N, then each
     # face's left and right states; ur takes the slopes' buffer
-    slope = p[_along(axis, 2, None)] - p[_along(axis, None, -2)]
+    slope = p[_along(at, 2, None)] - p[_along(at, None, -2)]
     slope *= 0.25
-    ul = p[_along(axis, 1, -2)] + slope[_along(axis, None, -1)]
-    ur = slope[_along(axis, 1, None)]
-    np.subtract(p[_along(axis, 2, -1)], ur, out=ur)
+    ul = p[_along(at, 1, -2)] + slope[_along(at, None, -1)]
+    ur = slope[_along(at, 1, None)]
+    np.subtract(p[_along(at, 2, -1)], ur, out=ur)
     del p, slope  # the slopes' buffer lives on as ur
     a = np.abs(flux.df[d](ul))
     np.maximum(a, np.abs(flux.df[d](ur)), out=a)
-    face = flux.f[d](ul) + flux.f[d](ur)
+    face = flux.f[d](ul)
+    face += flux.f[d](ur)
     ur -= ul
     a *= ur
     face -= a
-    return face
+    return face.reshape(*rows, -1)[..., :-3] if flat else face
 
 
 def strang_step(held: list, dt: float, ndim: int, sweep, rhs) -> tuple:
@@ -199,18 +236,38 @@ def strang_step(held: list, dt: float, ndim: int, sweep, rhs) -> tuple:
     its first sweep, however the call is forwarded.
     `sweep(state, axis)` returns the state after the half-step diffusion
     sweep along spatial axis `axis`, for axis = 0 .. ndim-1 in turn;
-    `rhs(state)` returns the advective right-hand side of every array.
-    Advection is Heun's method over `rhs`.
+    `rhs(state)` returns the advective right-hand side of every array,
+    in arrays of its own that no one else holds, as `advective_rhs`
+    returns them.  Advection is Heun's method over `rhs`, built in place:
+    each stage u + dt k1 in the buffer of dt k1, and the update
+    u + 0.5 dt (k1 + k2) in k2's buffer, which becomes the new state.
+    IEEE addition and multiplication commute, so either is bitwise the
+    expression written out.  No array the step is handed is written.
     """
     state = held.pop()
     for axis in range(ndim):
         state = sweep(state, axis)
     k1 = rhs(state)
-    k2 = rhs(tuple(u + dt * k for u, k in zip(state, k1)))
-    state = tuple(u + 0.5 * dt * (a + b) for u, a, b in zip(state, k1, k2))
+    k2 = rhs(tuple(_heun_stage(u, k, dt) for u, k in zip(state, k1)))
+    state = tuple(_heun_update(u, a, b, dt) for u, a, b in zip(state, k1, k2))
     for axis in range(ndim):
         state = sweep(state, axis)
     return state
+
+
+def _heun_stage(u, k, dt: float):
+    """u + dt k, in the buffer of dt k."""
+    s = dt * k
+    s += u
+    return s
+
+
+def _heun_update(u, a, b, dt: float):
+    """u + 0.5 dt (a + b), in b's buffer."""
+    b += a
+    b *= 0.5 * dt
+    b += u
+    return b
 
 
 def march(state: tuple, plan, ndim: int, sweep, rhs, check, keep):

@@ -209,6 +209,17 @@ class TestDiffusionSweep:
             sweep = DiffusionSweep(7, 1.0 / 7, 0.37)
             assert np.array_equal(sweep.apply(uf, **ghosts), sweep.apply(u, **ghosts))
 
+    def test_a_fortran_ordered_block_is_bitwise_its_c_order_copy(self):
+        # a 2-d Fortran block reshapes to its lines without a copy; the
+        # right-hand side is still built C-ordered, so its flat adds stay
+        # within each line
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((20, 7))
+        b_lo, b_hi = rng.standard_normal(20), rng.standard_normal(20)
+        sweep = DiffusionSweep(7, 1.0 / 7, 0.37)
+        assert np.array_equal(sweep.apply(np.asfortranarray(u), b_lo, b_hi),
+                              sweep.apply(u, b_lo, b_hi))
+
     @pytest.mark.parametrize("n", [4, 7, 16, 20, 128])
     def test_circulant_is_symmetric_and_conserves_the_mean(self, n):
         (op,) = torus_sweep(n, 0.37)._ops
@@ -410,6 +421,82 @@ class TestParentKernelReference:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def far_field_ghosts(rng, transverse, draw):
+    """Two (*transverse, 2) ghost pairs as a cylinder march takes them:
+    rows of an x1-first far field moved x1-last, so neither is contiguous
+    when there are transverse axes.  The low pair is moved from a
+    fancy-indexed copy, as `mdsolver.run` does, the high pair from a slice."""
+    m1 = 6
+    wl, wr = draw((m1, *transverse)), draw((m1, *transverse))
+    lo, hi = np.moveaxis(wl[[m1 - 2, m1 - 1]], 0, -1), np.moveaxis(wr[:2], 0, -1)
+    assert not transverse or not (lo.flags.c_contiguous or hi.flags.c_contiguous)
+    return lo, hi
+
+
+class TestFlatLastAxis:
+    """The last axis of a field with more than one runs flat in
+    `_face_flux`: its rows lie end to end in one buffer, so stencils
+    straddle rows.  No row may see another's cells, however short, and
+    the faces each row reads are the reference's, bitwise.  A 1-d line
+    keeps the plain copy and is checked beside them."""
+
+    @pytest.mark.parametrize("flux_name", sorted(FLUXES))
+    @pytest.mark.parametrize("shape", [(4,), (5,), (4, 4), (5, 4), (4, 5), (4, 5, 4), (5, 4, 5)])
+    def test_shortest_torus_rows(self, shape, flux_name):
+        rng = np.random.default_rng(sum(shape))
+        flux = FLUXES[flux_name](len(shape))
+        values = 1.0 + 0.5 * rng.standard_normal(shape)
+        spacings = tuple(rng.uniform(0.05, 0.5, len(shape)))
+        got = advective_rhs(values, flux, spacings)
+        assert np.array_equal(got, reference_advective_rhs(values, flux, spacings))
+        assert np.array_equal(got, parent_advective_rhs(values, flux, spacings))
+
+    @pytest.mark.parametrize("flux_name", sorted(FLUXES))
+    @pytest.mark.parametrize("shape", [(4,), (37,), (4, 9), (6, 37), (4, 5, 6), (3, 5, 19)])
+    @pytest.mark.parametrize("ghosts_as", ["none", "contiguous", "far_field"])
+    def test_x1_last_fields(self, shape, flux_name, ghosts_as):
+        # shape is x1-last: a 1-d line, or torus axes first and x1 last
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        draw = lambda s: 1.0 + 0.5 * rng.standard_normal(s)
+        flux = FLUXES[flux_name](len(shape))
+        values = draw(shape)
+        spacings = tuple(rng.uniform(0.05, 0.5, len(shape)))
+        ghosts = None
+        if ghosts_as == "contiguous":
+            ghosts = tuple(draw((*shape[:-1], 2)) for _ in range(2))
+        elif ghosts_as == "far_field":
+            ghosts = far_field_ghosts(rng, shape[:-1], draw)
+        got = advective_rhs(values, flux, spacings, ghosts)
+        assert np.array_equal(got, parent_advective_rhs(values, flux, spacings, ghosts))
+        if ghosts is None:
+            ref = reference_advective_rhs(values, flux, spacings)
+        else:  # the reference takes x1 first, and its ghosts as (2, *transverse)
+            first = lambda a: np.moveaxis(a, -1, 0)
+            ref = np.moveaxis(reference_advective_rhs(
+                first(values), flux, spacings, tuple(map(first, ghosts))), 0, -1)
+        assert np.array_equal(got, ref)
+
+    def test_spare_cells_are_zero_filled(self, monkeypatch):
+        # the 3 cells past the last row are read by spare faces alone:
+        # left as np.empty found them (inf here), they would make NaNs
+        rng = np.random.default_rng(5)
+        values = 1.0 + 0.5 * rng.standard_normal((3, 4, 9))
+        ghosts = tuple(1.0 + 0.5 * rng.standard_normal((3, 4, 2)) for _ in range(2))
+        flux, spacings = burgers(3), (0.1, 0.2, 0.3)
+        want = parent_advective_rhs(values, flux, spacings, ghosts)
+        empty = np.empty
+
+        def inf_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.inf)
+            return out
+
+        monkeypatch.setattr(np, "empty", inf_empty)
+        with np.errstate(all="raise"):
+            got = advective_rhs(values, flux, spacings, ghosts)
+        assert np.array_equal(got, want)
+
+
 class TestTorusConservation:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -447,6 +534,23 @@ class TestStrangStep:
         heun = 1.0 - 0.1 + 0.5 * 0.1**2
         assert u[0] == pytest.approx(8.0 / 16 * heun, rel=1e-15)
         assert w[0] == pytest.approx(4.0 / 16 * heun, rel=1e-15)
+
+    @pytest.mark.parametrize("ndim", [0, 2])
+    def test_writes_nothing_it_is_handed(self, ndim):
+        # the Heun stages and update are built in place, in the buffers
+        # of dt k1 and k2; a read-only state, passed on by a sweep that
+        # copies nothing, still steps, to the expression written out
+        rng = np.random.default_rng(ndim)
+        state = tuple(1.0 + 0.5 * rng.standard_normal((5, 9)) for _ in range(2))
+        for u in state:
+            u.flags.writeable = False
+        flux, spacings, dt = burgers(2), (0.1, 0.2), 0.01
+        rhs = lambda s: tuple(advective_rhs(u, flux, spacings) for u in s)
+        k1 = rhs(state)
+        k2 = rhs(tuple(u + dt * k for u, k in zip(state, k1)))
+        want = tuple(u + 0.5 * dt * (a + b) for u, a, b in zip(state, k1, k2))
+        got = strang_step([state], dt, ndim, lambda s, axis: s, rhs)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestMarch:
@@ -627,6 +731,31 @@ class TestFluxSets:
                        d2f=(lambda u: seen.append(u) or 2.0 * u,))
         flux.check_convexity(0.6, 2.0)
         assert np.array_equal(seen[0], np.linspace(0.6, 2.0, 2001))
+
+    @pytest.mark.parametrize("flux_name", sorted(FLUXES))
+    def test_each_flux_returns_an_array_of_its_own(self, flux_name):
+        # `_face_flux` adds f(ur) into f(ul) in place
+        u = np.linspace(-2.0, 2.0, 11)
+        for f in FLUXES[flux_name](3).f:
+            out = f(u)
+            assert out is not u and not np.shares_memory(out, u)
+
+    @pytest.mark.parametrize("flux_name, old", [
+        ("burgers", lambda u, c: 0.5 * u**2),
+        ("cubic", lambda u, c: u**3 / 3.0),
+        ("linear_flux", lambda u, c: c * u),
+    ])
+    def test_each_flux_is_its_expression_bitwise(self, flux_name, old):
+        # subnormals, signed zeros and values near 1e100 included
+        rng = np.random.default_rng(7)
+        tiny = np.array([5e-324, 1e-320, 2.2e-308, 0.0, -0.0]) * rng.uniform(0.5, 2.0, 5)
+        u = np.concatenate([rng.standard_normal(200), tiny, -tiny,
+                            1e100 * rng.uniform(-1.0, 1.0, 50), 1e-160 * rng.standard_normal(50)])
+        with np.errstate(under="ignore"):
+            for c, f in zip([1.0, -0.5, 2.0], FLUXES[flux_name](3).f):
+                got, want = f(u), old(u, c)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_linear_flux_degenerate_line_direction(self):
         with pytest.raises(ValueError):
