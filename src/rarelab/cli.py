@@ -16,7 +16,7 @@ then writes the manifest, which digests every file the run wrote
 'fail'.  `validate` runs the input stage only and rejects what the run
 would reject.  Random fields (decompose, gn-study) come from the config
 key `seed` (an integer >= 0, default 0).  Exit codes: 0 ok, 1 config or
-usage error, 2 numerical abort (CFL or tail guard), 3 a failed verdict.
+usage error, 2 numerical abort (CFL, tail or window guard), 3 a failed verdict.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .ineqlab import (
     solve_theta,
 )
 from .mdsolver import (
-    NORM_COLUMNS, TAIL_THRESHOLD, SolverConfig, _disturbance_bound, mode_problems,
+    NORM_COLUMNS, SolverConfig, _disturbance_bound, mode_problems,
     run as run_solver, schedule as solver_schedule, trig_polynomial, write_norm_table,
 )
 from .periodic import (
@@ -82,7 +82,6 @@ from .rates import (
     verify_main_theorem,
     write_rate_report,
 )
-from .stepping import CFL
 
 __all__ = ["parse_config", "load_config", "run_experiment", "validate", "main"]
 
@@ -252,8 +251,6 @@ def solver_config_from_dict(cfg: dict[str, str]) -> SolverConfig:
         v0=_v0_from_spec(cfg.get("v0", "none")),
         t_end=t_end,
         snapshot_times=_snapshot_times(cfg.get("snapshots", "auto"), t_end),
-        cfl=_number(cfg, "cfl", str(CFL)),
-        tail_threshold=_number(cfg, "tail_threshold", str(TAIL_THRESHOLD)),
         dt=_number(cfg, "dt"),
     )
 
@@ -390,13 +387,13 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> tuple[dict, 
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, flux, plan) of a profile config: the run's step
     schedule, which must record a t > 0."""
-    t_end, cfl = _number(cfg, "t_end", "100"), _number(cfg, "cfl", str(CFL))
+    t_end = _number(cfg, "t_end", "100")
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    plan = profile_schedule(p0, flux, t_end, cfl, snaps)
+    plan = profile_schedule(p0, flux, t_end, snaps)
     if max(plan[2]) == 0:
         raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, got {snaps}")
     return p0, flux, plan

@@ -435,15 +435,16 @@ def tail_mass(f: Field, n1: int | None = None) -> float:
     guarding against structure reaching the truncation boundary.  With
     `n1`, f is the centered window of a line of n1 cells and 0 beyond
     it: the outer 10% is that line's, and the part of it beyond the
-    window holds no mass.
+    window holds no mass, and f is not read when the outer 10% lies
+    wholly beyond it.
     """
-    a = np.abs(f.values)
-    total = float(np.sum(a))
-    if total == 0.0:
-        return 0.0
     n1 = f.spec.n1 if n1 is None else n1
     k = max(1, int(round(n1 * 0.1 / 2.0))) - (n1 - f.spec.n1) // 2  # outer cells in f
     if k <= 0:
+        return 0.0
+    a = np.abs(f.values)
+    total = float(np.sum(a))
+    if total == 0.0:
         return 0.0
     outer = float(np.sum(a[:k])) + float(np.sum(a[-k:]))
     return outer / total

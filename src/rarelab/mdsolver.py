@@ -34,8 +34,8 @@ that profile p itself, tiled over the torus.
 
 The truncation is monitored, not trusted: a tail-mass guard aborts the
 run when the perturbation (or the fan's slope profile, the profile's
-own x1 derivative) puts more than the configured fraction of its mass
-into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
+own x1 derivative) puts more than `TAIL_THRESHOLD`, a constant, of its
+mass into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
 perturbation at roundoff).
 
 Cylinder window.  Away from the fan the solution is its far field tiled
@@ -86,7 +86,9 @@ moves the Dirichlet data.  A record with tau below `PLANAR_TOL` returns
 the line's start state beside its norm row, and `run` stops the
 cylinder march there; a second, 1-d march takes the plan's remaining steps
 from that record's torus average with the profile's step,
-`profile1d.pinned_line`, its ends at the far-field means.  The line is
+`profile1d.pinned_line`, its ends at the far-field means and its
+diffusion the cylinder's own x1 sweep: the line holds the window's x1
+cells, so the operator is the same.  The line is
 the cylinder state to roundoff and stays so: a planar state with
 constant Dirichlet data takes a Strang step whose torus sweeps and torus
 fluxes do nothing.  Line records are the cylinder records of a planar
@@ -115,7 +117,7 @@ from .periodic import TorusStepper
 from .profile1d import ProfileState, evolve_profile, initial_profile, pinned_line
 from .rates import PHI_SERIES
 from .stepping import (
-    CFL, DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
+    DiffusionSweep, advective_rhs, check_cfl, march, max_advective_dt, step_schedule,
 )
 
 __all__ = [
@@ -133,7 +135,7 @@ __all__ = [
 NORM_COLUMNS = ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
 
 TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
-TAIL_THRESHOLD = 0.25  # the outer-decade mass share of a run that does not set its own
+TAIL_THRESHOLD = 0.25  # the outer-decade mass share above which every run aborts, a constant
 PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
 # sqrt(t) lengths at which a unit-viscosity heat kernel's tail, erfc(z) <
 # exp(-z^2) at z = WINDOW_MARGIN / 2, falls to TAIL_FLOOR (`cylinder_window`)
@@ -159,8 +161,6 @@ class SolverConfig:
     snapshot_times: tuple[float, ...]
     w0_modes: tuple[tuple[float, ...], ...] = ()
     v0: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    cfl: float = CFL
-    tail_threshold: float = TAIL_THRESHOLD
     dt: float | None = None
 
 
@@ -221,17 +221,15 @@ def _disturbance_bound(config: SolverConfig) -> float:
 def schedule(config: SolverConfig):
     """(steps, dt, record_indices) of a run, and the one check of its
     config: every finding is raised as one `ConfigError`, joined by "; ",
-    before `step_schedule` runs under the CFL bound of the initial data's
-    range.  Step k is recorded at time k * dt, the snapshot times rounded
-    to the step grid."""
+    before `step_schedule` runs at the Courant number `stepping.CFL` on
+    the initial data's range.  Step k is recorded at time k * dt, the
+    snapshot times rounded to the step grid."""
     problems = []
     spec, flux, ul, ur = config.spec, config.flux, config.ul, config.ur
     if spec.n < 2:
         problems.append("cylinder runs need n >= 2 (one line + torus directions)")
     if not ul < ur:
         problems.append(f"need ul < ur, got {ul} >= {ur}")
-    if not 0.0 < config.tail_threshold < 1.0:
-        problems.append(f"tail threshold must lie in (0, 1), got {config.tail_threshold}")
 
     with np.errstate(over="ignore"):  # a non-finite speed is the Courant rule's finding
         speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
@@ -258,7 +256,7 @@ def schedule(config: SolverConfig):
         except ValueError as e:
             problems.append(str(e))
     try:
-        dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi, config.cfl)
+        dt_max = max_advective_dt(flux, (spec.dx1, *spec.dx_torus), lo, hi)
     except ValueError as e:
         problems.append(str(e))
     if problems:
@@ -432,9 +430,9 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t), spec.n1)
         for what, mass in (("perturbation", tails if row["phi_l1"] > TAIL_FLOOR else 0.0),
                            ("fan slope", slope_tail)):
-            if mass > config.tail_threshold:
+            if mass > TAIL_THRESHOLD:
                 raise NumericalAbort("tail", t, f"{what} tail mass {mass:.3e} exceeds "
-                                                f"{config.tail_threshold:.3e}")
+                                                f"{TAIL_THRESHOLD:.3e}")
         return row
 
     def torus_part(a):
@@ -486,7 +484,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         k, t = checks["planar_at"]["step"], checks["planar_at"]["t"]
         far = line[1:]
         rows += march(line[:1], (steps - k, dt, {i - k for i in snap if i > k}), 1,
-                      *pinned_line(lspec, flux, dt, *far),
+                      *pinned_line(dirichlet, lspec.dx1, flux, *far),
                       lambda state, s: check((*state, *far) if off else state, t + s),
                       lambda _, state: record_line(state, far))
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}, checks

@@ -26,7 +26,7 @@ from numpy.fft import fft, fftfreq, ifft, irfft  # bound here: numpy loads numpy
 from .domain import MAX_CELLS, magnitude, write_table
 from .errors import ConfigError
 from .fluxes import FluxSet
-from .stepping import CFL, advective_rhs, check_cfl, march, max_advective_dt, step_schedule
+from .stepping import advective_rhs, check_cfl, march, max_advective_dt, step_schedule
 
 __all__ = [
     "TorusSpec",
@@ -127,14 +127,14 @@ class TorusStepper:
 def schedule(w0: np.ndarray, ubar: float, flux: FluxSet, spec: TorusSpec, t_end: float,
              snapshot_times, dt: float | None = None):
     """(steps, dt, record_indices) of a torus run from ubar + w0: `step_schedule`
-    under the CFL bound (Courant number `CFL`) of the data's range.  The
+    under the Courant number `stepping.CFL` on the data's range.  The
     disturbance must average to zero, to 1e-12 of its largest value, so
     that roundoff in the mean of a large one passes: a nonzero average
     belongs in the background constant, not the disturbance."""
     mean, amp = float(np.mean(w0)), float(np.max(np.abs(w0)))
     if abs(mean) > 1e-12 * amp:
         raise ConfigError(f"disturbance mean {mean:.3e} violates the zero-average requirement")
-    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp, CFL)
+    dt_max = max_advective_dt(flux, spec.spacings, ubar - amp, ubar + amp)
     return step_schedule(t_end, dt_max, dt, snapshot_times)
 
 

@@ -120,10 +120,10 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
     return ProfileState(spec, initial_profile(make_grid(spec).x1, ul, ur), ul=ul, ur=ur)
 
 
-def schedule(p0: ProfileState, flux: FluxSet, t_end: float, cfl: float, snapshot_times):
+def schedule(p0: ProfileState, flux: FluxSet, t_end: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
-    `step_schedule` at the largest step the CFL bound of the end states'
-    range allows.
+    `step_schedule` at the largest step the Courant number `stepping.CFL`
+    allows on the end states' range.
 
     The line must hold the fan and its viscous layer until t_end:
     L >= speed * t_end + FAN_MARGIN * sqrt(t_end), speed the larger
@@ -132,7 +132,7 @@ def schedule(p0: ProfileState, flux: FluxSet, t_end: float, cfl: float, snapshot
     1.3e-5 at every record (dx1 0.2, Burgers (-0.5, 0.5) and cubic
     (0.6, 1)); at s = 4.2 by 6e-4, and at s <= 1 the pinned ends double
     t max u_x and more."""
-    dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur, cfl)
+    dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur)
     plan = step_schedule(t_end, dt_max, None, snapshot_times)
     speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (p0.ul, p0.ur))
     bound = speed * t_end + FAN_MARGIN * math.sqrt(t_end)
@@ -142,15 +142,16 @@ def schedule(p0: ProfileState, flux: FluxSet, t_end: float, cfl: float, snapshot
     return plan
 
 
-def pinned_line(spec: DomainSpec, flux: FluxSet, dt: float, lo: float, hi: float):
+def pinned_line(diffusion: DiffusionSweep, dx1: float, flux: FluxSet, lo: float, hi: float):
     """(sweep, rhs) of the 1-d `stepping.march` step of u_t + (f_1(u))_x = u_xx
-    on the x1 line of `spec`, its ghost cells pinned to lo and hi: the one
-    pinned-end line step."""
-    diffusion = DiffusionSweep(spec.n1, spec.dx1, dt / 2.0)
+    on a line of spacing dx1, its ghost cells pinned to lo and hi: the one
+    pinned-end line step.  `diffusion` is the line's Dirichlet half-step,
+    built by the caller: the profile builds its own, and a cylinder run's
+    planar line reuses the cylinder's, the same operator on the same cells."""
     ghosts = (np.full((2,), lo), np.full((2,), hi))
     return (lambda state, axis: (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
             # looked up on the module, so a wrapper installed there sees the line
-            lambda state: (stepping.advective_rhs(state[0], flux, (spec.dx1,), ghosts),))
+            lambda state: (stepping.advective_rhs(state[0], flux, (dx1,), ghosts),))
 
 
 def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
@@ -166,11 +167,12 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
     if p0.t != 0:
         raise ValueError(f"a profile march starts at t = 0, got a state at t = {p0.t}")
     _, dt, record = plan
+    spec = p0.spec
     return march(
         (p0.values,), (max(record), dt, record), 1,
-        *pinned_line(p0.spec, flux, dt, p0.ul, p0.ur),
-        lambda state, t: check_cfl(state[0], flux, (p0.spec.dx1,), dt, t),
-        lambda k, state: ProfileState(p0.spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
+        *pinned_line(DiffusionSweep(spec.n1, spec.dx1, dt / 2.0), spec.dx1, flux, p0.ul, p0.ur),
+        lambda state, t: check_cfl(state[0], flux, (spec.dx1,), dt, t),
+        lambda k, state: ProfileState(spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
     )
 
 

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 MAX_STEPS = 10**7  # most steps a schedule may take
-CFL = 0.4  # the advective Courant number of a run that does not set its own
+CFL = 0.4  # the advective Courant number of every march's stable step, a constant
 
 
 class DiffusionSweep:
@@ -78,9 +78,9 @@ class DiffusionSweep:
     I - alpha T is symmetric positive definite and tridiagonal; its LDL^T
     factors come from LAPACK dpttrf when the sweep is built, and each
     sweep is one dpttrs solve of every line at once.  A cylinder run
-    factors the same operator, on the x1 cells of its window, up to three
-    times: for the cylinder, for its profile and, after a hand-off, for
-    its planar line.  The right-hand side is a C-ordered row per line.
+    factors the same operator, on the x1 cells of its window, twice: for
+    the cylinder, whose sweep its planar line reuses after a hand-off,
+    and for its profile.  The right-hand side is a C-ordered row per line.
     Its neighbour adds run over all rows as one flat run, after which
     each row's end cells, which the flat adds reach across, are set to
     their own two terms, (1 - 2 alpha) u_0 + alpha u_1 and its mirror,
@@ -334,17 +334,15 @@ def _advective_rate(flux: FluxSet, spacings, u) -> float:
     return sum(peak[df] / h for df, h in zip(dfs, spacings))
 
 
-def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float, cfl: float) -> float:
-    """Largest dt honouring the advective CFL number, which must lie in
-    (0, 0.5], over the `sample_range` samples of [umin, umax]."""
-    if not 0.0 < cfl <= 0.5:
-        raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
+def max_advective_dt(flux: FluxSet, spacings, umin: float, umax: float) -> float:
+    """Largest dt honouring the advective Courant number `CFL` over the
+    `sample_range` samples of [umin, umax]."""
     u = sample_range(umin, umax)
     with np.errstate(over="ignore"):  # a non-finite speed is the error below
         rate = _advective_rate(flux, spacings, u)
     if not math.isfinite(rate):
         raise ValueError(f"the wave speed on [{umin:g}, {umax:g}] is not finite")
-    return np.inf if rate == 0.0 else cfl / rate
+    return np.inf if rate == 0.0 else CFL / rate
 
 
 def check_cfl(values: np.ndarray, flux: FluxSet, spacings, dt: float, t: float) -> float:

@@ -19,7 +19,6 @@ from rarelab.fluxes import _const, burgers, cubic, linear_flux
 from rarelab.mdsolver import trig_polynomial
 from rarelab.periodic import solve_periodic, spectral_derivative
 from rarelab.profile1d import ProfileSpline, ProfileState, evolve_profile, make_initial_state
-from rarelab.stepping import CFL
 
 
 def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None):
@@ -34,7 +33,7 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None):
                              periodic.schedule(w0, ubar, flux, tspec, times[-1], times, dt))
               for ubar in (-0.5, 0.5))
     p0 = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
-    dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur, CFL)
+    dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur)
     plan = stepping.step_schedule(times[-1], dt_max, dt, times)
     ps = list(evolve_profile(p0, burgers(1), plan))
     assert all(abs(ta - p.t) <= 1e-9 for (ta, _), p in zip(sl, ps))

@@ -18,6 +18,7 @@ from rarelab import cli, mdsolver
 from rarelab.domain import read_snapshot
 from rarelab.ineqlab import dilated_sobolev_ratio
 from rarelab.mdsolver import NORM_COLUMNS, run, schedule
+from rarelab.stepping import CFL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -59,7 +60,7 @@ class TestSimulateManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         sc = cli.solver_config_from_dict(cli.load_config(cfg_path))
         _, checks = run(sc, schedule(sc))
-        assert 0.0 < checks["max_courant"] <= sc.cfl
+        assert 0.0 < checks["max_courant"] <= CFL
         assert manifest["max_courant"] == checks["max_courant"]
 
     def test_records_the_scipy_that_solved_it(self, tmp_path):
@@ -246,6 +247,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "numerical abort" in err and "not finite" in err
+        assert not (out / "norms.csv").exists()
+
+    def test_a_window_too_short_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
+        # the profile's tangent data still holds 1.7e-3 of mass in 3 < |x1|
+        # < 4, which its first record finds at the edge of a window of 4
+        monkeypatch.setattr(mdsolver, "cylinder_window", lambda config, x1, line: 4)
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical abort (window)" in err and "Traceback" not in err
         assert not (out / "norms.csv").exists()
 
     def test_non_decaying_norms_fail_the_rates(self, tmp_path, capsys):
@@ -528,11 +539,6 @@ class TestTorusAndProfileConfigs:
         ("profile", "snapshots = 0.1,50", "snapshots entry 50.0 lies outside [0, 0.5]"),
         ("profile", "n1 = 2", "n1 must be at least 4"),
         ("profile", "L = inf", "half-length L must be positive and finite, got inf"),
-        ("profile", "cfl = 0", "cfl must lie in (0, 0.5], got 0.0"),
-        # validate once passed these, and the run then aborted
-        ("profile", "cfl = 5", "cfl must lie in (0, 0.5], got 5.0"),
-        ("profile", "cfl = 0.7", "cfl must lie in (0, 0.5], got 0.7"),
-        ("profile", "cfl = inf", "cfl must be finite, got inf"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
         ("profile", "snapshots = 0", "snapshots must hold a time after t = 0 on the step grid"),
         ("profile", "flux = cubic", "f_1'' dips to"),
@@ -984,9 +990,9 @@ class TestUsageErrors:
 
 # every key whose value holds numbers, per experiment
 NUMERIC_KEYS = {
-    "simulate": ("dim", "L", "n1", "n_torus", "t_end", "ul", "ur", "w0_modes", "cfl",
-                 "tail_threshold", "dt", "snapshots", "rates.window"),
-    "profile": ("t_end", "cfl", "L", "n1", "ul", "ur", "snapshots"),
+    "simulate": ("dim", "L", "n1", "n_torus", "t_end", "ul", "ur", "w0_modes", "dt",
+                 "snapshots", "rates.window"),
+    "profile": ("t_end", "L", "n1", "ul", "ur", "snapshots"),
     "periodic": ("sizes", "ubar", "t_end", "dt", "w0_modes", "snapshots"),
     "decompose": ("dim", "L", "n1", "n_torus", "n_fields", "seed"),
     "gn-study": ("dim", "L", "n1", "n_torus", "n_fields", "seed", "j", "m", "p", "q", "r"),
@@ -999,7 +1005,7 @@ RATES_INPUT = f"input = {GOLDEN / 'simulate2d_norms.csv'}\n"
 
 class TestEveryBadNumberNamesItsKey:
     def test_the_list_holds_every_key_an_input_stage_reads(self):
-        assert sum(map(len, NUMERIC_KEYS.values())) == 47
+        assert sum(map(len, NUMERIC_KEYS.values())) == 44
         # a simulate config needs a disturbance, a rates config its input
         texts = {"simulate": "w0_modes = 1,1,0.1\n", "rates": RATES_INPUT}
         for kind, keys in NUMERIC_KEYS.items():
@@ -1017,6 +1023,20 @@ class TestEveryBadNumberNamesItsKey:
         assert "Traceback" not in err
         assert run_cli(tmp_path, "validate", text) == 1
         assert capsys.readouterr().out.startswith(f"violation: {key} ")
+
+
+class TestStepAndGuardConstantsAreNoKeys:
+    """The Courant number and the tail threshold are constants
+    (`stepping.CFL`, `mdsolver.TAIL_THRESHOLD`): a config that sets one
+    is told the key is unknown."""
+
+    @pytest.mark.parametrize("kind, key", [("simulate", "cfl"), ("simulate", "tail_threshold"),
+                                           ("profile", "cfl")])
+    def test_validate_names_the_unknown_key(self, kind, key):
+        extra = "w0_modes = 1,1,0.1\n" if kind == "simulate" else ""
+        findings = cli.validate(cli.parse_config(f"experiment = {kind}\n{extra}{key} = 0.3\n"))
+        assert len(findings) == 1
+        assert findings[0].startswith(f"unknown key '{key}' for {kind}")
 
 
 class TestValidateAcceptsOnlyWhatTheRunAccepts:
@@ -1051,8 +1071,3 @@ class TestValidateAcceptsOnlyWhatTheRunAccepts:
         assert done.stdout.splitlines() == [f"violation: {message}", "1 1"], done.stderr
         assert done.stderr == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
-
-    def test_profile_runs_at_the_largest_courant_number(self, tmp_path):
-        text = "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\ncfl = 0.5\n"
-        assert run_cli(tmp_path, "validate", text) == 0
-        assert run_cli(tmp_path, "profile", text) == 0

@@ -49,12 +49,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="zero-average"):
             schedule(small_config(w0_modes=((0, 0, 0.1),)))
 
-    def test_bad_cfl_and_threshold(self):
-        with pytest.raises(ConfigError, match="cfl"):
-            schedule(small_config(cfl=0.7))
-        with pytest.raises(ConfigError, match="tail"):
-            schedule(small_config(tail_threshold=2.0))
-
     def test_grid_alignment(self):
         cfg = small_config(spec=DomainSpec(n=2, L=20, n1=414, n_torus=(10,)))
         with pytest.raises(ConfigError, match="unit period"):
@@ -74,12 +68,12 @@ class TestValidation:
             assert "; " not in str(exc.value)  # the one finding
 
     def test_findings_are_raised_together_in_order(self):
-        cfg = small_config(ul=0.5, ur=-0.5, cfl=0.7,
+        cfg = small_config(ul=0.5, ur=-0.5, w0_modes=((0, 0, 0.1),),
                            spec=DomainSpec(n=2, L=20, n1=414, n_torus=(10,)))
         with pytest.raises(ConfigError) as exc:
             schedule(cfg)
         found = str(exc.value).split("; ")
-        assert [f.split()[0] for f in found] == ["need", "1/dx1", "cfl"]
+        assert [f.split()[0] for f in found] == ["need", "1/dx1", "mode"]
 
     def test_one_stable_step_per_schedule(self, monkeypatch):
         calls, bound = [], mdsolver.max_advective_dt
@@ -89,7 +83,7 @@ class TestValidation:
         _, dt, _ = schedule(sc)
         # one call, over the disturbed range with every spacing; its bound is the step's
         assert calls == [((sc.spec.dx1, *sc.spec.dx_torus), -0.6, 0.6)]
-        assert dt <= bound(sc.flux, calls[0][0], -0.6, 0.6, sc.cfl)
+        assert dt <= bound(sc.flux, calls[0][0], -0.6, 0.6)
 
     @pytest.mark.parametrize("kw, tail", [
         (dict(ul=0.7, ur=1e155), ["the wave speed on [0.6, 1e+155] is not finite"]),
@@ -116,7 +110,7 @@ class TestValidation:
             run(cfg, schedule(cfg))
 
     def test_run_raises_on_invalid(self):
-        cfg = small_config(cfl=0.9)
+        cfg = small_config(ul=0.5, ur=-0.5)
         with pytest.raises(ConfigError):
             run(cfg, schedule(cfg))
 
@@ -303,8 +297,9 @@ class TestAborts:
             run(small_config(), (2, 1.0, {2}))
         assert exc.value.reason == "cfl"
 
-    def test_tail_abort(self):
-        cfg = small_config(tail_threshold=1e-12, snapshot_times=(1.0,), t_end=1.0)
+    def test_tail_abort(self, monkeypatch):
+        monkeypatch.setattr(mdsolver, "TAIL_THRESHOLD", 1e-12)
+        cfg = small_config(snapshot_times=(1.0,), t_end=1.0)
         with pytest.raises(NumericalAbort) as exc:
             run(cfg, schedule(cfg))
         assert exc.value.reason == "tail"

@@ -66,8 +66,9 @@ class TestFanSlopeGuard:
     # record, t = 0.533 (on the line)
     @pytest.mark.parametrize("threshold, t", [(1e-10, 0.0), (1e-9, 0.5)],
                              ids=["cylinder", "line"])
-    def test_aborts_at_the_record_whose_slope_reaches_the_tail(self, threshold, t):
-        sc = config(w0_modes=(), tail_threshold=threshold)
+    def test_aborts_at_the_record_whose_slope_reaches_the_tail(self, monkeypatch, threshold, t):
+        monkeypatch.setattr(mdsolver, "TAIL_THRESHOLD", threshold)
+        sc = config(w0_modes=())
         with pytest.raises(NumericalAbort) as exc:
             mdsolver.run(sc, mdsolver.schedule(sc))
         _, dt, _ = mdsolver.schedule(sc)

@@ -1,23 +1,19 @@
-"""Every solver takes the one pinned-end line step: within `src/`, a
-Dirichlet `DiffusionSweep` is built only by `profile1d.pinned_line`, the
-step of the profile march and of a cylinder run's planar line, and by
-`mdsolver.run` for the cylinder, whose ends move with the far field.
+"""Every solver takes the one pinned-end line step, `profile1d.pinned_line`,
+the step of the profile march and of a cylinder run's planar line, and
+builds no sweep of its own: within `src/`, a Dirichlet `DiffusionSweep`
+is built only by `profile1d.evolve_profile`, for the profile, and by
+`mdsolver.run` for the cylinder, whose ends move with the far field, and
+for its planar line, which reuses that sweep.
 
 Read with the standard library's `ast`.  A build is a call of the name
-`DiffusionSweep`, bare or as an attribute, whose `periodic` argument
-(keyword or fourth positional) is not the constant True.
+`DiffusionSweep`, bare or as an attribute.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ALLOWED = {("profile1d.py", "pinned_line"), ("mdsolver.py", "run")}
-
-
-def _periodic(call: ast.Call) -> bool:
-    given = [kw.value for kw in call.keywords if kw.arg == "periodic"] + call.args[3:4]
-    return bool(given) and isinstance(given[0], ast.Constant) and given[0].value is True
+ALLOWED = {("profile1d.py", "evolve_profile"), ("mdsolver.py", "run")}
 
 
 class _Builds(ast.NodeVisitor):
@@ -35,14 +31,14 @@ class _Builds(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
-        if name == "DiffusionSweep" and not _periodic(node):
+        if name == "DiffusionSweep":
             self.found.append((".".join(self.scope) or "<module>", node.lineno))
         self.generic_visit(node)
 
 
 def dirichlet_builds(sources: dict[str, str]) -> list[str]:
     """'<file>:<line> in <scope>' for every Dirichlet DiffusionSweep built
-    outside profile1d.pinned_line and mdsolver.run."""
+    outside profile1d.evolve_profile and mdsolver.run."""
     found = []
     for name, source in sorted(sources.items()):
         builds = _Builds()
@@ -61,23 +57,26 @@ def test_one_pinned_line_step():
 def test_a_third_copy_is_found():
     sources = {
         "profile1d.py": (
-            "def pinned_line(spec, flux, dt, lo, hi):\n"
-            "    return DiffusionSweep(spec.n1, spec.dx1, dt / 2.0, periodic=False)\n"
+            "def pinned_line(diffusion, dx1, flux, lo, hi):\n"
+            "    return DiffusionSweep(8, dx1, 0.01)\n"
+            "def evolve_profile(p0, flux, plan):\n"
+            "    return pinned_line(DiffusionSweep(8, 0.1, 0.01), 0.1, flux, 0, 1)\n"
         ),
         "mdsolver.py": (
             "from . import stepping\n"
             "def run(config):\n"
-            "    sweeps = [DiffusionSweep(8, 0.1, 0.01, periodic=False)]\n"
-            "    sweeps += [DiffusionSweep(4, 0.25, 0.01, periodic=True)]\n"
+            "    sweeps = [DiffusionSweep(8, 0.1, 0.01)]\n"
+            "    sweeps += [DiffusionSweep(4, 0.25, 0.01)]\n"
             "    def sweep(state, axis):\n"
-            "        return stepping.DiffusionSweep(8, 0.1, 0.01, False).apply(state)\n"
+            "        return stepping.DiffusionSweep(8, 0.1, 0.01).apply(state)\n"
             "    return sweeps, sweep\n"
         ),
         "solver.py": (
             "class Line:\n"
             "    def __init__(self, n, h, dt):\n"
-            "        self.sweep = DiffusionSweep(n, h, dt / 2.0, periodic=n < 0)\n"
+            "        self.sweep = DiffusionSweep(n, h, dt / 2.0)\n"
         ),
     }
     assert dirichlet_builds(sources) == ["mdsolver.py:6 in run.sweep",
+                                         "profile1d.py:2 in pinned_line",
                                          "solver.py:3 in Line.__init__"]

@@ -17,7 +17,7 @@ from rarelab.profile1d import (
     profile_row,
     write_profile_series,
 )
-from rarelab.stepping import CFL, DiffusionSweep, advective_rhs, strang_step
+from rarelab.stepping import DiffusionSweep, advective_rhs, strang_step
 
 FLUX = burgers(1)
 
@@ -26,8 +26,8 @@ def plan(p0, t_end, dt=None, snapshot_times=()):
     """The plan `profile1d.schedule` draws for a march of p0 under FLUX, or,
     given dt, the plan `step_schedule` steps at dt under the same CFL bound."""
     if dt is None:
-        return profile1d.schedule(p0, FLUX, t_end, CFL, snapshot_times)
-    dt_max = stepping.max_advective_dt(FLUX, (p0.spec.dx1,), p0.ul, p0.ur, CFL)
+        return profile1d.schedule(p0, FLUX, t_end, snapshot_times)
+    dt_max = stepping.max_advective_dt(FLUX, (p0.spec.dx1,), p0.ul, p0.ur)
     return stepping.step_schedule(t_end, dt_max, dt, snapshot_times)
 
 

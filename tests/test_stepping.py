@@ -9,6 +9,7 @@ from rarelab.cli import _flux
 from rarelab.fluxes import FluxSet, burgers, cubic, linear_flux
 from rarelab.periodic import TorusSpec, TorusStepper
 from rarelab.stepping import (
+    CFL,
     MAX_STEPS,
     DiffusionSweep,
     advective_rhs,
@@ -509,7 +510,7 @@ class TestTorusConservation:
         spec = TorusSpec(sizes=tuple(sizes))
         flux = burgers(spec.ndim)
         u = ubar + 0.2 * rng.standard_normal(spec.sizes)
-        dt = max_advective_dt(flux, spec.spacings, float(u.min()), float(u.max()), 0.4)
+        dt = max_advective_dt(flux, spec.spacings, float(u.min()), float(u.max()))
         stepper = TorusStepper(spec, dt)
         mean0 = float(np.mean(u))
         (u,) = march((u,), (3, dt, {3}), spec.ndim,
@@ -647,8 +648,8 @@ class TestStepSchedule:
 class TestCFL:
     def test_max_dt_scales_with_speed(self):
         flux = burgers(1)
-        dt1 = max_advective_dt(flux, (0.1,), -1.0, 1.0, 0.4)
-        dt2 = max_advective_dt(flux, (0.1,), -2.0, 2.0, 0.4)
+        dt1 = max_advective_dt(flux, (0.1,), -1.0, 1.0)
+        dt2 = max_advective_dt(flux, (0.1,), -2.0, 2.0)
         assert dt1 == pytest.approx(2 * dt2)
 
     def test_violation_raises(self):
@@ -682,7 +683,7 @@ class TestCFL:
         spacings = (0.1, 0.3, 0.7)
         got = check_cfl(np.full((4, 4, 4), 0.2), flux, spacings, dt=0.01, t=0.0)
         assert got == 0.01 * (1.0 / 0.1 + 0.5 / 0.3 + 2.0 / 0.7)
-        assert max_advective_dt(flux, spacings, -1.0, 1.0, 0.4) == 0.4 / (
+        assert max_advective_dt(flux, spacings, -1.0, 1.0) == CFL / (
             1.0 / 0.1 + 0.5 / 0.3 + 2.0 / 0.7)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -712,7 +713,7 @@ class TestFluxSets:
         with pytest.raises(ValueError, match="too wide to sample"):
             make_flux(1).check_convexity(umin, umax)
         with pytest.raises(ValueError, match="too wide to sample"):
-            max_advective_dt(make_flux(1), (0.1,), umin, umax, 0.4)
+            max_advective_dt(make_flux(1), (0.1,), umin, umax)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_curvature_that_is_not_finite_fails(self):

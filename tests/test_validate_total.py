@@ -20,8 +20,8 @@ CONFIGS = {
     "profile": dict(experiment="profile", L="40", n1="800", t_end="16"),
 }
 # the step and range keys each experiment reads
-KEYS = {"simulate": ("dt", "t_end", "cfl", "ul", "ur"), "periodic": ("dt", "t_end", "ubar"),
-        "profile": ("t_end", "cfl", "ul", "ur")}
+KEYS = {"simulate": ("dt", "t_end", "ul", "ur"), "periodic": ("dt", "t_end", "ubar"),
+        "profile": ("t_end", "ul", "ur")}
 
 # every finite double, subnormals included, with the extremes drawn often
 finite_doubles = st.one_of(
