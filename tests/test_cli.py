@@ -824,6 +824,11 @@ class TestUnknownKeys:
         ("counterexample", "seed = 1\n", "unknown key 'seed' for counterexample"),
         ("rates", f"input = {GOLDEN / 'simulate2d_norms.csv'}\nseed = 1\n",
          "unknown key 'seed' for rates"),
+        # the Courant number and the tail threshold are constants, read by no stage
+        ("simulate", TINY_SIMULATE + "cfl = 0.3\n", "unknown key 'cfl' for simulate"),
+        ("simulate", TINY_SIMULATE + "tail_threshold = 0.99\n",
+         "unknown key 'tail_threshold' for simulate"),
+        ("profile", "L = 10\nn1 = 100\nt_end = 0.5\ncfl = 0.3\n", "unknown key 'cfl' for profile"),
     ])
     def test_unread_key_is_a_config_error(self, tmp_path, capsys, command, text, message):
         assert run_cli(tmp_path, command, text) == 1

@@ -296,6 +296,18 @@ class TestFieldBasics:
         if off == 0:
             assert got == tail_mass(Field(window, vals))
 
+    def test_a_window_inside_the_inner_decades_is_not_read(self):
+        # the 100-cell line's outer decade, 5 cells a side, lies wholly
+        # beyond a 90-cell window: the tail mass is 0 before any value is read
+        class Unread:
+            spec = DomainSpec(n=2, L=9.0, n1=90, n_torus=(4,))
+
+            @property
+            def values(self):
+                raise AssertionError("the window's values were read")
+
+        assert tail_mass(Unread(), 100) == 0.0
+
 
 class TestSnapshotIO:
     def test_roundtrip_bitwise(self, tmp_path):

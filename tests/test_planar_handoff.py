@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from rarelab import cli, mdsolver, profile1d
+from rarelab import cli, mdsolver, profile1d, stepping
 from rarelab.ansatz import far_field_grid
 from rarelab.errors import NumericalAbort
 from rarelab.mdsolver import NORM_COLUMNS, trig_polynomial
@@ -83,6 +83,23 @@ class TestStepCount:
         assert at is not None and at["step"] < steps
         assert len(calls) == steps
         assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
+
+
+class TestOneDirichletOperator:
+    @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
+    def test_a_handed_off_run_factors_it_twice(self, monkeypatch, text):
+        # the profile's sweep and the cylinder's, which the line reuses:
+        # two factorizations of one matrix, none for the line
+        sc = config(text)
+        factored, dpttrf = [], stepping.dpttrf
+        monkeypatch.setattr(stepping, "dpttrf",
+                            lambda d, e: factored.append((d.copy(), e.copy())) or dpttrf(d, e))
+        steps, _, _ = plan = mdsolver.schedule(sc)
+        at = mdsolver.run(sc, plan)[1]["planar_at"]
+        assert at is not None and at["step"] < steps
+        assert len(factored) == 2
+        (d0, e0), (d1, e1) = factored
+        assert np.array_equal(d0, d1) and np.array_equal(e0, e1)
 
 
 class TestFarFieldSides:
