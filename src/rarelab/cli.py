@@ -16,13 +16,14 @@ then writes the manifest, which digests every file the run wrote
 'fail'.  `validate` runs the input stage only and rejects what the run
 would reject.  Random fields (decompose, gn-study) come from the config
 key `seed` (an integer >= 0, default 0).  Exit codes: 0 ok, 1 config or
-usage error, 2 numerical abort (CFL, tail or window guard), 3 a failed verdict.
+usage error, 2 numerical abort (CFL or window guard), 3 a failed verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import json
 import math
 import os
 import sys
@@ -42,7 +43,8 @@ from . import __version__
 from ._lapack import SCIPY_VERSION
 from .decomp import check_membership, decompose, dump_components, norm_bound_ratio, reconstruct
 from .domain import (
-    DomainSpec, Field, check_gradient_grid, make_grid, write_json, write_snapshot, write_table,
+    DomainSpec, Field, check_gradient_grid, edge_mass, make_grid, truncation, write_json,
+    write_snapshot, write_table,
 )
 from .errors import ConfigError, NumericalAbort
 from .fluxes import FluxSet, burgers, cubic, linear_flux
@@ -82,6 +84,7 @@ from .rates import (
     verify_main_theorem,
     write_rate_report,
 )
+from .stepping import DiffusionSweep
 
 __all__ = ["parse_config", "load_config", "run_experiment", "validate", "main"]
 
@@ -322,10 +325,12 @@ def _write_decay_plot(path, csv_name: str, header, columns: dict, guides: dict[s
 
 # --- experiments: an input stage and a run stage each -------------------------
 
-def _rate_report(table, window) -> dict:
-    """Every rate verdict, from the exported norm-table columns alone, so
-    that `rates` on a simulate run's norms.csv reproduces its verdicts.
-    A column that is missing or not finite is a config error."""
+def _rate_report(table, window, truncated_at) -> dict:
+    """Every rate verdict, from the exported norm-table columns and the
+    run's `truncated_at` (None: never) alone, so that `rates` on a simulate
+    run's norms.csv reproduces its verdicts.  A fit window that reaches
+    truncated_at turns every status but "degenerate, skip" to "truncated",
+    neither pass nor fail.  A column missing or not finite is a config error."""
     try:
         cols = {name: np.asarray(table[name], dtype=float) for name in NORM_COLUMNS}
         for name, col in cols.items():
@@ -343,6 +348,10 @@ def _rate_report(table, window) -> dict:
     except ValueError as e:
         raise ConfigError(f"rate report: {e}") from e
     report["ordering"] = exponent_ordering(fits)
+    if truncated_at is not None and window[1] >= truncated_at:
+        for verdict in report.values():
+            if verdict["status"] != "degenerate, skip":
+                verdict["status"] = "truncated"
     return report
 
 
@@ -371,7 +380,7 @@ def _simulate_inputs(cfg: dict[str, str]):
 def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> tuple[dict, dict]:
     series, checks = run_solver(sc, plan)
     write_norm_table(series, out.path("norms.csv"))
-    report = _rate_report(series, window)
+    report = _rate_report(series, window, checks["truncated_at"])
     for key in ("max_principle_violation", "boundary_mismatch"):  # the rest go to the manifest
         report[key] = checks.pop(key)
     write_rate_report(report, out.path("rates.json"))
@@ -400,7 +409,8 @@ def _profile_inputs(cfg: dict[str, str]):
 
 
 def _exp_profile(out: _Outputs, p0, flux, plan) -> tuple[dict, dict]:
-    states = list(evolve_profile(p0, flux, plan))
+    spec = p0.spec
+    states = list(evolve_profile(p0, flux, plan, DiffusionSweep(spec.n1, spec.dx1, plan[1] / 2.0)))
     rows = write_profile_series(states, out.path("profile_series.csv"))
     last = states[-1]
     write_snapshot(last, out.path("profile_final.field"))
@@ -412,7 +422,9 @@ def _exp_profile(out: _Outputs, p0, flux, plan) -> tuple[dict, dict]:
     })
     _write_decay_plot(out.path("plots.gp"), "profile_series.csv", PROFILE_COLUMNS,
                       {"max_slope": "max_slope", "slope_l2": "slope_l2"}, {"slope": -1.0})
-    return {}, {}
+    period = math.ceil(spec.n1 / (2.0 * spec.L))  # the cells of a unit period, ceil(1 / dx1)
+    return {}, truncation([(st.t, max(edge_mass(st.values, (st.ul, st.ur), period, spec.dx1)))
+                           for st in states])
 
 
 def _periodic_inputs(cfg: dict[str, str]):
@@ -597,6 +609,18 @@ def _exp_counterexample(out: _Outputs, ds, sob, gns) -> tuple[dict, dict]:
     return {}, {}
 
 
+def _truncated_at(src: str):
+    """The `truncated_at` of the manifest.json beside the norm table `src`
+    if that manifest digests the table as it is, else None."""
+    try:
+        with open(os.path.join(os.path.dirname(src), "manifest.json")) as fh:
+            manifest = json.load(fh)
+        digested = manifest["files"][os.path.basename(src)] == _sha256(src)
+        return float(manifest["truncated_at"]) if digested else None  # float(None): TypeError
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 def _rates_inputs(cfg: dict[str, str]):
     """(norm table path, its rate report) of a rates config: the report is
     drawn up here, so `validate` rejects what the run would reject."""
@@ -607,7 +631,8 @@ def _rates_inputs(cfg: dict[str, str]):
         lines = [line for line in fh if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"norm table {src} holds no rows")
-    return src, _rate_report(np.genfromtxt(lines, delimiter=",", names=True), _window(cfg))
+    table = np.genfromtxt(lines, delimiter=",", names=True)
+    return src, _rate_report(table, _window(cfg), _truncated_at(src))
 
 
 def _exp_rates(out: _Outputs, src: str, report) -> tuple[dict, dict]:

@@ -17,8 +17,9 @@ built a slab at a time without holding a full-grid partial.
 Truncation caveat: fields of interest decay in |x1| (perturbations are
 integrable along the line by construction), so the truncated norm is a
 proxy for the norm over the unbounded cylinder.  The quality of the proxy
-is monitored, not proven: `tail_mass` reports the fraction of |f| living
-in the outer 10% of the x1 range and experiments keep it small.
+is measured, not proven: `edge_mass` compares a march's outermost unit
+period on each side with what lies beyond its pinned end, and a run
+whose edge mass exceeds `EDGE_TOL` is flagged truncated (`truncation`).
 
 All reductions use numpy's pairwise summation on arrays with a fixed
 layout, so results are reproducible and independent of any worker count.
@@ -68,15 +69,22 @@ __all__ = [
     "second_derivative",
     "laplacian",
     "tail_mass",
+    "edge_mass",
+    "truncation",
     "write_snapshot",
     "read_snapshot",
     "write_table",
     "write_json",
     "MAX_CELLS",
     "SLAB_CELLS",
+    "EDGE_TOL",
 ]
 
 MAX_CELLS = 10**7  # most cells a grid may hold
+# the edge mass above which a run is truncated (CHANGES.md): phi_l1 on a line twice as long
+# then differs by 3-20 times it, grad_phi_l2 by up to 90.  A profile march kept within 1.3e-5
+# of one on L = 200 at a slack (L - speed t) / sqrt(t) >= 6; 6e-4 at 4.2; doubled t max u_x at 1.
+EDGE_TOL = 1e-4
 
 # Cells per slab of `slabs`.  A slab's n partials and one more array of
 # its size are the temporaries of a slab-built quantity, 128 KiB each at
@@ -431,12 +439,10 @@ def laplacian(f: Field) -> np.ndarray:
 def tail_mass(f: Field, n1: int | None = None) -> float:
     """Fraction of the |f| mass in the outer 10% of the x1 range.
 
-    Returns 0 for an identically zero field.  Used as the diagnostic
-    guarding against structure reaching the truncation boundary.  With
-    `n1`, f is the centered window of a line of n1 cells and 0 beyond
-    it: the outer 10% is that line's, and the part of it beyond the
-    window holds no mass, and f is not read when the outer 10% lies
-    wholly beyond it.
+    Returns 0 for an identically zero field.  A reported column only:
+    `edge_mass` judges the truncation.  With `n1`, f is the centered window
+    of a line of n1 cells, 0 beyond it: the outer 10% is the line's, and f
+    is not read when it lies wholly beyond the window.
     """
     n1 = f.spec.n1 if n1 is None else n1
     k = max(1, int(round(n1 * 0.1 / 2.0))) - (n1 - f.spec.n1) // 2  # outer cells in f
@@ -448,6 +454,21 @@ def tail_mass(f: Field, n1: int | None = None) -> float:
         return 0.0
     outer = float(np.sum(a[:k])) + float(np.sum(a[-k:]))
     return outer / total
+
+
+def edge_mass(values, beyond, cells: int, volume: float) -> tuple[float, float]:
+    """(left, right): the sum of |values - beyond[side]| times the cell
+    `volume` over the `cells` outermost x1 rows, a unit period, of each side
+    of the x1-first array `values`; beyond[side] is a number or those rows."""
+    return tuple(float(np.sum(np.abs(rows - far))) * volume
+                 for rows, far in ((values[:cells], beyond[0]), (values[-cells:], beyond[1])))
+
+
+def truncation(records) -> dict:
+    """`edge_mass`, the largest, and `truncated_at`, the first t above EDGE_TOL or
+    None, of a run's (t, edge mass) records: the manifest's fields."""
+    return dict(edge_mass=max(mass for _, mass in records),
+                truncated_at=next((t for t, mass in records if mass > EDGE_TOL), None))
 
 
 # --- snapshot I/O ------------------------------------------------------------

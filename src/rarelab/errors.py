@@ -8,9 +8,9 @@ class ConfigError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """A run stopped itself: CFL violation, tail mass at the truncation
-    boundary or mass at the edge of a cylinder run's x1 window (CLI exit
-    code 2)."""
+    """A run stopped itself: a CFL violation, or mass at the edge of a
+    cylinder run's x1 window (CLI exit code 2).  A run whose edge mass
+    reaches the pinned ends is flagged truncated, not stopped."""
 
     def __init__(self, reason: str, t: float, detail: str):
         self.reason = reason

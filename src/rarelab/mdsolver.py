@@ -32,12 +32,6 @@ Both phases build their norm row in one place: a column per
 `rates.PHI_SERIES` entry of phi = u - u_tilde, and |u - p|_inf against
 that profile p itself, tiled over the torus.
 
-The truncation is monitored, not trusted: a tail-mass guard aborts the
-run when the perturbation (or the fan's slope profile, the profile's
-own x1 derivative) puts more than `TAIL_THRESHOLD`, a constant, of its
-mass into the outer decade of the x1 range (`TAIL_FLOOR` exempts a
-perturbation at roundoff).
-
 Cylinder window.  Away from the fan the solution is its far field tiled
 along x1, so the whole run holds only the x1 cells of [-W, W], W =
 `cylinder_window`: min(L, ceil(S + reach)), where the line data p0 + v0
@@ -61,19 +55,17 @@ order of the sums.  What lies beyond keeps its part in the rest:
 |u - p|_inf and tau take the larger of the window's value and the far
 field's, max|w - ul| and max|w - ur| on the sides (on the line, the
 far-field means' distance from them) and, for tau, each side's torus
-part; both tail masses keep the outer decade of [-L, L] and read 0
+part; the tail mass keeps the outer decade of [-L, L] and reads 0
 where it lies beyond the window.  With W = L the run is the whole-line
 run byte for byte.
 
-The window is monitored, not trusted.  At each record every windowed
-march compares its outermost unit period on each side with what the
-window assumes lies beyond it: the profile with ul and ur, the cylinder
-with the far-field rows that period lies on, the line with the
-far-field means.  When either mass, the sum of |difference| times the
-cell volume, exceeds `TAIL_FLOOR`, phi's own roundoff floor, the run
-aborts ("window"), naming the march and the side.  The check is on
-mass, not bit for bit: the pinned ends' Dirichlet solves leave
-ulp-sized deviations in a march's outer cells.
+The truncation is measured, not trusted: at each record the profile and
+the cylinder or the line take their edge mass (`domain.edge_mass`)
+against what lies beyond their pinned ends (ul and ur, the far-field
+rows, the far-field means), and the run reports the largest and the
+first record above `domain.EDGE_TOL`.  On a window, a side's edge mass
+above `TAIL_FLOOR`, phi's roundoff floor, aborts the run ("window"): a
+mass, since the Dirichlet solves leave ulp-sized deviations there.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -108,7 +100,7 @@ import numpy as np
 
 from .ansatz import assemble_bundle, far_field_grid
 from .domain import (
-    DomainSpec, Field, derivative, gradient, lp_norm, magnitude, make_grid, tail_mass,
+    DomainSpec, Field, edge_mass, gradient, lp_norm, magnitude, make_grid, tail_mass, truncation,
     write_table,
 )
 from .errors import ConfigError, NumericalAbort
@@ -129,13 +121,11 @@ __all__ = [
     "mode_problems",
     "write_norm_table",
     "NORM_COLUMNS",
-    "TAIL_THRESHOLD",
 ]
 
 NORM_COLUMNS = ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
 
-TAIL_FLOOR = 1e-10  # |phi|_1 at roundoff: its tail mass signals nothing
-TAIL_THRESHOLD = 0.25  # the outer-decade mass share above which every run aborts, a constant
+TAIL_FLOOR = 1e-10  # the edge mass of phi's roundoff: a window edge above it has moved
 PLANAR_TOL = 1e-13  # tau below this hands the run off to the line; 0 never does
 # sqrt(t) lengths at which a unit-viscosity heat kernel's tail, erfc(z) <
 # exp(-z^2) at z = WINDOW_MARGIN / 2, falls to TAIL_FLOOR (`cylinder_window`)
@@ -233,11 +223,6 @@ def schedule(config: SolverConfig):
 
     with np.errstate(over="ignore"):  # a non-finite speed is the Courant rule's finding
         speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (ul, ur))
-    if math.isfinite(speed) and spec.L < speed * config.t_end + 10.0:
-        problems.append(
-            f"L = {spec.L} < fan speed {speed:.3g} * t_end + margin 10 = "
-            f"{speed * config.t_end + 10.0:.6g}: the fan would reach the boundary"
-        )
 
     try:
         sizes = far_field_grid(spec)[0].sizes
@@ -292,7 +277,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     Returns (series, checks): the norm table's columns, one array per
     `NORM_COLUMNS` entry, and the run-wide checks in the order
     max_principle_violation, boundary_mismatch, max_courant, planar_at,
-    cylinder_window.
+    cylinder_window, edge_mass, truncated_at.
     `max_courant` is the largest realized advective Courant number of
     the states the steps produced, always taken with the cylinder's
     spacings, on the line too.  `boundary_mismatch` is measured only
@@ -301,7 +286,8 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     line, or None when it never handed off.  `cylinder_window` is
     {"L", "n1"}, the half-length W and the x1 cells of the window that
     every march and record of the run held (module docstring), W = L on
-    a line no longer than the data's support and the reach.  A record
+    a line no longer than the data's support and the reach.  `edge_mass`
+    and `truncated_at` are `domain.truncation` of the records.  A record
     at which a march has carried mass to the window's edge raises
     `NumericalAbort` "window"."""
     spec, flux = config.spec, config.flux
@@ -334,18 +320,18 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     window = slice(off, spec.n1 - off)
     wspec = replace(spec, L=spec.L - (round(spec.L) - W), n1=spec.n1 - 2 * off)
     lspec = DomainSpec(n=1, L=wspec.L, n1=wspec.n1)  # the window's x1 line
-    cell = math.prod(spacings)  # a cylinder cell's volume
 
     # the 1-d backbone on the window's x1 cells, on the run's plan,
-    # pulled at each record
-    profiles = evolve_profile(ProfileState(lspec, tangent[window], ul=ul, ur=ur), flux, plan)
+    # pulled at each record; it, the cylinder and the line share one sweep
+    dirichlet = DiffusionSweep(wspec.n1, spec.dx1, dt / 2.0)
+    profiles = evolve_profile(ProfileState(lspec, tangent[window], ul=ul, ur=ur), flux, plan,
+                              dirichlet)
 
     # initial data: the window's line data + modes
     col = (-1,) + (1,) * (spec.n - 1)
     u = np.broadcast_to(line[window].reshape(col), wspec.shape).copy()
     u = u + trig_polynomial(config.w0_modes, (grid.x1[window], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
-    dirichlet = DiffusionSweep(wspec.n1, spec.dx1, dt / 2.0)
 
     # a cylinder state is (cylinder, left side, right side); a line state is (line,)
     checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
@@ -387,64 +373,51 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                                                 float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
-    def check_edges(what, t, volume, values, beyond):
-        """Abort "window" once the march `what` (x1-first `values`) has
-        moved its outermost period on a side from `beyond`, the (left,
-        right) of what the window assumes lies past it, by more than
-        TAIL_FLOOR in mass."""
-        for side, period, far in (("left", values[:m1], beyond[0]),
-                                  ("right", values[-m1:], beyond[1])):
-            mass = float(np.sum(np.abs(period - far))) * volume
-            if mass > TAIL_FLOOR:
-                raise NumericalAbort("window", t, f"the {what}'s {side} edge, {W - 1} < |x1| < "
-                                                  f"{W}, differs from what lies beyond the window "
-                                                  f"by {mass:.3e} in mass, above {TAIL_FLOOR:.0e}")
+    edges = []  # (t, edge mass) of each record
 
-    def next_profile():
-        """The profile at the next record, once its edges are checked."""
-        prof = next(profiles)
-        if off:
-            check_edges("profile", prof.t, spec.dx1, prof.values, (ul, ur))
+    def next_profile(what, volume, values, beyond):
+        """The next record's profile, once the record's edge mass (the profile's
+        or the march `what`'s, x1-first `values` with `beyond` past its ends) is logged."""
+        prof, largest = next(profiles), 0.0
+        for name, vals, far, vol in (("profile", prof.values, (ul, ur), spec.dx1),
+                                     (what, values, beyond, volume)):
+            for side, mass in zip(("left", "right"), edge_mass(vals, far, m1, vol)):
+                if off and mass > TAIL_FLOOR:
+                    raise NumericalAbort("window", prof.t, (
+                        f"the {name}'s {side} edge, {W - 1} < |x1| < {W}, differs from what lies "
+                        f"beyond the window by {mass:.3e} in mass, above {TAIL_FLOOR:.0e}"))
+                largest = max(largest, mass)
+        edges.append((prof.t, largest))
         return prof
 
     def sample(grid, v, ansatz, h, prof, far):
         """The norm row of state v on `grid`, the window of the cylinder or
         of the line, with perturbation phi = v - ansatz, ansatz defect h
-        (None on the line: it is 0) and profile prof, after the tail guards
-        of phi and of the fan's slope profile; v, the ansatz and h are
-        plain arrays.  Beyond the window lie `far`, the left and right
+        (None on the line: it is 0) and profile prof; v, the ansatz and h
+        are plain arrays.  Beyond the window lie `far`, the left and right
         far field, and the end states."""
         t = prof.t
         phi = Field(grid, v - ansatz, t)
         fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
-        tails = tail_mass(phi, spec.n1)
         tiled = prof.values.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
         linf = float(np.max(np.abs(v - tiled)))
         if off:
             linf = max(linf, *(float(np.max(np.abs(w - e))) for w, e in zip(far, (ul, ur))))
-        row = dict(t=t, **{name: lp_norm(fields[which], p)
-                           for name, (which, p) in PHI_SERIES.items()},
-                   u_minus_profile_linf=linf,
-                   h_l1=0.0 if h is None else lp_norm(Field(grid, h, t), 1), tail_mass=tails)
-        # the slope profile is constant along the torus: guard it on the line
-        slope_tail = tail_mass(Field(prof.spec, derivative(prof, 0), t), spec.n1)
-        for what, mass in (("perturbation", tails if row["phi_l1"] > TAIL_FLOOR else 0.0),
-                           ("fan slope", slope_tail)):
-            if mass > TAIL_THRESHOLD:
-                raise NumericalAbort("tail", t, f"{what} tail mass {mass:.3e} exceeds "
-                                                f"{TAIL_THRESHOLD:.3e}")
-        return row
+        return dict(t=t, **{name: lp_norm(fields[which], p)
+                            for name, (which, p) in PHI_SERIES.items()},
+                    u_minus_profile_linf=linf,
+                    h_l1=0.0 if h is None else lp_norm(Field(grid, h, t), 1),
+                    tail_mass=tail_mass(phi, spec.n1))
 
     def torus_part(a):
         return float(np.max(np.abs(a - np.mean(a, axis=torus_axes, keepdims=True))))
 
     def record(k, state):
         """(norm row, the line's start state if record k hands off, else None)"""
-        prof, (march_v, wl, wr) = next_profile(), state
-        t = prof.t
+        march_v, wl, wr = state
         v = np.ascontiguousarray(np.moveaxis(march_v, -1, 0))  # x1-first, as every reader takes it
-        if off:
-            check_edges("cylinder", t, cell, v, (wl, wr))
+        prof = next_profile("cylinder", math.prod(spacings), v, (wl, wr))
+        t = prof.t
         ansatz, h = assemble_bundle((wl, wr), prof, flux, wspec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
@@ -465,11 +438,8 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         return sample(wspec, v, ansatz, h, prof, (wl, wr)), line
 
     def record_line(state, far):
-        # the ansatz of a constant far field is the profile, and its
-        # defect is 0
-        prof = next_profile()
-        if off:
-            check_edges("line", prof.t, spec.dx1, state[0], far)
+        # the ansatz of a constant far field is the profile, its defect 0
+        prof = next_profile("line", spec.dx1, state[0], far)
         return sample(prof.spec, state[0], prof.values, None, prof, far)
 
     rows, line = [], None
@@ -487,6 +457,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                       *pinned_line(dirichlet, lspec.dx1, flux, *far),
                       lambda state, s: check((*state, *far) if off else state, t + s),
                       lambda _, state: record_line(state, far))
+    checks.update(truncation(edges))
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}, checks
 
 

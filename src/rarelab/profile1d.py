@@ -13,7 +13,6 @@ growth of the integrated deviation from the end states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "write_profile_series",
     "PROFILE_COLUMNS",
 ]
-
-FAN_MARGIN = 6.0  # sqrt(t) lengths the line keeps past the fan's reach (`schedule`)
 
 PROFILE_COLUMNS = ("t", "max_slope", "t_max_slope", "slope_l1", "slope_l2", "slope_linf",
                    "end_state_deviation")
@@ -123,46 +120,33 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
 def schedule(p0: ProfileState, flux: FluxSet, t_end: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
     `step_schedule` at the largest step the Courant number `stepping.CFL`
-    allows on the end states' range.
-
-    The line must hold the fan and its viscous layer until t_end:
-    L >= speed * t_end + FAN_MARGIN * sqrt(t_end), speed the larger
-    |f_1'| of the end states.  At a slack s = (L - speed t) / sqrt(t) of 6
-    or more a march on L = 200 and on the shorter line differ by at most
-    1.3e-5 at every record (dx1 0.2, Burgers (-0.5, 0.5) and cubic
-    (0.6, 1)); at s = 4.2 by 6e-4, and at s <= 1 the pinned ends double
-    t max u_x and more."""
+    allows on the end states' range; the edge mass judges the line's length."""
     dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur)
-    plan = step_schedule(t_end, dt_max, None, snapshot_times)
-    speed = max(abs(float(flux.df[0](np.float64(u)))) for u in (p0.ul, p0.ur))
-    bound = speed * t_end + FAN_MARGIN * math.sqrt(t_end)
-    if not p0.spec.L >= bound:
-        raise ValueError(f"L = {p0.spec.L} < fan speed {speed:.3g} * t_end + {FAN_MARGIN:g} "
-                         f"sqrt(t_end) = {bound:.6g}: the fan would reach the boundary")
-    return plan
+    return step_schedule(t_end, dt_max, None, snapshot_times)
 
 
 def pinned_line(diffusion: DiffusionSweep, dx1: float, flux: FluxSet, lo: float, hi: float):
     """(sweep, rhs) of the 1-d `stepping.march` step of u_t + (f_1(u))_x = u_xx
     on a line of spacing dx1, its ghost cells pinned to lo and hi: the one
     pinned-end line step.  `diffusion` is the line's Dirichlet half-step,
-    built by the caller: the profile builds its own, and a cylinder run's
-    planar line reuses the cylinder's, the same operator on the same cells."""
+    built by the caller: the `profile` experiment builds its own, and a
+    cylinder run's profile and planar line reuse the cylinder's, the same
+    operator on the same cells."""
     ghosts = (np.full((2,), lo), np.full((2,), hi))
     return (lambda state, axis: (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
             # looked up on the module, so a wrapper installed there sees the line
             lambda state: (stepping.advective_rhs(state[0], flux, (dx1,), ghosts),))
 
 
-def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
+def evolve_profile(p0: ProfileState, flux: FluxSet, plan, diffusion: DiffusionSweep):
     """The profile at each recorded step of plan = (steps, dt, record) from
     p0, yielded as the march reaches it; the march stops at the last record.
 
-    Implicit trapezoidal diffusion plus explicit second-order advection;
-    ends are pinned to ul/ur, consistent with the exponentially small
-    tails of the data.  The plan comes from `schedule`, or from a run that
-    marches the profile beside its own state; the march starts at t = 0,
-    the time p0 must have (checked at the call).
+    Implicit trapezoidal diffusion, the caller's half-step `diffusion` on
+    p0's cells at dt / 2, plus explicit second-order advection; ends are
+    pinned to ul/ur, consistent with the exponentially small tails of the
+    data.  The plan comes from `schedule`, or from a run that marches the
+    profile beside its own state; the march starts at t = 0 (checked).
     """
     if p0.t != 0:
         raise ValueError(f"a profile march starts at t = 0, got a state at t = {p0.t}")
@@ -170,7 +154,7 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, plan):
     spec = p0.spec
     return march(
         (p0.values,), (max(record), dt, record), 1,
-        *pinned_line(DiffusionSweep(spec.n1, spec.dx1, dt / 2.0), spec.dx1, flux, p0.ul, p0.ur),
+        *pinned_line(diffusion, spec.dx1, flux, p0.ul, p0.ur),
         lambda state, t: check_cfl(state[0], flux, (spec.dx1,), dt, t),
         lambda k, state: ProfileState(spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
     )

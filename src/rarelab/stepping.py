@@ -77,10 +77,9 @@ class DiffusionSweep:
     the ghost-cell values, held fixed over the sub-step, at the two ends.
     I - alpha T is symmetric positive definite and tridiagonal; its LDL^T
     factors come from LAPACK dpttrf when the sweep is built, and each
-    sweep is one dpttrs solve of every line at once.  A cylinder run
-    factors the same operator, on the x1 cells of its window, twice: for
-    the cylinder, whose sweep its planar line reuses after a hand-off,
-    and for its profile.  The right-hand side is a C-ordered row per line.
+    sweep is one dpttrs solve of every line at once.  A cylinder run factors
+    it once, for its window's x1 cells, which its profile and planar line
+    share.  The right-hand side is a C-ordered row per line.
     Its neighbour adds run over all rows as one flat run, after which
     each row's end cells, which the flat adds reach across, are set to
     their own two terms, (1 - 2 alpha) u_0 + alpha u_1 and its mirror,

@@ -35,7 +35,8 @@ def coupled_states(dspec, amp=0.1, t0=0.1, delta=None, dt=None):
     p0 = make_initial_state(dspec.L, dspec.n1, -0.5, 0.5)
     dt_max = stepping.max_advective_dt(burgers(1), (p0.spec.dx1,), p0.ul, p0.ur)
     plan = stepping.step_schedule(times[-1], dt_max, dt, times)
-    ps = list(evolve_profile(p0, burgers(1), plan))
+    ps = list(evolve_profile(p0, burgers(1), plan,
+                             stepping.DiffusionSweep(p0.spec.n1, p0.spec.dx1, plan[1] / 2.0)))
     assert all(abs(ta - p.t) <= 1e-9 for (ta, _), p in zip(sl, ps))
     return [np.stack([a, b]) for (_, a), (_, b) in zip(sl, sr)], ps, flux
 

@@ -210,7 +210,7 @@ class TestOneVerdictPath:
             monkeypatch.setattr(mod, "fit_power_law", counted)
         t = np.linspace(0.5, 10.0, 20)
         table = {name: (1.0 + t) ** -0.5 for name in NORM_COLUMNS}
-        report = cli._rate_report({**table, "t": t}, None)
+        report = cli._rate_report({**table, "t": t}, None, None)
         assert len(fitted) == 7
         assert report["ordering"]["status"] == "pass" and len(report["ordering"]["pairs"]) == 3
 
@@ -542,11 +542,6 @@ class TestTorusAndProfileConfigs:
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
         ("profile", "snapshots = 0", "snapshots must hold a time after t = 0 on the step grid"),
         ("profile", "flux = cubic", "f_1'' dips to"),
-        # the fan and its viscous layer would reach the pinned ends
-        ("profile", "L = 20\nn1 = 200\nt_end = 200",
-         "L = 20.0 < fan speed 0.5 * t_end + 6 sqrt(t_end) = 184.853"),
-        ("profile", "L = 20\nn1 = 200\nt_end = 40",
-         "L = 20.0 < fan speed 0.5 * t_end + 6 sqrt(t_end) = 57.9473"),
         ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
         ("periodic", "w0_modes = 1,0.1", "needs 2 wavenumbers + amplitude"),
         ("decompose", "n1 = 2", "n1 must be at least 4"),
@@ -824,7 +819,7 @@ class TestUnknownKeys:
         ("counterexample", "seed = 1\n", "unknown key 'seed' for counterexample"),
         ("rates", f"input = {GOLDEN / 'simulate2d_norms.csv'}\nseed = 1\n",
          "unknown key 'seed' for rates"),
-        # the Courant number and the tail threshold are constants, read by no stage
+        # the Courant number is a constant and the tail threshold is gone: no stage reads them
         ("simulate", TINY_SIMULATE + "cfl = 0.3\n", "unknown key 'cfl' for simulate"),
         ("simulate", TINY_SIMULATE + "tail_threshold = 0.99\n",
          "unknown key 'tail_threshold' for simulate"),
@@ -1031,12 +1026,13 @@ class TestEveryBadNumberNamesItsKey:
 
 
 class TestStepAndGuardConstantsAreNoKeys:
-    """The Courant number and the tail threshold are constants
-    (`stepping.CFL`, `mdsolver.TAIL_THRESHOLD`): a config that sets one
-    is told the key is unknown."""
+    """The Courant number and the edge tolerance are constants
+    (`stepping.CFL`, `domain.EDGE_TOL`), and the tail threshold is gone: a
+    config that sets one is told the key is unknown."""
 
     @pytest.mark.parametrize("kind, key", [("simulate", "cfl"), ("simulate", "tail_threshold"),
-                                           ("profile", "cfl")])
+                                           ("simulate", "edge_tol"), ("profile", "cfl"),
+                                           ("profile", "edge_tol")])
     def test_validate_names_the_unknown_key(self, kind, key):
         extra = "w0_modes = 1,1,0.1\n" if kind == "simulate" else ""
         findings = cli.validate(cli.parse_config(f"experiment = {kind}\n{extra}{key} = 0.3\n"))

@@ -95,7 +95,7 @@ def run_with_window(monkeypatch, sc, half):
 
 def statuses(series):
     t_end = float(series["t"][-1])
-    report = cli._rate_report(series, (t_end / 2, t_end))
+    report = cli._rate_report(series, (t_end / 2, t_end), None)
     return {key: entry["status"] for key, entry in report.items() if "status" in entry}
 
 
@@ -142,10 +142,12 @@ class TestEquivalence:
         assert exc.value.reason == "window"
         assert exc.value.detail.startswith(f"the {march}'s ")
         # with the self-check off (its roundoff floor at infinity) the run
-        # completes, and it departs from the whole line
+        # completes, departs from the whole line and is flagged truncated
         ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
         monkeypatch.setattr(mdsolver, "TAIL_FLOOR", math.inf)
-        assert "phi_l1" in departures(run_with_window(monkeypatch, sc, half), ref)
+        short_run = run_with_window(monkeypatch, sc, half)
+        assert "phi_l1" in departures(short_run, ref)
+        assert short_run[1]["truncated_at"] is not None  # the edge measure sees it too
 
     def test_the_fan_outruns_a_window_of_six_sqrt_t(self, monkeypatch):
         # the margin a 1e-5 sup error needs, not the TAIL_FLOOR the check

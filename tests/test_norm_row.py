@@ -1,14 +1,11 @@
 """One norm row for both phases of `mdsolver.run`: each record measures
 u against the profile it pulled from `evolve_profile`'s stream, tiled
-over the torus, and guards the fan's slope with that profile's own
-slope; the phi columns come from `rates.PHI_SERIES`."""
+over the torus; the phi columns come from `rates.PHI_SERIES`."""
 
 import numpy as np
-import pytest
 
 from rarelab import cli, mdsolver
 from rarelab.domain import DomainSpec
-from rarelab.errors import NumericalAbort
 from rarelab.fluxes import burgers
 from rarelab.mdsolver import NORM_COLUMNS, SolverConfig
 from rarelab.rates import PHI_SERIES, predicted_exponent
@@ -59,23 +56,6 @@ class TestAgainstTheProfileItself:
         assert list(series["u_minus_profile_linf"]) == [0.0] * 4
 
 
-class TestFanSlopeGuard:
-    # the undisturbed run's phi is at roundoff, below TAIL_FLOOR, so only
-    # the fan's slope can abort it; that slope's tail mass is 8.6e-10 at
-    # t = 0 (the hand-off record, on the cylinder) and 1.3e-8 at the next
-    # record, t = 0.533 (on the line)
-    @pytest.mark.parametrize("threshold, t", [(1e-10, 0.0), (1e-9, 0.5)],
-                             ids=["cylinder", "line"])
-    def test_aborts_at_the_record_whose_slope_reaches_the_tail(self, monkeypatch, threshold, t):
-        monkeypatch.setattr(mdsolver, "TAIL_THRESHOLD", threshold)
-        sc = config(w0_modes=())
-        with pytest.raises(NumericalAbort) as exc:
-            mdsolver.run(sc, mdsolver.schedule(sc))
-        _, dt, _ = mdsolver.schedule(sc)
-        assert exc.value.reason == "tail" and "fan slope" in exc.value.detail
-        assert exc.value.t == round(t / dt) * dt
-
-
 class TestSeriesTable:
     def test_the_phi_columns_are_the_table_in_order(self):
         assert NORM_COLUMNS == ("t", *PHI_SERIES, "u_minus_profile_linf", "h_l1", "tail_mass")
@@ -84,7 +64,7 @@ class TestSeriesTable:
         t = np.linspace(0.5, 10.0, 20)
         table = {name: (1.0 + t) ** -0.5 for name in NORM_COLUMNS}
         table["t"] = t
-        report = cli._rate_report(table, None)
+        report = cli._rate_report(table, None, None)
         for col, (which, p) in PHI_SERIES.items():
             if p != 1.0:
                 assert report[col]["predicted"] == predicted_exponent(p, which), col

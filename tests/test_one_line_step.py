@@ -1,9 +1,9 @@
 """Every solver takes the one pinned-end line step, `profile1d.pinned_line`,
 the step of the profile march and of a cylinder run's planar line, and
 builds no sweep of its own: within `src/`, a Dirichlet `DiffusionSweep`
-is built only by `profile1d.evolve_profile`, for the profile, and by
-`mdsolver.run` for the cylinder, whose ends move with the far field, and
-for its planar line, which reuses that sweep.
+is built only by `cli._exp_profile`, for the `profile` experiment's
+march, and by `mdsolver.run` for the cylinder, whose ends move with the
+far field, and for its profile and planar line, which reuse that sweep.
 
 Read with the standard library's `ast`.  A build is a call of the name
 `DiffusionSweep`, bare or as an attribute.
@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-ALLOWED = {("profile1d.py", "evolve_profile"), ("mdsolver.py", "run")}
+ALLOWED = {("cli.py", "_exp_profile"), ("mdsolver.py", "run")}
 
 
 class _Builds(ast.NodeVisitor):
@@ -38,7 +38,7 @@ class _Builds(ast.NodeVisitor):
 
 def dirichlet_builds(sources: dict[str, str]) -> list[str]:
     """'<file>:<line> in <scope>' for every Dirichlet DiffusionSweep built
-    outside profile1d.evolve_profile and mdsolver.run."""
+    outside cli._exp_profile and mdsolver.run."""
     found = []
     for name, source in sorted(sources.items()):
         builds = _Builds()
@@ -50,7 +50,7 @@ def dirichlet_builds(sources: dict[str, str]) -> list[str]:
 
 def test_one_pinned_line_step():
     sources = {p.name: p.read_text() for p in SRC.rglob("*.py")}
-    assert {"profile1d.py", "mdsolver.py"} <= sources.keys()
+    assert {"cli.py", "mdsolver.py"} <= sources.keys()
     assert dirichlet_builds(sources) == []
 
 
@@ -71,6 +71,10 @@ def test_a_third_copy_is_found():
             "        return stepping.DiffusionSweep(8, 0.1, 0.01).apply(state)\n"
             "    return sweeps, sweep\n"
         ),
+        "cli.py": (
+            "def _exp_profile(out, p0, flux, plan):\n"
+            "    return evolve_profile(p0, flux, plan, DiffusionSweep(8, 0.1, 0.01))\n"
+        ),
         "solver.py": (
             "class Line:\n"
             "    def __init__(self, n, h, dt):\n"
@@ -79,4 +83,5 @@ def test_a_third_copy_is_found():
     }
     assert dirichlet_builds(sources) == ["mdsolver.py:6 in run.sweep",
                                          "profile1d.py:2 in pinned_line",
+                                         "profile1d.py:4 in evolve_profile",
                                          "solver.py:3 in Line.__init__"]

@@ -3,8 +3,9 @@ only by a module's `schedule`, the one caller of `stepping.step_schedule`,
 and the solvers that march a plan, `evolve_profile`, `solve_periodic`
 and the cylinder's `run`, draw none.  A cylinder run hands the plan it
 is handed to the profile, an input stage draws its plan once and hands
-it to its run stage, and the Courant number and the tail threshold are
-one constant each, which no parameter or config field overrides.
+it to its run stage, and the Courant number and the edge tolerance are
+one constant each, which no parameter or config field overrides; one
+function computes the edge mass that tolerance judges.
 
 The source checks read `src/` with the standard library's `ast`.  A call
 counts by the name it calls, bare or as an attribute
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rarelab import cli, mdsolver, periodic, profile1d, stepping
+from rarelab import cli, domain, mdsolver, periodic, profile1d, stepping
 from rarelab.domain import DomainSpec
 from rarelab.fluxes import burgers
 from rarelab.mdsolver import SolverConfig
@@ -122,18 +123,46 @@ def test_one_courant_number_constant():
     assert "cfl" not in SolverConfig.__dataclass_fields__
 
 
-def test_one_tail_threshold_constant():
-    # 0.25 as a config default's text anywhere in src/, or as the value a
-    # name or field is given; stepping's `slope *= 0.25` is arithmetic
+def edge_measures(nodes) -> list[str]:
+    """'<file> <function>' of each function that sums |a - b|, the edge
+    mass's formula, in the (file name, node) pairs `nodes`."""
+    def name(func):
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    found = []
+    for file, node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{file} {node.name}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and name(call.func) == "sum" and call.args
+                      and isinstance(call.args[0], ast.Call) and name(call.args[0].func) == "abs"
+                      and isinstance(call.args[0].args[0], ast.BinOp)
+                      and isinstance(call.args[0].args[0].op, ast.Sub)]
+    return found
+
+
+def test_one_edge_tolerance_and_one_edge_measure():
+    # 1e-4 as a number or a config default's text anywhere in src/
     nodes = src_nodes()
-    texts = [(name, node.lineno) for name, node in nodes
-             if isinstance(node, ast.Constant) and node.value == "0.25"]
-    given = [(name, node.lineno) for name, node in nodes
-             if isinstance(node, (ast.Assign, ast.AnnAssign))
-             and isinstance(node.value, ast.Constant) and node.value.value == 0.25]
-    assert texts == [] and len(given) == 1 and given[0][0] == "mdsolver.py"
-    assert mdsolver.TAIL_THRESHOLD == 0.25
-    assert "tail_threshold" not in SolverConfig.__dataclass_fields__
+    found = [(name, node.lineno) for name, node in nodes
+             if isinstance(node, ast.Constant) and node.value in (1e-4, "1e-4", "0.0001")]
+    assert len(found) == 1 and found[0][0] == "domain.py"
+    assert domain.EDGE_TOL == 1e-4 and "edge_tol" not in SolverConfig.__dataclass_fields__
+    assert edge_measures(nodes) == ["domain.py edge_mass"]
+    # what the edge measure replaced: the tail threshold, its "tail" abort
+    # and the profile's fan margin
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for _, node in nodes}
+    assert not {"TAIL_THRESHOLD", "FAN_MARGIN"} & names
+    assert not [node.lineno for _, node in nodes
+                if isinstance(node, ast.Constant) and node.value == "tail"]
+
+
+def test_a_second_edge_measure_is_found():
+    source = ("def edge_mass(v, far):\n    return float(np.sum(np.abs(v[:4] - far)))\n"
+              "def run(v):\n    def check(w):\n        return sum(abs(w[-4:] - 1.0))\n"
+              "    return check(v)\n"
+              "def norm(v):\n    return np.sum(np.abs(v))\n")
+    nodes = [("m.py", node) for node in ast.walk(ast.parse(source))]
+    assert sorted(edge_measures(nodes)) == ["m.py check", "m.py edge_mass", "m.py run"]
 
 
 def test_the_run_hands_the_profile_its_own_plan(monkeypatch):
@@ -142,11 +171,11 @@ def test_the_run_hands_the_profile_its_own_plan(monkeypatch):
                       snapshot_times=tuple(np.linspace(0.0, 1.0, 11)))
     handed, evolve = [], mdsolver.evolve_profile
     monkeypatch.setattr(mdsolver, "evolve_profile",
-                        lambda *args, **kw: handed.append((args[2:], kw)) or evolve(*args, **kw))
+                        lambda *args, **kw: handed.append((args[2], kw)) or evolve(*args, **kw))
     plan = mdsolver.schedule(sc)
     _, checks = mdsolver.run(sc, plan)
     assert checks["planar_at"] is not None  # the line phase pulls from the same stream
-    assert handed == [((plan,), {})] and handed[0][0][0] is plan
+    assert handed == [(plan, {})] and handed[0][0] is plan
 
 
 def counted(monkeypatch, module, alias):

@@ -87,9 +87,9 @@ class TestStepCount:
 
 class TestOneDirichletOperator:
     @pytest.mark.parametrize("text", [TINY_2D, TINY_3D], ids=["2d", "3d"])
-    def test_a_handed_off_run_factors_it_twice(self, monkeypatch, text):
-        # the profile's sweep and the cylinder's, which the line reuses:
-        # two factorizations of one matrix, none for the line
+    def test_a_handed_off_run_factors_it_once(self, monkeypatch, text):
+        # the cylinder's sweep, which the profile and the line reuse: one
+        # factorization of the matrix they share
         sc = config(text)
         factored, dpttrf = [], stepping.dpttrf
         monkeypatch.setattr(stepping, "dpttrf",
@@ -97,9 +97,7 @@ class TestOneDirichletOperator:
         steps, _, _ = plan = mdsolver.schedule(sc)
         at = mdsolver.run(sc, plan)[1]["planar_at"]
         assert at is not None and at["step"] < steps
-        assert len(factored) == 2
-        (d0, e0), (d1, e1) = factored
-        assert np.array_equal(d0, d1) and np.array_equal(e0, e1)
+        assert len(factored) == 1
 
 
 class TestFarFieldSides:
