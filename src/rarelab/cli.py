@@ -395,17 +395,14 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> tuple[dict, 
 
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, flux, plan) of a profile config: the run's step
-    schedule, which must record a t > 0."""
+    schedule, which records t_end and must record a snapshot after t = 0."""
     t_end = _number(cfg, "t_end", "100")
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))
     flux = _flux(cfg, 1)
     flux.check_convexity(p0.ul, p0.ur)
     snaps = _snapshot_times(cfg.get("snapshots", "geometric:1,2"), t_end)
-    plan = profile_schedule(p0, flux, t_end, snaps)
-    if max(plan[2]) == 0:
-        raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, got {snaps}")
-    return p0, flux, plan
+    return p0, flux, profile_schedule(p0, flux, t_end, snaps)
 
 
 def _exp_profile(out: _Outputs, p0, flux, plan) -> tuple[dict, dict]:
@@ -706,8 +703,13 @@ def validate(cfg: dict[str, str]) -> list[str]:
 def run_experiment(cfg: dict[str, str], outdir) -> int:
     """Run a config's experiment: the input stage, then the run stage, which
     writes its artifacts to `outdir` and returns (verdicts, manifest fields);
-    then write the manifest and raise RatesFailure if a verdict reads 'fail'."""
+    then write the manifest and raise RatesFailure if a verdict reads 'fail'.
+    A `rates` run may not write into its input table's directory, whose
+    manifest (and its truncation flag) it would replace."""
     kind, inputs = _inputs(cfg)
+    if kind == "rates" and os.path.realpath(outdir) == os.path.realpath(os.path.dirname(inputs[0])):
+        raise ConfigError(f"--out {outdir} is the directory of the input table {inputs[0]}, "
+                          "whose manifest.json a rates run would replace")
     cfg_text = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items()))
     out = _Outputs(outdir, cfg_text, kind)
     verdicts, fields = _EXPERIMENTS[kind][1](out, *inputs)

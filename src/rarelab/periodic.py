@@ -108,9 +108,12 @@ class TorusStepper:
     def sweep_axis(self, values: np.ndarray, axis: int, at: int | None = None) -> np.ndarray:
         """Half-step sweep along torus direction `axis`, which lies on array
         axis `at` of `values`, or on axis `axis` when `at` is None, as in a
-        torus field.  Direction 0 of a cylinder field is its line, so a
-        cylinder field takes the sweeps of directions 1 and up; it marches
-        x1-last, which puts direction d on array axis d - 1."""
+        torus field.  The cylinder's far field stacks its two sides on a
+        leading axis, which puts direction d on array axis d + 1; each
+        side's sweep is bitwise its own.  Direction 0 of a cylinder field
+        is its line, so a cylinder field takes the sweeps of directions 1
+        and up; it marches x1-last, which puts direction d on array axis
+        d - 1."""
         op = self._ops[axis]
         m, at = len(op), (axis if at is None else at) % values.ndim
         if values.shape[at] != m:

@@ -30,6 +30,7 @@ __all__ = [
     "make_initial_state",
     "schedule",
     "pinned_line",
+    "check_profile",
     "evolve_profile",
     "ProfileSpline",
     "profile_row",
@@ -120,22 +121,40 @@ def make_initial_state(L: float, n1: int, ul: float, ur: float) -> ProfileState:
 def schedule(p0: ProfileState, flux: FluxSet, t_end: float, snapshot_times):
     """(steps, dt, record_indices) of a march from p0 at t = 0 to t_end:
     `step_schedule` at the largest step the Courant number `stepping.CFL`
-    allows on the end states' range; the edge mass judges the line's length."""
+    allows on the end states' range; the edge mass judges the line's length.
+    The snapshots must record a step after t = 0, and the plan records its
+    last step as well, so a march reaches t_end whatever the snapshots."""
     dt_max = max_advective_dt(flux, (p0.spec.dx1,), p0.ul, p0.ur)
-    return step_schedule(t_end, dt_max, None, snapshot_times)
+    steps, dt, record = step_schedule(t_end, dt_max, None, snapshot_times)
+    if max(record) == 0:
+        raise ValueError(f"snapshots must hold a time after t = 0 on the step grid, "
+                         f"got {tuple(snapshot_times)}")
+    return steps, dt, record | {steps}
 
 
-def pinned_line(diffusion: DiffusionSweep, dx1: float, flux: FluxSet, lo: float, hi: float):
+def pinned_line(diffusion: DiffusionSweep, dx1: float, flux: FluxSet, lo, hi):
     """(sweep, rhs) of the 1-d `stepping.march` step of u_t + (f_1(u))_x = u_xx
-    on a line of spacing dx1, its ghost cells pinned to lo and hi: the one
-    pinned-end line step.  `diffusion` is the line's Dirichlet half-step,
-    built by the caller: the `profile` experiment builds its own, and a
-    cylinder run's profile and planar line reuse the cylinder's, the same
-    operator on the same cells."""
-    ghosts = (np.full((2,), lo), np.full((2,), hi))
+    on lines of spacing dx1, their ghost cells pinned to lo and hi: the one
+    pinned-end line step.  A state is one line, with numbers lo and hi, or
+    a (rows, cells) array of lines stepped as one, with an array of end
+    values per row; each row's step is bitwise that row's step alone.
+    `diffusion` is the lines' Dirichlet half-step, built by the caller: the
+    `profile` experiment builds its own, and a cylinder run's profile and
+    planar line reuse the cylinder's, the same operator on the same cells."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    ghosts = tuple(np.repeat(end[..., None], 2, axis=-1) for end in (lo, hi))
     return (lambda state, axis: (diffusion.apply(state[0], b_lo=lo, b_hi=hi),),
             # looked up on the module, so a wrapper installed there sees the line
             lambda state: (stepping.advective_rhs(state[0], flux, (dx1,), ghosts),))
+
+
+def check_profile(values, flux: FluxSet, dx1: float, dt: float, t: float) -> float:
+    """The profile march's check of its new state `values` at time t: the
+    Courant number on the line of spacing dx1, which aborts as `check_cfl`
+    does.  A cylinder run's line march checks its profile row with it, so
+    that the run's own Courant check, which the run counts per step and
+    reports, reads the run's row alone."""
+    return check_cfl(values, flux, (dx1,), dt, t)
 
 
 def evolve_profile(p0: ProfileState, flux: FluxSet, plan, diffusion: DiffusionSweep):
@@ -155,7 +174,7 @@ def evolve_profile(p0: ProfileState, flux: FluxSet, plan, diffusion: DiffusionSw
     return march(
         (p0.values,), (max(record), dt, record), 1,
         *pinned_line(diffusion, spec.dx1, flux, p0.ul, p0.ur),
-        lambda state, t: check_cfl(state[0], flux, (spec.dx1,), dt, t),
+        lambda state, t: check_profile(state[0], flux, spec.dx1, dt, t),
         lambda k, state: ProfileState(spec, state[0], k * dt, ul=p0.ul, ur=p0.ur),
     )
 

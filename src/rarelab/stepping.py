@@ -12,7 +12,8 @@ removes the dt <= dx^2/2 diffusion constraint; the advective CFL number
 remains the only step-size restriction.  The x1 sweep, a Dirichlet solve
 on the truncated line, is `DiffusionSweep`; the torus directions'
 circulant sweeps are `periodic.TorusStepper`'s.  A step advances a tuple of
-arrays together (the cylinder solution and its two far-field sides).
+arrays together (the cylinder solution and its far field), and an array
+may stack fields that step alike (the far field's two sides).
 `step_schedule` fixes the steps and the records; `march`, the one loop
 of every solver, steps from t = 0, checks each new state and yields the
 records (a cylinder run's line march adds its hand-off step to each).
@@ -24,8 +25,9 @@ accuracy; the whole step is second order in dt and dx.
 Layout.  Wherever a field has an x1 axis, the kernels take it as the
 last, contiguous axis: the Dirichlet sweep runs along the last axis
 only, and `advective_rhs` bounds the last axis when it is given ghosts.
-The line and the profile have no other axis; a cylinder run marches its
-field x1-last, torus axes first.  Each torus stencil then reads whole
+The line and the profile have no other axis, but for a row each when a
+cylinder run steps them as one; a cylinder run marches its field
+x1-last, torus axes first.  Each torus stencil then reads whole
 contiguous blocks instead of a short strided axis, and dpttrs takes the
 sweep's right-hand side without a layout copy.  Torus fields have no x1
 axis and keep their own order.  The last axis of a field with more than
@@ -77,9 +79,10 @@ class DiffusionSweep:
     the ghost-cell values, held fixed over the sub-step, at the two ends.
     I - alpha T is symmetric positive definite and tridiagonal; its LDL^T
     factors come from LAPACK dpttrf when the sweep is built, and each
-    sweep is one dpttrs solve of every line at once.  A cylinder run factors
-    it once, for its window's x1 cells, which its profile and planar line
-    share.  The right-hand side is a C-ordered row per line.
+    sweep is one dpttrs solve of every line at once, each line bitwise
+    its own solve.  A cylinder run factors it once per window of x1
+    cells; its profile and planar line share the last window's.  The
+    right-hand side is a C-ordered row per line.
     Its neighbour adds run over all rows as one flat run, after which
     each row's end cells, which the flat adds reach across, are set to
     their own two terms, (1 - 2 alpha) u_0 + alpha u_1 and its mirror,
@@ -137,13 +140,17 @@ def _along(axis: int, start, stop) -> tuple:
 def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> np.ndarray:
     """-sum_i d/dx_i f_i(u) with conservative flux differencing.
 
-    Direction i has spacing spacings[i].  With ghosts=None every axis
-    wraps and axis i is direction i (torus solver).  `ghosts`, when
-    given, is a pair of arrays of shape (*transverse, 2) holding two
-    ghost layers at the low/high end of the last axis, which is then
-    direction 0 (x1) and bounded, while axis i wraps and is direction
-    i + 1 (the x1-last layout of the module docstring).  Directions are
-    summed in order, x1 first, whichever axis holds them.
+    Direction i has spacing spacings[i].  The leading axes beyond
+    len(spacings) are a batch of fields stepped as one (the far field's
+    two sides, a line and its profile), each bitwise its own call; the
+    axes after them hold the directions.  With ghosts=None every
+    direction wraps and direction i is the i-th of those axes (torus
+    solver).  `ghosts`, when given, is a pair of arrays of shape
+    (*transverse, 2) holding two ghost layers at the low/high end of the
+    last axis, which is then direction 0 (x1) and bounded, while the
+    others wrap, direction i + 1 on the i-th (the x1-last layout of the
+    module docstring).  Directions are summed in order, x1 first,
+    whichever axis holds them.
 
     Each direction's face fluxes come from `_face_flux`, which frees
     its padded copy and its reconstructions before it returns, and the
@@ -154,7 +161,7 @@ def advective_rhs(values: np.ndarray, flux: FluxSet, spacings, ghosts=None) -> n
     on the 20 x 1360 window of the 20 x 3200 one at 6.31
     (`tests/test_simulate_memory.py` bounds it).
     """
-    axes = range(values.ndim)
+    axes = range(values.ndim - len(spacings), values.ndim)
     if ghosts is not None:
         axes = (values.ndim - 1, *axes[:-1])
     out = None

@@ -188,6 +188,20 @@ class TestOneVerdictPath:
         for key, entry in verdicts.items():
             assert again[key] == entry, key
 
+    def test_rates_into_the_runs_own_directory_is_refused(self, tmp_path, capsys):
+        # a rates manifest there would replace the run's and lose its flag
+        code, out = simulate(tmp_path, TINY_SIMULATE)
+        assert code == 0
+        manifest, files = (out / "manifest.json").read_bytes(), sorted(out.iterdir())
+        cfg_path = tmp_path / "rates.cfg"
+        cfg_path.write_text(f"input = {out / 'norms.csv'}\n")
+        for where in (out, out / ".." / out.name):
+            assert cli.main(["rates", "--config", str(cfg_path), "--out", str(where)]) == 1
+            err = capsys.readouterr().err
+            assert "config error: --out " in err and "directory of the input table" in err
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert sorted(out.iterdir()) == files  # no rates artifact written either
+
     def test_main_rate_fits_the_exported_column(self, tmp_path):
         code, out = simulate(tmp_path, TINY_SIMULATE)
         assert code == 0
@@ -252,7 +266,7 @@ class TestExitCodes:
     def test_a_window_too_short_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
         # the profile's tangent data still holds 1.7e-3 of mass in 3 < |x1|
         # < 4, which its first record finds at the edge of a window of 4
-        monkeypatch.setattr(mdsolver, "cylinder_window", lambda config, x1, line: 4)
+        monkeypatch.setattr(mdsolver, "cylinder_window", lambda config, x1, line: lambda t: 4)
         code, out = simulate(tmp_path, TINY_SIMULATE)
         assert code == 2
         err = capsys.readouterr().err
@@ -780,6 +794,19 @@ class TestPeriodicDefaults:
         assert report["rate_2alpha"] == pytest.approx(8 * np.pi**2, rel=1e-3)
         series = (tmp_path / "out" / "periodic_series.csv").read_text().splitlines()
         assert len(series) > 10
+
+
+@pytest.mark.parametrize("snapshots, rows", [("0,1,2", [0.0, 1.0, 2.0, 4.0]),
+                                             ("geometric:1,3", [1.0, 3.0, 4.0])])
+def test_profile_reaches_its_t_end(tmp_path, snapshots, rows):
+    # snapshots that end before t_end: the march still records t_end last
+    text = TINY_PROFILE.replace("snapshots = 0,1,2,4", f"snapshots = {snapshots}")
+    assert run_cli(tmp_path, "profile", text) == 0
+    head, table = read_table(tmp_path / "out" / "profile_series.csv")
+    assert list(table[:, head.index("t")]) == pytest.approx(rows, abs=0.1)  # on the step grid
+    t_final = json.loads((tmp_path / "out" / "profile_summary.json").read_text())["t_final"]
+    assert t_final == table[-1, head.index("t")] == pytest.approx(4.0, rel=1e-15)
+    assert read_snapshot(tmp_path / "out" / "profile_final.field").t == t_final
 
 
 def test_profile_snapshot_keeps_the_configured_half_length(tmp_path):

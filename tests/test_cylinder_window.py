@@ -1,16 +1,20 @@
 """The cylinder window of `mdsolver.run`: the whole run, the cylinder,
 the profile, the line after a hand-off and every record, holds the x1
-cells of [-W, W] only, W = `cylinder_window`, and reads what lies beyond
-from the far field and the end states.  A windowed run must match the
-same run on the whole line (`cylinder_window` patched to return L):
-every norm column within 1e-14 but phi_l1 (1e-11, the roundoff mass the
-whole line holds outside the window) and tail_mass (1e-4, the golden
-gate's), the same hand-off and the same rate verdicts, also at t = 50,
-where the fan's viscous layer has spread.  A window without the data's
-support, one that a fast bump outruns, one that the line after a
-hand-off carries a bump past, or one sized by 6 sqrt(t) in place of
-`WINDOW_MARGIN` sqrt(t), trips the self-check of the march that leaves
-it, and with the check off it fails that comparison."""
+cells of a window only, and reads what lies beyond from the far field
+and the end states.  Step k of the cylinder march holds [-W, W],
+W = W(t_{k+1}) of `cylinder_window`, which grows with the reach; the
+profile and the line hold W(t_end).  A windowed run must match the same
+run on the whole line (`cylinder_window` patched to return L at every
+time, so that no step grows): every norm column within 1e-14 but phi_l1
+(1e-11, the roundoff mass the whole line holds outside the window) and
+tail_mass (1e-4, the golden gate's), the same hand-off and the same rate
+verdicts, also at t = 50, where the fan's viscous layer has spread.  A
+window without the data's support, one that a fast bump outruns, one
+that the line after a hand-off carries a bump past, one that grows by 6
+sqrt(t) in place of `WINDOW_MARGIN` sqrt(t), or one that grows by a
+smaller margin than the final window's, trips the self-check of the
+march that leaves it, and with the check off it fails that
+comparison."""
 
 import json
 import math
@@ -18,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from rarelab import cli, mdsolver
+from rarelab import cli, mdsolver, stepping
 from rarelab.domain import make_grid
 from rarelab.errors import NumericalAbort
 from rarelab.mdsolver import NORM_COLUMNS, WINDOW_MARGIN
@@ -72,7 +76,7 @@ def line_of(sc):
 
 
 def window_of(sc):
-    return mdsolver.cylinder_window(sc, *line_of(sc))
+    return mdsolver.cylinder_window(sc, *line_of(sc))(sc.t_end)
 
 
 def support(sc):
@@ -87,10 +91,39 @@ def reach(sc):
 
 
 def run_with_window(monkeypatch, sc, half):
+    """The run with the window rule patched to `half` at every time, or
+    with its own rule when `half` is None."""
+    return run_holding(monkeypatch, sc, half)[0]
+
+
+def run_holding(monkeypatch, sc, half):
+    """(`run_with_window`'s run, the x1 cells each cylinder step held)."""
+    held, strang_step = [], stepping.strang_step
+
+    def spy(state, dt, ndim, sweep, rhs):
+        if len(state[0]) == 2:  # the cylinder and its far field
+            held.append(state[0][0].shape[-1])
+        return strang_step(state, dt, ndim, sweep, rhs)
+
     with monkeypatch.context() as m:
+        m.setattr(stepping, "strang_step", spy)
         if half is not None:
-            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: half)
-        return mdsolver.run(sc, mdsolver.schedule(sc))
+            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: lambda t: half)
+        return mdsolver.run(sc, mdsolver.schedule(sc)), held
+
+
+def grown_by(margin):
+    """A window rule that grows by `margin` sqrt(t) in place of
+    `WINDOW_MARGIN` sqrt(t) and ends on the rule's own W(t_end)."""
+    rule = mdsolver.cylinder_window
+
+    def short(config, x1, line):
+        final = rule(config, x1, line)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mdsolver, "WINDOW_MARGIN", margin)
+            early = rule(config, x1, line)
+        return lambda t: final(t) if t >= config.t_end else early(t)
+    return short
 
 
 def statuses(series):
@@ -112,21 +145,37 @@ def departures(run, ref) -> list[str]:
 
 class TestEquivalence:
     @pytest.mark.parametrize("text, never", [(WINDOWED, False), (WINDOWED, True), (CUBIC, False),
-                                             (LATE, True), (FAR_BUMP, False)],
-                             ids=["hands-off", "never-hands-off", "cubic", "late", "far-bump"])
+                                             (LATE, False), (LATE, True), (FAR_BUMP, False)],
+                             ids=["hands-off", "never-hands-off", "cubic", "late-hands-off",
+                                  "late", "far-bump"])
     def test_the_window_matches_the_whole_line(self, monkeypatch, text, never):
         sc = config(text)
         if never:
             monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
-        run = run_with_window(monkeypatch, sc, None)
-        ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
+        run, grown = run_holding(monkeypatch, sc, None)
+        ref, whole = run_holding(monkeypatch, sc, round(sc.spec.L))
         half = window_of(sc)
         assert half < sc.spec.L
         assert run[1]["cylinder_window"] == dict(L=half, n1=round(2 * half / sc.spec.dx1))
         assert ref[1]["cylinder_window"] == dict(L=sc.spec.L, n1=sc.spec.n1)
+        # the reference steps the whole line at every step; the run grows
+        assert whole and set(whole) == {sc.spec.n1}
+        assert grown[0] < grown[-1] <= 2 * half * round(1 / sc.spec.dx1)
         assert (run[1]["planar_at"] is None) == never
         assert departures(run, ref) == []
         assert run[1]["max_courant"] == pytest.approx(ref[1]["max_courant"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("text", [WINDOWED, FAR_BUMP], ids=["hands-off", "far-bump"])
+    def test_step_k_holds_the_window_of_its_end(self, monkeypatch, text):
+        sc = config(text)
+        steps, dt, _ = mdsolver.schedule(sc)
+        (_, checks), held = run_holding(monkeypatch, sc, None)
+        at = checks["planar_at"]
+        assert len(held) == (steps if at is None else at["step"])
+        rule, m1 = mdsolver.cylinder_window(sc, *line_of(sc)), round(1 / sc.spec.dx1)
+        widths = [min(rule((k + 1) * dt), rule(sc.t_end)) for k in range(len(held))]
+        assert held == [2 * w * m1 for w in widths]
+        assert widths[0] < widths[-1]
 
     @pytest.mark.parametrize("text, short, march", [
         (FAR_BUMP, lambda sc: math.ceil(reach(sc)), "cylinder"),
@@ -151,15 +200,35 @@ class TestEquivalence:
 
     def test_the_fan_outruns_a_window_of_six_sqrt_t(self, monkeypatch):
         # the margin a 1e-5 sup error needs, not the TAIL_FLOOR the check
-        # enforces: the profile's viscous layer reaches the window's edge
+        # enforces: the fan's viscous layer reaches the growing window's
+        # edge, which the check of a widening finds between two records
         sc = config(LATE)
         monkeypatch.setattr(mdsolver, "PLANAR_TOL", 0.0)
         monkeypatch.setattr(mdsolver, "WINDOW_MARGIN", 6.0)
         assert window_of(sc) == 87
         with pytest.raises(NumericalAbort) as exc:
             mdsolver.run(sc, mdsolver.schedule(sc))
-        assert exc.value.reason == "window" and exc.value.t == sc.t_end
-        assert exc.value.detail.startswith("the profile's left edge, 86 < |x1| < 87,")
+        assert exc.value.reason == "window" and 40 < exc.value.t < 45
+        assert exc.value.detail.startswith("the cylinder's left edge, 80 < |x1| < 81,")
+
+    def test_a_window_that_grows_too_slowly_is_caught(self, monkeypatch):
+        # a bump far from the fan spreads past a window grown by 2 sqrt(t),
+        # though the window it ends on holds it
+        sc = config(FAR_BUMP)
+        with monkeypatch.context() as m:
+            m.setattr(mdsolver, "cylinder_window", grown_by(2.0))
+            with pytest.raises(NumericalAbort) as exc:
+                mdsolver.run(sc, mdsolver.schedule(sc))
+        assert exc.value.reason == "window" and exc.value.t < sc.t_end
+        assert exc.value.detail.startswith("the cylinder's right edge, ")
+        # with the self-check off the run completes and departs from the
+        # whole line; its edge mass stays below the truncation flag's tolerance
+        ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
+        monkeypatch.setattr(mdsolver, "TAIL_FLOOR", math.inf)
+        monkeypatch.setattr(mdsolver, "cylinder_window", grown_by(2.0))
+        slow = mdsolver.run(sc, mdsolver.schedule(sc))
+        assert slow[1]["cylinder_window"]["L"] == window_of(sc)
+        assert "phi_l1" in departures(slow, ref)
 
 
 class TestBeyondTheWindow:
@@ -167,9 +236,11 @@ class TestBeyondTheWindow:
         # |u - p|_inf at every record and tau at the hand-off are those of
         # the whole line built from the window's states, the far field's
         # rows beyond the cylinder, the far-field means beyond the line and
-        # the end states beyond the profile, bit for bit
+        # the end states beyond the profile, bit for bit; the cylinder's
+        # window grows, so the profile's periods beyond it count too
         sc = config(WINDOWED)
-        spec, seen, profiles = sc.spec, [], []
+        spec, snap = sc.spec, mdsolver.schedule(sc)[2]
+        seen, profiles = [], []
         evolve, march = mdsolver.evolve_profile, mdsolver.march
 
         def evolve_spy(*args):
@@ -178,8 +249,12 @@ class TestBeyondTheWindow:
                 yield prof
 
         def march_spy(state, plan, ndim, sweep, rhs, check, keep):
-            return march(state, plan, ndim, sweep, rhs, check,
-                         lambda k, st: seen.append([s.copy() for s in st]) or keep(k, st))
+            def kept(k, st):  # (the run's step, the state) at a record or a segment's end
+                out = keep(k, st)
+                if out[0] in snap:
+                    seen.append([s.copy() for s in out[1]])
+                return out
+            return march(state, plan, ndim, sweep, rhs, check, kept)
 
         monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
         monkeypatch.setattr(mdsolver, "march", march_spy)
@@ -188,11 +263,12 @@ class TestBeyondTheWindow:
         m1 = round(1 / spec.dx1)
         at = checks["planar_at"]
         assert off > 0 and at is not None and len(seen) == series["t"].size
-        beyond = np.arange(off) % m1
-        far = None
-        for i, (state, prof) in enumerate(zip(seen, profiles)):
-            if len(state) == 3:  # the cylinder and its far-field sides
-                march_v, wl, wr = state
+        far, offsets = None, set()
+        for i, state in enumerate(seen):
+            if len(state) == 2:  # the cylinder and its far field
+                march_v, (wl, wr) = state
+                beyond = np.arange((spec.n1 - march_v.shape[-1]) // 2) % m1
+                offsets.add(beyond.size)
                 v = np.concatenate((wl[beyond], np.moveaxis(march_v, -1, 0), wr[beyond]))
                 if series["t"][i] == at["t"]:
                     torus = np.mean(v, axis=1, keepdims=True)
@@ -200,12 +276,14 @@ class TestBeyondTheWindow:
                               *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
                     assert tau == at["tau"]
                     far = [float(np.mean(w)) for w in (wl, wr)]
-            else:  # the line, beyond the window the far-field means
-                v = np.concatenate((np.full(off, far[0]), state[0], np.full(off, far[1])))
-                v = v[:, None]
+                prof = profiles[i]
+            else:  # the line and the profile; beyond the window the far-field means
+                line, prof = state[0]
+                v = np.concatenate((np.full(off, far[0]), line, np.full(off, far[1])))[:, None]
             p = np.concatenate((np.full(off, sc.ul), prof, np.full(off, sc.ur)))
             assert series["u_minus_profile_linf"][i] == np.max(np.abs(v - p[:, None]))
         assert far is not None and series["t"][-1] > at["t"]
+        assert len(offsets) > 1 and min(offsets) > off  # it grew, short of the profile's window
 
 
 class TestRule:

@@ -1,6 +1,8 @@
 """One norm row for both phases of `mdsolver.run`: each record measures
-u against the profile it pulled from `evolve_profile`'s stream, tiled
-over the torus; the phi columns come from `rates.PHI_SERIES`."""
+u against the profile at its time, tiled over the torus: the one it
+pulled from `evolve_profile`'s stream on the cylinder, and the profile
+row of the line march after the hand-off; the phi columns come from
+`rates.PHI_SERIES`."""
 
 import numpy as np
 
@@ -18,18 +20,31 @@ def config(**kw):
 
 
 def spied_run(monkeypatch, sc):
-    """(the run's (series, checks), the profile each record pulled, the state each record saw)."""
+    """(the run's (series, checks), the profile each record measured u
+    against, the state u of each record): the profile pulled from
+    `evolve_profile`'s stream at a cylinder record, the line march's
+    profile row at a line record."""
     profiles, states = [], []
+    snap = mdsolver.schedule(sc)[2]
     evolve, march = mdsolver.evolve_profile, mdsolver.march
 
     def evolve_spy(*args, **kw):
         for prof in evolve(*args, **kw):
-            profiles.append(prof)
+            profiles.append(prof.values)
             yield prof
 
     def march_spy(state, plan, ndim, sweep, rhs, check, keep):
-        return march(state, plan, ndim, sweep, rhs, check,
-                     lambda k, s: states.append(s[0].copy()) or keep(k, s))
+        def kept(k, s):  # (the run's step, the state) at a record or a segment's end
+            out = keep(k, s)
+            if out[0] in snap:
+                if len(s) == 1:  # [line; profile]
+                    line, prof = s[0]
+                    states.append(line.copy())
+                    profiles.append(prof.copy())
+                else:
+                    states.append(s[0].copy())
+            return out
+        return march(state, plan, ndim, sweep, rhs, check, kept)
 
     monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
     monkeypatch.setattr(mdsolver, "march", march_spy)
@@ -46,7 +61,7 @@ class TestAgainstTheProfileItself:
         assert len(profiles) == len(states) == series["t"].size
         for got, prof, u in zip(series["u_minus_profile_linf"], profiles, states):
             u = np.moveaxis(u, -1, 0)  # the march holds the cylinder x1-last
-            tiled = prof.values.reshape((-1,) + (1,) * (u.ndim - 1))
+            tiled = prof.reshape((-1,) + (1,) * (u.ndim - 1))
             assert got == np.max(np.abs(u - tiled))
 
     def test_an_undisturbed_run_reads_zero_at_every_record(self):

@@ -73,16 +73,19 @@ class TestEquivalence:
 class TestStepCount:
     def test_the_line_calls_check_cfl_once_per_step(self, monkeypatch):
         # the benchmark counts steps as calls of mdsolver's check_cfl binding,
-        # and the line phase keeps passing the cylinder's spacings
+        # and the line phase keeps passing the cylinder's spacings and the
+        # line row alone, so the reported Courant number is the line's
         sc = config(TINY_2D)
         calls, check_cfl = [], mdsolver.check_cfl
         monkeypatch.setattr(mdsolver, "check_cfl",
-                            lambda *args: calls.append(args[2]) or check_cfl(*args))
+                            lambda *args: calls.append(args[0].shape + args[2]) or check_cfl(*args))
         steps, _, _ = plan = mdsolver.schedule(sc)
         at = mdsolver.run(sc, plan)[1]["planar_at"]
         assert at is not None and at["step"] < steps
         assert len(calls) == steps
-        assert set(calls) == {(sc.spec.dx1, *sc.spec.dx_torus)}
+        spacings = (sc.spec.dx1, *sc.spec.dx_torus)
+        assert calls == [(*sc.spec.n_torus, sc.spec.n1, *spacings)] * at["step"] + [
+            (sc.spec.n1, *spacings)] * (steps - at["step"])
 
 
 class TestOneDirichletOperator:
@@ -143,6 +146,35 @@ class TestLineClock:
             mdsolver.run(sc, mdsolver.schedule(sc))
         assert info.value.reason == "cfl"
         assert info.value.t == pytest.approx((k0 + j + 1) * dt, rel=1e-15)
+
+
+    def test_a_nan_in_the_profile_row_aborts_at_the_runs_time(self, monkeypatch):
+        # the line march checks the profile row as the profile's own march
+        # does, though the run's counted check reads the line row alone
+        sc = config(TINY_2D)
+        steps, dt, _ = plan = mdsolver.schedule(sc)
+        k0, j = mdsolver.run(sc, plan)[1]["planar_at"]["step"], 3
+        calls, lines, pinned_line, check_cfl = [], [], mdsolver.pinned_line, mdsolver.check_cfl
+
+        def nan_profile_after_j_steps(*args):
+            sweep, rhs = pinned_line(*args)
+
+            def nan_rhs(state):
+                (k,) = rhs(state)
+                calls.append(1)
+                if len(calls) > 2 * j:
+                    k[1] = np.nan
+                return (k,)
+            return sweep, nan_rhs
+
+        monkeypatch.setattr(mdsolver, "pinned_line", nan_profile_after_j_steps)
+        monkeypatch.setattr(mdsolver, "check_cfl",
+                            lambda v, *args: lines.append(v.copy()) or check_cfl(v, *args))
+        with pytest.raises(NumericalAbort) as info:
+            mdsolver.run(sc, mdsolver.schedule(sc))
+        assert info.value.reason == "cfl" and "not finite" in info.value.detail
+        assert info.value.t == pytest.approx((k0 + j + 1) * dt, rel=1e-15)
+        assert lines[-1].ndim == 1 and np.all(np.isfinite(lines[-1]))
 
 
 class TestLockstepProfile:

@@ -49,6 +49,7 @@ a Burgers flux squared in its own buffer took the kernel on the
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False,
     strang_step, peaks, cells = stepping.strang_step, [], []
 
     def measured(held, step):
-        if len(held[0]) < 3:  # the profile's (line,) state
+        if len(held[0]) < 2:  # the profile's (line,) state
             return step()
         cells.append(held[0][0].shape[-1])
         nbytes = held[0][0].nbytes
@@ -128,7 +129,7 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False,
     with monkeypatch.context() as m:
         m.setattr(stepping, "strang_step", by_star if star else by_name)
         if not windowed:
-            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: round(spec.L))
+            m.setattr(mdsolver, "cylinder_window", lambda config, x1, line: lambda t: round(spec.L))
         tracemalloc.start()
         try:
             checks = mdsolver.run(sc, plan)[1]
@@ -142,27 +143,35 @@ def step_peak(monkeypatch, spec: DomainSpec, modes, star: bool = False,
 def record_peaks(monkeypatch, spec: DomainSpec, modes) -> tuple[float, float]:
     """(the whole record, its `assemble_bundle`), the peaks of a windowed
     one-step run's record at t_end beyond what was held before each, in
-    units of one field on the whole line; the whole run is traced."""
+    units of one field on the whole line; the whole run is traced.  The
+    march yields (step, state) to the run, which records the state before
+    it asks for the next, so the record is what the run does between."""
     sc = one_step_config(spec, modes, snapshot_times=(0.005,))
+    plan = mdsolver.schedule(sc)
     march, assemble_bundle, peaks = mdsolver.march, mdsolver.assemble_bundle, {}
+    field = 8 * np.prod(spec.shape)
 
     def traced(key, fn, *args):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         out = fn(*args)
-        peaks[key] = (tracemalloc.get_traced_memory()[1] - before) / (8 * np.prod(spec.shape))
+        peaks[key] = (tracemalloc.get_traced_memory()[1] - before) / field
         return out
 
     def march_spy(state, plan, ndim, sweep, rhs, check, keep):
-        return march(state, plan, ndim, sweep, rhs, check,
-                     lambda k, st: traced("record", keep, k, st))
+        for item in march(state, plan, ndim, sweep, rhs, check, keep):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            yield item
+            if item[0] in plan[2]:
+                peaks["record"] = (tracemalloc.get_traced_memory()[1] - before) / field
 
     monkeypatch.setattr(mdsolver, "march", march_spy)
     monkeypatch.setattr(mdsolver, "assemble_bundle",
                         lambda *args: traced("bundle", assemble_bundle, *args))
     tracemalloc.start()
     try:
-        checks = mdsolver.run(sc, mdsolver.schedule(sc))[1]
+        checks = mdsolver.run(sc, plan)[1]
     finally:
         tracemalloc.stop()
     assert checks["cylinder_window"]["n1"] < spec.n1
@@ -221,6 +230,39 @@ def test_a_forwarded_step_frees_the_state_it_is_handed(monkeypatch):
     # only because the step pops it from the list the tuple holds
     assert step_peak(monkeypatch, CYLINDER, MODES, star=True) == pytest.approx(
         step_peak(monkeypatch, CYLINDER, MODES), abs=0.1)
+
+
+def widening_peak(monkeypatch, spec: DomainSpec, modes) -> float:
+    """The peak of a run's one widening of the cylinder's window beyond what
+    was held before it, in units of the cylinder field it widens: a run on
+    `CYLINDER` to t = 0.03 steps [-20, 20], then [-21, 21]."""
+    sc = replace(one_step_config(spec, modes), t_end=0.03)
+    widen, peaks, cells = mdsolver._widen, [], []
+
+    def traced(v, far, periods):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = widen(v, far, periods)
+        peaks.append((tracemalloc.get_traced_memory()[1] - before) / v.nbytes)
+        cells.append((v.shape[-1], out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(mdsolver, "_widen", traced)
+    tracemalloc.start()
+    try:
+        mdsolver.run(sc, mdsolver.schedule(sc))
+    finally:
+        tracemalloc.stop()
+    m1 = round(1 / spec.dx1)
+    assert cells == [(40 * m1, 42 * m1)]
+    return peaks[0]
+
+
+def test_a_widening_stays_below_the_step(monkeypatch):
+    # the widened field and the far field's periods it takes on, 1.1 fields
+    peak = widening_peak(monkeypatch, CYLINDER, MODES)
+    assert peak < 1.6
+    assert peak < step_peak(monkeypatch, CYLINDER, MODES, windowed=True)
 
 
 def test_a_burgers_record_stays_below_the_step(monkeypatch):
