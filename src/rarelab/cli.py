@@ -395,7 +395,7 @@ def _exp_simulate(out: _Outputs, sc: SolverConfig, plan, window) -> tuple[dict, 
 
 def _profile_inputs(cfg: dict[str, str]):
     """(initial state, flux, plan) of a profile config: the run's step
-    schedule, which records t_end and must record a snapshot after t = 0."""
+    schedule, which records t_end."""
     t_end = _number(cfg, "t_end", "100")
     p0 = make_initial_state(_number(cfg, "L", "120", finite=False), _number(cfg, "n1", "4800", int),
                             _number(cfg, "ul", "-0.5"), _number(cfg, "ur", "0.5"))

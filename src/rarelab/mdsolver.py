@@ -29,8 +29,9 @@ at the start, and each record takes the window's field x1-first (see
 hand-off's torus average all read: a torus mean over the transposed
 view rounds differently, and every `Field` and artifact keeps the
 x1-first layout.  Each cylinder record pulls the next profile from
-`evolve_profile`'s march of the run's own plan, so the profile sits at
-the record's time and one profile is held.  Both phases build their
+`evolve_profile`'s march of its segment's plan (see "Cylinder window"),
+so the profile sits at the record's time and one profile is held.  Both
+phases build their
 norm row in one place: a column per `rates.PHI_SERIES` entry of phi = u
 - u_tilde, and |u - p|_inf against that profile p itself, tiled over
 the torus.
@@ -46,25 +47,28 @@ states), and at WINDOW_MARGIN sqrt(t) a unit heat kernel's tail is
 `TAIL_FLOOR`, the floor the self-check below enforces.  W is whole
 unit periods, so a window's ghost cells and Dirichlet data are the
 line's, and its grid, the `DomainSpec` of half-length W, has the line's
-dx1.  The cylinder's window grows with the reach: step k holds
-W(t_{k+1}), and each window is a segment of the march, with its own
-Dirichlet factorization.  Between two segments the run first takes the
-cylinder's edge mass against the far field, as a record does, then
-widens the field by whole periods of the far field's rows, which by
-`far_field_grid`'s row map are what the cylinder holds there.  The
-profile, from the window's slice of the whole line's tangent data
-(bitwise the same data there), its ends at ul and ur, and after a
-hand-off the line, its ends at the far-field means, hold the last
-window, W(t_end), which the manifest reports.  Each record is built on
-the cylinder's window alone, with the profile sliced to it: the ansatz,
-phi, the norm row and tau.  Beyond that window the cylinder is the far
-field's rows and the profile its end states to `TAIL_FLOOR`, so the
-ansatz there is the far-field side and phi is 0 to roundoff: the
-window's norms are the whole line's up to the order of the sums.  What
-lies beyond keeps its part in the rest: |u - p|_inf and tau take the
-larger of the window's value and the far field's, for |u - p|_inf the
-far field's rows against the profile's periods beyond the cylinder's
-window and beyond the profile's max|w - ul| and max|w - ur| (on the
+dx1.  The window grows with the reach: step k of every march, the
+cylinder's, its profile's and, after the hand-off, the line's, holds
+W(t_{k+1}), capped at W(t_end), the last window, which the manifest
+reports.  One loop carries the run over the window segments, the steps
+that hold one window.  A segment first takes the edge mass of each
+array it is handed at the old width, as a record does, then widens it
+by whole periods of what lies beyond (`_widen`): the cylinder by the
+far field's rows, which by `far_field_grid`'s row map are what it holds
+there, the profile by ul and ur, and the [line; profile] pair by the
+far-field means and ul and ur, one array for both rows.  It then builds
+the window's one Dirichlet factorization, which every array of the
+segment steps on, and marches; the profile's march, from the first
+window's slice of the whole line's tangent data (bitwise the same data
+there), takes that segment's plan beside the cylinder's, and each march
+counts time from its segment's start.  Each record is built on the
+window alone: the ansatz, phi, the norm row and tau.  Beyond it the
+cylinder is the far field's rows and the profile its end states to
+`TAIL_FLOOR`, so the ansatz there is the far-field side and phi is 0 to
+roundoff: the window's norms are the whole line's up to the order of
+the sums.  What lies beyond keeps its part in the rest: |u - p|_inf and
+tau take the larger of the window's value and the far field's, for
+|u - p|_inf max|w - ul| and max|w - ur| of the far field's rows (on the
 line, the far-field means' distance from them) and, for tau, each
 side's torus part; the tail mass keeps the outer decade of [-L, L] and
 reads 0 where it lies beyond the window.  Where W(t) = L at every step
@@ -75,8 +79,10 @@ the cylinder or the line take their edge mass (`domain.edge_mass`)
 against what lies beyond their pinned ends (ul and ur, the far-field
 rows, the far-field means), and the run reports the largest and the
 first record above `domain.EDGE_TOL`.  On a window, a side's edge mass
-above `TAIL_FLOOR`, phi's roundoff floor, aborts the run ("window"): a
-mass, since the Dirichlet solves leave ulp-sized deviations there.
+above `TAIL_FLOOR`, phi's roundoff floor, at a record or a widening,
+aborts the run ("window"), the cylinder's or the line's sides judged
+before the profile's: a mass, since the Dirichlet solves leave
+ulp-sized deviations there.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -86,16 +92,16 @@ cylinder march measures tau, the larger of max|v - A v| on the cylinder
 side, which must be constant, not only planar: a mode with only k_1
 nonzero is planar on the cylinder from t = 0, but its far field still
 moves the Dirichlet data.  A record with tau below `PLANAR_TOL` returns
-the line's start state beside its norm row, and `run` stops the
-cylinder march there.  A second, 1-d march takes the plan's remaining
-steps from that record's torus average, padded with the far-field means
-out to W(t_end), and the record's profile, as one (2, n) state [line;
-profile]: one `profile1d.pinned_line` step for both rows, the line's
-ends at the far-field means and the profile's at ul and ur, its
-diffusion the profile's x1 sweep, each row bitwise its own 1-d march.
-Its check reads the line row with `check_cfl`, once per step as on the
-cylinder, and the profile row with `profile1d.check_profile`, as the
-profile's own march did.  The line is the cylinder state to roundoff
+the line's start state beside its norm row, and ends its segment there:
+the state becomes that record's torus average and its profile, on the
+same window, as one (2, n) state [line; profile], and the segment loop
+goes on with the plan's remaining steps.  A line segment takes one
+`profile1d.pinned_line` step for both rows, the line's ends at the
+far-field means and the profile's at ul and ur, its diffusion the
+segment's x1 sweep, each row bitwise its own 1-d march.  Its check
+reads the line row with `check_cfl`, once per step as on the cylinder,
+and the profile row with `profile1d.check_profile`, as the profile's
+own march did.  The line is the cylinder state to roundoff
 and stays so: a planar state with constant Dirichlet data takes a
 Strang step whose torus sweeps and torus fluxes do nothing.  Line
 records are the cylinder records of a planar field: the torus has
@@ -289,14 +295,13 @@ def cylinder_window(config: SolverConfig, x1: np.ndarray,
     return lambda t: min(L, math.ceil(support + (speed * t + margin * math.sqrt(t))))
 
 
-def _widen(v: np.ndarray, far: np.ndarray, periods: int) -> np.ndarray:
-    """The x1-last cylinder field v with `periods` unit periods added on
-    each side of its x1 window, from the far field `far` (its left and
-    right sides, x1-first): by `far_field_grid`'s row map each period's x1
-    cells are its side's rows 0 .. m1 - 1 in order, which is what the
-    cylinder holds there."""
-    left, right = (np.tile(np.moveaxis(side, 0, -1), periods) for side in far)
-    return np.concatenate((left, v, right), axis=-1)
+def _widen(a: np.ndarray, left: np.ndarray, right: np.ndarray, periods: int) -> np.ndarray:
+    """The x1-last array `a` with `periods` unit periods added on each side
+    of its x1 window, where `left` and `right`, x1-last too, are one period
+    of what lies beyond each side: for the cylinder its far field's rows
+    0 .. m1 - 1 in order, which by `far_field_grid`'s row map are what the
+    cylinder holds there, and for the profile and the line their ends."""
+    return np.concatenate((np.tile(left, periods), a, np.tile(right, periods)), axis=-1)
 
 
 def run(config: SolverConfig, plan) -> tuple[dict, dict]:
@@ -314,13 +319,12 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     `boundary_mismatch` is measured only before the hand-off, while the
     far field exists.  `planar_at` is {"step", "t", "tau"} of the record
     after which the run marched the line, or None when it never handed
-    off.  `cylinder_window` is {"L", "n1"}, the half-length W(t_end) and
-    the x1 cells of the window that the profile, the line and the
-    cylinder's last steps held (module docstring), W = L on a line no
-    longer than the data's support and the reach.  `edge_mass` and
-    `truncated_at` are `domain.truncation` of the records.  A record or
-    a widening at which a march has carried mass to the window's edge
-    raises `NumericalAbort` "window"."""
+    off.  `cylinder_window` is {"L", "n1"}, the half-length and the x1
+    cells of the last window the run held, W(t_end) (module docstring),
+    W = L on a line no longer than the data's support and the reach.
+    `edge_mass` and `truncated_at` are `domain.truncation` of the
+    records.  A record or a widening at which a march has carried mass
+    to the window's edge raises `NumericalAbort` "window"."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
@@ -344,22 +348,15 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     lo_rows, hi_rows = far_rows[:2], far_rows[-2:]
     m1, L = tspec.sizes[0], round(spec.L)
 
-    # step k of the cylinder march holds W(t_{k+1}), at most W(t_end), the
-    # window the profile and the line hold.  A window's ghost cells lie on
-    # the line's ghost rows and its outermost period on each side on the far
-    # field's rows in order; W = L keeps the line's own L.
+    # step k holds W(t_{k+1}), at most W(t_end): the cylinder and its
+    # profile, or after the hand-off the line and the profile.  A window's
+    # ghost cells lie on the line's ghost rows and its outermost period on
+    # each side on the far field's rows in order; W = L keeps the line's own L.
     rule = cylinder_window(config, grid.x1, line)
     W = rule(config.t_end)
 
     def width_at(k):
         return min(rule((k + 1) * dt), W)
-
-    # each window is a segment of the march, steps a .. b - 1 between two
-    # bounds, found by bisection, since the window never shrinks
-    segments = [0]
-    while segments[-1] < steps:
-        segments.append(bisect_right(range(steps), width_at(segments[-1]), key=width_at,
-                                     lo=segments[-1] + 1))
 
     def window(width):
         """(the line's x1 cells of [-width, width], the cylinder grid on them)"""
@@ -367,26 +364,23 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         return (slice(off, spec.n1 - off),
                 replace(spec, L=spec.L - (L - width), n1=spec.n1 - 2 * off))
 
-    cells, wspec = window(W)
-    off = cells.start
-    lspec = DomainSpec(n=1, L=wspec.L, n1=wspec.n1)  # the profile's and the line's x1 line
+    def line_of(width):
+        """the x1 line of [-width, width], the profile's and the line's grid"""
+        wspec = window(width)[1]
+        return DomainSpec(n=1, L=wspec.L, n1=wspec.n1)
 
-    # one Dirichlet sweep per window: the last one's is the profile's too,
-    # which is pulled at each cylinder record from its march of the run's plan
-    sweeps = {W: DiffusionSweep(wspec.n1, spec.dx1, dt / 2.0)}
-    profiles = evolve_profile(ProfileState(lspec, tangent[cells], ul=ul, ur=ur), flux, plan,
-                              sweeps[W])
-
-    # initial data: the first step's window of the line data + modes
+    # initial data: the first step's window of the line data + modes, and of
+    # the tangent data, the profile's
     first, fspec = window(width_at(0))
     col = (-1,) + (1,) * (spec.n - 1)
     u = np.broadcast_to(line[first].reshape(col), fspec.shape).copy()
     u = u + trig_polynomial(config.w0_modes, (grid.x1[first], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
+    prof = tangent[first]
 
     # a cylinder state is (cylinder, far field); a line state is ([line; profile],)
     checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
-                  planar_at=None, cylinder_window=dict(L=W, n1=wspec.n1))
+                  planar_at=None, cylinder_window=dict(L=W, n1=window(W)[1].n1))
     torus_axes = tuple(range(1, spec.n))
 
     def cylinder_sweep(dirichlet):
@@ -426,39 +420,45 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                                                 float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
+    def check_line(state, t, width):
+        line, prof = state[0]
+        check((line, *means) if width < L else (line,), t)
+        check_profile(prof, flux, spec.dx1, dt, t)
+
     edges = []  # (t, edge mass) of each record
 
-    def edge(name, values, beyond, vol, width, t):
-        """The larger side's edge mass of march `name`, x1-first `values` on
-        [-width, width] with `beyond` past its ends; above `TAIL_FLOOR` on
-        a window short of the line, the run aborts."""
-        masses = edge_mass(values, beyond, m1, vol)
-        for side, mass in zip(("left", "right"), masses):
-            if width < L and mass > TAIL_FLOOR:
-                raise NumericalAbort("window", t, (
-                    f"the {name}'s {side} edge, {width - 1} < |x1| < {width}, differs from what "
-                    f"lies beyond the window by {mass:.3e} in mass, above {TAIL_FLOOR:.0e}"))
-        return max(masses)
+    def edge(state, prof, width, t):
+        """The larger edge mass of what a state holds on [-width, width],
+        x1-first: the profile `prof` against ul and ur, and the cylinder
+        against the far field's rows or, after the hand-off, the line
+        against the far-field means.  A side above `TAIL_FLOOR` on a window
+        short of the line aborts the run, the march's sides judged first."""
+        masses = {"profile": edge_mass(prof, (ul, ur), m1, spec.dx1)}
+        if means is None:
+            masses["cylinder"] = edge_mass(np.moveaxis(state[0], -1, 0), state[1], m1, volume)
+        else:
+            masses["line"] = edge_mass(state[0][0], means, m1, spec.dx1)
+        for name in reversed(masses):
+            for side, mass in zip(("left", "right"), masses[name]):
+                if width < L and mass > TAIL_FLOOR:
+                    raise NumericalAbort("window", t, (
+                        f"the {name}'s {side} edge, {width - 1} < |x1| < {width}, differs from "
+                        f"what lies beyond the window by {mass:.3e} in mass, above "
+                        f"{TAIL_FLOOR:.0e}"))
+        return max(max(sides) for sides in masses.values())
 
-    def sample(grid, v, ansatz, h, prof, far, bands):
-        """The norm row of state v on `grid`, the window of the cylinder or
-        of the line, with perturbation phi = v - ansatz, ansatz defect h
-        (None on the line: it is 0) and profile prof; v, the ansatz and h
-        are plain arrays.  Beyond the window lie `far`, the left and right
-        far field, against `bands`, the profile's whole periods between
-        the window and its own on each side, and beyond those the end
-        states."""
-        t = prof.t
+    def sample(grid, t, v, ansatz, h, prof, far):
+        """The norm row at time t of state v on `grid`, the window of the
+        cylinder or of the line, with perturbation phi = v - ansatz, ansatz
+        defect h (None on the line: it is 0) and profile prof, all plain
+        arrays.  Beyond a window short of the line lie `far`, the left and
+        right far field or its means, against the profile's end states."""
         phi = Field(grid, v - ansatz, t)
         fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
-        tiled = prof.values.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
+        tiled = prof.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
         linf = float(np.max(np.abs(v - tiled)))
-        for w, band, end in zip(far, bands, (ul, ur)):
-            if band.size:  # a period per row, each against the far field's rows
-                band = band.reshape((-1, m1) + tiled.shape[1:])
-                linf = max(linf, float(np.max(np.abs(w - band))))
-            if off:
-                linf = max(linf, float(np.max(np.abs(w - end))))
+        if grid.n1 < spec.n1:
+            linf = max(linf, *(float(np.max(np.abs(w - end))) for w, end in zip(far, (ul, ur))))
         return dict(t=t, **{name: lp_norm(fields[which], p)
                             for name, (which, p) in PHI_SERIES.items()},
                     u_minus_profile_linf=linf,
@@ -468,20 +468,15 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     def torus_part(a):
         return float(np.max(np.abs(a - np.mean(a, axis=torus_axes, keepdims=True))))
 
-    def record(k, state, width):
+    def record(k, state, prof, width):
         """(norm row, the line's start state and the far-field means if
-        record k hands off, else None) of a cylinder state on [-width, width]"""
+        record k hands off, else None) of a cylinder state on [-width,
+        width] and its profile `prof`, pulled from the segment's march"""
         march_v, far = state
         v = np.ascontiguousarray(np.moveaxis(march_v, -1, 0))  # x1-first, as every reader takes it
-        prof = next(profiles)
-        t = prof.t
-        edges.append((t, max(edge("profile", prof.values, (ul, ur), spec.dx1, W, t),
-                             edge("cylinder", v, far, volume, width, t))))
-        # the profile on the cylinder's window, and its periods beyond it
-        o, vspec = (W - width) * m1, window(width)[1]
-        here = prof if not o else ProfileState(DomainSpec(n=1, L=vspec.L, n1=vspec.n1),
-                                               prof.values[o:-o], t, ul=ul, ur=ur)
-        ansatz, h = assemble_bundle(far, here, flux, vspec)
+        t, vspec = k * dt, window(width)[1]
+        edges.append((t, edge(state, prof.values, width, t)))
+        ansatz, h = assemble_bundle(far, replace(prof, t=t), flux, vspec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
         # cross-check it against a coordinate-based lookup of the torus grid
         for w, idx, row in ((far[0], -1, lo_rows[1]), (far[1], vspec.n1, hi_rows[0])):
@@ -494,76 +489,72 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         # the last record has no step left to hand off
         tau = max(torus_part(v), *(float(np.max(np.abs(w - np.mean(w)))) for w in far),
                   *(torus_part(w) for w in far if width < L))
-        line = None
+        handoff = None
         if tau < PLANAR_TOL and k < steps:
-            # the line on the profile's window: the torus mean, beyond the
-            # cylinder's window the far-field means
             checks["planar_at"] = dict(step=k, t=t, tau=tau)
-            means = tuple(float(np.mean(w)) for w in far)
-            line = np.stack((np.pad(np.mean(v, axis=torus_axes), o, constant_values=means),
-                             prof.values)), means
-        bands = (prof.values[:o], prof.values[prof.values.size - o:])
-        return sample(vspec, v, ansatz, h, here, far, bands), line
+            handoff = ((np.stack((np.mean(v, axis=torus_axes), prof.values)),),
+                       tuple(float(np.mean(w)) for w in far))
+        return sample(vspec, t, v, ansatz, h, prof.values, far), handoff
 
-    def record_line(k, state, means):
+    def record_line(k, state, width):
         line, prof = state[0]
         t = k * dt
-        prof = ProfileState(lspec, prof, t, ul=ul, ur=ur)
-        edges.append((t, max(edge("profile", prof.values, (ul, ur), spec.dx1, W, t),
-                             edge("line", line, means, spec.dx1, W, t))))
+        edges.append((t, edge(state, prof, width, t)))
         # the ansatz of a constant far field is the profile, its defect 0
-        return sample(lspec, line, prof.values, None, prof, means, (line[:0],) * 2)
+        return sample(line_of(width), t, line, prof, None, prof, means)
 
-    # the cylinder march, a segment per window; each later segment starts
-    # from the last one's state, widened once its edge passes the check
-    rows, line = [], None
-    for a, b in zip(segments, segments[1:]):
+    # one loop over the window segments (module docstring), steps a .. b - 1
+    # on one window, b found by bisection, since the window never shrinks;
+    # a record that hands off ends its segment, and the line takes the rest
+    ends = np.repeat([[ul], [ur]], m1, axis=-1)  # one period beyond each side of the profile
+    rows, means, sweep, a = [], None, None, 0
+    while a < steps:
         width = width_at(a)
-        if a:
-            v, far = held.pop()
-            periods = width - v.shape[-1] // (2 * m1)
-            edge("cylinder", np.moveaxis(v, -1, 0), far, volume, width - periods, a * dt)
-            held.append((_widen(v, far, periods), far))
-            del v, far
-        if width not in sweeps:
-            sweeps[width] = DiffusionSweep(window(width)[1].n1, spec.dx1, dt / 2.0)
-        # recording the states at a + 1 .. b (and at 0)
-        records = {i - a for i in snap if a < i <= b or i == a == 0} | {b - a}
-        for k, state in march(held.pop(), (b - a, dt, records), spec.n,
-                              cylinder_sweep(sweeps[width]), rhs,
-                              lambda state, s, a=a: check(state, a * dt + s),
-                              lambda k, state, a=a: (a + k, state)):
-            if k in snap:
-                row, line = record(k, state, width)
-                rows.append(row)
-            if k == b and line is None:
+        b = bisect_right(range(steps), width, key=width_at, lo=a + 1)
+        periods = width - held[0][0].shape[-1] // (2 * m1)
+        if periods:
+            state = held.pop()
+            edge(state, prof if means is None else state[0][1], width - periods, a * dt)
+            if means is None:
+                held.append((_widen(state[0], *np.moveaxis(state[1], 1, -1), periods), state[1]))
+                prof = _widen(prof, *ends, periods)
+            else:
+                held.append((_widen(state[0], *ends, periods),))
+            del state
+        if periods or sweep is None:
+            sweep = DiffusionSweep(window(width)[1].n1, spec.dx1, dt / 2.0)
+        # recording the states at a + 1 .. b (and at 0 on the cylinder); each
+        # march counts time from the segment's start
+        seg = (b - a, dt, {i - a for i in snap if a < i <= b or i == a == 0 and means is None}
+               | {b - a})
+        if means is None:
+            profiles = evolve_profile(ProfileState(line_of(width), prof, ul=ul, ur=ur), flux, seg,
+                                      sweep)
+            step = (spec.n, cylinder_sweep(sweep), rhs, lambda state, s: check(state, a * dt + s))
+        else:
+            step = (1, *pinned_line(sweep, spec.dx1, flux, *zip(means, (ul, ur))),
+                    lambda state, s: check_line(state, a * dt + s, width))
+        handoff = None
+        for k, state in march(held.pop(), seg, *step, lambda k, state: (a + k, state)):
+            if means is None:
+                pulled = next(profiles)
+                prof = pulled.values
+                if k in snap:
+                    row, handoff = record(k, state, pulled, width)
+                    rows.append(row)
+            elif k in snap:
+                rows.append(record_line(k, state, width))
+            if k == b and handoff is None:
                 held.append(state)  # the next segment's start
             del state  # the march alone holds it while it steps
-            if line is not None:
+            if handoff is not None:
                 break  # the cylinder march takes no later step
-        if line is not None:
-            break
-    if line is not None:
-        # the remaining steps, from the record that handed off: the line and
-        # the profile as one state, each row pinned at its own ends; the
-        # march counts from there, so its check adds the record's time t
-        k0, t0 = checks["planar_at"]["step"], checks["planar_at"]["t"]
-        stack, means = line
-        held.append((stack,))
-        del line, stack
-
-        def check_line(state, t):
-            line, prof = state[0]
-            check((line, *means) if off else (line,), t)
-            check_profile(prof, flux, spec.dx1, dt, t)
-
-        for k, state in march(held.pop(), (steps - k0, dt, {i - k0 for i in snap if i > k0}), 1,
-                              *pinned_line(sweeps[W], spec.dx1, flux, (means[0], ul),
-                                           (means[1], ur)),
-                              lambda state, s: check_line(state, t0 + s),
-                              lambda k, state: (k0 + k, state)):
-            rows.append(record_line(k, state, means))
-            del state
+        a = k
+        if handoff is not None:
+            start, means = handoff
+            held.append(start)
+            # one period of the far-field means and the end states beyond each side
+            ends = np.repeat(np.transpose([means, (ul, ur)])[..., None], m1, axis=-1)
     checks.update(truncation(edges))
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}, checks
 

@@ -16,7 +16,7 @@ arrays together (the cylinder solution and its far field), and an array
 may stack fields that step alike (the far field's two sides).
 `step_schedule` fixes the steps and the records; `march`, the one loop
 of every solver, steps from t = 0, checks each new state and yields the
-records (a cylinder run's line march adds its hand-off step to each).
+records (a cylinder run's marches add their segment's first step to each).
 
 The per-direction diffusion operators commute on a uniform grid with
 constant viscosity, so sweeping directions one at a time loses no
@@ -81,7 +81,7 @@ class DiffusionSweep:
     factors come from LAPACK dpttrf when the sweep is built, and each
     sweep is one dpttrs solve of every line at once, each line bitwise
     its own solve.  A cylinder run factors it once per window of x1
-    cells; its profile and planar line share the last window's.  The
+    cells, which its profile and planar line share.  The
     right-hand side is a C-ordered row per line.
     Its neighbour adds run over all rows as one flat run, after which
     each row's end cells, which the flat adds reach across, are set to

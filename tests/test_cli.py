@@ -554,7 +554,6 @@ class TestTorusAndProfileConfigs:
         ("profile", "n1 = 2", "n1 must be at least 4"),
         ("profile", "L = inf", "half-length L must be positive and finite, got inf"),
         ("profile", "snapshots = geometric:1,1", "ratio > 1"),
-        ("profile", "snapshots = 0", "snapshots must hold a time after t = 0 on the step grid"),
         ("profile", "flux = cubic", "f_1'' dips to"),
         ("periodic", "sizes = 8", "needs 1 wavenumbers + amplitude"),
         ("periodic", "w0_modes = 1,0.1", "needs 2 wavenumbers + amplitude"),
@@ -602,6 +601,15 @@ class TestTorusAndProfileConfigs:
         assert "Traceback" not in err
         assert run_cli(tmp_path, "validate", text) == 1
         assert message in capsys.readouterr().out
+
+    def test_snapshots_at_t_0_alone_record_t_end_too(self, tmp_path):
+        # the plan records t_end whatever the snapshots, so a snapshot at
+        # t = 0 alone is no config error: the run measures t = 0 and t_end
+        text = "experiment = profile\nL = 10\nn1 = 100\nt_end = 0.5\nsnapshots = 0\n"
+        assert run_cli(tmp_path, "validate", text) == 0
+        assert run_cli(tmp_path, "profile", text) == 0
+        rows = (tmp_path / "out" / "profile_series.csv").read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_end", ["0", "-1"])

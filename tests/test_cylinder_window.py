@@ -1,20 +1,22 @@
 """The cylinder window of `mdsolver.run`: the whole run, the cylinder,
 the profile, the line after a hand-off and every record, holds the x1
 cells of a window only, and reads what lies beyond from the far field
-and the end states.  Step k of the cylinder march holds [-W, W],
-W = W(t_{k+1}) of `cylinder_window`, which grows with the reach; the
-profile and the line hold W(t_end).  A windowed run must match the same
-run on the whole line (`cylinder_window` patched to return L at every
-time, so that no step grows): every norm column within 1e-14 but phi_l1
-(1e-11, the roundoff mass the whole line holds outside the window) and
-tail_mass (1e-4, the golden gate's), the same hand-off and the same rate
-verdicts, also at t = 50, where the fan's viscous layer has spread.  A
-window without the data's support, one that a fast bump outruns, one
+and the end states.  Step k of every march, the cylinder's, the
+profile's and the line's, holds [-W, W], W = W(t_{k+1}) of
+`cylinder_window`, which grows with the reach; each window is one
+segment with one Dirichlet factorization.  A windowed run must match
+the same run on the whole line (`cylinder_window` patched to return L
+at every time, so that no step grows): every norm column within 1e-14
+but phi_l1 (1e-11, the roundoff mass the whole line holds outside the
+window) and tail_mass (1e-4, the golden gate's), the same hand-off and
+the same rate verdicts, also at t = 50, where the fan's viscous layer
+has spread, and on a run that is a growing line from its first record.
+A window without the data's support, one that a fast bump outruns, one
 that the line after a hand-off carries a bump past, one that grows by 6
 sqrt(t) in place of `WINDOW_MARGIN` sqrt(t), or one that grows by a
-smaller margin than the final window's, trips the self-check of the
-march that leaves it, and with the check off it fails that
-comparison."""
+smaller margin than the final window's, on the cylinder or on the line,
+trips the self-check of the march that leaves it, and with the check
+off it fails that comparison."""
 
 import json
 import math
@@ -27,6 +29,7 @@ from rarelab.domain import make_grid
 from rarelab.errors import NumericalAbort
 from rarelab.mdsolver import NORM_COLUMNS, WINDOW_MARGIN
 from rarelab.profile1d import make_initial_state
+from rarelab.rates import PHI_SERIES
 
 # cyl2d_tiny's modes and fit window on a line long enough to window: W = 34 < L = 40
 WINDOWED = """\
@@ -58,8 +61,9 @@ FAR_BUMP = WINDOWED + "v0 = gaussian:0.1,16,1\n"
 FAST_BUMP = WINDOWED.replace("L = 40", "L = 36").replace("n1 = 320", "n1 = 288").replace(
     "t_end = 2", "t_end = 0.25").replace("snapshots = auto", "snapshots = 0.05,0.13,0.16,0.19,0.22,0.25") + (
     "v0 = gaussian:200,22,0.75\n")
-# no modes: the run hands off at t = 0, and the line carries the bump
-# past the edge of a window of 32 (the rule's is the whole line, 40)
+# no modes: the run hands off at its first record (step 2, t = 0.11), and
+# the line carries the bump past the edge of a window of 32; the rule's
+# grows from 33 to the whole line, 40
 LINE_BUMP = WINDOWED.replace("w0_modes = 1,1,0.1; 0,2,0.05\n", "") + "v0 = gaussian:0.1,24,1\n"
 TOLERANCE = dict.fromkeys(NORM_COLUMNS, 1e-14) | dict(phi_l1=1e-11, tail_mass=1e-4)
 
@@ -97,12 +101,15 @@ def run_with_window(monkeypatch, sc, half):
 
 
 def run_holding(monkeypatch, sc, half):
-    """(`run_with_window`'s run, the x1 cells each cylinder step held)."""
-    held, strang_step = [], stepping.strang_step
+    """(`run_with_window`'s run, the x1 cells each step held, in order, by
+    march: "cylinder", "profile" and "line")."""
+    held, strang_step = dict(cylinder=[], profile=[], line=[]), stepping.strang_step
 
     def spy(state, dt, ndim, sweep, rhs):
         if len(state[0]) == 2:  # the cylinder and its far field
-            held.append(state[0][0].shape[-1])
+            held["cylinder"].append(state[0][0].shape[-1])
+        else:  # the profile's line, or the [line; profile] pair
+            held["profile" if state[0][0].ndim == 1 else "line"].append(state[0][0].shape[-1])
         return strang_step(state, dt, ndim, sweep, rhs)
 
     with monkeypatch.context() as m:
@@ -145,9 +152,10 @@ def departures(run, ref) -> list[str]:
 
 class TestEquivalence:
     @pytest.mark.parametrize("text, never", [(WINDOWED, False), (WINDOWED, True), (CUBIC, False),
-                                             (LATE, False), (LATE, True), (FAR_BUMP, False)],
+                                             (LATE, False), (LATE, True), (FAR_BUMP, False),
+                                             (LINE_BUMP, False)],
                              ids=["hands-off", "never-hands-off", "cubic", "late-hands-off",
-                                  "late", "far-bump"])
+                                  "late", "far-bump", "line-bump"])
     def test_the_window_matches_the_whole_line(self, monkeypatch, text, never):
         sc = config(text)
         if never:
@@ -155,27 +163,44 @@ class TestEquivalence:
         run, grown = run_holding(monkeypatch, sc, None)
         ref, whole = run_holding(monkeypatch, sc, round(sc.spec.L))
         half = window_of(sc)
-        assert half < sc.spec.L
+        # the line bump ends on the whole line: its window grows to it
+        assert (half < sc.spec.L) == (text is not LINE_BUMP)
         assert run[1]["cylinder_window"] == dict(L=half, n1=round(2 * half / sc.spec.dx1))
         assert ref[1]["cylinder_window"] == dict(L=sc.spec.L, n1=sc.spec.n1)
-        # the reference steps the whole line at every step; the run grows
-        assert whole and set(whole) == {sc.spec.n1}
-        assert grown[0] < grown[-1] <= 2 * half * round(1 / sc.spec.dx1)
+        # the reference steps the whole line at every step of every march;
+        # the run's steps, the cylinder's and then the line's, grow
+        assert whole["cylinder"] and set(sum(whole.values(), [])) == {sc.spec.n1}
+        marched = grown["cylinder"] + grown["line"]
+        assert marched[0] < marched[-1] <= 2 * half * round(1 / sc.spec.dx1)
         assert (run[1]["planar_at"] is None) == never
         assert departures(run, ref) == []
         assert run[1]["max_courant"] == pytest.approx(ref[1]["max_courant"], rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("text", [WINDOWED, FAR_BUMP], ids=["hands-off", "far-bump"])
+    @pytest.mark.parametrize("text", [WINDOWED, FAR_BUMP, LINE_BUMP],
+                             ids=["hands-off", "far-bump", "line-bump"])
     def test_step_k_holds_the_window_of_its_end(self, monkeypatch, text):
+        # the cylinder and the profile beside it up to the hand-off, then
+        # the [line; profile] pair: step k of each holds W(t_{k+1})
         sc = config(text)
         steps, dt, _ = mdsolver.schedule(sc)
         (_, checks), held = run_holding(monkeypatch, sc, None)
         at = checks["planar_at"]
-        assert len(held) == (steps if at is None else at["step"])
+        k0 = steps if at is None else at["step"]
         rule, m1 = mdsolver.cylinder_window(sc, *line_of(sc)), round(1 / sc.spec.dx1)
-        widths = [min(rule((k + 1) * dt), rule(sc.t_end)) for k in range(len(held))]
-        assert held == [2 * w * m1 for w in widths]
-        assert widths[0] < widths[-1]
+        cells = [2 * min(rule((k + 1) * dt), rule(sc.t_end)) * m1 for k in range(steps)]
+        assert held == dict(cylinder=cells[:k0], profile=cells[:k0], line=cells[k0:])
+        assert cells[0] < cells[-1]
+
+    def test_one_factorization_per_window(self, monkeypatch):
+        # the cylinder, the profile and the line of a segment share its one
+        # Dirichlet sweep: one factorization per distinct width, in order
+        sc = config(WINDOWED)
+        factored, dpttrf = [], stepping.dpttrf
+        monkeypatch.setattr(stepping, "dpttrf", lambda d, e: factored.append(d.size) or dpttrf(d, e))
+        (_, checks), held = run_holding(monkeypatch, sc, None)
+        assert checks["planar_at"] is not None
+        marched = held["cylinder"] + held["line"]
+        assert factored == sorted(set(marched)) and len(factored) > 2
 
     @pytest.mark.parametrize("text, short, march", [
         (FAR_BUMP, lambda sc: math.ceil(reach(sc)), "cylinder"),
@@ -211,16 +236,21 @@ class TestEquivalence:
         assert exc.value.reason == "window" and 40 < exc.value.t < 45
         assert exc.value.detail.startswith("the cylinder's left edge, 80 < |x1| < 81,")
 
-    def test_a_window_that_grows_too_slowly_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("text, march, departing", [
+        (FAR_BUMP, "cylinder", {"phi_l1"}),
+        (LINE_BUMP, "line", {*PHI_SERIES, "u_minus_profile_linf"}),
+    ], ids=["far-bump", "line-bump"])
+    def test_a_window_that_grows_too_slowly_is_caught(self, monkeypatch, text, march, departing):
         # a bump far from the fan spreads past a window grown by 2 sqrt(t),
-        # though the window it ends on holds it
-        sc = config(FAR_BUMP)
+        # though the window it ends on holds it: on the cylinder, or on the
+        # line of a run that hands off at its first record
+        sc = config(text)
         with monkeypatch.context() as m:
             m.setattr(mdsolver, "cylinder_window", grown_by(2.0))
             with pytest.raises(NumericalAbort) as exc:
                 mdsolver.run(sc, mdsolver.schedule(sc))
         assert exc.value.reason == "window" and exc.value.t < sc.t_end
-        assert exc.value.detail.startswith("the cylinder's right edge, ")
+        assert exc.value.detail.startswith(f"the {march}'s right edge, ")
         # with the self-check off the run completes and departs from the
         # whole line; its edge mass stays below the truncation flag's tolerance
         ref = run_with_window(monkeypatch, sc, round(sc.spec.L))
@@ -228,7 +258,7 @@ class TestEquivalence:
         monkeypatch.setattr(mdsolver, "cylinder_window", grown_by(2.0))
         slow = mdsolver.run(sc, mdsolver.schedule(sc))
         assert slow[1]["cylinder_window"]["L"] == window_of(sc)
-        assert "phi_l1" in departures(slow, ref)
+        assert departing <= set(departures(slow, ref))
 
 
 class TestBeyondTheWindow:
@@ -236,17 +266,17 @@ class TestBeyondTheWindow:
         # |u - p|_inf at every record and tau at the hand-off are those of
         # the whole line built from the window's states, the far field's
         # rows beyond the cylinder, the far-field means beyond the line and
-        # the end states beyond the profile, bit for bit; the cylinder's
-        # window grows, so the profile's periods beyond it count too
+        # the end states beyond the profile, bit for bit.  The profile row
+        # lies on the window of the cylinder or the line it is measured
+        # against, and that window grows in both phases
         sc = config(WINDOWED)
         spec, snap = sc.spec, mdsolver.schedule(sc)[2]
         seen, profiles = [], []
-        evolve, march = mdsolver.evolve_profile, mdsolver.march
+        assemble_bundle, march = mdsolver.assemble_bundle, mdsolver.march
 
-        def evolve_spy(*args):
-            for prof in evolve(*args):
-                profiles.append(prof.values)
-                yield prof
+        def bundle_spy(far, prof, *args):  # the profile of each cylinder record
+            profiles.append(prof.values)
+            return assemble_bundle(far, prof, *args)
 
         def march_spy(state, plan, ndim, sweep, rhs, check, keep):
             def kept(k, st):  # (the run's step, the state) at a record or a segment's end
@@ -256,19 +286,19 @@ class TestBeyondTheWindow:
                 return out
             return march(state, plan, ndim, sweep, rhs, check, kept)
 
-        monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
+        monkeypatch.setattr(mdsolver, "assemble_bundle", bundle_spy)
         monkeypatch.setattr(mdsolver, "march", march_spy)
         series, checks = mdsolver.run(sc, mdsolver.schedule(sc))
-        off = (spec.n1 - checks["cylinder_window"]["n1"]) // 2
         m1 = round(1 / spec.dx1)
         at = checks["planar_at"]
-        assert off > 0 and at is not None and len(seen) == series["t"].size
-        far, offsets = None, set()
+        assert at is not None and len(seen) == series["t"].size
+        far, offsets = None, {2: set(), 1: set()}  # cells beyond the window, by phase
         for i, state in enumerate(seen):
             if len(state) == 2:  # the cylinder and its far field
                 march_v, (wl, wr) = state
+                prof = profiles[i]
+                assert prof.size == march_v.shape[-1]  # the profile on the cylinder's window
                 beyond = np.arange((spec.n1 - march_v.shape[-1]) // 2) % m1
-                offsets.add(beyond.size)
                 v = np.concatenate((wl[beyond], np.moveaxis(march_v, -1, 0), wr[beyond]))
                 if series["t"][i] == at["t"]:
                     torus = np.mean(v, axis=1, keepdims=True)
@@ -276,14 +306,19 @@ class TestBeyondTheWindow:
                               *(float(np.max(np.abs(w - np.mean(w)))) for w in (wl, wr)))
                     assert tau == at["tau"]
                     far = [float(np.mean(w)) for w in (wl, wr)]
-                prof = profiles[i]
             else:  # the line and the profile; beyond the window the far-field means
                 line, prof = state[0]
+                off = (spec.n1 - line.size) // 2
                 v = np.concatenate((np.full(off, far[0]), line, np.full(off, far[1])))[:, None]
+            off = (spec.n1 - prof.size) // 2
+            offsets[len(state)].add(off)
             p = np.concatenate((np.full(off, sc.ul), prof, np.full(off, sc.ur)))
             assert series["u_minus_profile_linf"][i] == np.max(np.abs(v - p[:, None]))
         assert far is not None and series["t"][-1] > at["t"]
-        assert len(offsets) > 1 and min(offsets) > off  # it grew, short of the profile's window
+        # it grew before the hand-off and after it, up to the run's last window
+        last = (spec.n1 - checks["cylinder_window"]["n1"]) // 2
+        assert len(offsets[2]) > 1 and len(offsets[1]) > 1
+        assert min(offsets[2]) > max(offsets[1]) and min(offsets[1]) == last > 0
 
 
 class TestRule:

@@ -2,9 +2,9 @@
 the step of the profile march and of a cylinder run's planar line, and
 builds no sweep of its own: within `src/`, a Dirichlet `DiffusionSweep`
 is built only by `cli._exp_profile`, for the `profile` experiment's
-march, and by `mdsolver.run` for each window of the cylinder, whose ends
-move with the far field, and for its profile and planar line, which
-reuse the last window's sweep.
+march, and by `mdsolver.run` for each window segment, one sweep that
+the segment's cylinder, whose ends move with the far field, its profile
+and, after the hand-off, its planar line share.
 
 Read with the standard library's `ast`.  A build is a call of the name
 `DiffusionSweep`, bare or as an attribute.

@@ -1,9 +1,10 @@
 """One plan per run: within `src/`, a plan = (steps, dt, record) is drawn
 only by a module's `schedule`, the one caller of `stepping.step_schedule`,
 and the solvers that march a plan, `evolve_profile`, `solve_periodic`
-and the cylinder's `run`, draw none.  A cylinder run hands the plan it
-is handed to the profile, an input stage draws its plan once and hands
-it to its run stage, and the Courant number and the edge tolerance are
+and the cylinder's `run`, draw none.  A cylinder run cuts the plan it
+is handed into a segment per window and hands each segment's plan to
+the profile's march beside it, an input stage draws its plan once and
+hands it to its run stage, and the Courant number and the edge tolerance are
 one constant each, which no parameter or config field overrides; one
 function computes the edge mass that tolerance judges.
 
@@ -166,16 +167,45 @@ def test_a_second_edge_measure_is_found():
 
 
 def test_the_run_hands_the_profile_its_own_plan(monkeypatch):
-    sc = SolverConfig(spec=DomainSpec(n=2, L=12, n1=96, n_torus=(8,)), flux=burgers(2),
+    # a line long enough to window (W = 34 < L = 40), so the cylinder march
+    # is a segment per window: each segment's profile march takes that very
+    # plan, and the plans tile the run's one plan up to the hand-off
+    sc = SolverConfig(spec=DomainSpec(n=2, L=40, n1=320, n_torus=(8,)), flux=burgers(2),
                       ul=-0.5, ur=0.5, w0_modes=((1, 1, 0.1),), t_end=1.0,
                       snapshot_times=tuple(np.linspace(0.0, 1.0, 11)))
-    handed, evolve = [], mdsolver.evolve_profile
-    monkeypatch.setattr(mdsolver, "evolve_profile",
-                        lambda *args, **kw: handed.append((args[2], kw)) or evolve(*args, **kw))
+    handed, marched, evolve, march = [], [], mdsolver.evolve_profile, mdsolver.march
+
+    def evolve_spy(*args, **kw):
+        pulled = []  # the steps of the plan at which the run pulled a profile
+        handed.append((args[2], kw, pulled))
+        for prof in evolve(*args, **kw):
+            pulled.append(round(prof.t / args[2][1]))
+            yield prof
+
+    monkeypatch.setattr(mdsolver, "evolve_profile", evolve_spy)
+    monkeypatch.setattr(mdsolver, "march", lambda state, plan, *args: marched.append(
+        (plan, len(state))) or march(state, plan, *args))
     plan = mdsolver.schedule(sc)
+    steps, dt, snap = plan
     _, checks = mdsolver.run(sc, plan)
-    assert checks["planar_at"] is not None  # the line phase pulls from the same stream
-    assert handed == [(plan, {})] and handed[0][0] is plan
+    at = checks["planar_at"]["step"]  # the line phase marches after it
+    cylinder = [p for p, arrays in marched if arrays == 2]
+    assert len(cylinder) > 1 and len(handed) == len(cylinder)
+    assert all(p is c and kw == {} for (p, kw, _), c in zip(handed, cylinder))
+    # the segments start where the last one ended, and each records the
+    # run's snapshots within it, step 0 in the first, and its own end
+    starts = [0]
+    for seg_steps, seg_dt, record in cylinder:
+        a = starts[-1]
+        assert seg_dt == dt
+        assert {a + r for r in record} == {i for i in snap if a < i <= a + seg_steps
+                                           or i == a == 0} | {a + seg_steps}
+        starts.append(a + seg_steps)
+    # the profile marched each segment whole but the last, which the
+    # hand-off ended: their steps add up to the hand-off step
+    assert starts[-2] < at <= starts[-1] < steps
+    assert [pulled[-1] for _, _, pulled in handed] == [s for s, _, _ in cylinder[:-1]] + [
+        at - starts[-2]]
 
 
 def counted(monkeypatch, module, alias):

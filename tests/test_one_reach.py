@@ -1,7 +1,7 @@
 """One owner for the reach: within `src/`, `mdsolver.WINDOW_MARGIN` is
-read only inside `cylinder_window`, so the window a cylinder run grows
-by and the final window its profile and line hold come from one rule and
-cannot drift apart.
+read only inside `cylinder_window`, so the window that a cylinder run's
+cylinder, profile and line grow by at each step and the final window
+they end on come from one rule and cannot drift apart.
 
 Read with the standard library's `ast`.  A read is a load of the name,
 bare or as an attribute (mdsolver.WINDOW_MARGIN), anywhere in a

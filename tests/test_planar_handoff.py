@@ -15,6 +15,7 @@ from rarelab.ansatz import far_field_grid
 from rarelab.errors import NumericalAbort
 from rarelab.mdsolver import NORM_COLUMNS, trig_polynomial
 from rarelab.periodic import solve_periodic
+from test_cylinder_window import WINDOWED, line_of
 
 TINY_2D = """\
 experiment = simulate
@@ -86,6 +87,24 @@ class TestStepCount:
         spacings = (sc.spec.dx1, *sc.spec.dx_torus)
         assert calls == [(*sc.spec.n_torus, sc.spec.n1, *spacings)] * at["step"] + [
             (sc.spec.n1, *spacings)] * (steps - at["step"])
+
+    def test_a_growing_window_calls_check_cfl_once_per_step(self, monkeypatch):
+        # on a line that windows, the benchmark's step count stays the
+        # plan's: one call per step, on the window that step holds, the
+        # cylinder's (x1-last) and then the line's
+        sc = config(WINDOWED)
+        calls, check_cfl = [], mdsolver.check_cfl
+        monkeypatch.setattr(mdsolver, "check_cfl",
+                            lambda *args: calls.append(args[0].shape) or check_cfl(*args))
+        steps, dt, _ = plan = mdsolver.schedule(sc)
+        at = mdsolver.run(sc, plan)[1]["planar_at"]
+        assert at is not None and at["step"] < steps
+        rule = mdsolver.cylinder_window(sc, *line_of(sc))
+        cells = [2 * min(rule((k + 1) * dt), rule(sc.t_end)) * round(1 / sc.spec.dx1)
+                 for k in range(steps)]
+        assert calls == [(*sc.spec.n_torus, n) for n in cells[:at["step"]]] + [
+            (n,) for n in cells[at["step"]:]]
+        assert cells[0] < cells[at["step"]] < cells[-1]
 
 
 class TestOneDirichletOperator:

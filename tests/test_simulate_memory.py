@@ -232,19 +232,19 @@ def test_a_forwarded_step_frees_the_state_it_is_handed(monkeypatch):
         step_peak(monkeypatch, CYLINDER, MODES), abs=0.1)
 
 
-def widening_peak(monkeypatch, spec: DomainSpec, modes) -> float:
-    """The peak of a run's one widening of the cylinder's window beyond what
-    was held before it, in units of the cylinder field it widens: a run on
-    `CYLINDER` to t = 0.03 steps [-20, 20], then [-21, 21]."""
-    sc = replace(one_step_config(spec, modes), t_end=0.03)
-    widen, peaks, cells = mdsolver._widen, [], []
+def widenings(monkeypatch, spec: DomainSpec, modes, snapshot_times=()) -> list:
+    """(cells before, cells after, peak) of each array a run widens beyond
+    the window it held, the peak beyond what was held before in units of
+    the array it widens: a run on `CYLINDER` to t = 0.03 steps [-20, 20],
+    then [-21, 21]."""
+    sc = replace(one_step_config(spec, modes, snapshot_times), t_end=0.03)
+    widen, found = mdsolver._widen, []
 
-    def traced(v, far, periods):
+    def traced(a, left, right, periods):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = widen(v, far, periods)
-        peaks.append((tracemalloc.get_traced_memory()[1] - before) / v.nbytes)
-        cells.append((v.shape[-1], out.shape[-1]))
+        out = widen(a, left, right, periods)
+        found.append((a.shape, out.shape, (tracemalloc.get_traced_memory()[1] - before) / a.nbytes))
         return out
 
     monkeypatch.setattr(mdsolver, "_widen", traced)
@@ -253,16 +253,27 @@ def widening_peak(monkeypatch, spec: DomainSpec, modes) -> float:
         mdsolver.run(sc, mdsolver.schedule(sc))
     finally:
         tracemalloc.stop()
-    m1 = round(1 / spec.dx1)
-    assert cells == [(40 * m1, 42 * m1)]
-    return peaks[0]
+    return found
 
 
 def test_a_widening_stays_below_the_step(monkeypatch):
-    # the widened field and the far field's periods it takes on, 1.1 fields
-    peak = widening_peak(monkeypatch, CYLINDER, MODES)
+    # the widened field and the far field's periods it takes on, 1.1
+    # fields; then its profile's row, widened by its end states
+    (before, after, peak), profile = widenings(monkeypatch, CYLINDER, MODES)
+    m1 = round(1 / CYLINDER.dx1)
+    assert (before, after) == ((32, 40 * m1), (32, 42 * m1))
+    assert profile[:2] == ((40 * m1,), (42 * m1,))
     assert peak < 1.6
     assert peak < step_peak(monkeypatch, CYLINDER, MODES, windowed=True)
+
+
+def test_a_line_pair_widens_as_one(monkeypatch):
+    # no modes: the run hands off at t = 0, and its [line; profile] pair is
+    # widened by the far-field means and the end states in one array
+    (before, after, peak), = widenings(monkeypatch, CYLINDER, (), snapshot_times=(0.0,))
+    m1 = round(1 / CYLINDER.dx1)
+    assert (before, after) == ((2, 40 * m1), (2, 42 * m1))
+    assert peak < 1.6
 
 
 def test_a_burgers_record_stays_below_the_step(monkeypatch):
