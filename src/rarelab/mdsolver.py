@@ -70,19 +70,23 @@ the sums.  What lies beyond keeps its part in the rest: |u - p|_inf and
 tau take the larger of the window's value and the far field's, for
 |u - p|_inf max|w - ul| and max|w - ur| of the far field's rows (on the
 line, the far-field means' distance from them) and, for tau, each
-side's torus part; the tail mass keeps the outer decade of [-L, L] and
-reads 0 where it lies beyond the window.  Where W(t) = L at every step
-the run is the whole-line run byte for byte.
+side's torus part, and the line's maximum principle reads the far-field
+means beside the line; the tail mass keeps the outer decade of [-L, L]
+and reads 0 where it lies beyond the window.  This is the one model at
+every width: the far field lies beyond every window, a window at L
+included, whose pinned ends it is.  L decides only the cap on W and
+what an edge mass does.
 
 The truncation is measured, not trusted: at each record the profile and
 the cylinder or the line take their edge mass (`domain.edge_mass`)
 against what lies beyond their pinned ends (ul and ur, the far-field
 rows, the far-field means), and the run reports the largest and the
-first record above `domain.EDGE_TOL`.  On a window, a side's edge mass
-above `TAIL_FLOOR`, phi's roundoff floor, at a record or a widening,
-aborts the run ("window"), the cylinder's or the line's sides judged
-before the profile's: a mass, since the Dirichlet solves leave
-ulp-sized deviations there.
+first record above `domain.EDGE_TOL`.  On a window short of L, a side's
+edge mass above `TAIL_FLOOR`, phi's roundoff floor, at a record or a
+widening, aborts the run ("window"), the cylinder's or the line's sides
+judged before the profile's: a mass, since the Dirichlet solves leave
+ulp-sized deviations there.  At L, where the line's own truncation
+lies, the mass only feeds the report.
 
 Planar hand-off.  The periodic part of the perturbation dies out, so the
 solution tends to the planar wave, the torus average v(x1) of the
@@ -100,14 +104,15 @@ goes on with the plan's remaining steps.  A line segment takes one
 far-field means and the profile's at ul and ur, its diffusion the
 segment's x1 sweep, each row bitwise its own 1-d march.  Its check
 reads the line row with `check_cfl`, once per step as on the cylinder,
-and the profile row with `profile1d.check_profile`, as the profile's
-own march did.  The line is the cylinder state to roundoff
-and stays so: a planar state with constant Dirichlet data takes a
-Strang step whose torus sweeps and torus fluxes do nothing.  Line
-records are the cylinder records of a planar field: the torus has
-measure 1, so the norms on the line are the norms on the cylinder, the
-ansatz is the profile row and its defect is 0.  The hand-off is decided
-at records only, so a run whose only snapshot is t_end never hands off.
+and beside the far-field means for the maximum principle, and the
+profile row with `profile1d.check_profile`, as the profile's own march
+did.  The line is the cylinder state to roundoff and stays so: a
+planar state with constant Dirichlet data takes a Strang step whose
+torus sweeps and torus fluxes do nothing.  Line records are the
+cylinder records of a planar field: the torus has measure 1, so the
+norms on the line are the norms on the cylinder, the ansatz is the
+profile row and its defect is 0.  The hand-off is decided at records
+only, so a run whose only snapshot is t_end never hands off.
 """
 
 from __future__ import annotations
@@ -307,7 +312,8 @@ def _widen(a: np.ndarray, left: np.ndarray, right: np.ndarray, periods: int) -> 
 def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     """Advance the cylinder solution over plan = (steps, dt, record), the
     `schedule` of this config, and log the perturbation against the
-    concurrently assembled ansatz.  The profile marches that same plan.
+    concurrently assembled ansatz.  The profile marches beside it, each
+    window segment's plan cut from the run's.
 
     Returns (series, checks): the norm table's columns, one array per
     `NORM_COLUMNS` entry, and the run-wide checks in the order
@@ -324,11 +330,11 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     W = L on a line no longer than the data's support and the reach.
     `edge_mass` and `truncated_at` are `domain.truncation` of the
     records.  A record or a widening at which a march has carried mass
-    to the window's edge raises `NumericalAbort` "window"."""
+    to the edge of a window short of L raises `NumericalAbort`
+    "window"."""
     spec, flux = config.spec, config.flux
     ul, ur = config.ul, config.ur
     spacings = (spec.dx1, *spec.dx_torus)
-    volume = math.prod(spacings)
     steps, dt, snap = plan
 
     # the line data, on the whole line: its tangent data + optional 1-d bump
@@ -351,7 +357,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
     # step k holds W(t_{k+1}), at most W(t_end): the cylinder and its
     # profile, or after the hand-off the line and the profile.  A window's
     # ghost cells lie on the line's ghost rows and its outermost period on
-    # each side on the far field's rows in order; W = L keeps the line's own L.
+    # each side on the far field's rows in order.
     rule = cylinder_window(config, grid.x1, line)
     W = rule(config.t_end)
 
@@ -359,28 +365,22 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         return min(rule((k + 1) * dt), W)
 
     def window(width):
-        """(the line's x1 cells of [-width, width], the cylinder grid on them)"""
-        off = (L - width) * m1
-        return (slice(off, spec.n1 - off),
-                replace(spec, L=spec.L - (L - width), n1=spec.n1 - 2 * off))
-
-    def line_of(width):
-        """the x1 line of [-width, width], the profile's and the line's grid"""
-        wspec = window(width)[1]
-        return DomainSpec(n=1, L=wspec.L, n1=wspec.n1)
+        """the cylinder grid on [-width, width], the line's cells there; its
+        n = 1 restriction is the profile's and the line's grid"""
+        return replace(spec, L=spec.L - (L - width), n1=spec.n1 - 2 * (L - width) * m1)
 
     # initial data: the first step's window of the line data + modes, and of
     # the tangent data, the profile's
-    first, fspec = window(width_at(0))
+    n1 = window(width_at(0)).n1
+    first = slice((spec.n1 - n1) // 2, (spec.n1 + n1) // 2)
     col = (-1,) + (1,) * (spec.n - 1)
-    u = np.broadcast_to(line[first].reshape(col), fspec.shape).copy()
-    u = u + trig_polynomial(config.w0_modes, (grid.x1[first], *grid.torus))
+    u = line[first].reshape(col) + trig_polynomial(config.w0_modes, (grid.x1[first], *grid.torus))
     u = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # the march's x1-last layout
     prof = tangent[first]
 
     # a cylinder state is (cylinder, far field); a line state is ([line; profile],)
     checks = dict(max_principle_violation=0.0, boundary_mismatch=0.0, max_courant=0.0,
-                  planar_at=None, cylinder_window=dict(L=W, n1=window(W)[1].n1))
+                  planar_at=None, cylinder_window=dict(L=W, n1=window(W).n1))
     torus_axes = tuple(range(1, spec.n))
 
     def cylinder_sweep(dirichlet):
@@ -420,9 +420,9 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                                                 float(hi - extremes[1]), float(extremes[0] - lo))
         extremes[:] = lo, hi
 
-    def check_line(state, t, width):
+    def check_line(state, t):
         line, prof = state[0]
-        check((line, *means) if width < L else (line,), t)
+        check((line, *means), t)
         check_profile(prof, flux, spec.dx1, dt, t)
 
     edges = []  # (t, edge mass) of each record
@@ -435,7 +435,8 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         short of the line aborts the run, the march's sides judged first."""
         masses = {"profile": edge_mass(prof, (ul, ur), m1, spec.dx1)}
         if means is None:
-            masses["cylinder"] = edge_mass(np.moveaxis(state[0], -1, 0), state[1], m1, volume)
+            masses["cylinder"] = edge_mass(np.moveaxis(state[0], -1, 0), state[1], m1,
+                                           spec.cell_volume)
         else:
             masses["line"] = edge_mass(state[0][0], means, m1, spec.dx1)
         for name in reversed(masses):
@@ -451,14 +452,13 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         """The norm row at time t of state v on `grid`, the window of the
         cylinder or of the line, with perturbation phi = v - ansatz, ansatz
         defect h (None on the line: it is 0) and profile prof, all plain
-        arrays.  Beyond a window short of the line lie `far`, the left and
-        right far field or its means, against the profile's end states."""
+        arrays.  Beyond the window lie `far`, the left and right far field
+        or its means, against the profile's end states."""
         phi = Field(grid, v - ansatz, t)
         fields = dict(phi=phi, grad_phi=Field(grid, magnitude(gradient(phi)), t))
         tiled = prof.reshape((-1,) + (1,) * (v.ndim - 1))  # constant along the torus
-        linf = float(np.max(np.abs(v - tiled)))
-        if grid.n1 < spec.n1:
-            linf = max(linf, *(float(np.max(np.abs(w - end))) for w, end in zip(far, (ul, ur))))
+        linf = max(float(np.max(np.abs(v - tiled))),
+                   *(float(np.max(np.abs(w - end))) for w, end in zip(far, (ul, ur))))
         return dict(t=t, **{name: lp_norm(fields[which], p)
                             for name, (which, p) in PHI_SERIES.items()},
                     u_minus_profile_linf=linf,
@@ -474,7 +474,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         width] and its profile `prof`, pulled from the segment's march"""
         march_v, far = state
         v = np.ascontiguousarray(np.moveaxis(march_v, -1, 0))  # x1-first, as every reader takes it
-        t, vspec = k * dt, window(width)[1]
+        t, vspec = k * dt, window(width)
         edges.append((t, edge(state, prof.values, width, t)))
         ansatz, h = assemble_bundle(far, replace(prof, t=t), flux, vspec)
         # Dirichlet data is enforced exactly at ghost cells by the index map;
@@ -488,7 +488,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         # far field's rows, and the far field's distance from its constants;
         # the last record has no step left to hand off
         tau = max(torus_part(v), *(float(np.max(np.abs(w - np.mean(w)))) for w in far),
-                  *(torus_part(w) for w in far if width < L))
+                  *(torus_part(w) for w in far))
         handoff = None
         if tau < PLANAR_TOL and k < steps:
             checks["planar_at"] = dict(step=k, t=t, tau=tau)
@@ -501,7 +501,7 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
         t = k * dt
         edges.append((t, edge(state, prof, width, t)))
         # the ansatz of a constant far field is the profile, its defect 0
-        return sample(line_of(width), t, line, prof, None, prof, means)
+        return sample(replace(window(width), n=1, n_torus=()), t, line, prof, None, prof, means)
 
     # one loop over the window segments (module docstring), steps a .. b - 1
     # on one window, b found by bisection, since the window never shrinks;
@@ -522,18 +522,18 @@ def run(config: SolverConfig, plan) -> tuple[dict, dict]:
                 held.append((_widen(state[0], *ends, periods),))
             del state
         if periods or sweep is None:
-            sweep = DiffusionSweep(window(width)[1].n1, spec.dx1, dt / 2.0)
+            sweep = DiffusionSweep(window(width).n1, spec.dx1, dt / 2.0)
         # recording the states at a + 1 .. b (and at 0 on the cylinder); each
         # march counts time from the segment's start
         seg = (b - a, dt, {i - a for i in snap if a < i <= b or i == a == 0 and means is None}
                | {b - a})
         if means is None:
-            profiles = evolve_profile(ProfileState(line_of(width), prof, ul=ul, ur=ur), flux, seg,
-                                      sweep)
+            profiles = evolve_profile(ProfileState(replace(window(width), n=1, n_torus=()), prof,
+                                                   ul=ul, ur=ur), flux, seg, sweep)
             step = (spec.n, cylinder_sweep(sweep), rhs, lambda state, s: check(state, a * dt + s))
         else:
             step = (1, *pinned_line(sweep, spec.dx1, flux, *zip(means, (ul, ur))),
-                    lambda state, s: check_line(state, a * dt + s, width))
+                    lambda state, s: check_line(state, a * dt + s))
         handoff = None
         for k, state in march(held.pop(), seg, *step, lambda k, state: (a + k, state)):
             if means is None:
